@@ -14,20 +14,22 @@
 //     --batch-threads=N (default: hardware), --min-batch-speedup=X (gate).
 //  3. The google-benchmark suite covering the cost model behind Table II's
 //     speed column: full grid solves at several resolutions, matrix assembly
-//     alone, fast-model evaluation, and microbump assignment.
+//     alone, fast-model evaluation, and microbump assignment over an SA move
+//     tape (memoizing long-lived assigner vs a fresh one per call).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "bump/assigner.h"
 #include "parallel/thread_pool.h"
 #include "systems/synthetic.h"
-#include "systems/systems.h"
 #include "thermal/characterize.h"
 #include "thermal/grid_solver.h"
 #include "thermal/incremental.h"
@@ -110,27 +112,93 @@ void BM_FastModelEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_FastModelEvaluate)->Unit(benchmark::kMicrosecond);
 
-void BM_BumpAssignment(benchmark::State& state) {
-  const bump::BumpAssigner assigner;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        assigner.assign(test_system(), test_floorplan()).total_mm);
-  }
+/// Generator config of the shipped family_sweep32 (seed 37) and
+/// family_sweep64 (seed 41) scenarios; power does not enter microbump
+/// assignment.
+systems::FamilyConfig sweep_family(std::size_t dies) {
+  systems::FamilyConfig fc;
+  fc.chiplets = dies;
+  fc.interposer_w_mm = fc.interposer_h_mm = dies > 32 ? 120.0 : 90.0;
+  fc.min_dim_mm = 3.0;
+  fc.max_dim_mm = 8.0;
+  fc.extra_net_prob = dies > 32 ? 0.05 : 0.1;
+  return fc;
 }
-BENCHMARK(BM_BumpAssignment)->Unit(benchmark::kMicrosecond);
 
-void BM_BumpAssignmentMultiGpu(benchmark::State& state) {
-  static const ChipletSystem sys = systems::make_multi_gpu_system();
-  static const Floorplan fp = [] {
-    Rng rng(3);
-    return systems::random_legal_floorplan(sys, rng);
-  }();
-  const bump::BumpAssigner assigner;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(assigner.assign(sys, fp).total_mm);
+/// A seeded SA-style candidate stream on a sweep_family() system. Each
+/// candidate displaces, rotates or swaps dies of the current
+/// floorplan; 45% of candidates become the next current floorplan (about
+/// SA's accept ratio on these systems), the rest are discarded as SA
+/// discards a rejected candidate. Candidates point at `system`, so the tape
+/// is neither copied nor moved.
+struct BumpTape {
+  explicit BumpTape(std::size_t dies)
+      : system(systems::generate_family(sweep_family(dies), dies > 32 ? 41 : 37,
+                                        "sweep" + std::to_string(dies))) {
+    Rng rng(7 + dies);
+    Floorplan current = systems::random_legal_floorplan(system, rng);
+    const double side = system.interposer_width();
+    for (int c = 0; c < 1024; ++c) {
+      Floorplan next = current;
+      const std::size_t i = rng.uniform_int(std::uint64_t{dies});
+      const Placement p = *current.placement(i);
+      const double u = rng.uniform();
+      if (u < 0.6) {
+        const double d = 0.1 * side;
+        next.place(i,
+                   {std::clamp(p.position.x + rng.uniform(-d, d), 0.0, side),
+                    std::clamp(p.position.y + rng.uniform(-d, d), 0.0, side)},
+                   p.rotated);
+      } else if (u < 0.8) {
+        next.place(i, p.position, !p.rotated);
+      } else {
+        const std::size_t j =
+            (i + 1 + rng.uniform_int(std::uint64_t{dies - 1})) % dies;
+        const Placement q = *current.placement(j);
+        next.place(i, q.position, p.rotated);
+        next.place(j, p.position, q.rotated);
+      }
+      candidates.push_back(next);
+      if (rng.uniform() < 0.45) current = std::move(next);
+    }
   }
+  BumpTape(const BumpTape&) = delete;
+  BumpTape& operator=(const BumpTape&) = delete;
+
+  const ChipletSystem system;
+  std::vector<Floorplan> candidates;
+};
+
+/// Microbump assignment over an SA move tape at 32 and 64 dies: with one
+/// long-lived assigner, as SA calls it (memo hits on every die and net the
+/// candidate did not move), and with a fresh assigner per call (all misses,
+/// like an RL episode end).
+void BM_BumpAssignmentTape(benchmark::State& state) {
+  static const BumpTape tape32(32);
+  static const BumpTape tape64(64);
+  const BumpTape& tape = state.range(0) > 32 ? tape64 : tape32;
+  const bool fresh = state.range(1) != 0;
+  const bump::BumpAssigner long_lived;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const Floorplan& fp = tape.candidates[k];
+    k = k + 1 == tape.candidates.size() ? 0 : k + 1;
+    if (fresh) {
+      benchmark::DoNotOptimize(
+          bump::BumpAssigner().assign(tape.system, fp).total_mm);
+    } else {
+      benchmark::DoNotOptimize(long_lived.assign(tape.system, fp).total_mm);
+    }
+  }
+  state.SetLabel(std::to_string(state.range(0)) + " dies, " +
+                 (fresh ? "fresh assigner per call" : "long-lived assigner"));
 }
-BENCHMARK(BM_BumpAssignmentMultiGpu)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BumpAssignmentTape)
+    ->Args({32, 0})
+    ->Args({32, 1})
+    ->Args({64, 0})
+    ->Args({64, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------ incremental vs batch ----
 

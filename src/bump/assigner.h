@@ -5,9 +5,19 @@
 // minimized (greedy nearest-facing-site matching with capacity limits). This
 // is the W entering the reward; the cheap center-to-center estimate
 // (Floorplan::center_wirelength) is only an optimization-loop proxy.
+//
+// An optimizer calls assign() once per candidate floorplan, and consecutive
+// candidates differ in one or two dies. Each assigner therefore memoizes, by
+// value, the work that depends only on geometry: every die's peripheral
+// sites (keyed by the die's exact Rect) and every net's two facing orders
+// (keyed by the exact rect pair of its endpoints). The memo never changes a
+// result: every WirelengthReport field is bit-identical to assigning from
+// scratch.
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "bump/bump_grid.h"
@@ -15,14 +25,6 @@
 #include "core/floorplan.h"
 
 namespace rlplan::bump {
-
-/// One wire's endpoints after assignment.
-struct WireRoute {
-  std::size_t net_index = 0;
-  Point from;  ///< bump on chiplet net.a
-  Point to;    ///< bump on chiplet net.b
-  double length_mm = 0.0;  ///< Manhattan
-};
 
 struct WirelengthReport {
   double total_mm = 0.0;
@@ -36,21 +38,27 @@ struct WirelengthReport {
 class BumpAssigner {
  public:
   explicit BumpAssigner(BumpGridConfig config = {});
+  /// A copy shares the configuration and starts with an empty memo.
+  BumpAssigner(const BumpAssigner& other);
+  BumpAssigner& operator=(const BumpAssigner& other);
+  ~BumpAssigner();
 
   const BumpGridConfig& config() const { return config_; }
 
   /// Assigns every net of a *complete* floorplan and reports wirelength.
-  /// Throws std::logic_error if any net endpoint is unplaced.
+  /// Throws std::logic_error if any chiplet is unplaced, and
+  /// std::invalid_argument for a net ChipletSystem::validate() rejects
+  /// (endpoint out of range or a self-loop). Safe to call concurrently on one
+  /// instance: calls serialize on the memo's lock.
   WirelengthReport assign(const ChipletSystem& system,
                           const Floorplan& floorplan) const;
 
-  /// As assign(), also returning per-wire routes (for visualization/tests).
-  WirelengthReport assign_with_routes(const ChipletSystem& system,
-                                      const Floorplan& floorplan,
-                                      std::vector<WireRoute>& routes) const;
-
  private:
+  struct Memo;
+
   BumpGridConfig config_;
+  mutable std::mutex memo_mutex_;
+  mutable std::unique_ptr<Memo> memo_;  ///< guarded by memo_mutex_
 };
 
 }  // namespace rlplan::bump

@@ -207,9 +207,11 @@ Floorplan Tap25dPlanner::anneal_population(
   parallel::ThreadPool pool(config_.batch_threads);
 
   // All candidates of a round go through one batched thermal call; the
-  // wirelength term stays on the calling thread (microbump assignment is
-  // cheap next to the thermal kernel). Results are independent of
-  // batch_threads because max_temperature_batch is index-aligned.
+  // wirelength term stays on the calling thread: one assign() per candidate
+  // on one assigner, whose memo reuses the sites and facing orders of every
+  // die and net a candidate shares with the one before. Results are
+  // independent of batch_threads because max_temperature_batch is
+  // index-aligned.
   std::vector<Floorplan> candidates;
   candidates.reserve(k);
   const auto score_batch = [&](std::vector<double>& costs) {

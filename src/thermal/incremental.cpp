@@ -409,31 +409,24 @@ void IncrementalThermalState::temperatures(std::vector<double>& out) const {
 
 // ---------------------------------------------------------------------------
 
-double IncrementalFastModelEvaluator::fingerprint(
-    const ChipletSystem& system) {
-  // Cheap content hash so a *different* system recycled at the same address
-  // (common in test loops) forces a session rebuild instead of silently
-  // reading stale per-die caches.
-  double fp = static_cast<double>(system.num_chiplets()) +
-              1e-3 * system.interposer_width() +
-              1e-6 * system.interposer_height();
-  for (const Chiplet& c : system.chiplets()) {
-    fp = fp * 1.0000001 + c.width * 0.13 + c.height * 0.29 + c.power * 0.57;
-  }
-  return fp;
-}
-
 bool IncrementalFastModelEvaluator::ensure_session(
     const ChipletSystem& system) {
   if (system.num_chiplets() > IncrementalThermalState::kMaxChiplets) {
     return false;
   }
-  const double fp = fingerprint(system);
-  if (!state_ || session_system_ != &system || session_fingerprint_ != fp) {
+  // Exact content equality, not a hash: a *different* system recycled at the
+  // same address (common in test loops) must force a session rebuild instead
+  // of silently reading stale per-die caches.
+  if (!state_ || session_system_ != &system ||
+      session_interposer_w_ != system.interposer_width() ||
+      session_interposer_h_ != system.interposer_height() ||
+      session_chiplets_ != system.chiplets()) {
     state_.emplace(model_, system);
     if (forced_level_) state_->set_simd_level(*forced_level_);
     session_system_ = &system;
-    session_fingerprint_ = fp;
+    session_interposer_w_ = system.interposer_width();
+    session_interposer_h_ = system.interposer_height();
+    session_chiplets_ = system.chiplets();
   }
   return true;
 }

@@ -318,15 +318,17 @@ class IncrementalFastModelEvaluator final : public ThermalEvaluator {
 
  private:
   /// (Re)binds the session to `system`, detecting both pointer changes and a
-  /// different system recycled at the same address.
+  /// different system recycled at the same address (exact comparison of the
+  /// interposer and every chiplet the session was built from).
   bool ensure_session(const ChipletSystem& system);
-  static double fingerprint(const ChipletSystem& system);
 
   FastThermalModel model_;
   std::optional<IncrementalThermalState> state_;
   std::optional<util::SimdLevel> forced_level_;
   const ChipletSystem* session_system_ = nullptr;
-  double session_fingerprint_ = 0.0;
+  double session_interposer_w_ = 0.0;
+  double session_interposer_h_ = 0.0;
+  std::vector<Chiplet> session_chiplets_;
   long count_ = 0;
   long incremental_queries_ = 0;
   long full_evals_ = 0;

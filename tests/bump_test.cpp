@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "bump/bump_grid.h"
+#include "bump_oracle.h"
+#include "fuzz_util.h"
+#include "systems/synthetic.h"
+#include "util/rng.h"
 
 namespace rlplan::bump {
 namespace {
@@ -156,14 +167,30 @@ TEST(BumpAssigner, ThrowsOnUnplacedEndpoint) {
   EXPECT_THROW(assigner.assign(sys, fp), std::logic_error);
 }
 
-TEST(BumpAssigner, RoutesMatchReport) {
+TEST(BumpAssigner, ThrowsOnMalformedNet) {
+  // ChipletSystem's constructor does not validate; assign() must not index
+  // out of range or double-book one die's capacity on a self-loop.
+  const ChipletSystem out_of_range(
+      "r", 40.0, 20.0, {{"a", 8.0, 8.0, 1.0}, {"b", 8.0, 8.0, 1.0}},
+      {{0, 2, 8}});
+  const ChipletSystem self_loop("s", 40.0, 20.0,
+                                {{"a", 8.0, 8.0, 1.0}, {"b", 8.0, 8.0, 1.0}},
+                                {{0, 1, 8}, {1, 1, 8}});
+  for (const ChipletSystem* sys : {&out_of_range, &self_loop}) {
+    Floorplan fp(*sys);
+    fp.place(0, {2.0, 6.0});
+    fp.place(1, {30.0, 6.0});
+    EXPECT_THROW(BumpAssigner().assign(*sys, fp), std::invalid_argument);
+  }
+}
+
+TEST(BumpOracle, RoutesMatchReport) {
   const auto sys = simple_pair(24);
   Floorplan fp(sys);
   fp.place(0, {2.0, 6.0});
   fp.place(1, {28.0, 6.0});
-  const BumpAssigner assigner;
-  std::vector<WireRoute> routes;
-  const auto report = assigner.assign_with_routes(sys, fp, routes);
+  std::vector<oracle::WireRoute> routes;
+  const auto report = oracle::assign_with_routes({}, sys, fp, routes);
   ASSERT_EQ(routes.size(), 24u);
   double total = 0.0;
   const Rect ra = fp.rect_of(0);
@@ -201,6 +228,270 @@ TEST(BumpAssigner, MultiNetCompetitionConsumesCapacity) {
 TEST(BumpGrid, TotalCapacity) {
   std::vector<BumpSite> sites{{{0, 0}, 4}, {{1, 0}, 4}, {{2, 0}, 8}};
   EXPECT_EQ(total_capacity(sites), 16);
+}
+
+// ----------------------------------------------- differential fuzz ------
+//
+// The memoized assign() against the from-scratch oracle (bump_oracle.h):
+// every WirelengthReport field must be bit-identical (EXPECT_EQ on doubles)
+// on every call, hits and misses alike.
+
+using rlplan::testing::fuzz_scale;
+using systems::NetTopology;
+
+constexpr NetTopology kTopologies[] = {
+    NetTopology::kRandom, NetTopology::kStar, NetTopology::kChain,
+    NetTopology::kRing,   NetTopology::kMesh, NetTopology::kBipartite};
+
+/// EXPECT_EQs every report field against the oracle's; on a mismatch also
+/// appends `context` to the nightly failure artifact.
+bool matches_oracle(const BumpAssigner& assigner, const ChipletSystem& sys,
+                    const Floorplan& fp, const std::string& context) {
+  const WirelengthReport want = oracle::assign(assigner.config(), sys, fp);
+  const WirelengthReport got = assigner.assign(sys, fp);
+  bool ok = got.total_mm == want.total_mm &&
+            got.wires_assigned == want.wires_assigned &&
+            got.capacity_overflows == want.capacity_overflows &&
+            got.per_net_mm.size() == want.per_net_mm.size();
+  EXPECT_EQ(got.total_mm, want.total_mm) << context;
+  EXPECT_EQ(got.wires_assigned, want.wires_assigned) << context;
+  EXPECT_EQ(got.capacity_overflows, want.capacity_overflows) << context;
+  EXPECT_EQ(got.per_net_mm.size(), want.per_net_mm.size()) << context;
+  for (std::size_t k = 0; ok && k < want.per_net_mm.size(); ++k) {
+    ok = got.per_net_mm[k] == want.per_net_mm[k];
+    EXPECT_EQ(got.per_net_mm[k], want.per_net_mm[k])
+        << context << " net " << k;
+  }
+  if (!ok) rlplan::testing::report_failure_seed("bump_test", context);
+  return ok;
+}
+
+/// Rings 1-3, pitch 0.5-4 mm, 1-32 wires per site; margins up to 2 mm push
+/// the smallest dies onto the center-site fallback.
+BumpGridConfig random_grid(Rng& rng) {
+  BumpGridConfig c;
+  c.rings = static_cast<int>(rng.uniform_int(std::int64_t{1}, 3));
+  c.pitch_mm = rng.uniform(0.5, 4.0);
+  c.wires_per_site = static_cast<int>(rng.uniform_int(std::int64_t{1}, 32));
+  c.edge_margin_mm = rng.uniform(0.0, 2.0);
+  return c;
+}
+
+/// A family instance with 2-64 dies, square or sliver-shaped, some small
+/// enough for the center-site fallback.
+ChipletSystem random_family(Rng& rng, NetTopology topology) {
+  systems::FamilyConfig fc;
+  fc.chiplets = static_cast<std::size_t>(rng.uniform_int(std::int64_t{2}, 64));
+  fc.topology = topology;
+  fc.min_dim_mm = rng.uniform(0.4, 3.0);
+  fc.max_dim_mm = fc.min_dim_mm + rng.uniform(0.0, 8.0);
+  fc.max_aspect = rng.bernoulli(0.3) ? 3.0 : 1.0;
+  fc.min_wires = 1;
+  fc.max_wires = 512;
+  const double side = std::max(
+      3.0 * fc.max_dim_mm,
+      std::sqrt(3.0 * static_cast<double>(fc.chiplets)) * fc.max_dim_mm);
+  fc.interposer_w_mm = side;
+  fc.interposer_h_mm = side;
+  return systems::generate_family(fc, rng.next(), "fuzz");
+}
+
+/// Any in-bounds lower-left corner: the assigner has no legality notion, so
+/// overlapping placements are valid inputs.
+Point random_position(const ChipletSystem& sys, std::size_t i, bool rotated,
+                      Rng& rng) {
+  const Chiplet& c = sys.chiplet(i);
+  const double w = rotated ? c.height : c.width;
+  const double h = rotated ? c.width : c.height;
+  return {rng.uniform(0.0, std::max(sys.interposer_width() - w, 0.0)),
+          rng.uniform(0.0, std::max(sys.interposer_height() - h, 0.0))};
+}
+
+Floorplan random_floorplan(const ChipletSystem& sys, Rng& rng) {
+  Floorplan fp(sys);
+  for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
+    const bool rotated = rng.bernoulli(0.3);
+    fp.place(i, random_position(sys, i, rotated, rng), rotated);
+  }
+  return fp;
+}
+
+/// One SA-style move: displace, rotate in place, or swap two dies.
+void random_move(Floorplan& fp, Rng& rng) {
+  const ChipletSystem& sys = fp.system();
+  const std::size_t n = sys.num_chiplets();
+  const std::size_t i = rng.uniform_int(std::uint64_t{n});
+  const Placement p = *fp.placement(i);
+  const double u = rng.uniform();
+  if (u < 0.5) {
+    fp.place(i, random_position(sys, i, p.rotated, rng), p.rotated);
+  } else if (u < 0.75) {
+    fp.place(i, p.position, !p.rotated);
+  } else {
+    std::size_t j = rng.uniform_int(std::uint64_t{n - 1});
+    if (j >= i) ++j;
+    const Placement q = *fp.placement(j);
+    fp.place(i, q.position, p.rotated);
+    fp.place(j, p.position, q.rotated);
+  }
+}
+
+/// Runs a seeded move tape on one long-lived assigner, rejecting (reverting)
+/// about half the moves the way SA does, and checks every call.
+bool run_tape(const BumpAssigner& assigner, Floorplan& fp, int moves,
+              Rng& rng, const std::string& context) {
+  if (!matches_oracle(assigner, fp.system(), fp, context + " initial")) {
+    return false;
+  }
+  for (int m = 0; m < moves; ++m) {
+    const Floorplan before = fp;
+    random_move(fp, rng);
+    const std::string where = context + " move " + std::to_string(m);
+    if (!matches_oracle(assigner, fp.system(), fp, where)) return false;
+    if (rng.bernoulli(0.5)) {
+      fp = before;
+      if (!matches_oracle(assigner, fp.system(), fp, where + " revert")) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(BumpAssignerFuzz, MoveTapesMatchOracle) {
+  const int cases = 24 * fuzz_scale();
+  long calls_checked = 0;
+  for (int k = 0; k < cases; ++k) {
+    const std::uint64_t seed = 0xB0A5ULL * 1000003ULL + k;
+    const NetTopology topology = kTopologies[k % std::size(kTopologies)];
+    const std::string context = "MoveTapesMatchOracle seed=" +
+                                std::to_string(seed) +
+                                " topology=" + systems::to_string(topology);
+    Rng rng(seed);
+    const BumpAssigner assigner(random_grid(rng));
+    const ChipletSystem sys = random_family(rng, topology);
+    Floorplan fp = random_floorplan(sys, rng);
+    const int moves = 16;
+    if (!run_tape(assigner, fp, moves, rng, context)) return;
+    calls_checked += 1 + moves;
+  }
+  EXPECT_GE(calls_checked, 17L * cases);
+}
+
+TEST(BumpAssignerFuzz, TinyDiesUseCenterSites) {
+  // Dies below twice the edge margin get one center site; mixed with normal
+  // dies they must still match the oracle through a move tape.
+  Rng rng(0x71417ULL);
+  std::vector<Chiplet> chiplets;
+  for (int i = 0; i < 12; ++i) {
+    const double s = i % 3 == 0 ? rng.uniform(0.1, 0.45) : rng.uniform(2, 6);
+    chiplets.push_back({"c" + std::to_string(i), s, s * rng.uniform(0.8, 1.25),
+                        1.0});
+  }
+  std::vector<InterChipletNet> nets;
+  for (std::size_t i = 1; i < chiplets.size(); ++i) {
+    nets.push_back({rng.uniform_int(std::uint64_t{i}), i,
+                    static_cast<int>(rng.uniform_int(std::int64_t{1}, 300))});
+  }
+  const ChipletSystem sys("tiny", 40.0, 40.0, chiplets, nets);
+  BumpGridConfig config;
+  config.edge_margin_mm = 0.25;
+  const BumpAssigner assigner(config);
+  Floorplan fp = random_floorplan(sys, rng);
+  ASSERT_EQ(make_peripheral_sites(fp.rect_of(0), config).size(), 1u);
+  EXPECT_TRUE(run_tape(assigner, fp, 60, rng, "TinyDiesUseCenterSites"));
+}
+
+TEST(BumpAssignerFuzz, AlternatingSystemsShareDiesNotNets) {
+  // Same dies, different net lists of the same length: die sites may be
+  // reused across the two, facing orders and net priorities may not.
+  Rng rng(0xA17E4ULL);
+  const ChipletSystem a = random_family(rng, NetTopology::kRing);
+  std::vector<InterChipletNet> shifted;
+  for (const InterChipletNet& net : a.nets()) {
+    shifted.push_back({(net.a + 1) % a.num_chiplets(),
+                       (net.b + 1) % a.num_chiplets(),
+                       static_cast<int>(rng.uniform_int(std::int64_t{1}, 512))});
+  }
+  const ChipletSystem b("b", a.interposer_width(), a.interposer_height(),
+                        a.chiplets(), shifted);
+  ASSERT_EQ(a.chiplets(), b.chiplets());
+  const BumpAssigner assigner;
+  Floorplan fa = random_floorplan(a, rng);
+  Floorplan fb(b);
+  for (int step = 0; step < 40; ++step) {
+    // fb mirrors fa's placements, so every die rect is shared.
+    for (std::size_t i = 0; i < a.num_chiplets(); ++i) {
+      fb.place(i, fa.placement(i)->position, fa.placement(i)->rotated);
+    }
+    const std::string context = "Alternating step " + std::to_string(step);
+    if (!matches_oracle(assigner, a, fa, context + " a")) return;
+    if (!matches_oracle(assigner, b, fb, context + " b")) return;
+    random_move(fa, rng);
+  }
+}
+
+TEST(BumpAssignerFuzz, CopyMidStreamMatchesOracle) {
+  Rng rng(0xC0B1ULL);
+  const ChipletSystem sys = random_family(rng, NetTopology::kMesh);
+  BumpGridConfig config;
+  config.wires_per_site = 4;
+  const BumpAssigner original(config);
+  Floorplan fp = random_floorplan(sys, rng);
+  ASSERT_TRUE(run_tape(original, fp, 20, rng, "CopyMidStream before"));
+  const BumpAssigner copy = original;
+  BumpAssigner assigned;
+  assigned = original;
+  EXPECT_EQ(copy.config().wires_per_site, 4);
+  EXPECT_EQ(assigned.config().wires_per_site, 4);
+  // The original and both copies continue on diverging tapes.
+  Floorplan fp_copy = fp;
+  Floorplan fp_assigned = fp;
+  Rng rng_copy(rng.next());
+  Rng rng_assigned(rng.next());
+  EXPECT_TRUE(run_tape(original, fp, 20, rng, "CopyMidStream original"));
+  EXPECT_TRUE(run_tape(copy, fp_copy, 20, rng_copy, "CopyMidStream copy"));
+  EXPECT_TRUE(
+      run_tape(assigned, fp_assigned, 20, rng_assigned, "CopyMidStream ="));
+}
+
+TEST(BumpAssignerFuzz, ConcurrentCallsMatchSerial) {
+  Rng rng(0x7EADULL);
+  const ChipletSystem sys = random_family(rng, NetTopology::kRandom);
+  std::vector<Floorplan> tape{random_floorplan(sys, rng)};
+  for (int m = 0; m < 48; ++m) {
+    tape.push_back(tape.back());
+    random_move(tape.back(), rng);
+  }
+  std::vector<WirelengthReport> serial;
+  {
+    const BumpAssigner fresh;
+    for (const Floorplan& fp : tape) serial.push_back(fresh.assign(sys, fp));
+  }
+  const BumpAssigner shared;
+  constexpr int kThreads = 4;
+  std::vector<std::vector<WirelengthReport>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the tape from a different offset, so the memo
+      // sees interleaved, unrelated floorplans.
+      for (std::size_t k = 0; k < tape.size(); ++k) {
+        const std::size_t idx = (k + 11 * t) % tape.size();
+        got[t].push_back(shared.assign(sys, tape[idx]));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < tape.size(); ++k) {
+      const WirelengthReport& want = serial[(k + 11 * t) % tape.size()];
+      EXPECT_EQ(got[t][k].total_mm, want.total_mm);
+      EXPECT_EQ(got[t][k].per_net_mm, want.per_net_mm);
+      EXPECT_EQ(got[t][k].wires_assigned, want.wires_assigned);
+      EXPECT_EQ(got[t][k].capacity_overflows, want.capacity_overflows);
+    }
+  }
 }
 
 }  // namespace

@@ -406,6 +406,38 @@ TEST(IncrementalThermal, SessionRebindsAcrossSystems) {
   }
 }
 
+// Two systems at one recycled address with identical placements: the
+// session must rebind on content, not on a lossy fingerprint. These two die
+// sets collided exactly under the former float-polynomial fingerprint
+// (12.96004072000802 for both), and the recycled evaluator kept the first
+// system's die sizes and powers.
+TEST(IncrementalThermal, RecycledAddressRebindsOnExactContent) {
+  const FastThermalModel model = make_model(FastModelConfig{}, false, true);
+  const std::vector<InterChipletNet> nets{{0, 1, 8}};
+  std::optional<ChipletSystem> sys;
+  sys.emplace("first", 40.0, 40.0,
+              std::vector<Chiplet>{{"a", 2.0, 2.0, 4.0}, {"b", 5.0, 5.0, 10.0}},
+              nets);
+  const ChipletSystem* address = &*sys;
+  const auto place = [](const ChipletSystem& s) {
+    Floorplan fp(s);
+    fp.place(0, {6.0, 6.0});
+    fp.place(1, {20.0, 20.0});
+    return fp;
+  };
+  IncrementalFastModelEvaluator recycled(model);
+  const double first = recycled.incremental_max_temperature(*sys, place(*sys));
+
+  sys.emplace("second", 40.0, 40.0,
+              std::vector<Chiplet>{{"a", 4.0, 7.0, 1.0}, {"b", 5.0, 5.0, 10.0}},
+              nets);
+  ASSERT_EQ(&*sys, address);
+  IncrementalFastModelEvaluator fresh(model);
+  const double want = fresh.incremental_max_temperature(*sys, place(*sys));
+  EXPECT_EQ(recycled.incremental_max_temperature(*sys, place(*sys)), want);
+  EXPECT_NE(want, first);
+}
+
 // End-to-end through the RL env: the per-step notify_place stream plus the
 // episode-end incremental query must equal a batch evaluator's reward.
 TEST(IncrementalThermal, EnvEpisodeMatchesBatchEvaluator) {
