@@ -1,21 +1,29 @@
 // Micro-benchmarks of the thermal substrate.
 //
 // Three parts:
-//  1. A hand-rolled incremental-vs-batch comparison of single-die moves on
-//     the fast model at 4/8/16/32 chiplets (the reward hot path both
-//     optimizers sit on), printed as a table and emitted as machine-readable
-//     BENCH_thermal.json so later PRs can track the perf trajectory.
-//     Flags: --moves=N, --json=PATH, --smoke (tiny move counts, skip the
-//     google-benchmark suite — the CI smoke step uses this).
+//  1. A hand-rolled comparison of single-die moves on the fast model at
+//     4/8/16/32 chiplets (the reward hot path both optimizers sit on):
+//     incremental move+query at the dispatched SIMD level and at forced
+//     scalar, against a full re-evaluation per move by the test-only oracle
+//     (tests/fast_model_oracle.h, a plain scalar evaluation). Printed
+//     as a table and emitted as machine-readable BENCH_thermal.json so
+//     later PRs can track the perf trajectory. Flags: --moves=N,
+//     --json=PATH, --smoke (tiny move counts, skip the google-benchmark
+//     suite — the CI smoke step uses this), --min-move-speedup=X (gate:
+//     dispatched incremental vs oracle re-evaluation at >= 16 dies).
 //  2. A whole-floorplan batch comparison: K candidate floorplans scored with
 //     one FastThermalModel::evaluate_batch() call (the SoA kernel, fanned
-//     over a ThreadPool when --batch-threads > 1) versus K repeated single
-//     evaluate() calls. Flags: --batch=K (64), --batch-repeats=N,
+//     over a ThreadPool when --batch-threads > 1) versus K oracle
+//     evaluations. Flags: --batch=K (64), --batch-repeats=N,
 //     --batch-threads=N (default: hardware), --min-batch-speedup=X (gate).
 //  3. The google-benchmark suite covering the cost model behind Table II's
 //     speed column: full grid solves at several resolutions, matrix assembly
 //     alone, fast-model evaluation, and microbump assignment over an SA move
 //     tape (memoizing long-lived assigner vs a fresh one per call).
+//
+// Every run also checks the numerics contract (thermal/soa_snapshot.h): a
+// fresh incremental state equals a SoaSnapshot at the same level exactly,
+// and every path stays within 1e-9 C of the oracle.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,6 +38,7 @@
 #include "bump/assigner.h"
 #include "parallel/thread_pool.h"
 #include "systems/synthetic.h"
+#include "tests/fast_model_oracle.h"
 #include "thermal/characterize.h"
 #include "thermal/grid_solver.h"
 #include "thermal/incremental.h"
@@ -235,16 +244,38 @@ thermal::FastThermalModel synthetic_model() {
 
 struct MoveRow {
   std::size_t chiplets = 0;
-  double batch_evals_per_sec = 0.0;
-  double incr_evals_per_sec = 0.0;         // dispatched pair-row kernels
+  double batch_evals_per_sec = 0.0;        // oracle full re-evaluation
+  double incr_evals_per_sec = 0.0;         // dispatched incremental
   double scalar_incr_evals_per_sec = 0.0;  // forced-scalar incremental
-  double speedup = 0.0;       // dispatched incremental vs batch
+  double speedup = 0.0;       // dispatched incremental vs oracle
   double move_speedup = 0.0;  // dispatched vs forced-scalar incremental
   double move_ns = 0.0;         // ns per dispatched incremental move+query
   double scalar_move_ns = 0.0;  // ns per forced-scalar move+query
-  double max_abs_diff_c = 0.0;     // dispatched incremental vs batch
-  double max_scalar_diff_c = 0.0;  // forced-scalar incremental vs batch
+  double max_abs_diff_c = 0.0;     // dispatched incremental vs oracle
+  double max_scalar_diff_c = 0.0;  // forced-scalar incremental vs oracle
+  double anchor_diff_c = 0.0;  // fresh state vs same-level snapshot
 };
+
+/// Largest |fresh incremental state - SoaSnapshot| over the dispatched and
+/// forced-scalar levels on `fp`: the numerics contract's exact anchor, so
+/// anything but 0 is a broken invariant.
+double anchor_diff(const thermal::FastThermalModel& model,
+                   const ChipletSystem& sys, const Floorplan& fp) {
+  double worst = 0.0;
+  for (const util::SimdLevel level :
+       {thermal::SoaSnapshot::dispatch_level(), util::SimdLevel::kScalar}) {
+    thermal::IncrementalThermalState state(model, sys);
+    state.set_simd_level(level);
+    state.sync(fp);
+    thermal::SoaSnapshot snapshot(model, sys);
+    snapshot.set_simd_level(level);
+    snapshot.refresh(fp);
+    thermal::FastThermalResult r;
+    snapshot.evaluate(r);
+    worst = std::max(worst, std::abs(state.max_temperature_c() - r.max_temp_c));
+  }
+  return worst;
+}
 
 MoveRow run_move_comparison(const thermal::FastThermalModel& model,
                             std::size_t n, long moves) {
@@ -259,7 +290,7 @@ MoveRow run_move_comparison(const thermal::FastThermalModel& model,
   Rng rng(99 + n);
   const Floorplan initial = systems::random_legal_floorplan(sys, rng);
 
-  // One shared single-die move tape so both engines do identical work.
+  // One shared single-die move tape so every engine does identical work.
   struct Move {
     std::size_t die;
     Point pos;
@@ -276,21 +307,22 @@ MoveRow run_move_comparison(const thermal::FastThermalModel& model,
 
   MoveRow row;
   row.chiplets = n;
-  std::vector<double> batch_temps;
-  batch_temps.reserve(tape.size());
+  row.anchor_diff_c = anchor_diff(model, sys, initial);
+  std::vector<double> oracle_temps;
+  oracle_temps.reserve(tape.size());
   {
-    thermal::FastModelEvaluator eval(model);
+    thermal::oracle::OracleEvaluator eval(model);
     Floorplan fp = initial;
     eval.max_temperature(sys, fp);  // prime (matches the incremental sync)
     const Timer timer;
     for (const Move& m : tape) {
       fp.place(m.die, m.pos, false);
-      batch_temps.push_back(eval.max_temperature(sys, fp));
+      oracle_temps.push_back(eval.max_temperature(sys, fp));
     }
     row.batch_evals_per_sec = static_cast<double>(moves) / timer.seconds();
   }
-  // Both incremental tiers over the identical tape: forced scalar (the
-  // bit-exact reference) and the runtime-dispatched pair-row kernels.
+  // The incremental engine over the identical tape at both levels: forced
+  // scalar and the runtime-dispatched kernels.
   const auto run_incremental = [&](util::SimdLevel level, double& evals_per_sec,
                                    double& max_diff) {
     thermal::IncrementalFastModelEvaluator eval(model);
@@ -304,7 +336,7 @@ MoveRow run_move_comparison(const thermal::FastThermalModel& model,
       fp.place(m.die, m.pos, false);
       const double temp = eval.incremental_max_temperature(sys, fp);
       eval.commit();
-      max_diff = std::max(max_diff, std::abs(temp - batch_temps[t++]));
+      max_diff = std::max(max_diff, std::abs(temp - oracle_temps[t++]));
     }
     evals_per_sec = static_cast<double>(moves) / timer.seconds();
   };
@@ -330,10 +362,10 @@ struct BatchRow {
   double max_abs_diff_c = 0.0;
 };
 
-/// K random legal candidate floorplans scored via repeated evaluate() versus
-/// one evaluate_batch() call per repeat — the SA-population / PPO-batch
-/// query shape. Also cross-checks the SoA results against the scalar path
-/// (documented tolerance: 1e-9 C).
+/// K random legal candidate floorplans scored via repeated oracle
+/// evaluations versus one evaluate_batch() call per repeat — the
+/// SA-population / PPO-batch query shape. Also cross-checks the SoA results
+/// against the oracle (documented tolerance: 1e-9 C).
 BatchRow run_batch_comparison(const thermal::FastThermalModel& model,
                               std::size_t n, std::size_t batch, long repeats,
                               std::size_t threads) {
@@ -361,7 +393,8 @@ BatchRow run_batch_comparison(const thermal::FastThermalModel& model,
     const Timer timer;
     for (long r = 0; r < repeats; ++r) {
       for (std::size_t i = 0; i < batch; ++i) {
-        single_temps[i] = model.evaluate(sys, candidates[i]).max_temp_c;
+        single_temps[i] =
+            thermal::oracle::evaluate(model, sys, candidates[i]).max_temp_c;
       }
     }
     row.single_evals_per_sec =
@@ -424,11 +457,13 @@ void write_json(const std::string& path, const std::vector<MoveRow>& rows,
                   "\"speedup\": %.2f, \"move_speedup\": %.2f, "
                   "\"move_ns\": %.1f, \"scalar_move_ns\": %.1f, "
                   "\"max_abs_diff_c\": %.3e, "
-                  "\"max_scalar_diff_c\": %.3e}%s\n",
+                  "\"max_scalar_diff_c\": %.3e, "
+                  "\"anchor_diff_c\": %.3e}%s\n",
                   r.chiplets, r.batch_evals_per_sec, r.incr_evals_per_sec,
                   r.scalar_incr_evals_per_sec, r.speedup, r.move_speedup,
                   r.move_ns, r.scalar_move_ns, r.max_abs_diff_c,
-                  r.max_scalar_diff_c, i + 1 < rows.size() ? "," : "");
+                  r.max_scalar_diff_c, r.anchor_diff_c,
+                  i + 1 < rows.size() ? "," : "");
     os << buf;
   }
   os << "  ],\n  \"batch_results\": [\n";
@@ -466,27 +501,27 @@ int main(int argc, char** argv) {
       static_cast<long>(parallel::ThreadPool::hardware_threads())));
 
   const thermal::FastThermalModel model = synthetic_model();
-  std::printf("single-die moves, incremental vs batch (default config, %ld "
-              "moves per size, incr simd=%s)\n",
+  std::printf("single-die moves, incremental vs oracle re-evaluation "
+              "(default config, %ld moves per size, incr simd=%s)\n",
               moves,
               util::simd_level_name(
                   thermal::IncrementalThermalState::dispatch_level()));
-  std::printf("%9s %15s %15s %15s %8s %9s %9s %12s\n", "chiplets",
-              "batch evals/s", "scalar incr/s", "simd incr/s", "vs batch",
+  std::printf("%9s %15s %15s %15s %9s %9s %9s %12s\n", "chiplets",
+              "oracle evals/s", "scalar incr/s", "simd incr/s", "vs oracle",
               "move spd", "move ns", "max |diff| C");
   std::vector<MoveRow> rows;
   for (const std::size_t n : {4u, 8u, 16u, 32u}) {
     rows.push_back(run_move_comparison(model, n, moves));
     const MoveRow& r = rows.back();
-    std::printf("%9zu %15.1f %15.1f %15.1f %7.2fx %8.2fx %9.0f %12.3e\n",
+    std::printf("%9zu %15.1f %15.1f %15.1f %8.2fx %8.2fx %9.0f %12.3e\n",
                 r.chiplets, r.batch_evals_per_sec, r.scalar_incr_evals_per_sec,
                 r.incr_evals_per_sec, r.speedup, r.move_speedup, r.move_ns,
                 r.max_abs_diff_c);
   }
 
   std::printf("\nwhole-floorplan candidates, evaluate_batch (SoA kernel, "
-              "simd=%s, %zu threads) vs repeated evaluate() (batch %zu, %ld "
-              "repeats)\n",
+              "simd=%s, %zu threads) vs repeated oracle evaluations (batch "
+              "%zu, %ld repeats)\n",
               util::simd_level_name(thermal::SoaSnapshot::dispatch_level()),
               batch_threads, batch, batch_repeats);
   std::printf("%9s %7s %18s %18s %9s %14s\n", "chiplets", "batch",
@@ -503,37 +538,39 @@ int main(int argc, char** argv) {
 
   write_json(json_path, rows, batch_rows, moves, batch_threads, smoke);
   for (const MoveRow& r : rows) {
-    if (r.max_abs_diff_c > 1e-9) {
+    // The numerics contract (thermal/soa_snapshot.h): both incremental
+    // levels within 1e-9 C of the oracle, and a fresh state exactly equal
+    // to the same-level snapshot.
+    if (r.max_abs_diff_c > 1e-9 || r.max_scalar_diff_c > 1e-9) {
       std::fprintf(stderr,
-                   "[micro_thermal] FAIL: incremental diverged from batch "
-                   "(%zu chiplets, %.3e C)\n",
-                   r.chiplets, r.max_abs_diff_c);
+                   "[micro_thermal] FAIL: incremental diverged from the "
+                   "oracle (%zu chiplets, dispatched %.3e C, forced scalar "
+                   "%.3e C)\n",
+                   r.chiplets, r.max_abs_diff_c, r.max_scalar_diff_c);
       return 1;
     }
-    // The forced-scalar tier's contract is bit-exactness against batch
-    // (thermal/incremental.h); any nonzero diff is a broken invariant.
-    if (r.max_scalar_diff_c != 0.0) {
+    if (r.anchor_diff_c != 0.0) {
       std::fprintf(stderr,
-                   "[micro_thermal] FAIL: forced-scalar incremental not "
-                   "bit-exact vs batch (%zu chiplets, %.3e C)\n",
-                   r.chiplets, r.max_scalar_diff_c);
+                   "[micro_thermal] FAIL: fresh incremental state differs "
+                   "from the same-level snapshot (%zu chiplets, %.3e C)\n",
+                   r.chiplets, r.anchor_diff_c);
       return 1;
     }
   }
-  // Move-speedup floor (the CI bench gate for the dispatched pair-row
-  // kernels): dispatched vs forced-scalar incremental, applied at the sizes
-  // where the kernel dominates the move cost (>= 16 dies). Only meaningful
-  // when dispatch actually selects a SIMD level — the forced-scalar CI leg
-  // must not pass this flag.
+  // Move-speedup floor (the CI bench gate for the incremental path):
+  // dispatched incremental move+query vs a full oracle re-evaluation per
+  // move, applied at the sizes where the kernel dominates the move cost
+  // (>= 16 dies).
   const double min_move_speedup =
       rlplan::bench::flag_double(argc, argv, "min-move-speedup", 0.0);
   if (min_move_speedup > 0.0) {
     for (const MoveRow& r : rows) {
-      if (r.chiplets >= 16 && r.move_speedup < min_move_speedup) {
+      if (r.chiplets >= 16 && r.speedup < min_move_speedup) {
         std::fprintf(stderr,
-                     "[micro_thermal] FAIL: incremental move speedup %.2fx at "
-                     "%zu chiplets below floor %.2fx\n",
-                     r.move_speedup, r.chiplets, min_move_speedup);
+                     "[micro_thermal] FAIL: incremental move speedup %.2fx "
+                     "over oracle re-evaluation at %zu chiplets below floor "
+                     "%.2fx\n",
+                     r.speedup, r.chiplets, min_move_speedup);
         return 1;
       }
     }
@@ -542,8 +579,8 @@ int main(int argc, char** argv) {
     // The SoA kernel's documented equivalence bar (soa_snapshot.h).
     if (r.max_abs_diff_c > 1e-9) {
       std::fprintf(stderr,
-                   "[micro_thermal] FAIL: SoA batch diverged from single "
-                   "evaluate (%zu chiplets, %.3e C)\n",
+                   "[micro_thermal] FAIL: SoA batch diverged from the oracle "
+                   "(%zu chiplets, %.3e C)\n",
                    r.chiplets, r.max_abs_diff_c);
       return 1;
     }

@@ -28,8 +28,7 @@ PlannerResult RlPlanner::plan(const ChipletSystem& system,
       system.interposer_width(), system.interposer_height());
   const double charac_s = timer.seconds();
   // The incremental evaluator caches pairwise couplings as the env places
-  // dies step by step; it produces the same temperatures as the batch
-  // FastModelEvaluator.
+  // dies step by step (thermal/incremental.h).
   return run(system, stack,
              std::make_unique<thermal::IncrementalFastModelEvaluator>(
                  std::move(model)),

@@ -89,7 +89,6 @@ std::uint64_t characterization_key(std::uint64_t stack_hash,
   h.f64(cc.position_ref_die_mm);
   h.u64(static_cast<std::uint64_t>(cc.model_config.source_subsamples));
   h.u64(static_cast<std::uint64_t>(cc.model_config.receiver_probes));
-  h.boolean(cc.model_config.correct_mutual);
   h.boolean(cc.model_config.use_images);
   h.f64(cc.model_config.image_reflectivity);
   h.f64(interposer_w_mm);

@@ -2,8 +2,10 @@
 //
 // Both optimizers (RLPlanner's reward calculator and the TAP-2.5D SA
 // baseline) only need "peak temperature of this placement". Injecting either
-// the ground-truth grid solver or the fast LTI model reproduces the paper's
-// four method configurations (Table I / Table III) without code changes.
+// the ground-truth grid solver (GridSolverEvaluator, below) or the fast LTI
+// model (IncrementalFastModelEvaluator, thermal/incremental.h) reproduces
+// the paper's four method configurations (Table I / Table III) without code
+// changes.
 #pragma once
 
 #include <memory>
@@ -13,7 +15,6 @@
 
 #include "core/chiplet.h"
 #include "core/floorplan.h"
-#include "thermal/fast_model.h"
 #include "thermal/grid_solver.h"
 
 namespace rlplan::parallel {
@@ -32,12 +33,10 @@ class ThermalEvaluator {
 
   /// Peak temperatures of many candidate floorplans (all over `system`) in
   /// one call, index-aligned with `floorplans`. The default scores each
-  /// candidate with max_temperature() serially and ignores `pool` (results
-  /// exactly equal the per-candidate calls); fast-model evaluators override
-  /// with the batched SoA kernel (thermal/soa_snapshot.h) fanned over the
-  /// pool, which agrees with per-candidate max_temperature() to within
-  /// 1e-9 C (soa_snapshot.h documents the contract) — never compare the two
-  /// query styles with exact equality.
+  /// candidate with max_temperature() serially and ignores `pool`; the fast
+  /// model's evaluator overrides with FastThermalModel::evaluate_batch()
+  /// fanned over the pool. Either way results equal the per-candidate
+  /// max_temperature() calls.
   virtual std::vector<double> max_temperature_batch(
       const ChipletSystem& system, std::span<const Floorplan> floorplans,
       parallel::ThreadPool* pool = nullptr) {
@@ -134,42 +133,6 @@ class GridSolverEvaluator final : public ThermalEvaluator {
 
  private:
   GridThermalSolver solver_;
-};
-
-/// Fast-model adapter ("fast thermal model" configuration).
-class FastModelEvaluator final : public ThermalEvaluator {
- public:
-  explicit FastModelEvaluator(FastThermalModel model)
-      : model_(std::move(model)) {}
-
-  double max_temperature(const ChipletSystem& system,
-                         const Floorplan& floorplan) override {
-    ++count_;
-    return model_.evaluate(system, floorplan).max_temp_c;
-  }
-  std::vector<double> max_temperature_batch(
-      const ChipletSystem& system, std::span<const Floorplan> floorplans,
-      parallel::ThreadPool* pool = nullptr) override {
-    count_ += static_cast<long>(floorplans.size());
-    const auto results = model_.evaluate_batch(system, floorplans, pool);
-    std::vector<double> out;
-    out.reserve(results.size());
-    for (const auto& r : results) out.push_back(r.max_temp_c);
-    return out;
-  }
-  long num_evaluations() const override { return count_; }
-  std::string name() const override { return "fast-model"; }
-
-  /// Deep copy (the model holds its tables by value).
-  std::unique_ptr<ThermalEvaluator> clone() const override {
-    return std::make_unique<FastModelEvaluator>(model_);
-  }
-
-  const FastThermalModel& model() const { return model_; }
-
- private:
-  FastThermalModel model_;
-  long count_ = 0;
 };
 
 }  // namespace rlplan::thermal

@@ -5,10 +5,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "util/timer.h"
-
 namespace rlplan::thermal {
 
 FastThermalModel::FastThermalModel(SelfResistanceTable self_table,
@@ -22,12 +18,12 @@ FastThermalModel::FastThermalModel(SelfResistanceTable self_table,
     throw std::invalid_argument("FastModelConfig: source_subsamples >= 1");
   }
   // The mutual kernel is THE hot lookup (probes x subsources x 9 images per
-  // die pair): resample non-uniform distance axes once here so every later
-  // lookup resolves its segment with O(1) arithmetic instead of a binary
-  // search. Exact for characterized tables (equal-width distance bins, gaps
-  // integer multiples of the bin); for arbitrary hand-built tables whose
-  // knots don't align with the uniform grid — or with more than the
-  // resample's point cap — this is a piecewise-linear approximation.
+  // die pair), and the SoA kernel resolves its segment with O(1) arithmetic
+  // on a uniform-step axis: resample non-uniform distance axes once here.
+  // Exact for characterized tables (equal-width distance bins, gaps integer
+  // multiples of the bin); for arbitrary hand-built tables whose knots don't
+  // align with the uniform grid — or with more than the resample's point
+  // cap — this is a piecewise-linear approximation.
   if (!mutual_table_.empty() && !mutual_table_.is_uniform()) {
     mutual_table_ = mutual_table_.resampled_uniform();
   }
@@ -134,136 +130,13 @@ double FastThermalModel::self_rise(const Chiplet& chip,
   return r_self * chip.power;
 }
 
-double FastThermalModel::center_correction(const Point& center) const {
-  return position_correction_.empty()
-             ? 1.0
-             : position_correction_.lookup(center.x, center.y);
-}
-
-double FastThermalModel::pair_correction(double src_corr,
-                                         double dst_corr) const {
-  if (config_.correct_mutual && !position_correction_.empty()) {
-    return std::sqrt(src_corr * dst_corr);
-  }
-  return 1.0;
-}
-
-double FastThermalModel::source_contribution(std::span<const Point> subsources,
-                                             double power_w,
-                                             const Point& probe,
-                                             double correction) const {
-  double m = 0.0;
-  for (const Point& s : subsources) {
-    m += config_.use_images
-             ? image_kernel(s, probe)
-             : mutual_table_.lookup(
-                   kernel_distance(s.x - probe.x, s.y - probe.y));
-  }
-  m *= power_w / static_cast<double>(subsources.size());
-  // Multiplying by an exact 1.0 is the identity, so the disabled-correction
-  // case stays bit-identical to skipping the multiply.
-  m *= correction;
-  return m;
-}
-
-void FastThermalModel::gather_sources(
-    const ChipletSystem& system,
-    const std::vector<std::optional<Rect>>& rects) const {
-  const auto n = system.num_chiplets();
-  const auto ss = static_cast<std::size_t>(config_.source_subsamples) *
-                  static_cast<std::size_t>(config_.source_subsamples);
-  subs_scratch_.resize(n * ss);
-  corr_scratch_.assign(n, 1.0);
-  std::vector<Point> pts;
-  pts.reserve(ss);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!rects[j] || system.chiplet(j).power <= 0.0) continue;
-    source_points(*rects[j], pts);
-    std::copy(pts.begin(), pts.end(), subs_scratch_.begin() + j * ss);
-    corr_scratch_[j] = center_correction(rects[j]->center());
-  }
-}
-
-double FastThermalModel::receiver_peak_rise(
-    const ChipletSystem& system,
-    const std::vector<std::optional<Rect>>& rects, std::size_t i) const {
-  const Chiplet& chip = system.chiplet(i);
-  const Rect& ri = *rects[i];
-  const double self = self_rise(chip, ri);
-  const double c_dst = center_correction(ri.center());
-  receiver_probes(ri, probes_scratch_, shapes_scratch_);
-
-  const auto ss = static_cast<std::size_t>(config_.source_subsamples) *
-                  static_cast<std::size_t>(config_.source_subsamples);
-  double worst = 0.0;
-  for (std::size_t p = 0; p < probes_scratch_.size(); ++p) {
-    const Point& probe = probes_scratch_[p];
-    double mutual = 0.0;
-    for (std::size_t j = 0; j < system.num_chiplets(); ++j) {
-      if (j == i || !rects[j]) continue;
-      const double power = system.chiplet(j).power;
-      if (power <= 0.0) continue;
-      mutual += source_contribution(
-          std::span<const Point>(subs_scratch_.data() + j * ss, ss), power,
-          probe, pair_correction(corr_scratch_[j], c_dst));
-    }
-    worst = std::max(worst, self * shapes_scratch_[p] + mutual);
-  }
-  return worst;
-}
-
-FastThermalResult FastThermalModel::evaluate(const ChipletSystem& system,
-                                             const Floorplan& floorplan) const {
-  if (empty()) {
-    throw std::logic_error("FastThermalModel: evaluate on empty model");
-  }
-  RLPLAN_TRACE_SPAN("thermal.evaluate");
-  RLPLAN_COUNTER_INC("thermal.evaluate.calls");
-  const Timer timer;
-  FastThermalResult result;
-  result.chiplet_temp_c.assign(system.num_chiplets(), ambient_c_);
-
-  rects_scratch_ = floorplan.placed_rects();
-  // Sub-source points and correction factors are per-source quantities:
-  // compute them once per call, not once per (receiver, probe, source).
-  gather_sources(system, rects_scratch_);
-  for (std::size_t i = 0; i < system.num_chiplets(); ++i) {
-    if (!rects_scratch_[i]) continue;
-    result.chiplet_temp_c[i] =
-        ambient_c_ + receiver_peak_rise(system, rects_scratch_, i);
-  }
-
-  result.max_temp_c = ambient_c_;
-  for (double t : result.chiplet_temp_c) {
-    result.max_temp_c = std::max(result.max_temp_c, t);
-  }
-  result.eval_seconds = timer.seconds();
-  return result;
-}
-
-double FastThermalModel::chiplet_temperature(const ChipletSystem& system,
-                                             const Floorplan& floorplan,
-                                             std::size_t chiplet) const {
-  if (empty()) {
-    throw std::logic_error("FastThermalModel: evaluate on empty model");
-  }
-  if (chiplet >= system.num_chiplets()) {
-    throw std::out_of_range("chiplet_temperature: index out of range");
-  }
-  if (!floorplan.is_placed(chiplet)) return ambient_c_;
-  rects_scratch_ = floorplan.placed_rects();
-  gather_sources(system, rects_scratch_);
-  return ambient_c_ + receiver_peak_rise(system, rects_scratch_, chiplet);
-}
-
 void FastThermalModel::save(const std::string& path) const {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("FastThermalModel: cannot open " + path);
-  os << "fast_thermal_model v2\n";
+  os << "fast_thermal_model v3\n";
   os.precision(17);
   os << ambient_c_ << ' ' << config_.source_subsamples << ' '
-     << config_.receiver_probes << ' ' << (config_.correct_mutual ? 1 : 0)
-     << ' ' << (config_.use_images ? 1 : 0) << ' '
+     << config_.receiver_probes << ' ' << (config_.use_images ? 1 : 0) << ' '
      << config_.image_reflectivity << ' ' << package_w_mm_ << ' '
      << package_h_mm_ << ' ' << uniform_floor_ << ' '
      << (position_correction_.empty() ? 0 : 1) << ' '
@@ -279,20 +152,20 @@ FastThermalModel FastThermalModel::load(const std::string& path) {
   if (!is) throw std::runtime_error("FastThermalModel: cannot open " + path);
   std::string tag, version;
   is >> tag >> version;
-  if (tag != "fast_thermal_model" || version != "v2") {
+  // v2 files carried a mutual-term correction flag that no longer exists;
+  // they fail here instead of loading with a misread field layout.
+  if (tag != "fast_thermal_model" || version != "v3") {
     throw std::runtime_error("FastThermalModel: bad header in " + path);
   }
   double ambient = 0.0;
-  int correct_mutual = 0;
   int use_images = 0;
   int has_correction = 0;
   int has_droop = 0;
   double pkg_w = 0.0, pkg_h = 0.0, floor = 0.0;
   FastModelConfig config;
   is >> ambient >> config.source_subsamples >> config.receiver_probes >>
-      correct_mutual >> use_images >> config.image_reflectivity >> pkg_w >>
-      pkg_h >> floor >> has_correction >> has_droop;
-  config.correct_mutual = correct_mutual != 0;
+      use_images >> config.image_reflectivity >> pkg_w >> pkg_h >> floor >>
+      has_correction >> has_droop;
   config.use_images = use_images != 0;
   auto self = SelfResistanceTable::load(is);
   auto mutual = MutualResistanceTable::load(is);

@@ -14,6 +14,12 @@
 // chiplet-layer conductivity depends on where every die sits, and dies near
 // interposer edges spread heat worse than the center-characterized tables
 // assume. Table II quantifies exactly this error.
+//
+// This class owns the tables and the per-die building blocks (probe grid,
+// sub-source grid, self term). The mutual sum has one implementation, the
+// SoA kernel (thermal/soa_snapshot.h, thermal/soa_kernels.h): evaluate()
+// and evaluate_batch() run it over whole floorplans, and the incremental
+// engine (thermal/incremental.h) over single coupling rows.
 #pragma once
 
 #include <cmath>
@@ -32,14 +38,9 @@ class ThreadPool;
 
 namespace rlplan::thermal {
 
-class SoaSnapshot;
-
-/// Source-to-probe distance used by every fast-model evaluation path (scalar
-/// evaluate(), the incremental engine, and the SoA batch kernel). The
+/// Source-to-probe distance of the fast model's kernel and self term. The
 /// sqrt-form is ~3x cheaper than std::hypot and auto-vectorizes; it may
-/// differ from hypot by 1 ulp, far below the thermal model's accuracy, and
-/// because all paths share this one definition they stay bit-identical to
-/// each other.
+/// differ from hypot by 1 ulp, far below the thermal model's accuracy.
 inline double kernel_distance(double dx, double dy) {
   return std::sqrt(dx * dx + dy * dy);
 }
@@ -55,12 +56,6 @@ struct FastModelConfig {
   /// is probed, which underestimates dies whose hottest cell is the edge
   /// facing a hot neighbour.
   int receiver_probes = 3;
-  /// Also scale the mutual term by sqrt(C(src) * C(dst)) when a position-
-  /// correction table is installed. Off by default: measurement shows the
-  /// far-field coupling is a package-level effect already captured by the
-  /// distance table, and this correction overcompensates (see
-  /// bench/ablation_tables).
-  bool correct_mutual = false;
   /// Method-of-images boundary handling: decompose the characterized kernel
   /// into a uniform package-level floor plus a decaying free-field part, and
   /// superpose first-order mirror sources across the four package edges (and
@@ -128,40 +123,26 @@ class FastThermalModel {
   double package_h_mm() const { return package_h_mm_; }
 
   /// Evaluates all placed chiplets' temperatures; unplaced chiplets read
-  /// ambient and contribute no mutual heating.
-  ///
-  /// NOT safe for concurrent calls on the same instance (reuses internal
-  /// scratch buffers); clone the model per thread, as parallel::VecEnv does
-  /// through ThermalEvaluator::clone().
+  /// ambient and contribute no mutual heating. Builds one SoaSnapshot per
+  /// call at the dispatched SIMD level (thermal/soa_snapshot.h documents
+  /// the numerical contract). Safe for concurrent calls on a shared
+  /// instance: the model holds no mutable state.
   FastThermalResult evaluate(const ChipletSystem& system,
                              const Floorplan& floorplan) const;
 
   /// Batched whole-floorplan evaluation: all candidates of `floorplans` (each
-  /// over `system`) through the SoA kernel (thermal/soa_snapshot.h), with the
-  /// snapshot geometry, table views, and scratch amortized across candidates.
+  /// over `system`) through the same SoA kernel as evaluate(), with the
+  /// snapshot's bind-time constants and scratch amortized across candidates.
   /// When `pool` is given, candidate chunks fan out over its workers —
-  /// results are index-aligned and independent of the thread count.
-  /// Temperatures agree with a plain evaluate() of each candidate to within
-  /// 1e-9 C (observed ~1e-13 C: the SoA kernel interpolates uniform mutual
-  /// tables in fraction form — see soa_snapshot.h for the full numerical
-  /// contract); do NOT compare the two paths with exact equality.
-  ///
-  /// Unlike evaluate(), this is safe for concurrent calls on a shared
-  /// instance: all mutable state lives in per-lane snapshots.
+  /// results are index-aligned and independent of the thread count, and
+  /// equal to evaluate() of each candidate. Safe for concurrent calls.
   std::vector<FastThermalResult> evaluate_batch(
       const ChipletSystem& system, std::span<const Floorplan> floorplans,
       parallel::ThreadPool* pool = nullptr) const;
 
-  /// Temperature of a single chiplet: one row of evaluate(), computed
-  /// without touching the other receivers. Unplaced chiplets read ambient.
-  double chiplet_temperature(const ChipletSystem& system,
-                             const Floorplan& floorplan,
-                             std::size_t chiplet) const;
-
   // --- Evaluation building blocks -----------------------------------------
-  // Shared between evaluate() and the incremental engine
-  // (thermal/incremental.h) so both produce identical numbers: a cached
-  // pairwise contribution is the very double evaluate() would have summed.
+  // Shared by SoaSnapshot and the incremental engine (thermal/incremental.h)
+  // so both feed the kernel identical per-die doubles.
 
   /// Receiver probe points inside `footprint` (probe_count() entries,
   /// row-major over the probe grid) and the per-probe self-heating shape
@@ -176,34 +157,17 @@ class FastThermalModel {
   /// Self term in K: R_self * power with the configured boundary treatment
   /// (mirror images or the measured position correction).
   double self_rise(const Chiplet& chip, const Rect& footprint) const;
-  /// Position-correction factor at a die center (1 when no table installed).
-  double center_correction(const Point& center) const;
-  /// Mutual pair scale sqrt(C_src * C_dst) under config().correct_mutual;
-  /// exactly 1.0 otherwise.
-  double pair_correction(double src_corr, double dst_corr) const;
-  /// Temperature rise at `probe` caused by one source die: kernel summed
-  /// over its sub-sources, scaled by power and the pair correction.
-  double source_contribution(std::span<const Point> subsources,
-                             double power_w, const Point& probe,
-                             double correction) const;
 
+  /// Text format "fast_thermal_model v3"; load() rejects other versions.
   void save(const std::string& path) const;
   static FastThermalModel load(const std::string& path);
 
  private:
   /// Decaying kernel: table value minus the uniform floor, clamped >= 0.
   double decay_kernel(double distance_mm) const;
-  /// Kernel evaluated source -> probe including first-order mirror images.
+  /// Kernel evaluated source -> probe including first-order mirror images
+  /// (the self term's off-center images).
   double image_kernel(const Point& src, const Point& probe) const;
-  /// Fills the per-source scratch (sub-source points, correction factors)
-  /// for every placed, powered die in `rects`.
-  void gather_sources(const ChipletSystem& system,
-                      const std::vector<std::optional<Rect>>& rects) const;
-  /// Peak rise of receiver `i` over its probe grid, using gather_sources()
-  /// scratch for the mutual term.
-  double receiver_peak_rise(const ChipletSystem& system,
-                            const std::vector<std::optional<Rect>>& rects,
-                            std::size_t i) const;
 
   SelfResistanceTable self_table_;
   MutualResistanceTable mutual_table_;
@@ -214,15 +178,6 @@ class FastThermalModel {
   double package_h_mm_ = 0.0;
   double uniform_floor_ = 0.0;  // K/W
   FastModelConfig config_{};
-
-  // Scratch reused across evaluate() calls (why evaluate() is const but not
-  // concurrency-safe on a shared instance). Sub-source points are stored
-  // flat, source_subsamples^2 per die.
-  mutable std::vector<std::optional<Rect>> rects_scratch_;
-  mutable std::vector<Point> subs_scratch_;
-  mutable std::vector<double> corr_scratch_;
-  mutable std::vector<Point> probes_scratch_;
-  mutable std::vector<double> shapes_scratch_;
 };
 
 }  // namespace rlplan::thermal

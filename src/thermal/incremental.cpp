@@ -1,11 +1,9 @@
 #include "thermal/incremental.h"
 
 #include <algorithm>
-#include <span>
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "thermal/soa_kernels.h"
 
 namespace rlplan::thermal {
 
@@ -15,26 +13,18 @@ util::SimdLevel IncrementalThermalState::dispatch_level() {
 
 util::SimdLevel IncrementalThermalState::set_simd_level(
     util::SimdLevel level) {
-  // Non-uniform mutual tables (hand-built; the model resamples its own at
-  // construction) have no LUT coordinate transform — they always take the
-  // exact scalar path.
-  ops_ = k_.uniform ? soa_kernel_ops(level) : nullptr;
-  simd_level_ = ops_ != nullptr ? level : util::SimdLevel::kScalar;
-  set_patched_query(ops_ != nullptr);
-  return simd_level_;
-}
-
-void IncrementalThermalState::set_patched_query(bool on) {
-  patched_query_ = on;
-  // Any materialized sums may not match the new mode's row provenance;
-  // rebuild lazily at the next query.
+  ops_ = &soa_kernel_ops(level);
+  // Re-reduce at the next query instead of patching sums of another level.
   sums_valid_ = false;
   patch_epoch_ = 0;
+  return ops_->level;
 }
 
 IncrementalThermalState::IncrementalThermalState(const FastThermalModel& model,
                                                  const ChipletSystem& system)
-    : model_(&model), system_(&system) {
+    : model_(&model),
+      system_(&system),
+      ops_(&soa_kernel_ops(util::active_simd_level())) {
   if (model.empty()) {
     throw std::invalid_argument(
         "IncrementalThermalState: model has no tables");
@@ -60,7 +50,6 @@ IncrementalThermalState::IncrementalThermalState(const FastThermalModel& model,
     src_scale_[i] = dies_[i].power / static_cast<double>(k_.ss);
   }
   mutual_sum_.assign(n * probe_count_, 0.0);
-  set_simd_level(util::active_simd_level());
 }
 
 void IncrementalThermalState::refresh_die_blocks(std::size_t i) {
@@ -82,40 +71,16 @@ void IncrementalThermalState::refresh_die_blocks(std::size_t i) {
   }
 }
 
-void IncrementalThermalState::compute_pair_row_kernel(std::size_t receiver,
-                                                      std::size_t source) {
+void IncrementalThermalState::compute_pair_row(std::size_t receiver,
+                                               std::size_t source) {
   const std::size_t pts = k_.ss * k_.img;
-  const double* px = probe_x_.data() + receiver * probe_count_;
-  const double* py = probe_y_.data() + receiver * probe_count_;
-  const double* sx = src_x_.data() + source * pts;
-  const double* sy = src_y_.data() + source * pts;
   double* row = pair_row(receiver, source);
-  if (!k_.use_images) {
-    ops_->pair_raw(px, py, probe_count_, sx, sy, pts, k_.mutual.front,
-                   k_.mutual.back, k_.mutual.inv_step, k_.coord_cap,
-                   k_.lut_raw.data(), row);
-  } else if (k_.unit_weights) {
-    ops_->pair_unit(px, py, probe_count_, sx, sy, pts, k_.mutual.front,
-                    k_.mutual.back, k_.mutual.inv_step, k_.coord_cap,
-                    k_.lut_img.data(), row);
-  } else {
-    ops_->pair_weighted(px, py, probe_count_, sx, sy, pts, k_.mutual.front,
-                        k_.mutual.back, k_.mutual.inv_step, k_.coord_cap,
-                        k_.lut_img.data(), k_.w_flat.data(), row);
-  }
-  // Same multiply order as source_contribution(): kernel subtotal plus the
-  // per-sub-source floor, times power / ss, times the pair correction. Only
-  // the floor association and within-block lane order differ from the
-  // scalar path — the documented ulp-level envelope.
-  const double corr =
-      model_->pair_correction(dies_[source].corr, dies_[receiver].corr);
-  const double floor_per_src = static_cast<double>(k_.ss) * k_.floor;
+  k_.pair_row(*ops_, probe_x_.data() + receiver * probe_count_,
+              probe_y_.data() + receiver * probe_count_,
+              src_x_.data() + source * pts, src_y_.data() + source * pts, row);
   const double scale = src_scale_[source];
   for (std::size_t p = 0; p < probe_count_; ++p) {
-    double m = k_.use_images ? floor_per_src + row[p] : row[p];
-    m *= scale;
-    m *= corr;
-    row[p] = m;
+    row[p] = k_.contribution(row[p], scale);
   }
 }
 
@@ -135,9 +100,9 @@ void IncrementalThermalState::patch_source_terms(std::size_t i, double sign) {
 void IncrementalThermalState::rebuild_receiver_sum(std::size_t i) const {
   double* sum = mutual_sum_.data() + i * probe_count_;
   std::fill(sum, sum + probe_count_, 0.0);
-  // Ascending source order, like receiver_peak_rise(): per probe the adds
-  // happen in the identical sequence, so the rebuilt sums are deterministic
-  // and independent of mutation history.
+  // Ascending source order, like SoaSnapshot: per probe the adds happen in
+  // the identical sequence, so the rebuilt sums are deterministic,
+  // independent of mutation history, and equal to the snapshot's.
   for (std::size_t j = 0; j < dies_.size(); ++j) {
     if (j == i || !dies_[j].placement || dies_[j].power <= 0.0) continue;
     const double* row = pair_row(i, j);
@@ -165,7 +130,7 @@ void IncrementalThermalState::apply_place(std::size_t i, const Placement& p) {
   // A move invalidates i's source terms inside every other placed
   // receiver's partial sums; subtract the cached rows before they are
   // overwritten below.
-  if (sums_active() && die.placement && die.power > 0.0) {
+  if (sums_valid_ && die.placement && die.power > 0.0) {
     patch_source_terms(i, -1.0);
   }
   if (!die.placement) ++num_placed_;
@@ -176,49 +141,24 @@ void IncrementalThermalState::apply_place(std::size_t i, const Placement& p) {
   die.rect = Rect{p.position.x, p.position.y, w, h};
   model_->receiver_probes(die.rect, die.probes, die.shapes);
   die.self_rise = model_->self_rise(chip, die.rect);
-  die.corr = model_->center_correction(die.rect.center());
   if (die.power > 0.0) model_->source_points(die.rect, die.subs);
   refresh_die_blocks(i);
 
   // Refresh the couplings involving die i, in both directions: one
-  // kernel-row recompute per direction per placed peer (pair_updates_
-  // counts rows, never per-probe work, in both tiers).
+  // kernel-row recompute per direction per placed peer.
   for (std::size_t j = 0; j < dies_.size(); ++j) {
     if (j == i || !dies_[j].placement) continue;
-    const DieCache& other = dies_[j];
-    if (other.power > 0.0) {
-      // Source j -> receiver i.
-      if (ops_ != nullptr) {
-        compute_pair_row_kernel(i, j);
-      } else {
-        const double corr = model_->pair_correction(other.corr, die.corr);
-        double* row = pair_row(i, j);
-        for (std::size_t p_idx = 0; p_idx < probe_count_; ++p_idx) {
-          row[p_idx] = model_->source_contribution(
-              std::span<const Point>(other.subs), other.power,
-              die.probes[p_idx], corr);
-        }
-      }
+    if (dies_[j].power > 0.0) {
+      compute_pair_row(i, j);  // source j -> receiver i
       ++pair_updates_;
     }
     if (die.power > 0.0) {
-      // Source i -> receiver j.
-      if (ops_ != nullptr) {
-        compute_pair_row_kernel(j, i);
-      } else {
-        const double corr = model_->pair_correction(die.corr, other.corr);
-        double* row = pair_row(j, i);
-        for (std::size_t p_idx = 0; p_idx < probe_count_; ++p_idx) {
-          row[p_idx] = model_->source_contribution(
-              std::span<const Point>(die.subs), die.power, other.probes[p_idx],
-              corr);
-        }
-      }
+      compute_pair_row(j, i);  // source i -> receiver j
       ++pair_updates_;
     }
   }
 
-  if (sums_active()) {
+  if (sums_valid_) {
     // Patch i's new source terms into the peers' sums and re-sum i's own
     // row fresh (its receiver terms all changed anyway).
     if (die.power > 0.0) patch_source_terms(i, 1.0);
@@ -230,10 +170,10 @@ void IncrementalThermalState::apply_place(std::size_t i, const Placement& p) {
 
 void IncrementalThermalState::apply_remove(std::size_t i) {
   if (dies_[i].placement) {
-    if (sums_active() && dies_[i].power > 0.0) patch_source_terms(i, -1.0);
+    if (sums_valid_ && dies_[i].power > 0.0) patch_source_terms(i, -1.0);
     dies_[i].placement.reset();
     --num_placed_;
-    if (sums_active()) {
+    if (sums_valid_) {
       ++patch_epoch_;
       ++sum_patches_;
     }
@@ -262,7 +202,7 @@ void IncrementalThermalState::place(std::size_t i, const Placement& p) {
     entry.saved_rows.insert(entry.saved_rows.end(), ij, ij + probe_count_);
     entry.saved_rows.insert(entry.saved_rows.end(), ji, ji + probe_count_);
   }
-  entry.sums_were_valid = sums_active();
+  entry.sums_were_valid = sums_valid_;
   entry.prev_patch_epoch = patch_epoch_;
   if (entry.sums_were_valid) entry.prev_sums = mutual_sum_;
   journal_.push_back(std::move(entry));
@@ -279,7 +219,7 @@ void IncrementalThermalState::remove(std::size_t i) {
   JournalEntry entry;
   entry.die = i;
   entry.prev_cache = dies_[i];
-  entry.sums_were_valid = sums_active();
+  entry.sums_were_valid = sums_valid_;
   entry.prev_patch_epoch = patch_epoch_;
   if (entry.sums_were_valid) entry.prev_sums = mutual_sum_;
   journal_.push_back(std::move(entry));
@@ -343,23 +283,6 @@ void IncrementalThermalState::undo() {
 
 double IncrementalThermalState::receiver_peak_rise(std::size_t i) const {
   const DieCache& die = dies_[i];
-  double worst = 0.0;
-  for (std::size_t p_idx = 0; p_idx < probe_count_; ++p_idx) {
-    double mutual = 0.0;
-    // Source-index order matches the batch evaluator's inner loop, so the
-    // accumulated sum is the identical sequence of additions.
-    for (std::size_t j = 0; j < dies_.size(); ++j) {
-      if (j == i || !dies_[j].placement || dies_[j].power <= 0.0) continue;
-      mutual += pair_row(i, j)[p_idx];
-    }
-    worst = std::max(worst, die.self_rise * die.shapes[p_idx] + mutual);
-  }
-  return worst;
-}
-
-double IncrementalThermalState::receiver_peak_rise_cached(
-    std::size_t i) const {
-  const DieCache& die = dies_[i];
   const double* sum = mutual_sum_.data() + i * probe_count_;
   double worst = 0.0;
   for (std::size_t p_idx = 0; p_idx < probe_count_; ++p_idx) {
@@ -369,16 +292,8 @@ double IncrementalThermalState::receiver_peak_rise_cached(
 }
 
 double IncrementalThermalState::max_temperature_c() const {
+  ensure_sums();
   double max_temp = model_->ambient_c();
-  if (patched_query_) {
-    ensure_sums();
-    for (std::size_t i = 0; i < dies_.size(); ++i) {
-      if (!dies_[i].placement) continue;
-      max_temp = std::max(
-          max_temp, model_->ambient_c() + receiver_peak_rise_cached(i));
-    }
-    return max_temp;
-  }
   for (std::size_t i = 0; i < dies_.size(); ++i) {
     if (!dies_[i].placement) continue;
     max_temp =
@@ -389,21 +304,17 @@ double IncrementalThermalState::max_temperature_c() const {
 
 double IncrementalThermalState::chiplet_temperature_c(std::size_t i) const {
   if (!dies_.at(i).placement) return model_->ambient_c();
-  if (patched_query_) {
-    ensure_sums();
-    return model_->ambient_c() + receiver_peak_rise_cached(i);
-  }
+  ensure_sums();
   return model_->ambient_c() + receiver_peak_rise(i);
 }
 
 void IncrementalThermalState::temperatures(std::vector<double>& out) const {
   out.assign(dies_.size(), model_->ambient_c());
-  if (patched_query_) ensure_sums();
+  ensure_sums();
   for (std::size_t i = 0; i < dies_.size(); ++i) {
-    if (!dies_[i].placement) continue;
-    out[i] = model_->ambient_c() + (patched_query_
-                                        ? receiver_peak_rise_cached(i)
-                                        : receiver_peak_rise(i));
+    if (dies_[i].placement) {
+      out[i] = model_->ambient_c() + receiver_peak_rise(i);
+    }
   }
 }
 
@@ -478,8 +389,7 @@ double IncrementalFastModelEvaluator::incremental_max_temperature(
   state_->sync(floorplan);
   if (obs::metrics_enabled()) {
     // Cache effectiveness: coupling ROWS actually recomputed since the last
-    // query (kernel-row granularity in both tiers) vs n per query for a
-    // full rebuild, plus partial-sum patches on the dispatched query path.
+    // query vs n per query for a full rebuild, plus partial-sum patches.
     const long updates = state_->pair_updates();
     // A session rebuild resets the state's counters; restart the baselines.
     RLPLAN_COUNTER_ADD(

@@ -1,42 +1,35 @@
 // Incremental thermal evaluation engine (the reward hot path).
 //
-// FastThermalModel::evaluate() is a superposition: receiver i's temperature
-// is its own self term plus the sum over every other placed die j of a
-// pairwise coupling term that depends only on (i's probe points, j's
-// sub-sources, both powers). Both optimizers mutate one or two dies per step
-// (the RL env places one chiplet per action; TAP-2.5D SA displaces/swaps/
-// rotates), so almost every pairwise term of the previous evaluation is
-// still valid.
+// The fast model is a superposition: receiver i's temperature is its own
+// self term plus the sum over every other placed die j of a pairwise
+// coupling term that depends only on (i's probe points, j's sub-sources,
+// both powers). Both optimizers mutate one or two dies per step (the RL env
+// places one chiplet per action; TAP-2.5D SA displaces/swaps/rotates), so
+// almost every pairwise term of the previous evaluation is still valid.
 //
 // IncrementalThermalState caches exactly those terms: a dense pairwise
 // coupling table pair[receiver][source][probe] plus per-die self terms and
 // probe/sub-source geometry. Placing (or moving) one die recomputes only the
-// O(n) coupling rows involving that die; removing a die or undoing a
-// rejected SA move costs no kernel work at all.
+// O(n) coupling rows involving that die through the dispatched kernel
+// table's pair-row entries (thermal/soa_kernels.h), fed by persistent SoA
+// per-die blocks; removing a die or undoing a rejected SA move costs no
+// kernel work at all.
 //
-// Two execution tiers, mirroring the batch SoA kernels (soa_kernels.h):
-//
-//  * Forced scalar (RLPLANNER_SIMD=scalar, unsupported hosts, or
-//    set_simd_level(kScalar)): coupling rows come from the model's own
-//    source_contribution() and a query re-sums the cached rows in the batch
-//    evaluator's source order — incremental and batch results are BIT-EXACT
-//    (each summed double is the very value evaluate() would produce).
-//  * Dispatched (AVX2/NEON): rows come from the fused pair-row kernels fed
-//    by persistent SoA per-die blocks (probe points and image-expanded
-//    sub-source coordinates, bound once and refreshed in place per move),
-//    and the max-temperature query is itself incremental — per-die row
-//    partial sums are patched in place per move (subtract the old source
-//    terms, add the new ones, re-sum only the moved die's own row) with
-//    journaled snapshots so commit/rollback restores them bit-exactly, and
-//    a deterministic full re-reduction every kResumInterval patches bounds
-//    accumulation drift at the ulp level. Results stay within the repo-wide
-//    1e-9 C envelope of the forced-scalar path, identical for every run and
-//    thread count.
+// Queries answer from journaled per-receiver partial sums: a move patches
+// them in place (subtract the moved die's old source terms, add the new
+// ones, re-sum the moved die's own row), commit/rollback restores them
+// bit-exactly from journaled snapshots, and a deterministic full
+// re-reduction runs on the first query and every kResumInterval patches.
+// Right after a full re-reduction the state equals a SoaSnapshot at the
+// same SIMD level bit for bit (each row is the very block subtotal the
+// snapshot's sweep computes, summed in the same ascending source order);
+// between re-reductions the patched sums stay within 1e-9 C of it,
+// identical for every run and thread count.
 //
 // IncrementalFastModelEvaluator adapts the state to the ThermalEvaluator
 // incremental protocol (notify_place / notify_remove / commit / rollback)
-// and is a drop-in replacement for FastModelEvaluator everywhere — including
-// parallel::VecEnv, whose per-replica clones each get independent state.
+// and is the fast model's evaluator everywhere — including parallel::VecEnv,
+// whose per-replica clones each get independent state.
 #pragma once
 
 #include <cstddef>
@@ -53,8 +46,6 @@
 #include "util/simd.h"
 
 namespace rlplan::thermal {
-
-struct SoaKernelOps;
 
 class IncrementalThermalState {
  public:
@@ -85,8 +76,8 @@ class IncrementalThermalState {
 
   /// Places chiplet `i` (or moves it when already placed): recomputes the
   /// O(n) coupling rows involving i. Journaled: a move additionally
-  /// snapshots the overwritten couplings (and, in patched-query mode, the
-  /// partial-sum array) so undo() can restore them without kernel work.
+  /// snapshots the overwritten couplings (and the partial-sum array) so
+  /// undo() can restore them without kernel work.
   void place(std::size_t i, const Placement& p);
   /// Unplaces chiplet `i` (no kernel work). Journaled; no-op when unplaced.
   void remove(std::size_t i);
@@ -101,55 +92,44 @@ class IncrementalThermalState {
   /// Reverts all mutations since the last commit(), newest first, by
   /// restoring journaled snapshots — no kernel evaluations (the SA reject
   /// path costs pure memory copies). Partial sums are restored verbatim, so
-  /// rollback is bit-exact in every mode.
+  /// rollback is bit-exact.
   void undo();
 
-  /// Peak temperature over placed dies (ambient when none placed). Equal to
-  /// FastThermalModel::evaluate(...).max_temp_c on the synced placement in
-  /// forced-scalar mode; within 1e-9 C of it when dispatched.
+  /// Peak temperature over placed dies (ambient when none placed), under
+  /// the contract in the header comment: equal to a same-level SoaSnapshot
+  /// right after a full re-reduction, within 1e-9 C of it otherwise.
   double max_temperature_c() const;
   /// Temperature of one chiplet (ambient when unplaced) — one row of the
-  /// batch result, under the same mode contract as max_temperature_c().
+  /// batch result, under the same contract as max_temperature_c().
   double chiplet_temperature_c(std::size_t i) const;
   /// All chiplet temperatures, indexed like the system.
   void temperatures(std::vector<double>& out) const;
 
   /// Directed pair coupling ROWS recomputed so far — one unit per
-  /// (receiver, source) kernel-row recompute regardless of kernel tier or
-  /// probe count (perf accounting: a batch evaluation costs n*(n-1) of
-  /// these, a single-die move costs 2*(n-1)).
+  /// (receiver, source) kernel-row recompute regardless of probe count
+  /// (perf accounting: a batch evaluation costs n*(n-1) of these, a
+  /// single-die move costs 2*(n-1)).
   long pair_updates() const { return pair_updates_; }
-  /// Patched-sum mutations applied (patched-query mode only).
+  /// Patched-sum mutations applied.
   long sum_patches() const { return sum_patches_; }
   /// Full deterministic re-reductions of the partial sums (first query plus
   /// one per kResumInterval patches).
   long sum_resums() const { return sum_resums_; }
 
-  /// The SIMD level the pair-row kernels actually run at. New states start
-  /// at dispatch_level(); kScalar means the exact source_contribution()
-  /// path.
-  util::SimdLevel simd_level() const { return simd_level_; }
+  /// The SIMD level the pair-row kernels run at. New states start at
+  /// dispatch_level().
+  util::SimdLevel simd_level() const { return ops_->level; }
 
   /// Overrides the kernel selection (differential tests, forced-scalar
   /// benches). Levels whose kernels are not compiled in or not supported by
-  /// the host fall back to kScalar — never to a different SIMD level. Also
-  /// resets the query mode to the level's default (patched iff kernels are
-  /// installed); call set_patched_query() after to override. Returns the
-  /// level actually installed.
+  /// the host fall back to kScalar — never to a different SIMD level.
+  /// Already cached rows keep the level they were computed at, so set it
+  /// before the first place(). Returns the level actually installed.
   util::SimdLevel set_simd_level(util::SimdLevel level);
 
   /// Process-wide default kernel level (util::active_simd_level() with
   /// unavailable levels collapsed to kScalar — what benches publish).
   static util::SimdLevel dispatch_level();
-
-  /// Whether queries answer from the journaled partial sums (default when
-  /// kernels are dispatched) instead of a full ascending re-summation (the
-  /// bit-exact default for forced scalar).
-  bool patched_query() const { return patched_query_; }
-  /// Overrides the query mode — primarily so tests can exercise the
-  /// journaled-sum machinery under scalar kernels (it is numerically
-  /// independent of the kernel tier).
-  void set_patched_query(bool on);
 
  private:
   struct DieCache {
@@ -157,7 +137,6 @@ class IncrementalThermalState {
     Rect rect{};
     double power = 0.0;      // from the system; fixed
     double self_rise = 0.0;  // R_self * power at the current placement
-    double corr = 1.0;       // position-correction factor at the center
     std::vector<Point> probes;   // receiver probe points (probe_count())
     std::vector<double> shapes;  // per-probe self-heating shape factors
     std::vector<Point> subs;     // sub-source points (when power > 0)
@@ -171,9 +150,9 @@ class IncrementalThermalState {
     // Empty for removes and first-time places (their undo needs no rows).
     std::vector<std::size_t> peers;
     std::vector<double> saved_rows;
-    // Patched-query mode: verbatim snapshot of the partial-sum array before
-    // the mutation (empty when sums were not materialized), restored on undo
-    // so rollback is bit-exact by construction.
+    // Verbatim snapshot of the partial-sum array before the mutation (empty
+    // when sums were not materialized), restored on undo so rollback is
+    // bit-exact by construction.
     std::vector<double> prev_sums;
     bool sums_were_valid = false;
     int prev_patch_epoch = 0;
@@ -194,19 +173,14 @@ class IncrementalThermalState {
   /// image-expanded sub-source coordinates) from its DieCache. Cheap —
   /// O(probes + ss * img) stores, no kernel math.
   void refresh_die_blocks(std::size_t i);
-  /// Computes pair_row(receiver, source) through the dispatched pair-row
-  /// kernel from the persistent SoA blocks; matches source_contribution()'s
-  /// multiply order, within the documented ulp envelope of it.
-  void compute_pair_row_kernel(std::size_t receiver, std::size_t source);
+  /// Computes pair_row(receiver, source) through the pair-row kernel from
+  /// the persistent SoA blocks: per probe, the snapshot's contribution of
+  /// that source, bit for bit.
+  void compute_pair_row(std::size_t receiver, std::size_t source);
 
-  /// Peak rise of placed receiver `i`: max over probes of self * shape plus
-  /// cached couplings summed in source-index order (matching the batch
-  /// evaluator's accumulation order exactly).
-  double receiver_peak_rise(std::size_t i) const;
   /// Peak rise of placed receiver `i` from the materialized partial sums.
-  double receiver_peak_rise_cached(std::size_t i) const;
+  double receiver_peak_rise(std::size_t i) const;
 
-  bool sums_active() const { return patched_query_ && sums_valid_; }
   /// Adds (sign +1) or subtracts (sign -1) die i's cached source rows
   /// from every other placed receiver's partial sums.
   void patch_source_terms(std::size_t i, double sign);
@@ -222,8 +196,8 @@ class IncrementalThermalState {
   std::size_t num_placed_ = 0;
   std::vector<DieCache> dies_;
   // pair_[(i * n + j) * probe_count_ + p]: rise at probe p of receiver i
-  // caused by source j (power and pair correction folded in). Valid while
-  // both dies keep the placement it was computed at.
+  // caused by source j (power folded in). Valid while both dies keep the
+  // placement it was computed at.
   std::vector<double> pair_;
   std::vector<JournalEntry> journal_;
   long pair_updates_ = 0;
@@ -240,23 +214,21 @@ class IncrementalThermalState {
   std::vector<double> src_y_;     // n * ss * img
   std::vector<double> src_scale_; // n: power / ss (fixed per system)
 
-  // Dispatched pair-row kernels (nullptr = exact scalar path) and level.
-  const SoaKernelOps* ops_ = nullptr;
-  util::SimdLevel simd_level_ = util::SimdLevel::kScalar;
+  const SoaKernelOps* ops_;  ///< dispatched pair-row kernels; never null
 
   // Journaled per-die row partial sums: mutual_sum_[i * probe_count_ + p] is
   // the mutual term of receiver i at probe p, valid for placed dies while
   // sums_valid_. Mutable because queries materialize/re-reduce lazily.
-  bool patched_query_ = false;
   mutable std::vector<double> mutual_sum_;  // n * probe_count_
   mutable bool sums_valid_ = false;
   mutable int patch_epoch_ = 0;  ///< patches since the last full re-reduce
 };
 
-/// Fast-model evaluator with the incremental protocol: behaves exactly like
-/// FastModelEvaluator for batch queries, and answers
-/// incremental_max_temperature() from an IncrementalThermalState kept in
-/// sync with the caller's floorplan via diffing plus explicit notify_* calls.
+/// Fast-model evaluator ("fast thermal model" configuration): full queries
+/// run FastThermalModel::evaluate()/evaluate_batch(), and
+/// incremental_max_temperature() answers from an IncrementalThermalState
+/// kept in sync with the caller's floorplan via diffing plus explicit
+/// notify_* calls.
 class IncrementalFastModelEvaluator final : public ThermalEvaluator {
  public:
   explicit IncrementalFastModelEvaluator(FastThermalModel model)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -38,7 +39,13 @@ double uniform_inv_step(const std::vector<double>& axis) {
   if (!(step > 0.0)) return 0.0;
   // Tolerate only rounding-level deviation: a wrong segment pick near a knot
   // then costs O(tolerance * slope), far below every consumer's precision.
-  const double tol = 1e-12 * step;
+  // Knots built as front + i * step (resampled_uniform) carry rounding in
+  // proportion to their magnitude, not to the step, so the bound also
+  // allows a few ulps of the largest knot.
+  const double magnitude = std::max(std::abs(axis.front()),
+                                    std::abs(axis.back()));
+  const double tol = 1e-12 * step +
+                     4.0 * std::numeric_limits<double>::epsilon() * magnitude;
   for (std::size_t i = 1; i < axis.size(); ++i) {
     if (std::abs((axis[i] - axis[i - 1]) - step) > tol) return 0.0;
   }

@@ -21,7 +21,6 @@
 // never touch the binary-search path.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <iosfwd>
 #include <string>
@@ -63,39 +62,6 @@ class SelfResistanceTable {
 /// 1D linear-interpolated table over center-to-center distance in mm.
 class MutualResistanceTable {
  public:
-  /// Flat read-only view for hot kernels (the SoA batch evaluator) that
-  /// inline the interpolation instead of paying a cross-TU call per point.
-  /// lookup() here is arithmetic-for-arithmetic the same as
-  /// MutualResistanceTable::lookup(), so results are bit-equal; the view is
-  /// invalidated by destroying or mutating the owning table.
-  struct View {
-    const double* knots = nullptr;
-    const double* values = nullptr;
-    std::size_t size = 0;
-    double front = 0.0;
-    double back = 0.0;
-    double inv_step = 0.0;  ///< reciprocal knot spacing when uniform, else 0
-
-    double lookup(double distance_mm) const {
-      const double d = std::clamp(distance_mm, front, back);
-      std::size_t i;
-      if (inv_step > 0.0) {
-        const double t = (d - front) * inv_step;
-        i = std::min(static_cast<std::size_t>(std::max(t, 0.0)), size - 2);
-      } else if (d <= knots[0]) {
-        i = 0;
-      } else if (d >= knots[size - 1]) {
-        i = size - 2;
-      } else {
-        i = static_cast<std::size_t>(
-                std::upper_bound(knots, knots + size, d) - knots) -
-            1;
-      }
-      const double t = (d - knots[i]) / (knots[i + 1] - knots[i]);
-      return (1.0 - t) * values[i] + t * values[i + 1];
-    }
-  };
-
   MutualResistanceTable() = default;
   /// Distances strictly increasing, >= 2 entries. Throws on malformed input.
   MutualResistanceTable(std::vector<double> distances_mm,
@@ -111,13 +77,8 @@ class MutualResistanceTable {
   /// True when the distance knots are uniformly spaced (within rounding), so
   /// lookup() resolves its segment in O(1) instead of a binary search.
   bool is_uniform() const { return inv_step_ > 0.0; }
-
-  /// Zero-copy view over this table's knots/values for inlined hot-loop
-  /// interpolation. Precondition: !empty().
-  View view() const {
-    return {distances_.data(), values_.data(), distances_.size(),
-            distances_.front(), distances_.back(), inv_step_};
-  }
+  /// Reciprocal knot spacing when uniform, else 0.
+  double inv_step() const { return inv_step_; }
 
   /// Piecewise-linear resample onto a uniform-step grid spanning the same
   /// range. The step is the smallest original knot gap (capped at

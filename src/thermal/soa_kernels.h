@@ -1,34 +1,35 @@
-// Explicitly vectorized implementations of the SoA batch kernel's hot loop,
+// The fast model's one kernel: a function-pointer table per SIMD level,
 // selected at runtime via util/simd.
 //
 // Conceptually the kernel is two passes — pass 1 (distance -> capped table
 // coordinate -> segment index + fraction) and pass 2 (segment-LUT gather /
-// interpolate / accumulate) — and the scalar reference in SoaSnapshot keeps
-// them as two separate sweeps because that is what auto-vectorizes best.
-// The explicit kernels fuse both passes into ONE sweep per source block: the
-// index/fraction intermediates never round-trip through memory (at
-// production block sizes of ~18-36 points the store/reload traffic costs as
-// much as the arithmetic), and each block reduces straight to its subtotal.
+// interpolate / accumulate). Every table implements the same entries:
+//  * the portable scalar table (soa_snapshot.cpp, the TU built with
+//    -fno-math-errno) keeps the passes separate, running pass 1 over tiles
+//    that span source-block boundaries so it auto-vectorizes, then gathers
+//    and accumulates each block left to right;
+//  * the explicit AVX2/NEON tables (soa_kernels_*.cpp) fuse both passes into
+//    ONE sweep per source block: the index/fraction intermediates never
+//    round-trip through memory (at production block sizes of ~18-36 points
+//    the store/reload traffic costs as much as the arithmetic), and each
+//    block reduces straight to its subtotal in a fixed lane tree.
 //
 // Numerical contract (gated by tests/soa_kernel_test.cpp at the repo-wide
-// 1e-9 C bar):
-//  * the per-point operations are exactly the scalar kernel's (sqrt,
-//    min/max, one multiply, truncate, one fused lerp). sqrt/min/max are
-//    correctly rounded in both, so a point can differ from the scalar pass
-//    only when FMA contraction of the distance square shifts a coordinate by
-//    an ulp across a segment boundary — the interpolant is continuous there,
-//    so the value error stays at ulp level.
-//  * accumulation keeps the per-SOURCE order of the scalar kernel (one
-//    subtotal per source block, blocks combined by the caller in scalar
-//    order), so error does not grow with die count. Within a source block
-//    the lanes sum in a fixed tree order instead of strictly left-to-right:
-//    a few-ulp difference on the block subtotal, identical for every run
-//    and thread count.
+// 1e-9 C bar against the test-only oracle):
+//  * within one table, a pair-row entry is bit-identical to the matching
+//    sweep subtotal for the same (probe, block) — which is what makes an
+//    incremental state's full re-reduction equal SoaSnapshot bit for bit at
+//    the same level;
+//  * across tables the per-point operations are the same (sqrt, min/max,
+//    one multiply, truncate, one lerp), but FMA contraction and the
+//    within-block summation order differ: a few-ulp difference on a block
+//    subtotal, identical for every run and thread count. Blocks combine in
+//    the caller's per-source order, so error does not grow with die count.
 //
 // Each ISA lives in its own translation unit (soa_kernels_avx2.cpp built
 // with -mavx2 -mfma on x86-64, soa_kernels_neon.cpp on AArch64); on foreign
-// architectures those TUs compile to a stub returning nullptr, so the
-// dispatch below degrades to scalar instead of failing to link.
+// architectures those TUs compile to a stub returning nullptr, and dispatch
+// serves the scalar table instead.
 #pragma once
 
 #include <cstddef>
@@ -37,19 +38,22 @@
 
 namespace rlplan::thermal {
 
-/// Function-pointer table for one SIMD level. Each entry is a fused sweep
-/// over `n_src` source blocks of `pts_per_src` points: for every a in
+/// Function-pointer table for one SIMD level. Each sweep entry covers
+/// `n_src` source blocks of `pts_per_src` points: for every a in
 /// [0, n_src), subtotal[a] accumulates the interpolated decay over points
 /// [a*pts_per_src, (a+1)*pts_per_src) of sx/sy. One indirect call covers a
 /// whole probe — per-(probe, source) calls would be dominated by call and
 /// constant-setup cost at production block sizes. All lengths are in points;
-/// buffers may be unaligned (the snapshot's std::vector storage).
+/// buffers may be unaligned (std::vector storage).
 ///
 /// Shared per-point math: d = sqrt((sx[k]-px)^2 + (sy[k]-py)^2);
 /// x = min((clamp(d, front, back) - front) * inv_step, cap);
 /// (base, diff) = lut[2*trunc(x)], lut[2*trunc(x)+1]; v = base +
 /// (x - trunc(x)) * diff.
 struct SoaKernelOps {
+  /// The level these kernels implement.
+  util::SimdLevel level;
+
   /// Images with unit weights: subtotal[a] = sum of max(v, 0).
   void (*sweep_unit)(const double* sx, const double* sy, double px, double py,
                      double front, double back, double inv_step, double cap,
@@ -73,10 +77,10 @@ struct SoaKernelOps {
   // the sweep forms (one source block against MANY probes instead of one
   // probe against many source blocks). For every p in [0, n_probes), out[p]
   // accumulates over the single `pts`-point block in sx/sy, with the same
-  // per-point math and the same fixed-tree block reduction as the sweeps —
-  // out[p] is bit-identical to the subtotal the matching sweep form produces
-  // for that (probe, block). One indirect call covers the whole row, which
-  // is the granularity the incremental single-move path recomputes at.
+  // per-point math and the same block reduction as the sweeps — out[p] is
+  // bit-identical to the subtotal the matching sweep form produces for that
+  // (probe, block). One indirect call covers the whole row, which is the
+  // granularity the incremental single-move path recomputes at.
 
   /// Images with unit weights: out[p] = sum of max(v, 0) over the block.
   void (*pair_unit)(const double* px, const double* py, std::size_t n_probes,
@@ -97,17 +101,19 @@ struct SoaKernelOps {
                    const double* lut, double* out);
 };
 
-/// Ops for `level`, or nullptr when the level is kScalar or its kernels are
-/// not compiled in / not supported by this build's architecture. Callers
-/// fall back to their scalar reference path on nullptr.
-const SoaKernelOps* soa_kernel_ops(util::SimdLevel level);
+/// Kernels for `level`. Levels whose kernels are not compiled in or not
+/// supported by the host get the scalar table — never a different SIMD
+/// flavour — so the result always exists; its `level` names what it runs.
+const SoaKernelOps& soa_kernel_ops(util::SimdLevel level);
 
-/// The level soa_kernel_ops() would actually serve for util::active_simd_level()
-/// — i.e. the process-wide dispatch choice with unavailable levels collapsed
-/// to kScalar. This is the value benches publish.
+/// The level soa_kernel_ops() serves for util::active_simd_level(): the
+/// process-wide dispatch choice with unavailable levels collapsed to
+/// kScalar. This is the value benches publish.
 util::SimdLevel soa_dispatch_level();
 
-// Per-ISA tables (defined in their own TUs; nullptr when unavailable).
+// Per-level tables. The scalar one always exists; the SIMD ones are defined
+// in their own TUs and are nullptr when unavailable.
+const SoaKernelOps& soa_kernel_ops_scalar();
 const SoaKernelOps* soa_kernel_ops_avx2();
 const SoaKernelOps* soa_kernel_ops_neon();
 

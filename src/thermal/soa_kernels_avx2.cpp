@@ -221,8 +221,9 @@ void pair_raw_avx2(const double* px, const double* py, std::size_t n_probes,
   }
 }
 
-constexpr SoaKernelOps kAvx2Ops{sweep_unit_avx2,   sweep_weighted_avx2,
-                                sweep_raw_avx2,    pair_unit_avx2,
+constexpr SoaKernelOps kAvx2Ops{util::SimdLevel::kAvx2,
+                                sweep_unit_avx2,    sweep_weighted_avx2,
+                                sweep_raw_avx2,     pair_unit_avx2,
                                 pair_weighted_avx2, pair_raw_avx2};
 
 }  // namespace

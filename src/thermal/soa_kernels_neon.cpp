@@ -199,8 +199,9 @@ void pair_raw_neon(const double* px, const double* py, std::size_t n_probes,
   }
 }
 
-constexpr SoaKernelOps kNeonOps{sweep_unit_neon,   sweep_weighted_neon,
-                                sweep_raw_neon,    pair_unit_neon,
+constexpr SoaKernelOps kNeonOps{util::SimdLevel::kNeon,
+                                sweep_unit_neon,    sweep_weighted_neon,
+                                sweep_raw_neon,     pair_unit_neon,
                                 pair_weighted_neon, pair_raw_neon};
 
 }  // namespace

@@ -1,20 +1,213 @@
 #include "thermal/soa_snapshot.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
-#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
-#include "thermal/soa_kernels.h"
 #include "util/timer.h"
 
 namespace rlplan::thermal {
 
+// ------------------------------------------------------ scalar kernels ----
+// The portable SoaKernelOps table. It lives in this TU because CMake builds
+// it with -fno-math-errno (in the root build and perfbench's alike), which
+// is what lets pass 1 below auto-vectorize.
+namespace {
+
+/// Pass-1 points per tile (24 KiB of stack scratch): one tile covers a
+/// probe's whole sweep up to 56 sources of 36 points. A multiple of 4, see
+/// Lanes.
+constexpr std::size_t kTile = 2048;
+
+/// Pass 1 over n <= kTile points: distance -> capped table coordinate ->
+/// segment index + fraction. Contiguous loads, no branches, no indexed
+/// access: the loop auto-vectorizes, sqrt and the packed double<->int32
+/// conversions included.
+void coords(const double* sx, const double* sy, double px, double py,
+            double front, double back, double inv_step, double cap,
+            std::size_t n, int* idx, double* frac) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double d = kernel_distance(sx[k] - px, sy[k] - py);
+    const double x = std::min(
+        (std::min(std::max(d, front), back) - front) * inv_step, cap);
+    const int ii = static_cast<int>(x);
+    idx[k] = ii;
+    frac[k] = x - static_cast<double>(ii);
+  }
+}
+
+enum class Form { kUnit, kWeighted, kRaw };
+
+/// One point's pass-2 term: LUT gather + interpolate, in the given form;
+/// `wt` is the point's weight (kWeighted only).
+template <Form F>
+double term(int idx, double frac, const double* lut, double wt) {
+  const double* seg = lut + 2 * idx;
+  const double v = seg[0] + frac * seg[1];
+  if constexpr (F == Form::kRaw) {
+    return v;
+  } else if constexpr (F == Form::kUnit) {
+    return std::max(v, 0.0);
+  } else {
+    return wt * std::max(v, 0.0);
+  }
+}
+
+/// A block's running sum as four interleaved partial sums: the block's
+/// point t feeds lane t % 4, and the lanes combine as (l0 + l2) + (l1 + l3).
+/// Four independent add chains instead of one, in an order fixed by the
+/// point's position in its block — never by where a pass-1 tile ends.
+struct Lanes {
+  double l[4] = {0.0, 0.0, 0.0, 0.0};
+
+  /// Adds points [t0, t0 + n) of a block; t0 is a multiple of 4. `w` is the
+  /// block's weight vector (kWeighted only; nullptr otherwise).
+  template <Form F>
+  void add(const int* idx, const double* frac, const double* lut,
+           const double* w, std::size_t t0, std::size_t n) {
+    const auto wt = [&](std::size_t k) {
+      if constexpr (F == Form::kWeighted) {
+        return w[t0 + k];
+      } else {
+        return 1.0;
+      }
+    };
+    std::size_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+      l[0] += term<F>(idx[k], frac[k], lut, wt(k));
+      l[1] += term<F>(idx[k + 1], frac[k + 1], lut, wt(k + 1));
+      l[2] += term<F>(idx[k + 2], frac[k + 2], lut, wt(k + 2));
+      l[3] += term<F>(idx[k + 3], frac[k + 3], lut, wt(k + 3));
+    }
+    for (std::size_t j = 0; k + j < n; ++j) {
+      l[j & 3] += term<F>(idx[k + j], frac[k + j], lut, wt(k + j));
+    }
+  }
+  double sum() const { return (l[0] + l[2]) + (l[1] + l[3]); }
+};
+
+/// Sweep driver. Pass 1 runs over tiles of as many whole blocks as fit in
+/// kTile points, so it spans block boundaries; a block larger than a tile
+/// runs in kTile-point chunks (kTile is a multiple of 4, so every point
+/// keeps its lane). Either way each block sums the same way, which keeps
+/// the pair-row form (one block per call) bit-identical to the sweep.
+template <Form F>
+void sweep_scalar(const double* sx, const double* sy, double px, double py,
+                  double front, double back, double inv_step, double cap,
+                  const double* lut, const double* w, std::size_t pts,
+                  std::size_t n_src, double* subtotal) {
+  int idx[kTile];
+  double frac[kTile];
+  if (pts <= kTile) {
+    const std::size_t per_tile = kTile / pts;
+    for (std::size_t a0 = 0; a0 < n_src; a0 += per_tile) {
+      const std::size_t blocks = std::min(per_tile, n_src - a0);
+      coords(sx + a0 * pts, sy + a0 * pts, px, py, front, back, inv_step,
+             cap, blocks * pts, idx, frac);
+      for (std::size_t b = 0; b < blocks; ++b) {
+        Lanes acc;
+        acc.add<F>(idx + b * pts, frac + b * pts, lut, w, 0, pts);
+        subtotal[a0 + b] = acc.sum();
+      }
+    }
+    return;
+  }
+  for (std::size_t a = 0; a < n_src; ++a) {
+    Lanes acc;
+    for (std::size_t t0 = 0; t0 < pts; t0 += kTile) {
+      const std::size_t n = std::min(kTile, pts - t0);
+      coords(sx + a * pts + t0, sy + a * pts + t0, px, py, front, back,
+             inv_step, cap, n, idx, frac);
+      acc.add<F>(idx, frac, lut, w, t0, n);
+    }
+    subtotal[a] = acc.sum();
+  }
+}
+
+template <Form F>
+void pair_scalar(const double* px, const double* py, std::size_t n_probes,
+                 const double* sx, const double* sy, std::size_t pts,
+                 double front, double back, double inv_step, double cap,
+                 const double* lut, const double* w, double* out) {
+  for (std::size_t p = 0; p < n_probes; ++p) {
+    sweep_scalar<F>(sx, sy, px[p], py[p], front, back, inv_step, cap, lut, w,
+                    pts, 1, out + p);
+  }
+}
+
+void sweep_unit_scalar(const double* sx, const double* sy, double px,
+                       double py, double front, double back, double inv_step,
+                       double cap, const double* lut, std::size_t pts,
+                       std::size_t n_src, double* subtotal) {
+  sweep_scalar<Form::kUnit>(sx, sy, px, py, front, back, inv_step, cap, lut,
+                            nullptr, pts, n_src, subtotal);
+}
+
+void sweep_weighted_scalar(const double* sx, const double* sy, double px,
+                           double py, double front, double back,
+                           double inv_step, double cap, const double* lut,
+                           const double* w, std::size_t pts,
+                           std::size_t n_src, double* subtotal) {
+  sweep_scalar<Form::kWeighted>(sx, sy, px, py, front, back, inv_step, cap,
+                                lut, w, pts, n_src, subtotal);
+}
+
+void sweep_raw_scalar(const double* sx, const double* sy, double px,
+                      double py, double front, double back, double inv_step,
+                      double cap, const double* lut, std::size_t pts,
+                      std::size_t n_src, double* subtotal) {
+  sweep_scalar<Form::kRaw>(sx, sy, px, py, front, back, inv_step, cap, lut,
+                           nullptr, pts, n_src, subtotal);
+}
+
+void pair_unit_scalar(const double* px, const double* py,
+                      std::size_t n_probes, const double* sx,
+                      const double* sy, std::size_t pts, double front,
+                      double back, double inv_step, double cap,
+                      const double* lut, double* out) {
+  pair_scalar<Form::kUnit>(px, py, n_probes, sx, sy, pts, front, back,
+                           inv_step, cap, lut, nullptr, out);
+}
+
+void pair_weighted_scalar(const double* px, const double* py,
+                          std::size_t n_probes, const double* sx,
+                          const double* sy, std::size_t pts, double front,
+                          double back, double inv_step, double cap,
+                          const double* lut, const double* w, double* out) {
+  pair_scalar<Form::kWeighted>(px, py, n_probes, sx, sy, pts, front, back,
+                               inv_step, cap, lut, w, out);
+}
+
+void pair_raw_scalar(const double* px, const double* py, std::size_t n_probes,
+                     const double* sx, const double* sy, std::size_t pts,
+                     double front, double back, double inv_step, double cap,
+                     const double* lut, double* out) {
+  pair_scalar<Form::kRaw>(px, py, n_probes, sx, sy, pts, front, back,
+                          inv_step, cap, lut, nullptr, out);
+}
+
+constexpr SoaKernelOps kScalarOps{util::SimdLevel::kScalar,
+                                  sweep_unit_scalar,    sweep_weighted_scalar,
+                                  sweep_raw_scalar,     pair_unit_scalar,
+                                  pair_weighted_scalar, pair_raw_scalar};
+
+}  // namespace
+
+const SoaKernelOps& soa_kernel_ops_scalar() { return kScalarOps; }
+
+// ----------------------------------------------------- model constants ----
+
 void SoaModelConsts::bind(const FastThermalModel& model) {
   if (model.empty()) {
     throw std::invalid_argument("SoaModelConsts: model has no tables");
+  }
+  const MutualResistanceTable& table = model.mutual_table();
+  if (!table.is_uniform()) {
+    throw std::invalid_argument(
+        "SoaModelConsts: mutual table is not uniform");
   }
   pc = static_cast<std::size_t>(model.probe_count());
   const auto sub = static_cast<std::size_t>(model.config().source_subsamples);
@@ -22,53 +215,39 @@ void SoaModelConsts::bind(const FastThermalModel& model) {
   use_images = model.config().use_images;
   img = use_images ? 9 : 1;
   const double r = model.config().image_reflectivity;
-  // Weight per image point, in the exact accumulation order of
-  // FastThermalModel::image_kernel(): direct, 4 side mirrors, 4 corner
-  // double-mirrors. r * r is precomputed because image_kernel's corner term
-  // evaluates (reflectivity * reflectivity) first — same double either way.
-  const double w9[9] = {1.0, r, r, r, r, r * r, r * r, r * r, r * r};
-  std::copy(w9, w9 + 9, img_w);
   // Unit image weights (reflectivity 1.0, the adiabatic-rim default) let the
   // kernels take a multiply-free accumulation; w * decay with w == 1.0 is
   // the identity, so both variants produce the same doubles.
-  unit_weights = use_images && img_w[1] == 1.0;
-  correct_pairs =
-      model.config().correct_mutual && model.has_position_correction();
-  floor = model.uniform_floor();
+  unit_weights = use_images && r == 1.0;
+  const double floor = model.uniform_floor();
+  floor_per_src = static_cast<double>(ss) * floor;
   ambient_c = model.ambient_c();
   pkg_w = model.package_w_mm();
   pkg_h = model.package_h_mm();
-  mutual = model.mutual_table().view();
-  // MutualResistanceTable's own constructor enforces >= 2 knots, but the
-  // cap/LUT math below underflows std::size_t (0 entries) or degenerates
-  // (1 entry) if a malformed table ever slips through another path —
-  // validate here, before any size - 1 arithmetic.
-  if (mutual.size < 2) {
-    throw std::invalid_argument(
-        "SoaModelConsts: mutual table needs >= 2 knots, got " +
-        std::to_string(mutual.size));
-  }
-  uniform = mutual.inv_step > 0.0;
-  lut_img.assign(2 * mutual.size, 0.0);
-  lut_raw.assign(2 * mutual.size, 0.0);
-  for (std::size_t i = 0; i < mutual.size; ++i) {
-    const double diff =
-        i + 1 < mutual.size ? mutual.values[i + 1] - mutual.values[i] : 0.0;
-    lut_raw[2 * i] = mutual.values[i];
+  front = table.distances().front();
+  back = table.distances().back();
+  inv_step = table.inv_step();
+  const std::vector<double>& values = table.values();
+  const std::size_t nk = values.size();
+  lut_img.assign(2 * nk, 0.0);
+  lut_raw.assign(2 * nk, 0.0);
+  for (std::size_t i = 0; i < nk; ++i) {
+    const double diff = i + 1 < nk ? values[i + 1] - values[i] : 0.0;
+    lut_raw[2 * i] = values[i];
     lut_raw[2 * i + 1] = diff;
-    lut_img[2 * i] = mutual.values[i] - floor;
+    lut_img[2 * i] = values[i] - floor;
     lut_img[2 * i + 1] = diff;
   }
   // Coordinates are capped in the double domain (instead of clamping the
   // integer index) so the coordinate pass stays branch-free: the cap is the
   // largest double below nk-1, making trunc() land on the last segment with
   // a fraction of ~1 — the same interpolated value to within an ulp.
-  coord_cap = std::nextafter(static_cast<double>(mutual.size - 1), 0.0);
+  coord_cap = std::nextafter(static_cast<double>(nk - 1), 0.0);
   w_flat.clear();
   if (use_images) {
-    w_flat.resize(ss * 9);
+    const double w9[9] = {1.0, r, r, r, r, r * r, r * r, r * r, r * r};
     for (std::size_t s = 0; s < ss; ++s) {
-      std::copy(img_w, img_w + 9, w_flat.data() + s * 9);
+      w_flat.insert(w_flat.end(), w9, w9 + 9);
     }
   }
 }
@@ -80,8 +259,6 @@ void SoaModelConsts::expand_source_point(const Point& s, double* xs,
     ys[0] = s.y;
     return;
   }
-  // Mirror coordinates in image_kernel's emission order; the expressions
-  // match image_kernel's mx/my arrays bit-for-bit.
   const double mx0 = -s.x;
   const double mx1 = 2.0 * pkg_w - s.x;
   const double my0 = -s.y;
@@ -92,41 +269,70 @@ void SoaModelConsts::expand_source_point(const Point& s, double* xs,
   std::copy(exp_y, exp_y + 9, ys);
 }
 
+void SoaModelConsts::sweep(const SoaKernelOps& ops, const double* sx,
+                           const double* sy, double px, double py,
+                           std::size_t n_src, double* subtotal) const {
+  const std::size_t pts = ss * img;
+  if (!use_images) {
+    ops.sweep_raw(sx, sy, px, py, front, back, inv_step, coord_cap,
+                  lut_raw.data(), pts, n_src, subtotal);
+  } else if (unit_weights) {
+    ops.sweep_unit(sx, sy, px, py, front, back, inv_step, coord_cap,
+                   lut_img.data(), pts, n_src, subtotal);
+  } else {
+    ops.sweep_weighted(sx, sy, px, py, front, back, inv_step, coord_cap,
+                       lut_img.data(), w_flat.data(), pts, n_src, subtotal);
+  }
+}
+
+void SoaModelConsts::pair_row(const SoaKernelOps& ops, const double* px,
+                              const double* py, const double* sx,
+                              const double* sy, double* out) const {
+  const std::size_t pts = ss * img;
+  if (!use_images) {
+    ops.pair_raw(px, py, pc, sx, sy, pts, front, back, inv_step, coord_cap,
+                 lut_raw.data(), out);
+  } else if (unit_weights) {
+    ops.pair_unit(px, py, pc, sx, sy, pts, front, back, inv_step, coord_cap,
+                  lut_img.data(), out);
+  } else {
+    ops.pair_weighted(px, py, pc, sx, sy, pts, front, back, inv_step,
+                      coord_cap, lut_img.data(), w_flat.data(), out);
+  }
+}
+
+// ------------------------------------------------------------ snapshot ----
+
 util::SimdLevel SoaSnapshot::dispatch_level() { return soa_dispatch_level(); }
 
 util::SimdLevel SoaSnapshot::set_simd_level(util::SimdLevel level) {
-  ops_ = soa_kernel_ops(level);
-  simd_level_ = ops_ != nullptr ? level : util::SimdLevel::kScalar;
-  return simd_level_;
+  ops_ = &soa_kernel_ops(level);
+  return ops_->level;
 }
 
 SoaSnapshot::SoaSnapshot(const FastThermalModel& model,
                          const ChipletSystem& system)
-    : model_(&model), system_(&system) {
+    : model_(&model),
+      system_(&system),
+      ops_(&soa_kernel_ops(util::active_simd_level())) {
   k_.bind(model);
   n_ = system.num_chiplets();
-  set_simd_level(util::active_simd_level());
 
   placed_.assign(n_, 0);
   self_rise_.assign(n_, 0.0);
-  corr_.assign(n_, 1.0);
   probe_x_.assign(n_ * k_.pc, 0.0);
   probe_y_.assign(n_ * k_.pc, 0.0);
   shape_.assign(n_ * k_.pc, 0.0);
   src_die_.reserve(n_);
   src_scale_.reserve(n_);
-  src_corr_.reserve(n_);
   src_x_.reserve(n_ * k_.ss * k_.img);
   src_y_.reserve(n_ * k_.ss * k_.img);
-  coord_.reserve(n_ * k_.ss * k_.img);
-  pair_corr_.reserve(n_);
 }
 
 void SoaSnapshot::refresh(const Floorplan& floorplan) {
   // Counter only: refresh runs per candidate (~µs); a span here would be
   // the dominant cost of the span itself at small die counts.
   RLPLAN_COUNTER_INC("thermal.soa.refreshes");
-  if (!bound()) throw std::logic_error("SoaSnapshot: refresh while unbound");
   if (floorplan.num_chiplets() != n_) {
     throw std::invalid_argument(
         "SoaSnapshot: floorplan/system size mismatch");
@@ -134,15 +340,14 @@ void SoaSnapshot::refresh(const Floorplan& floorplan) {
   const std::size_t pc = k_.pc;
   src_die_.clear();
   src_scale_.clear();
-  src_corr_.clear();
   src_x_.clear();
   src_y_.clear();
   for (std::size_t i = 0; i < n_; ++i) {
     placed_[i] = floorplan.is_placed(i) ? 1 : 0;
     if (!placed_[i]) continue;
     const Rect rect = floorplan.rect_of(i);
-    // The per-die scalar terms go through the model's own building blocks,
-    // so they are the very doubles evaluate() computes.
+    // The per-die terms come from the model's own building blocks, shared
+    // with the incremental engine.
     model_->receiver_probes(rect, probes_scratch_, shapes_scratch_);
     for (std::size_t p = 0; p < pc; ++p) {
       probe_x_[i * pc + p] = probes_scratch_[p].x;
@@ -150,13 +355,11 @@ void SoaSnapshot::refresh(const Floorplan& floorplan) {
       shape_[i * pc + p] = shapes_scratch_[p];
     }
     self_rise_[i] = model_->self_rise(system_->chiplet(i), rect);
-    corr_[i] = model_->center_correction(rect.center());
 
     const double power = system_->chiplet(i).power;
     if (power <= 0.0) continue;
     src_die_.push_back(i);
     src_scale_.push_back(power / static_cast<double>(k_.ss));
-    src_corr_.push_back(corr_[i]);
     model_->source_points(rect, subs_scratch_);
     const std::size_t base = src_x_.size();
     src_x_.resize(base + subs_scratch_.size() * k_.img);
@@ -171,219 +374,67 @@ void SoaSnapshot::refresh(const Floorplan& floorplan) {
   }
 }
 
-double SoaSnapshot::receiver_rise_uniform(std::size_t i) const {
+double SoaSnapshot::receiver_rise(std::size_t i) const {
   const std::size_t n_src = src_die_.size();
-  const std::size_t pts_per_src = k_.ss * k_.img;
-  const std::size_t total = n_src * pts_per_src;
+  const std::size_t pts = k_.ss * k_.img;
+  const std::size_t pc = k_.pc;
+  // The receiver's own source block, if it has one, is [lo, hi): the sweep
+  // covers the blocks on either side of it.
+  const auto lo = static_cast<std::size_t>(
+      std::lower_bound(src_die_.begin(), src_die_.end(), i) -
+      src_die_.begin());
+  const std::size_t hi = lo < n_src && src_die_[lo] == i ? lo + 1 : lo;
   const double* sx = src_x_.data();
   const double* sy = src_y_.data();
-  int* idx = idx_.data();
-  double* frac = frac_.data();
-  const double front = k_.mutual.front;
-  const double back = k_.mutual.back;
-  const double inv = k_.mutual.inv_step;
-  const double cap = k_.coord_cap;
-  const double* lut_img = k_.lut_img.data();
-  const double* lut_raw = k_.lut_raw.data();
-  const double floor = k_.floor;
-  const double self = self_rise_[i];
-  const bool use_images = k_.use_images;
-  const bool unit_weights = k_.unit_weights;
-  const std::size_t ss = k_.ss;
-  const std::size_t pc = k_.pc;
-
-  double worst = 0.0;
-  for (std::size_t p = 0; p < pc; ++p) {
-    const double px = probe_x_[i * pc + p];
-    const double py = probe_y_[i * pc + p];
-    // Pass 1 — distance to capped table coordinate to segment index +
-    // fraction, one fused sweep: contiguous loads, no branches, no indexed
-    // access. The whole loop auto-vectorizes, sqrt and the packed
-    // double<->int32 conversions included (which is why CMake builds this
-    // file with -fno-math-errno).
-    for (std::size_t k = 0; k < total; ++k) {
-      const double d = kernel_distance(sx[k] - px, sy[k] - py);
-      const double x = std::min(
-          (std::min(std::max(d, front), back) - front) * inv, cap);
-      const int ii = static_cast<int>(x);
-      idx[k] = ii;
-      frac[k] = x - static_cast<double>(ii);
-    }
-    // Pass 2 — gather + accumulate in evaluate()'s source order. The
-    // interpolation reads the precomputed segment LUT: base + frac * diff
-    // equals evaluate()'s division-form lerp to within ~2 ulp.
-    double mutual = 0.0;
-    for (std::size_t a = 0; a < n_src; ++a) {
-      if (src_die_[a] == i) continue;
-      const std::size_t base = a * pts_per_src;
-      const int* ix = idx + base;
-      const double* fr = frac + base;
-      double m = 0.0;
-      if (use_images) {
-        for (std::size_t s = 0; s < ss; ++s) {
-          double k = 0.0;
-          if (unit_weights) {
-            for (std::size_t t = 0; t < 9; ++t) {
-              const double* seg = lut_img + 2 * ix[s * 9 + t];
-              k += std::max(seg[0] + fr[s * 9 + t] * seg[1], 0.0);
-            }
-          } else {
-            for (std::size_t t = 0; t < 9; ++t) {
-              const double* seg = lut_img + 2 * ix[s * 9 + t];
-              k += k_.img_w[t] *
-                   std::max(seg[0] + fr[s * 9 + t] * seg[1], 0.0);
-            }
-          }
-          m += floor + k;
-        }
-      } else {
-        for (std::size_t s = 0; s < ss; ++s) {
-          const double* seg = lut_raw + 2 * ix[s];
-          m += seg[0] + fr[s] * seg[1];
-        }
-      }
-      m *= src_scale_[a];
-      m *= pair_corr_[a];
-      mutual += m;
-    }
-    worst = std::max(worst, self * shape_[i * pc + p] + mutual);
-  }
-  return worst;
-}
-
-double SoaSnapshot::receiver_rise_uniform_simd(std::size_t i) const {
-  const std::size_t n_src = src_die_.size();
-  const std::size_t pts_per_src = k_.ss * k_.img;
-  const double* sx = src_x_.data();
-  const double* sy = src_y_.data();
-  const double floor_per_src = static_cast<double>(k_.ss) * k_.floor;
-  const double self = self_rise_[i];
-  const SoaKernelOps& ops = *ops_;
-  const bool use_images = k_.use_images;
-  const std::size_t pc = k_.pc;
   double* sub = sub_.data();
-
   double worst = 0.0;
   for (std::size_t p = 0; p < pc; ++p) {
     const double px = probe_x_[i * pc + p];
     const double py = probe_y_[i * pc + p];
-    // One fused sweep per probe covers every source block: both conceptual
-    // passes run in a single loop (the index/fraction intermediates of the
-    // scalar kernel's two-pass form never round-trip through memory, which
-    // at ~18-36-point blocks costs as much as the arithmetic), and the one
-    // indirect call amortizes over the probe instead of per source.
-    // Self-interaction blocks are computed too (their inputs are valid, the
-    // result is discarded below) — that wastes 1/n_src of the sweep, far
-    // less than a branchy kernel would cost.
-    if (!use_images) {
-      ops.sweep_raw(sx, sy, px, py, k_.mutual.front, k_.mutual.back,
-                    k_.mutual.inv_step, k_.coord_cap, k_.lut_raw.data(),
-                    pts_per_src, n_src, sub);
-    } else if (k_.unit_weights) {
-      ops.sweep_unit(sx, sy, px, py, k_.mutual.front, k_.mutual.back,
-                     k_.mutual.inv_step, k_.coord_cap, k_.lut_img.data(),
-                     pts_per_src, n_src, sub);
-    } else {
-      ops.sweep_weighted(sx, sy, px, py, k_.mutual.front, k_.mutual.back,
-                         k_.mutual.inv_step, k_.coord_cap, k_.lut_img.data(),
-                         k_.w_flat.data(), pts_per_src, n_src, sub);
-    }
-    // Sources combine in the scalar kernel's order (one subtotal per source,
-    // scaled then summed ascending), so only the within-source lane order
-    // differs from the reference — the documented few-ulp envelope.
+    k_.sweep(*ops_, sx, sy, px, py, lo, sub);
+    k_.sweep(*ops_, sx + hi * pts, sy + hi * pts, px, py, n_src - hi,
+             sub + hi);
     double mutual = 0.0;
-    for (std::size_t a = 0; a < n_src; ++a) {
-      if (src_die_[a] == i) continue;
-      double m = use_images ? floor_per_src + sub[a] : sub[a];
-      m *= src_scale_[a];
-      m *= pair_corr_[a];
-      mutual += m;
+    for (std::size_t a = 0; a < lo; ++a) {
+      mutual += k_.contribution(sub[a], src_scale_[a]);
     }
-    worst = std::max(worst, self * shape_[i * pc + p] + mutual);
-  }
-  return worst;
-}
-
-double SoaSnapshot::receiver_rise_exact(std::size_t i) const {
-  const std::size_t n_src = src_die_.size();
-  const std::size_t pts_per_src = k_.ss * k_.img;
-  const std::size_t total = n_src * pts_per_src;
-  const double* sx = src_x_.data();
-  const double* sy = src_y_.data();
-  double* dist = coord_.data();
-  const MutualResistanceTable::View mt = k_.mutual;
-  const double floor = k_.floor;
-  const double self = self_rise_[i];
-  const bool use_images = k_.use_images;
-  const std::size_t ss = k_.ss;
-  const std::size_t pc = k_.pc;
-
-  double worst = 0.0;
-  for (std::size_t p = 0; p < pc; ++p) {
-    const double px = probe_x_[i * pc + p];
-    const double py = probe_y_[i * pc + p];
-    for (std::size_t k = 0; k < total; ++k) {
-      dist[k] = kernel_distance(sx[k] - px, sy[k] - py);
+    for (std::size_t a = hi; a < n_src; ++a) {
+      mutual += k_.contribution(sub[a], src_scale_[a]);
     }
-    double mutual = 0.0;
-    for (std::size_t a = 0; a < n_src; ++a) {
-      if (src_die_[a] == i) continue;
-      const double* d = dist + a * pts_per_src;
-      double m = 0.0;
-      if (use_images) {
-        for (std::size_t s = 0; s < ss; ++s) {
-          double k = 0.0;
-          for (std::size_t t = 0; t < 9; ++t) {
-            k += k_.img_w[t] * std::max(mt.lookup(d[s * 9 + t]) - floor, 0.0);
-          }
-          m += floor + k;
-        }
-      } else {
-        for (std::size_t s = 0; s < ss; ++s) {
-          m += mt.lookup(d[s]);
-        }
-      }
-      m *= src_scale_[a];
-      m *= pair_corr_[a];
-      mutual += m;
-    }
-    worst = std::max(worst, self * shape_[i * pc + p] + mutual);
+    worst = std::max(worst, self_rise_[i] * shape_[i * pc + p] + mutual);
   }
   return worst;
 }
 
 void SoaSnapshot::evaluate(FastThermalResult& out) const {
-  if (!bound()) throw std::logic_error("SoaSnapshot: evaluate while unbound");
   out.chiplet_temp_c.assign(n_, k_.ambient_c);
   out.eval_seconds = 0.0;
-
-  const std::size_t n_src = src_die_.size();
-  coord_.resize(n_src * k_.ss * k_.img);
-  idx_.resize(n_src * k_.ss * k_.img);
-  frac_.resize(n_src * k_.ss * k_.img);
-  pair_corr_.resize(n_src);
-  sub_.resize(n_src);
-
+  sub_.resize(src_die_.size());
   for (std::size_t i = 0; i < n_; ++i) {
-    if (!placed_[i]) continue;
-    const double c_dst = corr_[i];
-    // Hoisted per receiver: the pair factor evaluate() recomputes per
-    // (probe, source) is probe-independent, and multiplying by the same
-    // double later yields the same product.
-    for (std::size_t a = 0; a < n_src; ++a) {
-      pair_corr_[a] =
-          k_.correct_pairs ? std::sqrt(src_corr_[a] * c_dst) : 1.0;
-    }
-    const double rise = !k_.uniform          ? receiver_rise_exact(i)
-                        : ops_ != nullptr    ? receiver_rise_uniform_simd(i)
-                                             : receiver_rise_uniform(i);
-    out.chiplet_temp_c[i] = k_.ambient_c + rise;
+    if (placed_[i]) out.chiplet_temp_c[i] = k_.ambient_c + receiver_rise(i);
   }
-
   out.max_temp_c = k_.ambient_c;
   for (double t : out.chiplet_temp_c) {
     out.max_temp_c = std::max(out.max_temp_c, t);
   }
+}
+
+// --------------------------------------------------- model entry points ----
+
+FastThermalResult FastThermalModel::evaluate(const ChipletSystem& system,
+                                             const Floorplan& floorplan) const {
+  if (empty()) {
+    throw std::logic_error("FastThermalModel: evaluate on empty model");
+  }
+  RLPLAN_TRACE_SPAN("thermal.evaluate");
+  RLPLAN_COUNTER_INC("thermal.evaluate.calls");
+  const Timer timer;
+  SoaSnapshot snapshot(*this, system);
+  snapshot.refresh(floorplan);
+  FastThermalResult result;
+  snapshot.evaluate(result);
+  result.eval_seconds = timer.seconds();
+  return result;
 }
 
 std::vector<FastThermalResult> FastThermalModel::evaluate_batch(

@@ -1,50 +1,37 @@
-// Structure-of-arrays snapshot + tiled kernel for batched fast-model
-// evaluation.
+// Structure-of-arrays snapshot: the fast model's one evaluation path.
 //
-// FastThermalModel::evaluate() walks pointer-chased per-chiplet structures
-// (std::optional<Rect> placements, per-call std::vector scratch, cross-TU
-// table lookups) one pair at a time. That is fine for one query, but
-// whole-floorplan evaluation is the cost driver for SA multi-start rounds,
-// PPO batch scoring, and the regression suite. SoaSnapshot flattens one
+// FastThermalModel::evaluate() builds one of these per call and
+// evaluate_batch() keeps one per worker lane. A snapshot flattens one
 // system's evaluation state into contiguous arrays:
 //
-//   * per die: probe points, self-heating shape factors, self rise,
-//     position-correction factor (refreshed in place per floorplan);
+//   * per die: probe points, self-heating shape factors, self rise
+//     (refreshed in place per floorplan);
 //   * per active source (placed, power > 0): the sub-source grid expanded
 //     through the method-of-images mirrors, packed as flat x/y arrays with a
 //     shared 9-entry weight vector [1, r, r, r, r, r^2, r^2, r^2, r^2].
 //
-// The kernel then runs two tiled passes per receiver probe: a sweep turning
-// every source-point distance into a clamped table coordinate (sqrt,
-// min/max, one multiply — no branches, no indexed loads), and an
-// accumulation pass that resolves the interpolation from a precomputed
-// base/diff lookup table and sums contributions per source in exactly the
-// order evaluate() uses. The kernel exists twice: portable scalar reference
-// loops keep the passes separate (pass 1 auto-vectorizes; pass 2 is a
-// scalar gather), while the explicit AVX2/NEON kernels
-// (thermal/soa_kernels_*.cpp) fuse both passes into one sweep per source
-// block — the index/fraction intermediates never round-trip through memory
-// — selected at runtime via util/simd. RLPLANNER_SIMD=scalar forces the
-// reference path, and set_simd_level() overrides per snapshot for
-// differential testing. SIMD results stay within the 1e-9 C envelope of the
-// scalar path (per-source subtotals reduce lanes in a fixed tree instead of
-// left-to-right).
+// Per receiver probe, one sweep of the dispatched kernel table
+// (soa_kernels.h) turns every source point into an interpolated decay value
+// read from a precomputed (base, diff) segment LUT and reduces each source
+// block to a subtotal; the blocks then combine in ascending source order,
+// so no error grows with the die count. The level comes from util/simd
+// (RLPLANNER_SIMD=scalar forces the portable table), and set_simd_level()
+// overrides it per snapshot for differential testing.
 //
-// Numerical contract (asserted by tests/soa_kernel_test.cpp): the
-// accumulation order is identical to evaluate()'s, so no error grows with
-// the die count. For the production case — a uniform-step mutual table,
-// which FastThermalModel guarantees by resampling at construction — the
-// interpolation uses the fraction form base[i] + frac * (v[i+1] - v[i])
-// instead of evaluate()'s division form, which differs by at most a couple
-// of ulp per term (~1e-12 C on the summed temperatures; the suite gates at
-// 1e-9 C, the repo-wide equivalence bar). Non-uniform tables take a
-// fallback pass that replicates evaluate()'s arithmetic operation for
-// operation and is bit-identical.
+// Numerical contract (asserted by tests/soa_kernel_test.cpp and
+// tests/incremental_thermal_test.cpp):
+//  * an IncrementalThermalState right after a full re-reduction of its
+//    partial sums equals a SoaSnapshot at the same SIMD level bit for bit;
+//  * everything else — other levels, patched incremental sums, the
+//    test-only oracle (tests/fast_model_oracle.h, one table lookup at a
+//    time) — agrees within 1e-9 C. The kernel interpolates the
+//    uniform mutual table in fraction form base + frac * diff instead of
+//    the oracle's division form, a couple of ulp per term; observed
+//    differences are ~1e-13 C.
 //
 // Lifecycle: bind once per (model, system) — sizes and powers are fixed —
 // then refresh() per candidate floorplan and evaluate(). One snapshot per
-// thread; FastThermalModel::evaluate_batch() owns a snapshot per worker lane
-// and fans candidate chunks over the shared ThreadPool.
+// thread.
 #pragma once
 
 #include <cstddef>
@@ -55,11 +42,10 @@
 #include "core/chiplet.h"
 #include "core/floorplan.h"
 #include "thermal/fast_model.h"
+#include "thermal/soa_kernels.h"
 #include "util/simd.h"
 
 namespace rlplan::thermal {
-
-struct SoaKernelOps;
 
 /// Half-open candidate range [first, second) owned by lane `c` when `b`
 /// candidates split across `lanes` lanes: sizes differ by at most one, lane
@@ -75,60 +61,72 @@ inline std::pair<std::size_t, std::size_t> batch_lane_range(std::size_t b,
   return {lo, c < lanes ? lo + quotient + (c < remainder ? 1 : 0) : lo};
 }
 
-/// Bind-time model constants shared by every SoA kernel consumer —
-/// SoaSnapshot's batch sweeps and IncrementalThermalState's pair-row path:
-/// image weights, the interleaved (base, diff) interpolation LUTs, the
-/// capped coordinate transform, and the flat per-point weight vector. Built
-/// once per model; everything here is placement-independent.
+/// Bind-time model constants shared by every kernel consumer — SoaSnapshot's
+/// sweeps and IncrementalThermalState's pair rows: the interleaved
+/// (base, diff) interpolation LUTs, the capped coordinate transform, and the
+/// flat per-point weight vector. Built once per model; everything here is
+/// placement-independent.
 struct SoaModelConsts {
   std::size_t pc = 0;          ///< receiver probes per die
   std::size_t ss = 1;          ///< sub-sources per die
   std::size_t img = 1;         ///< image points per sub-source (9 or 1)
   bool use_images = false;
   bool unit_weights = false;   ///< use_images with reflectivity exactly 1.0
-  bool correct_pairs = false;  ///< correct_mutual with a table installed
-  bool uniform = false;        ///< uniform-step mutual table (the production
-                               ///< case; guaranteed after model resampling)
-  double floor = 0.0;          ///< uniform rise floor (K/W)
+  double floor_per_src = 0.0;  ///< ss * uniform rise floor (K/W): one
+                               ///< block's summed floors
   double ambient_c = 0.0;
   double pkg_w = 0.0;          ///< package extents, for the image mirrors
   double pkg_h = 0.0;
-  double img_w[9] = {1.0};     ///< per-image weights (direct, sides, corners)
-  /// img_w tiled ss times: the flat per-point weight vector the SIMD
-  /// weighted passes consume (empty when images are off).
+  /// Per-image weights (direct, 4 sides, 4 corners) tiled ss times: the flat
+  /// per-point weight vector of the weighted kernels (empty without images).
   std::vector<double> w_flat;
-  MutualResistanceTable::View mutual{};
-  // Uniform-table interpolation LUTs, interleaved as (base, diff) pairs per
-  // segment so one lookup touches one cache line: base is the value at the
-  // left knot (with the decay floor pre-subtracted in the images variant),
-  // diff the value change across the segment.
+  // Mutual table axis: clamp range and reciprocal (uniform) knot spacing.
+  double front = 0.0;
+  double back = 0.0;
+  double inv_step = 0.0;
+  // Interpolation LUTs, interleaved as (base, diff) pairs per segment so one
+  // lookup touches one cache line: base is the value at the left knot (with
+  // the decay floor pre-subtracted in the images variant), diff the value
+  // change across the segment.
   std::vector<double> lut_img;  // {values[i] - floor, values[i+1]-values[i]}
   std::vector<double> lut_raw;  // {values[i], values[i+1]-values[i]}
   double coord_cap = 0.0;  ///< largest table coordinate (just under nk-1)
 
-  /// Binds to `model` (which must outlive any use of the views). Throws
-  /// std::invalid_argument when the model is empty or its mutual table has
-  /// fewer than 2 knots.
+  /// Binds to `model`. Throws std::invalid_argument when the model is empty
+  /// or its mutual table is not uniform (FastThermalModel resamples its own
+  /// at construction, so that means a broken invariant).
   void bind(const FastThermalModel& model);
 
   /// Expands one sub-source into its `img` coordinate pairs (xs/ys) in
-  /// FastThermalModel::image_kernel()'s emission order — the mirror
-  /// expressions match image_kernel's mx/my arrays bit-for-bit. Without
-  /// images this writes the point itself.
+  /// w_flat's order: the point itself, its mirrors across the four package
+  /// edges, then the four corner double-mirrors. Without images this writes
+  /// the point itself.
   void expand_source_point(const Point& s, double* xs, double* ys) const;
+
+  /// Block subtotals of the probe (px, py) against `n_src` consecutive
+  /// source blocks, through the kernel form this model selects.
+  void sweep(const SoaKernelOps& ops, const double* sx, const double* sy,
+             double px, double py, std::size_t n_src,
+             double* subtotal) const;
+  /// Block subtotals of one source block against `pc` probes — the sweep's
+  /// transpose, bit-identical to sweep() for every (probe, block).
+  void pair_row(const SoaKernelOps& ops, const double* px, const double* py,
+                const double* sx, const double* sy, double* out) const;
+  /// A source's rise at one probe from its block subtotal: the block's
+  /// floors added back (images), times power / ss.
+  double contribution(double subtotal, double power_per_sub) const {
+    double m = use_images ? floor_per_src + subtotal : subtotal;
+    m *= power_per_sub;
+    return m;
+  }
 };
 
 class SoaSnapshot {
  public:
-  SoaSnapshot() = default;
   /// Binds to `model` and `system` (both must outlive the snapshot, at
-  /// stable addresses). Throws std::invalid_argument on an empty model.
+  /// stable addresses). Throws std::invalid_argument as
+  /// SoaModelConsts::bind does.
   SoaSnapshot(const FastThermalModel& model, const ChipletSystem& system);
-
-  bool bound() const { return model_ != nullptr; }
-  const FastThermalModel& model() const { return *model_; }
-  const ChipletSystem& system() const { return *system_; }
-  std::size_t num_chiplets() const { return n_; }
 
   /// Rebuilds the per-floorplan arrays (placements, probe grids, self terms,
   /// image-expanded sub-sources) in place — no allocation after the first
@@ -136,21 +134,17 @@ class SoaSnapshot {
   /// system.
   void refresh(const Floorplan& floorplan);
 
-  /// Temperatures of the refreshed placement, matching
-  /// FastThermalModel::evaluate() on the same floorplan under the numerical
-  /// contract above: within 1e-9 C for uniform mutual tables (the production
-  /// case), bit-identical on the non-uniform fallback. eval_seconds is left
-  /// 0 for the caller to stamp.
+  /// Temperatures of the refreshed placement; eval_seconds is left 0 for
+  /// the caller to stamp.
   void evaluate(FastThermalResult& out) const;
 
   /// Number of active sources (placed dies with power > 0) in the last
   /// refresh.
   std::size_t num_sources() const { return src_die_.size(); }
 
-  /// The SIMD level this snapshot's uniform-table kernel actually runs at.
-  /// New snapshots start at dispatch_level(); kScalar means the reference
-  /// loops (always the case for non-uniform tables, whatever this reports).
-  util::SimdLevel simd_level() const { return simd_level_; }
+  /// The SIMD level this snapshot's kernels run at. New snapshots start at
+  /// dispatch_level().
+  util::SimdLevel simd_level() const { return ops_->level; }
 
   /// Overrides the kernel selection for this snapshot (differential tests,
   /// forced-scalar benches). Levels whose kernels are not compiled in or not
@@ -163,51 +157,32 @@ class SoaSnapshot {
   static util::SimdLevel dispatch_level();
 
  private:
-  const FastThermalModel* model_ = nullptr;
-  const ChipletSystem* system_ = nullptr;
+  /// Peak rise of placed receiver i over its probes.
+  double receiver_rise(std::size_t i) const;
 
-  // Bind-time constants.
+  const FastThermalModel* model_;
+  const ChipletSystem* system_;
   std::size_t n_ = 0;   ///< chiplets in the system
   SoaModelConsts k_{};  ///< shared model constants (LUTs, weights, cap)
+  const SoaKernelOps* ops_;  ///< dispatched kernels; never null
 
   // Per-die state, refreshed per floorplan.
   std::vector<std::uint8_t> placed_;  // n
   std::vector<double> self_rise_;     // n
-  std::vector<double> corr_;          // n
   std::vector<double> probe_x_;       // n * pc
   std::vector<double> probe_y_;       // n * pc
   std::vector<double> shape_;         // n * pc
   // Active sources, packed ascending by die index.
   std::vector<std::size_t> src_die_;  // die index per active source
   std::vector<double> src_scale_;     // power / ss per active source
-  std::vector<double> src_corr_;      // correction factor per active source
   std::vector<double> src_x_;         // num_sources * ss * img
   std::vector<double> src_y_;         // num_sources * ss * img
 
-  // Kernel scratch.
-  mutable std::vector<double> coord_;      // one table-coordinate tile/probe
-  mutable std::vector<int> idx_;           // truncated segment index per point
-  mutable std::vector<double> frac_;       // coordinate fraction per point
-  mutable std::vector<double> pair_corr_;  // per-source factor for a receiver
-  mutable std::vector<double> sub_;        // per-source pass-2 subtotals
+  // Scratch.
+  mutable std::vector<double> sub_;  // per-source block subtotals, one probe
   std::vector<Point> probes_scratch_;
   std::vector<double> shapes_scratch_;
   std::vector<Point> subs_scratch_;
-
-  // Dispatched kernels (nullptr = scalar reference path) and the level they
-  // correspond to; see soa_kernels.h.
-  const SoaKernelOps* ops_ = nullptr;
-  util::SimdLevel simd_level_ = util::SimdLevel::kScalar;
-
-  /// Peak rise of receiver i via the fraction-form LUT (uniform tables),
-  /// scalar reference loops.
-  double receiver_rise_uniform(std::size_t i) const;
-  /// As receiver_rise_uniform, through the dispatched SIMD kernels (ops_).
-  /// Within 1e-9 C of the scalar path (soa_kernels.h numerical contract).
-  double receiver_rise_uniform_simd(std::size_t i) const;
-  /// Peak rise of receiver i replicating evaluate()'s arithmetic exactly
-  /// (fallback for non-uniform mutual tables).
-  double receiver_rise_exact(std::size_t i) const;
 };
 
 }  // namespace rlplan::thermal

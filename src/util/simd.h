@@ -8,9 +8,9 @@
 // widest implementation the host supports.
 //
 // Selection order:
-//   1. RLPLANNER_SIMD env var, when set: "scalar" disables every explicit
-//      kernel (the always-available reference path), "avx2"/"neon" request a
-//      specific level, "auto" (or unset) defers to detection. Requesting a
+//   1. RLPLANNER_SIMD env var, when set: "scalar" selects the portable
+//      kernels (always available), "avx2"/"neon" request a specific
+//      level, "auto" (or unset) defers to detection. Requesting a
 //      level the host or the build cannot provide falls back to scalar —
 //      never to a different SIMD level — so a forced leg tests exactly what
 //      it names.
@@ -27,7 +27,7 @@
 namespace rlplan::util {
 
 enum class SimdLevel {
-  kScalar = 0,  ///< no explicit kernels; portable reference code
+  kScalar = 0,  ///< portable kernels, no ISA extensions
   kAvx2 = 1,    ///< x86-64 AVX2 + FMA
   kNeon = 2,    ///< AArch64 Advanced SIMD
 };

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "systems/synthetic.h"
 #include "thermal/characterize.h"
@@ -104,25 +108,6 @@ TEST_F(FastModelTest, LinearInPower) {
   EXPECT_NEAR(rise2, 2.0 * rise1, 1e-6);
 }
 
-TEST_F(FastModelTest, ChipletTemperatureMatchesEvaluateRow) {
-  // chiplet_temperature computes a single receiver row without evaluating
-  // the whole system; it must agree with the corresponding evaluate() entry.
-  const auto sys = two_die_system(25.0, 12.0);
-  Floorplan fp(sys);
-  fp.place(0, {6.0, 14.0});
-  fp.place(1, {22.0, 18.0});
-  const auto batch = model_->evaluate(sys, fp);
-  for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
-    EXPECT_NEAR(model_->chiplet_temperature(sys, fp, i),
-                batch.chiplet_temp_c[i], 1e-12);
-  }
-  Floorplan partial(sys);
-  partial.place(0, {6.0, 14.0});
-  EXPECT_DOUBLE_EQ(model_->chiplet_temperature(sys, partial, 1),
-                   model_->ambient_c());
-  EXPECT_THROW(model_->chiplet_temperature(sys, fp, 99), std::out_of_range);
-}
-
 TEST_F(FastModelTest, UnplacedChipletsReadAmbient) {
   const auto sys = two_die_system(30.0, 10.0);
   Floorplan fp(sys);
@@ -184,6 +169,37 @@ TEST_F(FastModelTest, SaveLoadRoundtrip) {
   for (std::size_t i = 0; i < a.chiplet_temp_c.size(); ++i) {
     EXPECT_NEAR(a.chiplet_temp_c[i], b.chiplet_temp_c[i], 1e-9);
   }
+  std::filesystem::remove(path);
+}
+
+// Version 2 files carried a correct_mutual flag the model no longer has;
+// loading one must fail loudly rather than misread the fields after it.
+TEST_F(FastModelTest, RejectsV2ModelFile) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "rlplan_fast_model_v2.txt")
+          .string();
+  model_->save(path);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GE(lines.size(), 2u);
+  ASSERT_EQ(lines[0], "fast_thermal_model v3");
+  // Rebuild the v2 layout: the flag sat right after receiver_probes.
+  std::istringstream fields(lines[1]);
+  std::vector<std::string> tokens;
+  for (std::string t; fields >> t;) tokens.push_back(t);
+  ASSERT_GE(tokens.size(), 3u);
+  tokens.insert(tokens.begin() + 3, "0");
+  {
+    std::ofstream out(path);
+    out << "fast_thermal_model v2\n";
+    for (const std::string& t : tokens) out << t << ' ';
+    out << '\n';
+    for (std::size_t i = 2; i < lines.size(); ++i) out << lines[i] << '\n';
+  }
+  EXPECT_THROW(FastThermalModel::load(path), std::runtime_error);
   std::filesystem::remove(path);
 }
 

@@ -1,14 +1,16 @@
 // Equivalence fuzzing for the incremental thermal engine: random
-// place/move/remove/undo/commit sequences must match batch
-// FastThermalModel::evaluate() on every chiplet temperature, across the
-// FastModelConfig variants (images on/off, position correction, droop).
+// place/move/remove/undo/commit sequences must match the test-only oracle
+// (fast_model_oracle.h, a plain scalar evaluation) on every chiplet
+// temperature, across the FastModelConfig variants (images on/off, position
+// correction, droop).
 //
-// Two differential axes, one per execution tier (thermal/incremental.h):
-// the forced-scalar state must be BIT-EXACT against batch (EXPECT_EQ on
-// every double), and a dispatched state with the journaled partial-sum
-// query forced on — so the patching machinery exercises even on
-// scalar-only hosts — must stay within the repo-wide 1e-9 C envelope of
-// the forced-scalar state after every mutation.
+// Two states ride every op stream, one forced to the scalar kernel table
+// and one at the dispatched level; each must stay within the repo-wide
+// 1e-9 C envelope of the oracle after every mutation. The same-level anchor
+// (thermal/incremental.h) is checked too: whenever a query ran a full
+// re-reduction of the partial sums — a fresh state's first query, or every
+// kResumInterval patches — the state must equal a SoaSnapshot at the same
+// level BIT-EXACTLY.
 #include "thermal/incremental.h"
 
 #include <gtest/gtest.h>
@@ -19,10 +21,12 @@
 #include <vector>
 
 #include "core/floorplan.h"
+#include "fast_model_oracle.h"
 #include "fuzz_util.h"
 #include "rl/env.h"
 #include "systems/synthetic.h"
 #include "thermal/evaluator.h"
+#include "thermal/soa_snapshot.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -41,7 +45,7 @@ void report_failure_seed(const std::string& context) {
 }
 
 // Synthetic characterization-free model: smooth analytic tables so the fuzz
-// loop costs microseconds per batch reference evaluation.
+// loop costs microseconds per oracle evaluation.
 FastThermalModel make_model(const FastModelConfig& config,
                             bool with_correction, bool with_droop) {
   std::vector<double> dims;
@@ -92,9 +96,8 @@ std::vector<Variant> variants() {
   FastModelConfig plain;
   plain.use_images = false;
   v.push_back({"plain", plain, false, false});
-  FastModelConfig corrected;
+  FastModelConfig corrected;  // the position correction scales self terms
   corrected.use_images = false;
-  corrected.correct_mutual = true;
   v.push_back({"correction", corrected, true, true});
   FastModelConfig paper_min;
   paper_min.use_images = true;
@@ -126,56 +129,54 @@ Placement random_placement(const ChipletSystem& sys, std::size_t i, Rng& rng) {
           rotated};
 }
 
-void expect_state_matches_batch(const IncrementalThermalState& state,
-                                const FastThermalModel& model,
-                                const ChipletSystem& sys, const Floorplan& fp,
-                                const char* context, bool exact = false) {
-  const auto batch = model.evaluate(sys, fp);
+/// The two kernel levels every state runs at: the process dispatch choice
+/// and forced scalar (the same level twice on hosts without SIMD kernels).
+std::vector<util::SimdLevel> levels() {
+  return {IncrementalThermalState::dispatch_level(),
+          util::SimdLevel::kScalar};
+}
+
+/// Queries `state` (mirroring `fp`) and checks it within 1e-9 C of the
+/// oracle; when the query ran a full re-reduction, also bit for bit against
+/// a SoaSnapshot at the state's level. Returns whether it was anchored.
+bool expect_state_matches(const IncrementalThermalState& state,
+                          const FastThermalModel& model,
+                          const ChipletSystem& sys, const Floorplan& fp,
+                          const std::string& context) {
+  const long resums = state.sum_resums();
   std::vector<double> temps;
   state.temperatures(temps);
-  ASSERT_EQ(temps.size(), batch.chiplet_temp_c.size());
+  const bool anchored = state.sum_resums() != resums;
+  const std::string at =
+      context + " level=" + util::simd_level_name(state.simd_level());
+  const auto want = oracle::evaluate(model, sys, fp);
+  EXPECT_EQ(temps.size(), want.chiplet_temp_c.size()) << at;
   for (std::size_t i = 0; i < temps.size(); ++i) {
-    if (exact) {
-      ASSERT_EQ(temps[i], batch.chiplet_temp_c[i])
-          << context << ": chiplet " << i;
-    } else {
-      ASSERT_NEAR(temps[i], batch.chiplet_temp_c[i], 1e-9)
-          << context << ": chiplet " << i;
-    }
+    EXPECT_NEAR(temps[i], want.chiplet_temp_c[i], 1e-9)
+        << at << ": chiplet " << i;
   }
-  if (exact) {
-    ASSERT_EQ(state.max_temperature_c(), batch.max_temp_c) << context;
-  } else {
-    ASSERT_NEAR(state.max_temperature_c(), batch.max_temp_c, 1e-9) << context;
+  EXPECT_NEAR(state.max_temperature_c(), want.max_temp_c, 1e-9) << at;
+  if (anchored) {
+    SoaSnapshot snapshot(model, sys);
+    EXPECT_EQ(snapshot.set_simd_level(state.simd_level()),
+              state.simd_level());
+    snapshot.refresh(fp);
+    FastThermalResult soa;
+    snapshot.evaluate(soa);
+    EXPECT_EQ(temps, soa.chiplet_temp_c) << at << ": anchor vs snapshot";
+    EXPECT_EQ(state.max_temperature_c(), soa.max_temp_c) << at;
   }
+  return anchored;
 }
 
-/// The dispatched-tier contract: within 1e-9 C of the forced-scalar state
-/// holding the identical placement, on every chiplet and the peak.
-void expect_states_agree(const IncrementalThermalState& dispatched,
-                         const IncrementalThermalState& scalar,
-                         const char* context) {
-  std::vector<double> a, b;
-  dispatched.temperatures(a);
-  scalar.temperatures(b);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_NEAR(a[i], b[i], 1e-9) << context << ": chiplet " << i;
-  }
-  ASSERT_NEAR(dispatched.max_temperature_c(), scalar.max_temperature_c(), 1e-9)
-      << context;
-}
-
-// The acceptance bar: >= 1000 random mutation sequences across all variants.
-// Two states ride the identical op stream: the forced-scalar one is checked
-// BIT-EXACT against the batch evaluator, the default-dispatch one (with the
-// journaled partial-sum query forced on, so the patching machinery runs even
-// where dispatch collapses to scalar) within 1e-9 C of the scalar state.
-TEST(IncrementalThermal, FuzzedMutationSequencesMatchBatch) {
+// The acceptance bar: >= 1000 random mutation sequences across all variants,
+// each driving one state per level through the identical op stream.
+TEST(IncrementalThermal, FuzzedMutationSequencesMatchOracle) {
   const auto vs = variants();
   const int scale = fuzz_scale();
   Rng rng(0xfeedULL);
   int sequences = 0;
+  long anchors = 0;
   for (const Variant& v : vs) {
     const FastThermalModel model = make_model(v.config, v.correction, v.droop);
     for (int seq = 0; seq < 260 * scale; ++seq, ++sequences) {
@@ -185,11 +186,12 @@ TEST(IncrementalThermal, FuzzedMutationSequencesMatchBatch) {
       Rng seq_rng(seq_seed);
       const ChipletSystem sys = random_system(seq_rng);
       const std::size_t n = sys.num_chiplets();
-      IncrementalThermalState state(model, sys);
-      state.set_simd_level(util::SimdLevel::kScalar);
-      IncrementalThermalState dispatched(model, sys);
-      dispatched.set_patched_query(true);
-      Floorplan fp(sys);             // mirrors the state's placement
+      std::vector<IncrementalThermalState> states;
+      for (const util::SimdLevel level : levels()) {
+        states.emplace_back(model, sys);
+        states.back().set_simd_level(level);
+      }
+      Floorplan fp(sys);             // mirrors the states' placement
       Floorplan committed_fp(sys);   // snapshot at the last commit()
       const int ops =
           4 + static_cast<int>(seq_rng.uniform_int(std::uint64_t{8}));
@@ -198,26 +200,22 @@ TEST(IncrementalThermal, FuzzedMutationSequencesMatchBatch) {
         const std::size_t die = seq_rng.uniform_int(std::uint64_t{n});
         if (u < 0.45) {  // place or move
           const Placement p = random_placement(sys, die, seq_rng);
-          state.place(die, p);
-          dispatched.place(die, p);
+          for (auto& state : states) state.place(die, p);
           fp.place(die, p.position, p.rotated);
         } else if (u < 0.65) {  // remove
-          state.remove(die);
-          dispatched.remove(die);
+          for (auto& state : states) state.remove(die);
           fp.unplace(die);
         } else if (u < 0.8) {  // undo to the last commit
-          state.undo();
-          dispatched.undo();
+          for (auto& state : states) state.undo();
           fp = committed_fp;
         } else {  // commit
-          state.commit();
-          dispatched.commit();
+          for (auto& state : states) state.commit();
           committed_fp = fp;
         }
-        expect_state_matches_batch(state, model, sys, fp, v.name,
-                                   /*exact=*/true);
-        expect_states_agree(dispatched, state, v.name);
-        if (::testing::Test::HasFatalFailure()) {
+        for (const auto& state : states) {
+          anchors += expect_state_matches(state, model, sys, fp, v.name);
+        }
+        if (::testing::Test::HasFailure()) {
           report_failure_seed(std::string("variant=") + v.name +
                               " sequence_seed=" + std::to_string(seq_seed) +
                               " op=" + std::to_string(op));
@@ -227,96 +225,93 @@ TEST(IncrementalThermal, FuzzedMutationSequencesMatchBatch) {
     }
   }
   EXPECT_GE(sequences, 1000 * scale);
+  EXPECT_GT(anchors, 0);
 }
 
-// Tight agreement on a hand-checkable case: the forced-scalar query sums the
-// identical pairwise doubles the batch evaluator sums, in the same order, so
-// the agreement is exact — not just close. The default-dispatch state (which
-// may run SIMD pair-row kernels and the patched-sum query) stays inside the
-// 1e-9 C envelope on the same placement.
-TEST(IncrementalThermal, ExactAgreementOnDenseSystem) {
+// The anchor on a fresh state: its first query is a full re-reduction, so
+// at each level it equals a same-level SoaSnapshot bit for bit (and both
+// sit within 1e-9 C of the oracle).
+TEST(IncrementalThermal, FreshStateEqualsSnapshotAtSameLevel) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   Rng rng(7);
   const ChipletSystem sys = random_system(rng, 6, 6);
   Floorplan fp(sys);
-  IncrementalThermalState state(model, sys);
-  state.set_simd_level(util::SimdLevel::kScalar);
-  IncrementalThermalState dispatched(model, sys);
   for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
     const Placement p = random_placement(sys, i, rng);
-    state.place(i, p);
-    dispatched.place(i, p);
     fp.place(i, p.position, p.rotated);
   }
-  const auto batch = model.evaluate(sys, fp);
-  for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
-    EXPECT_EQ(state.chiplet_temperature_c(i), batch.chiplet_temp_c[i]);
-    EXPECT_NEAR(dispatched.chiplet_temperature_c(i), batch.chiplet_temp_c[i],
-                1e-9);
+  for (const util::SimdLevel level : levels()) {
+    IncrementalThermalState state(model, sys);
+    state.set_simd_level(level);
+    state.sync(fp);
+    EXPECT_TRUE(expect_state_matches(state, model, sys, fp, "fresh"));
   }
-  EXPECT_EQ(state.max_temperature_c(), batch.max_temp_c);
-  EXPECT_NEAR(dispatched.max_temperature_c(), batch.max_temp_c, 1e-9);
 }
 
-// The journaled partial sums behind the patched query: rollback restores the
+// The journaled partial sums behind the query: rollback restores the
 // snapshot verbatim, so a query after undo() reproduces the pre-mutation
 // temperatures BIT-EXACTLY — not merely within tolerance — and a long
-// committed move stream crosses the kResumInterval re-reduction boundary
-// without drifting outside the envelope.
+// committed move stream crosses the kResumInterval re-reduction boundary,
+// where the state lands back on the same-level snapshot bit for bit.
 TEST(IncrementalThermal, JournaledSumsCommitRollbackBitExact) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
-  Rng rng(0x9e37ULL);
-  const ChipletSystem sys = random_system(rng, 6, 6);
-  const std::size_t n = sys.num_chiplets();
-  Floorplan fp(sys);
-  IncrementalThermalState state(model, sys);
-  state.set_patched_query(true);  // exercise the sum machinery on any host
-  for (std::size_t i = 0; i < n; ++i) {
-    const Placement p = random_placement(sys, i, rng);
-    state.place(i, p);
-    fp.place(i, p.position, p.rotated);
-  }
-  std::vector<double> before;
-  state.temperatures(before);  // materializes the partial sums
-  const double max_before = state.max_temperature_c();
-  EXPECT_GE(state.sum_resums(), 1);
-  state.commit();
-
-  // Rejected-move rounds: mutate (patching the sums), query, roll back; the
-  // journal must restore the exact pre-move answer every time.
-  for (int round = 0; round < 24; ++round) {
-    const std::size_t die = rng.uniform_int(std::uint64_t{n});
-    if (round % 4 == 3) {
-      state.remove(die);
-    } else {
-      state.place(die, random_placement(sys, die, rng));
-    }
-    (void)state.max_temperature_c();  // query the mutated state
-    state.undo();
-    std::vector<double> after;
-    state.temperatures(after);
-    ASSERT_EQ(after.size(), before.size());
+  for (const util::SimdLevel level : levels()) {
+    Rng rng(0x9e37ULL);
+    const ChipletSystem sys = random_system(rng, 6, 6);
+    const std::size_t n = sys.num_chiplets();
+    Floorplan fp(sys);
+    IncrementalThermalState state(model, sys);
+    state.set_simd_level(level);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(after[i], before[i]) << "round " << round << " chiplet " << i;
+      const Placement p = random_placement(sys, i, rng);
+      state.place(i, p);
+      fp.place(i, p.position, p.rotated);
     }
-    ASSERT_EQ(state.max_temperature_c(), max_before) << "round " << round;
-  }
-  EXPECT_GT(state.sum_patches(), 0);
-
-  // Accepted-move stream long enough to force at least one periodic full
-  // re-reduction; every step must still match the batch evaluator.
-  const long resums_before =
-      state.sum_resums();
-  for (int move = 0; move < IncrementalThermalState::kResumInterval + 8;
-       ++move) {
-    const std::size_t die = rng.uniform_int(std::uint64_t{n});
-    const Placement p = random_placement(sys, die, rng);
-    state.place(die, p);
-    fp.place(die, p.position, p.rotated);
+    std::vector<double> before;
+    state.temperatures(before);  // materializes the partial sums
+    const double max_before = state.max_temperature_c();
+    EXPECT_GE(state.sum_resums(), 1);
     state.commit();
-    expect_state_matches_batch(state, model, sys, fp, "committed-stream");
+
+    // Rejected-move rounds: mutate (patching the sums), query, roll back;
+    // the journal must restore the exact pre-move answer every time.
+    for (int round = 0; round < 24; ++round) {
+      const std::size_t die = rng.uniform_int(std::uint64_t{n});
+      if (round % 4 == 3) {
+        state.remove(die);
+      } else {
+        state.place(die, random_placement(sys, die, rng));
+      }
+      (void)state.max_temperature_c();  // query the mutated state
+      state.undo();
+      std::vector<double> after;
+      state.temperatures(after);
+      ASSERT_EQ(after.size(), before.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(after[i], before[i]) << "round " << round << " chiplet " << i;
+      }
+      ASSERT_EQ(state.max_temperature_c(), max_before) << "round " << round;
+    }
+    EXPECT_GT(state.sum_patches(), 0);
+
+    // Accepted-move stream long enough to force at least one periodic full
+    // re-reduction; every step must match the oracle, and the re-reduced
+    // step the same-level snapshot.
+    const long resums_before = state.sum_resums();
+    int anchors = 0;
+    for (int move = 0; move < IncrementalThermalState::kResumInterval + 8;
+         ++move) {
+      const std::size_t die = rng.uniform_int(std::uint64_t{n});
+      const Placement p = random_placement(sys, die, rng);
+      state.place(die, p);
+      fp.place(die, p.position, p.rotated);
+      state.commit();
+      anchors += expect_state_matches(state, model, sys, fp,
+                                      "committed-stream");
+    }
+    EXPECT_GT(state.sum_resums(), resums_before);
+    EXPECT_GE(anchors, 1);
   }
-  EXPECT_GT(state.sum_resums(), resums_before);
 }
 
 TEST(IncrementalThermal, RemoveAndUndoCostNoKernelWork) {
@@ -338,7 +333,7 @@ TEST(IncrementalThermal, RemoveAndUndoCostNoKernelWork) {
   EXPECT_EQ(state.pair_updates(), before);  // remove: bookkeeping only
   state.undo();  // snapshot restore: no kernel recomputation
   EXPECT_EQ(state.pair_updates(), before);
-  expect_state_matches_batch(state, model, sys, fp, "undo-of-remove");
+  expect_state_matches(state, model, sys, fp, "undo-of-remove");
 
   // A rejected SA displace: the move pays its 2*(n-1) directed pair
   // updates, the rollback pays none.
@@ -347,15 +342,15 @@ TEST(IncrementalThermal, RemoveAndUndoCostNoKernelWork) {
   before = state.pair_updates();
   state.undo();
   EXPECT_EQ(state.pair_updates(), before);
-  expect_state_matches_batch(state, model, sys, fp, "undo-of-move");
+  expect_state_matches(state, model, sys, fp, "undo-of-move");
 }
 
 // Evaluator-level protocol, driven the way TAP-2.5D SA drives it: sync via
 // diff, then commit or rollback.
-TEST(IncrementalThermal, EvaluatorCommitRollbackMatchesBatch) {
+TEST(IncrementalThermal, EvaluatorCommitRollbackMatchesOracle) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   IncrementalFastModelEvaluator eval(model);
-  FastModelEvaluator reference(model);
+  oracle::OracleEvaluator reference(model);
   Rng rng(0xabcdULL);
   const ChipletSystem sys = random_system(rng, 4, 7);
   Floorplan current(sys);
@@ -392,7 +387,7 @@ TEST(IncrementalThermal, EvaluatorCommitRollbackMatchesBatch) {
 TEST(IncrementalThermal, SessionRebindsAcrossSystems) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   IncrementalFastModelEvaluator eval(model);
-  FastModelEvaluator reference(model);
+  oracle::OracleEvaluator reference(model);
   Rng rng(0x5151ULL);
   for (int k = 0; k < 5; ++k) {
     const ChipletSystem sys = random_system(rng);
@@ -439,8 +434,8 @@ TEST(IncrementalThermal, RecycledAddressRebindsOnExactContent) {
 }
 
 // End-to-end through the RL env: the per-step notify_place stream plus the
-// episode-end incremental query must equal a batch evaluator's reward.
-TEST(IncrementalThermal, EnvEpisodeMatchesBatchEvaluator) {
+// episode-end incremental query must match the oracle evaluator's reward.
+TEST(IncrementalThermal, EnvEpisodeMatchesOracleEvaluator) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   Rng rng(0x77ULL);
   const ChipletSystem sys = random_system(rng, 4, 6);
@@ -461,14 +456,14 @@ TEST(IncrementalThermal, EnvEpisodeMatchesBatchEvaluator) {
     return env.last_metrics();
   };
 
-  FastModelEvaluator batch(model);
+  oracle::OracleEvaluator reference(model);
   IncrementalFastModelEvaluator incr(model);
-  const auto m_batch = run_episode(batch);
+  const auto m_ref = run_episode(reference);
   const auto m_incr = run_episode(incr);
-  ASSERT_TRUE(m_batch.valid);
+  ASSERT_TRUE(m_ref.valid);
   ASSERT_TRUE(m_incr.valid);
-  EXPECT_NEAR(m_incr.temperature_c, m_batch.temperature_c, 1e-9);
-  EXPECT_NEAR(m_incr.reward, m_batch.reward, 1e-9);
+  EXPECT_NEAR(m_incr.temperature_c, m_ref.temperature_c, 1e-9);
+  EXPECT_NEAR(m_incr.reward, m_ref.reward, 1e-9);
   EXPECT_GT(incr.incremental_queries(), 0);
 }
 

@@ -8,6 +8,7 @@
 #include "systems/systems.h"
 #include "thermal/characterize.h"
 #include "thermal/evaluator.h"
+#include "thermal/incremental.h"
 
 namespace rlplan {
 namespace {
@@ -106,7 +107,7 @@ TEST_F(IntegrationTest, SaBothEvaluatorConfigurations) {
   config.anneal.t_final = 1e-2;
   config.seed = 7;
 
-  thermal::FastModelEvaluator fast_eval(*model_);
+  thermal::IncrementalFastModelEvaluator fast_eval(*model_);
   sa::Tap25dPlanner planner(config);
   const auto fast_result = planner.plan(*system_, fast_eval);
   EXPECT_TRUE(fast_result.best.is_legal());
@@ -144,7 +145,7 @@ TEST_F(IntegrationTest, OptimizedBeatsRandomPlacement) {
   sa::Tap25dConfig config;
   config.anneal.max_evaluations = 400;
   config.seed = 9;
-  thermal::FastModelEvaluator fast_eval(*model_);
+  thermal::IncrementalFastModelEvaluator fast_eval(*model_);
   sa::Tap25dPlanner planner(config);
   const auto sa_result = planner.plan(*system_, fast_eval);
   EXPECT_GT(score(sa_result.best), random_avg)

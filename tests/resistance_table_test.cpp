@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "fuzz_util.h"
+#include "util/rng.h"
 
 namespace rlplan::thermal {
 namespace {
@@ -119,6 +126,59 @@ TEST(MutualTable, SaveLoadRoundtrip) {
   const auto loaded = MutualResistanceTable::load(ss);
   for (double d : {0.0, 7.3, 15.0, 40.0, 50.0}) {
     EXPECT_DOUBLE_EQ(loaded.lookup(d), table.lookup(d));
+  }
+}
+
+// Regression: knots built as front + i * step round in proportion to
+// |front|, so a uniformity tolerance relative to the step alone rejected the
+// resample of any table with an offset first knot and a fine step.
+TEST(MutualTable, ResampleOfOffsetKnotsIsUniform) {
+  const MutualResistanceTable table({10.0, 10.001, 20.0}, {0.7, 0.69, 0.2});
+  ASSERT_FALSE(table.is_uniform());
+  const auto resampled = table.resampled_uniform();
+  EXPECT_EQ(resampled.distances().size(), 4096u);
+  EXPECT_TRUE(resampled.is_uniform());
+  EXPECT_GT(resampled.inv_step(), 0.0);
+}
+
+// Fuzz over hand-built non-uniform tables with offset (and negative) first
+// knots, including gaps fine enough to hit the 4,096-point resample cap:
+// the resample and its save -> load round trip must both be uniform, and
+// the resample must keep the original range.
+TEST(MutualTable, FuzzedResamplesAreUniform) {
+  const int tables = 100 * rlplan::testing::fuzz_scale();
+  Rng rng(0x7ab1e5ULL);
+  for (int t = 0; t < tables; ++t) {
+    const std::uint64_t seed = rng.next();
+    Rng table_rng(seed);
+    const std::size_t knots = 3 + table_rng.uniform_int(std::uint64_t{10});
+    // Magnitudes up to 1e3 mm with steps down to 1e-4 mm: the first knot's
+    // rounding dominates the step's there.
+    double d = table_rng.uniform() < 0.2 ? -table_rng.uniform(0.0, 50.0)
+                                         : table_rng.uniform(0.0, 1000.0);
+    const double fine_gap = std::pow(10.0, table_rng.uniform(-4.0, 0.0));
+    std::vector<double> distances, values;
+    for (std::size_t k = 0; k < knots; ++k) {
+      distances.push_back(d);
+      values.push_back(table_rng.uniform(0.0, 1.0));
+      d += k == 0 ? fine_gap : table_rng.uniform(fine_gap, 20.0);
+    }
+    const MutualResistanceTable table(distances, values);
+    const auto resampled = table.resampled_uniform();
+    const std::string context = "table_seed=" + std::to_string(seed);
+    const bool resampled_ok =
+        resampled.is_uniform() &&
+        resampled.distances().front() == distances.front() &&
+        resampled.distances().back() == distances.back();
+    EXPECT_TRUE(resampled_ok) << context;
+    std::stringstream ss;
+    resampled.save(ss);
+    const bool loaded_ok = MutualResistanceTable::load(ss).is_uniform();
+    EXPECT_TRUE(loaded_ok) << context;
+    if (!resampled_ok || !loaded_ok) {
+      rlplan::testing::report_failure_seed("resistance_table_test", context);
+      return;
+    }
   }
 }
 

@@ -1,28 +1,28 @@
-// Differential fuzzing for the SoA batch kernel: over >= 1000 random
+// Differential fuzzing for the fast model's one kernel: over >= 1000 random
 // (system, floorplan) cases spanning the synthetic generator families and
-// every FastModelConfig variant, the batched SoA evaluator must agree with
-// legacy FastThermalModel::evaluate() and IncrementalThermalState.
+// every FastModelConfig variant, every evaluation path must agree with the
+// test-only oracle (fast_model_oracle.h, a plain scalar evaluation).
 //
 // Numerical contract under test (documented in soa_snapshot.h and
 // incremental.h):
-//  * legacy evaluate() vs forced-scalar IncrementalThermalState — BIT-EXACT.
-//    The incremental cache stores the very doubles evaluate() sums, in the
-//    same order.
-//  * dispatched IncrementalThermalState (pair-row kernels + patched sums) vs
-//    legacy — within kTempTolC, like the batch SoA kernels.
-//  * SoA kernel vs legacy — within kTempTolC (1e-9 C, the repo-wide
-//    equivalence bar). The SoA pass keeps evaluate()'s accumulation order
-//    (so error does not grow with die count) but interpolates uniform mutual
-//    tables in fraction form (base + frac * diff) instead of the division
-//    form, a <= ~2 ulp per-term difference; observed differences are
-//    ~1e-13 C.
-//  * SoA serial vs SoA fanned over a ThreadPool — BIT-EXACT (chunking never
-//    changes per-candidate arithmetic).
+//  * SoaSnapshot at the dispatched level and at forced scalar, evaluate(),
+//    evaluate_batch() (serial and pooled) and incremental states with
+//    patched partial sums — all within kTempTolC (1e-9 C, the repo-wide
+//    equivalence bar) of the oracle. The kernel interpolates the uniform
+//    mutual table in fraction form (base + frac * diff) instead of the
+//    oracle's division form, a <= ~2 ulp per-term difference; observed
+//    differences are ~1e-13 C.
+//  * a fresh IncrementalThermalState (its first query is a full
+//    re-reduction) equals a SoaSnapshot at the same level BIT-EXACTLY.
+//  * evaluate(), evaluate_batch() serial and evaluate_batch() fanned over a
+//    ThreadPool — BIT-EXACT (all are SoaSnapshot at the dispatched level;
+//    chunking never changes per-candidate arithmetic).
 //
 // Nightly long-fuzz hooks: RLPLANNER_FUZZ_SCALE multiplies the case count
 // (CI's schedule job runs 20x under ASan); on a mismatch the failing case's
 // reproduction seed is appended to $RLPLANNER_FUZZ_FAILURE_FILE so CI can
-// upload it as an artifact.
+// upload it as an artifact. CI also runs the fuzz under RLPLANNER_SIMD=scalar,
+// where evaluate() and evaluate_batch() take the scalar table too.
 #include "thermal/soa_snapshot.h"
 
 #include <gtest/gtest.h>
@@ -32,7 +32,10 @@
 #include <string>
 #include <vector>
 
+#include <thread>
+
 #include "core/floorplan.h"
+#include "fast_model_oracle.h"
 #include "fuzz_util.h"
 #include "parallel/thread_pool.h"
 #include "systems/synthetic.h"
@@ -53,7 +56,7 @@ void report_failure_seed(const std::string& context) {
 }
 
 // Characterization-free analytic model (same construction family as
-// incremental_thermal_test) so each reference evaluation costs microseconds.
+// incremental_thermal_test) so each oracle evaluation costs microseconds.
 FastThermalModel make_model(const FastModelConfig& config,
                             bool with_correction, bool with_droop) {
   std::vector<double> dims;
@@ -103,9 +106,8 @@ std::vector<Variant> variants() {
   FastModelConfig plain;
   plain.use_images = false;
   v.push_back({"plain", plain, false, false});
-  FastModelConfig corrected;
+  FastModelConfig corrected;  // the position correction scales self terms
   corrected.use_images = false;
-  corrected.correct_mutual = true;
   v.push_back({"correction", corrected, true, true});
   FastModelConfig damped;
   damped.use_images = true;
@@ -161,68 +163,118 @@ Floorplan random_floorplan(const ChipletSystem& sys, Rng& rng) {
   return fp;
 }
 
-/// One differential case: legacy vs forced-scalar incremental (bit-exact)
-/// vs dispatched incremental (kTempTolC) vs SoA snapshot (kTempTolC).
-/// Returns false on any mismatch.
-bool check_case(const FastThermalModel& model, const ChipletSystem& sys,
-                const Floorplan& fp, SoaSnapshot& snapshot,
-                IncrementalThermalState& incr,
-                IncrementalThermalState& incr_simd,
-                const std::string& context) {
-  const FastThermalResult legacy = model.evaluate(sys, fp);
+/// The two kernel levels every case runs at: the process dispatch choice
+/// and forced scalar (the same level twice on hosts without SIMD kernels).
+std::vector<util::SimdLevel> levels() {
+  return {SoaSnapshot::dispatch_level(), util::SimdLevel::kScalar};
+}
 
-  incr.sync(fp);
-  std::vector<double> incr_temps;
-  incr.temperatures(incr_temps);
-
-  incr_simd.sync(fp);
-  std::vector<double> simd_temps;
-  incr_simd.temperatures(simd_temps);
-
-  snapshot.refresh(fp);
-  FastThermalResult soa;
-  snapshot.evaluate(soa);
-
-  bool ok = true;
-  EXPECT_EQ(legacy.chiplet_temp_c.size(), soa.chiplet_temp_c.size());
-  for (std::size_t i = 0; i < legacy.chiplet_temp_c.size(); ++i) {
-    // Forced-scalar incremental caches the very doubles evaluate() sums:
-    // exact.
-    EXPECT_EQ(incr_temps[i], legacy.chiplet_temp_c[i])
-        << context << ": incremental chiplet " << i;
-    ok = ok && incr_temps[i] == legacy.chiplet_temp_c[i];
-    // Dispatched incremental: pair-row kernels + patched partial sums,
-    // documented tolerance (scalar-vs-scalar identity on hosts without
-    // SIMD kernels).
-    EXPECT_NEAR(simd_temps[i], legacy.chiplet_temp_c[i], kTempTolC)
-        << context << ": dispatched incremental chiplet " << i;
-    ok = ok &&
-         std::abs(simd_temps[i] - legacy.chiplet_temp_c[i]) <= kTempTolC;
-    // SoA: fraction-form interpolation, documented tolerance.
-    EXPECT_NEAR(soa.chiplet_temp_c[i], legacy.chiplet_temp_c[i], kTempTolC)
-        << context << ": SoA chiplet " << i;
-    ok = ok &&
-         std::abs(soa.chiplet_temp_c[i] - legacy.chiplet_temp_c[i]) <=
-             kTempTolC;
+/// Per-system fixtures, one per level: a snapshot and an incremental state
+/// reused across the system's floorplans (its sums get patched).
+struct LevelPaths {
+  SoaSnapshot snapshot;
+  IncrementalThermalState patched;
+  LevelPaths(const FastThermalModel& model, const ChipletSystem& sys,
+             util::SimdLevel level)
+      : snapshot(model, sys), patched(model, sys) {
+    snapshot.set_simd_level(level);
+    patched.set_simd_level(level);
   }
-  EXPECT_EQ(incr.max_temperature_c(), legacy.max_temp_c) << context;
-  EXPECT_NEAR(incr_simd.max_temperature_c(), legacy.max_temp_c, kTempTolC)
-      << context;
-  EXPECT_NEAR(soa.max_temp_c, legacy.max_temp_c, kTempTolC) << context;
-  ok = ok && incr.max_temperature_c() == legacy.max_temp_c &&
-       std::abs(incr_simd.max_temperature_c() - legacy.max_temp_c) <=
-           kTempTolC &&
-       std::abs(soa.max_temp_c - legacy.max_temp_c) <= kTempTolC;
+};
+
+/// Accumulates one path's agreement with the oracle into `ok`.
+void expect_near_oracle(const std::vector<double>& temps, double max_temp_c,
+                        const FastThermalResult& want, const std::string& what,
+                        bool& ok) {
+  ok = ok && temps.size() == want.chiplet_temp_c.size();
+  ASSERT_EQ(temps.size(), want.chiplet_temp_c.size()) << what;
+  for (std::size_t i = 0; i < temps.size(); ++i) {
+    EXPECT_NEAR(temps[i], want.chiplet_temp_c[i], kTempTolC)
+        << what << ": chiplet " << i;
+    ok = ok && std::abs(temps[i] - want.chiplet_temp_c[i]) <= kTempTolC;
+  }
+  EXPECT_NEAR(max_temp_c, want.max_temp_c, kTempTolC) << what;
+  ok = ok && std::abs(max_temp_c - want.max_temp_c) <= kTempTolC;
+}
+
+/// One differential case: evaluate(), and per level the snapshot, the
+/// patched incremental state and a fresh incremental state, against the
+/// oracle (kTempTolC); the fresh state against the same-level snapshot
+/// (bit-exact). Returns false on any mismatch.
+bool check_case(const FastThermalModel& model, const ChipletSystem& sys,
+                const Floorplan& fp, std::vector<LevelPaths>& paths,
+                const std::string& context) {
+  const FastThermalResult want = oracle::evaluate(model, sys, fp);
+  bool ok = true;
+  const FastThermalResult eval = model.evaluate(sys, fp);
+  expect_near_oracle(eval.chiplet_temp_c, eval.max_temp_c, want,
+                     context + " evaluate()", ok);
+  for (LevelPaths& path : paths) {
+    const util::SimdLevel level = path.snapshot.simd_level();
+    const std::string at =
+        context + " level=" + util::simd_level_name(level);
+    path.snapshot.refresh(fp);
+    FastThermalResult soa;
+    path.snapshot.evaluate(soa);
+    expect_near_oracle(soa.chiplet_temp_c, soa.max_temp_c, want,
+                       at + " SoaSnapshot", ok);
+
+    std::vector<double> temps;
+    path.patched.sync(fp);
+    path.patched.temperatures(temps);
+    expect_near_oracle(temps, path.patched.max_temperature_c(), want,
+                       at + " patched incremental", ok);
+
+    IncrementalThermalState fresh(model, sys);
+    fresh.set_simd_level(level);
+    fresh.sync(fp);
+    fresh.temperatures(temps);
+    for (std::size_t i = 0; i < temps.size(); ++i) {
+      EXPECT_EQ(temps[i], soa.chiplet_temp_c[i])
+          << at << ": fresh incremental vs snapshot, chiplet " << i;
+      ok = ok && temps[i] == soa.chiplet_temp_c[i];
+    }
+    EXPECT_EQ(fresh.max_temperature_c(), soa.max_temp_c) << at;
+    ok = ok && fresh.max_temperature_c() == soa.max_temp_c;
+  }
+  if (!ok) report_failure_seed(context);
+  return ok;
+}
+
+/// evaluate_batch() of one system's candidates, serial and pooled, must
+/// equal per-candidate evaluate() bit for bit.
+bool check_batch(const FastThermalModel& model, const ChipletSystem& sys,
+                 const std::vector<Floorplan>& fps, parallel::ThreadPool& pool,
+                 const std::string& context) {
+  const auto serial = model.evaluate_batch(sys, fps);
+  const auto pooled = model.evaluate_batch(sys, fps, &pool);
+  bool ok = serial.size() == fps.size() && pooled.size() == fps.size();
+  EXPECT_TRUE(ok) << context;
+  for (std::size_t c = 0; ok && c < fps.size(); ++c) {
+    const FastThermalResult single = model.evaluate(sys, fps[c]);
+    EXPECT_EQ(serial[c].chiplet_temp_c, single.chiplet_temp_c)
+        << context << " serial batch, candidate " << c;
+    EXPECT_EQ(pooled[c].chiplet_temp_c, single.chiplet_temp_c)
+        << context << " pooled batch, candidate " << c;
+    EXPECT_EQ(pooled[c].max_temp_c, single.max_temp_c) << context;
+    ok = serial[c].chiplet_temp_c == single.chiplet_temp_c &&
+         pooled[c].chiplet_temp_c == single.chiplet_temp_c &&
+         serial[c].max_temp_c == single.max_temp_c &&
+         pooled[c].max_temp_c == single.max_temp_c;
+  }
   if (!ok) report_failure_seed(context);
   return ok;
 }
 
 // The acceptance bar: >= 1000 random (system, floorplan) cases across all
-// config variants, each checked against both reference paths.
-TEST(SoaKernel, FuzzedSystemsMatchLegacyAndIncremental) {
+// config variants, each checked on every path at both levels.
+TEST(SoaKernel, FuzzedSystemsMatchOracle) {
+  SCOPED_TRACE(std::string("dispatched level: ") +
+               util::simd_level_name(SoaSnapshot::dispatch_level()));
   const auto vs = variants();
   const int scale = fuzz_scale();
   const int systems_per_variant = 90 * scale;
+  parallel::ThreadPool pool(2);
   Rng rng(0x50a50a5ULL);
   int cases = 0;
   for (const Variant& v : vs) {
@@ -231,77 +283,95 @@ TEST(SoaKernel, FuzzedSystemsMatchLegacyAndIncremental) {
       const std::uint64_t sys_seed = rng.next();
       Rng sys_rng(sys_seed);
       const ChipletSystem sys = random_system(sys_rng);
-      SoaSnapshot snapshot(model, sys);
-      // The bit-exact axis runs the exact scalar tier; a second state keeps
-      // the default dispatch (pair-row kernels + patched-sum query on hosts
-      // with SIMD) for the 1e-9 axis.
-      IncrementalThermalState incr(model, sys);
-      incr.set_simd_level(util::SimdLevel::kScalar);
-      IncrementalThermalState incr_simd(model, sys);
+      std::vector<LevelPaths> paths;
+      for (const util::SimdLevel level : levels()) {
+        paths.emplace_back(model, sys, level);
+      }
+      std::vector<Floorplan> fps;
+      const std::string system_context = std::string("variant=") + v.name +
+                                         " system_seed=" +
+                                         std::to_string(sys_seed);
       for (int f = 0; f < 3; ++f, ++cases) {
-        const Floorplan fp = random_floorplan(sys, sys_rng);
-        const std::string context = std::string("variant=") + v.name +
-                                    " system_seed=" +
-                                    std::to_string(sys_seed) +
-                                    " floorplan_index=" + std::to_string(f);
-        if (!check_case(model, sys, fp, snapshot, incr, incr_simd, context)) {
+        fps.push_back(random_floorplan(sys, sys_rng));
+        const std::string context =
+            system_context + " floorplan_index=" + std::to_string(f);
+        if (!check_case(model, sys, fps.back(), paths, context)) {
           return;  // the seed is reported; stop before flooding the log
         }
+      }
+      if (!check_batch(model, sys, fps, pool, system_context + " batch")) {
+        return;
       }
     }
   }
   EXPECT_GE(cases, 1000 * scale);
 }
 
-// Second differential axis: the dispatched SIMD kernels (AVX2/NEON when the
-// host has them) against the forced-scalar reference path, over the same
-// fuzz families and every config variant. On a scalar-only host this
-// degenerates to scalar-vs-scalar and pins set_simd_level(kScalar) as the
-// identity; CI's x86 runners exercise the real AVX2 comparison (including
-// one leg under ASan/UBSan — see ci.yml's sanitizer matrix).
-TEST(SoaKernel, SimdMatchesForcedScalarAcrossFuzzedSystems) {
-  const util::SimdLevel dispatched = SoaSnapshot::dispatch_level();
-  SCOPED_TRACE(std::string("dispatched level: ") +
-               util::simd_level_name(dispatched));
-  const auto vs = variants();
-  const int scale = fuzz_scale();
-  const int systems_per_variant = 45 * scale;
-  Rng rng(0x513d51dULL);
-  for (const Variant& v : vs) {
-    const FastThermalModel model = make_model(v.config, v.correction, v.droop);
-    for (int s = 0; s < systems_per_variant; ++s) {
-      const std::uint64_t sys_seed = rng.next();
-      Rng sys_rng(sys_seed);
-      const ChipletSystem sys = random_system(sys_rng);
-      SoaSnapshot simd(model, sys);
-      SoaSnapshot scalar(model, sys);
-      ASSERT_EQ(simd.simd_level(), dispatched);  // new snapshots dispatch
-      ASSERT_EQ(scalar.set_simd_level(util::SimdLevel::kScalar),
-                util::SimdLevel::kScalar);
-      for (int f = 0; f < 3; ++f) {
-        const Floorplan fp = random_floorplan(sys, sys_rng);
-        simd.refresh(fp);
-        scalar.refresh(fp);
-        FastThermalResult rs, rv;
-        scalar.evaluate(rs);
-        simd.evaluate(rv);
-        const std::string context =
-            std::string("simd-vs-scalar variant=") + v.name + " level=" +
-            util::simd_level_name(dispatched) + " system_seed=" +
-            std::to_string(sys_seed) + " floorplan_index=" + std::to_string(f);
-        bool ok = std::abs(rv.max_temp_c - rs.max_temp_c) <= kTempTolC;
-        EXPECT_NEAR(rv.max_temp_c, rs.max_temp_c, kTempTolC) << context;
-        for (std::size_t i = 0; i < rs.chiplet_temp_c.size(); ++i) {
-          EXPECT_NEAR(rv.chiplet_temp_c[i], rs.chiplet_temp_c[i], kTempTolC)
-              << context << ": chiplet " << i;
-          ok = ok && std::abs(rv.chiplet_temp_c[i] - rs.chiplet_temp_c[i]) <=
-                         kTempTolC;
-        }
-        if (!ok) {
-          report_failure_seed(context);
-          return;  // the seed is reported; stop before flooding the log
-        }
+// 16x16 sub-sources x 9 images = 2,304 points per source block: more than
+// the scalar kernel's 2,048-point pass-1 tile, so its blocks run in chunks.
+// Every level must still match the oracle, and a fresh incremental state
+// (pair rows: one block per call) the same-level snapshot exactly.
+TEST(SoaKernel, SourceBlocksLargerThanScalarTileMatchOracle) {
+  FastModelConfig dense;
+  dense.source_subsamples = 16;
+  dense.receiver_probes = 2;
+  dense.image_reflectivity = 0.8;  // weighted: chunks offset the weights
+  const FastThermalModel model = make_model(dense, false, true);
+  Rng rng(0xb16b10cULL);
+  const ChipletSystem sys("dense", kInterposer, kInterposer,
+                          {{"a", 8.0, 6.0, 20.0},
+                           {"b", 5.0, 9.0, 12.0},
+                           {"c", 7.0, 7.0, 16.0}},
+                          {});
+  std::vector<LevelPaths> paths;
+  for (const util::SimdLevel level : levels()) {
+    paths.emplace_back(model, sys, level);
+  }
+  for (int f = 0; f < 2; ++f) {
+    EXPECT_TRUE(check_case(model, sys, random_floorplan(sys, rng), paths,
+                           "dense floorplan_index=" + std::to_string(f)));
+  }
+}
+
+// evaluate() keeps no mutable state: four threads evaluating through one
+// shared model must reproduce serial calls exactly.
+TEST(SoaKernel, ConcurrentEvaluateMatchesSerial) {
+  const FastThermalModel model = make_model(FastModelConfig{}, false, true);
+  Rng rng(0xc0c0aULL);
+  std::vector<ChipletSystem> systems;
+  for (int s = 0; s < 8; ++s) systems.push_back(random_system(rng));
+  std::vector<Floorplan> fps;
+  std::vector<std::size_t> owner;
+  for (std::size_t s = 0; s < systems.size(); ++s) {
+    for (int f = 0; f < 4; ++f) {
+      fps.push_back(random_floorplan(systems[s], rng));
+      owner.push_back(s);
+    }
+  }
+  std::vector<FastThermalResult> serial;
+  for (std::size_t c = 0; c < fps.size(); ++c) {
+    serial.push_back(model.evaluate(systems[owner[c]], fps[c]));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<FastThermalResult>> threaded(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      // Every thread walks all candidates, each from a different offset, so
+      // the threads evaluate different floorplans at the same time.
+      for (std::size_t k = 0; k < fps.size(); ++k) {
+        const std::size_t c = (k + static_cast<std::size_t>(t) * 5) % fps.size();
+        threaded[t].push_back(model.evaluate(systems[owner[c]], fps[c]));
       }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < fps.size(); ++k) {
+      const std::size_t c = (k + static_cast<std::size_t>(t) * 5) % fps.size();
+      EXPECT_EQ(threaded[t][k].chiplet_temp_c, serial[c].chiplet_temp_c)
+          << "thread " << t << " candidate " << c;
+      EXPECT_EQ(threaded[t][k].max_temp_c, serial[c].max_temp_c);
     }
   }
 }
@@ -327,13 +397,13 @@ TEST(SoaKernel, UnavailableSimdLevelFallsBackToScalar) {
   snap.refresh(fp);
   FastThermalResult r;
   snap.evaluate(r);
-  const auto legacy = model.evaluate(sys, fp);
-  EXPECT_NEAR(r.max_temp_c, legacy.max_temp_c, kTempTolC);
+  EXPECT_NEAR(r.max_temp_c, oracle::evaluate(model, sys, fp).max_temp_c,
+              kTempTolC);
 }
 
-// evaluate_batch must reproduce per-candidate snapshot results exactly, for
-// any thread count (chunking never changes per-candidate arithmetic), and
-// its convenience wrappers must agree with per-call evaluate().
+// evaluate_batch must reproduce per-candidate evaluate() exactly, for any
+// thread count (chunking never changes per-candidate arithmetic), including
+// lane splits that leave lanes uneven.
 TEST(SoaKernel, BatchMatchesSerialForAnyThreadCount) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   Rng rng(0xbead5ULL);
@@ -363,13 +433,16 @@ TEST(SoaKernel, BatchMatchesSerialForAnyThreadCount) {
     }
   }
   for (std::size_t i = 0; i < fps.size(); ++i) {
-    const auto legacy = model.evaluate(sys, fps[i]);
-    EXPECT_NEAR(serial[i].max_temp_c, legacy.max_temp_c, kTempTolC);
+    EXPECT_EQ(serial[i].chiplet_temp_c,
+              model.evaluate(sys, fps[i]).chiplet_temp_c);
+    EXPECT_NEAR(serial[i].max_temp_c,
+                oracle::evaluate(model, sys, fps[i]).max_temp_c, kTempTolC);
   }
 }
 
-// Evaluator-level batch protocol: the default (grid-solver style) fallback
-// and the fast-model overrides must agree with per-call max_temperature.
+// Evaluator-level batch protocol: the default serial fallback (the oracle
+// adapter) and the fast model's evaluate_batch() override must agree with
+// per-call max_temperature, and with each other within the envelope.
 TEST(SoaKernel, EvaluatorBatchMatchesPerCallQueries) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   Rng rng(0xfeedbeefULL);
@@ -383,17 +456,19 @@ TEST(SoaKernel, EvaluatorBatchMatchesPerCallQueries) {
   std::vector<Floorplan> fps;
   for (int i = 0; i < 7; ++i) fps.push_back(random_floorplan(sys, rng));
 
-  FastModelEvaluator fast(model);
+  oracle::OracleEvaluator reference(model);
   IncrementalFastModelEvaluator incremental(model);
   for (auto* eval :
-       std::vector<ThermalEvaluator*>{&fast, &incremental}) {
+       std::vector<ThermalEvaluator*>{&reference, &incremental}) {
     const long before = eval->num_evaluations();
     const auto batch = eval->max_temperature_batch(sys, fps);
     ASSERT_EQ(batch.size(), fps.size());
     EXPECT_EQ(eval->num_evaluations(),
               before + static_cast<long>(fps.size()));
     for (std::size_t i = 0; i < fps.size(); ++i) {
-      EXPECT_NEAR(batch[i], model.evaluate(sys, fps[i]).max_temp_c,
+      EXPECT_EQ(batch[i], eval->max_temperature(sys, fps[i]))
+          << eval->name() << " candidate " << i;
+      EXPECT_NEAR(batch[i], oracle::evaluate(model, sys, fps[i]).max_temp_c,
                   kTempTolC)
           << eval->name() << " candidate " << i;
     }
@@ -415,14 +490,14 @@ TEST(SoaKernel, ZeroPowerAndUnplacedDies) {
   fp.place(2, {35.0, 30.0});
   // chiplet 3 stays unplaced.
 
-  const auto legacy = model.evaluate(sys, fp);
+  const auto want = oracle::evaluate(model, sys, fp);
   SoaSnapshot snapshot(model, sys);
   snapshot.refresh(fp);
   FastThermalResult soa;
   snapshot.evaluate(soa);
   EXPECT_EQ(snapshot.num_sources(), 2u);  // zero-power die is not a source
   for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
-    EXPECT_NEAR(soa.chiplet_temp_c[i], legacy.chiplet_temp_c[i], kTempTolC);
+    EXPECT_NEAR(soa.chiplet_temp_c[i], want.chiplet_temp_c[i], kTempTolC);
   }
   EXPECT_EQ(soa.chiplet_temp_c[3], model.ambient_c());  // unplaced: ambient
   EXPECT_GT(soa.chiplet_temp_c[1], model.ambient_c());  // heated by others
@@ -454,11 +529,9 @@ TEST(SoaKernel, RejectsEmptyModelAndMismatchedFloorplan) {
 }
 
 // Regression: a 2-knot mutual table — the smallest the construction
-// contract allows — must bind and evaluate. SoaSnapshot used to compute
-// coord_cap_ from view.size - 1 before checking the size, so a degenerate
-// table would have underflowed std::size_t; the constructor now validates
-// size >= 2 first, and the minimum-size table must take the normal uniform
-// path (a single interpolation segment).
+// contract allows — must bind and evaluate through the normal uniform path
+// (a single interpolation segment; the coordinate cap is derived from the
+// knot count).
 TEST(SoaKernel, MinimumSizeMutualTableEvaluates) {
   const std::vector<double> dims{2.0, 10.0, 22.0};
   std::vector<std::vector<double>> self_vals(dims.size(),
@@ -489,12 +562,12 @@ TEST(SoaKernel, MinimumSizeMutualTableEvaluates) {
     snapshot.refresh(fp);
     FastThermalResult soa;
     snapshot.evaluate(soa);
-    const auto legacy = model.evaluate(sys, fp);
+    const auto want = oracle::evaluate(model, sys, fp);
     for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
-      EXPECT_NEAR(soa.chiplet_temp_c[i], legacy.chiplet_temp_c[i], kTempTolC)
+      EXPECT_NEAR(soa.chiplet_temp_c[i], want.chiplet_temp_c[i], kTempTolC)
           << "images=" << images << " chiplet " << i;
     }
-    EXPECT_NEAR(soa.max_temp_c, legacy.max_temp_c, kTempTolC)
+    EXPECT_NEAR(soa.max_temp_c, want.max_temp_c, kTempTolC)
         << "images=" << images;
   }
 }
@@ -532,22 +605,44 @@ TEST(SoaKernel, BatchLaneRangePartitionsExactly) {
   }
 }
 
-// The View's binary-search branch (non-uniform knots) must reproduce
-// MutualResistanceTable::lookup bit-for-bit — it is the fallback the SoA
-// kernel leans on when a table escapes the constructor's uniform resample.
-TEST(SoaKernel, NonUniformViewLookupMatchesTable) {
-  const MutualResistanceTable table({0.0, 1.0, 2.5, 7.0, 19.0, 40.0},
-                                    {0.9, 0.7, 0.5, 0.3, 0.2, 0.15});
-  ASSERT_FALSE(table.is_uniform());
-  const auto view = table.view();
-  Rng rng(4);
-  for (int i = 0; i < 2000; ++i) {
-    const double d = rng.uniform(-5.0, 50.0);
-    EXPECT_EQ(view.lookup(d), table.lookup(d)) << "d=" << d;
+// Regression: hand-built knots with a non-zero first knot used to resample
+// into a 4,096-point table that failed its own uniformity check (knots
+// front + i * step round in proportion to |front|, not to the step), so the
+// model silently kept a non-uniform table: the incremental engine fell back
+// to scalar while the snapshot took another path. The resample must come
+// out uniform, every path must dispatch, and results must match the oracle.
+TEST(SoaKernel, OffsetKnotTableResamplesUniformAndDispatches) {
+  const std::vector<double> dims{2.0, 10.0, 22.0};
+  std::vector<std::vector<double>> self_vals(dims.size(),
+                                             std::vector<double>(dims.size()));
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    for (std::size_t j = 0; j < dims.size(); ++j) {
+      self_vals[i][j] = 2.0 / (1.0 + 0.05 * dims[i] * dims[j]);
+    }
   }
-  EXPECT_EQ(view.lookup(0.0), table.lookup(0.0));
-  EXPECT_EQ(view.lookup(40.0), table.lookup(40.0));
-  EXPECT_EQ(view.lookup(1.0), table.lookup(1.0));  // exact knot
+  const FastThermalModel model(
+      SelfResistanceTable(dims, dims, self_vals),
+      MutualResistanceTable({10.0, 10.001, 20.0}, {0.7, 0.69, 0.2}), 45.0,
+      FastModelConfig{});
+  EXPECT_EQ(model.mutual_table().distances().size(), 4096u);
+  ASSERT_TRUE(model.mutual_table().is_uniform());
+
+  const ChipletSystem sys("offset-knots", kInterposer, kInterposer,
+                          {{"a", 8.0, 8.0, 20.0}, {"b", 6.0, 4.0, 10.0}}, {});
+  Floorplan fp(sys);
+  fp.place(0, {4.0, 4.0});
+  fp.place(1, {17.0, 9.0});
+  SoaSnapshot snapshot(model, sys);
+  IncrementalThermalState state(model, sys);
+  EXPECT_EQ(snapshot.simd_level(), SoaSnapshot::dispatch_level());
+  EXPECT_EQ(state.simd_level(), SoaSnapshot::dispatch_level());
+  snapshot.refresh(fp);
+  FastThermalResult soa;
+  snapshot.evaluate(soa);
+  state.sync(fp);
+  EXPECT_EQ(state.max_temperature_c(), soa.max_temp_c);
+  EXPECT_NEAR(soa.max_temp_c, oracle::evaluate(model, sys, fp).max_temp_c,
+              kTempTolC);
 }
 
 }  // namespace

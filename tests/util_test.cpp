@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#include "util/csv.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/timer.h"
@@ -165,31 +162,6 @@ TEST(Histogram, BinningAndClamping) {
   EXPECT_EQ(h.total(), 5u);
   EXPECT_DOUBLE_EQ(h.bin_low(2), 4.0);
   EXPECT_DOUBLE_EQ(h.bin_high(2), 6.0);
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(Csv, WritesRowsToFile) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "rlplan_csv_test.csv")
-          .string();
-  {
-    CsvWriter w(path);
-    w.write_row({"name", "value"});
-    w.write_row_numeric({1.5, 2.25});
-  }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "name,value");
-  EXPECT_EQ(line2, "1.5,2.25");
-  std::filesystem::remove(path);
 }
 
 TEST(Timer, MeasuresElapsedTime) {

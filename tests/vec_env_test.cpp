@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "fast_model_oracle.h"
 #include "parallel/collector.h"
 #include "parallel/thread_pool.h"
 #include "rl/distribution.h"
@@ -147,9 +148,8 @@ TEST(VecEnv, ReplicasAreIndependent) {
 }
 
 TEST(VecEnv, IncrementalEvaluatorClonesMatchBatchEvaluator) {
-  // Replica clones of an incremental evaluator must score episodes exactly
-  // like the batch fast-model evaluator: the pairwise coupling cache sums
-  // the same doubles a full evaluation would.
+  // Replica clones of an incremental evaluator must score episodes like the
+  // oracle evaluator's full re-evaluations, within the 1e-9 C envelope.
   const auto sys = small_system();
   std::vector<double> dims{2.0, 8.0, 14.0};
   std::vector<std::vector<double>> self_vals(3, std::vector<double>(3, 0.0));
@@ -182,7 +182,7 @@ TEST(VecEnv, IncrementalEvaluatorClonesMatchBatchEvaluator) {
     return reward;
   };
 
-  thermal::FastModelEvaluator batch_proto(model);
+  thermal::oracle::OracleEvaluator batch_proto(model);
   thermal::IncrementalFastModelEvaluator incr_proto(model);
   const double batch_reward = episode_reward(batch_proto);
   const double incr_reward = episode_reward(incr_proto);
@@ -211,7 +211,7 @@ TEST(VecEnv, BatchedScoringMatchesPerEnvEvaluation) {
       thermal::MutualResistanceTable(distances, mutual_vals), 45.0, {});
   model.set_image_params(32.0, 32.0, 0.03);
 
-  thermal::FastModelEvaluator proto(model);
+  thermal::IncrementalFastModelEvaluator proto(model);
   VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
               {.grid = 16}, 3, 99);
 
