@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "nn/layers.h"
 #include "rl/env.h"
@@ -93,6 +95,74 @@ BENCHMARK(BM_LinearBackward)
     ->Args({128, 576, 64})
     ->Unit(benchmark::kMicrosecond);
 
+nn::Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng) {
+  nn::Tensor t(std::move(shape));
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return t;
+}
+
+std::string conv_label(benchmark::State& state) {
+  return std::to_string(state.range(0)) + "->" +
+         std::to_string(state.range(1)) + " stride " +
+         std::to_string(state.range(2)) + " at " +
+         std::to_string(state.range(3)) + "x" +
+         std::to_string(state.range(3)) + " batch " +
+         std::to_string(state.range(4));
+}
+
+// The policy trunk's three convolutions at grid 16 and the PPO minibatch:
+// conv1 6->8 (stride 1, 16x16), conv2 8->16 (stride 2, 16x16 -> 8x8) and
+// conv3 16->16 (stride 2, 8x8 -> 4x4), all 3x3 with padding 1.
+void BM_Conv2dForward(benchmark::State& state) {
+  const auto in = static_cast<std::size_t>(state.range(0));
+  const auto out = static_cast<std::size_t>(state.range(1));
+  const auto stride = static_cast<std::size_t>(state.range(2));
+  const auto size = static_cast<std::size_t>(state.range(3));
+  const auto batch = static_cast<std::size_t>(state.range(4));
+  Rng rng(8);
+  nn::Conv2d conv(in, out, 3, stride, 1, rng);
+  const nn::Tensor x = random_tensor({batch, in, size, size}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(x).data().data());
+  }
+  state.SetLabel(conv_label(state));
+}
+BENCHMARK(BM_Conv2dForward)
+    ->Args({6, 8, 1, 16, 64})
+    ->Args({8, 16, 2, 16, 64})
+    ->Args({16, 16, 2, 8, 64})
+    ->Unit(benchmark::kMicrosecond);
+
+// Backward only, after one forward: ReLU-like gradients with ~half of them
+// exactly zero, as the trunk sees them.
+void BM_Conv2dBackward(benchmark::State& state) {
+  const auto in = static_cast<std::size_t>(state.range(0));
+  const auto out = static_cast<std::size_t>(state.range(1));
+  const auto stride = static_cast<std::size_t>(state.range(2));
+  const auto size = static_cast<std::size_t>(state.range(3));
+  const auto batch = static_cast<std::size_t>(state.range(4));
+  Rng rng(9);
+  nn::Conv2d conv(in, out, 3, stride, 1, rng);
+  const nn::Tensor x = random_tensor({batch, in, size, size}, rng);
+  nn::Tensor g = conv.forward(x);
+  for (std::size_t i = 0; i < g.numel(); ++i) {
+    g[i] = rng.uniform() < 0.5 ? 0.0f
+                               : static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  for (auto _ : state) {
+    conv.zero_grad();
+    benchmark::DoNotOptimize(conv.backward(g).data().data());
+  }
+  state.SetLabel(conv_label(state));
+}
+BENCHMARK(BM_Conv2dBackward)
+    ->Args({6, 8, 1, 16, 64})
+    ->Args({8, 16, 2, 16, 64})
+    ->Args({16, 16, 2, 8, 64})
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_PolicyForward(benchmark::State& state) {
   const auto grid = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
@@ -114,15 +184,17 @@ BENCHMARK(BM_PolicyForward)
     ->Args({24, 64})
     ->Unit(benchmark::kMillisecond);
 
+// Forward + backward of one minibatch; batch 64 is the PPO minibatch.
 void BM_PolicyBackward(benchmark::State& state) {
   const auto grid = static_cast<std::size_t>(state.range(0));
+  const auto batch = static_cast<std::size_t>(state.range(1));
   Rng rng(2);
   rl::PolicyNetConfig config;
   config.grid = grid;
   rl::PolicyValueNet net(config, rng);
-  nn::Tensor x({32, config.channels_in, grid, grid});
-  nn::Tensor dlogits({32, grid * grid});
-  nn::Tensor dvalue({32, std::size_t{1}});
+  nn::Tensor x({batch, config.channels_in, grid, grid});
+  nn::Tensor dlogits({batch, grid * grid});
+  nn::Tensor dvalue({batch, std::size_t{1}});
   dlogits.fill(0.01f);
   dvalue.fill(0.1f);
   for (auto _ : state) {
@@ -130,9 +202,14 @@ void BM_PolicyBackward(benchmark::State& state) {
     net.zero_grad();
     net.backward(dlogits, dvalue);
   }
-  state.SetLabel("grid " + std::to_string(grid) + " batch 32 fwd+bwd");
+  state.SetLabel("grid " + std::to_string(grid) + " batch " +
+                 std::to_string(batch) + " fwd+bwd");
 }
-BENCHMARK(BM_PolicyBackward)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PolicyBackward)
+    ->Args({16, 32})
+    ->Args({16, 64})
+    ->Args({24, 32})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EnvEpisode(benchmark::State& state) {
   NullEvaluator eval;

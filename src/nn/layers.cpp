@@ -1,7 +1,9 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace rlplan::nn {
 
@@ -33,6 +35,147 @@ void for_each_batch_row(std::size_t n, Fn&& fn) {
     return;
   }
   for (std::size_t i = 0; i < n; ++i) fn(i);
+}
+
+/// The row kernel behind Conv2d and Linear backward: adds terms a·b[0, n) to
+/// one output row c[0, n). Every element of c takes the terms in the order
+/// add() receives them, each product rounded and added to the element's own
+/// float, and a term with a == 0 is skipped — the order of a direct loop
+/// with a `g == 0` skip, so results match such a loop bit for bit. SIMD lanes
+/// run across n only; four pending terms are applied in one pass over c.
+class RowKernel {
+ public:
+  RowKernel(float* c, std::size_t n) : c_(c), n_(n) {}
+
+  /// Branch-free in a: a zero term is written and then overwritten, since
+  /// ~half the gradients behind a ReLU are zero in no predictable pattern.
+  void add(float a, const float* b) {
+    a_[pending_] = a;
+    b_[pending_] = b;
+    pending_ += a != 0.0f;
+    if (pending_ == 4) flush();
+  }
+
+  /// Applies the pending terms; call once after the last add().
+  void flush() {
+    float* c = c_;
+    const std::size_t n = n_;
+    if (pending_ == 4) {
+      const float a0 = a_[0], a1 = a_[1], a2 = a_[2], a3 = a_[3];
+      const float *b0 = b_[0], *b1 = b_[1], *b2 = b_[2], *b3 = b_[3];
+      for (std::size_t j = 0; j < n; ++j) {
+        float acc = c[j];
+        acc += a0 * b0[j];
+        acc += a1 * b1[j];
+        acc += a2 * b2[j];
+        acc += a3 * b3[j];
+        c[j] = acc;
+      }
+    } else {
+      for (std::size_t t = 0; t < pending_; ++t) {
+        const float a = a_[t];
+        const float* b = b_[t];
+        for (std::size_t j = 0; j < n; ++j) c[j] += a * b[j];
+      }
+    }
+    pending_ = 0;
+  }
+
+ private:
+  float* c_;
+  std::size_t n_;
+  float a_[4] = {};
+  const float* b_[4] = {};
+  std::size_t pending_ = 0;
+};
+
+/// C[m, 0:n] += Σ_k A[m, k] · B[k, 0:n] for every m < rows, k ascending, with
+/// A[m, k] = a[m * a_row + k * a_col] so a transposed operand needs no copy.
+void gemm_rows(std::size_t rows, std::size_t n, std::size_t depth,
+               const float* a, std::size_t a_row, std::size_t a_col,
+               const float* b, std::size_t ldb, float* c, std::size_t ldc) {
+  for (std::size_t m = 0; m < rows; ++m) {
+    RowKernel row(c + m * ldc, n);
+    for (std::size_t k = 0; k < depth; ++k) {
+      row.add(a[m * a_row + k * a_col], b + k * ldb);
+    }
+    row.flush();
+  }
+}
+
+/// A convolution applied to input planes of h × w, giving ho × wo.
+struct ConvGeometry {
+  std::size_t channels, kernel, stride, padding, h, w, ho, wo;
+
+  std::size_t taps() const { return channels * kernel * kernel; }
+  std::size_t pixels() const { return ho * wo; }
+  /// Input row/column that output coordinate o reads at kernel offset k;
+  /// negative or >= the extent at a padding tap.
+  std::ptrdiff_t in_coord(std::size_t o, std::size_t k) const {
+    return static_cast<std::ptrdiff_t>(o * stride + k) -
+           static_cast<std::ptrdiff_t>(padding);
+  }
+  /// For each input coordinate i < extent and kernel offset k, the output
+  /// coordinate below out_extent that reads i at k, at [i * kernel + k], or
+  /// kNone when no output does.
+  std::vector<std::size_t> readers(std::size_t extent,
+                                   std::size_t out_extent) const {
+    std::vector<std::size_t> table(extent * kernel, kNone);
+    for (std::size_t o = 0; o < out_extent; ++o) {
+      for (std::size_t k = 0; k < kernel; ++k) {
+        const std::ptrdiff_t i = in_coord(o, k);
+        if (i >= 0 && i < static_cast<std::ptrdiff_t>(extent)) {
+          table[static_cast<std::size_t>(i) * kernel + k] = o;
+        }
+      }
+    }
+    return table;
+  }
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+};
+
+/// im2col of one sample x[channels, h, w]: element (tap, pixel), with
+/// tap = (ic, ky, kx) and pixel = (oy, ox), goes to
+/// out[tap * tap_stride + pixel * pixel_stride]; padding taps read 0.
+void lower(const ConvGeometry& g, const float* x, float* out,
+           std::size_t tap_stride, std::size_t pixel_stride) {
+  std::size_t tap = 0;
+  for (std::size_t ic = 0; ic < g.channels; ++ic) {
+    const float* plane = x + ic * g.h * g.w;
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++tap) {
+        float* row = out + tap * tap_stride;
+        for (std::size_t oy = 0; oy < g.ho; ++oy) {
+          const std::ptrdiff_t iy = g.in_coord(oy, ky);
+          const bool row_in =
+              iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.h);
+          for (std::size_t ox = 0; ox < g.wo; ++ox) {
+            const std::ptrdiff_t ix = g.in_coord(ox, kx);
+            const bool in = row_in && ix >= 0 &&
+                            ix < static_cast<std::ptrdiff_t>(g.w);
+            row[(oy * g.wo + ox) * pixel_stride] =
+                in ? plane[static_cast<std::size_t>(iy) * g.w +
+                           static_cast<std::size_t>(ix)]
+                   : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// dst[j * rows + i] = src[i * cols + j]: a [rows, cols] block transposed,
+/// 16 source rows at a time so the writes run along cache lines.
+void transpose(std::size_t rows, std::size_t cols, const float* src,
+               float* dst) {
+  for (std::size_t i0 = 0; i0 < rows; i0 += 16) {
+    const std::size_t i1 = std::min(rows, i0 + 16);
+    for (std::size_t j = 0; j < cols; ++j) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        dst[j * rows + i] = src[i * cols + j];
+      }
+    }
+  }
 }
 }  // namespace
 
@@ -116,74 +259,18 @@ Tensor Linear::backward(const Tensor& grad_out) {
     throw std::invalid_argument("Linear::backward: grad shape mismatch");
   }
   Tensor dx({batch, in_});
-  const auto xd = cached_input_.data();
-  const auto gd = grad_out.data();
-  const auto wd = weight_.value.data();
-  auto dwd = weight_.grad.data();
-  auto dbd = bias_.grad.data();
-  auto dxd = dx.data();
-  // Fused over 4 outputs so each xr[i] load and dxr[i] read-modify-write is
-  // amortized across 4 gradient rows. Per element, dxr[i] still receives its
-  // contributions in ascending-o order — the same order as the naive loop —
-  // so gradients are bit-identical (pinned by nn_grad_test). Blocks holding
-  // a zero gradient take the per-output path below to keep the g == 0 skip
-  // semantics exactly (skipping avoids += 0.0f, which would flush -0.0f
-  // accumulators to +0.0f).
+  const float* gd = grad_out.data().data();
+  const float* wd = weight_.value.data().data();
+  float* dbd = bias_.grad.data().data();
+  // dW[o, :] += Σ_b g[b, o] · x[b, :] and dx[b, :] += Σ_o g[b, o] · W[o, :]:
+  // b ascending for every dW element, o ascending for every dx element, zero
+  // gradients skipped — the order of the direct loop over (b, o). db adds the
+  // zero gradients too: exact no-ops on its +0-started sums.
+  gemm_rows(out_, in_, batch, gd, 1, out_, cached_input_.data().data(), in_,
+            weight_.grad.data().data(), in_);
+  gemm_rows(batch, in_, out_, gd, out_, 1, wd, in_, dx.data().data(), in_);
   for (std::size_t b = 0; b < batch; ++b) {
-    const float* xr = xd.data() + b * in_;
-    const float* gr = gd.data() + b * out_;
-    float* dxr = dxd.data() + b * in_;
-    const auto one_output = [&](std::size_t o) {
-      const float g = gr[o];
-      if (g == 0.0f) return;
-      const float* wr = wd.data() + o * in_;
-      float* dwr = dwd.data() + o * in_;
-      dbd[o] += g;
-      for (std::size_t i = 0; i < in_; ++i) {
-        dwr[i] += g * xr[i];
-        dxr[i] += g * wr[i];
-      }
-    };
-    std::size_t o = 0;
-    for (; o + 4 <= out_; o += 4) {
-      const float g0 = gr[o];
-      const float g1 = gr[o + 1];
-      const float g2 = gr[o + 2];
-      const float g3 = gr[o + 3];
-      if (g0 == 0.0f || g1 == 0.0f || g2 == 0.0f || g3 == 0.0f) {
-        one_output(o);
-        one_output(o + 1);
-        one_output(o + 2);
-        one_output(o + 3);
-        continue;
-      }
-      const float* w0 = wd.data() + o * in_;
-      const float* w1 = w0 + in_;
-      const float* w2 = w1 + in_;
-      const float* w3 = w2 + in_;
-      float* dw0 = dwd.data() + o * in_;
-      float* dw1 = dw0 + in_;
-      float* dw2 = dw1 + in_;
-      float* dw3 = dw2 + in_;
-      dbd[o] += g0;
-      dbd[o + 1] += g1;
-      dbd[o + 2] += g2;
-      dbd[o + 3] += g3;
-      for (std::size_t i = 0; i < in_; ++i) {
-        const float xi = xr[i];
-        dw0[i] += g0 * xi;
-        dw1[i] += g1 * xi;
-        dw2[i] += g2 * xi;
-        dw3[i] += g3 * xi;
-        float acc = dxr[i];
-        acc += g0 * w0[i];
-        acc += g1 * w1[i];
-        acc += g2 * w2[i];
-        acc += g3 * w3[i];
-        dxr[i] = acc;
-      }
-    }
-    for (; o < out_; ++o) one_output(o);
+    for (std::size_t o = 0; o < out_; ++o) dbd[o] += gd[b * out_ + o];
   }
   return dx;
 }
@@ -213,41 +300,36 @@ Tensor Conv2d::forward(const Tensor& x) {
     throw std::invalid_argument("Conv2d::forward: expected [batch, " +
                                 std::to_string(in_ch_) + ", H, W]");
   }
-  cached_input_ = x;
-  const std::size_t batch = x.dim(0);
   const std::size_t h = x.dim(2);
   const std::size_t w = x.dim(3);
-  const std::size_t ho = out_size(h);
-  const std::size_t wo = out_size(w);
-  Tensor y({batch, out_ch_, ho, wo});
+  if (h + 2 * padding_ < kernel_ || w + 2 * padding_ < kernel_) {
+    throw std::invalid_argument(
+        "Conv2d::forward: padded input smaller than the " +
+        std::to_string(kernel_) + "x" + std::to_string(kernel_) + " kernel");
+  }
+  cached_input_ = x;
+  const std::size_t batch = x.dim(0);
+  const ConvGeometry g{in_ch_, kernel_, stride_, padding_, h, w,
+                       out_size(h), out_size(w)};
+  const std::size_t taps = g.taps();
+  const std::size_t pixels = g.pixels();
+  Tensor y({batch, out_ch_, g.ho, g.wo});
+  const float* wd = weight_.value.data().data();
+  const float* xd = x.data().data();
+  float* yd = y.data().data();
 
+  // Per sample: y_b[oc, :] = bias[oc] + Σ_tap W[oc, tap] · col[tap, :], taps
+  // in (ic, ky, kx) order — the direct loop's order, plus w·0 terms at
+  // padding taps, exact no-ops under the contract in layers.h.
   for_each_batch_row(batch, [&](std::size_t b) {
+    std::vector<float> col(taps * pixels);
+    lower(g, xd + b * in_ch_ * h * w, col.data(), pixels, 1);
+    float* yb = yd + b * out_ch_ * pixels;
     for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-      const float bias = bias_.value[oc];
-      for (std::size_t oy = 0; oy < ho; ++oy) {
-        for (std::size_t ox = 0; ox < wo; ++ox) {
-          float acc = bias;
-          for (std::size_t ic = 0; ic < in_ch_; ++ic) {
-            for (std::size_t ky = 0; ky < kernel_; ++ky) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                  static_cast<std::ptrdiff_t>(padding_);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                    static_cast<std::ptrdiff_t>(padding_);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                acc += weight_.value.at(oc, ic, ky, kx) *
-                       x.at(b, ic, static_cast<std::size_t>(iy),
-                            static_cast<std::size_t>(ix));
-              }
-            }
-          }
-          y.at(b, oc, oy, ox) = acc;
-        }
-      }
+      std::fill_n(yb + oc * pixels, pixels, bias_.value[oc]);
     }
+    gemm_rows(out_ch_, pixels, taps, wd, taps, 1, col.data(), pixels, yb,
+              pixels);
   });
   return y;
 }
@@ -257,45 +339,73 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::size_t batch = x.dim(0);
   const std::size_t h = x.dim(2);
   const std::size_t w = x.dim(3);
-  const std::size_t ho = out_size(h);
-  const std::size_t wo = out_size(w);
+  const ConvGeometry g{in_ch_, kernel_, stride_, padding_, h, w,
+                       out_size(h), out_size(w)};
   if (grad_out.rank() != 4 || grad_out.dim(0) != batch ||
-      grad_out.dim(1) != out_ch_ || grad_out.dim(2) != ho ||
-      grad_out.dim(3) != wo) {
+      grad_out.dim(1) != out_ch_ || grad_out.dim(2) != g.ho ||
+      grad_out.dim(3) != g.wo) {
     throw std::invalid_argument("Conv2d::backward: grad shape mismatch");
   }
-  Tensor dx({batch, in_ch_, h, w});
+  const std::size_t taps = g.taps();
+  const std::size_t pixels = g.pixels();
+  const std::size_t in_plane = in_ch_ * h * w;
+  const std::size_t out_plane = out_ch_ * pixels;
+  const float* xd = x.data().data();
+  const float* gd = grad_out.data().data();
+  const float* wd = weight_.value.data().data();
+  float* dwd = weight_.grad.data().data();
+  float* dbd = bias_.grad.data().data();
 
+  // db and dW: every element takes (b, oy, ox) in ascending order, like the
+  // direct loop. dW runs the row kernel over the transposed lowering
+  // colT[pixel, tap], skipping zero gradients; db adds them (exact no-ops on
+  // its +0-started sums), so its out_ch chains run side by side.
+  std::vector<float> col(pixels * taps);
   for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-      for (std::size_t oy = 0; oy < ho; ++oy) {
-        for (std::size_t ox = 0; ox < wo; ++ox) {
-          const float g = grad_out.at(b, oc, oy, ox);
-          if (g == 0.0f) continue;
-          bias_.grad[oc] += g;
-          for (std::size_t ic = 0; ic < in_ch_; ++ic) {
-            for (std::size_t ky = 0; ky < kernel_; ++ky) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                  static_cast<std::ptrdiff_t>(padding_);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                    static_cast<std::ptrdiff_t>(padding_);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                const auto uiy = static_cast<std::size_t>(iy);
-                const auto uix = static_cast<std::size_t>(ix);
-                weight_.grad.at(oc, ic, ky, kx) += g * x.at(b, ic, uiy, uix);
-                dx.at(b, ic, uiy, uix) +=
-                    g * weight_.value.at(oc, ic, ky, kx);
-              }
+    const float* gb = gd + b * out_plane;
+    for (std::size_t p = 0; p < pixels; ++p) {
+      for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+        dbd[oc] += gb[oc * pixels + p];
+      }
+    }
+    lower(g, xd + b * in_plane, col.data(), 1, taps);
+    gemm_rows(out_ch_, taps, pixels, gb, pixels, 1, col.data(), taps, dwd,
+              taps);
+  }
+
+  // dx over batch-minor copies, samples in the SIMD lanes: one row per input
+  // element, fed (oc, ky↓, kx↓). For a fixed element, descending (ky, kx) is
+  // ascending (oy, ox), so it takes (oc, oy, ox) in the direct loop's order;
+  // the g·w terms with g == 0 that loop skipped add exact zeros to a
+  // +0-started accumulator.
+  std::vector<float> gt(batch * out_plane);
+  std::vector<float> dxt(batch * in_plane, 0.0f);
+  transpose(batch, out_plane, gd, gt.data());
+  const std::vector<std::size_t> oy_of = g.readers(h, g.ho);
+  const std::vector<std::size_t> ox_of = g.readers(w, g.wo);
+  for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+    for (std::size_t ic = 0; ic < in_ch_; ++ic) {
+      const float* wk = wd + (oc * in_ch_ + ic) * kernel_ * kernel_;
+      for (std::size_t iy = 0; iy < h; ++iy) {
+        for (std::size_t ix = 0; ix < w; ++ix) {
+          RowKernel row(dxt.data() + ((ic * h + iy) * w + ix) * batch, batch);
+          for (std::size_t ky = kernel_; ky-- > 0;) {
+            const std::size_t oy = oy_of[iy * kernel_ + ky];
+            if (oy == ConvGeometry::kNone) continue;
+            for (std::size_t kx = kernel_; kx-- > 0;) {
+              const std::size_t ox = ox_of[ix * kernel_ + kx];
+              if (ox == ConvGeometry::kNone) continue;
+              const std::size_t out_at = oc * pixels + oy * g.wo + ox;
+              row.add(wk[ky * kernel_ + kx], gt.data() + out_at * batch);
             }
           }
+          row.flush();
         }
       }
     }
   }
+  Tensor dx({batch, in_ch_, h, w});
+  transpose(in_plane, batch, dxt.data(), dx.data().data());
   return dx;
 }
 

@@ -6,6 +6,19 @@
 //
 // Convention: batch-major tensors. Linear: [batch, features];
 // Conv2d: [batch, channels, height, width].
+//
+// Numerics contract. Conv2d lowers each sample (im2col) onto one row kernel,
+// C[m, :] += A[m, k] · B[k, :] with SIMD lanes across the row, never across
+// k; Linear's backward runs the same kernel and Linear's forward keeps its
+// dot form. Conv2d's forward and backward equal the direct loops kept in
+// tests/nn_oracle.h bit for bit for finite values: every output and gradient
+// element adds the same products in the same order into its own float.
+// Where the two differ in which zero terms they add (w·0 at padding taps,
+// g·w with g == 0, w·x with w == 0), those terms are exact no-ops on a sum
+// that never holds −0.0; no sum does as long as no bias, and no gradient on
+// entry to backward, is −0.0, and initialization, zero_grad and Adam never
+// make one. Backward passes are serial; forward passes fan samples out over
+// the batch executor below, which changes no bits.
 #pragma once
 
 #include <functional>
@@ -87,7 +100,8 @@ class Linear : public Module {
   Tensor cached_input_;
 };
 
-/// 2D convolution, square kernel, symmetric zero padding.
+/// 2D convolution, square kernel, symmetric zero padding. forward() throws
+/// std::invalid_argument when the padded input is smaller than the kernel.
 class Conv2d : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,

@@ -11,9 +11,10 @@ PolicyValueNet::PolicyValueNet(PolicyNetConfig config, Rng& rng)
     : config_(config),
       policy_head_(config.fc, config.grid * config.grid, rng, "policy_head"),
       value_head_(config.fc, 1, rng, "value_head") {
-  if (config_.grid % 4 != 0) {
+  if (config_.grid < 4 || config_.grid % 4 != 0) {
     throw std::invalid_argument(
-        "PolicyNetConfig: grid must be a multiple of 4 (two stride-2 convs)");
+        "PolicyNetConfig: grid must be a positive multiple of 4 (two "
+        "stride-2 convs)");
   }
   const std::size_t g4 = config_.grid / 4;
   trunk_.add(std::make_unique<nn::Conv2d>(config_.channels_in, config_.conv1,

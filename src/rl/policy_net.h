@@ -25,7 +25,7 @@ namespace rlplan::rl {
 
 struct PolicyNetConfig {
   std::size_t channels_in = 6;
-  std::size_t grid = 32;  ///< must be a multiple of 4
+  std::size_t grid = 32;  ///< must be a positive multiple of 4
   std::size_t conv1 = 8;
   std::size_t conv2 = 16;
   std::size_t conv3 = 16;

@@ -11,8 +11,9 @@ namespace rlplan::rl {
 nn::Sequential make_rnd_encoder(std::size_t channels_in, std::size_t grid,
                                 const RndConfig& config, Rng& rng,
                                 const std::string& name) {
-  if (grid % 4 != 0) {
-    throw std::invalid_argument("RND encoder: grid must be a multiple of 4");
+  if (grid < 4 || grid % 4 != 0) {
+    throw std::invalid_argument(
+        "RND encoder: grid must be a positive multiple of 4");
   }
   const std::size_t g4 = grid / 4;
   nn::Sequential net;

@@ -96,8 +96,8 @@ TEST(GradCheck, LinearSingleSample) {
   check_gradients(lin, Tensor({1, 7}), 101);
 }
 
-// The fused 4-output Linear backward must be bit-identical to the naive
-// o-at-a-time reference, including the g == 0 skip semantics (a zero
+// Linear backward (the row kernel Conv2d shares) must be bit-identical to the
+// naive o-at-a-time reference, including the g == 0 skip semantics (a zero
 // gradient leaves its rows untouched rather than adding +0.0f).
 TEST(GradCheck, TiledLinearBackwardIsBitIdenticalToNaive) {
   Rng rng(31);

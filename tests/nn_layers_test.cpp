@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "nn/serialize.h"
+#include "rl/policy_net.h"
 
 namespace rlplan::nn {
 namespace {
@@ -93,6 +94,35 @@ TEST(Flatten, ZeroBatchRoundTrip) {
   EXPECT_EQ(y.shape(), (std::vector<std::size_t>{0, 48}));
   const Tensor back = flat.backward(y);
   EXPECT_EQ(back.shape(), (std::vector<std::size_t>{0, 3, 4, 4}));
+}
+
+// Regression: an input smaller than the kernel window made out_size() wrap
+// around, so forward wrote far outside its output (a heap-buffer-overflow
+// under ASan). It is now rejected; padding counts toward the window.
+TEST(Conv2d, RejectsInputSmallerThanKernel) {
+  Rng rng(16);
+  Conv2d conv(1, 1, /*kernel=*/5, /*stride=*/1, /*padding=*/0, rng);
+  EXPECT_THROW(conv.forward(Tensor({1, 1, 3, 3})), std::invalid_argument);
+  EXPECT_THROW(conv.forward(Tensor({1, 1, 5, 4})), std::invalid_argument);
+  EXPECT_EQ(conv.forward(Tensor({1, 1, 5, 5})).shape(),
+            (std::vector<std::size_t>{1, 1, 1, 1}));
+  Conv2d padded(1, 1, 5, 1, /*padding=*/1, rng);
+  EXPECT_EQ(padded.forward(Tensor({1, 1, 3, 3})).shape(),
+            (std::vector<std::size_t>{1, 1, 1, 1}));
+}
+
+// Regression: grid 0 passed the multiple-of-4 check and the forward pass then
+// crashed in conv2, whose out_size(0) wrapped to 2^63.
+TEST(PolicyValueNet, RejectsGridZero) {
+  Rng rng(17);
+  rl::PolicyNetConfig config;
+  config.grid = 0;
+  EXPECT_THROW(
+      {
+        rl::PolicyValueNet net(config, rng);
+        net.forward(Tensor({1, config.channels_in, 0, 0}));
+      },
+      std::invalid_argument);
 }
 
 TEST(Conv2d, OutputShapeStride1) {

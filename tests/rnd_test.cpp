@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace rlplan::rl {
@@ -13,6 +14,19 @@ nn::Tensor random_state(Rng& rng, std::size_t c = 3, std::size_t g = 8) {
     t[i] = static_cast<float>(rng.uniform(0.0, 1.0));
   }
   return t;
+}
+
+// Regression: grid 0 passed the multiple-of-4 check, and scoring a state
+// then crashed inside the encoder's convolutions.
+TEST(Rnd, RejectsGridZero) {
+  Rng rng(10);
+  EXPECT_THROW(
+      {
+        RndBonus rnd(3, 0, {}, rng);
+        rnd.raw_error(nn::Tensor({3, 0, 0}));
+      },
+      std::invalid_argument);
+  EXPECT_THROW(make_rnd_encoder(3, 0, {}, rng, "rnd"), std::invalid_argument);
 }
 
 TEST(Rnd, PredictionErrorPositiveForFreshStates) {
