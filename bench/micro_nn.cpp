@@ -4,13 +4,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "nn/layers.h"
 #include "rl/env.h"
 #include "rl/policy_net.h"
-#include "rl/ppo.h"
+#include "rl/session.h"
 #include "systems/synthetic.h"
 #include "thermal/evaluator.h"
 
@@ -235,16 +236,16 @@ void BM_EnvEpisode(benchmark::State& state) {
 BENCHMARK(BM_EnvEpisode)->Unit(benchmark::kMicrosecond);
 
 void BM_PpoTrainEpoch(benchmark::State& state) {
-  NullEvaluator eval;
-  rl::FloorplanEnv env(test_system(), eval, RewardCalculator{},
-                       bump::BumpAssigner{}, {.grid = 16});
-  rl::PpoConfig config;
-  config.episodes_per_update = 8;
+  rl::TrainingSessionConfig config;
+  config.env.grid = 16;
+  config.ppo.episodes_per_update = 8;
   config.seed = 5;
-  rl::PolicyNetConfig net_config;
-  rl::PpoTrainer trainer(env, net_config, config);
+  std::vector<rl::SessionTask> tasks;
+  tasks.push_back(
+      {"nnbench", &test_system(), std::make_unique<NullEvaluator>()});
+  rl::TrainingSession session(config, std::move(tasks));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trainer.train_epoch().steps);
+    benchmark::DoNotOptimize(session.train_epoch().steps);
   }
 }
 BENCHMARK(BM_PpoTrainEpoch)->Unit(benchmark::kMillisecond);

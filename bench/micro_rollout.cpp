@@ -3,9 +3,12 @@
 //
 // Measures the full experience-collection pipeline — batched policy
 // forwards, masked sampling, environment stepping, and the episode-end
-// reward evaluation (microbump assignment + fast thermal model) — exactly as
-// PpoTrainer consumes it. The 1-env row with 1 thread is the legacy
-// single-environment baseline; the speedup column is relative to it.
+// reward evaluation (microbump assignment + fast thermal model) — as a
+// TrainingSession epoch runs it: parallel::collect_episodes over a VecEnv's
+// replicas, with the pool installed as the nn batch executor. The 1-env row
+// with 1 thread is the serial baseline; the speedup column is relative to
+// it. Every row builds its own evaluator, because replica 0 drives it
+// directly and would otherwise inherit the previous row's incremental state.
 //
 // Flags:
 //   --grid=N         action-grid resolution (default 32, the paper's G)
@@ -15,9 +18,11 @@
 //   --max-envs=N     largest replica count, doubled from 1 (default 8)
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "nn/layers.h"
 #include "parallel/collector.h"
 #include "parallel/thread_pool.h"
 #include "parallel/vec_env.h"
@@ -74,7 +79,6 @@ int main(int argc, char** argv) {
       system.interposer_width(), system.interposer_height());
   std::fprintf(stderr, "[micro_rollout] characterization: %.1f s\n",
                charac.report().total_seconds);
-  const thermal::IncrementalFastModelEvaluator prototype(model);
 
   rl::PolicyNetConfig net_config;
   net_config.channels_in = rl::FloorplanEnv::kChannels;
@@ -92,21 +96,31 @@ int main(int argc, char** argv) {
         threads_flag > 0 ? static_cast<std::size_t>(threads_flag) : num_envs;
 
     parallel::ThreadPool pool(threads);
-    parallel::VecEnv venv(system, prototype, RewardCalculator{},
+    thermal::IncrementalFastModelEvaluator evaluator(model);
+    parallel::VecEnv venv(system, evaluator, RewardCalculator{},
                           bump::BumpAssigner{}, env_config, num_envs,
                           /*seed=*/17);
-    parallel::ParallelRolloutCollector collector(venv, pool);
+    std::vector<parallel::EnvSlot> slots;
+    for (std::size_t e = 0; e < venv.size(); ++e) {
+      slots.push_back({&venv.env(e), &venv.rng(e)});
+    }
+    nn::BatchParallelFor previous = nn::exchange_batch_parallel_for(
+        [&pool](std::size_t count,
+                const std::function<void(std::size_t)>& fn) {
+          pool.parallel_for(count, fn);
+        });
     Rng net_rng(3);
     rl::PolicyValueNet net(net_config, net_rng);
 
     rl::RolloutBuffer warmup;
-    collector.collect(net, num_envs, warmup);
+    parallel::collect_episodes(slots, net, num_envs, warmup, &pool);
 
     rl::RolloutBuffer buffer;
     const Timer timer;
     const parallel::CollectorStats stats =
-        collector.collect(net, episodes, buffer);
+        parallel::collect_episodes(slots, net, episodes, buffer, &pool);
     const double seconds = timer.seconds();
+    nn::set_batch_parallel_for(std::move(previous));
 
     Row row;
     row.num_envs = num_envs;

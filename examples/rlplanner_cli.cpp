@@ -8,7 +8,7 @@
 //     --budget=SECONDS   SA wall-clock budget          (default 30)
 //     --out=FILE         floorplan output path         (default plan.fp)
 //     --seed=S
-//     --envs=N           parallel env replicas for RL  (default 1 = legacy)
+//     --envs=N           parallel env replicas for RL  (default 1 = serial)
 //     --threads=N        rollout worker threads        (default 0 = auto)
 //     --checkpoint=FILE  RL: write a full-state RLPNNv2 checkpoint here
 //                        (at the end, plus every --checkpoint-every epochs)

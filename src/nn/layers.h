@@ -43,14 +43,13 @@ using BatchParallelFor =
 /// with or without an executor — this is a pure throughput knob. Backward
 /// passes stay serial (parameter gradients accumulate across the batch).
 /// Not thread-safe: install before training, from one thread — concurrent
-/// RlPlanner/collector instances in one process must not overlap their
-/// installations. parallel::ParallelRolloutCollector installs its pool for
-/// its lifetime and restores the previous executor on destruction (LIFO
-/// nesting is safe).
+/// training sessions in one process must not overlap their installations.
+/// A multi-replica rl::TrainingSession installs its pool around each epoch
+/// and restores the previous executor afterwards (LIFO nesting is safe).
 void set_batch_parallel_for(BatchParallelFor executor);
 
 /// As set_batch_parallel_for, returning the previously installed executor so
-/// callers can restore it (used by the collector for LIFO save/restore).
+/// callers can restore it (used by the session for LIFO save/restore).
 BatchParallelFor exchange_batch_parallel_for(BatchParallelFor executor);
 
 /// Trainable tensor with its gradient accumulator.

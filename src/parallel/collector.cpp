@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "nn/layers.h"
 #include "obs/metrics.h"
 #include "rl/distribution.h"
 
@@ -130,37 +129,6 @@ CollectorStats collect_episodes(std::span<const EnvSlot> slots,
   }
   stats.reward_best = stats.episodes > 0 ? reward_best : 0.0;
   return stats;
-}
-
-ParallelRolloutCollector::ParallelRolloutCollector(VecEnv& venv,
-                                                   ThreadPool& pool)
-    : venv_(&venv), pool_(&pool) {
-  // While a collector is alive, every nn forward (rollout batches here, PPO
-  // minibatches in the trainer) fans its batch rows out over the pool.
-  // Row-wise arithmetic is untouched, so results stay bit-identical. The
-  // previous executor is restored on destruction, so nested collectors are
-  // safe as long as their lifetimes are LIFO.
-  previous_executor_ = nn::exchange_batch_parallel_for(
-      [p = pool_](std::size_t count,
-                  const std::function<void(std::size_t)>& fn) {
-        p->parallel_for(count, fn);
-      });
-}
-
-ParallelRolloutCollector::~ParallelRolloutCollector() {
-  nn::set_batch_parallel_for(std::move(previous_executor_));
-}
-
-CollectorStats ParallelRolloutCollector::collect(
-    rl::PolicyValueNet& net, std::size_t min_episodes, rl::RolloutBuffer& out,
-    const EpisodeCallback& on_episode_end, const robust::RunControl& control) {
-  std::vector<EnvSlot> slots;
-  slots.reserve(venv_->size());
-  for (std::size_t e = 0; e < venv_->size(); ++e) {
-    slots.push_back({&venv_->env(e), &venv_->rng(e)});
-  }
-  return collect_episodes(slots, net, min_episodes, out, pool_,
-                          on_episode_end, control);
 }
 
 }  // namespace rlplan::parallel

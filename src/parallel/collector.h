@@ -1,9 +1,10 @@
 // Rollout collection: batched policy forwards over environment replicas.
 //
 // collect_episodes() is the ONE experience-collection pipeline of the
-// training stack — the serial single-environment loop is simply the
-// one-slot, no-pool case. One call gathers at least `min_episodes` complete
-// placement episodes under the current policy:
+// training stack; TrainingSession (rl/session.h) feeds it the slots of a
+// task's VecEnv — one slot and no pool in the serial case. One call gathers
+// at least `min_episodes` complete placement episodes under the current
+// policy:
 //
 //   while any slot is live:
 //     1. gather the [B, C, G, G] observations of the B live slots
@@ -32,17 +33,16 @@
 #include <span>
 #include <vector>
 
-#include "nn/layers.h"
 #include "parallel/thread_pool.h"
-#include "parallel/vec_env.h"
 #include "rl/env.h"
 #include "rl/policy_net.h"
 #include "rl/rollout.h"
 #include "robust/robust.h"
+#include "util/rng.h"
 
 namespace rlplan::parallel {
 
-/// Aggregate statistics of one collect() call.
+/// Aggregate statistics of one collect_episodes() call.
 struct CollectorStats {
   std::size_t steps = 0;      ///< transitions appended to the buffer
   std::size_t episodes = 0;   ///< completed episodes (>= min_episodes,
@@ -80,38 +80,5 @@ CollectorStats collect_episodes(std::span<const EnvSlot> slots,
                                 rl::RolloutBuffer& out, ThreadPool* pool,
                                 const EpisodeCallback& on_episode_end = {},
                                 const robust::RunControl& control = {});
-
-/// Convenience wrapper binding collect_episodes() to a VecEnv's replicas and
-/// RNG streams. While alive, it also installs the pool as the nn batch
-/// executor so every forward (rollout batches here, PPO minibatches in the
-/// trainer) fans its batch rows out over the pool's workers.
-class ParallelRolloutCollector {
- public:
-  /// `venv` and `pool` must outlive the collector.
-  ParallelRolloutCollector(VecEnv& venv, ThreadPool& pool);
-  ~ParallelRolloutCollector();
-
-  ParallelRolloutCollector(const ParallelRolloutCollector&) = delete;
-  ParallelRolloutCollector& operator=(const ParallelRolloutCollector&) =
-      delete;
-
-  VecEnv& venv() { return *venv_; }
-  ThreadPool& pool() { return *pool_; }
-
-  /// Collects exactly min_episodes complete episodes (at most venv().size()
-  /// run concurrently; replicas go idle once the quota of started episodes
-  /// is met) and appends their transitions to `out`.
-  CollectorStats collect(rl::PolicyValueNet& net, std::size_t min_episodes,
-                         rl::RolloutBuffer& out,
-                         const EpisodeCallback& on_episode_end = {},
-                         const robust::RunControl& control = {});
-
- private:
-  VecEnv* venv_;
-  ThreadPool* pool_;
-  /// Batch executor that was installed before this collector took over;
-  /// restored by the destructor.
-  nn::BatchParallelFor previous_executor_;
-};
 
 }  // namespace rlplan::parallel

@@ -5,83 +5,33 @@
 namespace rlplan::parallel {
 
 VecEnv::VecEnv(const ChipletSystem& system,
-               const thermal::ThermalEvaluator& prototype,
+               thermal::ThermalEvaluator& evaluator,
                RewardCalculator reward_calc, bump::BumpAssigner assigner,
                rl::EnvConfig env_config, std::size_t num_envs,
-               std::uint64_t seed)
-    : seed_(seed),
-      system_(&system),
-      reward_calc_(reward_calc),
-      assigner_(assigner) {
+               std::uint64_t seed) {
   // The upper bound catches size_t underflow from negative inputs before it
   // reaches vector::reserve as an opaque length_error.
   if (num_envs == 0 || num_envs > kMaxEnvs) {
     throw std::invalid_argument("VecEnv: num_envs must be in [1, " +
                                 std::to_string(kMaxEnvs) + "]");
   }
-  evaluators_.reserve(num_envs);
+  clones_.reserve(num_envs - 1);
   envs_.reserve(num_envs);
   rngs_.reserve(num_envs);
   for (std::size_t i = 0; i < num_envs; ++i) {
-    auto evaluator = prototype.clone();
-    if (!evaluator) {
-      throw std::invalid_argument("VecEnv: evaluator '" + prototype.name() +
-                                  "' does not support clone()");
+    thermal::ThermalEvaluator* replica_evaluator = &evaluator;
+    if (i > 0) {
+      clones_.push_back(evaluator.clone());
+      if (!clones_.back()) {
+        throw std::invalid_argument("VecEnv: evaluator '" + evaluator.name() +
+                                    "' does not support clone()");
+      }
+      replica_evaluator = clones_.back().get();
     }
-    evaluators_.push_back(std::move(evaluator));
     envs_.push_back(std::make_unique<rl::FloorplanEnv>(
-        system, *evaluators_.back(), reward_calc, assigner, env_config));
+        system, *replica_evaluator, reward_calc, assigner, env_config));
     rngs_.emplace_back(derive_seed(seed, i));
   }
-}
-
-long VecEnv::total_evaluations() const {
-  long total = 0;
-  for (const auto& e : evaluators_) total += e->num_evaluations();
-  return total;
-}
-
-std::vector<rl::EpisodeMetrics> VecEnv::score_floorplans(
-    std::span<const Floorplan> floorplans, ThreadPool* pool) {
-  for (const Floorplan& fp : floorplans) {
-    if (!fp.is_complete()) {
-      throw std::logic_error("VecEnv::score_floorplans: incomplete floorplan");
-    }
-  }
-  const auto temps =
-      evaluators_.front()->max_temperature_batch(*system_, floorplans, pool);
-  std::vector<rl::EpisodeMetrics> metrics(floorplans.size());
-  for (std::size_t i = 0; i < floorplans.size(); ++i) {
-    rl::EpisodeMetrics& m = metrics[i];
-    m.valid = true;
-    m.wirelength_mm = assigner_.assign(*system_, floorplans[i]).total_mm;
-    m.temperature_c = temps[i];
-    m.reward = reward_calc_.reward(m.wirelength_mm, m.temperature_c);
-  }
-  return metrics;
-}
-
-std::vector<rl::EpisodeMetrics> VecEnv::score_replicas(ThreadPool* pool) {
-  // Gather the complete floorplans, batch-score them once, then scatter the
-  // metrics back to their replica slots.
-  std::vector<Floorplan> complete;
-  std::vector<std::size_t> owner;
-  complete.reserve(envs_.size());
-  owner.reserve(envs_.size());
-  for (std::size_t i = 0; i < envs_.size(); ++i) {
-    if (envs_[i]->floorplan().is_complete()) {
-      complete.push_back(envs_[i]->floorplan());
-      owner.push_back(i);
-    }
-  }
-  std::vector<rl::EpisodeMetrics> metrics(envs_.size());
-  if (complete.empty()) return metrics;
-  const auto scored =
-      score_floorplans(std::span<const Floorplan>(complete), pool);
-  for (std::size_t k = 0; k < owner.size(); ++k) {
-    metrics[owner[k]] = scored[k];
-  }
-  return metrics;
 }
 
 std::uint64_t VecEnv::derive_seed(std::uint64_t base, std::size_t index) {

@@ -1,25 +1,22 @@
 // Vectorized floorplanning environment: N independent FloorplanEnv replicas.
 //
-// Each replica owns (a) a private clone of the thermal evaluator — so the
-// episode-end reward evaluation, the expensive part of a step, can run on any
-// worker thread with zero synchronization, and incremental evaluators
-// (thermal/incremental.h) keep fully independent per-replica coupling caches
-// fed by each env's notify_place stream — and (b) a private action-sampling
-// RNG whose seed is derived deterministically from the VecEnv seed and the
-// replica index. Because every replica's state is fully self-contained,
-// trajectories are bit-identical to running the same N environments
-// sequentially with the same derived seeds, for ANY num_threads setting
-// (tests/vec_env_test.cpp asserts exactly this).
-//
-// The system, reward calculator, assigner, and env config are shared by value
-// or const reference across replicas; only the evaluator and RNG are
-// per-replica mutable state.
+// Replica 0 drives the caller's thermal evaluator; every other replica owns
+// a private clone of it — so the episode-end reward evaluation, the
+// expensive part of a step, can run on any worker thread with zero
+// synchronization, and incremental evaluators (thermal/incremental.h) keep
+// fully independent per-replica coupling caches fed by each env's
+// notify_place stream. A one-replica VecEnv clones nothing, so evaluators
+// that cannot be cloned work there. Each replica also owns a private
+// action-sampling RNG whose seed is derived deterministically from the
+// VecEnv seed and the replica index. Because every replica's state is fully
+// self-contained, trajectories are bit-identical to running the same N
+// environments sequentially with the same derived seeds, for ANY
+// num_threads setting (tests/vec_env_test.cpp asserts exactly this).
 #pragma once
 
 #include <cstdint>
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "bump/assigner.h"
@@ -31,8 +28,6 @@
 
 namespace rlplan::parallel {
 
-class ThreadPool;
-
 class VecEnv {
  public:
   /// Sanity cap on num_envs (each replica owns an evaluator clone; far more
@@ -40,17 +35,16 @@ class VecEnv {
   /// conversion bug at the call site).
   static constexpr std::size_t kMaxEnvs = 4096;
 
-  /// Builds `num_envs` replicas over `system`. `prototype` is cloned once per
-  /// replica (it is not retained); `system` must outlive the VecEnv. Throws
-  /// std::invalid_argument when num_envs == 0 or the prototype evaluator
-  /// does not support cloning.
-  VecEnv(const ChipletSystem& system,
-         const thermal::ThermalEvaluator& prototype,
+  /// Builds `num_envs` replicas over `system`. Replica 0 drives `evaluator`
+  /// itself; replicas 1.. drive clones of it. `system` and `evaluator` must
+  /// outlive the VecEnv. Throws std::invalid_argument when num_envs is 0 or
+  /// above kMaxEnvs, or when num_envs > 1 and the evaluator does not support
+  /// cloning.
+  VecEnv(const ChipletSystem& system, thermal::ThermalEvaluator& evaluator,
          RewardCalculator reward_calc, bump::BumpAssigner assigner,
          rl::EnvConfig env_config, std::size_t num_envs, std::uint64_t seed);
 
   std::size_t size() const { return envs_.size(); }
-  std::uint64_t seed() const { return seed_; }
 
   rl::FloorplanEnv& env(std::size_t i) { return *envs_.at(i); }
   const rl::FloorplanEnv& env(std::size_t i) const { return *envs_.at(i); }
@@ -59,40 +53,13 @@ class VecEnv {
   Rng& rng(std::size_t i) { return rngs_.at(i); }
   const Rng& rng(std::size_t i) const { return rngs_.at(i); }
 
-  thermal::ThermalEvaluator& evaluator(std::size_t i) {
-    return *evaluators_.at(i);
-  }
-
-  /// Sum of thermal evaluations across all replica evaluators.
-  long total_evaluations() const;
-
-  /// Scores complete candidate floorplans with the replicas' shared reward
-  /// pipeline — microbump wirelength, reward weights — and ONE batched
-  /// thermal call (replica 0's evaluator; the SoA batch kernel for
-  /// fast-model evaluators, optionally fanned over `pool`). Per-candidate
-  /// metrics equal env(i).evaluate_floorplan(fp) for any replica i. Throws
-  /// std::logic_error on an incomplete floorplan.
-  std::vector<rl::EpisodeMetrics> score_floorplans(
-      std::span<const Floorplan> floorplans, ThreadPool* pool = nullptr);
-
-  /// Terminal metrics of every replica's CURRENT floorplan through one
-  /// batched thermal call — the batched analogue of reading
-  /// env(i).last_metrics() after each episode. Replicas whose floorplan is
-  /// incomplete (mid-episode or dead-ended) get a default-constructed entry
-  /// (valid == false).
-  std::vector<rl::EpisodeMetrics> score_replicas(ThreadPool* pool = nullptr);
-
   /// Seed of replica i: the (i+1)-th output of a SplitMix64 stream over the
   /// base seed. Stable across releases — the determinism tests and any
   /// recorded trajectories depend on it.
   static std::uint64_t derive_seed(std::uint64_t base, std::size_t index);
 
  private:
-  std::uint64_t seed_;
-  const ChipletSystem* system_ = nullptr;
-  RewardCalculator reward_calc_;
-  bump::BumpAssigner assigner_;
-  std::vector<std::unique_ptr<thermal::ThermalEvaluator>> evaluators_;
+  std::vector<std::unique_ptr<thermal::ThermalEvaluator>> clones_;
   std::vector<std::unique_ptr<rl::FloorplanEnv>> envs_;
   std::vector<Rng> rngs_;
 };

@@ -3,24 +3,34 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace rlplan::rl {
+
+namespace {
+
+EnvConfig checked_grid(EnvConfig config) {
+  if (config.grid < 4 || config.grid > EnvConfig::kMaxGrid) {
+    throw std::invalid_argument("EnvConfig: grid must be in [4, " +
+                                std::to_string(EnvConfig::kMaxGrid) + "]");
+  }
+  return config;
+}
+
+}  // namespace
 
 FloorplanEnv::FloorplanEnv(const ChipletSystem& system,
                            thermal::ThermalEvaluator& evaluator,
                            RewardCalculator reward_calc,
                            bump::BumpAssigner assigner, EnvConfig config)
-    : system_(&system),
+    : config_(checked_grid(std::move(config))),
+      system_(&system),
       evaluator_(&evaluator),
       reward_calc_(reward_calc),
       assigner_(std::move(assigner)),
-      config_(std::move(config)),
       floorplan_(system),
       observation_({kChannels, config_.grid, config_.grid}),
       mask_(config_.grid * config_.grid, 0) {
-  if (config_.grid < 4) {
-    throw std::invalid_argument("EnvConfig: grid must be >= 4");
-  }
   system.validate();
   order_ = config_.order.empty() ? system.placement_order_by_area()
                                  : config_.order;

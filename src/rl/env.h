@@ -34,7 +34,12 @@
 namespace rlplan::rl {
 
 struct EnvConfig {
-  std::size_t grid = 32;    ///< G: action/state resolution per axis
+  /// Largest G any grid-sized component accepts: the scenario loader's
+  /// rl_grid cap. A negative count cast to size_t lands far above it, where
+  /// G * G would wrap.
+  static constexpr std::size_t kMaxGrid = 4096;
+
+  std::size_t grid = 32;    ///< G: action/state resolution, in [4, kMaxGrid]
   double spacing_mm = 0.0;  ///< minimum clearance between dies
   /// Placement order (chiplet indices); empty = by descending area.
   std::vector<std::size_t> order{};
@@ -59,7 +64,9 @@ struct EpisodeMetrics {
 
 class FloorplanEnv {
  public:
-  /// `system` and `evaluator` must outlive the environment.
+  /// `system` and `evaluator` must outlive the environment. Throws
+  /// std::invalid_argument on a grid outside [4, EnvConfig::kMaxGrid] or a
+  /// bad placement order.
   FloorplanEnv(const ChipletSystem& system,
                thermal::ThermalEvaluator& evaluator,
                RewardCalculator reward_calc = RewardCalculator{},
@@ -112,11 +119,11 @@ class FloorplanEnv {
   /// (incremental for the internal episode end, batch for external scoring).
   EpisodeMetrics score_floorplan(const Floorplan& fp, bool use_incremental);
 
+  EnvConfig config_;  ///< first: validated before anything sizes from it
   const ChipletSystem* system_;
   thermal::ThermalEvaluator* evaluator_;
   RewardCalculator reward_calc_;
   bump::BumpAssigner assigner_;
-  EnvConfig config_;
 
   std::vector<std::size_t> order_;
   Floorplan floorplan_;

@@ -52,9 +52,8 @@ PlannerResult RlPlanner::run(const ChipletSystem& system,
   PlannerResult result;
   result.characterization_s = characterization_s;
 
-  // Single-scenario session over the caller's system; num_envs == 1 runs
-  // the same unified collection pipeline serially, > 1 fans replicas over
-  // the session's thread pool (each replica gets a cloned evaluator).
+  // Single-scenario session over the caller's system; num_envs > 1 fans
+  // the replicas over the session's thread pool.
   TrainingSessionConfig sc;
   sc.env = config_.env;
   sc.net = config_.net;

@@ -47,15 +47,14 @@ struct RlPlannerConfig {
   thermal::GridSolverConfig solver{};
   thermal::CharacterizationConfig characterization{};
   ThermalBackend backend = ThermalBackend::kFastModel;
-  /// Parallel rollout collection (src/parallel/). With num_envs == 1 (the
-  /// default) training runs the legacy single-environment loop, bit-for-bit
-  /// identical to releases before the parallel subsystem existed. With
-  /// num_envs > 1, experience is collected from that many environment
-  /// replicas: one batched policy forward per step over all live replicas,
-  /// environment stepping (including the episode-end thermal + microbump
-  /// reward evaluation) fanned out over a thread pool, and per-replica
-  /// action-RNG streams derived from `seed` so results are reproducible and
-  /// independent of num_threads.
+  /// Environment replicas (src/parallel/). Each epoch collects its episodes
+  /// from num_envs replicas: one batched policy forward per step over all
+  /// live replicas, per-replica action-RNG streams derived from `seed`, and
+  /// — when num_envs > 1 — environment stepping (including the episode-end
+  /// thermal + microbump reward evaluation) fanned out over a thread pool,
+  /// with replicas 1.. on clones of the evaluator. num_envs == 1 (the
+  /// default) steps the one replica on the caller thread; results are
+  /// reproducible for every num_envs and independent of num_threads.
   std::size_t num_envs = 1;
   /// Worker threads for env stepping and batched forwards when
   /// num_envs > 1. 0 = min(num_envs, hardware threads). Changing
@@ -66,8 +65,7 @@ struct RlPlannerConfig {
   int greedy_eval_every = 10;  ///< greedy-decode cadence (0 = never)
   /// THE authoritative seed: every stream the training engine consumes (net
   /// init, PPO update shuffles, per-replica action sampling, RND) derives
-  /// from it — see the derivation table in util/rng.h. `ppo.seed` is
-  /// overridden with this value.
+  /// from it — see the derivation table in util/rng.h.
   std::uint64_t seed = 1;
   bool verbose = false;
 };

@@ -2,20 +2,32 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "nn/serialize.h"
+#include "rl/env.h"
 
 namespace rlplan::rl {
 
-PolicyValueNet::PolicyValueNet(PolicyNetConfig config, Rng& rng)
-    : config_(config),
-      policy_head_(config.fc, config.grid * config.grid, rng, "policy_head"),
-      value_head_(config.fc, 1, rng, "value_head") {
-  if (config_.grid < 4 || config_.grid % 4 != 0) {
+namespace {
+
+PolicyNetConfig checked_grid(PolicyNetConfig config) {
+  if (config.grid < 4 || config.grid % 4 != 0 ||
+      config.grid > EnvConfig::kMaxGrid) {
     throw std::invalid_argument(
         "PolicyNetConfig: grid must be a positive multiple of 4 (two "
-        "stride-2 convs)");
+        "stride-2 convs) of at most " +
+        std::to_string(EnvConfig::kMaxGrid));
   }
+  return config;
+}
+
+}  // namespace
+
+PolicyValueNet::PolicyValueNet(PolicyNetConfig config, Rng& rng)
+    : config_(checked_grid(config)),
+      policy_head_(config.fc, config.grid * config.grid, rng, "policy_head"),
+      value_head_(config.fc, 1, rng, "value_head") {
   const std::size_t g4 = config_.grid / 4;
   trunk_.add(std::make_unique<nn::Conv2d>(config_.channels_in, config_.conv1,
                                           3, 1, 1, rng, "conv1"));

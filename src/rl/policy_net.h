@@ -25,7 +25,8 @@ namespace rlplan::rl {
 
 struct PolicyNetConfig {
   std::size_t channels_in = 6;
-  std::size_t grid = 32;  ///< must be a positive multiple of 4
+  /// A positive multiple of 4, at most EnvConfig::kMaxGrid.
+  std::size_t grid = 32;
   std::size_t conv1 = 8;
   std::size_t conv2 = 16;
   std::size_t conv3 = 16;
@@ -34,6 +35,8 @@ struct PolicyNetConfig {
 
 class PolicyValueNet {
  public:
+  /// Throws std::invalid_argument, before drawing from `rng`, when
+  /// config.grid is not a valid PolicyNetConfig grid.
   PolicyValueNet(PolicyNetConfig config, Rng& rng);
 
   struct Output {

@@ -7,19 +7,16 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "parallel/collector.h"
 #include "rl/distribution.h"
 #include "robust/fault.h"
 #include "util/log.h"
 
 namespace rlplan::rl {
 
-// --- PpoCore -----------------------------------------------------------------
-
-PpoCore::PpoCore(PolicyNetConfig net_config, PpoConfig config)
+PpoCore::PpoCore(PolicyNetConfig net_config, PpoConfig config,
+                 std::uint64_t seed)
     : config_(config),
-      rng_(config.seed),
+      rng_(seed),
       net_(net_config, rng_),
       optimizer_({}, config.adam) {
   optimizer_ = nn::Adam(net_.parameters(), config_.adam);
@@ -282,134 +279,6 @@ void PpoCore::load_state(nn::StateReader& r) {
         "checkpointed trainer)");
   }
   if (rnd_) rnd_->load_state(r, "core.rnd");
-}
-
-// --- PpoTrainer --------------------------------------------------------------
-
-PpoTrainer::PpoTrainer(FloorplanEnv& env, PolicyNetConfig net_config,
-                       PpoConfig config)
-    : env_(&env),
-      core_(
-          [&] {
-            net_config.grid = env.grid();
-            net_config.channels_in = FloorplanEnv::kChannels;
-            return net_config;
-          }(),
-          config),
-      action_rng_(derive_substream_seed(config.seed, 0)) {}
-
-PpoTrainer::PpoTrainer(parallel::ParallelRolloutCollector& collector,
-                       PolicyNetConfig net_config, PpoConfig config)
-    : PpoTrainer(collector.venv().env(0), net_config, config) {
-  collector_ = &collector;
-}
-
-const Floorplan& PpoTrainer::best_floorplan() const {
-  if (!best_floorplan_) {
-    throw std::logic_error("PpoTrainer: no complete episode seen yet");
-  }
-  return *best_floorplan_;
-}
-
-void PpoTrainer::consider_best(const EpisodeMetrics& metrics,
-                               const Floorplan& fp) {
-  if (!metrics.valid) return;
-  if (!best_floorplan_ || metrics.reward > best_metrics_.reward) {
-    best_floorplan_ = fp;
-    best_metrics_ = metrics;
-  }
-}
-
-TrainStats PpoTrainer::train_epoch() {
-  return run_ppo_epoch(
-      core_, collector_, env_, &action_rng_, buffer_, total_env_steps_,
-      [&](std::size_t env_index, const StepOutcome& outcome) {
-        if (!outcome.dead_end) {
-          FloorplanEnv& env =
-              collector_ ? collector_->venv().env(env_index) : *env_;
-          consider_best(env.last_metrics(), env.floorplan());
-        }
-      });
-}
-
-TrainStats run_ppo_epoch(PpoCore& core,
-                         parallel::ParallelRolloutCollector* collector,
-                         FloorplanEnv* serial_env, Rng* serial_rng,
-                         RolloutBuffer& buffer, long& total_env_steps,
-                         const EpisodeEndFn& on_episode_end,
-                         const robust::RunControl& control) {
-  TrainStats stats;
-  buffer.clear();
-
-  const auto on_end = [&](std::size_t env_index, const StepOutcome& outcome) {
-    if (on_episode_end) on_episode_end(env_index, outcome);
-    core.record_episode_reward(outcome.reward);
-  };
-
-  // Clamp before the size_t conversion: a (mis)configured negative episode
-  // count must mean "collect nothing", not 2^64.
-  const auto episodes = static_cast<std::size_t>(
-      std::max(core.config().episodes_per_update, 0));
-  parallel::CollectorStats cstats;
-  {
-    RLPLAN_TRACE_SPAN("rl.collect", static_cast<std::int64_t>(episodes));
-    if (collector != nullptr) {
-      cstats = collector->collect(core.net(), episodes, buffer, on_end,
-                                  control);
-    } else {
-      const parallel::EnvSlot slot{serial_env, serial_rng};
-      cstats = parallel::collect_episodes({&slot, 1}, core.net(), episodes,
-                                          buffer, nullptr, on_end, control);
-    }
-  }
-  stats.stop_reason = cstats.stop_reason;
-  RLPLAN_COUNTER_ADD("rl.env_steps", cstats.steps);
-  RLPLAN_COUNTER_ADD("rl.episodes", cstats.episodes);
-  total_env_steps += static_cast<long>(cstats.steps);
-  core.fill_intrinsic(buffer);
-
-  stats.steps = cstats.steps;
-  stats.episodes = cstats.episodes;
-  stats.dead_ends = cstats.dead_ends;
-  stats.mean_reward =
-      cstats.episodes > 0
-          ? cstats.reward_sum / static_cast<double>(cstats.episodes)
-          : 0.0;
-  stats.best_reward = cstats.episodes > 0 ? cstats.reward_best : 0.0;
-
-  // A cancelled epoch skips the update (the caller wants out now, e.g. a
-  // SIGINT on its way to a final checkpoint); a deadline-stopped epoch still
-  // updates on the full episodes it managed to collect (best-so-far).
-  if (!buffer.empty() && stats.stop_reason != robust::StopReason::kCancelled) {
-    RLPLAN_TRACE_SPAN("rl.update",
-                      static_cast<std::int64_t>(buffer.steps().size()));
-    core.update(buffer, stats);
-  }
-  return stats;
-}
-
-EpisodeMetrics PpoTrainer::greedy_episode() {
-  const EpisodeMetrics metrics = run_greedy_episode(*env_, core_.net());
-  if (metrics.valid) consider_best(metrics, env_->floorplan());
-  return metrics;
-}
-
-EpisodeMetrics run_greedy_episode(FloorplanEnv& env, PolicyValueNet& net) {
-  nn::Tensor obs = env.reset();
-  bool done = false;
-  bool dead_end = false;
-  while (!done) {
-    nn::Tensor batch = obs;
-    batch.reshape({1, obs.dim(0), obs.dim(1), obs.dim(2)});
-    PolicyValueNet::Output out = net.forward(batch);
-    const MaskedCategorical dist(out.logits.data(), env.action_mask());
-    const StepOutcome outcome = env.step(dist.argmax());
-    done = outcome.done;
-    dead_end = outcome.dead_end;
-    if (!done) obs = env.observation();
-  }
-  if (dead_end) return {};
-  return env.last_metrics();
 }
 
 }  // namespace rlplan::rl

@@ -1,48 +1,32 @@
 // Proximal Policy Optimization (Schulman et al., 2017; paper Section II-B)
-// with optional RND intrinsic bonus, split into
+// with optional RND intrinsic bonus: PpoCore, the pure update core —
+// policy/value net, Adam, optional RND, reward normalizer, intrinsic
+// annealing, and the update RNG. It knows nothing about environments or how
+// experience is collected; its entire mutable state is checkpointable
+// (save_state/load_state).
 //
-//   PpoCore    — the pure update core: policy/value net, Adam, optional RND,
-//                reward normalizer, intrinsic annealing, and the update RNG.
-//                Knows nothing about environments or how experience is
-//                collected; its entire mutable state is checkpointable
-//                (save_state/load_state, consumed by rl/session.h).
-//   PpoTrainer — a thin collection front end over one FloorplanEnv or a
-//                parallel rollout collector. Both configurations run the ONE
-//                unified pipeline (parallel::collect_episodes): the serial
-//                loop is simply the one-slot, no-pool case, sampling from
-//                the replica-0 action stream (util/rng.h seed contract).
+// One update = `update_epochs` passes of clipped-surrogate minibatch SGD
+// (Adam) over a collected rollout. Policy gradients flow through the masked
+// softmax analytically (see PpoCore::update()), so masked actions receive
+// exactly zero gradient.
 //
-// One train_epoch() = collect `episodes_per_update` complete placement
-// episodes under the current policy, then run `update_epochs` passes of
-// clipped-surrogate minibatch SGD (Adam) over the rollout. Policy gradients
-// flow through the masked softmax analytically (see PpoCore::update()), so
-// masked actions receive exactly zero gradient.
-//
-// Multi-scenario curriculum training, full-state checkpointing, and resume
-// live one layer up in TrainingSession (rl/session.h), which drives a
-// PpoCore directly.
+// Collection, multi-scenario curriculum training, full-state checkpointing,
+// and resume live one layer up in TrainingSession (rl/session.h), the one
+// trainer over a PpoCore.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "core/floorplan.h"
 #include "nn/optim.h"
 #include "nn/serialize.h"
-#include "rl/env.h"
 #include "rl/policy_net.h"
 #include "rl/rnd.h"
 #include "rl/rollout.h"
 #include "robust/robust.h"
 #include "util/rng.h"
-
-namespace rlplan::parallel {
-class ParallelRolloutCollector;
-struct CollectorStats;
-}  // namespace rlplan::parallel
 
 namespace rlplan::rl {
 
@@ -69,10 +53,6 @@ struct PpoConfig {
   /// objective's physical units (wirelength in mm produces rewards of
   /// wildly different magnitudes across benchmarks).
   bool normalize_rewards = true;
-  /// Master seed when the trainer is built standalone. RlPlanner and
-  /// TrainingSession overwrite this with their own authoritative seed — see
-  /// the derivation table in util/rng.h.
-  std::uint64_t seed = 1;
 };
 
 struct TrainStats {
@@ -98,7 +78,7 @@ struct TrainStats {
   /// kNone for a full epoch; kCancelled/kDeadline when a RunControl stopped
   /// collection early (the update then runs over the partial buffer only if
   /// the stop was a deadline with data already collected — see
-  /// run_ppo_epoch).
+  /// TrainingSession::train_epoch).
   robust::StopReason stop_reason = robust::StopReason::kNone;
 
   bool degraded() const {
@@ -112,8 +92,9 @@ struct TrainStats {
 class PpoCore {
  public:
   /// `net_config.grid` and `net_config.channels_in` must be final — they fix
-  /// the observation/action space the core updates over.
-  PpoCore(PolicyNetConfig net_config, PpoConfig config);
+  /// the observation/action space the core updates over. `seed` starts the
+  /// net-init and update stream (util/rng.h seed table).
+  PpoCore(PolicyNetConfig net_config, PpoConfig config, std::uint64_t seed);
 
   PolicyValueNet& net() { return net_; }
   const PpoConfig& config() const { return config_; }
@@ -191,80 +172,5 @@ class PpoCore {
   long rew_n_ = 0;
   long nan_skips_ = 0;  ///< updates rolled back by the NaN guard
 };
-
-/// Single-scenario trainer: one env (or one VecEnv collector) + a PpoCore.
-class PpoTrainer {
- public:
-  /// `env` must outlive the trainer. Experience is collected through the
-  /// unified pipeline with one slot; actions sample from the replica-0
-  /// stream derived from `config.seed`.
-  PpoTrainer(FloorplanEnv& env, PolicyNetConfig net_config, PpoConfig config);
-
-  /// Collects experience through a parallel rollout collector: batched
-  /// policy forwards over all live replicas, env steps fanned out over the
-  /// collector's thread pool, per-replica RNG streams (see src/parallel/).
-  /// Greedy evaluation and best-floorplan tracking use the collector's
-  /// replicas. `collector` must outlive the trainer.
-  PpoTrainer(parallel::ParallelRolloutCollector& collector,
-             PolicyNetConfig net_config, PpoConfig config);
-
-  /// One collect + update cycle. Returns statistics of the epoch.
-  TrainStats train_epoch();
-
-  /// Best complete (non-dead-end) floorplan seen in any sampled episode.
-  bool has_best() const { return best_floorplan_.has_value(); }
-  const Floorplan& best_floorplan() const;
-  const EpisodeMetrics& best_metrics() const { return best_metrics_; }
-
-  /// Runs one greedy (argmax) episode and returns its metrics; also updates
-  /// the best floorplan if the greedy result improves on it.
-  EpisodeMetrics greedy_episode();
-
-  PpoCore& core() { return core_; }
-  PolicyValueNet& net() { return core_.net(); }
-  const PpoConfig& config() const { return core_.config(); }
-  long total_env_steps() const { return total_env_steps_; }
-
- private:
-  void consider_best(const EpisodeMetrics& metrics, const Floorplan& fp);
-
-  FloorplanEnv* env_;
-  parallel::ParallelRolloutCollector* collector_ = nullptr;
-  PpoCore core_;
-  Rng action_rng_;  ///< serial action stream (= replica 0's derivation)
-  RolloutBuffer buffer_;
-  long total_env_steps_ = 0;
-
-  std::optional<Floorplan> best_floorplan_;
-  EpisodeMetrics best_metrics_{};
-};
-
-/// One greedy (argmax) episode on `env` under `net`. Returns the terminal
-/// metrics, or a default-constructed (invalid) result on a dead end.
-/// Consumes no RNG. Shared by PpoTrainer and TrainingSession.
-EpisodeMetrics run_greedy_episode(FloorplanEnv& env, PolicyValueNet& net);
-
-/// Episode-end hook, invoked in deterministic collection order with the env
-/// index that finished (same contract as the collection pipeline's
-/// callback; the terminal env still holds its floorplan/metrics).
-using EpisodeEndFn =
-    std::function<void(std::size_t env_index, const StepOutcome& outcome)>;
-
-/// THE collect -> stats -> update epoch pipeline shared by PpoTrainer and
-/// TrainingSession: clears `buffer`, collects `core.config()`'s
-/// episodes_per_update episodes (through `collector` when non-null,
-/// otherwise serially from `serial_env` sampling with `serial_rng`), fills
-/// RND intrinsic bonuses, folds collection statistics, advances
-/// `total_env_steps`, and runs the PPO update over the buffer.
-/// `control` (optional) stops collection at batch granularity; a stopped
-/// epoch tags its stats with the stop reason. A cancelled epoch skips the
-/// update entirely (the caller wants out now); a deadline-stopped epoch still
-/// updates on whatever full episodes were collected (best-so-far semantics).
-TrainStats run_ppo_epoch(PpoCore& core,
-                         parallel::ParallelRolloutCollector* collector,
-                         FloorplanEnv* serial_env, Rng* serial_rng,
-                         RolloutBuffer& buffer, long& total_env_steps,
-                         const EpisodeEndFn& on_episode_end,
-                         const robust::RunControl& control = {});
 
 }  // namespace rlplan::rl

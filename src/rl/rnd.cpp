@@ -5,15 +5,19 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+
+#include "rl/env.h"
 
 namespace rlplan::rl {
 
 nn::Sequential make_rnd_encoder(std::size_t channels_in, std::size_t grid,
                                 const RndConfig& config, Rng& rng,
                                 const std::string& name) {
-  if (grid < 4 || grid % 4 != 0) {
+  if (grid < 4 || grid % 4 != 0 || grid > EnvConfig::kMaxGrid) {
     throw std::invalid_argument(
-        "RND encoder: grid must be a positive multiple of 4");
+        "RND encoder: grid must be a positive multiple of 4 of at most " +
+        std::to_string(EnvConfig::kMaxGrid));
   }
   const std::size_t g4 = grid / 4;
   nn::Sequential net;

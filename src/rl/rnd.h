@@ -70,6 +70,8 @@ class RndBonus {
 };
 
 /// Builds the shared RND conv-encoder architecture. Exposed for tests.
+/// Throws std::invalid_argument unless `grid` is a positive multiple of 4 of
+/// at most EnvConfig::kMaxGrid.
 nn::Sequential make_rnd_encoder(std::size_t channels_in, std::size_t grid,
                                 const RndConfig& config, Rng& rng,
                                 const std::string& name);

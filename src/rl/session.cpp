@@ -6,14 +6,17 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 
+#include "nn/layers.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/collector.h"
 #include "parallel/thread_pool.h"
 #include "parallel/vec_env.h"
+#include "rl/distribution.h"
 #include "robust/fault.h"
 #include "util/log.h"
 
@@ -37,14 +40,47 @@ std::string task_tag(std::size_t i) {
   return "task." + std::to_string(i);
 }
 
+/// Checkpoint record of task `tag`'s replica-`j` action stream. One-replica
+/// sessions use the name existing one-replica checkpoints carry, so those
+/// files keep resuming and stay byte-identical.
+std::string rng_record(const std::string& tag, std::size_t j,
+                       std::size_t num_envs) {
+  return num_envs == 1 ? tag + ".action_rng"
+                       : tag + ".rng." + std::to_string(j);
+}
+
+/// Installs `pool` (when non-null) as the nn batch executor for its
+/// lifetime, so every forward of an epoch — rollout batches and PPO
+/// minibatches — fans its batch rows out over the workers, and restores the
+/// previous executor on exit (LIFO). Row-wise arithmetic is untouched, so
+/// results stay bit-identical.
+class ScopedBatchExecutor {
+ public:
+  explicit ScopedBatchExecutor(parallel::ThreadPool* pool) : pool_(pool) {
+    if (pool_ == nullptr) return;
+    previous_ = nn::exchange_batch_parallel_for(
+        [pool](std::size_t count,
+               const std::function<void(std::size_t)>& fn) {
+          pool->parallel_for(count, fn);
+        });
+  }
+  ~ScopedBatchExecutor() {
+    if (pool_ != nullptr) nn::set_batch_parallel_for(std::move(previous_));
+  }
+  ScopedBatchExecutor(const ScopedBatchExecutor&) = delete;
+  ScopedBatchExecutor& operator=(const ScopedBatchExecutor&) = delete;
+
+ private:
+  parallel::ThreadPool* pool_;
+  nn::BatchParallelFor previous_;
+};
+
 }  // namespace
 
-/// Per-task mutable training state: the replica(s), their action streams,
+/// Per-task mutable training state: the replicas with their action streams,
 /// and the best floorplan sampled so far.
 struct TrainingSession::TaskRuntime {
-  std::optional<FloorplanEnv> env;  ///< num_envs == 1
-  Rng action_rng{0};                ///< serial action stream (replica 0)
-  std::optional<parallel::VecEnv> venv;  ///< num_envs > 1
+  parallel::VecEnv venv;
   std::optional<Floorplan> best;
   EpisodeMetrics best_metrics{};
 };
@@ -52,16 +88,12 @@ struct TrainingSession::TaskRuntime {
 TrainingSession::TrainingSession(TrainingSessionConfig config,
                                  std::vector<SessionTask> tasks)
     : config_([&] {
-        // One authoritative seed: ppo.seed is overridden so PpoCore's
-        // net-init/update stream derives from the session seed, exactly as
-        // documented in util/rng.h.
-        config.ppo.seed = config.seed;
         config.net.grid = config.env.grid;
         config.net.channels_in = FloorplanEnv::kChannels;
         return config;
       }()),
       tasks_(std::move(tasks)),
-      core_(config_.net, config_.ppo),
+      core_(config_.net, config_.ppo, config_.seed),
       curriculum_rng_(
           derive_named_stream_seed(config_.seed, substream::kCurriculum)) {
   if (tasks_.empty()) {
@@ -69,6 +101,12 @@ TrainingSession::TrainingSession(TrainingSessionConfig config,
   }
   if (config_.num_envs == 0) {
     throw std::invalid_argument("TrainingSession: num_envs must be >= 1");
+  }
+  // Same sanity cap as num_envs: a negative count cast to size_t must not
+  // reach ThreadPool as a request for ~2^64 workers.
+  if (config_.num_threads > parallel::VecEnv::kMaxEnvs) {
+    throw std::invalid_argument("TrainingSession: num_threads must be <= " +
+                                std::to_string(parallel::VecEnv::kMaxEnvs));
   }
   for (const SessionTask& t : tasks_) {
     if (t.system == nullptr || t.evaluator == nullptr) {
@@ -91,35 +129,21 @@ TrainingSession::TrainingSession(TrainingSessionConfig config,
   for (std::size_t ti = 0; ti < tasks_.size(); ++ti) {
     SessionTask& t = tasks_[ti];
     // Per-task base seed (util/rng.h): task 0 uses the master seed directly
-    // (single-scenario sessions match RlPlanner / standalone PpoTrainer
-    // streams); later tasks derive independent bases so curriculum tasks
-    // never replay each other's action sequences.
+    // (single-scenario sessions match RlPlanner streams); later tasks derive
+    // independent bases so curriculum tasks never replay each other's
+    // action sequences.
     const std::uint64_t task_seed =
         ti == 0 ? config_.seed
                 : derive_named_stream_seed(config_.seed,
                                            substream::kTaskBase + ti);
-    auto rt = std::make_unique<TaskRuntime>();
-    if (config_.num_envs == 1) {
-      rt->env.emplace(*t.system, *t.evaluator,
-                      RewardCalculator(config_.reward),
-                      bump::BumpAssigner(config_.bump), config_.env);
-      rt->action_rng = Rng(derive_substream_seed(task_seed, 0));
-    } else {
-      rt->venv.emplace(*t.system, *t.evaluator,
-                       RewardCalculator(config_.reward),
-                       bump::BumpAssigner(config_.bump), config_.env,
-                       config_.num_envs, task_seed);
-    }
-    runtimes_.push_back(std::move(rt));
+    runtimes_.push_back(std::make_unique<TaskRuntime>(parallel::VecEnv(
+        *t.system, *t.evaluator, RewardCalculator(config_.reward),
+        bump::BumpAssigner(config_.bump), config_.env, config_.num_envs,
+        task_seed)));
   }
 }
 
 TrainingSession::~TrainingSession() = default;
-
-FloorplanEnv& TrainingSession::primary_env(std::size_t i) {
-  TaskRuntime& rt = *runtimes_.at(i);
-  return rt.env ? *rt.env : rt.venv->env(0);
-}
 
 std::size_t TrainingSession::pick_task() {
   if (tasks_.size() == 1) return 0;
@@ -163,47 +187,74 @@ TrainStats TrainingSession::train_epoch() {
   const auto curriculum_state = curriculum_rng_.state();
   const std::size_t ti = pick_task();
   TaskRuntime& rt = *runtimes_[ti];
-  const auto action_rng_state = rt.action_rng.state();
-  std::vector<std::array<std::uint64_t, 4>> venv_rng_states;
-  if (rt.venv) {
-    venv_rng_states.reserve(config_.num_envs);
-    for (std::size_t j = 0; j < config_.num_envs; ++j) {
-      venv_rng_states.push_back(rt.venv->rng(j).state());
-    }
+  parallel::VecEnv& venv = rt.venv;
+  std::vector<parallel::EnvSlot> slots;
+  std::vector<std::array<std::uint64_t, 4>> rng_states;
+  slots.reserve(venv.size());
+  rng_states.reserve(venv.size());
+  for (std::size_t j = 0; j < venv.size(); ++j) {
+    slots.push_back({&venv.env(j), &venv.rng(j)});
+    rng_states.push_back(venv.rng(j).state());
   }
   const long steps_before = total_env_steps_;
   const PpoCore::RewardNormState rew_before = core_.reward_norm_state();
 
-  // The scoped collector also installs the pool as the nn batch executor, so
-  // the PPO minibatch forwards inside run_ppo_epoch fan over the workers
-  // too; construction per epoch keeps executor install/restore strictly
-  // LIFO across tasks.
-  std::optional<parallel::ParallelRolloutCollector> collector;
-  if (rt.venv) collector.emplace(*rt.venv, *pool_);
-
-  TrainStats stats = run_ppo_epoch(
-      core_, collector ? &*collector : nullptr, rt.env ? &*rt.env : nullptr,
-      &rt.action_rng, buffer_, total_env_steps_,
-      [&](std::size_t env_index, const StepOutcome& outcome) {
-        if (!outcome.dead_end) {
-          FloorplanEnv& env = rt.env ? *rt.env : rt.venv->env(env_index);
-          consider_best(rt, env.last_metrics(), env.floorplan());
-        }
-      },
-      config_.control);
+  TrainStats stats;
   stats.scenario = tasks_[ti].name;
-  // A cancelled epoch did no update (run_ppo_epoch skips it) — it is a
-  // partial epoch on the way out, not a completed one. Rewind the streams it
-  // consumed so the checkpoint is the last-completed-epoch state.
+  buffer_.clear();
+  const ScopedBatchExecutor executor(pool_.get());
+  // Clamp before the size_t conversion: a (mis)configured negative episode
+  // count must mean "collect nothing", not 2^64.
+  const auto episodes = static_cast<std::size_t>(
+      std::max(core_.config().episodes_per_update, 0));
+  parallel::CollectorStats cstats;
+  {
+    RLPLAN_TRACE_SPAN("rl.collect", static_cast<std::int64_t>(episodes));
+    cstats = parallel::collect_episodes(
+        slots, core_.net(), episodes, buffer_, pool_.get(),
+        [&](std::size_t env_index, const StepOutcome& outcome) {
+          if (!outcome.dead_end) {
+            const FloorplanEnv& env = venv.env(env_index);
+            consider_best(rt, env.last_metrics(), env.floorplan());
+          }
+          core_.record_episode_reward(outcome.reward);
+        },
+        config_.control);
+  }
+  stats.stop_reason = cstats.stop_reason;
+  RLPLAN_COUNTER_ADD("rl.env_steps", cstats.steps);
+  RLPLAN_COUNTER_ADD("rl.episodes", cstats.episodes);
+  total_env_steps_ += static_cast<long>(cstats.steps);
+
+  stats.steps = cstats.steps;
+  stats.episodes = cstats.episodes;
+  stats.dead_ends = cstats.dead_ends;
+  stats.mean_reward =
+      cstats.episodes > 0
+          ? cstats.reward_sum / static_cast<double>(cstats.episodes)
+          : 0.0;
+  stats.best_reward = cstats.episodes > 0 ? cstats.reward_best : 0.0;
+
+  // A cancelled epoch is a partial epoch on the way out (e.g. a SIGINT
+  // heading for a final checkpoint), not a completed one: it skips the
+  // update — and the RND bonuses, whose error statistics are checkpointed —
+  // and rewinds the streams it consumed, so the checkpoint is the
+  // last-completed-epoch state. A deadline-stopped epoch still updates on
+  // the full episodes it managed to collect (best-so-far).
   if (stats.stop_reason == robust::StopReason::kCancelled) {
     curriculum_rng_.set_state(curriculum_state);
-    rt.action_rng.set_state(action_rng_state);
-    for (std::size_t j = 0; j < venv_rng_states.size(); ++j) {
-      rt.venv->rng(j).set_state(venv_rng_states[j]);
+    for (std::size_t j = 0; j < venv.size(); ++j) {
+      venv.rng(j).set_state(rng_states[j]);
     }
     total_env_steps_ = steps_before;
     core_.restore_reward_norm(rew_before);
     return stats;
+  }
+  if (!buffer_.empty()) {
+    core_.fill_intrinsic(buffer_);
+    RLPLAN_TRACE_SPAN("rl.update",
+                      static_cast<std::int64_t>(buffer_.steps().size()));
+    core_.update(buffer_, stats);
   }
   if (obs::metrics_enabled()) {
     // Dynamic name => registered through the registry, not the static-cache
@@ -242,8 +293,17 @@ const EpisodeMetrics& TrainingSession::best_metrics(std::size_t i) const {
 }
 
 EpisodeMetrics TrainingSession::greedy_episode(std::size_t i) {
-  FloorplanEnv& env = primary_env(i);
-  const EpisodeMetrics metrics = run_greedy_episode(env, core_.net());
+  // Replica 0 plays the argmax episode; a dead end leaves its
+  // last_metrics() invalid.
+  FloorplanEnv& env = runtimes_.at(i)->venv.env(0);
+  env.reset();
+  while (!env.done()) {
+    nn::Tensor batch = env.observation();
+    batch.reshape({1, batch.dim(0), batch.dim(1), batch.dim(2)});
+    const PolicyValueNet::Output out = core_.net().forward(batch);
+    env.step(MaskedCategorical(out.logits.data(), env.action_mask()).argmax());
+  }
+  const EpisodeMetrics metrics = env.last_metrics();
   if (metrics.valid) {
     consider_best(*runtimes_[i], metrics, env.floorplan());
   }
@@ -252,7 +312,7 @@ EpisodeMetrics TrainingSession::greedy_episode(std::size_t i) {
 
 EpisodeMetrics TrainingSession::evaluate_floorplan(std::size_t i,
                                                    const Floorplan& fp) {
-  return primary_env(i).evaluate_floorplan(fp);
+  return runtimes_.at(i)->venv.env(0).evaluate_floorplan(fp);
 }
 
 void TrainingSession::set_control(const robust::RunControl& control) {
@@ -330,12 +390,8 @@ void TrainingSession::save_checkpoint(const std::string& path) const {
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const TaskRuntime& rt = *runtimes_[i];
     const std::string tag = task_tag(i);
-    if (rt.env) {
-      w.u64vec(tag + ".action_rng", rt.action_rng.state());
-    } else {
-      for (std::size_t j = 0; j < config_.num_envs; ++j) {
-        w.u64vec(tag + ".rng." + std::to_string(j), rt.venv->rng(j).state());
-      }
+    for (std::size_t j = 0; j < config_.num_envs; ++j) {
+      w.u64vec(rng_record(tag, j, config_.num_envs), rt.venv.rng(j).state());
     }
     w.u64(tag + ".best_present", rt.best ? 1 : 0);
     if (rt.best) {
@@ -508,20 +564,14 @@ void TrainingSession::load_checkpoint(const std::string& path,
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     TaskRuntime& rt = *runtimes_[i];
     const std::string tag = task_tag(i);
-    const auto restore_rng = [&](Rng& rng, const std::string& name) {
+    for (std::size_t j = 0; j < config_.num_envs; ++j) {
+      const std::string name = rng_record(tag, j, config_.num_envs);
       const auto s = r.u64vec(name);
       if (s.size() != 4) {
         throw std::runtime_error("checkpoint: bad RNG state in '" + name +
                                  "'");
       }
-      rng.set_state({s[0], s[1], s[2], s[3]});
-    };
-    if (rt.env) {
-      restore_rng(rt.action_rng, tag + ".action_rng");
-    } else {
-      for (std::size_t j = 0; j < config_.num_envs; ++j) {
-        restore_rng(rt.venv->rng(j), tag + ".rng." + std::to_string(j));
-      }
+      rt.venv.rng(j).set_state({s[0], s[1], s[2], s[3]});
     }
     if (r.u64(tag + ".best_present") != 0) {
       const auto flat = r.u64vec(tag + ".best_placements");

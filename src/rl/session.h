@@ -1,24 +1,23 @@
 // TrainingSession — the resumable, scenario-driven training engine.
 //
-// Owns the full RL training lifecycle that used to be scattered across
-// RlPlanner, PpoTrainer, and ad-hoc scripts: experience collection over one
-// or many problem instances, PPO updates (through a PpoCore), versioned
-// full-state checkpointing, and multi-scenario curriculum training. Both
-// RlPlanner and tools/regress.cpp are thin shells over this class;
-// tools/train.cpp exposes it directly (train/resume/eval subcommands, JSONL
-// metrics).
+// The one trainer over a PpoCore: experience collection over one or many
+// problem instances, PPO updates, versioned full-state checkpointing, and
+// multi-scenario curriculum training. RlPlanner and the serve runner behind
+// tools/regress.cpp are thin shells over this class; tools/train.cpp exposes
+// it directly (train/resume/eval subcommands, JSONL metrics).
 //
 // ## Lifecycle
 //
-//   tasks (name + system + thermal evaluator prototype)
+//   tasks (name + system + thermal evaluator)
 //        |
-//        v            num_envs==1: FloorplanEnv + replica-0 action stream
-//   TrainingSession --+
-//        |            num_envs >1: VecEnv (cloned evaluators, per-replica
-//        |                         streams) + shared ThreadPool
+//        v
+//   TrainingSession: one VecEnv per task — num_envs replicas, replica 0 on
+//        |           the task's evaluator, replicas 1.. on clones, one
+//        |           action stream each — plus a ThreadPool when
+//        |           num_envs > 1
 //        v
 //   train_epoch():  pick scenario (round-robin / sampled curriculum)
-//                   -> parallel::collect_episodes (THE one pipeline)
+//                   -> parallel::collect_episodes over the task's replicas
 //                   -> PpoCore::update (clipped-surrogate PPO + RND)
 //                   -> per-scenario best-floorplan tracking
 //        |
@@ -39,14 +38,15 @@
 //              | normalizer Welford state, intrinsic scale, RND block
 //              | (target/predictor weights, predictor Adam, error Welford)
 //   session    | epoch + env-step counters, curriculum RNG, per-task action
-//              | RNG streams (serial or per replica), per-task best
+//              | RNG streams ("task.<t>.action_rng" for one replica,
+//              | "task.<t>.rng.<j>" per replica otherwise), per-task best
 //              | floorplan + metrics
 //   end        | terminal marker (turns tail truncation into an error)
 //
 // Every float/double is stored as raw IEEE-754 bits and every RNG as its raw
 // state, so `train(N)` and `train(k); save; load; train(N-k)` produce
-// bit-identical parameters, statistics, and best floorplans — for serial and
-// parallel collection alike (tests/session_test.cpp asserts exactly this).
+// bit-identical parameters, statistics, and best floorplans — for one
+// replica and many alike (tests/session_test.cpp asserts exactly this).
 // load_checkpoint() also reads v1 (RLPNNv1, weight-only) files: weights are
 // restored, optimizer/normalizer/RNG state starts fresh.
 //
@@ -95,8 +95,9 @@ struct SessionTask {
   /// Must outlive the session at a stable address (floorplans returned by
   /// the session reference it).
   const ChipletSystem* system = nullptr;
-  /// Evaluator prototype. Used directly when num_envs == 1; cloned per
-  /// replica by VecEnv when num_envs > 1 (must support clone() then).
+  /// Drives replica 0; replicas 1.. drive clones of it, so it must support
+  /// clone() when num_envs > 1. Its own num_evaluations() counts replica 0's
+  /// episode ends.
   std::unique_ptr<thermal::ThermalEvaluator> evaluator;
 };
 
@@ -106,14 +107,15 @@ struct TrainingSessionConfig {
   PpoConfig ppo{};
   RewardParams reward{};
   bump::BumpGridConfig bump{};
-  /// Environment replicas per task; 1 = serial collection through the same
-  /// unified pipeline. See RlPlannerConfig for the full semantics.
+  /// Environment replicas per task, in [1, VecEnv::kMaxEnvs]. See
+  /// RlPlannerConfig for the full semantics.
   std::size_t num_envs = 1;
-  std::size_t num_threads = 0;  ///< 0 = min(num_envs, hardware)
+  /// Pool workers when num_envs > 1, at most VecEnv::kMaxEnvs;
+  /// 0 = min(num_envs, hardware).
+  std::size_t num_threads = 0;
   CurriculumMode curriculum = CurriculumMode::kRoundRobin;
   /// THE authoritative seed: every stream (net init, update shuffles, action
   /// sampling, RND, curriculum picks) derives from it — see util/rng.h.
-  /// Overrides ppo.seed.
   std::uint64_t seed = 1;
   bool verbose = false;
   /// Cooperative deadline/cancellation, polled at epoch and collection-batch
@@ -126,9 +128,9 @@ struct TrainingSessionConfig {
 
 class TrainingSession {
  public:
-  /// Builds envs/replicas for every task. Throws std::invalid_argument on an
-  /// empty task list, a null system/evaluator, or (num_envs > 1) an
-  /// evaluator that cannot be cloned.
+  /// Builds every task's VecEnv. Throws std::invalid_argument on an empty
+  /// task list, a null system/evaluator, num_envs or num_threads out of
+  /// range, or (num_envs > 1) an evaluator that cannot be cloned.
   TrainingSession(TrainingSessionConfig config,
                   std::vector<SessionTask> tasks);
   ~TrainingSession();
@@ -153,8 +155,8 @@ class TrainingSession {
   const Floorplan& best_floorplan(std::size_t i) const;
   const EpisodeMetrics& best_metrics(std::size_t i) const;
 
-  /// One greedy (argmax) episode on task `i`; updates that task's best when
-  /// the greedy result improves on it. Consumes no RNG.
+  /// One greedy (argmax) episode on task `i`'s replica 0; updates that
+  /// task's best when the greedy result improves on it. Consumes no RNG.
   EpisodeMetrics greedy_episode(std::size_t i);
 
   /// Scores an external complete floorplan with task `i`'s reward pipeline.
@@ -184,7 +186,6 @@ class TrainingSession {
   struct TaskRuntime;
 
   std::size_t pick_task();
-  FloorplanEnv& primary_env(std::size_t i);
   void consider_best(TaskRuntime& rt, const EpisodeMetrics& metrics,
                      const Floorplan& fp);
 

@@ -7,27 +7,26 @@
 //
 // ## Seed derivation (the training stack's single-seed contract)
 //
-// One master seed S — RlPlannerConfig::seed / TrainingSessionConfig::seed
-// (PpoConfig::seed when a PpoTrainer is built standalone) — derives EVERY
-// stream the training engine consumes. The derivation is part of the
-// checkpoint/determinism contract and must stay stable across releases:
+// One master seed S — RlPlannerConfig::seed / TrainingSessionConfig::seed —
+// derives EVERY stream the training engine consumes. The derivation is part
+// of the checkpoint/determinism contract and must stay stable across
+// releases:
 //
 //   stream                        | seed                                | used by
 //   ------------------------------+-------------------------------------+---------
 //   net init + PPO update shuffle | S (Rng(S) directly; weight init     | PpoCore
 //   + RND init & predictor shuffle|   draws first, then minibatch and   |
 //                                 |   RND shuffles continue the stream) |
-//   action sampling, env replica i| derive_substream_seed(S_t, i)       | VecEnv /
-//   of curriculum task t (serial  |   (the (i+1)-th SplitMix64 value)   | PpoTrainer
-//   collection == i = 0)          |                                     |
+//   action sampling, env replica i| derive_substream_seed(S_t, i)       | VecEnv
+//   of curriculum task t (one     |   (the (i+1)-th SplitMix64 value)   |
+//   replica == i = 0)             |                                     |
 //   curriculum scenario picks     | derive_named_stream_seed(S,         | Training-
 //                                 |   substream::kCurriculum)           | Session
 //
 // where S_t is the per-task base seed: S_0 = S — so single-scenario
-// sessions, RlPlanner, and a standalone PpoTrainer all sample identical
-// streams for one seed — and S_t = derive_named_stream_seed(S,
-// substream::kTaskBase + t) for t > 0, so curriculum tasks never replay
-// each other's action sequences.
+// sessions and RlPlanner sample identical streams for one seed — and
+// S_t = derive_named_stream_seed(S, substream::kTaskBase + t) for t > 0, so
+// curriculum tasks never replay each other's action sequences.
 //
 // Env-replica indices occupy [0, parallel::VecEnv::kMaxEnvs); the named
 // substream constants below start far above that range so no reserved stream

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "thermal/evaluator.h"
@@ -95,6 +96,20 @@ TEST(FloorplanEnv, RejectsInvalidOrder) {
   EXPECT_THROW(FloorplanEnv(sys, eval, RewardCalculator{},
                             bump::BumpAssigner{}, config),
                std::invalid_argument);
+}
+
+TEST(FloorplanEnv, RejectsOutOfRangeGrid) {
+  // SIZE_MAX - 3 is what a --grid=-4 flag becomes after the size_t cast;
+  // G * G would wrap to 16 if anything were sized before the check.
+  const auto sys = small_system();
+  StubEvaluator eval;
+  for (const std::size_t grid :
+       {std::size_t{3}, std::numeric_limits<std::size_t>::max() - 3}) {
+    EXPECT_THROW(FloorplanEnv(sys, eval, RewardCalculator{},
+                              bump::BumpAssigner{}, {.grid = grid}),
+                 std::invalid_argument)
+        << "grid " << grid;
+  }
 }
 
 TEST(FloorplanEnv, StepPlacesChipletAtActionCell) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -123,6 +124,10 @@ TEST(PolicyValueNet, RejectsGridZero) {
         net.forward(Tensor({1, config.channels_in, 0, 0}));
       },
       std::invalid_argument);
+  // A multiple of 4 whose square wraps (a --grid=-4 flag after the size_t
+  // cast) must fail at construction, before any layer is sized from it.
+  config.grid = std::numeric_limits<std::size_t>::max() - 3;
+  EXPECT_THROW(rl::PolicyValueNet(config, rng), std::invalid_argument);
 }
 
 TEST(Conv2d, OutputShapeStride1) {

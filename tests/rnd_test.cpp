@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -27,6 +28,12 @@ TEST(Rnd, RejectsGridZero) {
       },
       std::invalid_argument);
   EXPECT_THROW(make_rnd_encoder(3, 0, {}, rng, "rnd"), std::invalid_argument);
+  // A multiple of 4 whose square wraps (a --grid=-4 flag after the size_t
+  // cast).
+  const std::size_t wrapping = std::numeric_limits<std::size_t>::max() - 3;
+  EXPECT_THROW(RndBonus(3, wrapping, {}, rng), std::invalid_argument);
+  EXPECT_THROW(make_rnd_encoder(3, wrapping, {}, rng, "rnd"),
+               std::invalid_argument);
 }
 
 TEST(Rnd, PredictionErrorPositiveForFreshStates) {

@@ -13,12 +13,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "parallel/thread_pool.h"
-#include "rl/ppo.h"
+#include "rl/session.h"
 #include "robust/fault.h"
 #include "sa/annealer.h"
 #include "thermal/evaluator.h"
@@ -356,39 +357,39 @@ ChipletSystem tiny_system() {
                        {{0, 1, 64}, {1, 2, 32}, {0, 2, 16}});
 }
 
-rl::PolicyNetConfig tiny_net() {
-  rl::PolicyNetConfig config;
-  config.conv1 = 4;
-  config.conv2 = 4;
-  config.conv3 = 4;
-  config.fc = 32;
-  return config;
+/// Single-task session over `sys` (which must outlive it).
+rl::TrainingSession ppo_session(const ChipletSystem& sys, std::uint64_t seed) {
+  rl::TrainingSessionConfig config;
+  config.env.grid = 12;
+  config.net.conv1 = 4;
+  config.net.conv2 = 4;
+  config.net.conv3 = 4;
+  config.net.fc = 32;
+  config.ppo.episodes_per_update = 4;
+  config.ppo.minibatch = 16;
+  config.seed = seed;
+  std::vector<rl::SessionTask> tasks;
+  tasks.push_back({"robust", &sys, std::make_unique<ProxyEvaluator>()});
+  return rl::TrainingSession(config, std::move(tasks));
 }
 
 TEST(PpoFaults, NanGuardRollsBackBitExactly) {
   const auto sys = tiny_system();
-  ProxyEvaluator eval;
-  rl::FloorplanEnv env(sys, eval, RewardCalculator{}, bump::BumpAssigner{},
-                       {.grid = 12});
-  rl::PpoConfig pc;
-  pc.episodes_per_update = 4;
-  pc.minibatch = 16;
-  pc.seed = 21;
-  rl::PpoTrainer trainer(env, tiny_net(), pc);
+  rl::TrainingSession session = ppo_session(sys, 21);
 
   // Snapshot the weights the poisoned update starts from.
   std::vector<std::vector<float>> before;
-  for (const nn::Parameter* p : trainer.net().parameters()) {
+  for (const nn::Parameter* p : session.core().net().parameters()) {
     before.emplace_back(p->value.data().begin(), p->value.data().end());
   }
 
   const FaultGuard guard("ppo_nan:1.0", 6);
-  const rl::TrainStats stats = trainer.train_epoch();
+  const rl::TrainStats stats = session.train_epoch();
   EXPECT_TRUE(stats.update_skipped);
   EXPECT_TRUE(stats.degraded());
-  EXPECT_EQ(trainer.core().nan_skips(), 1);
+  EXPECT_EQ(session.core().nan_skips(), 1);
 
-  const auto params = trainer.net().parameters();
+  const auto params = session.core().net().parameters();
   ASSERT_EQ(params.size(), before.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
     ASSERT_EQ(params[i]->value.numel(), before[i].size());
@@ -401,21 +402,14 @@ TEST(PpoFaults, NanGuardRollsBackBitExactly) {
 
 TEST(PpoFaults, CleanEpochAfterRollbackStillTrains) {
   const auto sys = tiny_system();
-  ProxyEvaluator eval;
-  rl::FloorplanEnv env(sys, eval, RewardCalculator{}, bump::BumpAssigner{},
-                       {.grid = 12});
-  rl::PpoConfig pc;
-  pc.episodes_per_update = 4;
-  pc.minibatch = 16;
-  pc.seed = 22;
-  rl::PpoTrainer trainer(env, tiny_net(), pc);
+  rl::TrainingSession session = ppo_session(sys, 22);
   {
     const FaultGuard guard("ppo_nan:1.0", 6);
-    EXPECT_TRUE(trainer.train_epoch().update_skipped);
+    EXPECT_TRUE(session.train_epoch().update_skipped);
   }
-  const rl::TrainStats clean = trainer.train_epoch();
+  const rl::TrainStats clean = session.train_epoch();
   EXPECT_FALSE(clean.update_skipped);
-  EXPECT_EQ(trainer.core().nan_skips(), 1);
+  EXPECT_EQ(session.core().nan_skips(), 1);
   EXPECT_NE(clean.grad_norm, 0.0);
 }
 

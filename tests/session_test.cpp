@@ -1,5 +1,6 @@
-// TrainingSession: bit-exact resume (serial, parallel, RND), curriculum
-// tagging, v1 backward compatibility, and checkpoint-corruption rejection.
+// TrainingSession: bit-exact resume (one replica, several, RND), curriculum
+// tagging, v1 backward compatibility, checkpoint-corruption rejection, and
+// the replica/evaluator contract.
 #include "rl/session.h"
 
 #include <gtest/gtest.h>
@@ -75,6 +76,21 @@ class CancellingEvaluator final : public thermal::ThermalEvaluator {
   std::shared_ptr<std::atomic<long>> remaining_;  // -1 = disarmed
 };
 
+// Counts its evaluations but cannot be cloned (like the serve runner's
+// TimedEvaluator): usable by a one-replica session only.
+class NoCloneEvaluator final : public thermal::ThermalEvaluator {
+ public:
+  double max_temperature(const ChipletSystem& system,
+                         const Floorplan& floorplan) override {
+    return inner_.max_temperature(system, floorplan);
+  }
+  long num_evaluations() const override { return inner_.num_evaluations(); }
+  std::string name() const override { return "no-clone"; }
+
+ private:
+  ProxyEvaluator inner_;
+};
+
 ChipletSystem tiny_system_a() {
   return ChipletSystem("sys-a", 24.0, 24.0,
                        {{"a", 8.0, 8.0, 25.0},
@@ -126,6 +142,12 @@ std::vector<SessionTask> make_tasks(
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>{});
 }
 
 void expect_same_stats(const TrainStats& a, const TrainStats& b) {
@@ -506,49 +528,51 @@ TEST(TrainingSession, StoppedEpochLeavesStateExactForResume) {
 
 TEST(TrainingSession, CancelledMidCollectionRewindsToLastCompletedEpoch) {
   const ChipletSystem sa = tiny_system_a();
-  TrainingSession donor(small_config(41), make_tasks({&sa}, {"a"}));
-  donor.train_epoch();
-  donor.train_epoch();
-  const TrainStats ref = donor.train_epoch();  // uninterrupted third epoch
+  // With RND, the partial epoch must not fold its intrinsic-bonus errors
+  // into the checkpointed RND statistics either.
+  for (const bool use_rnd : {false, true}) {
+    SCOPED_TRACE(use_rnd ? "with RND" : "without RND");
+    TrainingSessionConfig config = small_config(41);
+    config.ppo.use_rnd = use_rnd;
+    TrainingSession donor(config, make_tasks({&sa}, {"a"}));
+    donor.train_epoch();
+    donor.train_epoch();
+    const TrainStats ref = donor.train_epoch();  // uninterrupted third epoch
 
-  // Same run, but a cancel fires mid-collection of the third epoch.
-  robust::CancelToken token = robust::CancelToken::create();
-  auto remaining = std::make_shared<std::atomic<long>>(-1);
-  std::vector<SessionTask> tasks;
-  tasks.push_back(
-      {"a", &sa, std::make_unique<CancellingEvaluator>(token, remaining)});
-  TrainingSession session(small_config(41), std::move(tasks));
-  robust::RunControl control;
-  control.cancel = token;
-  session.set_control(control);
-  session.train_epoch();
-  session.train_epoch();
-  const std::string before = temp_path("midcancel_before.ckpt");
-  session.save_checkpoint(before);
+    // Same run, but a cancel fires mid-collection of the third epoch.
+    robust::CancelToken token = robust::CancelToken::create();
+    auto remaining = std::make_shared<std::atomic<long>>(-1);
+    std::vector<SessionTask> tasks;
+    tasks.push_back(
+        {"a", &sa, std::make_unique<CancellingEvaluator>(token, remaining)});
+    TrainingSession session(config, std::move(tasks));
+    robust::RunControl control;
+    control.cancel = token;
+    session.set_control(control);
+    session.train_epoch();
+    session.train_epoch();
+    const std::string before = temp_path("midcancel_before.ckpt");
+    session.save_checkpoint(before);
 
-  remaining->store(3);  // arm: cancel 3 evaluations into the next epoch
-  const TrainStats s = session.train_epoch();
-  EXPECT_EQ(s.stop_reason, robust::StopReason::kCancelled);
-  EXPECT_GT(s.steps, 0u);  // the cancel really landed mid-collection
-  EXPECT_EQ(session.epochs_completed(), 2);
+    remaining->store(3);  // arm: cancel 3 evaluations into the next epoch
+    const TrainStats s = session.train_epoch();
+    EXPECT_EQ(s.stop_reason, robust::StopReason::kCancelled);
+    EXPECT_GT(s.steps, 0u);  // the cancel really landed mid-collection
+    EXPECT_EQ(session.epochs_completed(), 2);
 
-  // The partial epoch's stream consumption was rewound: the stopped state
-  // checkpoints byte-identically to the last completed epoch...
-  const std::string after = temp_path("midcancel_after.ckpt");
-  session.save_checkpoint(after);
-  const auto slurp = [](const std::string& p) {
-    std::ifstream is(p, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(is),
-                       std::istreambuf_iterator<char>{});
-  };
-  EXPECT_EQ(slurp(before), slurp(after));
+    // The partial epoch's stream consumption was rewound: the stopped state
+    // checkpoints byte-identically to the last completed epoch...
+    const std::string after = temp_path("midcancel_after.ckpt");
+    session.save_checkpoint(after);
+    EXPECT_EQ(slurp(before), slurp(after));
 
-  // ...so resuming replays the interrupted third epoch bit-exactly.
-  TrainingSession resumed(small_config(41), make_tasks({&sa}, {"a"}));
-  resumed.load_checkpoint(after);
-  expect_same_stats(ref, resumed.train_epoch());
-  std::remove(before.c_str());
-  std::remove(after.c_str());
+    // ...so resuming replays the interrupted third epoch bit-exactly.
+    TrainingSession resumed(config, make_tasks({&sa}, {"a"}));
+    resumed.load_checkpoint(after);
+    expect_same_stats(ref, resumed.train_epoch());
+    std::remove(before.c_str());
+    std::remove(after.c_str());
+  }
 }
 
 TEST(TrainingSession, CheckpointFilesAreByteDeterministic) {
@@ -570,6 +594,69 @@ TEST(TrainingSession, CheckpointFilesAreByteDeterministic) {
   EXPECT_EQ(ba, bb);
   std::remove(p1.c_str());
   std::remove(p2.c_str());
+}
+
+TEST(TrainingSession, CheckpointNamesActionStreamsByReplicaCount) {
+  // One replica writes `task.0.action_rng`, the record existing one-replica
+  // checkpoints carry, so they keep resuming; several replicas get one
+  // record each.
+  const ChipletSystem sa = tiny_system_a();
+  const auto checkpoint_bytes = [&](std::size_t num_envs) {
+    const std::string path = temp_path("names.ckpt");
+    TrainingSession session(small_config(7, num_envs),
+                            make_tasks({&sa}, {"a"}));
+    session.train_epoch();
+    session.save_checkpoint(path);
+    const std::string bytes = slurp(path);
+    std::remove(path.c_str());
+    return bytes;
+  };
+  const std::string one = checkpoint_bytes(1);
+  EXPECT_NE(one.find("task.0.action_rng"), std::string::npos);
+  EXPECT_EQ(one.find("task.0.rng."), std::string::npos);
+  const std::string three = checkpoint_bytes(3);
+  EXPECT_EQ(three.find("task.0.action_rng"), std::string::npos);
+  for (const char* name : {"task.0.rng.0", "task.0.rng.1", "task.0.rng.2"}) {
+    EXPECT_NE(three.find(name), std::string::npos) << name;
+  }
+}
+
+TEST(TrainingSession, NonCloneableEvaluatorTrainsOnOneReplica) {
+  const ChipletSystem sa = tiny_system_a();
+  const auto no_clone_task = [&] {
+    std::vector<SessionTask> tasks;
+    tasks.push_back({"a", &sa, std::make_unique<NoCloneEvaluator>()});
+    return tasks;
+  };
+  // Replica 0 drives the task's own evaluator: every complete episode of
+  // every epoch is one evaluation on it.
+  TrainingSession session(small_config(5), no_clone_task());
+  std::size_t scored = 0;
+  for (int e = 0; e < 2; ++e) {
+    const TrainStats stats = session.train_epoch();
+    scored += stats.episodes - stats.dead_ends;
+  }
+  EXPECT_GT(scored, 0u);
+  EXPECT_EQ(session.task(0).evaluator->num_evaluations(),
+            static_cast<long>(scored));
+  // Replicas beyond the first need clones.
+  EXPECT_THROW(TrainingSession(small_config(5, 2), no_clone_task()),
+               std::invalid_argument);
+}
+
+TEST(TrainingSession, RejectsOutOfRangeThreadCount) {
+  // A negative --threads cast to size_t must fail with a named field, not
+  // as vector::reserve's length_error (or by spawning ~2^64 workers).
+  const ChipletSystem sa = tiny_system_a();
+  TrainingSessionConfig config = small_config(7, 2);
+  config.num_threads = static_cast<std::size_t>(-1);
+  try {
+    TrainingSession session(config, make_tasks({&sa}, {"a"}));
+    ADD_FAILURE() << "num_threads = SIZE_MAX was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("num_threads"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

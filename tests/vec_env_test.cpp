@@ -25,6 +25,12 @@ namespace {
 // Cheap deterministic evaluator (mirrors env_test's stub) with clone support.
 class StubEvaluator final : public thermal::ThermalEvaluator {
  public:
+  StubEvaluator() = default;
+  /// Appends every clone() to `*clones`, so tests can read each replica's
+  /// evaluation count.
+  explicit StubEvaluator(std::vector<const StubEvaluator*>* clones)
+      : clones_(clones) {}
+
   double max_temperature(const ChipletSystem& system,
                          const Floorplan& floorplan) override {
     ++count_;
@@ -35,11 +41,14 @@ class StubEvaluator final : public thermal::ThermalEvaluator {
   long num_evaluations() const override { return count_; }
   std::string name() const override { return "stub"; }
   std::unique_ptr<thermal::ThermalEvaluator> clone() const override {
-    return std::make_unique<StubEvaluator>();
+    auto copy = std::make_unique<StubEvaluator>();
+    if (clones_ != nullptr) clones_->push_back(copy.get());
+    return copy;
   }
 
  private:
   long count_ = 0;
+  std::vector<const StubEvaluator*>* clones_ = nullptr;
 };
 
 class NoCloneEvaluator final : public thermal::ThermalEvaluator {
@@ -121,13 +130,18 @@ TEST(VecEnv, RejectsZeroEnvsAndNonCloneableEvaluators) {
   EXPECT_THROW(VecEnv(sys, bad, RewardCalculator{}, bump::BumpAssigner{},
                       {.grid = 16}, 2, 1),
                std::invalid_argument);
+  // One replica drives the evaluator itself: no clone needed.
+  EXPECT_NO_THROW(VecEnv(sys, bad, RewardCalculator{}, bump::BumpAssigner{},
+                         {.grid = 16}, 1, 1));
 }
 
 TEST(VecEnv, ReplicasAreIndependent) {
   const auto sys = small_system();
-  StubEvaluator proto;
-  VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
+  std::vector<const StubEvaluator*> clones;
+  StubEvaluator evaluator(&clones);
+  VecEnv venv(sys, evaluator, RewardCalculator{}, bump::BumpAssigner{},
               {.grid = 16}, 3, 7);
+  ASSERT_EQ(clones.size(), 2u);  // replicas 1 and 2
   ASSERT_EQ(venv.size(), 3u);
   venv.env(0).reset();
   venv.env(1).reset();
@@ -142,9 +156,18 @@ TEST(VecEnv, ReplicasAreIndependent) {
   const auto& mask1_after = venv.env(1).action_mask();
   EXPECT_TRUE(std::equal(snapshot.begin(), snapshot.end(),
                          mask1_after.begin()));
-  // Episode-end evaluations land on the replica's own evaluator clone.
-  EXPECT_EQ(venv.evaluator(0).num_evaluations(), 0);
-  EXPECT_EQ(proto.num_evaluations(), 0);
+  EXPECT_EQ(evaluator.num_evaluations(), 0);  // no episode end yet
+
+  // Replica 0 drives the caller's evaluator and replica 1 its own clone, so
+  // a completed replica-0 episode counts on the caller's evaluator only.
+  while (!venv.env(0).done()) {
+    std::size_t a = 0;
+    while (venv.env(0).action_mask()[a] == 0) ++a;
+    venv.env(0).step(a);
+  }
+  ASSERT_TRUE(venv.env(0).last_metrics().valid);
+  EXPECT_EQ(evaluator.num_evaluations(), 1);
+  EXPECT_EQ(clones[0]->num_evaluations(), 0);
 }
 
 TEST(VecEnv, IncrementalEvaluatorClonesMatchBatchEvaluator) {
@@ -189,78 +212,6 @@ TEST(VecEnv, IncrementalEvaluatorClonesMatchBatchEvaluator) {
   EXPECT_NEAR(incr_reward, batch_reward, 1e-9);
 }
 
-TEST(VecEnv, BatchedScoringMatchesPerEnvEvaluation) {
-  // score_floorplans()/score_replicas() route every candidate through ONE
-  // SoA-batched thermal call; the metrics must equal what each replica's own
-  // evaluate_floorplan() reports, for any thread count.
-  const auto sys = small_system();
-  std::vector<double> dims{2.0, 8.0, 14.0};
-  std::vector<std::vector<double>> self_vals(3, std::vector<double>(3, 0.0));
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      self_vals[i][j] = 2.0 / (1.0 + 0.05 * dims[i] * dims[j]);
-    }
-  }
-  std::vector<double> distances, mutual_vals;
-  for (double d = 0.0; d <= 50.0; d += 2.0) {
-    distances.push_back(d);
-    mutual_vals.push_back(0.03 + 0.7 * std::exp(-d / 6.0));
-  }
-  thermal::FastThermalModel model(
-      thermal::SelfResistanceTable(dims, dims, self_vals),
-      thermal::MutualResistanceTable(distances, mutual_vals), 45.0, {});
-  model.set_image_params(32.0, 32.0, 0.03);
-
-  thermal::IncrementalFastModelEvaluator proto(model);
-  VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
-              {.grid = 16}, 3, 99);
-
-  // Run every replica to a complete episode (greedy first-feasible action).
-  for (std::size_t i = 0; i < venv.size(); ++i) {
-    rl::FloorplanEnv& env = venv.env(i);
-    env.reset();
-    while (!env.done()) {
-      std::size_t action = i;  // small per-replica variation
-      while (env.action_mask()[action % env.num_actions()] == 0) ++action;
-      env.step(action % env.num_actions());
-    }
-    ASSERT_TRUE(env.floorplan().is_complete());
-  }
-
-  std::vector<Floorplan> fps;
-  for (std::size_t i = 0; i < venv.size(); ++i) {
-    fps.push_back(venv.env(i).floorplan());
-  }
-  const auto batched = venv.score_floorplans(fps);
-  ThreadPool pool(2);
-  const auto pooled = venv.score_floorplans(fps, &pool);
-  const auto replicas = venv.score_replicas();
-  ASSERT_EQ(batched.size(), venv.size());
-  for (std::size_t i = 0; i < venv.size(); ++i) {
-    const auto direct = venv.env(i).evaluate_floorplan(fps[i]);
-    ASSERT_TRUE(batched[i].valid);
-    EXPECT_NEAR(batched[i].temperature_c, direct.temperature_c, 1e-9);
-    EXPECT_NEAR(batched[i].wirelength_mm, direct.wirelength_mm, 1e-9);
-    EXPECT_NEAR(batched[i].reward, direct.reward, 1e-9);
-    // Thread fan-out never changes the numbers.
-    EXPECT_EQ(pooled[i].temperature_c, batched[i].temperature_c);
-    // score_replicas reads the same terminal floorplans.
-    ASSERT_TRUE(replicas[i].valid);
-    EXPECT_EQ(replicas[i].temperature_c, batched[i].temperature_c);
-    EXPECT_EQ(replicas[i].reward, batched[i].reward);
-  }
-
-  // Incomplete replicas come back invalid instead of throwing.
-  venv.env(0).reset();
-  const auto partial = venv.score_replicas();
-  EXPECT_FALSE(partial[0].valid);
-  EXPECT_TRUE(partial[1].valid);
-  // ...but explicitly scoring an incomplete floorplan is a caller bug.
-  EXPECT_THROW(venv.score_floorplans(
-                   std::vector<Floorplan>{venv.env(0).floorplan()}),
-               std::logic_error);
-}
-
 // ------------------------------------------------------------ Collector ----
 
 struct TrajectoryStep {
@@ -274,8 +225,8 @@ struct TrajectoryStep {
 };
 
 /// One complete episode of env `i`, replayed sequentially with the same
-/// derived seed and the same (frozen) policy — the reference the batched
-/// collector must reproduce bit-for-bit.
+/// derived seed and the same (frozen) policy — the reference batched
+/// collection must reproduce bit-for-bit.
 std::vector<TrajectoryStep> sequential_episode(const ChipletSystem& sys,
                                                rl::PolicyValueNet& net,
                                                std::uint64_t base_seed,
@@ -309,7 +260,16 @@ std::vector<TrajectoryStep> sequential_episode(const ChipletSystem& sys,
   return steps;
 }
 
-TEST(ParallelRolloutCollector, MatchesSequentialSingleEnvRuns) {
+/// A VecEnv's replicas as collection slots, in replica order.
+std::vector<EnvSlot> slots_of(VecEnv& venv) {
+  std::vector<EnvSlot> slots;
+  for (std::size_t e = 0; e < venv.size(); ++e) {
+    slots.push_back({&venv.env(e), &venv.rng(e)});
+  }
+  return slots;
+}
+
+TEST(CollectEpisodes, MatchesSequentialSingleEnvRuns) {
   const auto sys = small_system();
   const std::size_t grid = 16;
   const std::uint64_t seed = 11;
@@ -318,13 +278,13 @@ TEST(ParallelRolloutCollector, MatchesSequentialSingleEnvRuns) {
   Rng net_rng(99);
   rl::PolicyValueNet net(tiny_net_config(grid), net_rng);
 
-  StubEvaluator proto;
-  VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
+  StubEvaluator evaluator;
+  VecEnv venv(sys, evaluator, RewardCalculator{}, bump::BumpAssigner{},
               {.grid = grid}, num_envs, seed);
   ThreadPool pool(3);
-  ParallelRolloutCollector collector(venv, pool);
   rl::RolloutBuffer buffer;
-  const CollectorStats stats = collector.collect(net, num_envs, buffer);
+  const CollectorStats stats =
+      collect_episodes(slots_of(venv), net, num_envs, buffer, &pool);
 
   EXPECT_EQ(stats.episodes, num_envs);
   ASSERT_EQ(stats.dead_ends, 0u)
@@ -356,20 +316,19 @@ TEST(ParallelRolloutCollector, MatchesSequentialSingleEnvRuns) {
   }
 }
 
-TEST(ParallelRolloutCollector, ResultIsIndependentOfNumThreads) {
+TEST(CollectEpisodes, ResultIsIndependentOfNumThreads) {
   const auto sys = small_system();
   const std::size_t grid = 16;
   Rng net_rng(5);
   rl::PolicyValueNet net(tiny_net_config(grid), net_rng);
-  StubEvaluator proto;
+  StubEvaluator evaluator;
 
   auto run = [&](std::size_t threads) {
-    VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
+    VecEnv venv(sys, evaluator, RewardCalculator{}, bump::BumpAssigner{},
                 {.grid = grid}, 3, 21);
     ThreadPool pool(threads);
-    ParallelRolloutCollector collector(venv, pool);
     rl::RolloutBuffer buffer;
-    collector.collect(net, 7, buffer);
+    collect_episodes(slots_of(venv), net, 7, buffer, &pool);
     return buffer;
   };
 
@@ -390,20 +349,21 @@ TEST(ParallelRolloutCollector, ResultIsIndependentOfNumThreads) {
   }
 }
 
-TEST(ParallelRolloutCollector, CollectsExactEpisodeQuota) {
+TEST(CollectEpisodes, CollectsExactEpisodeQuota) {
   const auto sys = small_system();
   Rng net_rng(5);
   rl::PolicyValueNet net(tiny_net_config(16), net_rng);
-  StubEvaluator proto;
-  VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
+  StubEvaluator evaluator;
+  VecEnv venv(sys, evaluator, RewardCalculator{}, bump::BumpAssigner{},
               {.grid = 16}, 4, 3);
   ThreadPool pool(2);
-  ParallelRolloutCollector collector(venv, pool);
+  const std::vector<EnvSlot> slots = slots_of(venv);
 
   // Quota below, equal to, and above the replica count.
   for (const std::size_t quota : {2u, 4u, 9u}) {
     rl::RolloutBuffer buffer;
-    const CollectorStats stats = collector.collect(net, quota, buffer);
+    const CollectorStats stats =
+        collect_episodes(slots, net, quota, buffer, &pool);
     EXPECT_EQ(stats.episodes, quota);
     EXPECT_EQ(stats.steps, buffer.size());
     EXPECT_EQ(buffer.num_episodes(), quota);
@@ -471,16 +431,16 @@ thermal::LayerStack* ParallelPlannerTest::stack_ = nullptr;
 ChipletSystem* ParallelPlannerTest::system_ = nullptr;
 thermal::FastThermalModel* ParallelPlannerTest::model_ = nullptr;
 
-TEST_F(ParallelPlannerTest, NumEnvs1MatchesLegacyPlannerPath) {
-  // num_envs = 1 must dispatch to the legacy single-env loop: the explicit
-  // setting and the default produce bit-identical runs.
+TEST_F(ParallelPlannerTest, OneReplicaIgnoresNumThreads) {
+  // One replica steps on the caller thread without a pool: the explicit
+  // setting with a thread count and the default produce bit-identical runs.
   rl::RlPlannerConfig explicit_cfg = tiny_config();
   explicit_cfg.num_envs = 1;
-  explicit_cfg.num_threads = 4;  // must be ignored on the legacy path
-  rl::RlPlanner legacy(tiny_config());
+  explicit_cfg.num_threads = 4;  // no pool at one replica
+  rl::RlPlanner by_default(tiny_config());
   rl::RlPlanner explicit_one(explicit_cfg);
 
-  const auto a = legacy.plan_with_model(*system_, *stack_, *model_);
+  const auto a = by_default.plan_with_model(*system_, *stack_, *model_);
   const auto b = explicit_one.plan_with_model(*system_, *stack_, *model_);
   ASSERT_TRUE(a.best.has_value());
   ASSERT_TRUE(b.best.has_value());

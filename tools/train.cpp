@@ -47,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -134,16 +135,25 @@ LoadedSuite load_tasks(const std::vector<std::string>& paths,
   return suite;
 }
 
+/// A count flag; negative values are a usage error (cast to size_t they
+/// would wrap to ~2^64).
+std::size_t count_flag(int argc, char** argv, const char* name,
+                       long fallback) {
+  const long value = bench::flag_int(argc, argv, name, fallback);
+  if (value < 0) {
+    throw std::invalid_argument(std::string("--") + name +
+                                " must be non-negative");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 rl::TrainingSessionConfig session_config(int argc, char** argv) {
   rl::TrainingSessionConfig sc;
-  const auto grid = static_cast<std::size_t>(
-      bench::flag_int(argc, argv, "grid", 12));
+  const std::size_t grid = count_flag(argc, argv, "grid", 12);
   sc.env.grid = grid;
   sc.net.grid = grid;
-  sc.num_envs = static_cast<std::size_t>(
-      bench::flag_int(argc, argv, "envs", 1));
-  sc.num_threads = static_cast<std::size_t>(
-      bench::flag_int(argc, argv, "threads", 0));
+  sc.num_envs = count_flag(argc, argv, "envs", 1);
+  sc.num_threads = count_flag(argc, argv, "threads", 0);
   sc.seed = static_cast<std::uint64_t>(
       bench::flag_int(argc, argv, "seed", 1));
   sc.ppo.episodes_per_update = static_cast<int>(
@@ -425,8 +435,7 @@ int cmd_bench(int argc, char** argv) {
       static_cast<int>(bench::flag_int(argc, argv, "epochs", 2));
   const double floor =
       bench::flag_double(argc, argv, "min-steps-per-sec", 0.0);
-  const auto envs = static_cast<std::size_t>(
-      bench::flag_int(argc, argv, "envs", 4));
+  const std::size_t envs = count_flag(argc, argv, "envs", 4);
 
   // Three small synthetic systems on one footprint: one characterization
   // shared by every row.
