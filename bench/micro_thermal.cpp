@@ -17,9 +17,10 @@
 //     evaluations. Flags: --batch=K (64), --batch-repeats=N,
 //     --batch-threads=N (default: hardware), --min-batch-speedup=X (gate).
 //  3. The google-benchmark suite covering the cost model behind Table II's
-//     speed column: full grid solves at several resolutions, matrix assembly
-//     alone, fast-model evaluation, and microbump assignment over an SA move
-//     tape (memoizing long-lived assigner vs a fresh one per call).
+//     speed column: full grid solves at several resolutions, the
+//     conductance stencil fill alone, fast-model evaluation, and microbump
+//     assignment over an SA move tape (memoizing long-lived assigner vs a
+//     fresh one per call).
 //
 // Every run also checks the numerics contract (thermal/soa_snapshot.h): a
 // fresh incremental state equals a SoaSnapshot at the same level exactly,
@@ -101,7 +102,7 @@ void BM_MatrixAssembly(benchmark::State& state) {
   const auto g = static_cast<std::size_t>(state.range(0));
   thermal::ThermalGridModel model(stack(), test_system(), {g, g});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.build_conductance(test_floorplan()).nnz());
+    benchmark::DoNotOptimize(model.build_stencil(test_floorplan()).diag.data());
   }
 }
 BENCHMARK(BM_MatrixAssembly)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);

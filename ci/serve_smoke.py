@@ -139,7 +139,8 @@ def main():
     deadline = time.monotonic() + args.timeout
     while True:
         status = client.checked({"op": "status", "id": job["id"]})["job"]
-        if status["state"] == "running" and status["phase"] == "sa":
+        # "phase" is absent until the job reports its first phase.
+        if status["state"] == "running" and status.get("phase") == "sa":
             break
         if status["state"] not in ("queued", "running"):
             failures.append(f"cancel probe ended early: {status}")

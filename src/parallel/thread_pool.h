@@ -12,9 +12,10 @@
 // schedule as long as fn(i) writes only to slot i — this is what makes
 // VecEnv rollouts bit-reproducible across num_threads settings.
 //
-// A pool of size 0 or 1 runs everything inline on the caller thread (no
-// worker threads are spawned), so `num_threads = 1` is exactly the serial
-// code path.
+// ThreadPool(n) gives parallel_for n lanes: n - 1 worker threads plus the
+// calling thread. A pool built with 0 or 1 runs everything inline on the
+// caller thread (no worker threads are spawned), so `num_threads = 1` is
+// exactly the serial code path.
 #pragma once
 
 #include <atomic>
@@ -43,14 +44,16 @@ struct ThreadPoolStats {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 or 1 means "inline" (no threads).
+  /// Provides `threads` lanes: spawns threads - 1 workers, and the thread
+  /// calling parallel_for is the last lane. 0 or 1 means "inline" (no
+  /// worker threads).
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Worker count (0 = inline execution).
+  /// Worker thread count, one less than the lanes (0 = inline execution).
   std::size_t size() const { return workers_.size(); }
 
   /// Calls fn(i) for every i in [0, n), possibly concurrently. Blocks until

@@ -57,10 +57,10 @@ ServeEngine::ServeEngine(const thermal::LayerStack& stack,
     : config_(std::move(config)), runner_(stack, config_.runner) {
   workers_ = config_.workers > 0 ? config_.workers
                                  : parallel::ThreadPool::hardware_threads();
-  // The dispatcher thread is lane 0 of parallel_for, so the pool supplies
-  // the remaining workers_ - 1 lanes (a pool of size 0 is the documented
-  // inline path: one worker == the dispatcher itself).
-  pool_ = std::make_unique<parallel::ThreadPool>(workers_ - 1);
+  // A pool of n lanes runs parallel_for on n - 1 threads plus its caller,
+  // here the dispatcher thread (one lane is the inline pool: the
+  // dispatcher alone).
+  pool_ = std::make_unique<parallel::ThreadPool>(workers_);
   dispatcher_ = std::thread([this] {
     // One long-lived parallel_for claims every lane for the job queue. Each
     // of the `workers_` indices is taken by a distinct lane: a lane that

@@ -7,10 +7,11 @@
 // parallel_for(workers, worker_loop) issued from a dispatcher thread: each
 // index is taken by a distinct lane (a lane that pops an index stays inside
 // worker_loop until shutdown, so it cannot steal a second one), and every
-// lane loops pop-job/run-job until shutdown. This keeps the daemon on the
-// same pool machinery the rest of the system uses — ThreadPool::stats(),
-// the pool obs gauges, and the pool_dispatch fault site all see serve
-// traffic.
+// lane loops pop-job/run-job until shutdown. The pool has `workers` lanes,
+// workers - 1 threads plus the dispatcher, so exactly `workers` jobs run at
+// once. This keeps the daemon on the same pool machinery the rest of the
+// system uses — ThreadPool::stats(), the pool obs gauges, and the
+// pool_dispatch fault site all see serve traffic.
 //
 // Job lifecycle: queued -> running -> done | failed | cancelled.
 //  * Priorities: higher runs first; FIFO (submission order) within a
@@ -88,9 +89,9 @@ struct EngineStats {
 };
 
 struct ServeEngineConfig {
-  /// Concurrent job lanes (the pool is sized workers - 1: the dispatcher
-  /// thread participates as a lane, matching parallel_for semantics).
-  /// 0 = hardware concurrency.
+  /// Concurrent job lanes: the pool runs workers - 1 threads plus the
+  /// dispatcher thread, parallel_for's calling lane. 0 = hardware
+  /// concurrency.
   std::size_t workers = 0;
   RunnerConfig runner{};
 };

@@ -189,18 +189,13 @@ SelfResistanceTable ThermalCharacterizer::build_self_table(
       const std::size_t layer = stack_->chiplet_layer_index();
       ThermalGridModel model(*stack_, probe, config_.solver.dims);
       double corner_rise = 0.0;
-      const GridDims dims = config_.solver.dims;
-      const double cw = iw / static_cast<double>(dims.cols);
-      const double ch = ih / static_cast<double>(dims.rows);
       for (const Point corner :
            {Point{r.x, r.y}, Point{r.right(), r.y}, Point{r.x, r.top()},
             Point{r.right(), r.top()}}) {
-        const auto col = static_cast<std::size_t>(std::clamp(
-            std::floor(corner.x / cw), 0.0, double(dims.cols - 1)));
-        const auto row = static_cast<std::size_t>(std::clamp(
-            std::floor(corner.y / ch), 0.0, double(dims.rows - 1)));
-        corner_rise = std::max(
-            corner_rise, field.at(layer, row, col) - stack_->ambient_c());
+        // The cell holding a point starts its zero-size footprint.
+        const CellRange at = model.footprint_cells({corner.x, corner.y, 0, 0});
+        corner_rise = std::max(corner_rise, field.at(layer, at.row0, at.col0) -
+                                                stack_->ambient_c());
       }
       droops[i][j] =
           peak_rise > 0.0 ? std::clamp(corner_rise / peak_rise, 0.0, 1.0)

@@ -19,6 +19,8 @@ ThermalGridModel::ThermalGridModel(const LayerStack& stack,
   if (dims_.rows < 2 || dims_.cols < 2) {
     throw std::invalid_argument("ThermalGridModel: grid must be >= 2x2");
   }
+  cell_w_mm_ = system.interposer_width() / static_cast<double>(dims_.cols);
+  cell_h_mm_ = system.interposer_height() / static_cast<double>(dims_.rows);
   dx_ = system.interposer_width() * kMmToM / static_cast<double>(dims_.cols);
   dy_ = system.interposer_height() * kMmToM / static_cast<double>(dims_.rows);
   cell_area_ = dx_ * dy_;
@@ -26,21 +28,29 @@ ThermalGridModel::ThermalGridModel(const LayerStack& stack,
 
 Point ThermalGridModel::cell_center_mm(std::size_t row,
                                        std::size_t col) const {
-  const double cw = system_->interposer_width() / static_cast<double>(dims_.cols);
-  const double ch =
-      system_->interposer_height() / static_cast<double>(dims_.rows);
-  return {(static_cast<double>(col) + 0.5) * cw,
-          (static_cast<double>(row) + 0.5) * ch};
+  return {(static_cast<double>(col) + 0.5) * cell_w_mm_,
+          (static_cast<double>(row) + 0.5) * cell_h_mm_};
 }
 
 double ThermalGridModel::coverage_fraction(std::size_t row, std::size_t col,
                                            const Rect& footprint_mm) const {
-  const double cw = system_->interposer_width() / static_cast<double>(dims_.cols);
-  const double ch =
-      system_->interposer_height() / static_cast<double>(dims_.rows);
-  const Rect cell{static_cast<double>(col) * cw, static_cast<double>(row) * ch,
-                  cw, ch};
+  const Rect cell{static_cast<double>(col) * cell_w_mm_,
+                  static_cast<double>(row) * cell_h_mm_, cell_w_mm_,
+                  cell_h_mm_};
   return cell.intersection_area(footprint_mm) / cell.area();
+}
+
+CellRange ThermalGridModel::footprint_cells(const Rect& footprint_mm) const {
+  const auto index = [](double v, double limit) {
+    return static_cast<std::size_t>(std::clamp(v, 0.0, limit));
+  };
+  const Rect& r = footprint_mm;
+  const auto rows = static_cast<double>(dims_.rows);
+  const auto cols = static_cast<double>(dims_.cols);
+  return {index(std::floor(r.y / cell_h_mm_), rows - 1),
+          index(std::ceil(r.top() / cell_h_mm_), rows),
+          index(std::floor(r.x / cell_w_mm_), cols - 1),
+          index(std::ceil(r.right() / cell_w_mm_), cols)};
 }
 
 std::vector<double> ThermalGridModel::chiplet_layer_conductivity(
@@ -50,23 +60,12 @@ std::vector<double> ThermalGridModel::chiplet_layer_conductivity(
   const double k_fill = stack_->fill_material().conductivity;
   std::vector<double> k(dims_.cells(), k_fill);
 
-  const double cw = system_->interposer_width() / static_cast<double>(dims_.cols);
-  const double ch =
-      system_->interposer_height() / static_cast<double>(dims_.rows);
-
   for (std::size_t i = 0; i < system_->num_chiplets(); ++i) {
     if (!floorplan.is_placed(i)) continue;
     const Rect r = floorplan.rect_of(i);
-    const auto c0 = static_cast<std::size_t>(
-        std::clamp(std::floor(r.x / cw), 0.0, double(dims_.cols - 1)));
-    const auto c1 = static_cast<std::size_t>(std::clamp(
-        std::ceil(r.right() / cw), 0.0, double(dims_.cols)));
-    const auto r0 = static_cast<std::size_t>(
-        std::clamp(std::floor(r.y / ch), 0.0, double(dims_.rows - 1)));
-    const auto r1 = static_cast<std::size_t>(std::clamp(
-        std::ceil(r.top() / ch), 0.0, double(dims_.rows)));
-    for (std::size_t row = r0; row < r1; ++row) {
-      for (std::size_t col = c0; col < c1; ++col) {
+    const CellRange cells = footprint_cells(r);
+    for (std::size_t row = cells.row0; row < cells.row1; ++row) {
+      for (std::size_t col = cells.col0; col < cells.col1; ++col) {
         const double f = coverage_fraction(row, col, r);
         if (f <= 0.0) continue;
         const std::size_t idx = row * dims_.cols + col;
@@ -79,70 +78,92 @@ std::vector<double> ThermalGridModel::chiplet_layer_conductivity(
   return k;
 }
 
-SparseMatrix ThermalGridModel::build_conductance(
-    const Floorplan& floorplan) const {
+void GridStencil::apply(std::span<const double> x_padded,
+                        std::span<double> y_padded) const {
+  assert(x_padded.size() == padded_size() && y_padded.size() == padded_size());
+  const auto n = static_cast<std::ptrdiff_t>(nodes());
+  const auto c = static_cast<std::ptrdiff_t>(dims.cols);
+  const auto l = static_cast<std::ptrdiff_t>(dims.cells());
+  const std::size_t p = pad();
+  const double* x = x_padded.data() + p;
+  double* y = y_padded.data() + p;
+  const double* d = diag.data() + p;
+  const double* e = east.data() + p;
+  const double* nn = north.data() + p;
+  const double* u = up.data() + p;
+  for (std::ptrdiff_t i = 0; i < n; ++i) {
+    y[i] = d[i] * x[i] - (e[i] * x[i + 1] + e[i - 1] * x[i - 1]) -
+           (nn[i] * x[i + c] + nn[i - c] * x[i - c]) -
+           (u[i] * x[i + l] + u[i - l] * x[i - l]);
+  }
+}
+
+GridStencil ThermalGridModel::build_stencil(const Floorplan& floorplan) const {
   const std::size_t n_layers = stack_->num_layers();
   const std::size_t cells = dims_.cells();
-  SparseMatrix g(n_layers * cells);
+  GridStencil g(dims_, n_layers);
 
   const std::size_t chiplet_layer = stack_->chiplet_layer_index();
   const std::vector<double> k_chiplet = chiplet_layer_conductivity(floorplan);
 
-  // Per-layer, per-cell conductivity accessor.
+  // Per-layer, per-cell conductivity, and the resistance of half a cell
+  // across x, across y and through the layer.
   const auto cell_k = [&](std::size_t layer, std::size_t cell_idx) {
     if (layer == chiplet_layer) return k_chiplet[cell_idx];
     return stack_->layer(layer).material.conductivity;
   };
+  const auto t = [&](std::size_t l) { return stack_->layer(l).thickness; };
+  const auto half_x = [&](std::size_t l, std::size_t idx) {
+    return (dx_ / 2.0) / (cell_k(l, idx) * t(l) * dy_);
+  };
+  const auto half_y = [&](std::size_t l, std::size_t idx) {
+    return (dy_ / 2.0) / (cell_k(l, idx) * t(l) * dx_);
+  };
+  const auto half_z = [&](std::size_t l, std::size_t idx) {
+    return (t(l) / 2.0) / (cell_k(l, idx) * cell_area_);
+  };
+  const auto film = [&](double h) { return 1.0 / (h * cell_area_); };
 
+  // Node-0 views. west, south and down are the same arrays seen from the
+  // other end of each conductance; the padding makes them 0 at the edges.
+  double* diag = g.diag.data() + g.pad();
+  double* east = g.east.data() + g.pad();
+  double* north = g.north.data() + g.pad();
+  double* up = g.up.data() + g.pad();
+  const double* west = east - 1;
+  const double* south = north - dims_.cols;
+  const double* down = up - cells;
+
+  std::size_t i = 0;
   for (std::size_t l = 0; l < n_layers; ++l) {
-    const double t = stack_->layer(l).thickness;
     for (std::size_t r = 0; r < dims_.rows; ++r) {
-      for (std::size_t c = 0; c < dims_.cols; ++c) {
+      for (std::size_t c = 0; c < dims_.cols; ++c, ++i) {
         const std::size_t idx = r * dims_.cols + c;
-        const double k_here = cell_k(l, idx);
-
-        // Lateral east neighbour: two half-cell resistances in series.
+        // Neighbours couple through two half-cell resistances in series.
         if (c + 1 < dims_.cols) {
-          const double k_east = cell_k(l, idx + 1);
-          const double r_half_here = (dx_ / 2.0) / (k_here * t * dy_);
-          const double r_half_east = (dx_ / 2.0) / (k_east * t * dy_);
-          g.stamp_conductance(node(l, r, c), node(l, r, c + 1),
-                              1.0 / (r_half_here + r_half_east));
+          east[i] = 1.0 / (half_x(l, idx) + half_x(l, idx + 1));
         }
-        // Lateral north neighbour.
         if (r + 1 < dims_.rows) {
-          const double k_north = cell_k(l, idx + dims_.cols);
-          const double r_half_here = (dy_ / 2.0) / (k_here * t * dx_);
-          const double r_half_north = (dy_ / 2.0) / (k_north * t * dx_);
-          g.stamp_conductance(node(l, r, c), node(l, r + 1, c),
-                              1.0 / (r_half_here + r_half_north));
+          north[i] = 1.0 / (half_y(l, idx) + half_y(l, idx + dims_.cols));
         }
-        // Vertical neighbour (layer above): half-thickness each side.
         if (l + 1 < n_layers) {
-          const double t_up = stack_->layer(l + 1).thickness;
-          const double k_up = cell_k(l + 1, idx);
-          const double r_half_here = (t / 2.0) / (k_here * cell_area_);
-          const double r_half_up = (t_up / 2.0) / (k_up * cell_area_);
-          g.stamp_conductance(node(l, r, c), node(l + 1, r, c),
-                              1.0 / (r_half_here + r_half_up));
+          up[i] = 1.0 / (half_z(l, idx) + half_z(l + 1, idx));
         }
-        // Boundary terms: top convection, bottom board leakage. Each is the
-        // series of the half-cell vertical conduction and the surface film.
+        // Top convection and bottom board leakage: the half cell in series
+        // with the surface film.
+        double ground = 0.0;
         if (l + 1 == n_layers) {
-          const double r_half = (t / 2.0) / (k_here * cell_area_);
-          const double r_film = 1.0 / (stack_->h_top() * cell_area_);
-          g.stamp_ground(node(l, r, c), 1.0 / (r_half + r_film));
+          ground += 1.0 / (half_z(l, idx) + film(stack_->h_top()));
         }
         if (l == 0 && stack_->h_bottom() > 0.0) {
-          const double r_half = (t / 2.0) / (k_here * cell_area_);
-          const double r_film = 1.0 / (stack_->h_bottom() * cell_area_);
-          g.stamp_ground(node(l, r, c), 1.0 / (r_half + r_film));
+          ground += 1.0 / (half_z(l, idx) + film(stack_->h_bottom()));
         }
+        // The west, south and lower neighbours were filled before node i.
+        diag[i] = ground + (east[i] + west[i]) + (north[i] + south[i]) +
+                  (up[i] + down[i]);
       }
     }
   }
-
-  g.finalize();
   return g;
 }
 
@@ -150,30 +171,19 @@ std::vector<double> ThermalGridModel::build_power(
     const Floorplan& floorplan) const {
   std::vector<double> p(num_nodes(), 0.0);
   const std::size_t chiplet_layer = stack_->chiplet_layer_index();
-  const double cw = system_->interposer_width() / static_cast<double>(dims_.cols);
-  const double ch =
-      system_->interposer_height() / static_cast<double>(dims_.rows);
 
   for (std::size_t i = 0; i < system_->num_chiplets(); ++i) {
     if (!floorplan.is_placed(i)) continue;
     const Chiplet& chip = system_->chiplet(i);
     if (chip.power <= 0.0) continue;
     const Rect r = floorplan.rect_of(i);
-    const double cell_area_mm2 = cw * ch;
-
-    const auto c0 = static_cast<std::size_t>(
-        std::clamp(std::floor(r.x / cw), 0.0, double(dims_.cols - 1)));
-    const auto c1 = static_cast<std::size_t>(
-        std::clamp(std::ceil(r.right() / cw), 0.0, double(dims_.cols)));
-    const auto r0 = static_cast<std::size_t>(
-        std::clamp(std::floor(r.y / ch), 0.0, double(dims_.rows - 1)));
-    const auto r1 = static_cast<std::size_t>(
-        std::clamp(std::ceil(r.top() / ch), 0.0, double(dims_.rows)));
+    const double cell_area_mm2 = cell_w_mm_ * cell_h_mm_;
+    const CellRange cells = footprint_cells(r);
 
     std::vector<std::pair<std::size_t, double>> contributions;
     double injected = 0.0;
-    for (std::size_t row = r0; row < r1; ++row) {
-      for (std::size_t col = c0; col < c1; ++col) {
+    for (std::size_t row = cells.row0; row < cells.row1; ++row) {
+      for (std::size_t col = cells.col0; col < cells.col1; ++col) {
         const double f = coverage_fraction(row, col, r);
         if (f <= 0.0) continue;
         const double covered_mm2 = f * cell_area_mm2;

@@ -7,6 +7,9 @@
 // convection terms. Steady state: solve G * dT = P, temperatures relative to
 // ambient.
 //
+// G is a 7-point stencil (GridStencil) filled in one pass over the nodes;
+// tests/grid_solver_oracle.h keeps a CSR assembly of the same formulas.
+//
 // The chiplet layer is laterally heterogeneous: a cell's conductivity blends
 // die material and fill material by footprint coverage fraction, which is
 // what makes the problem placement-dependent (and the fast model an
@@ -14,12 +17,12 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/chiplet.h"
 #include "core/floorplan.h"
 #include "thermal/layer_stack.h"
-#include "thermal/sparse.h"
 
 namespace rlplan::thermal {
 
@@ -30,7 +33,42 @@ struct GridDims {
   std::size_t cells() const { return rows * cols; }
 };
 
-/// Assembles the conductance matrix and power vector for one placement.
+/// Symmetric conductance matrix G over layers x rows x cols nodes as a
+/// 7-point stencil. Every array holds pad() zeros, one value per node (node
+/// index layer * cells + row * cols + col), then pad() zeros again. A
+/// neighbour that does not exist has conductance 0, so apply() reads every
+/// neighbour of every node without a branch.
+struct GridStencil {
+  /// All-zero stencil of the given shape.
+  GridStencil(GridDims shape, std::size_t n_layers)
+      : dims(shape), layers(n_layers), diag(padded_size()),
+        east(padded_size()), north(padded_size()), up(padded_size()) {}
+
+  GridDims dims;
+  std::size_t layers = 0;
+  std::vector<double> diag;   ///< ground plus the incident conductances
+  std::vector<double> east;   ///< to (layer, row, col + 1)
+  std::vector<double> north;  ///< to (layer, row + 1, col)
+  std::vector<double> up;     ///< to (layer + 1, row, col)
+
+  std::size_t nodes() const { return layers * dims.cells(); }
+  std::size_t pad() const { return dims.cells(); }
+  /// Length of every padded per-node vector: stencil arrays and apply()'s
+  /// operands alike.
+  std::size_t padded_size() const { return nodes() + 2 * pad(); }
+
+  /// y = G x on padded vectors. Writes y's nodes only; x's padding must be
+  /// zero.
+  void apply(std::span<const double> x, std::span<double> y) const;
+};
+
+/// Half-open cell range [row0, row1) x [col0, col1) that a footprint
+/// touches. Cells outside it are covered by at most a rounding error.
+struct CellRange {
+  std::size_t row0, row1, col0, col1;
+};
+
+/// Builds the conductance stencil and power vector for one placement.
 class ThermalGridModel {
  public:
   /// `stack` and `system` must outlive the model.
@@ -57,9 +95,12 @@ class ThermalGridModel {
   double coverage_fraction(std::size_t row, std::size_t col,
                            const Rect& footprint_mm) const;
 
-  /// Builds the finalized conductance matrix for the given placement.
-  /// Unplaced chiplets contribute neither conductivity nor power.
-  SparseMatrix build_conductance(const Floorplan& floorplan) const;
+  /// Cells a footprint (mm rect) can cover, clamped to the grid.
+  CellRange footprint_cells(const Rect& footprint_mm) const;
+
+  /// Conductance stencil for the given placement. Unplaced chiplets
+  /// contribute neither conductivity nor power.
+  GridStencil build_stencil(const Floorplan& floorplan) const;
 
   /// Power injection vector (W per node) in the chiplet layer.
   std::vector<double> build_power(const Floorplan& floorplan) const;
@@ -74,6 +115,8 @@ class ThermalGridModel {
   const LayerStack* stack_;
   const ChipletSystem* system_;
   GridDims dims_;
+  double cell_w_mm_ = 0.0;
+  double cell_h_mm_ = 0.0;
   double dx_ = 0.0;  // m
   double dy_ = 0.0;  // m
   double cell_area_ = 0.0;  // m^2

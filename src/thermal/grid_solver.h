@@ -3,6 +3,19 @@
 // GridThermalSolver plays the role HotSpot 6.0 plays in the paper: the
 // accurate-but-expensive ground truth that (a) the SA baseline queries in its
 // inner loop and (b) the fast thermal model is characterized against.
+//
+// A solve fills the placement's 7-point conductance stencil and runs CG
+// preconditioned by one aggregation-multigrid V(1,1) cycle: levels coarsen
+// 2x2 laterally (a direction whose conductances are under half the other's
+// stays uncoarsened), keep every layer and stop at 1x1, and a coarse
+// conductance sums the fine ones crossing the aggregate boundary (Galerkin),
+// so every level is the same stencil. The smoother solves each vertical
+// column exactly (Thomas), damped by 0.8, before and after the coarse
+// correction: thin layers couple vertically hundreds of times more strongly
+// than laterally. At 1x1 that column solve is exact. Both smoothing steps
+// are the same symmetric operator, so the V-cycle is a valid CG
+// preconditioner. tests/grid_solver_oracle.h keeps the CSR assembly and
+// Jacobi CG this replaced as the test-only reference.
 #pragma once
 
 #include <cstddef>
@@ -10,11 +23,21 @@
 
 #include "core/chiplet.h"
 #include "core/floorplan.h"
-#include "thermal/cg_solver.h"
 #include "thermal/grid_model.h"
 #include "thermal/layer_stack.h"
 
 namespace rlplan::thermal {
+
+struct CgOptions {
+  double tolerance = 1e-8;   ///< relative residual ||r|| / ||b||
+  std::size_t max_iterations = 5000;
+};
+
+struct CgResult {
+  std::size_t iterations = 0;
+  double relative_residual = 0.0;
+  bool converged = false;
+};
 
 /// Full temperature field over all layers (degrees Celsius, absolute).
 class ThermalField {
@@ -51,8 +74,8 @@ struct ThermalResult {
   /// solver retries once from a cold start with a 4x iteration budget.
   std::size_t fallback_resolves = 0;
   /// True only when the fallback *also* failed to converge — temperatures
-  /// come from the lowest-residual iterate and result.cg.relative_residual
-  /// reports how far off it is.
+  /// come from the last iterate and result.cg.relative_residual reports how
+  /// far off it is.
   bool degraded = false;
 };
 
@@ -65,7 +88,8 @@ struct GridSolverConfig {
 };
 
 /// Thermal "ground truth". Not thread-safe (warm-start cache); use one
-/// instance per thread.
+/// instance per thread. Every solve allocates its own work buffers, so
+/// separate instances solve concurrently.
 class GridThermalSolver {
  public:
   /// `stack` must outlive the solver.
@@ -100,9 +124,10 @@ class GridThermalSolver {
   long num_solves_ = 0;
 };
 
-/// Extracts per-chiplet peak temperature (deg C) from a solved field:
-/// max over chiplet-layer cells overlapping the footprint. Ambient for
-/// unplaced chiplets.
+/// Extracts per-chiplet peak temperature (deg C) from a solved field: max
+/// over the chiplet-layer cells at least half covered by the footprint (the
+/// cell holding its center when none is). Unplaced chiplets read cell
+/// (0, 0) of the chiplet layer, a near-ambient baseline.
 std::vector<double> chiplet_peak_temps(const ThermalField& field,
                                        const ThermalGridModel& model,
                                        const ChipletSystem& system,

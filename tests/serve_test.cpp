@@ -249,6 +249,39 @@ TEST(ServeEngineTest, MidFlightCancelReturnsDegradedBestSoFar) {
   EXPECT_LT(sa.number_or("work", 1e18), 50'000'000.0);
 }
 
+TEST(ServeEngineTest, TwoWorkersRunTwoJobsAtOnce) {
+  serve::ServeEngineConfig config;
+  config.workers = 2;
+  config.runner = tiny_config();
+  serve::ServeEngine engine(thermal::LayerStack::default_2p5d(), config);
+  EXPECT_EQ(engine.workers(), 2u);
+
+  const std::uint64_t a =
+      engine.submit(quick_sa_scenario("lane-a", 50'000'000));
+  const std::uint64_t b =
+      engine.submit(quick_sa_scenario("lane-b", 50'000'000));
+  const auto running = [&](std::uint64_t id) {
+    const auto info = engine.info(id);
+    return info.has_value() && info->state == serve::JobState::kRunning;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool both = false;
+  while (!both && std::chrono::steady_clock::now() < deadline) {
+    both = running(a) && running(b);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(both) << "two workers never ran two jobs at once";
+
+  EXPECT_TRUE(engine.cancel(a));
+  EXPECT_TRUE(engine.cancel(b));
+  for (const std::uint64_t id : {a, b}) {
+    const auto info = engine.wait(id);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->state, serve::JobState::kCancelled);
+  }
+}
+
 // ------------------------------------------------------------------ priority
 
 TEST(ServeEngineTest, HigherPriorityJobRunsFirst) {

@@ -1,15 +1,20 @@
-#include "thermal/sparse.h"
+// The CSR matrix and Jacobi-preconditioned CG of the test-only grid solver
+// oracle (grid_solver_oracle.h), which the library's stencil solver is
+// checked against in grid_solver_test.
+#include "grid_solver_oracle.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <vector>
 
-#include "thermal/cg_solver.h"
 #include "util/rng.h"
 
 namespace rlplan::thermal {
 namespace {
+
+using grid_oracle::conjugate_gradient;
+using grid_oracle::SparseMatrix;
 
 TEST(SparseMatrix, BuildAndLookup) {
   SparseMatrix m(3);

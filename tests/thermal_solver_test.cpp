@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "grid_solver_oracle.h"
 #include "thermal/grid_model.h"
 #include "thermal/layer_stack.h"
 #include "util/rng.h"
@@ -49,16 +51,59 @@ TEST(LayerStack, RejectsMalformedStacks) {
 }
 
 TEST(ThermalGridModel, ConductanceMatrixIsSymmetricLaplacianPlusGround) {
+  // The stencil holds exactly the oracle CSR's entries: the diagonal and
+  // minus the conductance to each of the six neighbours.
   const auto stack = LayerStack::default_2p5d();
   const auto sys = one_die_system();
   const auto fp = centered(sys);
   ThermalGridModel model(stack, sys, {12, 12});
-  const SparseMatrix g = model.build_conductance(fp);
-  EXPECT_EQ(g.rows(), model.num_nodes());
+  const GridStencil s = model.build_stencil(fp);
+  const grid_oracle::SparseMatrix g =
+      grid_oracle::build_conductance(model, stack, fp);
+  ASSERT_EQ(s.nodes(), g.rows());
   EXPECT_LT(g.symmetry_error(), 1e-12);
-  // Diagonal dominance (strict at boundary rows).
-  const auto diag = g.diagonal();
-  for (std::size_t i = 0; i < g.rows(); ++i) EXPECT_GT(diag[i], 0.0);
+
+  const std::size_t p = s.pad();
+  const std::size_t cols = s.dims.cols;
+  const std::size_t cells = s.dims.cells();
+  g.for_each_entry([&](std::size_t r, std::size_t c, double v) {
+    double expected = 0.0;
+    if (c == r) {
+      expected = s.diag[p + r];
+    } else if (c == r + 1 || r == c + 1) {
+      expected = -s.east[p + std::min(r, c)];
+    } else if (c == r + cols || r == c + cols) {
+      expected = -s.north[p + std::min(r, c)];
+    } else if (c == r + cells || r == c + cells) {
+      expected = -s.up[p + std::min(r, c)];
+    } else {
+      ADD_FAILURE() << "entry (" << r << ", " << c << ") is not a neighbour";
+    }
+    EXPECT_NEAR(v, expected, 1e-12 * std::abs(expected))
+        << "(" << r << ", " << c << ")";
+  });
+  std::size_t stencil_entries = s.nodes();
+  for (std::size_t i = 0; i < s.nodes(); ++i) {
+    stencil_entries += 2 * ((s.east[p + i] != 0.0) + (s.north[p + i] != 0.0) +
+                            (s.up[p + i] != 0.0));
+  }
+  EXPECT_EQ(stencil_entries, g.nnz());
+
+  // Laplacian plus ground: the diagonal exceeds the incident conductances
+  // by the ground term, which only the top and bottom layers have.
+  for (std::size_t i = 0; i < s.nodes(); ++i) {
+    const std::size_t at = p + i;
+    const double incident = s.east[at] + s.east[at - 1] + s.north[at] +
+                            s.north[at - cols] + s.up[at] + s.up[at - cells];
+    const double ground = s.diag[at] - incident;
+    EXPECT_GT(s.diag[at], 0.0);
+    const bool boundary = i < cells || i >= s.nodes() - cells;
+    if (boundary) {
+      EXPECT_GT(ground, 0.0) << i;
+    } else {
+      EXPECT_NEAR(ground, 0.0, 1e-12 * s.diag[at]) << i;
+    }
+  }
 }
 
 TEST(ThermalGridModel, PowerConservation) {

@@ -6,11 +6,37 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <vector>
 
 namespace rlplan::parallel {
 namespace {
+
+TEST(ThreadPoolLanes, PoolOfThreeRunsThreeLanesAtOnce) {
+  // ThreadPool(n) is n lanes: n - 1 workers plus the calling thread. A
+  // three-party barrier only opens if all three indices run concurrently;
+  // with a lane missing, the third index would start only after another
+  // timed out.
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.size(), 2u);
+  std::mutex mutex;
+  std::condition_variable all_here;
+  std::size_t arrived = 0;
+  std::atomic<int> met{0};
+  pool.parallel_for(3, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++arrived;
+    all_here.notify_all();
+    if (all_here.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return arrived == 3; })) {
+      met.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(met.load(), 3);
+}
 
 TEST(ThreadPoolStats, ExactCountsAcrossBurstOfJobs) {
   ThreadPool pool(4);
