@@ -27,7 +27,9 @@ double RewardCalculator::thermal_penalty(double temperature_c) const {
 
 double RewardCalculator::reward(double wirelength_mm,
                                 double temperature_c) const {
-  return -params_.lambda * wirelength_mm - thermal_penalty(temperature_c);
+  // -(lambda * W) equals (-lambda) * W bit for bit: negation is exact and
+  // rounding is symmetric.
+  return -wirelength_cost(wirelength_mm) - thermal_penalty(temperature_c);
 }
 
 }  // namespace rlplan

@@ -36,6 +36,14 @@ class RewardCalculator {
     return -reward(wirelength_mm, temperature_c);
   }
 
+  /// The wirelength term alone, lambda * W. reward() subtracts it and a
+  /// non-negative thermal penalty, so in floating point
+  /// cost(W, T) >= wirelength_cost(W) for every T: the lower bound the SA
+  /// baseline rejects moves on before it queries the temperature.
+  double wirelength_cost(double wirelength_mm) const {
+    return params_.lambda * wirelength_mm;
+  }
+
   /// The thermal penalty term alone (the mu-weighted smoothed overshoot).
   double thermal_penalty(double temperature_c) const;
 

@@ -103,13 +103,24 @@ class Deadline {
  public:
   Deadline() = default;
 
-  /// Budget of `seconds` starting now. seconds <= 0 is already expired.
+  /// Budget of `seconds` starting now. seconds <= 0 (or NaN) is already
+  /// expired. The budget saturates: from ~100 years up, +inf included, the
+  /// deadline never expires (converting such budgets to clock ticks would
+  /// overflow).
   static Deadline after_seconds(double seconds) {
+    constexpr double kNeverSeconds = 3.0e9;
     Deadline d;
     d.set_ = true;
-    d.at_ = std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(seconds));
+    const auto now = std::chrono::steady_clock::now();
+    if (seconds >= kNeverSeconds) {
+      d.at_ = std::chrono::steady_clock::time_point::max();
+    } else if (seconds > 0.0) {
+      d.at_ = now + std::chrono::duration_cast<
+                        std::chrono::steady_clock::duration>(
+                        std::chrono::duration<double>(seconds));
+    } else {
+      d.at_ = now;
+    }
     return d;
   }
 

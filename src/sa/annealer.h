@@ -6,11 +6,24 @@
 // decline to produce a move (returns std::nullopt), which costs an iteration
 // but no evaluation — matching how floorplan moves that violate legality are
 // rejected before the expensive thermal call.
+//
+// Staged cost. The cost may come with a cheap first stage, a lower bound:
+// bound(s) <= cost(s) in floating point for every state, computed without
+// the RNG. When present, bound runs on every candidate right before cost,
+// so cost may reuse work bound did on the same candidate. Metropolis draws
+// its uniform u only for worse moves, so once the bound alone puts a move
+// above the current cost, u is drawn at the stream position the
+// single-stage loop would draw it at; if u already rejects the bound's
+// delta, it rejects the larger true delta too, and the move is rejected
+// without calling cost. Every result — best state, stats, hook sequence,
+// RNG stream — equals the single-stage loop's (tests/anneal_oracle.h); only
+// AnnealStats::early_rejects and the wall time tell them apart.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -39,9 +52,12 @@ struct AnnealOptions {
 };
 
 struct AnnealStats {
+  /// Candidates scored, including those rejected on the bound alone.
   long evaluations = 0;
   long proposals = 0;
   long accepted = 0;
+  /// Evaluations rejected on the cost bound, without calling the full cost.
+  long early_rejects = 0;
   double seconds = 0.0;
   double final_temperature = 0.0;
   std::vector<double> best_cost_history;  ///< best-so-far after each level
@@ -57,26 +73,40 @@ struct AnnealStats {
 /// that mirrored the candidate's mutations) learns the verdict: on_accept
 /// fires when the candidate becomes the current state (and once for the
 /// initial evaluation), on_reject when it is discarded — including the
-/// calibration probes, which never advance the current state. Either
-/// callback may be empty.
+/// calibration probes, which never advance the current state, and moves
+/// rejected on the bound, for which cost never ran. Either callback may be
+/// empty.
 struct AnnealHooks {
   std::function<void()> on_accept;
   std::function<void()> on_reject;
 };
 
 /// Minimizes `cost` over states proposed by `propose`. Returns the best
-/// state encountered; statistics in `stats`.
+/// state encountered; statistics in `stats`. `bound`, when given, is the
+/// staged cost's lower bound (see the file comment). The initial evaluation
+/// and the T0 calibration probes always run the full cost, because
+/// calibration averages |delta|.
 template <typename State>
 State anneal(State initial,
              const std::function<double(const State&)>& cost,
              const std::function<std::optional<State>(const State&, Rng&)>&
                  propose,
              const AnnealOptions& options, Rng& rng, AnnealStats& stats,
-             const AnnealHooks& hooks = {}) {
+             const AnnealHooks& hooks = {},
+             const std::function<double(const State&)>& bound = {}) {
+  // The early test compares u against exp(-bound_delta / t) scaled up by
+  // 4 ulp, so it rejects only moves the full test rejects as long as exp()
+  // errs by under 1 ulp, even where it is not monotone.
+  constexpr double kExpMargin =
+      1.0 + 4.0 * std::numeric_limits<double>::epsilon();
+  const auto full_cost = [&](const State& s) {
+    if (bound) bound(s);
+    return cost(s);
+  };
   const Timer timer;
   const bool controlled = options.control.active();
   State current = initial;
-  double current_cost = cost(current);
+  double current_cost = full_cost(current);
   ++stats.evaluations;
   if (hooks.on_accept) hooks.on_accept();
   State best = current;
@@ -93,7 +123,7 @@ State anneal(State initial,
       if (controlled && options.control.stop_requested()) break;
       auto cand = propose(current, rng);
       if (!cand) continue;
-      const double c = cost(*cand);
+      const double c = full_cost(*cand);
       ++stats.evaluations;
       if (hooks.on_reject) hooks.on_reject();  // probes never advance current
       delta_sum += std::abs(c - current_cost);
@@ -121,10 +151,26 @@ State anneal(State initial,
       ++stats.proposals;
       auto cand = propose(current, rng);
       if (!cand) continue;
-      const double cand_cost = cost(*cand);
       ++stats.evaluations;
+      // cost >= bound, so a positive bound delta means delta > 0: the
+      // uniform is due anyway, and drawing it now keeps the stream. A
+      // skipped candidate costs more than current_cost >= best_cost, so it
+      // can never be the best.
+      std::optional<double> u;
+      if (bound) {
+        const double bound_delta = bound(*cand) - current_cost;
+        if (bound_delta > 0.0) {
+          u = rng.uniform();
+          if (*u >= std::exp(-bound_delta / t) * kExpMargin) {
+            ++stats.early_rejects;
+            if (hooks.on_reject) hooks.on_reject();
+            continue;
+          }
+        }
+      }
+      const double cand_cost = cost(*cand);
       const double delta = cand_cost - current_cost;
-      if (delta <= 0.0 || rng.uniform() < std::exp(-delta / t)) {
+      if (delta <= 0.0 || (u ? *u : rng.uniform()) < std::exp(-delta / t)) {
         current = std::move(*cand);
         current_cost = cand_cost;
         ++stats.accepted;

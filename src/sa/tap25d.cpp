@@ -159,15 +159,25 @@ Tap25dResult Tap25dPlanner::plan(const ChipletSystem& system,
       RLPLAN_COUNTER_INC("sa.proposals");
       return proposer(state, r);
     };
-    // Drive the thermal term through the incremental protocol: the evaluator
+    // The cost is staged: lambda * W bounds it from below, so the anneal
+    // rejects a move on wirelength alone when that already loses the
+    // Metropolis draw, and the thermal query never runs. The bound computes
+    // W once per candidate and the full cost, which runs right after it on
+    // the same candidate, reuses it.
+    //
+    // The thermal term goes through the incremental protocol: the evaluator
     // diffs each candidate against its last synced state (one or two dies
     // per SA move), so an incremental evaluator pays O(n) kernel work per
-    // proposal instead of a full O(n^2) re-evaluation. The accept/reject
-    // hooks commit or roll back the mirrored mutations. Plain evaluators
-    // fall back to a full evaluation and ignore the hooks, preserving the
-    // legacy behaviour.
+    // query instead of a full O(n^2) re-evaluation. The accept/reject hooks
+    // commit or roll back the mirrored mutations; a move rejected on the
+    // bound mirrored nothing, so its rollback is a no-op. Plain evaluators
+    // fall back to a full evaluation and ignore the hooks.
+    double wl = 0.0;
+    const auto bound = [&](const Floorplan& state) -> double {
+      wl = assigner.assign(system, state).total_mm;
+      return reward_calc.wirelength_cost(wl);
+    };
     const auto cost = [&](const Floorplan& state) -> double {
-      const double wl = assigner.assign(system, state).total_mm;
       const double temp = evaluator.incremental_max_temperature(system, state);
       return reward_calc.cost(wl, temp);
     };
@@ -181,7 +191,9 @@ Tap25dResult Tap25dPlanner::plan(const ChipletSystem& system,
       evaluator.rollback();
     };
     result.best = anneal<Floorplan>(std::move(initial), cost, propose,
-                                    config_.anneal, rng, result.stats, hooks);
+                                    config_.anneal, rng, result.stats, hooks,
+                                    bound);
+    RLPLAN_COUNTER_ADD("sa.early_rejects", result.stats.early_rejects);
   }
 
   result.wirelength_mm = assigner.assign(system, result.best).total_mm;

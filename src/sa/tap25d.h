@@ -6,7 +6,11 @@
 // rejected pre-evaluation. Cost: the negated RLPlanner reward (identical
 // objective), with the thermal term supplied by an injected evaluator — the
 // grid solver reproduces TAP-2.5D(HotSpot), the fast model reproduces
-// TAP-2.5D(Fast Thermal Model).
+// TAP-2.5D(Fast Thermal Model). The classic anneal stages that cost:
+// lambda * W is a lower bound of it (the thermal penalty is never
+// negative), so a move whose wirelength alone loses the Metropolis draw is
+// rejected without a thermal query, with results identical to scoring
+// every move in full (sa/annealer.h).
 #pragma once
 
 #include <cstdint>
@@ -36,11 +40,12 @@ struct Tap25dConfig {
   std::uint64_t seed = 1;
   /// Candidates proposed and scored per Metropolis round. 1 (default) is the
   /// classic single-proposal anneal driven through the incremental thermal
-  /// protocol. K > 1 switches to population mode: each round draws up to K
-  /// legal perturbations of the current state, scores all of them through
-  /// ONE ThermalEvaluator::max_temperature_batch() call (the SoA batch
-  /// kernel on fast-model evaluators), and applies Metropolis acceptance to
-  /// the best candidate. Each scored candidate counts against
+  /// protocol, with the wirelength bound skipping thermal queries on moves
+  /// it already rejects. K > 1 switches to population mode: each round
+  /// draws up to K legal perturbations of the current state, scores all of
+  /// them through ONE ThermalEvaluator::max_temperature_batch() call (the
+  /// SoA batch kernel on fast-model evaluators), and applies Metropolis
+  /// acceptance to the best candidate. Each scored candidate counts against
   /// anneal.max_evaluations.
   std::size_t population = 1;
   /// Worker threads for the batched thermal scoring when population > 1

@@ -1,12 +1,21 @@
 #include "serve/protocol.h"
 
 #include <exception>
+#include <limits>
+#include <stdexcept>
 
 #include "robust/robust.h"
 
 namespace rlplan::serve {
 
 namespace {
+
+/// A request field outside what the daemon accepts; answered with
+/// "bad request: <field> ...".
+class BadRequest : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 std::string error_line(const std::string& message) {
   util::JsonValue out = util::JsonValue::make_object();
@@ -15,10 +24,23 @@ std::string error_line(const std::string& message) {
   return out.dump();
 }
 
+/// request[field], or `fallback` when absent, checked to lie in [lo, hi]
+/// before any cast: NaN and infinities fail too. `range` names the bounds
+/// in the error.
+double checked_number(const util::JsonValue& request, const char* field,
+                      double fallback, double lo, double hi,
+                      const char* range) {
+  const double v = request.number_or(field, fallback);
+  if (!(v >= lo && v <= hi)) {
+    throw BadRequest(std::string(field) + " must be a number in " + range);
+  }
+  return v;
+}
+
 std::uint64_t parse_id(const util::JsonValue& request) {
-  const double raw = request.number_or("id", -1.0);
-  if (raw < 0) throw util::JsonError("request needs a non-negative \"id\"");
-  return static_cast<std::uint64_t>(raw);
+  // Doubles hold every integer up to 2^53 exactly; job ids count up from 1.
+  return static_cast<std::uint64_t>(
+      checked_number(request, "id", -1.0, 0.0, 0x1p53, "[0, 2^53]"));
 }
 
 std::string unknown_job(std::uint64_t id) {
@@ -88,11 +110,15 @@ bool RequestHandler::handle_line(
         sink(error_line("submit needs a \"scenario\" object"));
         return true;
       }
-      systems::Scenario scenario = systems::scenario_from_json(*scenario_json);
       SubmitOptions opts;
-      opts.priority = static_cast<int>(request.number_or("priority", 0.0));
+      opts.priority = static_cast<int>(checked_number(
+          request, "priority", 0.0, std::numeric_limits<int>::min(),
+          std::numeric_limits<int>::max(), "[-2^31, 2^31 - 1]"));
       opts.warm_start = request.bool_or("warm_start", false);
-      opts.deadline_s = request.number_or("deadline_s", 0.0);
+      opts.deadline_s =
+          checked_number(request, "deadline_s", 0.0, 0.0,
+                         std::numeric_limits<double>::max(), "[0, inf)");
+      systems::Scenario scenario = systems::scenario_from_json(*scenario_json);
       const std::string name = scenario.name;
       const std::uint64_t id = engine_.submit(std::move(scenario), opts);
       util::JsonValue out = util::JsonValue::make_object();
@@ -191,6 +217,9 @@ bool RequestHandler::handle_line(
     }
 
     sink(error_line("unknown op \"" + op + "\""));
+    return true;
+  } catch (const BadRequest& e) {
+    sink(error_line(std::string("bad request: ") + e.what()));
     return true;
   } catch (const std::exception& e) {
     sink(error_line(std::string(op) + " failed: " + e.what()));

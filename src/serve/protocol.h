@@ -25,8 +25,10 @@
 //            the transport owner observes ServeEngine::shutdown_requested().
 //
 // Every error is {ok:false, error:"..."} — malformed JSON, unknown op,
-// unknown id, bad scenario. Errors never kill the connection; only
-// "shutdown" (or the client hanging up) does.
+// unknown id, bad scenario. An id outside [0, 2^53], a priority outside
+// int's range or a negative deadline_s is "bad request: <field> ...".
+// Errors never kill the connection; only "shutdown" (or the client hanging
+// up) does.
 #pragma once
 
 #include <cstddef>

@@ -341,8 +341,10 @@ void Scenario::validate() const {
       (budget.rl_epochs <= 0 || budget.rl_episodes_per_update <= 0)) {
     fail(name + ": RL budget must be positive");
   }
-  if (budget.run_rl && budget.rl_grid < 4) {
-    fail(name + ": budget.rl_grid must be at least 4");
+  if (budget.run_rl && (budget.rl_grid < 4 || budget.rl_grid % 4 != 0)) {
+    // The policy net and the RND encoder pool by 4; failing here refuses
+    // the scenario before its SA leg spends any budget.
+    fail(name + ": budget.rl_grid must be a multiple of 4, at least 4");
   }
   if (envelope.max_temp_c <= 0.0) {
     fail(name + ": envelope.max_temp_c must be positive");

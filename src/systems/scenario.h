@@ -79,7 +79,7 @@ struct ScenarioBudget {
   bool run_sa = true;
   int rl_epochs = 2;
   int rl_episodes_per_update = 8;
-  std::size_t rl_grid = 12;
+  std::size_t rl_grid = 12;  ///< a multiple of 4 when run_rl
   bool run_rl = true;
 
   bool operator==(const ScenarioBudget& o) const = default;

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,6 +60,26 @@ TEST(Deadline, GenerousBudgetIsNotExpired) {
   const auto d = robust::Deadline::after_seconds(3600.0);
   EXPECT_FALSE(d.expired());
   EXPECT_GT(d.remaining_seconds(), 3000.0);
+}
+
+TEST(Deadline, HugeBudgetsSaturateAndNeverExpire) {
+  // Budgets past the clock's range (from serve's deadline_s, train's
+  // --deadline-s or regress's --scenario-deadline-s) must not overflow the
+  // tick conversion.
+  for (const double seconds :
+       {1e300, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::max(), 3.0e9}) {
+    const auto d = robust::Deadline::after_seconds(seconds);
+    EXPECT_FALSE(d.unlimited()) << seconds;
+    EXPECT_FALSE(d.expired()) << seconds;
+    EXPECT_GT(d.remaining_seconds(), 1e9) << seconds;
+  }
+  for (const double seconds :
+       {-1e300, -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(robust::Deadline::after_seconds(seconds).expired())
+        << seconds;
+  }
 }
 
 TEST(CancelToken, DefaultIsInert) {

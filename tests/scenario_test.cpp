@@ -39,7 +39,7 @@ const char* kFamilyScenario = R"({
       "max_aspect": 1.5
     }
   },
-  "budget": {"sa_evaluations": 2000, "rl_epochs": 1, "rl_grid": 10},
+  "budget": {"sa_evaluations": 2000, "rl_epochs": 1, "rl_grid": 12},
   "envelope": {"max_temp_c": 110, "max_wirelength_mm": 26000,
                "min_sa_evals_per_sec": 50}
 })";
@@ -68,7 +68,7 @@ TEST(Scenario, LoadsFamilyScenario) {
   EXPECT_EQ(s.family_seed, 7u);
   EXPECT_EQ(s.budget.sa_evaluations, 2000);
   EXPECT_EQ(s.budget.rl_epochs, 1);
-  EXPECT_EQ(s.budget.rl_grid, 10u);
+  EXPECT_EQ(s.budget.rl_grid, 12u);
   EXPECT_TRUE(s.budget.run_sa);  // defaults survive partial budget objects
   EXPECT_DOUBLE_EQ(s.envelope.max_temp_c, 110.0);
   EXPECT_DOUBLE_EQ(s.envelope.min_sa_evals_per_sec, 50.0);
@@ -237,6 +237,14 @@ TEST(Scenario, BadBudgetAndEnvelopeRejected) {
                ScenarioError);
   EXPECT_THROW(parse_scenario(with(R"({"rl_grid": 2})", ok_env)),
                ScenarioError);
+  // The policy net needs a multiple of 4: refused up front, not after the
+  // SA leg.
+  EXPECT_THROW(parse_scenario(with(R"({"rl_grid": 10})", ok_env)),
+               ScenarioError);
+  EXPECT_THROW(parse_scenario(with(R"({"rl_grid": 6})", ok_env)),
+               ScenarioError);
+  EXPECT_NO_THROW(
+      parse_scenario(with(R"({"rl_grid": 6, "run_rl": false})", ok_env)));
   EXPECT_THROW(
       parse_scenario(with(R"({"run_sa": false, "run_rl": false})", ok_env)),
       ScenarioError);

@@ -354,6 +354,62 @@ TEST(WarmStartCacheTest, FamilyCheckpointRoundTrip) {
   EXPECT_EQ(runner.warm_cache().stats().hits, 1u);  // unchanged
 }
 
+// ------------------------------------------------------ protocol handler
+
+TEST(ServeProtocolTest, OutOfRangeNumbersAreBadRequests) {
+  // Each line gets exactly one "bad request: <field>" reply, queues
+  // nothing, and the handler keeps serving; no number reaches a cast it
+  // would overflow.
+  serve::ServeEngineConfig config;
+  config.workers = 1;
+  config.runner = tiny_config();
+  serve::ServeEngine engine(thermal::LayerStack::default_2p5d(), config);
+  serve::RequestHandler handler(engine);
+  const std::string scenario =
+      systems::scenario_to_json(quick_sa_scenario("bounds")).dump();
+  const std::string submit = R"({"op":"submit","scenario":)" + scenario;
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {R"({"op":"status","id":1e300})", "id"},
+      {R"({"op":"status","id":-1})", "id"},
+      {R"({"op":"status"})", "id"},
+      {R"({"op":"cancel","id":1.8446744073709552e19})", "id"},
+      {R"({"op":"result","id":1e300,"wait":false})", "id"},
+      {submit + R"(,"priority":1e300})", "priority"},
+      {submit + R"(,"priority":-2147483649})", "priority"},
+      {submit + R"(,"deadline_s":-1})", "deadline_s"},
+      {submit + R"(,"deadline_s":-1e300})", "deadline_s"},
+  };
+  for (const auto& [line, field] : bad) {
+    std::vector<std::string> replies;
+    EXPECT_TRUE(handler.handle_line(
+        line, [&](const std::string& r) { replies.push_back(r); }));
+    ASSERT_EQ(replies.size(), 1u) << line;
+    const util::JsonValue reply = util::parse_json(replies[0]);
+    EXPECT_FALSE(reply.bool_or("ok", true)) << replies[0];
+    EXPECT_EQ(reply.string_or("error", "").rfind("bad request: " + field, 0),
+              0u)
+        << replies[0];
+  }
+  EXPECT_EQ(engine.stats().submitted, 0u);
+
+  // A huge deadline is a valid budget: it saturates and never expires.
+  std::vector<std::string> replies;
+  handler.handle_line(submit + R"(,"deadline_s":1e300,"priority":7})",
+                      [&](const std::string& r) { replies.push_back(r); });
+  ASSERT_EQ(replies.size(), 1u);
+  const util::JsonValue accepted = util::parse_json(replies[0]);
+  ASSERT_TRUE(accepted.bool_or("ok", false)) << replies[0];
+  const auto id = static_cast<std::uint64_t>(accepted.number_or("id", 0.0));
+  const auto info = engine.wait(id);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->state, serve::JobState::kDone);
+  EXPECT_EQ(info->priority, 7);
+  const auto result = engine.result_json(id);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->at("sa").bool_or("degraded", false));
+  engine.shutdown();
+}
+
 // ------------------------------------------------------- protocol over TCP
 
 class ServeSocketTest : public testing::Test {

@@ -6,6 +6,7 @@
 
 #include "fast_model_oracle.h"
 #include "rl/planner.h"
+#include "systems/synthetic.h"
 #include "thermal/evaluator.h"
 #include "thermal/incremental.h"
 
@@ -46,6 +47,28 @@ ChipletSystem sa_system() {
                         {"c", 5.0, 9.0, 10.0},
                         {"d", 4.0, 4.0, 5.0}},
                        {{0, 1, 128}, {1, 2, 64}, {2, 3, 32}, {0, 3, 16}});
+}
+
+/// Characterization-free model with smooth analytic tables, imaged on an
+/// extent_mm square package.
+thermal::FastThermalModel analytic_model(double extent_mm = 30.0) {
+  std::vector<double> dims{2.0, 6.0, 10.0};
+  std::vector<std::vector<double>> self_vals(3, std::vector<double>(3));
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      self_vals[i][j] = 2.5 / (1.0 + 0.05 * dims[i] * dims[j]);
+    }
+  }
+  std::vector<double> distances, mutual_vals;
+  for (double d = 0.0; d <= 45.0; d += 1.5) {
+    distances.push_back(d);
+    mutual_vals.push_back(0.03 + 0.7 * std::exp(-d / 7.0));
+  }
+  thermal::FastThermalModel model(
+      thermal::SelfResistanceTable(dims, dims, self_vals),
+      thermal::MutualResistanceTable(distances, mutual_vals), 45.0, {});
+  model.set_image_params(extent_mm, extent_mm, 0.03);
+  return model;
 }
 
 Tap25dConfig quick_config(std::uint64_t seed) {
@@ -157,23 +180,7 @@ TEST(Tap25d, IncrementalEvaluatorMatchesOracleTrajectory) {
   // here, so the whole anneal — every accept/reject, driven through the
   // commit/rollback hooks — must follow the identical trajectory and land on
   // the identical floorplan.
-  std::vector<double> dims{2.0, 6.0, 10.0};
-  std::vector<std::vector<double>> self_vals(3, std::vector<double>(3));
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      self_vals[i][j] = 2.5 / (1.0 + 0.05 * dims[i] * dims[j]);
-    }
-  }
-  std::vector<double> distances, mutual_vals;
-  for (double d = 0.0; d <= 45.0; d += 1.5) {
-    distances.push_back(d);
-    mutual_vals.push_back(0.03 + 0.7 * std::exp(-d / 7.0));
-  }
-  thermal::FastThermalModel model(
-      thermal::SelfResistanceTable(dims, dims, self_vals),
-      thermal::MutualResistanceTable(distances, mutual_vals), 45.0, {});
-  model.set_image_params(30.0, 30.0, 0.03);
-
+  const thermal::FastThermalModel model = analytic_model();
   const auto sys = sa_system();
   thermal::oracle::OracleEvaluator reference(model);
   thermal::IncrementalFastModelEvaluator incr(model);
@@ -192,27 +199,35 @@ TEST(Tap25d, IncrementalEvaluatorMatchesOracleTrajectory) {
   }
 }
 
-// ------------------------------------------------------- population mode ----
+TEST(Tap25d, WirelengthBoundSkipsThermalQueries) {
+  // A sweep-like system (random nets over many dies, running below T0):
+  // wirelength alone rejects most moves, and every evaluation is either an
+  // incremental thermal query or a rejection on the bound. A refactor that
+  // silently stops skipping fails here.
+  systems::FamilyConfig fc;
+  fc.chiplets = 24;
+  fc.interposer_w_mm = 70.0;
+  fc.interposer_h_mm = 70.0;
+  fc.min_dim_mm = 3.0;
+  fc.max_dim_mm = 8.0;
+  fc.min_power_w = 1.0;
+  fc.max_power_w = 4.0;
+  fc.extra_net_prob = 0.1;
+  const ChipletSystem sys = systems::generate_family(fc, 37, "sweep24");
+  const thermal::FastThermalModel model = analytic_model(70.0);
+  thermal::IncrementalFastModelEvaluator eval(model);
 
-thermal::FastThermalModel population_model() {
-  std::vector<double> dims{2.0, 6.0, 10.0};
-  std::vector<std::vector<double>> self_vals(3, std::vector<double>(3));
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      self_vals[i][j] = 2.5 / (1.0 + 0.05 * dims[i] * dims[j]);
-    }
-  }
-  std::vector<double> distances, mutual_vals;
-  for (double d = 0.0; d <= 45.0; d += 1.5) {
-    distances.push_back(d);
-    mutual_vals.push_back(0.03 + 0.7 * std::exp(-d / 7.0));
-  }
-  thermal::FastThermalModel model(
-      thermal::SelfResistanceTable(dims, dims, self_vals),
-      thermal::MutualResistanceTable(distances, mutual_vals), 45.0, {});
-  model.set_image_params(30.0, 30.0, 0.03);
-  return model;
+  Tap25dConfig config = quick_config(23);
+  config.anneal.max_evaluations = 1500;
+  config.anneal.t_final = 1e-5;
+  const auto result = Tap25dPlanner(config).plan(sys, eval);
+  EXPECT_EQ(eval.incremental_queries() + result.stats.early_rejects,
+            result.stats.evaluations);
+  EXPECT_GT(result.stats.early_rejects, result.stats.evaluations / 4);
+  EXPECT_EQ(eval.full_evaluations(), 1);  // the final reporting evaluation
 }
+
+// ------------------------------------------------------- population mode ----
 
 TEST(Tap25dPopulation, ProducesLegalFloorplanAndRespectsBudget) {
   const auto sys = sa_system();
@@ -233,7 +248,7 @@ TEST(Tap25dPopulation, ProducesLegalFloorplanAndRespectsBudget) {
 
 TEST(Tap25dPopulation, DeterministicGivenSeedAndThreadCountIndependent) {
   const auto sys = sa_system();
-  const auto model = population_model();
+  const auto model = analytic_model();
   const auto run = [&](std::size_t threads) {
     thermal::IncrementalFastModelEvaluator eval(model);
     Tap25dConfig config = quick_config(12);
@@ -254,7 +269,7 @@ TEST(Tap25dPopulation, DeterministicGivenSeedAndThreadCountIndependent) {
 
 TEST(Tap25dPopulation, NoWorseThanInitialPlacement) {
   const auto sys = sa_system();
-  const auto model = population_model();
+  const auto model = analytic_model();
   const RewardCalculator rc;
   const bump::BumpAssigner ba;
   rl::EnvConfig ff;
