@@ -12,15 +12,13 @@
 #include "parallel/thread_pool.h"
 #include "rl/planner.h"
 #include "util/log.h"
-#include "util/timer.h"
 
 namespace rlplan::sa {
 
 namespace {
 
 /// The TAP-2.5D move kernel (displace / swap / rotate with an annealed
-/// displacement range), shared by the classic single-proposal anneal and the
-/// population mode so both explore the identical move distribution.
+/// displacement range), the same for every population size.
 class MoveProposer {
  public:
   MoveProposer(const Tap25dConfig& config, const ChipletSystem& system)
@@ -148,53 +146,64 @@ Tap25dResult Tap25dPlanner::plan(const ChipletSystem& system,
 
   MoveProposer proposer(config_, system);
   Tap25dResult result(initial);
-
-  if (config_.population > 1) {
-    result.best = anneal_population(system, evaluator, reward_calc, assigner,
-                                    std::move(initial), proposer, rng,
-                                    result.stats);
-  } else {
-    const auto propose = [&proposer](const Floorplan& state,
-                                     Rng& r) -> std::optional<Floorplan> {
-      RLPLAN_COUNTER_INC("sa.proposals");
-      return proposer(state, r);
-    };
-    // The cost is staged: lambda * W bounds it from below, so the anneal
-    // rejects a move on wirelength alone when that already loses the
-    // Metropolis draw, and the thermal query never runs. The bound computes
-    // W once per candidate and the full cost, which runs right after it on
-    // the same candidate, reuses it.
-    //
-    // The thermal term goes through the incremental protocol: the evaluator
-    // diffs each candidate against its last synced state (one or two dies
-    // per SA move), so an incremental evaluator pays O(n) kernel work per
-    // query instead of a full O(n^2) re-evaluation. The accept/reject hooks
-    // commit or roll back the mirrored mutations; a move rejected on the
-    // bound mirrored nothing, so its rollback is a no-op. Plain evaluators
-    // fall back to a full evaluation and ignore the hooks.
-    double wl = 0.0;
-    const auto bound = [&](const Floorplan& state) -> double {
-      wl = assigner.assign(system, state).total_mm;
-      return reward_calc.wirelength_cost(wl);
-    };
-    const auto cost = [&](const Floorplan& state) -> double {
-      const double temp = evaluator.incremental_max_temperature(system, state);
-      return reward_calc.cost(wl, temp);
-    };
-    AnnealHooks hooks;
-    hooks.on_accept = [&evaluator] {
-      RLPLAN_COUNTER_INC("sa.accepted");
-      evaluator.commit();
-    };
-    hooks.on_reject = [&evaluator] {
-      RLPLAN_COUNTER_INC("sa.rejected");
-      evaluator.rollback();
-    };
-    result.best = anneal<Floorplan>(std::move(initial), cost, propose,
-                                    config_.anneal, rng, result.stats, hooks,
-                                    bound);
-    RLPLAN_COUNTER_ADD("sa.early_rejects", result.stats.early_rejects);
-  }
+  const auto propose = [&proposer](const Floorplan& state,
+                                   Rng& r) -> std::optional<Floorplan> {
+    RLPLAN_COUNTER_INC("sa.proposals");
+    return proposer(state, r);
+  };
+  // The cost is staged: lambda * W bounds it from below, so the anneal
+  // rejects a round on wirelength alone when that already loses the
+  // Metropolis draw, and the thermal term never runs. The bound computes W
+  // once per candidate, on one assigner whose memo reuses the sites and
+  // facing orders a candidate shares with the one before; the full cost,
+  // which runs right after it on the same candidates, reuses W.
+  std::vector<double> wl;
+  const auto bound = [&](std::span<const Floorplan> cands,
+                         std::span<double> out) {
+    wl.resize(cands.size());
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      wl[c] = assigner.assign(system, cands[c]).total_mm;
+      out[c] = reward_calc.wirelength_cost(wl[c]);
+    }
+  };
+  // The thermal term, the one step that depends on K. At K = 1 it goes
+  // through the incremental protocol: the evaluator diffs each candidate
+  // against its last synced state (one or two dies per SA move), so an
+  // incremental evaluator pays O(n) kernel work per query instead of a full
+  // O(n^2) re-evaluation, and the hooks commit or roll back the mirrored
+  // mutations (a round rejected on the bound mirrored nothing, so its
+  // rollback is a no-op). At K > 1 a round's candidates go through one
+  // max_temperature_batch() call, whose results are index-aligned and so
+  // independent of batch_threads; the hooks then have nothing to commit.
+  // Plain evaluators fall back to full evaluations and ignore the hooks.
+  const std::size_t k = config_.population;
+  parallel::ThreadPool pool(k > 1 ? config_.batch_threads : 0);
+  const auto cost = [&](std::span<const Floorplan> cands,
+                        std::span<double> out) {
+    if (k == 1) {
+      out[0] = reward_calc.cost(
+          wl[0], evaluator.incremental_max_temperature(system, cands[0]));
+      return;
+    }
+    const std::vector<double> temps =
+        evaluator.max_temperature_batch(system, cands, &pool);
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      out[c] = reward_calc.cost(wl[c], temps[c]);
+    }
+  };
+  AnnealHooks hooks;
+  hooks.on_accept = [&evaluator] {
+    RLPLAN_COUNTER_INC("sa.accepted");
+    evaluator.commit();
+  };
+  hooks.on_reject = [&evaluator] {
+    RLPLAN_COUNTER_INC("sa.rejected");
+    evaluator.rollback();
+  };
+  result.best = anneal<Floorplan>(std::move(initial), cost, propose,
+                                  config_.anneal, rng, result.stats, hooks,
+                                  bound, k);
+  RLPLAN_COUNTER_ADD("sa.early_rejects", result.stats.early_rejects);
 
   result.wirelength_mm = assigner.assign(system, result.best).total_mm;
   result.temperature_c = evaluator.max_temperature(system, result.best);
@@ -204,140 +213,6 @@ Tap25dResult Tap25dPlanner::plan(const ChipletSystem& system,
               << result.reward << " after " << result.stats.evaluations
               << " evaluations";
   return result;
-}
-
-Floorplan Tap25dPlanner::anneal_population(
-    const ChipletSystem& system, thermal::ThermalEvaluator& evaluator,
-    const RewardCalculator& reward_calc, const bump::BumpAssigner& assigner,
-    Floorplan initial, std::function<std::optional<Floorplan>(
-                           const Floorplan&, Rng&)> propose,
-    Rng& rng, AnnealStats& stats) const {
-  const Timer timer;
-  const AnnealOptions& options = config_.anneal;
-  const bool controlled = options.control.active();
-  const std::size_t k = config_.population;
-  parallel::ThreadPool pool(config_.batch_threads);
-
-  // All candidates of a round go through one batched thermal call; the
-  // wirelength term stays on the calling thread: one assign() per candidate
-  // on one assigner, whose memo reuses the sites and facing orders of every
-  // die and net a candidate shares with the one before. Results are
-  // independent of batch_threads because max_temperature_batch is
-  // index-aligned.
-  std::vector<Floorplan> candidates;
-  candidates.reserve(k);
-  const auto score_batch = [&](std::vector<double>& costs) {
-    const auto temps = evaluator.max_temperature_batch(
-        system, std::span<const Floorplan>(candidates), &pool);
-    costs.resize(candidates.size());
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      const double wl = assigner.assign(system, candidates[c]).total_mm;
-      costs[c] = reward_calc.cost(wl, temps[c]);
-    }
-    stats.evaluations += static_cast<long>(candidates.size());
-  };
-
-  Floorplan current = initial;
-  double current_cost;
-  {
-    const double wl = assigner.assign(system, current).total_mm;
-    const double temp = evaluator.max_temperature(system, current);
-    current_cost = reward_calc.cost(wl, temp);
-    ++stats.evaluations;
-  }
-  Floorplan best = current;
-  double best_cost = current_cost;
-  std::vector<double> costs;
-
-  // Auto-calibrate T0 from one batched round of probes (mean |delta|),
-  // mirroring anneal<>'s calibration semantics: probes never advance the
-  // current state but may improve the best.
-  double t = options.t_initial;
-  if (t <= 0.0) {
-    candidates.clear();
-    for (int i = 0;
-         i < options.calibration_samples * 4 &&
-         candidates.size() < static_cast<std::size_t>(
-                                 options.calibration_samples);
-         ++i) {
-      auto cand = propose(current, rng);
-      if (cand) candidates.push_back(std::move(*cand));
-    }
-    if (!candidates.empty()) {
-      score_batch(costs);
-      double delta_sum = 0.0;
-      for (std::size_t c = 0; c < candidates.size(); ++c) {
-        delta_sum += std::abs(costs[c] - current_cost);
-        if (costs[c] < best_cost) {
-          best = candidates[c];
-          best_cost = costs[c];
-        }
-      }
-      t = std::max(delta_sum / static_cast<double>(candidates.size()), 1e-6);
-    } else {
-      t = 1.0;
-    }
-  }
-
-  std::int64_t level = 0;
-  while (t > options.t_final) {
-    RLPLAN_TRACE_SPAN("sa.level", level++);
-    for (int m = 0; m < options.moves_per_temperature; ++m) {
-      if (stats.evaluations >= options.max_evaluations) break;
-      if (options.time_budget_s > 0.0 &&
-          timer.seconds() >= options.time_budget_s) {
-        break;
-      }
-      if (controlled && options.control.stop_requested()) break;
-      // One round = K proposals scored in a single batched thermal call; the
-      // span covers proposal generation + scoring + the Metropolis step.
-      RLPLAN_TRACE_SPAN("sa.round", static_cast<std::int64_t>(k));
-      candidates.clear();
-      for (std::size_t c = 0; c < k; ++c) {
-        ++stats.proposals;
-        RLPLAN_COUNTER_INC("sa.proposals");
-        auto cand = propose(current, rng);
-        if (cand) candidates.push_back(std::move(*cand));
-      }
-      if (candidates.empty()) continue;
-      score_batch(costs);
-      std::size_t arg_best = 0;
-      for (std::size_t c = 1; c < candidates.size(); ++c) {
-        if (costs[c] < costs[arg_best]) arg_best = c;
-      }
-      // Every scored candidate is a complete legal floorplan; keep the best
-      // even when the Metropolis step below rejects it.
-      if (costs[arg_best] < best_cost) {
-        best = candidates[arg_best];
-        best_cost = costs[arg_best];
-      }
-      const double delta = costs[arg_best] - current_cost;
-      if (delta <= 0.0 || rng.uniform() < std::exp(-delta / t)) {
-        current = std::move(candidates[arg_best]);
-        current_cost = costs[arg_best];
-        ++stats.accepted;
-        RLPLAN_COUNTER_INC("sa.accepted");
-      } else {
-        RLPLAN_COUNTER_INC("sa.rejected");
-      }
-    }
-    stats.best_cost_history.push_back(best_cost);
-    if (stats.evaluations >= options.max_evaluations) break;
-    if (options.time_budget_s > 0.0 &&
-        timer.seconds() >= options.time_budget_s) {
-      break;
-    }
-    if (controlled && options.control.stop_requested()) break;
-    t *= options.cooling;
-  }
-
-  if (controlled) {
-    stats.stop_reason = options.control.stop_reason();
-    if (stats.degraded()) RLPLAN_COUNTER_INC("robust.degraded");
-  }
-  stats.final_temperature = t;
-  stats.seconds = timer.seconds();
-  return best;
 }
 
 }  // namespace rlplan::sa

@@ -6,16 +6,15 @@
 // rejected pre-evaluation. Cost: the negated RLPlanner reward (identical
 // objective), with the thermal term supplied by an injected evaluator — the
 // grid solver reproduces TAP-2.5D(HotSpot), the fast model reproduces
-// TAP-2.5D(Fast Thermal Model). The classic anneal stages that cost:
-// lambda * W is a lower bound of it (the thermal penalty is never
-// negative), so a move whose wirelength alone loses the Metropolis draw is
+// TAP-2.5D(Fast Thermal Model). The planner runs sa::anneal with
+// Tap25dConfig::population proposals per move and stages the cost in both
+// modes: lambda * W is a lower bound of it (the thermal penalty is never
+// negative), so a round whose wirelength alone loses the Metropolis draw is
 // rejected without a thermal query, with results identical to scoring
-// every move in full (sa/annealer.h).
+// every candidate in full (sa/annealer.h).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 
 #include "bump/assigner.h"
 #include "core/chiplet.h"
@@ -38,15 +37,13 @@ struct Tap25dConfig {
   double displace_frac_final = 0.02;
   double spacing_mm = 0.0;
   std::uint64_t seed = 1;
-  /// Candidates proposed and scored per Metropolis round. 1 (default) is the
-  /// classic single-proposal anneal driven through the incremental thermal
-  /// protocol, with the wirelength bound skipping thermal queries on moves
-  /// it already rejects. K > 1 switches to population mode: each round
-  /// draws up to K legal perturbations of the current state, scores all of
-  /// them through ONE ThermalEvaluator::max_temperature_batch() call (the
-  /// SoA batch kernel on fast-model evaluators), and applies Metropolis
-  /// acceptance to the best candidate. Each scored candidate counts against
-  /// anneal.max_evaluations.
+  /// Proposals per Metropolis round, sa::anneal's K. The thermal term is the
+  /// only step that depends on it: 1 (default) is the classic anneal, which
+  /// queries each candidate through the incremental thermal protocol; K > 1
+  /// is population mode, which scores a round's legal candidates through
+  /// ONE ThermalEvaluator::max_temperature_batch() call (the SoA batch
+  /// kernel on fast-model evaluators) and applies Metropolis acceptance to
+  /// the best. Each scored candidate counts against anneal.max_evaluations.
   std::size_t population = 1;
   /// Worker threads for the batched thermal scoring when population > 1
   /// (0 = score the batch on the calling thread). Results are identical for
@@ -79,25 +76,14 @@ class Tap25dPlanner {
   const Tap25dConfig& config() const { return config_; }
 
   /// Anneals from a first-fit initial placement. `evaluator` supplies the
-  /// thermal term; wall/evaluation budgets come from config().anneal.
-  /// config().population selects between the classic single-proposal anneal
-  /// (1, driven through the incremental thermal protocol) and the
-  /// batch-scored population mode (> 1).
+  /// thermal term; wall/evaluation budgets come from config().anneal, and
+  /// config().population selects the thermal call (see Tap25dConfig).
   Tap25dResult plan(const ChipletSystem& system,
                     thermal::ThermalEvaluator& evaluator,
                     RewardCalculator reward_calc = RewardCalculator{},
                     bump::BumpAssigner assigner = bump::BumpAssigner{});
 
  private:
-  /// Population-mode anneal: K proposals per Metropolis round, scored with
-  /// one ThermalEvaluator::max_temperature_batch() call per round.
-  Floorplan anneal_population(
-      const ChipletSystem& system, thermal::ThermalEvaluator& evaluator,
-      const RewardCalculator& reward_calc, const bump::BumpAssigner& assigner,
-      Floorplan initial,
-      std::function<std::optional<Floorplan>(const Floorplan&, Rng&)> propose,
-      Rng& rng, AnnealStats& stats) const;
-
   Tap25dConfig config_;
 };
 

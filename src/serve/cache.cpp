@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "util/log.h"
@@ -152,19 +153,66 @@ CharacterizationCacheStats CharacterizationCache::stats() const {
 }
 
 std::string scenario_family_key(const systems::Scenario& scenario) {
+  // A readable prefix, then for families and inline systems a digest of the
+  // exact values that define the instance, so two scenarios share a key only
+  // when they differ in the family seed alone — exactly the population a
+  // shared policy generalizes over. Builtin names identify their systems.
   std::string key;
+  std::optional<Fnv1a> digest;
   if (scenario.family.has_value()) {
-    // Same topology + die count + interposer: instances differ only in the
-    // family seed, exactly the population a shared policy generalizes over.
-    key = std::string("family-") + to_string(scenario.family->topology) +
-          "-" + std::to_string(scenario.family->chiplets) + "x" +
-          std::to_string(static_cast<long>(scenario.family->interposer_w_mm));
+    const systems::FamilyConfig& f = *scenario.family;
+    key = std::string("family-") + to_string(f.topology) + "-" +
+          std::to_string(f.chiplets) + "x" +
+          std::to_string(static_cast<long>(f.interposer_w_mm));
+    Fnv1a& h = digest.emplace();
+    h.u64(f.chiplets);
+    h.f64(f.interposer_w_mm);
+    h.f64(f.interposer_h_mm);
+    h.f64(f.min_dim_mm);
+    h.f64(f.max_dim_mm);
+    h.f64(f.max_aspect);
+    h.f64(f.min_power_w);
+    h.f64(f.max_power_w);
+    h.f64(f.power_skew);
+    h.u64(static_cast<std::uint64_t>(f.topology));
+    h.u64(static_cast<std::uint64_t>(f.min_wires));
+    h.u64(static_cast<std::uint64_t>(f.max_wires));
+    h.f64(f.extra_net_prob);
+    h.u64(f.hotspot_pairs);
+    h.f64(f.hotspot_power_w);
+    h.f64(f.max_utilization);
   } else if (!scenario.builtin.empty()) {
     key = "builtin-" + scenario.builtin;
   } else {
     key = "inline-" + scenario.name;
+    if (scenario.inline_system.has_value()) {
+      const ChipletSystem& sys = *scenario.inline_system;
+      Fnv1a& h = digest.emplace();
+      h.f64(sys.interposer_width());
+      h.f64(sys.interposer_height());
+      h.u64(sys.num_chiplets());
+      for (const Chiplet& c : sys.chiplets()) {
+        h.str(c.name);
+        h.f64(c.width);
+        h.f64(c.height);
+        h.f64(c.power);
+      }
+      h.u64(sys.nets().size());
+      for (const InterChipletNet& n : sys.nets()) {
+        h.u64(n.a);
+        h.u64(n.b);
+        h.u64(static_cast<std::uint64_t>(n.wires));
+      }
+    }
   }
   key += "-g" + std::to_string(scenario.budget.rl_grid);
+  if (digest) {
+    constexpr char kHex[] = "0123456789abcdef";
+    std::string hex(16, '0');
+    std::uint64_t v = digest->state;
+    for (std::size_t i = hex.size(); i-- > 0; v >>= 4) hex[i] = kHex[v & 0xf];
+    key += "-" + hex;
+  }
   for (char& c : key) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == '.' ||

@@ -109,8 +109,11 @@ class CharacterizationCache {
 
 /// Warm-start family of a scenario: the coordinates that must match for a
 /// checkpoint's policy net to be loadable AND for its weights to plausibly
-/// transfer — problem shape (family topology + die count, or the
-/// builtin/inline instance name) and the policy grid. Filesystem-safe
+/// transfer — the problem instance up to the family seed and the policy
+/// grid. A readable prefix (family topology + die count + interposer width,
+/// or the builtin/inline instance name) plus, for families and inline
+/// systems, a hex FNV-1a digest of every generator field but the seed or of
+/// the inline system (interposer, chiplets, nets). Filesystem-safe
 /// ([A-Za-z0-9_.-] only).
 std::string scenario_family_key(const systems::Scenario& scenario);
 

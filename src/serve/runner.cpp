@@ -155,8 +155,9 @@ RlLegOutcome run_rl_leg(const systems::Scenario& scenario,
   rl::TrainingSession session(sc, std::move(tasks));
 
   RlLegOutcome out;
-  const std::string family = scenario_family_key(scenario);
-  if (warm_start && warm.enabled()) {
+  const bool use_warm = warm_start && warm.enabled();
+  const std::string family = use_warm ? scenario_family_key(scenario) : "";
+  if (use_warm) {
     // Weights-only fine-tuning load. A missing or shape-incompatible
     // checkpoint is a miss, never an error: the job simply runs cold.
     if (const auto path = warm.lookup(family)) {
@@ -195,8 +196,7 @@ RlLegOutcome run_rl_leg(const systems::Scenario& scenario,
   leg.throughput =
       leg.seconds > 0.0 ? static_cast<double>(leg.work) / leg.seconds : 0.0;
 
-  if (warm_start && warm.enabled() &&
-      leg.stop_reason == robust::StopReason::kNone) {
+  if (use_warm && leg.stop_reason == robust::StopReason::kNone) {
     // Publish the trained policy for the next job of this family. The save
     // is atomic write-then-rename, so a concurrent reader of the old file
     // is never torn; losing a race to another job of the same family just

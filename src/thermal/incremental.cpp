@@ -368,14 +368,17 @@ void IncrementalFastModelEvaluator::notify_remove(std::size_t i) {
 void IncrementalFastModelEvaluator::commit() {
   // Counters only on the incremental protocol: a query costs ~1 µs, so a
   // trace span (~50 ns) would breach the <2% overhead budget; the SA/RL
-  // layers above carry the spans.
+  // layers above carry the spans. Without a session there is nothing to
+  // commit or roll back (batch-scored SA rounds), and nothing is counted.
+  if (!state_) return;
   RLPLAN_COUNTER_INC("thermal.incremental.commits");
-  if (state_) state_->commit();
+  state_->commit();
 }
 
 void IncrementalFastModelEvaluator::rollback() {
+  if (!state_) return;
   RLPLAN_COUNTER_INC("thermal.incremental.rollbacks");
-  if (state_) state_->undo();
+  state_->undo();
 }
 
 double IncrementalFastModelEvaluator::incremental_max_temperature(

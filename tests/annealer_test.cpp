@@ -10,6 +10,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,9 @@ TEST(Annealer, MinimizesQuadratic) {
   options.cooling = 0.9;
   options.moves_per_temperature = 30;
   const double best = anneal<double>(
-      10.0, [](const double& x) { return (x - 3.0) * (x - 3.0); },
+      10.0,
+      oracle::per_state<double>(
+          [](const double& x) { return (x - 3.0) * (x - 3.0); }),
       [](const double& x, Rng& r) -> std::optional<double> {
         return x + r.normal(0.0, 0.5);
       },
@@ -55,7 +58,7 @@ TEST(Annealer, RespectsEvaluationBudget) {
   options.t_final = 1e-12;  // would run forever without the budget
   options.cooling = 0.9999;
   anneal<double>(
-      0.0, [](const double& x) { return x * x; },
+      0.0, oracle::per_state<double>([](const double& x) { return x * x; }),
       [](const double& x, Rng& r) -> std::optional<double> {
         return x + r.normal();
       },
@@ -71,7 +74,8 @@ TEST(Annealer, AutoCalibratesInitialTemperature) {
   options.t_final = 1e-3;
   options.cooling = 0.8;
   const double best = anneal<double>(
-      5.0, [](const double& x) { return std::abs(x); },
+      5.0,
+      oracle::per_state<double>([](const double& x) { return std::abs(x); }),
       [](const double& x, Rng& r) -> std::optional<double> {
         return x + r.uniform(-1.0, 1.0);
       },
@@ -88,7 +92,7 @@ TEST(Annealer, DeclinedProposalsCostNoEvaluation) {
   options.cooling = 0.5;
   options.moves_per_temperature = 20;
   anneal<double>(
-      0.0, [](const double& x) { return x * x; },
+      0.0, oracle::per_state<double>([](const double& x) { return x * x; }),
       [](const double&, Rng&) -> std::optional<double> {
         return std::nullopt;  // always decline
       },
@@ -109,7 +113,7 @@ TEST(Annealer, BestNeverWorseThanInitial) {
     const double initial = rng.uniform(-10.0, 10.0);
     const auto cost = [](const double& x) { return x * x; };
     const double best = anneal<double>(
-        initial, cost,
+        initial, oracle::per_state<double>(cost),
         [](const double& x, Rng& r) -> std::optional<double> {
           return x + r.normal(0.0, 2.0);
         },
@@ -126,7 +130,9 @@ TEST(Annealer, HistoryIsMonotoneNonIncreasing) {
   options.t_final = 1e-3;
   options.cooling = 0.85;
   anneal<double>(
-      8.0, [](const double& x) { return std::abs(x - 1.0); },
+      8.0,
+      oracle::per_state<double>(
+          [](const double& x) { return std::abs(x - 1.0); }),
       [](const double& x, Rng& r) -> std::optional<double> {
         return x + r.normal(0.0, 0.8);
       },
@@ -152,18 +158,20 @@ bool same_double(double a, double b) { return bits(a) == bits(b); }
 template <typename State>
 struct AnnealRun {
   State best{};
-  AnnealStats stats;
-  std::string hooks;    ///< 'a' per on_accept, 'r' per on_reject, in order
+  AnnealStats stats{};
+  std::string hooks{};  ///< 'a' per on_accept, 'r' per on_reject, in order
   long cost_calls = 0;  ///< full-cost calls
   std::uint64_t next_draw = 0;
 };
 
 /// EXPECTs the staged run equal to the oracle's; on a mismatch also appends
 /// `context` to the nightly failure artifact. Callers stop at the first
-/// mismatch, so any failure of the running test is this call's.
+/// mismatch, so any failure of the running test is this call's. The
+/// population oracle has no hooks, so its callers pass `hooks` = false.
 template <typename State, typename SameState>
 bool same_run(const AnnealRun<State>& want, const AnnealRun<State>& got,
-              const SameState& same_state, const std::string& context) {
+              const SameState& same_state, const std::string& context,
+              bool hooks = true) {
   std::vector<std::uint64_t> want_history, got_history;
   for (const double c : want.stats.best_cost_history) {
     want_history.push_back(bits(c));
@@ -180,7 +188,9 @@ bool same_run(const AnnealRun<State>& want, const AnnealRun<State>& got,
       << context;
   EXPECT_EQ(want_history, got_history) << context;
   EXPECT_EQ(want.stats.stop_reason, got.stats.stop_reason) << context;
-  EXPECT_EQ(want.hooks, got.hooks) << context;
+  if (hooks) {
+    EXPECT_EQ(want.hooks, got.hooks) << context;
+  }
   EXPECT_EQ(want.next_draw, got.next_draw) << context;
   // Every evaluation either ran the full cost or was rejected on the bound.
   EXPECT_EQ(want.stats.early_rejects, 0) << context;
@@ -210,6 +220,7 @@ struct ToyCase {
   double quantum = 0.0;    ///< > 0 quantizes the bound: ties at delta == 0
   double nan_rate = 0.0;   ///< share of states whose cost is NaN
   bool nan_bound = false;  ///< those states' bound is NaN too
+  bool nan_cost = true;    ///< false: their cost stays a number
   double decline = 0.0;    ///< share of declined proposals
   double stay = 0.0;       ///< share of proposals repeating the state
   double step = 1.0;
@@ -220,16 +231,22 @@ struct ToyCase {
   int cancel_after = 0;     ///< > 0: cancel on this proposal
   bool expired = false;     ///< the run starts past its deadline
 
-  double bound(double x) const {
-    if (nan_bound && hash01(x) < nan_rate) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
+  double raw_bound(double x) const {
     double b = 0.5 * (x - center) * (x - center) + std::sin(x);
     if (quantum > 0.0) b = quantum * std::floor(b / quantum);
     return b;
   }
+  double bound(double x) const {
+    if (nan_bound && hash01(x) < nan_rate) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    return raw_bound(x);
+  }
+  double cost(double x) const { return raw_bound(x) + penalty_of(x); }
   double penalty_of(double x) const {
-    if (hash01(x) < nan_rate) return std::numeric_limits<double>::quiet_NaN();
+    if (nan_cost && hash01(x) < nan_rate) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
     switch (penalty) {
       case 0: return 0.0;
       case 1: return 0.25 + 0.5 * std::sin(3.0 * x) * std::sin(3.0 * x);
@@ -282,7 +299,11 @@ ToyCase random_toy_case(Rng& rng, int k) {
   return c;
 }
 
-AnnealRun<double> run_toy(const ToyCase& c, std::uint64_t seed, bool staged) {
+/// One run of `c`: the library loop at K = `population` when `staged`,
+/// else the oracle for that K (the classic loop at 1, the population loop
+/// above it).
+AnnealRun<double> run_toy(const ToyCase& c, std::uint64_t seed, bool staged,
+                          std::size_t population = 1) {
   AnnealRun<double> run;
   AnnealOptions options = c.options;
   if (c.cancel_after > 0) {
@@ -303,18 +324,30 @@ AnnealRun<double> run_toy(const ToyCase& c, std::uint64_t seed, bool staged) {
       while (std::chrono::steady_clock::now() < until) {
       }
     }
-    return c.bound(x) + c.penalty_of(x);
+    return c.cost(x);
   };
-  std::function<double(const double&)> bound;
-  if (c.with_bound) bound = [&](const double& x) { return c.bound(x); };
+  BatchCost<double> bound;
+  if (c.with_bound) {
+    bound = oracle::per_state<double>([&](const double& x) {
+      return c.bound(x);
+    });
+  }
   AnnealHooks hooks;
   hooks.on_accept = [&] { run.hooks += 'a'; };
   hooks.on_reject = [&] { run.hooks += 'r'; };
   Rng rng(seed);
-  run.best = staged ? anneal<double>(c.initial, cost, propose, options, rng,
-                                     run.stats, hooks, bound)
-                    : oracle::anneal<double>(c.initial, cost, propose,
-                                             options, rng, run.stats, hooks);
+  if (staged) {
+    run.best =
+        anneal<double>(c.initial, oracle::per_state<double>(cost), propose,
+                       options, rng, run.stats, hooks, bound, population);
+  } else if (population == 1) {
+    run.best = oracle::anneal<double>(c.initial, cost, propose, options, rng,
+                                      run.stats, hooks);
+  } else {
+    run.best = oracle::anneal_population<double>(
+        c.initial, oracle::per_state<double>(cost), propose, options,
+        population, rng, run.stats);
+  }
   run.next_draw = rng.next();
   return run;
 }
@@ -339,6 +372,61 @@ TEST(AnnealStagedFuzz, ToyCostsMatchOracle) {
   }
   // The suite must exercise the skip, not just agree with the oracle.
   EXPECT_GT(early_rejects, evaluations / 10);
+}
+
+// Population mode: the library loop at K > 1 must reproduce
+// oracle::anneal_population, the batch-scored loop TAP-2.5D ran before
+// sa::anneal took K proposals per move: best state, every AnnealStats field
+// but wall time and early_rejects, and the RNG's next draw. The oracle has
+// no hooks; the library's fire once per scored group, so on_accept fires
+// once per accepted round plus once for the initial state. Stops are kept
+// out of T0 calibration, where only the library loop polls
+// (AnnealControl.StopDuringCalibrationEndsIt in robust_test covers that).
+
+ToyCase random_population_case(Rng& rng, int k) {
+  ToyCase c = random_toy_case(rng, k);
+  if (rng.bernoulli(0.2)) c.decline = rng.uniform(0.6, 0.97);  // empty rounds
+  // A NaN bound on a state with a numeric, possibly winning, cost: the
+  // round must not be decided on the other candidates' bounds.
+  if (c.nan_bound) c.nan_cost = rng.bernoulli(0.5);
+  if (c.options.t_initial <= 0.0) {
+    // Calibration makes at most 4 * calibration_samples proposals.
+    if (c.cancel_after > 0) c.cancel_after += 4 * c.options.calibration_samples;
+    c.expired = false;
+  }
+  return c;
+}
+
+TEST(AnnealStagedFuzz, PopulationToyCostsMatchOracle) {
+  const int cases = 600 * fuzz_scale();
+  long early_rejects = 0;
+  long evaluations = 0;
+  for (int k = 0; k < cases; ++k) {
+    const std::uint64_t seed = 0x909A7EULL * 1000003ULL + k;
+    const std::string context = "PopulationToyCostsMatchOracle case=" +
+                                std::to_string(k) +
+                                " seed=" + std::to_string(seed);
+    Rng rng(seed);
+    const ToyCase c = random_population_case(rng, k);
+    const auto population =
+        static_cast<std::size_t>(rng.uniform_int(std::int64_t{2}, 16));
+    const std::uint64_t anneal_seed = rng.next();
+    const AnnealRun<double> want = run_toy(c, anneal_seed, false, population);
+    const AnnealRun<double> got = run_toy(c, anneal_seed, true, population);
+    if (!same_run(want, got, same_double, context, false)) return;
+    EXPECT_EQ(std::count(got.hooks.begin(), got.hooks.end(), 'a'),
+              got.stats.accepted + 1)
+        << context;
+    if (::testing::Test::HasFailure()) {
+      rlplan::testing::report_failure_seed("annealer_test", context);
+      return;
+    }
+    early_rejects += got.stats.early_rejects;
+    evaluations += got.stats.evaluations;
+  }
+  // Rounds skip only when every candidate's bound is above the current
+  // cost; measured ~7% of evaluations here.
+  EXPECT_GT(early_rejects, evaluations / 40);
 }
 
 // Floorplans: a real BumpAssigner and IncrementalFastModelEvaluator wired
@@ -500,9 +588,11 @@ TEST(AnnealStagedFuzz, FloorplansMatchOracle) {
         eval.rollback();
       };
       Rng r(anneal_seed);
-      run.best = staged ? anneal<Floorplan>(initial, staged_cost, propose,
-                                            options, r, run.stats, hooks,
-                                            bound)
+      run.best = staged ? anneal<Floorplan>(
+                              initial,
+                              oracle::per_state<Floorplan>(staged_cost),
+                              propose, options, r, run.stats, hooks,
+                              oracle::per_state<Floorplan>(bound))
                         : oracle::anneal<Floorplan>(initial, oracle_cost,
                                                     propose, options, r,
                                                     run.stats, hooks);
@@ -531,6 +621,103 @@ TEST(AnnealStagedFuzz, FloorplansMatchOracle) {
       return;
     }
     early_rejects += got.run.stats.early_rejects;
+    ++checked;
+  }
+  EXPECT_GE(checked, cases / 2);
+  EXPECT_GT(early_rejects, 0);
+}
+
+// Population mode on floorplans, wired like Tap25dPlanner at K > 1: lambda
+// * W as the bound, and one IncrementalFastModelEvaluator::
+// max_temperature_batch() call per scored group, against the population
+// oracle scoring every candidate in full.
+TEST(AnnealStagedFuzz, PopulationFloorplansMatchOracle) {
+  // Every candidate is a full O(n^2) evaluation here, so fewer, shorter
+  // runs than the incremental K = 1 suite.
+  const int cases = 6 * fuzz_scale();
+  int checked = 0;
+  long early_rejects = 0;
+  for (int k = 0; k < cases; ++k) {
+    const std::uint64_t seed = 0x909F1ULL * 1000003ULL + k;
+    const std::string context = "PopulationFloorplansMatchOracle case=" +
+                                std::to_string(k) +
+                                " seed=" + std::to_string(seed);
+    Rng rng(seed);
+    const ChipletSystem sys = random_family(rng);
+    rl::EnvConfig ff;
+    ff.grid = 64;
+    const Floorplan initial = rl::first_fit_floorplan(sys, ff);
+    if (!initial.is_complete()) continue;
+    const thermal::FastThermalModel model = floorplan_model(sys);
+
+    // T0 below, near or far above the initial peak: the penalty is then
+    // always, sometimes or never active.
+    RewardParams params;
+    const double t_init =
+        thermal::IncrementalFastModelEvaluator(model).max_temperature(
+            sys, initial);
+    constexpr double kOffsets[] = {-10.0, 0.5, 1000.0};
+    params.t0_celsius = t_init + kOffsets[k % 3];
+    const RewardCalculator rc(params);
+    const double frac = rng.uniform(0.02, 0.35);
+    AnnealOptions options;
+    options.t_initial = rng.bernoulli(0.7) ? -1.0 : rng.uniform(0.01, 1.0);
+    options.t_final = 1e-5;
+    options.cooling = rng.uniform(0.8, 0.95);
+    options.moves_per_temperature =
+        static_cast<int>(rng.uniform_int(std::int64_t{5}, 30));
+    options.max_evaluations = rng.uniform_int(std::int64_t{40}, 240);
+    const auto population =
+        static_cast<std::size_t>(rng.uniform_int(std::int64_t{2}, 16));
+    const std::uint64_t anneal_seed = rng.next();
+
+    const auto run_one = [&](bool library) {
+      AnnealRun<Floorplan> run{initial};
+      const bump::BumpAssigner assigner;
+      thermal::IncrementalFastModelEvaluator eval(model);
+      std::vector<double> wl;
+      const BatchCost<Floorplan> bound = [&](std::span<const Floorplan> cands,
+                                             std::span<double> out) {
+        wl.resize(cands.size());
+        for (std::size_t c = 0; c < cands.size(); ++c) {
+          wl[c] = assigner.assign(sys, cands[c]).total_mm;
+          out[c] = rc.wirelength_cost(wl[c]);
+        }
+      };
+      const BatchCost<Floorplan> cost = [&](std::span<const Floorplan> cands,
+                                            std::span<double> out) {
+        run.cost_calls += static_cast<long>(cands.size());
+        const std::vector<double> temps =
+            eval.max_temperature_batch(sys, cands);
+        for (std::size_t c = 0; c < cands.size(); ++c) {
+          const double w =
+              library ? wl[c] : assigner.assign(sys, cands[c]).total_mm;
+          out[c] = rc.cost(w, temps[c]);
+        }
+      };
+      const auto propose = [&](const Floorplan& s, Rng& r) {
+        return propose_move(s, r, frac);
+      };
+      Rng r(anneal_seed);
+      run.best = library
+                     ? anneal<Floorplan>(initial, cost, propose, options, r,
+                                         run.stats, {}, bound, population)
+                     : oracle::anneal_population<Floorplan>(
+                           initial, cost, propose, options, population, r,
+                           run.stats);
+      run.next_draw = r.next();
+      return run;
+    };
+    const AnnealRun<Floorplan> want = run_one(false);
+    const AnnealRun<Floorplan> got = run_one(true);
+    const auto same_floorplan = [&](const Floorplan& a, const Floorplan& b) {
+      for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
+        if (a.placement(i) != b.placement(i)) return false;
+      }
+      return true;
+    };
+    if (!same_run(want, got, same_floorplan, context, false)) return;
+    early_rejects += got.stats.early_rejects;
     ++checked;
   }
   EXPECT_GE(checked, cases / 2);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -19,10 +20,13 @@
 #include <string>
 #include <vector>
 
+#include "anneal_oracle.h"
 #include "parallel/thread_pool.h"
 #include "rl/session.h"
+#include "rl/planner.h"
 #include "robust/fault.h"
 #include "sa/annealer.h"
+#include "sa/tap25d.h"
 #include "thermal/evaluator.h"
 #include "thermal/grid_solver.h"
 #include "thermal/layer_stack.h"
@@ -39,6 +43,37 @@ class FaultGuard {
   }
   ~FaultGuard() { robust::FaultInjector::instance().clear(); }
 };
+
+/// Geometric proxy thermal evaluator: compact packings run hotter.
+class ProxyEvaluator final : public thermal::ThermalEvaluator {
+ public:
+  double max_temperature(const ChipletSystem& system,
+                         const Floorplan& floorplan) override {
+    double worst = 45.0;
+    const auto rects = floorplan.placed_rects();
+    for (std::size_t i = 0; i < rects.size(); ++i) {
+      if (!rects[i]) continue;
+      double t = 45.0 + 1.2 * system.chiplet(i).power;
+      for (std::size_t j = 0; j < rects.size(); ++j) {
+        if (j == i || !rects[j]) continue;
+        t += system.chiplet(j).power /
+             (1.0 + 0.3 * center_distance(*rects[i], *rects[j]));
+      }
+      worst = std::max(worst, t);
+    }
+    return worst;
+  }
+  long num_evaluations() const override { return 0; }
+  std::string name() const override { return "proxy"; }
+};
+
+ChipletSystem tiny_system() {
+  return ChipletSystem("robust", 24.0, 24.0,
+                       {{"a", 8.0, 8.0, 25.0},
+                        {"b", 6.0, 6.0, 12.0},
+                        {"c", 5.0, 5.0, 8.0}},
+                       {{0, 1, 64}, {1, 2, 32}, {0, 2, 16}});
+}
 
 // --------------------------------------------------------------- primitives
 
@@ -253,8 +288,9 @@ TEST(AnnealControl, CancelAfterKEvalsEqualsEvalBudgetK) {
   budgeted.max_evaluations = kBudget;
   Rng rng_a(17);
   sa::AnnealStats stats_a;
-  const double best_a = sa::anneal<double>(10.0, quadratic, step, budgeted,
-                                           rng_a, stats_a);
+  const double best_a =
+      sa::anneal<double>(10.0, sa::oracle::per_state<double>(quadratic), step,
+                         budgeted, rng_a, stats_a);
   EXPECT_EQ(stats_a.stop_reason, robust::StopReason::kNone);
 
   sa::AnnealOptions cancelled = budgeted;
@@ -268,8 +304,9 @@ TEST(AnnealControl, CancelAfterKEvalsEqualsEvalBudgetK) {
   };
   Rng rng_b(17);
   sa::AnnealStats stats_b;
-  const double best_b = sa::anneal<double>(10.0, counting_cost, step,
-                                           cancelled, rng_b, stats_b);
+  const double best_b =
+      sa::anneal<double>(10.0, sa::oracle::per_state<double>(counting_cost),
+                         step, cancelled, rng_b, stats_b);
 
   EXPECT_EQ(stats_b.stop_reason, robust::StopReason::kCancelled);
   EXPECT_TRUE(stats_b.degraded());
@@ -289,7 +326,7 @@ TEST(AnnealControl, PreCancelledRunReturnsInitialState) {
   Rng rng(5);
   sa::AnnealStats stats;
   const double best = sa::anneal<double>(
-      7.0, [](const double& x) { return x * x; },
+      7.0, sa::oracle::per_state<double>([](const double& x) { return x * x; }),
       [](const double& x, Rng& r) -> std::optional<double> {
         return x + r.normal();
       },
@@ -297,6 +334,65 @@ TEST(AnnealControl, PreCancelledRunReturnsInitialState) {
   EXPECT_EQ(best, 7.0);
   EXPECT_EQ(stats.evaluations, 1);  // only the initial evaluation
   EXPECT_EQ(stats.stop_reason, robust::StopReason::kCancelled);
+
+  // Population-mode TAP-2.5D with an auto-calibrated T0: the stop is seen
+  // before the first calibration probe, so only the initial state is scored.
+  const ChipletSystem sys = tiny_system();
+  ProxyEvaluator eval;
+  sa::Tap25dConfig config;
+  config.population = 4;
+  config.anneal.t_initial = -1.0;
+  config.anneal.control.cancel = token;
+  const sa::Tap25dResult result = sa::Tap25dPlanner(config).plan(sys, eval);
+  EXPECT_EQ(result.stats.evaluations, 1);
+  EXPECT_EQ(result.stats.proposals, 0);
+  EXPECT_EQ(result.stats.stop_reason, robust::StopReason::kCancelled);
+  rl::EnvConfig ff;
+  ff.grid = 64;
+  const Floorplan initial = rl::first_fit_floorplan(sys, ff);
+  for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
+    EXPECT_EQ(result.best.placement(i), initial.placement(i));
+  }
+}
+
+TEST(AnnealControl, StopDuringCalibrationEndsIt) {
+  // The stop is polled before every calibration try, at every K: a cancel
+  // raised while proposing the 6th probe ends calibration there. The probes
+  // already proposed are scored (at K = 4, a group of 4 and a last group of
+  // 2), T0 averages them, and no move runs.
+  const auto quadratic = [](const double& x) { return (x - 3.0) * (x - 3.0); };
+  Rng replay(9);
+  double delta_sum = 0.0;
+  for (int i = 0; i < 6; ++i) {
+    delta_sum += std::abs(quadratic(10.0 + replay.normal()) - quadratic(10.0));
+  }
+  for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {
+    sa::AnnealOptions options;
+    options.t_initial = -1.0;
+    options.calibration_samples = 20;
+    const auto token = robust::CancelToken::create();
+    options.control.cancel = token;
+    int proposals = 0;
+    const auto step = [&](const double& x, Rng& r) -> std::optional<double> {
+      if (++proposals == 6) token.cancel();
+      return x + r.normal();
+    };
+    std::string hooks;
+    sa::AnnealHooks h;
+    h.on_accept = [&] { hooks += 'a'; };
+    h.on_reject = [&] { hooks += 'r'; };
+    Rng rng(9);
+    sa::AnnealStats stats;
+    sa::anneal<double>(10.0, sa::oracle::per_state<double>(quadratic), step,
+                       options, rng, stats, h, {}, k);
+    EXPECT_EQ(proposals, 6) << "K=" << k;
+    EXPECT_EQ(stats.evaluations, 7) << "K=" << k;
+    EXPECT_EQ(stats.proposals, 0) << "K=" << k;
+    EXPECT_EQ(stats.accepted, 0) << "K=" << k;
+    EXPECT_EQ(hooks, k == 1 ? "arrrrrr" : "arr") << "K=" << k;
+    EXPECT_EQ(stats.final_temperature, delta_sum / 6) << "K=" << k;
+    EXPECT_EQ(stats.stop_reason, robust::StopReason::kCancelled) << "K=" << k;
+  }
 }
 
 // ------------------------------------------- thread pool: dispatch degradation
@@ -347,36 +443,6 @@ TEST(GridSolverFaults, SolverDivergeTriggersConvergedFallback) {
 }
 
 // --------------------------------------------------------- PPO: NaN rollback
-
-class ProxyEvaluator final : public thermal::ThermalEvaluator {
- public:
-  double max_temperature(const ChipletSystem& system,
-                         const Floorplan& floorplan) override {
-    double worst = 45.0;
-    const auto rects = floorplan.placed_rects();
-    for (std::size_t i = 0; i < rects.size(); ++i) {
-      if (!rects[i]) continue;
-      double t = 45.0 + 1.2 * system.chiplet(i).power;
-      for (std::size_t j = 0; j < rects.size(); ++j) {
-        if (j == i || !rects[j]) continue;
-        t += system.chiplet(j).power /
-             (1.0 + 0.3 * center_distance(*rects[i], *rects[j]));
-      }
-      worst = std::max(worst, t);
-    }
-    return worst;
-  }
-  long num_evaluations() const override { return 0; }
-  std::string name() const override { return "proxy"; }
-};
-
-ChipletSystem tiny_system() {
-  return ChipletSystem("robust", 24.0, 24.0,
-                       {{"a", 8.0, 8.0, 25.0},
-                        {"b", 6.0, 6.0, 12.0},
-                        {"c", 5.0, 5.0, 8.0}},
-                       {{0, 1, 64}, {1, 2, 32}, {0, 2, 16}});
-}
 
 /// Single-task session over `sys` (which must outlive it).
 rl::TrainingSession ppo_session(const ChipletSystem& sys, std::uint64_t seed) {

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/cache.h"
@@ -132,6 +133,63 @@ TEST(CacheKeys, ScenarioFamilyKeyIsStableAndFilesystemSafe) {
   systems::Scenario other_grid = s;
   other_grid.budget.rl_grid = 16;
   EXPECT_NE(key, serve::scenario_family_key(other_grid));
+
+  // Inline scenarios are keyed by their system, not their name alone.
+  ASSERT_TRUE(s.inline_system.has_value());
+  const ChipletSystem& sys = *s.inline_system;
+  std::vector<Chiplet> chiplets = sys.chiplets();
+  chiplets[0].power += 1.0;
+  systems::Scenario other_chiplets = s;
+  other_chiplets.inline_system.emplace(sys.name(), sys.interposer_width(),
+                                       sys.interposer_height(), chiplets,
+                                       sys.nets());
+  EXPECT_NE(key, serve::scenario_family_key(other_chiplets));
+
+  // Family scenarios share a key exactly when they differ in the family
+  // seed alone: every other generator field changes it.
+  systems::Scenario family;
+  family.name = "family_probe";
+  family.family = systems::FamilyConfig{};
+  family.family->chiplets = 16;
+  family.family->interposer_w_mm = 90.0;
+  family.family->interposer_h_mm = 90.0;
+  const std::string family_key = serve::scenario_family_key(family);
+  systems::Scenario reseeded = family;
+  reseeded.family_seed += 1;
+  EXPECT_EQ(family_key, serve::scenario_family_key(reseeded));
+  using Edit = void (*)(systems::FamilyConfig&);
+  const std::pair<const char*, Edit> edits[] = {
+      {"chiplets", [](systems::FamilyConfig& f) { f.chiplets += 1; }},
+      {"interposer_w_mm",
+       [](systems::FamilyConfig& f) { f.interposer_w_mm += 0.7; }},
+      {"interposer_h_mm",
+       [](systems::FamilyConfig& f) { f.interposer_h_mm += 30.0; }},
+      {"min_dim_mm", [](systems::FamilyConfig& f) { f.min_dim_mm += 0.5; }},
+      {"max_dim_mm", [](systems::FamilyConfig& f) { f.max_dim_mm += 0.5; }},
+      {"max_aspect", [](systems::FamilyConfig& f) { f.max_aspect = 2.0; }},
+      {"min_power_w", [](systems::FamilyConfig& f) { f.min_power_w += 1.0; }},
+      {"max_power_w", [](systems::FamilyConfig& f) { f.max_power_w = 60.0; }},
+      {"power_skew", [](systems::FamilyConfig& f) { f.power_skew = 3.0; }},
+      {"topology",
+       [](systems::FamilyConfig& f) {
+         f.topology = systems::NetTopology::kMesh;
+       }},
+      {"min_wires", [](systems::FamilyConfig& f) { f.min_wires += 1; }},
+      {"max_wires", [](systems::FamilyConfig& f) { f.max_wires += 1; }},
+      {"extra_net_prob",
+       [](systems::FamilyConfig& f) { f.extra_net_prob += 0.1; }},
+      {"hotspot_pairs", [](systems::FamilyConfig& f) { f.hotspot_pairs = 1; }},
+      {"hotspot_power_w",
+       [](systems::FamilyConfig& f) { f.hotspot_power_w = 40.0; }},
+      {"max_utilization",
+       [](systems::FamilyConfig& f) { f.max_utilization = 0.4; }},
+  };
+  for (const auto& [field, edit] : edits) {
+    systems::Scenario edited = family;
+    edit(*edited.family);
+    ASSERT_NE(edited.family, family.family) << field;
+    EXPECT_NE(family_key, serve::scenario_family_key(edited)) << field;
+  }
 }
 
 TEST(CharacterizationCacheTest, SharesModelsByFootprint) {

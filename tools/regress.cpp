@@ -30,7 +30,8 @@
 //                              meaningless)
 //           [--sa-population=K] score K SA perturbations per round through
 //                              the batched SoA thermal kernel (default 1 =
-//                              classic incremental-protocol anneal)
+//                              classic incremental-protocol anneal; K < 1
+//                              is a usage error, exit 2)
 //           [--scenario-deadline-s=S] wall-clock budget per scenario; legs
 //                              that hit it return best-so-far and are tagged
 //                              "degraded" in the report (0 = unlimited)
@@ -167,8 +168,13 @@ int main(int argc, char** argv) {
   const std::string filter = bench::flag_str(argc, argv, "filter", "");
   const double perf_scale =
       bench::flag_double(argc, argv, "perf-scale", 1.0);
-  const auto sa_population = static_cast<std::size_t>(
-      bench::flag_int(argc, argv, "sa-population", 1));
+  const long sa_population = bench::flag_int(argc, argv, "sa-population", 1);
+  // Checked before the cast and the suite load: 0 would fail every
+  // scenario, and -1 would wrap to ~2^64 candidates per round.
+  if (sa_population < 1) {
+    std::fprintf(stderr, "[regress] --sa-population must be at least 1\n");
+    return 2;
+  }
   const double scenario_deadline_s =
       bench::flag_double(argc, argv, "scenario-deadline-s", 0.0);
   auto threads = static_cast<std::size_t>(bench::flag_int(
@@ -208,7 +214,7 @@ int main(int argc, char** argv) {
   }
 
   serve::RunnerConfig runner_config;
-  runner_config.sa_population = sa_population;
+  runner_config.sa_population = static_cast<std::size_t>(sa_population);
   serve::ScenarioRunner runner(thermal::LayerStack::default_2p5d(),
                                runner_config);
   std::vector<ScenarioResult> results(suite.size());
