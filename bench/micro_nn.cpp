@@ -179,13 +179,16 @@ void BM_PolicyForward(benchmark::State& state) {
                  std::to_string(batch));
 }
 BENCHMARK(BM_PolicyForward)
+    ->Args({8, 1})
     ->Args({16, 1})
     ->Args({16, 64})
     ->Args({24, 1})
     ->Args({24, 64})
     ->Unit(benchmark::kMillisecond);
 
-// Forward + backward of one minibatch; batch 64 is the PPO minibatch.
+// Forward + backward of one minibatch; batch 64 is the PPO minibatch. Grid 8
+// is serve_mix's training grid, where a sample's conv rows are only 64, 16
+// and 4 floats wide.
 void BM_PolicyBackward(benchmark::State& state) {
   const auto grid = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
@@ -207,6 +210,7 @@ void BM_PolicyBackward(benchmark::State& state) {
                  std::to_string(batch) + " fwd+bwd");
 }
 BENCHMARK(BM_PolicyBackward)
+    ->Args({8, 32})
     ->Args({16, 32})
     ->Args({16, 64})
     ->Args({24, 32})

@@ -109,12 +109,6 @@ struct ConvGeometry {
 
   std::size_t taps() const { return channels * kernel * kernel; }
   std::size_t pixels() const { return ho * wo; }
-  /// Input row/column that output coordinate o reads at kernel offset k;
-  /// negative or >= the extent at a padding tap.
-  std::ptrdiff_t in_coord(std::size_t o, std::size_t k) const {
-    return static_cast<std::ptrdiff_t>(o * stride + k) -
-           static_cast<std::ptrdiff_t>(padding);
-  }
   /// For each input coordinate i < extent and kernel offset k, the output
   /// coordinate below out_extent that reads i at k, at [i * kernel + k], or
   /// kNone when no output does.
@@ -123,42 +117,68 @@ struct ConvGeometry {
     std::vector<std::size_t> table(extent * kernel, kNone);
     for (std::size_t o = 0; o < out_extent; ++o) {
       for (std::size_t k = 0; k < kernel; ++k) {
-        const std::ptrdiff_t i = in_coord(o, k);
-        if (i >= 0 && i < static_cast<std::ptrdiff_t>(extent)) {
-          table[static_cast<std::size_t>(i) * kernel + k] = o;
+        const std::size_t i = o * stride + k;  // in padded coordinates
+        if (i >= padding && i - padding < extent) {
+          table[(i - padding) * kernel + k] = o;
         }
       }
     }
     return table;
+  }
+  /// Per tap (ic, ky, kx), the element of a sample zero-padded to
+  /// (h + 2·padding) × (w + 2·padding) that output pixel (0, 0) reads; pixel
+  /// (oy, ox) reads (oy · (w + 2·padding) + ox) · stride elements further on.
+  std::vector<std::size_t> tap_offsets() const {
+    std::vector<std::size_t> offsets;
+    for (std::size_t ic = 0; ic < channels; ++ic) {
+      for (std::size_t ky = 0; ky < kernel; ++ky) {
+        for (std::size_t kx = 0; kx < kernel; ++kx) {
+          offsets.push_back((ic * (h + 2 * padding) + ky) * (w + 2 * padding) +
+                            kx);
+        }
+      }
+    }
+    return offsets;
   }
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 };
 
 /// im2col of one sample x[channels, h, w]: element (tap, pixel), with
 /// tap = (ic, ky, kx) and pixel = (oy, ox), goes to
-/// out[tap * tap_stride + pixel * pixel_stride]; padding taps read 0.
-void lower(const ConvGeometry& g, const float* x, float* out,
-           std::size_t tap_stride, std::size_t pixel_stride) {
-  std::size_t tap = 0;
+/// out[tap * tap_stride + pixel * pixel_stride], one of the strides being 1.
+/// It reads a zero-padded copy of x kept in `padded`, at g.tap_offsets(), so
+/// padding taps read 0 and no element is bounds-tested; the loops run along
+/// the unit stride.
+void lower(const ConvGeometry& g, const std::vector<std::size_t>& offsets,
+           const float* x, float* out, std::size_t tap_stride,
+           std::size_t pixel_stride, std::vector<float>& padded) {
+  const std::size_t hp = g.h + 2 * g.padding;
+  const std::size_t wp = g.w + 2 * g.padding;
+  padded.assign(g.channels * hp * wp, 0.0f);
   for (std::size_t ic = 0; ic < g.channels; ++ic) {
-    const float* plane = x + ic * g.h * g.w;
-    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++tap) {
-        float* row = out + tap * tap_stride;
-        for (std::size_t oy = 0; oy < g.ho; ++oy) {
-          const std::ptrdiff_t iy = g.in_coord(oy, ky);
-          const bool row_in =
-              iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.h);
-          for (std::size_t ox = 0; ox < g.wo; ++ox) {
-            const std::ptrdiff_t ix = g.in_coord(ox, kx);
-            const bool in = row_in && ix >= 0 &&
-                            ix < static_cast<std::ptrdiff_t>(g.w);
-            row[(oy * g.wo + ox) * pixel_stride] =
-                in ? plane[static_cast<std::size_t>(iy) * g.w +
-                           static_cast<std::size_t>(ix)]
-                   : 0.0f;
-          }
+    for (std::size_t iy = 0; iy < g.h; ++iy) {
+      std::copy_n(x + (ic * g.h + iy) * g.w, g.w,
+                  padded.data() + (ic * hp + iy + g.padding) * wp + g.padding);
+    }
+  }
+  if (tap_stride == 1) {
+    for (std::size_t oy = 0; oy < g.ho; ++oy) {
+      for (std::size_t ox = 0; ox < g.wo; ++ox) {
+        const float* src = padded.data() + (oy * wp + ox) * g.stride;
+        float* dst = out + (oy * g.wo + ox) * pixel_stride;
+        for (std::size_t t = 0; t < offsets.size(); ++t) {
+          dst[t] = src[offsets[t]];
         }
+      }
+    }
+    return;
+  }
+  for (std::size_t t = 0; t < offsets.size(); ++t) {
+    const float* src = padded.data() + offsets[t];
+    float* dst = out + t * tap_stride;
+    for (std::size_t oy = 0; oy < g.ho; ++oy) {
+      for (std::size_t ox = 0; ox < g.wo; ++ox) {
+        dst[oy * g.wo + ox] = src[(oy * wp + ox) * g.stride];
       }
     }
   }
@@ -177,6 +197,30 @@ void transpose(std::size_t rows, std::size_t cols, const float* src,
     }
   }
 }
+
+/// The ReLU epilogue over y[0, n): `if (y < 0) y = 0`, in a form that
+/// vectorizes; NaN and −0.0 pass unchanged.
+void relu(float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = y[i] < 0.0f ? 0.0f : y[i];
+}
+
+/// dL/d(sum) from dL/d(output), whose shape the caller has checked against
+/// the output's: grad_out itself without an epilogue; with ReLU, a copy in
+/// `storage` zeroed where the output is <= 0 — exactly where the
+/// pre-activation is, and a NaN output passes its gradient on.
+const Tensor& through_epilogue(Activation act, const Tensor& output,
+                               const Tensor& grad_out, Tensor& storage) {
+  if (act == Activation::kNone) return grad_out;
+  storage = grad_out;
+  for (std::size_t i = 0; i < storage.numel(); ++i) {
+    if (output[i] <= 0.0f) storage[i] = 0.0f;
+  }
+  return storage;
+}
+
+/// Conv2d's forward lowers whole samples side by side until a row of the
+/// lowering holds at least this many floats.
+constexpr std::size_t kMinRowFloats = 256;
 }  // namespace
 
 void set_batch_parallel_for(BatchParallelFor executor) {
@@ -192,9 +236,10 @@ BatchParallelFor exchange_batch_parallel_for(BatchParallelFor executor) {
 // ---------------------------------------------------------------- Linear --
 
 Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
-               std::string name)
+               std::string name, Activation act)
     : in_(in_features),
       out_(out_features),
+      act_(act),
       weight_(name + ".weight", {out_features, in_features}),
       bias_(name + ".bias", {out_features}) {
   init_uniform(weight_.value, kaiming_bound(in_), rng);
@@ -248,7 +293,9 @@ Tensor Linear::forward(const Tensor& x) {
       for (std::size_t i = 0; i < in_; ++i) acc += wr[i] * xr[i];
       yr[o] = acc;
     }
+    if (act_ == Activation::kReLU) relu(yr, out_);
   });
+  if (act_ == Activation::kReLU) cached_output_ = y;
   return y;
 }
 
@@ -258,8 +305,10 @@ Tensor Linear::backward(const Tensor& grad_out) {
       grad_out.dim(1) != out_) {
     throw std::invalid_argument("Linear::backward: grad shape mismatch");
   }
+  Tensor masked;
+  const float* gd =
+      through_epilogue(act_, cached_output_, grad_out, masked).data().data();
   Tensor dx({batch, in_});
-  const float* gd = grad_out.data().data();
   const float* wd = weight_.value.data().data();
   float* dbd = bias_.grad.data().data();
   // dW[o, :] += Σ_b g[b, o] · x[b, :] and dx[b, :] += Σ_o g[b, o] · W[o, :]:
@@ -279,12 +328,13 @@ Tensor Linear::backward(const Tensor& grad_out) {
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t stride, std::size_t padding,
-               Rng& rng, std::string name)
+               Rng& rng, std::string name, Activation act)
     : in_ch_(in_channels),
       out_ch_(out_channels),
       kernel_(kernel),
       stride_(stride),
       padding_(padding),
+      act_(act),
       weight_(name + ".weight", {out_channels, in_channels, kernel, kernel}),
       bias_(name + ".bias", {out_channels}) {
   if (kernel == 0 || stride == 0) {
@@ -313,28 +363,47 @@ Tensor Conv2d::forward(const Tensor& x) {
                        out_size(h), out_size(w)};
   const std::size_t taps = g.taps();
   const std::size_t pixels = g.pixels();
+  const std::size_t per_chunk = (kMinRowFloats + pixels - 1) / pixels;
+  const std::size_t chunks = (batch + per_chunk - 1) / per_chunk;
+  const std::vector<std::size_t> offsets = g.tap_offsets();
   Tensor y({batch, out_ch_, g.ho, g.wo});
   const float* wd = weight_.value.data().data();
   const float* xd = x.data().data();
   float* yd = y.data().data();
 
-  // Per sample: y_b[oc, :] = bias[oc] + Σ_tap W[oc, tap] · col[tap, :], taps
-  // in (ic, ky, kx) order — the direct loop's order, plus w·0 terms at
-  // padding taps, exact no-ops under the contract in layers.h.
-  for_each_batch_row(batch, [&](std::size_t b) {
-    std::vector<float> col(taps * pixels);
-    lower(g, xd + b * in_ch_ * h * w, col.data(), pixels, 1);
-    float* yb = yd + b * out_ch_ * pixels;
-    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-      std::fill_n(yb + oc * pixels, pixels, bias_.value[oc]);
+  // Per chunk of samples, lowered side by side into col[tap, (s, pixel)]:
+  // sum[oc, :] = bias[oc] + Σ_tap W[oc, tap] · col[tap, :], taps in
+  // (ic, ky, kx) order — the direct loop's order, plus w·0 terms at padding
+  // taps, exact no-ops under the contract in layers.h. Then each sample's
+  // columns go to y[b, oc, :] through the epilogue.
+  for_each_batch_row(chunks, [&](std::size_t c) {
+    const std::size_t b0 = c * per_chunk;
+    const std::size_t samples = std::min(per_chunk, batch - b0);
+    const std::size_t n = samples * pixels;
+    std::vector<float> col(taps * n);
+    std::vector<float> sum(out_ch_ * n);
+    std::vector<float> padded;
+    for (std::size_t s = 0; s < samples; ++s) {
+      lower(g, offsets, xd + (b0 + s) * in_ch_ * h * w,
+            col.data() + s * pixels, n, 1, padded);
     }
-    gemm_rows(out_ch_, pixels, taps, wd, taps, 1, col.data(), pixels, yb,
-              pixels);
+    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+      std::fill_n(sum.data() + oc * n, n, bias_.value[oc]);
+    }
+    gemm_rows(out_ch_, n, taps, wd, taps, 1, col.data(), n, sum.data(), n);
+    for (std::size_t s = 0; s < samples; ++s) {
+      for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+        float* dst = yd + ((b0 + s) * out_ch_ + oc) * pixels;
+        std::copy_n(sum.data() + oc * n + s * pixels, pixels, dst);
+        if (act_ == Activation::kReLU) relu(dst, pixels);
+      }
+    }
   });
+  if (act_ == Activation::kReLU) cached_output_ = y;
   return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+Tensor Conv2d::backward_pass(const Tensor& grad_out, bool input_grad) {
   const Tensor& x = cached_input_;
   const std::size_t batch = x.dim(0);
   const std::size_t h = x.dim(2);
@@ -350,8 +419,10 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::size_t pixels = g.pixels();
   const std::size_t in_plane = in_ch_ * h * w;
   const std::size_t out_plane = out_ch_ * pixels;
+  Tensor masked;
+  const float* gd =
+      through_epilogue(act_, cached_output_, grad_out, masked).data().data();
   const float* xd = x.data().data();
-  const float* gd = grad_out.data().data();
   const float* wd = weight_.value.data().data();
   float* dwd = weight_.grad.data().data();
   float* dbd = bias_.grad.data().data();
@@ -361,6 +432,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // colT[pixel, tap], skipping zero gradients; db adds them (exact no-ops on
   // its +0-started sums), so its out_ch chains run side by side.
   std::vector<float> col(pixels * taps);
+  std::vector<float> padded;
+  const std::vector<std::size_t> offsets = g.tap_offsets();
   for (std::size_t b = 0; b < batch; ++b) {
     const float* gb = gd + b * out_plane;
     for (std::size_t p = 0; p < pixels; ++p) {
@@ -368,10 +441,11 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         dbd[oc] += gb[oc * pixels + p];
       }
     }
-    lower(g, xd + b * in_plane, col.data(), 1, taps);
+    lower(g, offsets, xd + b * in_plane, col.data(), 1, taps, padded);
     gemm_rows(out_ch_, taps, pixels, gb, pixels, 1, col.data(), taps, dwd,
               taps);
   }
+  if (!input_grad) return {};
 
   // dx over batch-minor copies, samples in the SIMD lanes: one row per input
   // element, fed (oc, ky↓, kx↓). For a fixed element, descending (ky, kx) is
@@ -383,12 +457,12 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   transpose(batch, out_plane, gd, gt.data());
   const std::vector<std::size_t> oy_of = g.readers(h, g.ho);
   const std::vector<std::size_t> ox_of = g.readers(w, g.wo);
-  for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-    for (std::size_t ic = 0; ic < in_ch_; ++ic) {
-      const float* wk = wd + (oc * in_ch_ + ic) * kernel_ * kernel_;
-      for (std::size_t iy = 0; iy < h; ++iy) {
-        for (std::size_t ix = 0; ix < w; ++ix) {
-          RowKernel row(dxt.data() + ((ic * h + iy) * w + ix) * batch, batch);
+  for (std::size_t iy = 0; iy < h; ++iy) {
+    for (std::size_t ix = 0; ix < w; ++ix) {
+      for (std::size_t ic = 0; ic < in_ch_; ++ic) {
+        RowKernel row(dxt.data() + ((ic * h + iy) * w + ix) * batch, batch);
+        for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+          const float* wk = wd + (oc * in_ch_ + ic) * kernel_ * kernel_;
           for (std::size_t ky = kernel_; ky-- > 0;) {
             const std::size_t oy = oy_of[iy * kernel_ + ky];
             if (oy == ConvGeometry::kNone) continue;
@@ -399,54 +473,13 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
               row.add(wk[ky * kernel_ + kx], gt.data() + out_at * batch);
             }
           }
-          row.flush();
         }
+        row.flush();
       }
     }
   }
   Tensor dx({batch, in_ch_, h, w});
   transpose(in_plane, batch, dxt.data(), dx.data().data());
-  return dx;
-}
-
-// ------------------------------------------------------------ activations --
-
-Tensor ReLU::forward(const Tensor& x) {
-  cached_input_ = x;
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] < 0.0f) y[i] = 0.0f;
-  }
-  return y;
-}
-
-Tensor ReLU::backward(const Tensor& grad_out) {
-  if (!grad_out.same_shape(cached_input_)) {
-    throw std::invalid_argument("ReLU::backward: grad shape mismatch");
-  }
-  Tensor dx = grad_out;
-  for (std::size_t i = 0; i < dx.numel(); ++i) {
-    if (cached_input_[i] <= 0.0f) dx[i] = 0.0f;
-  }
-  return dx;
-}
-
-Tensor Tanh::forward(const Tensor& x) {
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.numel(); ++i) y[i] = std::tanh(y[i]);
-  cached_output_ = y;
-  return y;
-}
-
-Tensor Tanh::backward(const Tensor& grad_out) {
-  if (!grad_out.same_shape(cached_output_)) {
-    throw std::invalid_argument("Tanh::backward: grad shape mismatch");
-  }
-  Tensor dx = grad_out;
-  for (std::size_t i = 0; i < dx.numel(); ++i) {
-    const float y = cached_output_[i];
-    dx[i] *= 1.0f - y * y;
-  }
   return dx;
 }
 
@@ -491,6 +524,12 @@ Tensor Sequential::backward(const Tensor& grad_out) {
     g = (*it)->backward(g);
   }
   return g;
+}
+
+void Sequential::backward_params(const Tensor& grad_out) {
+  Tensor g = grad_out;
+  for (std::size_t i = layers_.size(); i-- > 1;) g = layers_[i]->backward(g);
+  if (!layers_.empty()) layers_.front()->backward_params(g);
 }
 
 std::vector<Parameter*> Sequential::parameters() {

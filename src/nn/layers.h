@@ -7,18 +7,34 @@
 // Convention: batch-major tensors. Linear: [batch, features];
 // Conv2d: [batch, channels, height, width].
 //
-// Numerics contract. Conv2d lowers each sample (im2col) onto one row kernel,
-// C[m, :] += A[m, k] · B[k, :] with SIMD lanes across the row, never across
-// k; Linear's backward runs the same kernel and Linear's forward keeps its
-// dot form. Conv2d's forward and backward equal the direct loops kept in
+// Numerics contract. Conv2d lowers its input (im2col, from a zero-padded
+// copy of each sample) onto one row kernel, C[m, :] += A[m, k] · B[k, :]
+// with SIMD lanes across the row, never across k; Linear's backward runs the
+// same kernel and Linear's forward keeps its dot form. Conv2d's forward
+// lowers ceil(256 / pixels) samples side by side, so each row holds at least
+// 256 floats; no column mixes with another, so the chunking changes no bits.
+//
+// Conv2d's forward and backward equal the direct loops kept in
 // tests/nn_oracle.h bit for bit for finite values: every output and gradient
-// element adds the same products in the same order into its own float.
-// Where the two differ in which zero terms they add (w·0 at padding taps,
-// g·w with g == 0, w·x with w == 0), those terms are exact no-ops on a sum
-// that never holds −0.0; no sum does as long as no bias, and no gradient on
-// entry to backward, is −0.0, and initialization, zero_grad and Adam never
-// make one. Backward passes are serial; forward passes fan samples out over
-// the batch executor below, which changes no bits.
+// element adds the same products in the same order into its own float (the
+// bias, then the taps in (ic, ky, kx) order). Where the two differ in which
+// zero terms they add (w·0 at padding taps, g·w with g == 0, w·x with
+// w == 0), those terms are exact no-ops on a sum that never holds −0.0; no
+// sum does as long as no bias, and no gradient on entry to backward, is
+// −0.0, and initialization, zero_grad and Adam never make one.
+//
+// The ReLU epilogue (Activation::kReLU) is `if (y < 0) y = 0` on the
+// finished sum, like the standalone ReLU it replaced (kept in
+// tests/nn_oracle.h), so NaN and −0.0 pass unchanged. Backward zeroes the
+// incoming gradient where the output is <= 0, which is exactly where the
+// pre-activation is, so a NaN output passes its gradient on.
+// backward_params() accumulates bit for bit the parameter gradients
+// backward() would, and may skip the input gradient.
+//
+// Backward passes are serial; forward passes fan rows (Linear) or sample
+// chunks (Conv2d) out over the batch executor below, which changes no bits.
+// src/nn is compiled with -ffp-contract=off, so no product and sum are fused
+// into one rounding.
 #pragma once
 
 #include <functional>
@@ -38,7 +54,8 @@ using BatchParallelFor =
     std::function<void(std::size_t n, const std::function<void(std::size_t)>&)>;
 
 /// Installs (or, with nullptr, removes) the process-wide batch executor used
-/// by Linear/Conv2d forward passes when batch > 1. Rows of a batch are
+/// by Linear/Conv2d forward passes over more than one batch row (Linear) or
+/// sample chunk (Conv2d). Rows of a batch are
 /// arithmetically independent in these layers, so outputs are bit-identical
 /// with or without an executor — this is a pure throughput knob. Backward
 /// passes stay serial (parameter gradients accumulate across the batch).
@@ -51,6 +68,10 @@ void set_batch_parallel_for(BatchParallelFor executor);
 /// As set_batch_parallel_for, returning the previously installed executor so
 /// callers can restore it (used by the session for LIFO save/restore).
 BatchParallelFor exchange_batch_parallel_for(BatchParallelFor executor);
+
+/// Optional elementwise epilogue of Linear and Conv2d, applied to the
+/// finished sum (bias plus every product).
+enum class Activation { kNone, kReLU };
 
 /// Trainable tensor with its gradient accumulator.
 struct Parameter {
@@ -73,16 +94,21 @@ class Module {
   /// Must be called after forward() with a matching batch.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// As backward(), for a module whose input gradient nobody reads: the
+  /// parameter gradients accumulate bit for bit as backward() would
+  /// accumulate them; the input gradient need not be computed.
+  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
+
   virtual std::vector<Parameter*> parameters() { return {}; }
 
   void zero_grad();
 };
 
-/// y = x W^T + b, W: [out, in].
+/// y = act(x W^T + b), W: [out, in].
 class Linear : public Module {
  public:
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
-         std::string name = "linear");
+         std::string name = "linear", Activation act = Activation::kNone);
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
@@ -95,20 +121,30 @@ class Linear : public Module {
 
  private:
   std::size_t in_, out_;
+  Activation act_;
   Parameter weight_, bias_;
   Tensor cached_input_;
+  Tensor cached_output_;  // kept only with an epilogue, for its mask
 };
 
-/// 2D convolution, square kernel, symmetric zero padding. forward() throws
-/// std::invalid_argument when the padded input is smaller than the kernel.
+/// 2D convolution, square kernel, symmetric zero padding, then `act`.
+/// forward() throws std::invalid_argument when the padded input is smaller
+/// than the kernel.
 class Conv2d : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t stride, std::size_t padding,
-         Rng& rng, std::string name = "conv");
+         Rng& rng, std::string name = "conv",
+         Activation act = Activation::kNone);
 
   Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out) override {
+    return backward_pass(grad_out, true);
+  }
+  /// Skips the input gradient.
+  void backward_params(const Tensor& grad_out) override {
+    backward_pass(grad_out, false);
+  }
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
 
   std::size_t out_size(std::size_t in_size) const {
@@ -116,27 +152,14 @@ class Conv2d : public Module {
   }
 
  private:
+  /// Accumulates db and dW; returns dx when `input_grad`, else nothing.
+  Tensor backward_pass(const Tensor& grad_out, bool input_grad);
+
   std::size_t in_ch_, out_ch_, kernel_, stride_, padding_;
+  Activation act_;
   Parameter weight_, bias_;  // weight: [out_ch, in_ch, k, k]
   Tensor cached_input_;
-};
-
-class ReLU : public Module {
- public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor cached_input_;
-};
-
-class Tanh : public Module {
- public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor cached_output_;
+  Tensor cached_output_;  // kept only with an epilogue, for its mask
 };
 
 /// Collapses [batch, ...] to [batch, features]. Shape-only; no copy math.
@@ -159,6 +182,9 @@ class Sequential : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// Runs backward() on every layer but the first, which gets
+  /// backward_params().
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
 
   std::size_t size() const { return layers_.size(); }

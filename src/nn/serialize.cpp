@@ -88,8 +88,15 @@ void load_parameters(const std::vector<Parameter*>& params,
   if (count != params.size()) {
     throw std::runtime_error("load_parameters: parameter count mismatch");
   }
+  std::vector<Tensor> staged;
   for (Parameter* p : params) {
     const std::uint64_t name_len = read_u64(is);
+    // Cap before allocating, as StateReader does: corruption must throw
+    // runtime_error, not bad_alloc.
+    if (name_len > 4096) {
+      throw std::runtime_error("load_parameters: corrupt name length in " +
+                               path);
+    }
     std::string name(name_len, '\0');
     is.read(name.data(), static_cast<std::streamsize>(name_len));
     if (name != p->name) {
@@ -97,16 +104,23 @@ void load_parameters(const std::vector<Parameter*>& params,
                                p->name + "', found '" + name + "'");
     }
     const std::uint64_t rank = read_u64(is);
+    if (rank > 16) {
+      throw std::runtime_error("load_parameters: corrupt rank for '" + name +
+                               "'");
+    }
     std::vector<std::size_t> shape(rank);
     for (auto& d : shape) d = read_u64(is);
     if (shape != p->value.shape()) {
       throw std::runtime_error("load_parameters: shape mismatch for '" +
                                name + "'");
     }
-    is.read(reinterpret_cast<char*>(p->value.data().data()),
+    staged.emplace_back(shape);
+    is.read(reinterpret_cast<char*>(staged.back().data().data()),
             static_cast<std::streamsize>(p->value.numel() * sizeof(float)));
   }
   if (!is) throw std::runtime_error("load_parameters: truncated file " + path);
+  // Staged, so a rejected load leaves every parameter as it was.
+  for (std::size_t i = 0; i < params.size(); ++i) params[i]->value = staged[i];
 }
 
 // --- StateWriter -------------------------------------------------------------
@@ -286,7 +300,12 @@ void read_parameter_tensors(StateReader& r, const std::string& prefix,
     throw std::runtime_error("checkpoint: parameter count mismatch for '" +
                              prefix + "'");
   }
-  for (Parameter* p : params) r.tensor(prefix + "." + p->name, p->value);
+  std::vector<Tensor> staged;
+  for (Parameter* p : params) {
+    staged.emplace_back(p->value.shape());
+    r.tensor(prefix + "." + p->name, staged.back());
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) params[i]->value = staged[i];
 }
 
 int checkpoint_file_version(const std::string& path) {

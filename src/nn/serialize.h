@@ -41,7 +41,8 @@ inline constexpr std::size_t kCheckpointMagicLen = 8;
 void save_parameters(const std::vector<Parameter*>& params,
                      const std::string& path);
 
-/// Throws std::runtime_error on I/O failure or any name/shape mismatch.
+/// Throws std::runtime_error on I/O failure or any name/shape mismatch, and
+/// then leaves every parameter as it was.
 void load_parameters(const std::vector<Parameter*>& params,
                      const std::string& path);
 
@@ -94,7 +95,8 @@ class StateReader {
 
 /// Writes "<prefix>.count" then one tensor record "<prefix>.<param name>" per
 /// parameter. The reader-side twin validates count, names, and shapes
-/// against the destination list (same contract as the v1 loader).
+/// against the destination list (same contract as the v1 loader) and assigns
+/// nothing unless the whole block reads.
 void write_parameter_tensors(StateWriter& w, const std::string& prefix,
                              const std::vector<Parameter*>& params);
 void read_parameter_tensors(StateReader& r, const std::string& prefix,

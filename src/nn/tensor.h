@@ -20,9 +20,6 @@ class Tensor {
   explicit Tensor(std::vector<std::size_t> shape);
   Tensor(std::vector<std::size_t> shape, std::vector<float> data);
 
-  static Tensor zeros(std::vector<std::size_t> shape) {
-    return Tensor(std::move(shape));
-  }
   static Tensor full(std::vector<std::size_t> shape, float value);
 
   const std::vector<std::size_t>& shape() const { return shape_; }

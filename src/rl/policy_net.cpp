@@ -29,19 +29,16 @@ PolicyValueNet::PolicyValueNet(PolicyNetConfig config, Rng& rng)
       policy_head_(config.fc, config.grid * config.grid, rng, "policy_head"),
       value_head_(config.fc, 1, rng, "value_head") {
   const std::size_t g4 = config_.grid / 4;
+  constexpr auto kReLU = nn::Activation::kReLU;
   trunk_.add(std::make_unique<nn::Conv2d>(config_.channels_in, config_.conv1,
-                                          3, 1, 1, rng, "conv1"));
-  trunk_.add(std::make_unique<nn::ReLU>());
+                                          3, 1, 1, rng, "conv1", kReLU));
   trunk_.add(std::make_unique<nn::Conv2d>(config_.conv1, config_.conv2, 3, 2,
-                                          1, rng, "conv2"));
-  trunk_.add(std::make_unique<nn::ReLU>());
+                                          1, rng, "conv2", kReLU));
   trunk_.add(std::make_unique<nn::Conv2d>(config_.conv2, config_.conv3, 3, 2,
-                                          1, rng, "conv3"));
-  trunk_.add(std::make_unique<nn::ReLU>());
+                                          1, rng, "conv3", kReLU));
   trunk_.add(std::make_unique<nn::Flatten>());
   trunk_.add(std::make_unique<nn::Linear>(config_.conv3 * g4 * g4, config_.fc,
-                                          rng, "fc_shared"));
-  trunk_.add(std::make_unique<nn::ReLU>());
+                                          rng, "fc_shared", kReLU));
 }
 
 PolicyValueNet::Output PolicyValueNet::forward(const nn::Tensor& states) {
@@ -60,7 +57,7 @@ void PolicyValueNet::backward(const nn::Tensor& grad_logits,
                               const nn::Tensor& grad_value) {
   nn::Tensor d_features = policy_head_.backward(grad_logits);
   d_features.add_(value_head_.backward(grad_value));
-  trunk_.backward(d_features);
+  trunk_.backward_params(d_features);
 }
 
 std::vector<nn::Parameter*> PolicyValueNet::parameters() {

@@ -11,6 +11,7 @@
 //   flatten -> fc (shared) + ReLU
 //   policy head: Linear(fc, G*G)   (logits over placement cells)
 //   value  head: Linear(fc, 1)
+// Each ReLU is its layer's epilogue (nn::Activation::kReLU), not a module.
 #pragma once
 
 #include <cstddef>

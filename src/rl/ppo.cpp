@@ -13,9 +13,26 @@
 
 namespace rlplan::rl {
 
+namespace {
+
+/// Rejects the batch sizes that are loop strides in update(): zero would
+/// never advance, and no deadline can stop the update loop.
+PpoConfig checked_config(PpoConfig config) {
+  if (config.minibatch == 0) {
+    throw std::invalid_argument("PpoConfig: minibatch must be at least 1");
+  }
+  if (config.use_rnd && config.rnd.train_batch == 0) {
+    throw std::invalid_argument(
+        "PpoConfig: rnd.train_batch must be at least 1 when use_rnd is set");
+  }
+  return config;
+}
+
+}  // namespace
+
 PpoCore::PpoCore(PolicyNetConfig net_config, PpoConfig config,
                  std::uint64_t seed)
-    : config_(config),
+    : config_(checked_config(config)),
       rng_(seed),
       net_(net_config, rng_),
       optimizer_({}, config.adam) {

@@ -33,6 +33,7 @@ namespace rlplan::rl {
 struct PpoConfig {
   int episodes_per_update = 16;
   int update_epochs = 4;
+  /// Samples per SGD step; at least 1.
   std::size_t minibatch = 64;
   float clip = 0.2f;
   float vf_coef = 0.5f;
@@ -93,7 +94,9 @@ class PpoCore {
  public:
   /// `net_config.grid` and `net_config.channels_in` must be final — they fix
   /// the observation/action space the core updates over. `seed` starts the
-  /// net-init and update stream (util/rng.h seed table).
+  /// net-init and update stream (util/rng.h seed table). Throws
+  /// std::invalid_argument, naming the field, when config.minibatch is 0, or
+  /// config.rnd.train_batch is 0 with config.use_rnd set.
   PpoCore(PolicyNetConfig net_config, PpoConfig config, std::uint64_t seed);
 
   PolicyValueNet& net() { return net_; }

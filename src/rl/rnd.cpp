@@ -22,11 +22,11 @@ nn::Sequential make_rnd_encoder(std::size_t channels_in, std::size_t grid,
   const std::size_t g4 = grid / 4;
   nn::Sequential net;
   net.add(std::make_unique<nn::Conv2d>(channels_in, config.conv1, 3, 2, 1,
-                                       rng, name + ".conv1"));
-  net.add(std::make_unique<nn::ReLU>());
+                                       rng, name + ".conv1",
+                                       nn::Activation::kReLU));
   net.add(std::make_unique<nn::Conv2d>(config.conv1, config.conv2, 3, 2, 1,
-                                       rng, name + ".conv2"));
-  net.add(std::make_unique<nn::ReLU>());
+                                       rng, name + ".conv2",
+                                       nn::Activation::kReLU));
   net.add(std::make_unique<nn::Flatten>());
   net.add(std::make_unique<nn::Linear>(config.conv2 * g4 * g4,
                                        config.embed_dim, rng,
@@ -142,7 +142,7 @@ double RndBonus::train(const std::vector<const nn::Tensor*>& states,
     total_elems += p.numel();
 
     optimizer_.zero_grad();
-    predictor_.backward(grad);
+    predictor_.backward_params(grad);
     optimizer_.step();
   }
   return total_elems > 0 ? total_err / static_cast<double>(total_elems) : 0.0;

@@ -27,7 +27,7 @@ struct RndConfig {
   float predictor_lr = 1e-3f;
   /// Clip for the normalized bonus (keeps outliers from dominating GAE).
   float bonus_clip = 5.0f;
-  /// Minibatch size for predictor training.
+  /// Minibatch size for predictor training; at least 1 when RND is on.
   std::size_t train_batch = 32;
 };
 

@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "nn/layers.h"
+#include "nn_oracle.h"
 #include "rl/policy_net.h"
 
 namespace rlplan::nn {
@@ -169,7 +170,7 @@ TEST(GradCheck, TanhMlp) {
   Rng rng(26);
   Sequential seq;
   seq.add(std::make_unique<Linear>(6, 8, rng));
-  seq.add(std::make_unique<Tanh>());
+  seq.add(std::make_unique<oracle::Tanh>());
   seq.add(std::make_unique<Linear>(8, 3, rng));
   check_gradients(seq, Tensor({2, 6}), 105);
 }
@@ -178,7 +179,7 @@ TEST(GradCheck, ReluMlp) {
   Rng rng(27);
   Sequential seq;
   seq.add(std::make_unique<Linear>(6, 8, rng));
-  seq.add(std::make_unique<ReLU>());
+  seq.add(std::make_unique<oracle::ReLU>());
   seq.add(std::make_unique<Linear>(8, 3, rng));
   // ReLU kinks make finite differences noisier; loosen slightly.
   check_gradients(seq, Tensor({2, 6}), 106, 4e-2f);
@@ -188,9 +189,9 @@ TEST(GradCheck, ConvNetEndToEnd) {
   Rng rng(28);
   Sequential seq;
   seq.add(std::make_unique<Conv2d>(2, 4, 3, 1, 1, rng));
-  seq.add(std::make_unique<Tanh>());
+  seq.add(std::make_unique<oracle::Tanh>());
   seq.add(std::make_unique<Conv2d>(4, 4, 3, 2, 1, rng));
-  seq.add(std::make_unique<Tanh>());
+  seq.add(std::make_unique<oracle::Tanh>());
   seq.add(std::make_unique<Flatten>());
   seq.add(std::make_unique<Linear>(4 * 4 * 4, 5, rng));
   check_gradients(seq, Tensor({1, 2, 8, 8}), 107);
@@ -274,11 +275,11 @@ TEST(GradCheck, TrunkTopologyWithTanh) {
   Rng rng(30);
   Sequential seq;
   seq.add(std::make_unique<Conv2d>(3, 2, 3, 1, 1, rng));
-  seq.add(std::make_unique<Tanh>());
+  seq.add(std::make_unique<oracle::Tanh>());
   seq.add(std::make_unique<Conv2d>(2, 2, 3, 2, 1, rng));
-  seq.add(std::make_unique<Tanh>());
+  seq.add(std::make_unique<oracle::Tanh>());
   seq.add(std::make_unique<Conv2d>(2, 2, 3, 2, 1, rng));
-  seq.add(std::make_unique<Tanh>());
+  seq.add(std::make_unique<oracle::Tanh>());
   seq.add(std::make_unique<Flatten>());
   seq.add(std::make_unique<Linear>(2 * 2 * 2, 8, rng));
   check_gradients(seq, Tensor({1, 3, 8, 8}), 108);

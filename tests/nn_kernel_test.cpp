@@ -1,12 +1,14 @@
-// Differential tests of nn::Conv2d's lowered kernels against the direct loops
-// kept in nn_oracle.h. Every element of y, dW, db and dx must carry the same
-// bits as the oracle's (so +0 and -0 count as different): over fuzzed
-// shapes, with and without a batch executor, with gradients accumulated
-// across two backward calls, and end to end through a grid-16, batch-64
-// PolicyValueNet. Linear's backward is anchored separately by nn_grad_test's
-// TiledLinearBackwardIsBitIdenticalToNaive.
+// Differential tests of nn::Conv2d's lowered kernels and of the ReLU epilogue
+// of Conv2d and Linear against the direct loops and the standalone ReLU kept
+// in nn_oracle.h. Every element of y, dW, db and dx must carry the same bits
+// as the oracle's (so +0 and -0 count as different): over fuzzed shapes,
+// with and without a batch executor, with gradients accumulated across two
+// backward calls, and end to end through PolicyValueNet at grid 16, batch 64
+// and grid 8, batch 37. backward_params() must accumulate exactly the
+// parameter gradients of backward().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -78,10 +80,41 @@ class ScopedBatchExecutor {
   BatchParallelFor previous_;
 };
 
+/// Two rounds of forward (serial and through a 4-thread executor) and
+/// backward through `lib` and `ref`, which hold the same parameters, the
+/// second round accumulating onto the first's gradients; compares y, dx and
+/// every parameter gradient bit for bit.
+bool same_passes(Module& lib, Module& ref, std::vector<std::size_t> in_shape,
+                 Rng& rng, parallel::ThreadPool& pool,
+                 const std::string& context) {
+  copy_parameters(lib.parameters(), ref.parameters());
+  bool ok = true;
+  for (int round = 0; ok && round < 2; ++round) {
+    const std::string tag = context + " round " + std::to_string(round);
+    const Tensor x = sparse_tensor(in_shape, rng);
+    const Tensor want = ref.forward(x);
+    Tensor pooled;
+    {
+      ScopedBatchExecutor executor(pool);
+      pooled = lib.forward(x);
+    }
+    const Tensor y = lib.forward(x);
+    ok = same_bits(y, want, tag + " y") &&
+         same_bits(pooled, want, tag + " pooled y");
+    const Tensor g = sparse_tensor(want.shape(), rng);
+    ok = ok && same_bits(lib.backward(g), ref.backward(g), tag + " dx");
+    const auto got = lib.parameters();
+    const auto expect = ref.parameters();
+    for (std::size_t k = 0; ok && k < got.size(); ++k) {
+      ok = same_bits(got[k]->grad, expect[k]->grad,
+                     tag + " " + got[k]->name + " grad");
+    }
+  }
+  return ok;
+}
+
 /// One fuzzed convolution: channels 1-17, kernel 1-5, stride 1-3, padding
 /// 0-2, a non-square input from the smallest legal window up, batch 0-5.
-/// Two rounds of forward (serial and through a 4-thread executor) and
-/// backward, the second accumulating onto the first's gradients.
 bool conv_matches_oracle(std::uint64_t seed, parallel::ThreadPool& pool) {
   Rng rng(seed);
   const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
@@ -106,29 +139,7 @@ bool conv_matches_oracle(std::uint64_t seed, parallel::ThreadPool& pool) {
 
   Conv2d conv(in, out, kernel, stride, padding, rng);
   oracle::Conv2d ref(in, out, kernel, stride, padding);
-  copy_parameters(conv.parameters(), ref.parameters());
-  bool ok = true;
-  for (int round = 0; ok && round < 2; ++round) {
-    const std::string tag = context + " round " + std::to_string(round);
-    const Tensor x = sparse_tensor({batch, in, h, w}, rng);
-    const Tensor want = ref.forward(x);
-    Tensor pooled;
-    {
-      ScopedBatchExecutor executor(pool);
-      pooled = conv.forward(x);
-    }
-    const Tensor y = conv.forward(x);
-    ok = same_bits(y, want, tag + " y") &&
-         same_bits(pooled, want, tag + " pooled y");
-    const Tensor g = sparse_tensor(want.shape(), rng);
-    const Tensor dx = conv.backward(g);
-    const Tensor want_dx = ref.backward(g);
-    ok = ok && same_bits(dx, want_dx, tag + " dx");
-    for (std::size_t k = 0; ok && k < 2; ++k) {
-      ok = same_bits(conv.parameters()[k]->grad, ref.parameters()[k]->grad,
-                     tag + " " + conv.parameters()[k]->name + " grad");
-    }
-  }
+  const bool ok = same_passes(conv, ref, {batch, in, h, w}, rng, pool, context);
   if (!ok) rlplan::testing::report_failure_seed("nn_kernel_test", context);
   return ok;
 }
@@ -141,8 +152,157 @@ TEST(NnKernelFuzz, Conv2dMatchesOracle) {
   }
 }
 
+/// One fuzzed Conv2d and one fuzzed Linear with the ReLU epilogue against
+/// the oracle layer followed by oracle::ReLU. The conv batch is drawn against
+/// the forward's chunk size (whole samples per lowering, ceil(256 / pixels)):
+/// one chunk, whole chunks, or a partial last chunk, over pixel counts from 1
+/// to past 256 that mostly do not divide 256.
+bool epilogue_matches_oracle(std::uint64_t seed, parallel::ThreadPool& pool) {
+  Rng rng(seed);
+  const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+  };
+  const std::size_t in = draw(1, 9);
+  const std::size_t out = draw(1, 9);
+  const std::size_t kernel = draw(1, 5);
+  const std::size_t stride = draw(1, 3);
+  const std::size_t padding = draw(0, 2);
+  const auto smallest = static_cast<std::int64_t>(
+      kernel > 2 * padding ? kernel - 2 * padding : 1);
+  const std::size_t h = draw(smallest, smallest + 19);
+  const std::size_t w = draw(smallest, smallest + 19);
+  Conv2d conv(in, out, kernel, stride, padding, rng, "conv",
+              Activation::kReLU);
+  const std::size_t pixels = conv.out_size(h) * conv.out_size(w);
+  const std::size_t per_chunk = (256 + pixels - 1) / pixels;
+  std::size_t batch = 0;
+  switch (seed % 3) {
+    case 0: batch = draw(1, static_cast<std::int64_t>(per_chunk)); break;
+    case 1: batch = per_chunk * draw(2, 3); break;
+    default:  // partial last chunk, when a chunk holds more than one sample
+      batch = per_chunk * draw(1, 2) + 1 +
+              draw(0, 8) % std::max<std::size_t>(per_chunk - 1, 1);
+  }
+  const std::string context =
+      "EpilogueMatchesOracle seed=" + std::to_string(seed) + " in=" +
+      std::to_string(in) + " out=" + std::to_string(out) + " k=" +
+      std::to_string(kernel) + " s=" + std::to_string(stride) + " p=" +
+      std::to_string(padding) + " " + std::to_string(h) + "x" +
+      std::to_string(w) + " batch=" + std::to_string(batch);
+
+  Sequential conv_ref;
+  conv_ref.add(std::make_unique<oracle::Conv2d>(in, out, kernel, stride,
+                                                padding));
+  conv_ref.add(std::make_unique<oracle::ReLU>());
+  bool ok = same_passes(conv, conv_ref, {batch, in, h, w}, rng, pool,
+                        context + " conv");
+
+  const std::size_t lin_in = draw(1, 40);
+  const std::size_t lin_out = draw(1, 40);
+  const std::size_t lin_batch = draw(0, 9);
+  const std::string lin_context = context + " linear " +
+                                  std::to_string(lin_in) + "->" +
+                                  std::to_string(lin_out) + " batch=" +
+                                  std::to_string(lin_batch);
+  Linear linear(lin_in, lin_out, rng, "linear", Activation::kReLU);
+  Sequential linear_ref;
+  linear_ref.add(std::make_unique<oracle::Linear>(lin_in, lin_out));
+  linear_ref.add(std::make_unique<oracle::ReLU>());
+  ok = ok && same_passes(linear, linear_ref, {lin_batch, lin_in}, rng, pool,
+                         lin_context);
+  if (!ok) rlplan::testing::report_failure_seed("nn_kernel_test", context);
+  return ok;
+}
+
+TEST(NnKernelFuzz, EpilogueMatchesOracle) {
+  parallel::ThreadPool pool(4);
+  const int cases = 90 * fuzz_scale();
+  for (int k = 0; k < cases; ++k) {
+    if (!epilogue_matches_oracle(0xE1109ULL * 1000003ULL + k, pool)) return;
+  }
+}
+
+/// A fuzzed Sequential, conv-first or linear-first, with random epilogues:
+/// backward_params() on one copy must leave every parameter gradient
+/// bit-identical to backward() on the other, over two accumulating rounds.
+bool backward_params_matches(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+  };
+  const auto act = [&rng] {
+    return rng.uniform() < 0.5 ? Activation::kNone : Activation::kReLU;
+  };
+  const bool conv_first = seed % 2 == 0;
+  const std::size_t batch = draw(0, 9);
+  const std::size_t c = draw(1, 6);
+  const std::size_t size = draw(3, 12);
+  const std::size_t mid = draw(1, 8);
+  const std::size_t out = draw(1, 12);
+  const std::size_t stride = draw(1, 2);
+  const std::string context =
+      "BackwardParamsMatchesBackward seed=" + std::to_string(seed) +
+      (conv_first ? " conv-first" : " linear-first") + " c=" +
+      std::to_string(c) + " size=" + std::to_string(size) + " mid=" +
+      std::to_string(mid) + " batch=" + std::to_string(batch);
+
+  std::vector<Activation> acts;
+  for (int k = 0; k < 3; ++k) acts.push_back(act());
+  const auto build = [&](Rng& init) {
+    Sequential net;
+    if (conv_first) {
+      auto conv1 = std::make_unique<Conv2d>(c, mid, 3, stride, 1, init,
+                                            "conv1", acts[0]);
+      const std::size_t s1 = conv1->out_size(size);
+      auto conv2 =
+          std::make_unique<Conv2d>(mid, mid, 3, 2, 1, init, "conv2", acts[1]);
+      const std::size_t s2 = conv2->out_size(s1);
+      net.add(std::move(conv1)).add(std::move(conv2));
+      net.add(std::make_unique<Flatten>());
+      net.add(std::make_unique<Linear>(mid * s2 * s2, out, init, "fc",
+                                       acts[2]));
+    } else {
+      net.add(std::make_unique<Linear>(c * size, mid, init, "fc1", acts[0]));
+      net.add(std::make_unique<Linear>(mid, out, init, "fc2", acts[1]));
+    }
+    return net;
+  };
+  Rng init_a(seed), init_b(seed);
+  Sequential full = build(init_a);
+  Sequential params_only = build(init_b);
+  const std::vector<std::size_t> in_shape =
+      conv_first ? std::vector<std::size_t>{batch, c, size, size}
+                 : std::vector<std::size_t>{batch, c * size};
+  bool ok = true;
+  for (int round = 0; ok && round < 2; ++round) {
+    const std::string tag = context + " round " + std::to_string(round);
+    const Tensor x = sparse_tensor(in_shape, rng);
+    const Tensor y = full.forward(x);
+    ok = same_bits(params_only.forward(x), y, tag + " y");
+    const Tensor g = sparse_tensor(y.shape(), rng);
+    full.backward(g);
+    params_only.backward_params(g);
+    const auto got = params_only.parameters();
+    const auto want = full.parameters();
+    for (std::size_t k = 0; ok && k < got.size(); ++k) {
+      ok = same_bits(got[k]->grad, want[k]->grad,
+                     tag + " " + got[k]->name + " grad");
+    }
+  }
+  if (!ok) rlplan::testing::report_failure_seed("nn_kernel_test", context);
+  return ok;
+}
+
+TEST(NnKernelFuzz, BackwardParamsMatchesBackward) {
+  const int cases = 60 * fuzz_scale();
+  for (int k = 0; k < cases; ++k) {
+    if (!backward_params_matches(0xBA9ULL * 1000003ULL + k)) return;
+  }
+}
+
 /// PolicyValueNet's layer stack with oracle convolutions in place of
-/// nn::Conv2d; the Linear layers are the library's.
+/// nn::Conv2d and standalone oracle::ReLU modules in place of the epilogues;
+/// the Linear layers are the library's, without an epilogue.
 struct OracleTwin {
   Sequential trunk;
   std::unique_ptr<Linear> policy_head;
@@ -153,14 +313,14 @@ struct OracleTwin {
     const std::size_t g4 = c.grid / 4;
     trunk.add(
         std::make_unique<oracle::Conv2d>(c.channels_in, c.conv1, 3, 1, 1));
-    trunk.add(std::make_unique<ReLU>());
+    trunk.add(std::make_unique<oracle::ReLU>());
     trunk.add(std::make_unique<oracle::Conv2d>(c.conv1, c.conv2, 3, 2, 1));
-    trunk.add(std::make_unique<ReLU>());
+    trunk.add(std::make_unique<oracle::ReLU>());
     trunk.add(std::make_unique<oracle::Conv2d>(c.conv2, c.conv3, 3, 2, 1));
-    trunk.add(std::make_unique<ReLU>());
+    trunk.add(std::make_unique<oracle::ReLU>());
     trunk.add(std::make_unique<Flatten>());
     trunk.add(std::make_unique<Linear>(c.conv3 * g4 * g4, c.fc, unused));
-    trunk.add(std::make_unique<ReLU>());
+    trunk.add(std::make_unique<oracle::ReLU>());
     policy_head = std::make_unique<Linear>(c.fc, c.grid * c.grid, unused);
     value_head = std::make_unique<Linear>(c.fc, 1, unused);
   }
@@ -173,15 +333,18 @@ struct OracleTwin {
   }
 };
 
-TEST(NnKernel, PolicyNetMatchesOracleTwin) {
+/// One forward and backward of PolicyValueNet against its oracle twin; the
+/// net's backward skips conv1's input gradient, the twin's computes it.
+void expect_policy_net_matches_twin(std::size_t grid, std::size_t batch) {
+  SCOPED_TRACE("grid " + std::to_string(grid) + " batch " +
+               std::to_string(batch));
   rl::PolicyNetConfig config;
-  config.grid = 16;
+  config.grid = grid;
   Rng rng(0x7A1);
   rl::PolicyValueNet net(config, rng);
   OracleTwin twin(config);
   copy_parameters(net.parameters(), twin.parameters());
 
-  const std::size_t batch = 64;
   Tensor states({batch, config.channels_in, config.grid, config.grid});
   for (std::size_t i = 0; i < states.numel(); ++i) {
     states[i] = rng.uniform() < 0.5 ? 0.0f
@@ -214,6 +377,11 @@ TEST(NnKernel, PolicyNetMatchesOracleTwin) {
     }
   }
   EXPECT_GT(nonzero, 1000) << "gradients suspiciously sparse";
+}
+
+TEST(NnKernel, PolicyNetMatchesOracleTwin) {
+  expect_policy_net_matches_twin(16, 64);
+  expect_policy_net_matches_twin(8, 37);
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 
 #include "nn/serialize.h"
+#include "nn_oracle.h"
 #include "rl/policy_net.h"
 
 namespace rlplan::nn {
@@ -170,7 +173,7 @@ TEST(Conv2d, PaddingZerosAtBorder) {
 }
 
 TEST(ReLU, ForwardBackward) {
-  ReLU relu;
+  oracle::ReLU relu;
   const Tensor x({1, 4}, {-1.0f, 0.0f, 2.0f, -3.0f});
   const Tensor y = relu.forward(x);
   EXPECT_FLOAT_EQ(y[0], 0.0f);
@@ -182,8 +185,70 @@ TEST(ReLU, ForwardBackward) {
   EXPECT_FLOAT_EQ(dx[2], 1.0f);
 }
 
+// The epilogue's edge cases against the standalone module it replaced: a
+// NaN sum passes forward and passes its gradient back, −0.0 passes forward
+// and blocks its gradient, as do negative and exactly-zero sums. Sums
+// [NaN, −0.0, −2, 0, 3] come from x = 1 and a 1-input layer.
+TEST(ReLU, EpilogueMatchesModuleOnNanAndSignedZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> w = {1.0f, -0.0f, 1.0f, 0.0f, 1.0f};
+  const std::vector<float> b = {nan, -0.0f, -3.0f, 0.0f, 2.0f};
+  const auto set = [&](const std::vector<Parameter*>& params) {
+    for (std::size_t o = 0; o < 5; ++o) {
+      params[0]->value[o] = w[o];
+      params[1]->value[o] = b[o];
+    }
+  };
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  const auto expect_same = [&](const Tensor& got, const Tensor& want,
+                               const char* what) {
+    ASSERT_EQ(got.numel(), want.numel()) << what;
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+      EXPECT_EQ(bits(got[i]), bits(want[i])) << what << "[" << i << "]";
+    }
+  };
+  Rng rng(14);
+  Linear fused(1, 5, rng, "fused", Activation::kReLU);
+  Conv2d fused_conv(1, 5, 1, 1, 0, rng, "fused_conv", Activation::kReLU);
+  Sequential reference;
+  reference.add(std::make_unique<Linear>(1, 5, rng, "plain"));
+  reference.add(std::make_unique<oracle::ReLU>());
+  set(fused.parameters());
+  set(fused_conv.parameters());
+  set(reference.parameters());
+
+  const Tensor y = fused.forward(Tensor({1, 1}, {1.0f}));
+  Tensor y_conv = fused_conv.forward(Tensor({1, 1, 1, 1}, {1.0f}));
+  y_conv.reshape({1, 5});
+  const Tensor want = reference.forward(Tensor({1, 1}, {1.0f}));
+  EXPECT_TRUE(std::isnan(want[0]));
+  EXPECT_TRUE(std::signbit(want[1]));
+  expect_same(y, want, "linear y");
+  expect_same(y_conv, want, "conv y");
+
+  const Tensor dy = Tensor::full({1, 5}, 1.0f);
+  const Tensor dx = fused.backward(dy);
+  const Tensor dx_conv = fused_conv.backward(Tensor::full({1, 5, 1, 1}, 1.0f));
+  const Tensor want_dx = reference.backward(dy);
+  expect_same(dx, want_dx, "linear dx");
+  expect_same(dx_conv, want_dx, "conv dx");
+  const std::vector<float> want_db = {1.0f, 0.0f, 0.0f, 0.0f, 1.0f};
+  for (std::size_t o = 0; o < 5; ++o) {
+    EXPECT_EQ(fused.bias().grad[o], want_db[o]) << o;
+    EXPECT_EQ(fused_conv.parameters()[1]->grad[o], want_db[o]) << o;
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(bits(fused.parameters()[k]->grad[o]),
+                bits(reference.parameters()[k]->grad[o]))
+          << "linear param " << k << "[" << o << "]";
+      EXPECT_EQ(bits(fused_conv.parameters()[k]->grad[o]),
+                bits(reference.parameters()[k]->grad[o]))
+          << "conv param " << k << "[" << o << "]";
+    }
+  }
+}
+
 TEST(Tanh, ForwardBackward) {
-  Tanh tanh_layer;
+  oracle::Tanh tanh_layer;
   const Tensor x({1, 2}, {0.0f, 100.0f});
   const Tensor y = tanh_layer.forward(x);
   EXPECT_FLOAT_EQ(y[0], 0.0f);
@@ -206,7 +271,7 @@ TEST(Sequential, ChainsAndCollectsParameters) {
   Rng rng(9);
   Sequential seq;
   seq.add(std::make_unique<Linear>(4, 8, rng));
-  seq.add(std::make_unique<ReLU>());
+  seq.add(std::make_unique<oracle::ReLU>());
   seq.add(std::make_unique<Linear>(8, 2, rng));
   EXPECT_EQ(seq.size(), 3u);
   EXPECT_EQ(seq.parameters().size(), 4u);  // two weights + two biases

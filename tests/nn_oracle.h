@@ -1,11 +1,17 @@
-// Test-only reference for nn::Conv2d: the direct convolution loops the
-// library ran before its lowered kernels, kept verbatim. nn::Conv2d's forward
-// and backward must match them bit for bit for finite values (nn_kernel_test's
-// differential fuzz and its PolicyValueNet twin). Serial over the batch: the
-// rows of a batch are independent, so the library's batch executor changes
-// nothing these loops would compute.
+// Test-only references for nn's layers. oracle::Conv2d is the direct
+// convolution loops the library ran before its lowered kernels, kept
+// verbatim; nn::Conv2d's forward and backward must match them bit for bit for
+// finite values (nn_kernel_test's differential fuzz and its PolicyValueNet
+// twin). Serial over the batch: the rows of a batch are independent, so the
+// library's batch executor changes nothing these loops would compute.
+// oracle::Linear is the naive o-at-a-time loop nn::Linear's forward and
+// backward must equal bit for bit (its backward skips zero gradients, like
+// the direct convolution loop). oracle::ReLU is the standalone module the library ran before the ReLU
+// epilogue of Linear and Conv2d, kept verbatim as that epilogue's reference.
+// oracle::Tanh is a smooth activation for the finite-difference checks.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -128,6 +134,113 @@ class Conv2d : public Module {
   std::size_t in_ch_, out_ch_, kernel_, stride_, padding_;
   Parameter weight_, bias_;  // weight: [out_ch, in_ch, k, k]
   Tensor cached_input_;
+};
+
+class Linear : public Module {
+ public:
+  Linear(std::size_t in_features, std::size_t out_features,
+         std::string name = "linear")
+      : in_(in_features),
+        out_(out_features),
+        weight_(name + ".weight", {out_features, in_features}),
+        bias_(name + ".bias", {out_features}) {}
+
+  Tensor forward(const Tensor& x) override {
+    if (x.rank() != 2 || x.dim(1) != in_) {
+      throw std::invalid_argument("oracle::Linear::forward: bad input shape");
+    }
+    cached_input_ = x;
+    Tensor y({x.dim(0), out_});
+    for (std::size_t b = 0; b < x.dim(0); ++b) {
+      for (std::size_t o = 0; o < out_; ++o) {
+        float acc = bias_.value[o];
+        for (std::size_t i = 0; i < in_; ++i) {
+          acc += weight_.value.at(o, i) * x.at(b, i);
+        }
+        y.at(b, o) = acc;
+      }
+    }
+    return y;
+  }
+
+  Tensor backward(const Tensor& grad_out) override {
+    const Tensor& x = cached_input_;
+    if (grad_out.rank() != 2 || grad_out.dim(0) != x.dim(0) ||
+        grad_out.dim(1) != out_) {
+      throw std::invalid_argument("oracle::Linear::backward: grad shape");
+    }
+    Tensor dx(x.shape());
+    for (std::size_t b = 0; b < x.dim(0); ++b) {
+      for (std::size_t o = 0; o < out_; ++o) {
+        const float g = grad_out.at(b, o);
+        if (g == 0.0f) continue;
+        bias_.grad[o] += g;
+        for (std::size_t i = 0; i < in_; ++i) {
+          weight_.grad.at(o, i) += g * x.at(b, i);
+          dx.at(b, i) += g * weight_.value.at(o, i);
+        }
+      }
+    }
+    return dx;
+  }
+
+  std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
+
+ private:
+  std::size_t in_, out_;
+  Parameter weight_, bias_;
+  Tensor cached_input_;
+};
+
+class ReLU : public Module {
+ public:
+  Tensor forward(const Tensor& x) override {
+    cached_input_ = x;
+    Tensor y = x;
+    for (std::size_t i = 0; i < y.numel(); ++i) {
+      if (y[i] < 0.0f) y[i] = 0.0f;
+    }
+    return y;
+  }
+
+  Tensor backward(const Tensor& grad_out) override {
+    if (!grad_out.same_shape(cached_input_)) {
+      throw std::invalid_argument("oracle::ReLU::backward: grad shape");
+    }
+    Tensor dx = grad_out;
+    for (std::size_t i = 0; i < dx.numel(); ++i) {
+      if (cached_input_[i] <= 0.0f) dx[i] = 0.0f;
+    }
+    return dx;
+  }
+
+ private:
+  Tensor cached_input_;
+};
+
+class Tanh : public Module {
+ public:
+  Tensor forward(const Tensor& x) override {
+    Tensor y = x;
+    for (std::size_t i = 0; i < y.numel(); ++i) y[i] = std::tanh(y[i]);
+    cached_output_ = y;
+    return y;
+  }
+
+  Tensor backward(const Tensor& grad_out) override {
+    if (!grad_out.same_shape(cached_output_)) {
+      throw std::invalid_argument("oracle::Tanh::backward: grad shape");
+    }
+    Tensor dx = grad_out;
+    for (std::size_t i = 0; i < dx.numel(); ++i) {
+      const float y = cached_output_[i];
+      dx[i] *= 1.0f - y * y;
+    }
+    return dx;
+  }
+
+ private:
+  Tensor cached_output_;
 };
 
 }  // namespace rlplan::nn::oracle

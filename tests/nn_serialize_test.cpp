@@ -2,7 +2,8 @@
 // format (src/nn/serialize.{h,cpp}): exact-bit save/load identity across
 // ranks and value extremes, plus the error paths a damaged checkpoint must
 // hit — missing file, bad magic, mismatched parameter lists, and truncation
-// at EVERY byte boundary of a small checkpoint.
+// at EVERY byte boundary of a small checkpoint, after which the destination
+// must be unchanged.
 #include "nn/serialize.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/layers.h"
@@ -180,6 +182,80 @@ TEST_F(SerializeTest, TruncationAtEveryByteThrows) {
   // Sanity: the untruncated file still loads.
   auto dest = small;
   EXPECT_NO_THROW(load_parameters(pointers(dest), path("full.bin")));
+}
+
+/// Bit patterns of every parameter value, for "a rejected load changed
+/// nothing" checks (so NaN payloads and signed zeros count).
+std::vector<std::vector<std::uint32_t>> snapshot(
+    const std::vector<Parameter>& params) {
+  std::vector<std::vector<std::uint32_t>> out;
+  for (const Parameter& p : params) {
+    std::vector<std::uint32_t> bits(p.value.numel());
+    std::memcpy(bits.data(), p.value.data().data(),
+                bits.size() * sizeof(float));
+    out.push_back(std::move(bits));
+  }
+  return out;
+}
+
+// A load that throws must leave every destination parameter as it was, not
+// hold the parameters read before the bad one: a wrong shape on the second
+// parameter, and truncation at every byte (the tail cuts land inside the
+// last tensor, after the others were read).
+TEST_F(SerializeTest, RejectedLoadLeavesParametersUntouched) {
+  auto saved = make_params();
+  save_parameters(pointers(saved), path("ckpt.bin"));
+
+  std::vector<Parameter> reshaped;
+  reshaped.emplace_back("bias", std::vector<std::size_t>{5});
+  reshaped.emplace_back("weight", std::vector<std::size_t>{4, 3});
+  reshaped.emplace_back("conv", std::vector<std::size_t>{2, 3, 3});
+  for (Parameter& p : reshaped) p.value.fill(7.0f);
+  const auto before = snapshot(reshaped);
+  EXPECT_THROW(load_parameters(pointers(reshaped), path("ckpt.bin")),
+               std::runtime_error);
+  EXPECT_EQ(snapshot(reshaped), before) << "wrong second shape";
+
+  std::ifstream is(path("ckpt.bin"), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  is.close();
+  auto dest = make_params();
+  for (Parameter& p : dest) p.value.fill(-2.0f);
+  const auto initial = snapshot(dest);
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::ofstream(path("cut.bin"), std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(cut));
+    EXPECT_THROW(load_parameters(pointers(dest), path("cut.bin")),
+                 std::runtime_error);
+    ASSERT_EQ(snapshot(dest), initial)
+        << "truncated to " << cut << "/" << bytes.size() << " bytes";
+  }
+  load_parameters(pointers(dest), path("ckpt.bin"));
+  EXPECT_EQ(snapshot(dest), snapshot(saved));
+}
+
+// A corrupt name length or rank must throw runtime_error before allocating,
+// not bad_alloc (a 2^40-byte name) or a giant shape vector.
+TEST_F(SerializeTest, CorruptV1HeaderSizesThrowRuntimeError) {
+  const auto write_v1 = [&](std::uint64_t name_len, const std::string& name,
+                            std::uint64_t rank) {
+    std::ofstream os(path("corrupt.bin"), std::ios::binary);
+    os.write(kCheckpointMagicV1, kCheckpointMagicLen);
+    const std::uint64_t count = 1;
+    os.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    os.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
+    os.write(name.data(), static_cast<std::streamsize>(name.size()));
+    os.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  };
+  std::vector<Parameter> dest;
+  dest.emplace_back("w", std::vector<std::size_t>{2});
+  write_v1(std::uint64_t{1} << 40, "", 1);
+  EXPECT_THROW(load_parameters(pointers(dest), path("corrupt.bin")),
+               std::runtime_error);
+  write_v1(1, "w", std::uint64_t{1} << 40);
+  EXPECT_THROW(load_parameters(pointers(dest), path("corrupt.bin")),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -644,6 +644,76 @@ TEST(TrainingSession, NonCloneableEvaluatorTrainsOnOneReplica) {
                std::invalid_argument);
 }
 
+/// Every net parameter value, for "a rejected load changed nothing" checks.
+std::vector<std::vector<float>> net_values(PpoCore& core) {
+  std::vector<std::vector<float>> out;
+  for (const nn::Parameter* p : core.net().parameters()) {
+    out.emplace_back(p->value.data().begin(), p->value.data().end());
+  }
+  return out;
+}
+
+// A warm start that throws must leave the net exactly as it was, not with
+// the layers read before the bad record: serve counts such a file as a
+// warm-start miss and runs the job cold.
+TEST(TrainingSession, RejectedWarmStartLeavesWeightsUntouched) {
+  const ChipletSystem sa = tiny_system_a();
+  const std::string path = temp_path("partial_warm.ckpt");
+  TrainingSession donor(small_config(7), make_tasks({&sa}, {"a"}));
+  donor.train_epoch();
+  donor.save_checkpoint(path);
+  const std::string blob = slurp(path);
+  // Cut inside fc_shared's weights, after conv1-conv3 were read.
+  const std::size_t record = blob.find("net.fc_shared.weight");
+  ASSERT_NE(record, std::string::npos);
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(blob.data(), static_cast<std::streamsize>(record + 200));
+  }
+  TrainingSession tuner(small_config(23), make_tasks({&sa}, {"a"}));
+  const auto before = net_values(tuner.core());
+  EXPECT_THROW(tuner.load_checkpoint(path, /*warm_start=*/true),
+               std::runtime_error);
+  EXPECT_EQ(net_values(tuner.core()), before) << "v2, truncated";
+
+  // v1: a net whose fc_shared differs in shape from the file's.
+  donor.core().net().save(path);
+  TrainingSessionConfig wider = small_config(23);
+  wider.net.fc = 48;
+  TrainingSession other(wider, make_tasks({&sa}, {"a"}));
+  const auto other_before = net_values(other.core());
+  EXPECT_THROW(other.load_checkpoint(path, /*warm_start=*/true),
+               std::runtime_error);
+  EXPECT_EQ(net_values(other.core()), other_before) << "v1, wrong shape";
+  std::remove(path.c_str());
+}
+
+// minibatch and rnd.train_batch are loop strides in the update; zero would
+// hang train_epoch, so construction rejects them, naming the field.
+TEST(TrainingSession, RejectsZeroBatchSizes) {
+  const ChipletSystem sa = tiny_system_a();
+  const auto expect_rejected = [&](const TrainingSessionConfig& config,
+                                   const std::string& field) {
+    try {
+      TrainingSession session(config, make_tasks({&sa}, {"a"}));
+      ADD_FAILURE() << field << " = 0 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  TrainingSessionConfig zero_minibatch = small_config(7);
+  zero_minibatch.ppo.minibatch = 0;
+  expect_rejected(zero_minibatch, "minibatch");
+  TrainingSessionConfig zero_rnd_batch = small_config(7);
+  zero_rnd_batch.ppo.use_rnd = true;
+  zero_rnd_batch.ppo.rnd.train_batch = 0;
+  expect_rejected(zero_rnd_batch, "train_batch");
+  // Without RND the field is never used.
+  zero_rnd_batch.ppo.use_rnd = false;
+  EXPECT_NO_THROW(TrainingSession(zero_rnd_batch, make_tasks({&sa}, {"a"})));
+}
+
 TEST(TrainingSession, RejectsOutOfRangeThreadCount) {
   // A negative --threads cast to size_t must fail with a named field, not
   // as vector::reserve's length_error (or by spawning ~2^64 workers).
