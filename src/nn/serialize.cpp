@@ -7,6 +7,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "robust/robust.h"
+
 namespace rlplan::nn {
 
 namespace {
@@ -31,17 +33,11 @@ void write_u64_raw(std::ostream& os, std::uint64_t v) {
 std::uint64_t read_u64_raw(std::istream& is) {
   std::uint64_t v = 0;
   is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("checkpoint: truncated stream");
+  if (!is) throw robust::CorruptArtifactError("checkpoint: truncated stream");
   return v;
 }
 
 void write_u64(std::ofstream& os, std::uint64_t v) { write_u64_raw(os, v); }
-
-std::uint64_t read_u64(std::ifstream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
 
 const char* kind_name(std::uint8_t kind) {
   switch (kind) {
@@ -82,34 +78,39 @@ void load_parameters(const std::vector<Parameter*>& params,
   char magic[kCheckpointMagicLen];
   is.read(magic, sizeof(magic));
   if (!is || std::string(magic, sizeof(magic)) != kCheckpointMagicV1) {
-    throw std::runtime_error("load_parameters: bad magic in " + path);
+    throw robust::CorruptArtifactError("load_parameters: bad magic in " +
+                                       path);
   }
-  const std::uint64_t count = read_u64(is);
+  const std::uint64_t count = read_u64_raw(is);
   if (count != params.size()) {
     throw std::runtime_error("load_parameters: parameter count mismatch");
   }
   std::vector<Tensor> staged;
   for (Parameter* p : params) {
-    const std::uint64_t name_len = read_u64(is);
+    const std::uint64_t name_len = read_u64_raw(is);
     // Cap before allocating, as StateReader does: corruption must throw
-    // runtime_error, not bad_alloc.
+    // CorruptArtifactError, not bad_alloc.
     if (name_len > 4096) {
-      throw std::runtime_error("load_parameters: corrupt name length in " +
-                               path);
+      throw robust::CorruptArtifactError(
+          "load_parameters: corrupt name length in " + path);
     }
     std::string name(name_len, '\0');
     is.read(name.data(), static_cast<std::streamsize>(name_len));
+    if (!is) {
+      throw robust::CorruptArtifactError("load_parameters: truncated file " +
+                                         path);
+    }
     if (name != p->name) {
       throw std::runtime_error("load_parameters: expected parameter '" +
                                p->name + "', found '" + name + "'");
     }
-    const std::uint64_t rank = read_u64(is);
+    const std::uint64_t rank = read_u64_raw(is);
     if (rank > 16) {
-      throw std::runtime_error("load_parameters: corrupt rank for '" + name +
-                               "'");
+      throw robust::CorruptArtifactError("load_parameters: corrupt rank for '" +
+                                         name + "'");
     }
     std::vector<std::size_t> shape(rank);
-    for (auto& d : shape) d = read_u64(is);
+    for (auto& d : shape) d = read_u64_raw(is);
     if (shape != p->value.shape()) {
       throw std::runtime_error("load_parameters: shape mismatch for '" +
                                name + "'");
@@ -118,7 +119,10 @@ void load_parameters(const std::vector<Parameter*>& params,
     is.read(reinterpret_cast<char*>(staged.back().data().data()),
             static_cast<std::streamsize>(p->value.numel() * sizeof(float)));
   }
-  if (!is) throw std::runtime_error("load_parameters: truncated file " + path);
+  if (!is) {
+    throw robust::CorruptArtifactError("load_parameters: truncated file " +
+                                       path);
+  }
   // Staged, so a rejected load leaves every parameter as it was.
   for (std::size_t i = 0; i < params.size(); ++i) params[i]->value = staged[i];
 }
@@ -187,7 +191,7 @@ StateReader::StateReader(std::istream& is) : is_(&is) {
   char magic[kCheckpointMagicLen];
   is_->read(magic, sizeof(magic));
   if (!*is_ || std::string(magic, sizeof(magic)) != kCheckpointMagicV2) {
-    throw std::runtime_error("checkpoint: bad v2 magic");
+    throw robust::CorruptArtifactError("checkpoint: bad v2 magic");
   }
 }
 
@@ -195,19 +199,20 @@ void StateReader::header(const std::string& name, std::uint8_t kind) {
   const std::uint64_t name_len = read_u64_raw(*is_);
   // A wildly large length means corruption; reject before allocating.
   if (name_len > 4096) {
-    throw std::runtime_error("checkpoint: corrupt record name length while "
-                             "reading '" + name + "'");
+    throw robust::CorruptArtifactError(
+        "checkpoint: corrupt record name length while reading '" + name +
+        "'");
   }
   std::string found(name_len, '\0');
   is_->read(found.data(), static_cast<std::streamsize>(name_len));
   std::uint8_t found_kind = 0;
   is_->read(reinterpret_cast<char*>(&found_kind), 1);
   if (!*is_) {
-    throw std::runtime_error("checkpoint: truncated while reading '" + name +
-                             "'");
+    throw robust::CorruptArtifactError("checkpoint: truncated while reading '" +
+                                       name + "'");
   }
   if (found != name || found_kind != kind) {
-    throw std::runtime_error(
+    throw robust::CorruptArtifactError(
         "checkpoint: expected record '" + name + "' (" + kind_name(kind) +
         "), found '" + found + "' (" + kind_name(found_kind) + ")");
   }
@@ -230,7 +235,7 @@ float StateReader::f32(const std::string& name) {
   header(name, kF32);
   std::uint32_t bits = 0;
   is_->read(reinterpret_cast<char*>(&bits), sizeof(bits));
-  if (!*is_) throw std::runtime_error("checkpoint: truncated stream");
+  if (!*is_) throw robust::CorruptArtifactError("checkpoint: truncated stream");
   float v = 0.0f;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
@@ -240,12 +245,12 @@ std::string StateReader::str(const std::string& name) {
   header(name, kString);
   const std::uint64_t len = read_u64_raw(*is_);
   if (len > (1ULL << 20)) {
-    throw std::runtime_error("checkpoint: corrupt string length in '" + name +
-                             "'");
+    throw robust::CorruptArtifactError(
+        "checkpoint: corrupt string length in '" + name + "'");
   }
   std::string v(len, '\0');
   is_->read(v.data(), static_cast<std::streamsize>(len));
-  if (!*is_) throw std::runtime_error("checkpoint: truncated stream");
+  if (!*is_) throw robust::CorruptArtifactError("checkpoint: truncated stream");
   return v;
 }
 
@@ -255,8 +260,8 @@ void StateReader::tensor(const std::string& name, Tensor& out) {
   // Cap before allocating, like the string/u64vec readers: a corrupt rank
   // must throw, not attempt a giant allocation.
   if (rank > 16) {
-    throw std::runtime_error("checkpoint: corrupt tensor rank in '" + name +
-                             "'");
+    throw robust::CorruptArtifactError("checkpoint: corrupt tensor rank in '" +
+                                       name + "'");
   }
   std::vector<std::size_t> shape(rank);
   for (auto& d : shape) d = read_u64_raw(*is_);
@@ -267,7 +272,8 @@ void StateReader::tensor(const std::string& name, Tensor& out) {
   is_->read(reinterpret_cast<char*>(out.data().data()),
             static_cast<std::streamsize>(out.numel() * sizeof(float)));
   if (!*is_) {
-    throw std::runtime_error("checkpoint: truncated tensor '" + name + "'");
+    throw robust::CorruptArtifactError("checkpoint: truncated tensor '" +
+                                       name + "'");
   }
 }
 
@@ -275,8 +281,8 @@ std::vector<std::uint64_t> StateReader::u64vec(const std::string& name) {
   header(name, kU64Vec);
   const std::uint64_t count = read_u64_raw(*is_);
   if (count > (1ULL << 20)) {
-    throw std::runtime_error("checkpoint: corrupt u64vec length in '" + name +
-                             "'");
+    throw robust::CorruptArtifactError(
+        "checkpoint: corrupt u64vec length in '" + name + "'");
   }
   std::vector<std::uint64_t> v(count);
   for (auto& x : v) x = read_u64_raw(*is_);
@@ -315,11 +321,14 @@ int checkpoint_file_version(const std::string& path) {
   }
   char magic[kCheckpointMagicLen];
   is.read(magic, sizeof(magic));
-  if (!is) throw std::runtime_error("checkpoint: truncated file " + path);
+  if (!is) {
+    throw robust::CorruptArtifactError("checkpoint: truncated file " + path);
+  }
   const std::string m(magic, sizeof(magic));
   if (m == kCheckpointMagicV1) return 1;
   if (m == kCheckpointMagicV2) return 2;
-  throw std::runtime_error("checkpoint: unrecognized magic in " + path);
+  throw robust::CorruptArtifactError("checkpoint: unrecognized magic in " +
+                                     path);
 }
 
 }  // namespace rlplan::nn

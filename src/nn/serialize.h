@@ -17,10 +17,17 @@
 // bit-exactly), f32, string, tensor (uint64 rank, dims..., float32 data) and
 // u64vec (uint64 count, values; RNG state snapshots). Readers consume
 // records in writer order and validate every name, kind, and tensor shape,
-// so any reordering, truncation, or corruption fails loudly with a
-// std::runtime_error naming the offending record. finish() writes/expects a
-// terminal "end" record, which turns silent tail truncation into an error as
-// well.
+// so any reordering, truncation, or corruption fails loudly with an error
+// naming the offending record. finish() writes/expects a terminal "end"
+// record, which turns silent tail truncation into an error as well.
+//
+// Errors split by cause, so a caller scanning several files can tell a bad
+// file from a wrong caller: a fault of the file itself (bad magic,
+// truncation, a record of the wrong name or kind, a missing end, an
+// oversized count or rank) throws robust::CorruptArtifactError; a file that
+// is well formed but does not fit the destination (parameter count, name in
+// v1, tensor shape) throws a plain std::runtime_error. Both are
+// std::runtime_errors.
 #pragma once
 
 #include <array>
@@ -41,8 +48,8 @@ inline constexpr std::size_t kCheckpointMagicLen = 8;
 void save_parameters(const std::vector<Parameter*>& params,
                      const std::string& path);
 
-/// Throws std::runtime_error on I/O failure or any name/shape mismatch, and
-/// then leaves every parameter as it was.
+/// Throws on I/O failure, a corrupt file or any name/shape mismatch (split
+/// by cause as above), and then leaves every parameter as it was.
 void load_parameters(const std::vector<Parameter*>& params,
                      const std::string& path);
 
@@ -71,17 +78,19 @@ class StateWriter {
 
 class StateReader {
  public:
-  /// Verifies the v2 magic immediately (throws std::runtime_error on
-  /// mismatch). `is` must outlive the reader.
+  /// Verifies the v2 magic immediately (throws robust::CorruptArtifactError
+  /// on mismatch). `is` must outlive the reader.
   explicit StateReader(std::istream& is);
 
-  /// Each accessor consumes the next record and throws std::runtime_error
-  /// when its name or kind does not match, or the stream ends early.
+  /// Each accessor consumes the next record and throws
+  /// robust::CorruptArtifactError when its name or kind does not match, a
+  /// count is oversized, or the stream ends early.
   std::uint64_t u64(const std::string& name);
   double f64(const std::string& name);
   float f32(const std::string& name);
   std::string str(const std::string& name);
-  /// Shape of `out` must equal the stored shape.
+  /// Shape of `out` must equal the stored shape (a plain
+  /// std::runtime_error otherwise).
   void tensor(const std::string& name, Tensor& out);
   std::vector<std::uint64_t> u64vec(const std::string& name);
 
@@ -103,7 +112,8 @@ void read_parameter_tensors(StateReader& r, const std::string& prefix,
                             const std::vector<Parameter*>& params);
 
 /// Reads the leading magic of a checkpoint file and returns its version
-/// (1 or 2). Throws std::runtime_error on I/O failure or unknown magic.
+/// (1 or 2). Throws std::runtime_error when the file cannot be opened and
+/// robust::CorruptArtifactError on a short file or unknown magic.
 int checkpoint_file_version(const std::string& path);
 
 }  // namespace rlplan::nn

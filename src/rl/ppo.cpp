@@ -281,7 +281,8 @@ void PpoCore::load_state(nn::StateReader& r) {
 
   const auto rng_state = r.u64vec("core.update_rng");
   if (rng_state.size() != 4) {
-    throw std::runtime_error("checkpoint: bad update RNG state size");
+    throw robust::CorruptArtifactError(
+        "checkpoint: bad update RNG state size");
   }
   rng_.set_state({rng_state[0], rng_state[1], rng_state[2], rng_state[3]});
   optimizer_.load_state(r, "core.adam");

@@ -452,8 +452,8 @@ void TrainingSession::load_checkpoint(const std::string& path,
   // meaningless otherwise); session shape only for full resume.
   const std::uint64_t version = r.u64("version");
   if (version != 2) {
-    throw std::runtime_error("checkpoint: unsupported version " +
-                             std::to_string(version));
+    throw robust::CorruptArtifactError("checkpoint: unsupported version " +
+                                       std::to_string(version));
   }
   const std::uint64_t grid = r.u64("grid");
   const std::uint64_t channels = r.u64("channels");
@@ -516,9 +516,9 @@ void TrainingSession::load_checkpoint(const std::string& path,
   }
   const std::uint64_t num_tasks = r.u64("num_tasks");
   // Cap before allocating (like the serialize.cpp readers): corruption must
-  // surface as the documented runtime_error, not bad_alloc.
+  // surface as the documented CorruptArtifactError, not bad_alloc.
   if (num_tasks > parallel::VecEnv::kMaxEnvs) {
-    throw std::runtime_error("checkpoint: corrupt task count");
+    throw robust::CorruptArtifactError("checkpoint: corrupt task count");
   }
   std::vector<std::string> names(num_tasks);
   for (std::size_t i = 0; i < num_tasks; ++i) {
@@ -556,7 +556,7 @@ void TrainingSession::load_checkpoint(const std::string& path,
   total_env_steps_ = static_cast<long>(r.u64("session.total_env_steps"));
   const auto cur_state = r.u64vec("session.curriculum_rng");
   if (cur_state.size() != 4) {
-    throw std::runtime_error("checkpoint: bad curriculum RNG state");
+    throw robust::CorruptArtifactError("checkpoint: bad curriculum RNG state");
   }
   curriculum_rng_.set_state(
       {cur_state[0], cur_state[1], cur_state[2], cur_state[3]});
@@ -568,8 +568,8 @@ void TrainingSession::load_checkpoint(const std::string& path,
       const std::string name = rng_record(tag, j, config_.num_envs);
       const auto s = r.u64vec(name);
       if (s.size() != 4) {
-        throw std::runtime_error("checkpoint: bad RNG state in '" + name +
-                                 "'");
+        throw robust::CorruptArtifactError("checkpoint: bad RNG state in '" +
+                                           name + "'");
       }
       rt.venv.rng(j).set_state({s[0], s[1], s[2], s[3]});
     }
@@ -611,10 +611,14 @@ std::string load_newest_valid_checkpoint(
       std::ifstream probe(path, std::ios::binary);
       if (!probe) continue;
     }
+    // Only a fault of the file itself moves on to the next candidate. Any
+    // other error (a checkpoint that does not match this session, an
+    // unreadable path) would fail every candidate alike, so it propagates
+    // before anything is renamed.
     try {
       session.load_checkpoint(path, warm_start);
       return path;
-    } catch (const std::exception& e) {
+    } catch (const robust::CorruptArtifactError& e) {
       RLPLAN_COUNTER_INC("robust.ckpt_quarantined");
       RLPLAN_WARN << "checkpoint " << path
                   << " failed to load, trying next candidate: " << e.what();

@@ -174,8 +174,12 @@ class TrainingSession {
   /// (fine-tuning path: fresh optimizer/normalizer/RNG over new scenarios).
   /// v1 weight-only files load with warm_start only — they cannot satisfy a
   /// full resume, and resume mode rejects them rather than silently
-  /// restarting optimizer/RNG state. Throws std::runtime_error on mismatch
-  /// or corruption.
+  /// restarting optimizer/RNG state. A fault of the file itself (bad magic,
+  /// truncation, a wrong record, a missing end, an oversized count) throws
+  /// robust::CorruptArtifactError; a mismatch with this session (grid or
+  /// channels, num_envs, curriculum, task names, PPO hyperparameters, RND
+  /// presence, tensor shapes) or an unopenable path throws a plain
+  /// std::runtime_error.
   void load_checkpoint(const std::string& path, bool warm_start = false);
 
   /// Updates config().control for an already-built session (deadline/cancel
@@ -202,11 +206,13 @@ class TrainingSession {
 
 /// Corrupt-checkpoint auto-resume: tries each candidate in order (callers
 /// list newest first) until one passes full validation and loads, and
-/// returns that path. Candidates that fail to load are counted
-/// ("robust.ckpt_quarantined") and — when `quarantine` is set — renamed to
-/// "<path>.corrupt" so later scans skip them. Missing files are skipped
-/// silently (rotation histories have gaps). Throws
-/// robust::CorruptArtifactError when no candidate loads.
+/// returns that path. Candidates that fail with robust::CorruptArtifactError
+/// are counted ("robust.ckpt_quarantined") and — when `quarantine` is set —
+/// renamed to "<path>.corrupt" so later scans skip them. Missing files are
+/// skipped silently (rotation histories have gaps). Any other load error —
+/// a checkpoint that does not match the session — propagates at once and
+/// renames nothing. Throws robust::CorruptArtifactError when no candidate
+/// loads.
 std::string load_newest_valid_checkpoint(
     TrainingSession& session, const std::vector<std::string>& candidates,
     bool warm_start = false, bool quarantine = true);

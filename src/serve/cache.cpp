@@ -73,25 +73,12 @@ std::uint64_t characterization_key(std::uint64_t stack_hash,
   h.u64(stack_hash);
   h.u64(cc.solver.dims.rows);
   h.u64(cc.solver.dims.cols);
-  for (const double w : cc.widths_mm) h.f64(w);
-  h.u64(cc.widths_mm.size());
-  for (const double hh : cc.heights_mm) h.f64(hh);
-  h.u64(cc.heights_mm.size());
-  h.f64(cc.min_die_mm);
-  h.f64(cc.max_die_mm);
   h.u64(cc.auto_axis_points);
   h.boolean(cc.geometric_axes);
-  h.f64(cc.reference_power_w);
-  h.f64(cc.mutual_source_mm);
-  h.f64(cc.mutual_bin_mm);
-  h.u64(cc.mutual_source_positions);
-  h.u64(static_cast<std::uint64_t>(cc.kernel_deconvolution_iters));
   h.u64(cc.position_points);
-  h.f64(cc.position_ref_die_mm);
   h.u64(static_cast<std::uint64_t>(cc.model_config.source_subsamples));
   h.u64(static_cast<std::uint64_t>(cc.model_config.receiver_probes));
   h.boolean(cc.model_config.use_images);
-  h.f64(cc.model_config.image_reflectivity);
   h.f64(interposer_w_mm);
   h.f64(interposer_h_mm);
   return h.state;

@@ -57,17 +57,15 @@ ServeEngine::ServeEngine(const thermal::LayerStack& stack,
     : config_(std::move(config)), runner_(stack, config_.runner) {
   workers_ = config_.workers > 0 ? config_.workers
                                  : parallel::ThreadPool::hardware_threads();
-  // A pool of n lanes runs parallel_for on n - 1 threads plus its caller,
-  // here the dispatcher thread (one lane is the inline pool: the
-  // dispatcher alone).
-  pool_ = std::make_unique<parallel::ThreadPool>(workers_);
-  dispatcher_ = std::thread([this] {
-    // One long-lived parallel_for claims every lane for the job queue. Each
-    // of the `workers_` indices is taken by a distinct lane: a lane that
-    // pops an index blocks inside worker_loop() until shutdown, so it can
-    // never fetch a second index while the queue is live.
-    pool_->parallel_for(workers_, [this](std::size_t) { worker_loop(); });
-  });
+  lanes_.reserve(workers_);
+  try {
+    for (std::size_t i = 0; i < workers_; ++i) {
+      lanes_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    shutdown();  // joins the lanes already started
+    throw;
+  }
 }
 
 ServeEngine::~ServeEngine() { shutdown(); }
@@ -252,7 +250,9 @@ void ServeEngine::shutdown() {
       done_cv_.notify_all();
     }
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& lane : lanes_) {
+    if (lane.joinable()) lane.join();
+  }
 }
 
 void ServeEngine::worker_loop() {

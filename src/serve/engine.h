@@ -1,17 +1,12 @@
 // ServeEngine — the daemon's job scheduler.
 //
 // Owns one ScenarioRunner (and through it the cross-request caches) plus a
-// priority job queue drained by lanes of the existing src/parallel
-// ThreadPool. The pool has no task-submission API — its one primitive is
-// parallel_for — so the engine claims its lanes with a single long-lived
-// parallel_for(workers, worker_loop) issued from a dispatcher thread: each
-// index is taken by a distinct lane (a lane that pops an index stays inside
-// worker_loop until shutdown, so it cannot steal a second one), and every
-// lane loops pop-job/run-job until shutdown. The pool has `workers` lanes,
-// workers - 1 threads plus the dispatcher, so exactly `workers` jobs run at
-// once. This keeps the daemon on the same pool machinery the rest of the
-// system uses — ThreadPool::stats(), the pool obs gauges, and the
-// pool_dispatch fault site all see serve traffic.
+// priority job queue drained by `workers` plain threads, each looping
+// pop-job/run-job until shutdown, so exactly `workers` jobs run at once.
+// The lanes are dedicated threads rather than a ThreadPool::parallel_for:
+// a job lane lives as long as the engine, and the pool's dispatch may
+// degrade to inline execution (the pool_dispatch fault site), which would
+// leave one lane running every job.
 //
 // Job lifecycle: queued -> running -> done | failed | cancelled.
 //  * Priorities: higher runs first; FIFO (submission order) within a
@@ -45,10 +40,6 @@
 #include "serve/runner.h"
 #include "systems/scenario.h"
 #include "util/json.h"
-
-namespace rlplan::parallel {
-class ThreadPool;
-}
 
 namespace rlplan::serve {
 
@@ -89,9 +80,7 @@ struct EngineStats {
 };
 
 struct ServeEngineConfig {
-  /// Concurrent job lanes: the pool runs workers - 1 threads plus the
-  /// dispatcher thread, parallel_for's calling lane. 0 = hardware
-  /// concurrency.
+  /// Concurrent job lanes, one thread each. 0 = hardware concurrency.
   std::size_t workers = 0;
   RunnerConfig runner{};
 };
@@ -154,8 +143,7 @@ class ServeEngine {
   ServeEngineConfig config_;
   ScenarioRunner runner_;
   std::size_t workers_ = 1;
-  std::unique_ptr<parallel::ThreadPool> pool_;
-  std::thread dispatcher_;
+  std::vector<std::thread> lanes_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   ///< workers wait for jobs

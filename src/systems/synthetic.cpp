@@ -6,6 +6,16 @@
 
 namespace rlplan::systems {
 
+namespace {
+/// prefix + decimal n. Appends instead of using `const char* +
+/// std::string&&`, whose inlined copy GCC 12 flags with a -Wrestrict false
+/// positive (GCC bug 105329) at -O2 and up, breaking -Werror builds.
+std::string numbered(std::string prefix, std::uint64_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+}  // namespace
+
 SyntheticSystemGenerator::SyntheticSystemGenerator(SyntheticConfig config)
     : config_(config) {
   if (config_.min_chiplets < 2 ||
@@ -41,8 +51,7 @@ ChipletSystem SyntheticSystemGenerator::generate(
         continue;
       }
       const double p = rng.uniform(config_.min_power_w, config_.max_power_w);
-      chiplets.push_back(
-          {"c" + std::to_string(i), w, h, p});
+      chiplets.push_back({numbered("c", i), w, h, p});
       used_area += w * h;
       break;
     }
@@ -68,7 +77,7 @@ ChipletSystem SyntheticSystemGenerator::generate(
   }
 
   ChipletSystem system(
-      name.empty() ? "synthetic-" + std::to_string(seed) : name,
+      name.empty() ? numbered("synthetic-", seed) : name,
       config_.interposer_w_mm, config_.interposer_h_mm, std::move(chiplets),
       std::move(nets));
   system.validate();
@@ -280,7 +289,7 @@ ChipletSystem generate_family(const FamilyConfig& config, std::uint64_t seed,
           config.min_power_w +
           (config.max_power_w - config.min_power_w) *
               std::pow(u, 1.0 + config.power_skew);
-      chiplets.push_back({"c" + std::to_string(i), w, h, power});
+      chiplets.push_back({numbered("c", i), w, h, power});
       used_area += w * h;
       break;
     }

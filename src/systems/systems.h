@@ -4,8 +4,9 @@
 // budgets, and link widths are not published in machine-readable form, so the
 // definitions below encode the documented *topology* (which die talks to
 // which, relative die sizes, power classes) at magnitudes that land wirelength
-// and temperature in the paper's reported regime. See DESIGN.md section 1 for
-// the substitution rationale.
+// and temperature in the paper's reported regime: the paper's comparisons are
+// relative (RL vs SA on the same system), so matching the topology and the
+// operating regime is what keeps them meaningful.
 #pragma once
 
 #include <vector>

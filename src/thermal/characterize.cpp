@@ -11,10 +11,19 @@
 namespace rlplan::thermal {
 
 namespace {
+
+// Fixed characterization geometry. The grid model is linear in power, so the
+// reference power only scales the probe solves; the rest are the shapes the
+// fast model's tables are defined over.
+constexpr double kReferencePowerW = 10.0;
+constexpr double kMinDieMm = 2.0;        // self-table axes start here...
+constexpr double kMaxDieMm = 30.0;       // ...and end at most here
+constexpr double kMutualSourceMm = 2.0;  // side of the centered source
+constexpr double kPositionRefDieMm = 8.0;
+
 // Characterization has no usable best-so-far (a half-built table set cannot
 // feed a FastThermalModel), so cooperative stops surface as CancelledError.
-// Polled before every probe solve — the unit of work the ISSUE's
-// "characterization granularity" refers to.
+// Polled before every probe solve.
 void check_control(const robust::RunControl& control) {
   if (control.active() && control.stop_requested()) {
     throw robust::CancelledError(
@@ -50,42 +59,45 @@ ThermalCharacterizer::ThermalCharacterizer(const LayerStack& stack,
                                            CharacterizationConfig config)
     : stack_(&stack), config_(std::move(config)) {
   stack.validate();
-  if (config_.reference_power_w <= 0.0) {
-    throw std::invalid_argument("characterization: reference power must be > 0");
+}
+
+void ThermalCharacterizer::count_solve(std::size_t& counter) {
+  ++counter;
+  if (*progress_) {
+    (*progress_)(report_.self_solves + report_.mutual_solves +
+                     report_.position_solves,
+                 total_solves_);
   }
 }
 
 FastThermalModel ThermalCharacterizer::characterize(
-    double interposer_w_mm, double interposer_h_mm,
-    const std::function<void(std::size_t, std::size_t)>& progress) {
+    double interposer_w_mm, double interposer_h_mm, const Progress& progress) {
   RLPLAN_TRACE_SPAN("thermal.characterize");
   const Timer timer;
   report_ = {};
 
-  const auto make_axis = [this](double hi) {
+  const auto make_axis = [this](double side_mm) {
+    const double hi = std::min(kMaxDieMm, side_mm * 0.8);
     return config_.geometric_axes
-               ? geomspace(config_.min_die_mm, hi, config_.auto_axis_points)
-               : linspace(config_.min_die_mm, hi, config_.auto_axis_points);
+               ? geomspace(kMinDieMm, hi, config_.auto_axis_points)
+               : linspace(kMinDieMm, hi, config_.auto_axis_points);
   };
-  std::vector<double> widths = config_.widths_mm;
-  std::vector<double> heights = config_.heights_mm;
-  if (widths.empty()) {
-    widths = make_axis(std::min(config_.max_die_mm, interposer_w_mm * 0.8));
-  }
-  if (heights.empty()) {
-    heights = make_axis(std::min(config_.max_die_mm, interposer_h_mm * 0.8));
-  }
+  const std::vector<double> widths = make_axis(interposer_w_mm);
+  const std::vector<double> heights = make_axis(interposer_h_mm);
 
-  const std::size_t position_probes =
-      config_.position_points > 0
-          ? config_.position_points * config_.position_points
-          : 0;
-  const std::size_t total =
-      widths.size() * heights.size() + position_probes + 1;
+  // The measured position-correction table is an alternative to the image
+  // construction; only one boundary treatment is active at a time. Its
+  // sweep is the centered solve plus position_points^2 placements.
+  const std::size_t n = config_.position_points;
+  const bool position_table = !config_.model_config.use_images && n >= 2;
+  progress_ = &progress;
+  total_solves_ =
+      widths.size() * heights.size() + 1 + (position_table ? n * n + 1 : 0);
+
   SelfResistanceTable self = [&] {
     RLPLAN_TRACE_SPAN("thermal.characterize.self_table");
-    return build_self_table(interposer_w_mm, interposer_h_mm, widths, heights,
-                            progress, total, 0);
+    return build_self_table(interposer_w_mm, interposer_h_mm, widths,
+                            heights);
   }();
   MutualResistanceTable mutual = [&] {
     RLPLAN_TRACE_SPAN("thermal.characterize.mutual_table");
@@ -101,14 +113,11 @@ FastThermalModel ThermalCharacterizer::characterize(
                          stack_->ambient_c(), config_.model_config);
   model.set_self_droop(droop_table_);
   model.set_image_params(interposer_w_mm, interposer_h_mm, floor);
-  // The measured position-correction table is an alternative to the image
-  // construction; only one boundary treatment should be active at a time.
-  if (!config_.model_config.use_images && config_.position_points >= 2) {
+  if (position_table) {
     RLPLAN_TRACE_SPAN("thermal.characterize.position_table");
-    model.set_position_correction(build_position_correction(
-        interposer_w_mm, interposer_h_mm, progress, total));
+    model.set_position_correction(
+        build_position_correction(interposer_w_mm, interposer_h_mm));
   }
-  if (progress) progress(total, total);
 
   report_.total_seconds = timer.seconds();
   RLPLAN_INFO << "characterized " << interposer_w_mm << "x" << interposer_h_mm
@@ -119,36 +128,33 @@ FastThermalModel ThermalCharacterizer::characterize(
   return model;
 }
 
-BilinearTable2D ThermalCharacterizer::build_position_correction(
-    double iw, double ih,
-    const std::function<void(std::size_t, std::size_t)>& progress,
-    std::size_t total_probes) {
-  const double s = config_.position_ref_die_mm;
+BilinearTable2D ThermalCharacterizer::build_position_correction(double iw,
+                                                                double ih) {
+  const double s = kPositionRefDieMm;
   const std::size_t n = config_.position_points;
 
-  // Centered reference rise (the table's denominator).
   const auto solve_at = [&](double cx, double cy) {
     check_control(config_.control);
-    const ChipletSystem probe(
-        "position-probe", iw, ih,
-        {Chiplet{"ref", s, s, config_.reference_power_w}}, {});
+    const ChipletSystem probe("position-probe", iw, ih,
+                              {Chiplet{"ref", s, s, kReferencePowerW}}, {});
     Floorplan fp(probe);
     fp.place(0, {cx - s / 2.0, cy - s / 2.0});
     GridThermalSolver solver(*stack_, config_.solver);
-    ++report_.position_solves;
-    return solver.solve(probe, fp).max_temp_c - stack_->ambient_c();
+    const double rise =
+        solver.solve(probe, fp).max_temp_c - stack_->ambient_c();
+    count_solve(report_.position_solves);
+    return rise;
   };
+  // Centered reference rise (the table's denominator).
   const double center_rise = solve_at(iw / 2.0, ih / 2.0);
 
   // Sweep die centers over the reachable area.
   const std::vector<double> xs = linspace(s / 2.0, iw - s / 2.0, n);
   const std::vector<double> ys = linspace(s / 2.0, ih - s / 2.0, n);
   std::vector<std::vector<double>> factors(n, std::vector<double>(n, 1.0));
-  std::size_t done = report_.self_solves + 1;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       factors[i][j] = solve_at(xs[i], ys[j]) / center_rise;
-      if (progress) progress(++done, total_probes);
     }
   }
   return BilinearTable2D(xs, ys, std::move(factors));
@@ -156,24 +162,21 @@ BilinearTable2D ThermalCharacterizer::build_position_correction(
 
 SelfResistanceTable ThermalCharacterizer::build_self_table(
     double iw, double ih, const std::vector<double>& widths,
-    const std::vector<double>& heights,
-    const std::function<void(std::size_t, std::size_t)>& progress,
-    std::size_t total_probes, std::size_t probes_done) {
+    const std::vector<double>& heights) {
   std::vector<std::vector<double>> values(
       widths.size(), std::vector<double>(heights.size(), 0.0));
 
   std::vector<std::vector<double>> droops(
       widths.size(), std::vector<double>(heights.size(), 1.0));
 
-  std::size_t done = probes_done;
   for (std::size_t i = 0; i < widths.size(); ++i) {
     for (std::size_t j = 0; j < heights.size(); ++j) {
       check_control(config_.control);
       const double w = widths[i];
       const double h = heights[j];
-      const ChipletSystem probe(
-          "self-probe", iw, ih,
-          {Chiplet{"probe", w, h, config_.reference_power_w}}, {});
+      const ChipletSystem probe("self-probe", iw, ih,
+                                {Chiplet{"probe", w, h, kReferencePowerW}},
+                                {});
       probe.validate();
       Floorplan fp(probe);
       const Rect r{(iw - w) / 2.0, (ih - h) / 2.0, w, h};
@@ -183,7 +186,7 @@ SelfResistanceTable ThermalCharacterizer::build_self_table(
       ThermalField field;
       const ThermalResult result = solver.solve_with_field(probe, fp, field);
       const double peak_rise = result.max_temp_c - stack_->ambient_c();
-      values[i][j] = peak_rise / config_.reference_power_w;
+      values[i][j] = peak_rise / kReferencePowerW;
 
       // Within-die droop: rise at the die corners relative to the peak.
       const std::size_t layer = stack_->chiplet_layer_index();
@@ -201,8 +204,7 @@ SelfResistanceTable ThermalCharacterizer::build_self_table(
           peak_rise > 0.0 ? std::clamp(corner_rise / peak_rise, 0.0, 1.0)
                           : 1.0;
 
-      ++report_.self_solves;
-      if (progress) progress(++done, total_probes);
+      count_solve(report_.self_solves);
     }
   }
   droop_table_ = BilinearTable2D(widths, heights, std::move(droops));
@@ -211,137 +213,56 @@ SelfResistanceTable ThermalCharacterizer::build_self_table(
 
 MutualResistanceTable ThermalCharacterizer::build_mutual_table(double iw,
                                                                double ih) {
-  const double s = config_.mutual_source_mm;
+  const double s = kMutualSourceMm;
   const GridDims dims = config_.solver.dims;
   const double cw = iw / static_cast<double>(dims.cols);
   const double ch = ih / static_cast<double>(dims.rows);
-  const double bin =
-      config_.mutual_bin_mm > 0.0 ? config_.mutual_bin_mm : std::max(cw, ch);
+  const double bin = std::max(cw, ch);
   const double max_dist = std::hypot(iw, ih);
   const auto num_bins =
       static_cast<std::size_t>(std::ceil(max_dist / bin)) + 1;
+  const Point src{iw / 2.0, ih / 2.0};
 
-  // Source positions: interposer center, plus quadrant offsets that fold
-  // boundary effects into the distance average.
-  std::vector<Point> sources{{iw / 2.0, ih / 2.0}};
-  if (config_.mutual_source_positions >= 5) {
-    sources.push_back({iw * 0.25, ih * 0.25});
-    sources.push_back({iw * 0.75, ih * 0.25});
-    sources.push_back({iw * 0.25, ih * 0.75});
-    sources.push_back({iw * 0.75, ih * 0.75});
-  }
+  check_control(config_.control);
+  const ChipletSystem probe("mutual-probe", iw, ih,
+                            {Chiplet{"source", s, s, kReferencePowerW}}, {});
+  probe.validate();
+  Floorplan fp(probe);
+  fp.place(0, {src.x - s / 2.0, src.y - s / 2.0});
 
+  GridThermalSolver solver(*stack_, config_.solver);
+  ThermalField field;
+  solver.solve_with_field(probe, fp, field);
+  count_solve(report_.mutual_solves);
+
+  // Bin the chiplet-layer rise-per-watt by distance from the source.
   std::vector<double> sums(num_bins, 0.0);
   std::vector<std::size_t> counts(num_bins, 0);
   const std::size_t layer = stack_->chiplet_layer_index();
-
-  for (const Point& src : sources) {
-    check_control(config_.control);
-    const ChipletSystem probe(
-        "mutual-probe", iw, ih,
-        {Chiplet{"source", s, s, config_.reference_power_w}}, {});
-    probe.validate();
-    Floorplan fp(probe);
-    fp.place(0, {src.x - s / 2.0, src.y - s / 2.0});
-
-    GridThermalSolver solver(*stack_, config_.solver);
-    ThermalField field;
-    solver.solve_with_field(probe, fp, field);
-    ++report_.mutual_solves;
-
-    // Bin the chiplet-layer rise-per-watt by distance from the source.
-    ThermalGridModel model(*stack_, probe, dims);
-    for (std::size_t r = 0; r < dims.rows; ++r) {
-      for (std::size_t c = 0; c < dims.cols; ++c) {
-        const Point p = model.cell_center_mm(r, c);
-        const double d = euclidean(p, src);
-        const auto b =
-            std::min(static_cast<std::size_t>(d / bin), num_bins - 1);
-        sums[b] += (field.at(layer, r, c) - stack_->ambient_c()) /
-                   config_.reference_power_w;
-        ++counts[b];
-      }
+  ThermalGridModel model(*stack_, probe, dims);
+  for (std::size_t r = 0; r < dims.rows; ++r) {
+    for (std::size_t c = 0; c < dims.cols; ++c) {
+      const Point p = model.cell_center_mm(r, c);
+      const double d = euclidean(p, src);
+      const auto b = std::min(static_cast<std::size_t>(d / bin), num_bins - 1);
+      sums[b] +=
+          (field.at(layer, r, c) - stack_->ambient_c()) / kReferencePowerW;
+      ++counts[b];
     }
   }
 
   std::vector<double> distances;
   std::vector<double> values;
-  std::vector<std::size_t> bin_of_value;
   for (std::size_t b = 0; b < num_bins; ++b) {
     if (counts[b] == 0) continue;
     distances.push_back((static_cast<double>(b) + 0.5) * bin);
     values.push_back(sums[b] / static_cast<double>(counts[b]));
-    bin_of_value.push_back(b);
   }
   if (distances.size() < 2) {
     throw std::runtime_error(
         "mutual characterization produced fewer than 2 distance bins; "
-        "increase grid resolution or reduce bin width");
+        "increase grid resolution");
   }
-
-  // Image deconvolution (center-source kernels only): the raw annulus
-  // averages include the probe's own boundary reflections; subtract the
-  // reflections predicted by the current kernel estimate so the stored
-  // kernel approaches the free-field response the image evaluation expects.
-  if (config_.kernel_deconvolution_iters > 0 && sources.size() == 1 &&
-      config_.model_config.use_images) {
-    const Point src = sources.front();
-    const double refl = config_.model_config.image_reflectivity;
-    double floor = values.front();
-    for (double v : values) floor = std::min(floor, v);
-
-    std::vector<double> g(values.size());
-    for (std::size_t k = 0; k < values.size(); ++k) {
-      g[k] = std::max(values[k] - floor, 0.0);
-    }
-    const auto lookup_g = [&](double d) {
-      // Piecewise-linear interpolation over the (distances, g) pairs.
-      if (d <= distances.front()) return g.front();
-      if (d >= distances.back()) return g.back();
-      const std::size_t seg = table_detail::segment_index(distances, d);
-      const double t =
-          (d - distances[seg]) / (distances[seg + 1] - distances[seg]);
-      return (1.0 - t) * g[seg] + t * g[seg + 1];
-    };
-
-    const double mx[2] = {-src.x, 2.0 * iw - src.x};
-    const double my[2] = {-src.y, 2.0 * ih - src.y};
-    const ChipletSystem probe_geom("geom", iw, ih,
-                                   {Chiplet{"x", 1.0, 1.0, 0.0}}, {});
-    ThermalGridModel model(*stack_, probe_geom, dims);
-    for (int iter = 0; iter < config_.kernel_deconvolution_iters; ++iter) {
-      // Predicted image contamination, annulus-averaged like the raw data.
-      std::vector<double> img_sums(num_bins, 0.0);
-      for (std::size_t r = 0; r < dims.rows; ++r) {
-        for (std::size_t c = 0; c < dims.cols; ++c) {
-          const Point p = model.cell_center_mm(r, c);
-          const auto b = std::min(
-              static_cast<std::size_t>(euclidean(p, src) / bin),
-              num_bins - 1);
-          double img = 0.0;
-          for (double ix : mx) img += refl * lookup_g(euclidean({ix, src.y}, p));
-          for (double iy : my) img += refl * lookup_g(euclidean({src.x, iy}, p));
-          for (double ix : mx) {
-            for (double iy : my) {
-              img += refl * refl * lookup_g(euclidean({ix, iy}, p));
-            }
-          }
-          img_sums[b] += img;
-        }
-      }
-      for (std::size_t k = 0; k < values.size(); ++k) {
-        const std::size_t b = bin_of_value[k];
-        const double img_avg =
-            counts[b] > 0 ? img_sums[b] / static_cast<double>(counts[b])
-                          : 0.0;
-        g[k] = std::max(values[k] - floor - img_avg, 0.0);
-      }
-    }
-    for (std::size_t k = 0; k < values.size(); ++k) {
-      values[k] = floor + g[k];
-    }
-  }
-
   return MutualResistanceTable(std::move(distances), std::move(values));
 }
 

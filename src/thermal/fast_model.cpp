@@ -36,26 +36,21 @@ double FastThermalModel::decay_kernel(double distance_mm) const {
 double FastThermalModel::image_kernel(const Point& src,
                                       const Point& probe) const {
   // Direct term plus first-order reflections: 4 side mirrors and 4 corner
-  // double-mirrors of the source about the package edges. The convective
-  // boundary is not a perfect adiabatic mirror, so reflections are damped.
-  const double kReflectivity = config_.image_reflectivity;
+  // double-mirrors of the source about the adiabatic package edges.
   const double w = package_w_mm_;
   const double h = package_h_mm_;
   double k = decay_kernel(kernel_distance(src.x - probe.x, src.y - probe.y));
   const double mx[2] = {-src.x, 2.0 * w - src.x};        // mirror in x
   const double my[2] = {-src.y, 2.0 * h - src.y};        // mirror in y
   for (double ix : mx) {
-    k += kReflectivity *
-         decay_kernel(kernel_distance(ix - probe.x, src.y - probe.y));
+    k += decay_kernel(kernel_distance(ix - probe.x, src.y - probe.y));
   }
   for (double iy : my) {
-    k += kReflectivity *
-         decay_kernel(kernel_distance(src.x - probe.x, iy - probe.y));
+    k += decay_kernel(kernel_distance(src.x - probe.x, iy - probe.y));
   }
   for (double ix : mx) {
     for (double iy : my) {
-      k += kReflectivity * kReflectivity *
-           decay_kernel(kernel_distance(ix - probe.x, iy - probe.y));
+      k += decay_kernel(kernel_distance(ix - probe.x, iy - probe.y));
     }
   }
   return uniform_floor_ + k;
@@ -133,12 +128,11 @@ double FastThermalModel::self_rise(const Chiplet& chip,
 void FastThermalModel::save(const std::string& path) const {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("FastThermalModel: cannot open " + path);
-  os << "fast_thermal_model v3\n";
+  os << "fast_thermal_model v4\n";
   os.precision(17);
   os << ambient_c_ << ' ' << config_.source_subsamples << ' '
      << config_.receiver_probes << ' ' << (config_.use_images ? 1 : 0) << ' '
-     << config_.image_reflectivity << ' ' << package_w_mm_ << ' '
-     << package_h_mm_ << ' ' << uniform_floor_ << ' '
+     << package_w_mm_ << ' ' << package_h_mm_ << ' ' << uniform_floor_ << ' '
      << (position_correction_.empty() ? 0 : 1) << ' '
      << (self_droop_.empty() ? 0 : 1) << '\n';
   self_table_.save(os);
@@ -152,9 +146,10 @@ FastThermalModel FastThermalModel::load(const std::string& path) {
   if (!is) throw std::runtime_error("FastThermalModel: cannot open " + path);
   std::string tag, version;
   is >> tag >> version;
-  // v2 files carried a mutual-term correction flag that no longer exists;
-  // they fail here instead of loading with a misread field layout.
-  if (tag != "fast_thermal_model" || version != "v3") {
+  // Older files carry fields that no longer exist (v3 an image
+  // reflectivity, v2 also a mutual-term correction flag); they fail here
+  // instead of loading with a misread field layout.
+  if (tag != "fast_thermal_model" || version != "v4") {
     throw std::runtime_error("FastThermalModel: bad header in " + path);
   }
   double ambient = 0.0;
@@ -164,8 +159,7 @@ FastThermalModel FastThermalModel::load(const std::string& path) {
   double pkg_w = 0.0, pkg_h = 0.0, floor = 0.0;
   FastModelConfig config;
   is >> ambient >> config.source_subsamples >> config.receiver_probes >>
-      use_images >> config.image_reflectivity >> pkg_w >> pkg_h >> floor >>
-      has_correction >> has_droop;
+      use_images >> pkg_w >> pkg_h >> floor >> has_correction >> has_droop;
   config.use_images = use_images != 0;
   auto self = SelfResistanceTable::load(is);
   auto mutual = MutualResistanceTable::load(is);

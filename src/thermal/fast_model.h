@@ -61,12 +61,9 @@ struct FastModelConfig {
   /// superpose first-order mirror sources across the four package edges (and
   /// corner double-mirrors). Captures the boundary reflections a plain 1D
   /// distance table smears away. Applies to the mutual term and, through
-  /// self-images, to off-center self heating.
+  /// self-images, to off-center self heating. Mirrors have full strength:
+  /// the grid model's package rim is adiabatic.
   bool use_images = true;
-  /// Mirror-source weight. The grid model's package rim is adiabatic, so
-  /// full-strength reflections (1.0) are physically correct; lower values
-  /// model convectively-cooled rims. Swept by bench/ablation_tables.
-  double image_reflectivity = 1.0;
 };
 
 struct FastThermalResult {
@@ -158,15 +155,15 @@ class FastThermalModel {
   /// (mirror images or the measured position correction).
   double self_rise(const Chiplet& chip, const Rect& footprint) const;
 
-  /// Text format "fast_thermal_model v3"; load() rejects other versions.
+  /// Text format "fast_thermal_model v4"; load() rejects other versions.
   void save(const std::string& path) const;
   static FastThermalModel load(const std::string& path);
 
  private:
   /// Decaying kernel: table value minus the uniform floor, clamped >= 0.
   double decay_kernel(double distance_mm) const;
-  /// Kernel evaluated source -> probe including first-order mirror images
-  /// (the self term's off-center images).
+  /// Kernel evaluated source -> probe including the first-order
+  /// full-strength mirror images (the self term's off-center images).
   double image_kernel(const Point& src, const Point& probe) const;
 
   SelfResistanceTable self_table_;

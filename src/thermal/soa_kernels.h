@@ -3,11 +3,11 @@
 //
 // Conceptually the kernel is two passes — pass 1 (distance -> capped table
 // coordinate -> segment index + fraction) and pass 2 (segment-LUT gather /
-// interpolate / accumulate). Every table implements the same entries:
+// interpolate / accumulate). Every table implements the same four entries:
 //  * the portable scalar table (soa_snapshot.cpp, the TU built with
 //    -fno-math-errno) keeps the passes separate, running pass 1 over tiles
 //    that span source-block boundaries so it auto-vectorizes, then gathers
-//    and accumulates each block left to right;
+//    and accumulates each block in four interleaved lanes;
 //  * the explicit AVX2/NEON tables (soa_kernels_*.cpp) fuse both passes into
 //    ONE sweep per source block: the index/fraction intermediates never
 //    round-trip through memory (at production block sizes of ~18-36 points
@@ -38,63 +38,56 @@
 
 namespace rlplan::thermal {
 
-/// Function-pointer table for one SIMD level. Each sweep entry covers
-/// `n_src` source blocks of `pts_per_src` points: for every a in
-/// [0, n_src), subtotal[a] accumulates the interpolated decay over points
-/// [a*pts_per_src, (a+1)*pts_per_src) of sx/sy. One indirect call covers a
-/// whole probe — per-(probe, source) calls would be dominated by call and
-/// constant-setup cost at production block sizes. All lengths are in points;
-/// buffers may be unaligned (std::vector storage).
+/// Function-pointer table for one SIMD level: four entries, a sweep and a
+/// pair-row form for each of the two kernel forms.
+///  * unit (method of images, every mirror at full strength): each point
+///    contributes max(v, 0) to its block, read from the LUT with the
+///    uniform floor pre-subtracted;
+///  * raw (no images): each point contributes v, with no floor and no
+///    clamp to zero.
 ///
 /// Shared per-point math: d = sqrt((sx[k]-px)^2 + (sy[k]-py)^2);
 /// x = min((clamp(d, front, back) - front) * inv_step, cap);
 /// (base, diff) = lut[2*trunc(x)], lut[2*trunc(x)+1]; v = base +
 /// (x - trunc(x)) * diff.
+///
+/// All lengths are in points; buffers may be unaligned (std::vector
+/// storage).
 struct SoaKernelOps {
   /// The level these kernels implement.
   util::SimdLevel level;
 
-  /// Images with unit weights: subtotal[a] = sum of max(v, 0).
+  // Sweep forms: one probe (px, py) against `n_src` source blocks of
+  // `pts_per_src` points. For every a in [0, n_src), subtotal[a] is the sum
+  // of the per-point contributions over points [a*pts_per_src,
+  // (a+1)*pts_per_src) of sx/sy. One indirect call covers a whole probe —
+  // per-(probe, source) calls would be dominated by call and constant-setup
+  // cost at production block sizes.
+
+  /// Unit form: subtotal[a] = sum of max(v, 0).
   void (*sweep_unit)(const double* sx, const double* sy, double px, double py,
                      double front, double back, double inv_step, double cap,
                      const double* lut, std::size_t pts_per_src,
                      std::size_t n_src, double* subtotal);
-  /// Images with per-point weights: subtotal[a] = sum of w[t]*max(v, 0),
-  /// where w holds ONE block's weights (pts_per_src entries) reused for
-  /// every source block.
-  void (*sweep_weighted)(const double* sx, const double* sy, double px,
-                         double py, double front, double back, double inv_step,
-                         double cap, const double* lut, const double* w,
-                         std::size_t pts_per_src, std::size_t n_src,
-                         double* subtotal);
-  /// No images: subtotal[a] = sum of v (no floor, no clamp to zero).
+  /// Raw form: subtotal[a] = sum of v.
   void (*sweep_raw)(const double* sx, const double* sy, double px, double py,
                     double front, double back, double inv_step, double cap,
                     const double* lut, std::size_t pts_per_src,
                     std::size_t n_src, double* subtotal);
 
   // Pair-row forms: one (receiver, source) coupling row — the transpose of
-  // the sweep forms (one source block against MANY probes instead of one
-  // probe against many source blocks). For every p in [0, n_probes), out[p]
-  // accumulates over the single `pts`-point block in sx/sy, with the same
-  // per-point math and the same block reduction as the sweeps — out[p] is
-  // bit-identical to the subtotal the matching sweep form produces for that
-  // (probe, block). One indirect call covers the whole row, which is the
+  // the sweep forms (one source block of `pts` points against `n_probes`
+  // probes). out[p] is bit-identical to the subtotal the matching sweep form
+  // produces for that (probe, block): same per-point math, same block
+  // reduction. One indirect call covers the whole row, which is the
   // granularity the incremental single-move path recomputes at.
 
-  /// Images with unit weights: out[p] = sum of max(v, 0) over the block.
+  /// Unit form: out[p] = sum of max(v, 0) over the block.
   void (*pair_unit)(const double* px, const double* py, std::size_t n_probes,
                     const double* sx, const double* sy, std::size_t pts,
                     double front, double back, double inv_step, double cap,
                     const double* lut, double* out);
-  /// Images with per-point weights (w holds `pts` entries): out[p] = sum of
-  /// w[k]*max(v, 0) over the block.
-  void (*pair_weighted)(const double* px, const double* py,
-                        std::size_t n_probes, const double* sx,
-                        const double* sy, std::size_t pts, double front,
-                        double back, double inv_step, double cap,
-                        const double* lut, const double* w, double* out);
-  /// No images: out[p] = sum of v over the block.
+  /// Raw form: out[p] = sum of v over the block.
   void (*pair_raw)(const double* px, const double* py, std::size_t n_probes,
                    const double* sx, const double* sy, std::size_t pts,
                    double front, double back, double inv_step, double cap,

@@ -109,29 +109,6 @@ double block_unit(const double* sx, const double* sy, const SweepConsts& c,
   return r;
 }
 
-double block_weighted(const double* sx, const double* sy, const SweepConsts& c,
-                      const double* lut, const double* w, std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d acc = zero;
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    __m128i two;
-    __m256d fr;
-    coord4(sx + k, sy + k, c, two, fr);
-    const __m256d base = gather4(lut, two);
-    const __m256d diff = gather4(lut + 1, two);
-    const __m256d v = _mm256_max_pd(_mm256_fmadd_pd(fr, diff, base), zero);
-    acc = _mm256_fmadd_pd(_mm256_loadu_pd(w + k), v, acc);
-  }
-  double r = reduce4(acc);
-  for (; k < n; ++k) {
-    double fr;
-    const double v = point1(sx + k, sy + k, c, lut, fr);
-    r += w[k] * (v > 0.0 ? v : 0.0);
-  }
-  return r;
-}
-
 double block_raw(const double* sx, const double* sy, const SweepConsts& c,
                  const double* lut, std::size_t n) {
   __m256d acc = _mm256_setzero_pd();
@@ -163,18 +140,6 @@ void sweep_unit_avx2(const double* sx, const double* sy, double px, double py,
   }
 }
 
-void sweep_weighted_avx2(const double* sx, const double* sy, double px,
-                         double py, double front, double back, double inv_step,
-                         double cap, const double* lut, const double* w,
-                         std::size_t pts_per_src, std::size_t n_src,
-                         double* subtotal) {
-  const SweepConsts c = make_consts(px, py, front, back, inv_step, cap);
-  for (std::size_t a = 0; a < n_src; ++a) {
-    const std::size_t base = a * pts_per_src;
-    subtotal[a] = block_weighted(sx + base, sy + base, c, lut, w, pts_per_src);
-  }
-}
-
 void sweep_raw_avx2(const double* sx, const double* sy, double px, double py,
                     double front, double back, double inv_step, double cap,
                     const double* lut, std::size_t pts_per_src,
@@ -200,17 +165,6 @@ void pair_unit_avx2(const double* px, const double* py, std::size_t n_probes,
   }
 }
 
-void pair_weighted_avx2(const double* px, const double* py,
-                        std::size_t n_probes, const double* sx,
-                        const double* sy, std::size_t pts, double front,
-                        double back, double inv_step, double cap,
-                        const double* lut, const double* w, double* out) {
-  for (std::size_t p = 0; p < n_probes; ++p) {
-    const SweepConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
-    out[p] = block_weighted(sx, sy, c, lut, w, pts);
-  }
-}
-
 void pair_raw_avx2(const double* px, const double* py, std::size_t n_probes,
                    const double* sx, const double* sy, std::size_t pts,
                    double front, double back, double inv_step, double cap,
@@ -221,10 +175,9 @@ void pair_raw_avx2(const double* px, const double* py, std::size_t n_probes,
   }
 }
 
-constexpr SoaKernelOps kAvx2Ops{util::SimdLevel::kAvx2,
-                                sweep_unit_avx2,    sweep_weighted_avx2,
-                                sweep_raw_avx2,     pair_unit_avx2,
-                                pair_weighted_avx2, pair_raw_avx2};
+constexpr SoaKernelOps kAvx2Ops{util::SimdLevel::kAvx2, sweep_unit_avx2,
+                                sweep_raw_avx2, pair_unit_avx2,
+                                pair_raw_avx2};
 
 }  // namespace
 

@@ -85,31 +85,6 @@ double block_unit(const double* sx, const double* sy, const SweepConsts& c,
   return r;
 }
 
-double block_weighted(const double* sx, const double* sy, const SweepConsts& c,
-                      const double* lut, const double* w, std::size_t n) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  float64x2_t acc = zero;
-  std::size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    int i0, i1;
-    float64x2_t fr;
-    coord2(sx + k, sy + k, c, i0, i1, fr);
-    const float64x2_t seg0 = vld1q_f64(lut + 2 * i0);
-    const float64x2_t seg1 = vld1q_f64(lut + 2 * i1);
-    const float64x2_t base = vtrn1q_f64(seg0, seg1);
-    const float64x2_t diff = vtrn2q_f64(seg0, seg1);
-    const float64x2_t v = vmaxq_f64(vfmaq_f64(base, fr, diff), zero);
-    acc = vfmaq_f64(acc, vld1q_f64(w + k), v);
-  }
-  double r = vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1);
-  for (; k < n; ++k) {
-    double fr;
-    const double v = point1(sx + k, sy + k, c, lut, fr);
-    r += w[k] * (v > 0.0 ? v : 0.0);
-  }
-  return r;
-}
-
 double block_raw(const double* sx, const double* sy, const SweepConsts& c,
                  const double* lut, std::size_t n) {
   float64x2_t acc = vdupq_n_f64(0.0);
@@ -143,18 +118,6 @@ void sweep_unit_neon(const double* sx, const double* sy, double px, double py,
   }
 }
 
-void sweep_weighted_neon(const double* sx, const double* sy, double px,
-                         double py, double front, double back, double inv_step,
-                         double cap, const double* lut, const double* w,
-                         std::size_t pts_per_src, std::size_t n_src,
-                         double* subtotal) {
-  const SweepConsts c = make_consts(px, py, front, back, inv_step, cap);
-  for (std::size_t a = 0; a < n_src; ++a) {
-    const std::size_t base = a * pts_per_src;
-    subtotal[a] = block_weighted(sx + base, sy + base, c, lut, w, pts_per_src);
-  }
-}
-
 void sweep_raw_neon(const double* sx, const double* sy, double px, double py,
                     double front, double back, double inv_step, double cap,
                     const double* lut, std::size_t pts_per_src,
@@ -178,17 +141,6 @@ void pair_unit_neon(const double* px, const double* py, std::size_t n_probes,
   }
 }
 
-void pair_weighted_neon(const double* px, const double* py,
-                        std::size_t n_probes, const double* sx,
-                        const double* sy, std::size_t pts, double front,
-                        double back, double inv_step, double cap,
-                        const double* lut, const double* w, double* out) {
-  for (std::size_t p = 0; p < n_probes; ++p) {
-    const SweepConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
-    out[p] = block_weighted(sx, sy, c, lut, w, pts);
-  }
-}
-
 void pair_raw_neon(const double* px, const double* py, std::size_t n_probes,
                    const double* sx, const double* sy, std::size_t pts,
                    double front, double back, double inv_step, double cap,
@@ -199,10 +151,9 @@ void pair_raw_neon(const double* px, const double* py, std::size_t n_probes,
   }
 }
 
-constexpr SoaKernelOps kNeonOps{util::SimdLevel::kNeon,
-                                sweep_unit_neon,    sweep_weighted_neon,
-                                sweep_raw_neon,     pair_unit_neon,
-                                pair_weighted_neon, pair_raw_neon};
+constexpr SoaKernelOps kNeonOps{util::SimdLevel::kNeon, sweep_unit_neon,
+                                sweep_raw_neon, pair_unit_neon,
+                                pair_raw_neon};
 
 }  // namespace
 

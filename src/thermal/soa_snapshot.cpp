@@ -39,20 +39,17 @@ void coords(const double* sx, const double* sy, double px, double py,
   }
 }
 
-enum class Form { kUnit, kWeighted, kRaw };
+enum class Form { kUnit, kRaw };
 
-/// One point's pass-2 term: LUT gather + interpolate, in the given form;
-/// `wt` is the point's weight (kWeighted only).
+/// One point's pass-2 term: LUT gather + interpolate, in the given form.
 template <Form F>
-double term(int idx, double frac, const double* lut, double wt) {
+double term(int idx, double frac, const double* lut) {
   const double* seg = lut + 2 * idx;
   const double v = seg[0] + frac * seg[1];
   if constexpr (F == Form::kRaw) {
     return v;
-  } else if constexpr (F == Form::kUnit) {
-    return std::max(v, 0.0);
   } else {
-    return wt * std::max(v, 0.0);
+    return std::max(v, 0.0);
   }
 }
 
@@ -63,27 +60,20 @@ double term(int idx, double frac, const double* lut, double wt) {
 struct Lanes {
   double l[4] = {0.0, 0.0, 0.0, 0.0};
 
-  /// Adds points [t0, t0 + n) of a block; t0 is a multiple of 4. `w` is the
-  /// block's weight vector (kWeighted only; nullptr otherwise).
+  /// Adds the block's next n points; a multiple of 4 points precede them,
+  /// so each point lands in its own lane.
   template <Form F>
   void add(const int* idx, const double* frac, const double* lut,
-           const double* w, std::size_t t0, std::size_t n) {
-    const auto wt = [&](std::size_t k) {
-      if constexpr (F == Form::kWeighted) {
-        return w[t0 + k];
-      } else {
-        return 1.0;
-      }
-    };
+           std::size_t n) {
     std::size_t k = 0;
     for (; k + 4 <= n; k += 4) {
-      l[0] += term<F>(idx[k], frac[k], lut, wt(k));
-      l[1] += term<F>(idx[k + 1], frac[k + 1], lut, wt(k + 1));
-      l[2] += term<F>(idx[k + 2], frac[k + 2], lut, wt(k + 2));
-      l[3] += term<F>(idx[k + 3], frac[k + 3], lut, wt(k + 3));
+      l[0] += term<F>(idx[k], frac[k], lut);
+      l[1] += term<F>(idx[k + 1], frac[k + 1], lut);
+      l[2] += term<F>(idx[k + 2], frac[k + 2], lut);
+      l[3] += term<F>(idx[k + 3], frac[k + 3], lut);
     }
     for (std::size_t j = 0; k + j < n; ++j) {
-      l[j & 3] += term<F>(idx[k + j], frac[k + j], lut, wt(k + j));
+      l[j & 3] += term<F>(idx[k + j], frac[k + j], lut);
     }
   }
   double sum() const { return (l[0] + l[2]) + (l[1] + l[3]); }
@@ -97,8 +87,8 @@ struct Lanes {
 template <Form F>
 void sweep_scalar(const double* sx, const double* sy, double px, double py,
                   double front, double back, double inv_step, double cap,
-                  const double* lut, const double* w, std::size_t pts,
-                  std::size_t n_src, double* subtotal) {
+                  const double* lut, std::size_t pts, std::size_t n_src,
+                  double* subtotal) {
   int idx[kTile];
   double frac[kTile];
   if (pts <= kTile) {
@@ -109,7 +99,7 @@ void sweep_scalar(const double* sx, const double* sy, double px, double py,
              cap, blocks * pts, idx, frac);
       for (std::size_t b = 0; b < blocks; ++b) {
         Lanes acc;
-        acc.add<F>(idx + b * pts, frac + b * pts, lut, w, 0, pts);
+        acc.add<F>(idx + b * pts, frac + b * pts, lut, pts);
         subtotal[a0 + b] = acc.sum();
       }
     }
@@ -121,7 +111,7 @@ void sweep_scalar(const double* sx, const double* sy, double px, double py,
       const std::size_t n = std::min(kTile, pts - t0);
       coords(sx + a * pts + t0, sy + a * pts + t0, px, py, front, back,
              inv_step, cap, n, idx, frac);
-      acc.add<F>(idx, frac, lut, w, t0, n);
+      acc.add<F>(idx, frac, lut, n);
     }
     subtotal[a] = acc.sum();
   }
@@ -131,68 +121,17 @@ template <Form F>
 void pair_scalar(const double* px, const double* py, std::size_t n_probes,
                  const double* sx, const double* sy, std::size_t pts,
                  double front, double back, double inv_step, double cap,
-                 const double* lut, const double* w, double* out) {
+                 const double* lut, double* out) {
   for (std::size_t p = 0; p < n_probes; ++p) {
-    sweep_scalar<F>(sx, sy, px[p], py[p], front, back, inv_step, cap, lut, w,
+    sweep_scalar<F>(sx, sy, px[p], py[p], front, back, inv_step, cap, lut,
                     pts, 1, out + p);
   }
 }
 
-void sweep_unit_scalar(const double* sx, const double* sy, double px,
-                       double py, double front, double back, double inv_step,
-                       double cap, const double* lut, std::size_t pts,
-                       std::size_t n_src, double* subtotal) {
-  sweep_scalar<Form::kUnit>(sx, sy, px, py, front, back, inv_step, cap, lut,
-                            nullptr, pts, n_src, subtotal);
-}
-
-void sweep_weighted_scalar(const double* sx, const double* sy, double px,
-                           double py, double front, double back,
-                           double inv_step, double cap, const double* lut,
-                           const double* w, std::size_t pts,
-                           std::size_t n_src, double* subtotal) {
-  sweep_scalar<Form::kWeighted>(sx, sy, px, py, front, back, inv_step, cap,
-                                lut, w, pts, n_src, subtotal);
-}
-
-void sweep_raw_scalar(const double* sx, const double* sy, double px,
-                      double py, double front, double back, double inv_step,
-                      double cap, const double* lut, std::size_t pts,
-                      std::size_t n_src, double* subtotal) {
-  sweep_scalar<Form::kRaw>(sx, sy, px, py, front, back, inv_step, cap, lut,
-                           nullptr, pts, n_src, subtotal);
-}
-
-void pair_unit_scalar(const double* px, const double* py,
-                      std::size_t n_probes, const double* sx,
-                      const double* sy, std::size_t pts, double front,
-                      double back, double inv_step, double cap,
-                      const double* lut, double* out) {
-  pair_scalar<Form::kUnit>(px, py, n_probes, sx, sy, pts, front, back,
-                           inv_step, cap, lut, nullptr, out);
-}
-
-void pair_weighted_scalar(const double* px, const double* py,
-                          std::size_t n_probes, const double* sx,
-                          const double* sy, std::size_t pts, double front,
-                          double back, double inv_step, double cap,
-                          const double* lut, const double* w, double* out) {
-  pair_scalar<Form::kWeighted>(px, py, n_probes, sx, sy, pts, front, back,
-                               inv_step, cap, lut, w, out);
-}
-
-void pair_raw_scalar(const double* px, const double* py, std::size_t n_probes,
-                     const double* sx, const double* sy, std::size_t pts,
-                     double front, double back, double inv_step, double cap,
-                     const double* lut, double* out) {
-  pair_scalar<Form::kRaw>(px, py, n_probes, sx, sy, pts, front, back,
-                          inv_step, cap, lut, nullptr, out);
-}
-
-constexpr SoaKernelOps kScalarOps{util::SimdLevel::kScalar,
-                                  sweep_unit_scalar,    sweep_weighted_scalar,
-                                  sweep_raw_scalar,     pair_unit_scalar,
-                                  pair_weighted_scalar, pair_raw_scalar};
+constexpr SoaKernelOps kScalarOps{
+    util::SimdLevel::kScalar, sweep_scalar<Form::kUnit>,
+    sweep_scalar<Form::kRaw>, pair_scalar<Form::kUnit>,
+    pair_scalar<Form::kRaw>};
 
 }  // namespace
 
@@ -214,11 +153,6 @@ void SoaModelConsts::bind(const FastThermalModel& model) {
   ss = sub * sub;
   use_images = model.config().use_images;
   img = use_images ? 9 : 1;
-  const double r = model.config().image_reflectivity;
-  // Unit image weights (reflectivity 1.0, the adiabatic-rim default) let the
-  // kernels take a multiply-free accumulation; w * decay with w == 1.0 is
-  // the identity, so both variants produce the same doubles.
-  unit_weights = use_images && r == 1.0;
   const double floor = model.uniform_floor();
   floor_per_src = static_cast<double>(ss) * floor;
   ambient_c = model.ambient_c();
@@ -243,13 +177,6 @@ void SoaModelConsts::bind(const FastThermalModel& model) {
   // largest double below nk-1, making trunc() land on the last segment with
   // a fraction of ~1 — the same interpolated value to within an ulp.
   coord_cap = std::nextafter(static_cast<double>(nk - 1), 0.0);
-  w_flat.clear();
-  if (use_images) {
-    const double w9[9] = {1.0, r, r, r, r, r * r, r * r, r * r, r * r};
-    for (std::size_t s = 0; s < ss; ++s) {
-      w_flat.insert(w_flat.end(), w9, w9 + 9);
-    }
-  }
 }
 
 void SoaModelConsts::expand_source_point(const Point& s, double* xs,
@@ -273,15 +200,12 @@ void SoaModelConsts::sweep(const SoaKernelOps& ops, const double* sx,
                            const double* sy, double px, double py,
                            std::size_t n_src, double* subtotal) const {
   const std::size_t pts = ss * img;
-  if (!use_images) {
-    ops.sweep_raw(sx, sy, px, py, front, back, inv_step, coord_cap,
-                  lut_raw.data(), pts, n_src, subtotal);
-  } else if (unit_weights) {
+  if (use_images) {
     ops.sweep_unit(sx, sy, px, py, front, back, inv_step, coord_cap,
                    lut_img.data(), pts, n_src, subtotal);
   } else {
-    ops.sweep_weighted(sx, sy, px, py, front, back, inv_step, coord_cap,
-                       lut_img.data(), w_flat.data(), pts, n_src, subtotal);
+    ops.sweep_raw(sx, sy, px, py, front, back, inv_step, coord_cap,
+                  lut_raw.data(), pts, n_src, subtotal);
   }
 }
 
@@ -289,15 +213,12 @@ void SoaModelConsts::pair_row(const SoaKernelOps& ops, const double* px,
                               const double* py, const double* sx,
                               const double* sy, double* out) const {
   const std::size_t pts = ss * img;
-  if (!use_images) {
-    ops.pair_raw(px, py, pc, sx, sy, pts, front, back, inv_step, coord_cap,
-                 lut_raw.data(), out);
-  } else if (unit_weights) {
+  if (use_images) {
     ops.pair_unit(px, py, pc, sx, sy, pts, front, back, inv_step, coord_cap,
                   lut_img.data(), out);
   } else {
-    ops.pair_weighted(px, py, pc, sx, sy, pts, front, back, inv_step,
-                      coord_cap, lut_img.data(), w_flat.data(), out);
+    ops.pair_raw(px, py, pc, sx, sy, pts, front, back, inv_step, coord_cap,
+                 lut_raw.data(), out);
   }
 }
 

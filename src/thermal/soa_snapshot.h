@@ -7,8 +7,8 @@
 //   * per die: probe points, self-heating shape factors, self rise
 //     (refreshed in place per floorplan);
 //   * per active source (placed, power > 0): the sub-source grid expanded
-//     through the method-of-images mirrors, packed as flat x/y arrays with a
-//     shared 9-entry weight vector [1, r, r, r, r, r^2, r^2, r^2, r^2].
+//     through the method-of-images mirrors (9 points per sub-source, every
+//     one at full strength), packed as flat x/y arrays.
 //
 // Per receiver probe, one sweep of the dispatched kernel table
 // (soa_kernels.h) turns every source point into an interpolated decay value
@@ -63,23 +63,18 @@ inline std::pair<std::size_t, std::size_t> batch_lane_range(std::size_t b,
 
 /// Bind-time model constants shared by every kernel consumer — SoaSnapshot's
 /// sweeps and IncrementalThermalState's pair rows: the interleaved
-/// (base, diff) interpolation LUTs, the capped coordinate transform, and the
-/// flat per-point weight vector. Built once per model; everything here is
-/// placement-independent.
+/// (base, diff) interpolation LUTs and the capped coordinate transform.
+/// Built once per model; everything here is placement-independent.
 struct SoaModelConsts {
   std::size_t pc = 0;          ///< receiver probes per die
   std::size_t ss = 1;          ///< sub-sources per die
   std::size_t img = 1;         ///< image points per sub-source (9 or 1)
   bool use_images = false;
-  bool unit_weights = false;   ///< use_images with reflectivity exactly 1.0
   double floor_per_src = 0.0;  ///< ss * uniform rise floor (K/W): one
                                ///< block's summed floors
   double ambient_c = 0.0;
   double pkg_w = 0.0;          ///< package extents, for the image mirrors
   double pkg_h = 0.0;
-  /// Per-image weights (direct, 4 sides, 4 corners) tiled ss times: the flat
-  /// per-point weight vector of the weighted kernels (empty without images).
-  std::vector<double> w_flat;
   // Mutual table axis: clamp range and reciprocal (uniform) knot spacing.
   double front = 0.0;
   double back = 0.0;
@@ -97,14 +92,14 @@ struct SoaModelConsts {
   /// at construction, so that means a broken invariant).
   void bind(const FastThermalModel& model);
 
-  /// Expands one sub-source into its `img` coordinate pairs (xs/ys) in
-  /// w_flat's order: the point itself, its mirrors across the four package
-  /// edges, then the four corner double-mirrors. Without images this writes
-  /// the point itself.
+  /// Expands one sub-source into its `img` coordinate pairs (xs/ys): the
+  /// point itself, its mirrors across the four package edges, then the four
+  /// corner double-mirrors. Without images this writes the point itself.
   void expand_source_point(const Point& s, double* xs, double* ys) const;
 
   /// Block subtotals of the probe (px, py) against `n_src` consecutive
-  /// source blocks, through the kernel form this model selects.
+  /// source blocks, through the kernel form this model selects (unit with
+  /// images, raw without).
   void sweep(const SoaKernelOps& ops, const double* sx, const double* sy,
              double px, double py, std::size_t n_src,
              double* subtotal) const;
@@ -163,7 +158,7 @@ class SoaSnapshot {
   const FastThermalModel* model_;
   const ChipletSystem* system_;
   std::size_t n_ = 0;   ///< chiplets in the system
-  SoaModelConsts k_{};  ///< shared model constants (LUTs, weights, cap)
+  SoaModelConsts k_{};  ///< shared model constants (LUTs, cap)
   const SoaKernelOps* ops_;  ///< dispatched kernels; never null
 
   // Per-die state, refreshed per floorplan.

@@ -35,10 +35,9 @@ inline double decay_kernel(const FastThermalModel& model, double distance_mm) {
 
 /// Kernel evaluated source -> probe: the direct term plus first-order
 /// reflections (4 side mirrors and 4 corner double-mirrors of the source
-/// about the package edges), damped by the configured reflectivity.
+/// about the package edges), every mirror at full strength.
 inline double image_kernel(const FastThermalModel& model, const Point& src,
                            const Point& probe) {
-  const double kReflectivity = model.config().image_reflectivity;
   const double w = model.package_w_mm();
   const double h = model.package_h_mm();
   double k = decay_kernel(
@@ -46,17 +45,14 @@ inline double image_kernel(const FastThermalModel& model, const Point& src,
   const double mx[2] = {-src.x, 2.0 * w - src.x};  // mirror in x
   const double my[2] = {-src.y, 2.0 * h - src.y};  // mirror in y
   for (double ix : mx) {
-    k += kReflectivity *
-         decay_kernel(model, kernel_distance(ix - probe.x, src.y - probe.y));
+    k += decay_kernel(model, kernel_distance(ix - probe.x, src.y - probe.y));
   }
   for (double iy : my) {
-    k += kReflectivity *
-         decay_kernel(model, kernel_distance(src.x - probe.x, iy - probe.y));
+    k += decay_kernel(model, kernel_distance(src.x - probe.x, iy - probe.y));
   }
   for (double ix : mx) {
     for (double iy : my) {
-      k += kReflectivity * kReflectivity *
-           decay_kernel(model, kernel_distance(ix - probe.x, iy - probe.y));
+      k += decay_kernel(model, kernel_distance(ix - probe.x, iy - probe.y));
     }
   }
   return model.uniform_floor() + k;

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "systems/synthetic.h"
@@ -172,11 +173,13 @@ TEST_F(FastModelTest, SaveLoadRoundtrip) {
   std::filesystem::remove(path);
 }
 
-// Version 2 files carried a correct_mutual flag the model no longer has;
-// loading one must fail loudly rather than misread the fields after it.
-TEST_F(FastModelTest, RejectsV2ModelFile) {
+// Older files carry fields the model no longer has: v3 an image
+// reflectivity after the use_images flag, v2 also a correct_mutual flag after
+// receiver_probes. Loading either must fail loudly rather than misread the
+// fields after them.
+TEST_F(FastModelTest, RejectsV3AndV2ModelFiles) {
   const auto path =
-      (std::filesystem::temp_directory_path() / "rlplan_fast_model_v2.txt")
+      (std::filesystem::temp_directory_path() / "rlplan_fast_model_old.txt")
           .string();
   model_->save(path);
   std::vector<std::string> lines;
@@ -185,21 +188,25 @@ TEST_F(FastModelTest, RejectsV2ModelFile) {
     for (std::string line; std::getline(in, line);) lines.push_back(line);
   }
   ASSERT_GE(lines.size(), 2u);
-  ASSERT_EQ(lines[0], "fast_thermal_model v3");
-  // Rebuild the v2 layout: the flag sat right after receiver_probes.
+  ASSERT_EQ(lines[0], "fast_thermal_model v4");
   std::istringstream fields(lines[1]);
-  std::vector<std::string> tokens;
-  for (std::string t; fields >> t;) tokens.push_back(t);
-  ASSERT_GE(tokens.size(), 3u);
-  tokens.insert(tokens.begin() + 3, "0");
-  {
-    std::ofstream out(path);
-    out << "fast_thermal_model v2\n";
-    for (const std::string& t : tokens) out << t << ' ';
-    out << '\n';
-    for (std::size_t i = 2; i < lines.size(); ++i) out << lines[i] << '\n';
+  std::vector<std::string> v3;
+  for (std::string t; fields >> t;) v3.push_back(t);
+  ASSERT_GE(v3.size(), 4u);
+  v3.insert(v3.begin() + 4, "1");
+  std::vector<std::string> v2 = v3;
+  v2.insert(v2.begin() + 3, "0");
+  for (const auto& [version, tokens] :
+       {std::pair{"v3", v3}, std::pair{"v2", v2}}) {
+    {
+      std::ofstream out(path);
+      out << "fast_thermal_model " << version << '\n';
+      for (const std::string& t : tokens) out << t << ' ';
+      out << '\n';
+      for (std::size_t i = 2; i < lines.size(); ++i) out << lines[i] << '\n';
+    }
+    EXPECT_THROW(FastThermalModel::load(path), std::runtime_error) << version;
   }
-  EXPECT_THROW(FastThermalModel::load(path), std::runtime_error);
   std::filesystem::remove(path);
 }
 

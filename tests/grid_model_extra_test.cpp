@@ -2,6 +2,9 @@
 // cell geometry, droop/position tables, and failure-injection paths.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "systems/synthetic.h"
 #include "thermal/characterize.h"
 #include "thermal/grid_model.h"
@@ -123,11 +126,35 @@ TEST(Characterization, ImagesSkipPositionSweep) {
   EXPECT_EQ(charac.report().position_solves, 0u);
 }
 
-TEST(Characterization, RejectsBadConfig) {
+// Progress reports every probe solve once, done = 1, 2, ..., total, against
+// a total fixed up front that counts exactly the solves that run: with
+// images the position sweep is skipped; without them it is the centered
+// solve plus position_points^2 placements.
+TEST(Characterization, ProgressCountsEverySolveOnce) {
   const auto stack = LayerStack::default_2p5d();
-  CharacterizationConfig config;
-  config.reference_power_w = 0.0;
-  EXPECT_THROW(ThermalCharacterizer(stack, config), std::invalid_argument);
+  for (const bool images : {true, false}) {
+    CharacterizationConfig config;
+    config.solver.dims = {16, 16};
+    config.auto_axis_points = 3;
+    config.position_points = 3;
+    config.model_config.use_images = images;
+    ThermalCharacterizer charac(stack, config);
+    std::vector<std::pair<std::size_t, std::size_t>> calls;
+    charac.characterize(36.0, 36.0, [&](std::size_t done, std::size_t total) {
+      calls.emplace_back(done, total);
+    });
+    const CharacterizationReport& r = charac.report();
+    EXPECT_EQ(r.self_solves, 9u);
+    EXPECT_EQ(r.mutual_solves, 1u);
+    EXPECT_EQ(r.position_solves, images ? 0u : 10u);
+    const std::size_t solves =
+        r.self_solves + r.mutual_solves + r.position_solves;
+    ASSERT_EQ(calls.size(), solves) << "images=" << images;
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].first, i + 1) << "images=" << images;
+      EXPECT_EQ(calls[i].second, solves) << "images=" << images;
+    }
+  }
 }
 
 TEST(Characterization, ImageModelImprovesEdgeDiePrediction) {

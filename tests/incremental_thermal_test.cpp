@@ -103,7 +103,6 @@ std::vector<Variant> variants() {
   paper_min.use_images = true;
   paper_min.source_subsamples = 1;
   paper_min.receiver_probes = 1;
-  paper_min.image_reflectivity = 0.6;
   v.push_back({"single-probe", paper_min, false, false});
   return v;
 }

@@ -14,11 +14,13 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "nn/layers.h"
+#include "robust/robust.h"
 #include "util/rng.h"
 
 namespace rlplan::nn {
@@ -256,6 +258,49 @@ TEST_F(SerializeTest, CorruptV1HeaderSizesThrowRuntimeError) {
   write_v1(1, "w", std::uint64_t{1} << 40);
   EXPECT_THROW(load_parameters(pointers(dest), path("corrupt.bin")),
                std::runtime_error);
+}
+
+// Readers split errors by cause: a fault of the file itself is a
+// robust::CorruptArtifactError (a caller scanning several files may
+// quarantine it); a well-formed file that does not fit the destination is a
+// plain std::runtime_error.
+TEST_F(SerializeTest, StateReaderTellsCorruptFileFromMismatch) {
+  std::ostringstream os;
+  {
+    StateWriter w(os);
+    w.u64("count", 3);
+    w.tensor("t", Tensor(std::vector<std::size_t>{2, 2}));
+    w.finish();
+  }
+  const std::string blob = os.str();
+  // "ok", "corrupt" or "mismatch".
+  const auto read_as = [](const std::string& bytes, const std::string& name,
+                          const std::vector<std::size_t>& shape) {
+    try {
+      std::istringstream is(bytes);
+      StateReader r(is);
+      r.u64(name);
+      Tensor t(shape);
+      r.tensor("t", t);
+      r.finish();
+      return std::string("ok");
+    } catch (const robust::CorruptArtifactError&) {
+      return std::string("corrupt");
+    } catch (const std::runtime_error&) {
+      return std::string("mismatch");
+    }
+  };
+  EXPECT_EQ(read_as(blob, "count", {2, 2}), "ok");
+  EXPECT_EQ(read_as(blob, "count", {4}), "mismatch");
+  EXPECT_EQ(read_as(blob, "other", {2, 2}), "corrupt");
+  EXPECT_EQ(read_as("RLPNNv9\n" + blob.substr(kCheckpointMagicLen), "count",
+                    {2, 2}),
+            "corrupt");
+  // Every prefix, the missing "end" record included.
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    EXPECT_EQ(read_as(blob.substr(0, cut), "count", {2, 2}), "corrupt")
+        << "truncated to " << cut << "/" << blob.size() << " bytes";
+  }
 }
 
 }  // namespace

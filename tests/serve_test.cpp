@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "robust/fault.h"
 #include "serve/cache.h"
 #include "serve/client.h"
 #include "serve/engine.h"
@@ -110,9 +111,20 @@ TEST(CacheKeys, CharacterizationKeyCoversConfigAndFootprint) {
   dims.solver.dims = {32, 32};
   EXPECT_NE(base, serve::characterization_key(stack_hash, dims, 50.0, 50.0));
 
-  thermal::CharacterizationConfig axes = cc;
-  axes.auto_axis_points += 1;
-  EXPECT_NE(base, serve::characterization_key(stack_hash, axes, 50.0, 50.0));
+  // Every other field that shapes the tables changes the key on its own.
+  const auto changed = [&](auto&& edit) {
+    thermal::CharacterizationConfig other = cc;
+    edit(other);
+    return serve::characterization_key(stack_hash, other, 50.0, 50.0) != base;
+  };
+  EXPECT_TRUE(changed([](auto& c) { c.auto_axis_points += 1; }));
+  EXPECT_TRUE(changed([](auto& c) { c.geometric_axes = !c.geometric_axes; }));
+  EXPECT_TRUE(changed([](auto& c) { c.position_points += 1; }));
+  EXPECT_TRUE(changed([](auto& c) { c.model_config.source_subsamples += 1; }));
+  EXPECT_TRUE(changed([](auto& c) { c.model_config.receiver_probes += 1; }));
+  EXPECT_TRUE(changed([](auto& c) {
+    c.model_config.use_images = !c.model_config.use_images;
+  }));
 
   // A different stack digest changes the key for the same footprint/config.
   EXPECT_NE(base, serve::characterization_key(stack_hash ^ 1, cc, 50.0, 50.0));
@@ -307,36 +319,47 @@ TEST(ServeEngineTest, MidFlightCancelReturnsDegradedBestSoFar) {
   EXPECT_LT(sa.number_or("work", 1e18), 50'000'000.0);
 }
 
+// Also with every ThreadPool dispatch degraded to inline execution: the job
+// lanes must not depend on the pool.
 TEST(ServeEngineTest, TwoWorkersRunTwoJobsAtOnce) {
-  serve::ServeEngineConfig config;
-  config.workers = 2;
-  config.runner = tiny_config();
-  serve::ServeEngine engine(thermal::LayerStack::default_2p5d(), config);
-  EXPECT_EQ(engine.workers(), 2u);
+  for (const std::string faults : {"", "pool_dispatch:1.0"}) {
+    SCOPED_TRACE("faults=" + faults);
+    struct FaultGuard {
+      explicit FaultGuard(const std::string& spec) {
+        robust::FaultInjector::instance().configure(spec, 4);
+      }
+      ~FaultGuard() { robust::FaultInjector::instance().clear(); }
+    } const guard(faults);
+    serve::ServeEngineConfig config;
+    config.workers = 2;
+    config.runner = tiny_config();
+    serve::ServeEngine engine(thermal::LayerStack::default_2p5d(), config);
+    EXPECT_EQ(engine.workers(), 2u);
 
-  const std::uint64_t a =
-      engine.submit(quick_sa_scenario("lane-a", 50'000'000));
-  const std::uint64_t b =
-      engine.submit(quick_sa_scenario("lane-b", 50'000'000));
-  const auto running = [&](std::uint64_t id) {
-    const auto info = engine.info(id);
-    return info.has_value() && info->state == serve::JobState::kRunning;
-  };
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  bool both = false;
-  while (!both && std::chrono::steady_clock::now() < deadline) {
-    both = running(a) && running(b);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(both) << "two workers never ran two jobs at once";
+    const std::uint64_t a =
+        engine.submit(quick_sa_scenario("lane-a", 50'000'000));
+    const std::uint64_t b =
+        engine.submit(quick_sa_scenario("lane-b", 50'000'000));
+    const auto running = [&](std::uint64_t id) {
+      const auto info = engine.info(id);
+      return info.has_value() && info->state == serve::JobState::kRunning;
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    bool both = false;
+    while (!both && std::chrono::steady_clock::now() < deadline) {
+      both = running(a) && running(b);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(both) << "two workers never ran two jobs at once";
 
-  EXPECT_TRUE(engine.cancel(a));
-  EXPECT_TRUE(engine.cancel(b));
-  for (const std::uint64_t id : {a, b}) {
-    const auto info = engine.wait(id);
-    ASSERT_TRUE(info.has_value());
-    EXPECT_EQ(info->state, serve::JobState::kCancelled);
+    EXPECT_TRUE(engine.cancel(a));
+    EXPECT_TRUE(engine.cancel(b));
+    for (const std::uint64_t id : {a, b}) {
+      const auto info = engine.wait(id);
+      ASSERT_TRUE(info.has_value());
+      EXPECT_EQ(info->state, serve::JobState::kCancelled);
+    }
   }
 }
 

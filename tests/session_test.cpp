@@ -490,6 +490,50 @@ TEST(TrainingSession, AutoResumeScansPastCorruptNewestCheckpoint) {
   std::remove((newest + ".corrupt").c_str());
 }
 
+// A checkpoint that does not match the session is not a corrupt file: the
+// scan stops at the first candidate's mismatch error and renames nothing
+// (every candidate would fail alike, and each still resumes a matching
+// session). The `train resume --envs=2` over `--envs=1` checkpoints case.
+TEST(TrainingSession, AutoResumeMismatchPropagatesWithoutQuarantine) {
+  const ChipletSystem sa = tiny_system_a();
+  const std::string newest = temp_path("mismatch_newest.ckpt");
+  const std::string older = temp_path("mismatch_older.ckpt");
+  std::remove((newest + ".corrupt").c_str());
+  std::remove((older + ".corrupt").c_str());
+
+  TrainingSession donor(small_config(37), make_tasks({&sa}, {"a"}));
+  donor.train_epoch();
+  donor.save_checkpoint(older);
+  donor.train_epoch();
+  donor.save_checkpoint(newest);
+
+  TrainingSession wider(small_config(37, /*num_envs=*/2),
+                        make_tasks({&sa}, {"a"}));
+  try {
+    load_newest_valid_checkpoint(wider, {newest, older});
+    ADD_FAILURE() << "a mismatched checkpoint loaded";
+  } catch (const robust::CorruptArtifactError& e) {
+    ADD_FAILURE() << "mismatch reported as corruption: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("num_envs mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  for (const std::string& path : {newest, older}) {
+    EXPECT_TRUE(std::ifstream(path).good()) << path;
+    EXPECT_FALSE(std::ifstream(path + ".corrupt").good()) << path;
+  }
+
+  TrainingSession matching(small_config(37), make_tasks({&sa}, {"a"}));
+  EXPECT_EQ(load_newest_valid_checkpoint(matching, {newest, older}), newest);
+  EXPECT_EQ(matching.epochs_completed(), 2);
+
+  for (const std::string& path : {newest, older}) {
+    std::remove(path.c_str());
+    std::remove((path + ".corrupt").c_str());
+  }
+}
+
 TEST(TrainingSession, StoppedEpochLeavesStateExactForResume) {
   const ChipletSystem sa = tiny_system_a();
   TrainingSession plain(small_config(33), make_tasks({&sa}, {"a"}));

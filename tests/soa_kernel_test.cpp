@@ -109,12 +109,11 @@ std::vector<Variant> variants() {
   FastModelConfig corrected;  // the position correction scales self terms
   corrected.use_images = false;
   v.push_back({"correction", corrected, true, true});
-  FastModelConfig damped;
-  damped.use_images = true;
-  damped.source_subsamples = 1;
-  damped.receiver_probes = 1;
-  damped.image_reflectivity = 0.6;  // non-unit weights: the weighted loop
-  v.push_back({"single-probe-damped", damped, false, false});
+  FastModelConfig single;
+  single.use_images = true;
+  single.source_subsamples = 1;
+  single.receiver_probes = 1;
+  v.push_back({"single-probe", single, false, false});
   return v;
 }
 
@@ -315,7 +314,6 @@ TEST(SoaKernel, SourceBlocksLargerThanScalarTileMatchOracle) {
   FastModelConfig dense;
   dense.source_subsamples = 16;
   dense.receiver_probes = 2;
-  dense.image_reflectivity = 0.8;  // weighted: chunks offset the weights
   const FastThermalModel model = make_model(dense, false, true);
   Rng rng(0xb16b10cULL);
   const ChipletSystem sys("dense", kInterposer, kInterposer,

@@ -40,13 +40,13 @@
 // epoch, writes a final full-state checkpoint, and exits 0. --deadline-s=S
 // imposes the same stop on a wall-clock budget. `resume --from=` accepts a
 // newest-first comma-separated candidate list: corrupt files are quarantined
-// (renamed *.corrupt) and the newest valid checkpoint wins.
+// (renamed *.corrupt) and the newest valid checkpoint wins; a checkpoint
+// that does not match the command line (grid, --envs, scenarios, ...) stops
+// the resume with that error and renames nothing.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -57,6 +57,8 @@
 #include "obs/trace.h"
 #include "rl/session.h"
 #include "robust/robust.h"
+#include "serve/cache.h"
+#include "serve/runner.h"
 #include "systems/scenario.h"
 #include "systems/synthetic.h"
 #include "thermal/characterize.h"
@@ -84,42 +86,18 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
-/// Characterized fast models shared across scenarios with one interposer
-/// footprint (the regress harness's Table II workflow, at the same coarse
-/// tooling resolution: the engine gates on consistency, not sub-Kelvin
-/// accuracy).
-class ModelCache {
- public:
-  explicit ModelCache(const thermal::LayerStack& stack) : stack_(stack) {}
-
-  const thermal::FastThermalModel& get(double w, double h) {
-    auto& slot = models_[{w, h}];
-    if (!slot) {
-      thermal::CharacterizationConfig cc;
-      cc.solver.dims = {24, 24};
-      cc.auto_axis_points = 5;
-      cc.position_points = 5;
-      thermal::ThermalCharacterizer charac(stack_, cc);
-      slot.emplace(charac.characterize(w, h));
-      std::fprintf(stderr, "[train] characterized %.0fx%.0f mm (%.1f s)\n",
-                   w, h, charac.report().total_seconds);
-    }
-    return *slot;
-  }
-
- private:
-  const thermal::LayerStack& stack_;
-  std::map<std::pair<double, double>,
-           std::optional<thermal::FastThermalModel>> models_;
-};
-
 struct LoadedSuite {
   std::vector<ChipletSystem> systems;  ///< stable storage; tasks point here
   std::vector<rl::SessionTask> tasks;
 };
 
-LoadedSuite load_tasks(const std::vector<std::string>& paths,
-                       ModelCache& models) {
+/// Loads the scenarios, characterizing each interposer footprint once at
+/// the serve runner's coarse tooling resolution (the engine gates on
+/// consistency, not sub-Kelvin accuracy).
+LoadedSuite load_tasks(const std::vector<std::string>& paths) {
+  serve::CharacterizationCache models(
+      thermal::LayerStack::default_2p5d(),
+      serve::RunnerConfig::coarse_characterization());
   LoadedSuite suite;
   suite.systems.reserve(paths.size());  // tasks keep pointers: no realloc
   for (const std::string& path : paths) {
@@ -132,6 +110,10 @@ LoadedSuite load_tasks(const std::vector<std::string>& paths,
         {scenario.name, &system,
          std::make_unique<thermal::IncrementalFastModelEvaluator>(model)});
   }
+  const serve::CharacterizationCacheStats cs = models.stats();
+  std::fprintf(stderr, "[train] characterized %llu footprint(s) (%.1f s)\n",
+               static_cast<unsigned long long>(cs.misses),
+               cs.characterize_seconds);
   return suite;
 }
 
@@ -291,9 +273,7 @@ int cmd_train_or_resume(int argc, char** argv, bool resume) {
     std::fprintf(stderr, "[train] --scenarios=a.json,b.json,... required\n");
     return 2;
   }
-  const thermal::LayerStack stack = thermal::LayerStack::default_2p5d();
-  ModelCache models(stack);
-  LoadedSuite suite = load_tasks(split_list(scenarios), models);
+  LoadedSuite suite = load_tasks(split_list(scenarios));
 
   rl::TrainingSession session(session_config(argc, argv),
                               std::move(suite.tasks));
@@ -359,9 +339,7 @@ int cmd_eval(int argc, char** argv) {
                  "--scenarios=...\n");
     return 2;
   }
-  const thermal::LayerStack stack = thermal::LayerStack::default_2p5d();
-  ModelCache models(stack);
-  LoadedSuite suite = load_tasks(split_list(scenarios), models);
+  LoadedSuite suite = load_tasks(split_list(scenarios));
   rl::TrainingSession session(session_config(argc, argv),
                               std::move(suite.tasks));
   // Greedy evaluation only needs the policy weights.
