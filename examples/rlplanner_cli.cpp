@@ -143,8 +143,8 @@ int run_cli(int argc, char** argv) {
              std::move(model))});
     rl::TrainingSession session(config, std::move(tasks));
     if (!resume.empty()) {
-      // load_checkpoint rejects v1 weight-only files and any session/
-      // checkpoint mismatch with a descriptive runtime_error (caught below).
+      // load_checkpoint rejects a corrupt file or any session/checkpoint
+      // mismatch with a descriptive runtime_error (caught below).
       session.load_checkpoint(resume);
       std::printf("resumed %s at epoch %d\n", resume.c_str(),
                   session.epochs_completed());

@@ -1,7 +1,6 @@
 #include "nn/optim.h"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "nn/serialize.h"
 
@@ -46,26 +45,15 @@ void Adam::zero_grad() {
   for (Parameter* p : params_) p->grad.fill(0.0f);
 }
 
-void Adam::save_state(StateWriter& w, const std::string& prefix) const {
-  w.u64(prefix + ".t", static_cast<std::uint64_t>(t_));
-  w.u64(prefix + ".params", params_.size());
+void Adam::state_io(StateIo& io, const std::string& prefix) {
+  io.u64(prefix + ".t", t_);
+  io.expect(prefix + ".params", std::uint64_t{params_.size()},
+            "checkpoint: optimizer parameter count mismatch for '" + prefix +
+                "'");
   for (std::size_t k = 0; k < params_.size(); ++k) {
     const std::string tag = prefix + "." + std::to_string(k);
-    w.tensor(tag + ".m", m_[k]);
-    w.tensor(tag + ".v", v_[k]);
-  }
-}
-
-void Adam::load_state(StateReader& r, const std::string& prefix) {
-  t_ = static_cast<long>(r.u64(prefix + ".t"));
-  const std::uint64_t count = r.u64(prefix + ".params");
-  if (count != params_.size()) {
-    throw std::runtime_error("Adam::load_state: parameter count mismatch");
-  }
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    const std::string tag = prefix + "." + std::to_string(k);
-    r.tensor(tag + ".m", m_[k]);
-    r.tensor(tag + ".v", v_[k]);
+    io.tensor(tag + ".m", m_[k]);
+    io.tensor(tag + ".v", v_[k]);
   }
 }
 

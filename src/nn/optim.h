@@ -9,8 +9,7 @@
 
 namespace rlplan::nn {
 
-class StateReader;
-class StateWriter;
+class StateIo;
 
 struct AdamConfig {
   float lr = 3e-4f;
@@ -34,12 +33,12 @@ class Adam {
   float lr() const { return config_.lr; }
   long step_count() const { return t_; }
 
-  /// Full optimizer state (step count + first/second moments) as v2
-  /// checkpoint records under `prefix`. Restoring into an optimizer built
-  /// over the same parameter list resumes updates bit-exactly; shape
-  /// mismatches throw std::runtime_error.
-  void save_state(StateWriter& w, const std::string& prefix) const;
-  void load_state(StateReader& r, const std::string& prefix);
+  /// Checkpoint schema (nn/serialize.h): the step count, the parameter
+  /// count (expected to match) and the first/second moments, as records
+  /// under `prefix`. Restoring into an optimizer built over the same
+  /// parameter list resumes updates bit-exactly; a count or shape mismatch
+  /// throws std::runtime_error.
+  void state_io(StateIo& io, const std::string& prefix);
 
   /// In-memory copy of the full optimizer state (step count + moments), for
   /// the PPO NaN-guard's restore-last-good path. Cheap next to an update

@@ -1,10 +1,7 @@
 #include "nn/serialize.h"
 
-#include <cstdint>
+#include <array>
 #include <cstring>
-#include <fstream>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "robust/robust.h"
@@ -13,7 +10,7 @@ namespace rlplan::nn {
 
 namespace {
 
-// v2 record kinds. Values are part of the on-disk format; never renumber.
+// Record kinds. Values are part of the on-disk format; never renumber.
 enum Kind : std::uint8_t {
   kU64 = 1,
   kF64 = 2,
@@ -26,18 +23,11 @@ enum Kind : std::uint8_t {
 
 constexpr char kEndRecordName[] = "end";
 
-void write_u64_raw(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-std::uint64_t read_u64_raw(std::istream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw robust::CorruptArtifactError("checkpoint: truncated stream");
-  return v;
-}
-
-void write_u64(std::ofstream& os, std::uint64_t v) { write_u64_raw(os, v); }
+// Caps checked before allocating or skipping: a corrupt size must throw
+// CorruptArtifactError, not bad_alloc.
+constexpr std::uint64_t kMaxNameLen = 4096;
+constexpr std::uint64_t kMaxRank = 16;
+constexpr std::uint64_t kMaxLength = std::uint64_t{1} << 20;
 
 const char* kind_name(std::uint8_t kind) {
   switch (kind) {
@@ -54,281 +44,186 @@ const char* kind_name(std::uint8_t kind) {
 
 }  // namespace
 
-void save_parameters(const std::vector<Parameter*>& params,
-                     const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("save_parameters: cannot open " + path);
-  os.write(kCheckpointMagicV1, kCheckpointMagicLen);
-  write_u64(os, params.size());
-  for (const Parameter* p : params) {
-    write_u64(os, p->name.size());
-    os.write(p->name.data(), static_cast<std::streamsize>(p->name.size()));
-    write_u64(os, p->value.rank());
-    for (std::size_t d : p->value.shape()) write_u64(os, d);
-    os.write(reinterpret_cast<const char*>(p->value.data().data()),
-             static_cast<std::streamsize>(p->value.numel() * sizeof(float)));
-  }
-  if (!os) throw std::runtime_error("save_parameters: write failed: " + path);
-}
+StateIo::StateIo() { put(kCheckpointMagicV2, kCheckpointMagicLen); }
 
-void load_parameters(const std::vector<Parameter*>& params,
-                     const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("load_parameters: cannot open " + path);
-  char magic[kCheckpointMagicLen];
-  is.read(magic, sizeof(magic));
-  if (!is || std::string(magic, sizeof(magic)) != kCheckpointMagicV1) {
-    throw robust::CorruptArtifactError("load_parameters: bad magic in " +
-                                       path);
-  }
-  const std::uint64_t count = read_u64_raw(is);
-  if (count != params.size()) {
-    throw std::runtime_error("load_parameters: parameter count mismatch");
-  }
-  std::vector<Tensor> staged;
-  for (Parameter* p : params) {
-    const std::uint64_t name_len = read_u64_raw(is);
-    // Cap before allocating, as StateReader does: corruption must throw
-    // CorruptArtifactError, not bad_alloc.
-    if (name_len > 4096) {
-      throw robust::CorruptArtifactError(
-          "load_parameters: corrupt name length in " + path);
-    }
-    std::string name(name_len, '\0');
-    is.read(name.data(), static_cast<std::streamsize>(name_len));
-    if (!is) {
-      throw robust::CorruptArtifactError("load_parameters: truncated file " +
-                                         path);
-    }
-    if (name != p->name) {
-      throw std::runtime_error("load_parameters: expected parameter '" +
-                               p->name + "', found '" + name + "'");
-    }
-    const std::uint64_t rank = read_u64_raw(is);
-    if (rank > 16) {
-      throw robust::CorruptArtifactError("load_parameters: corrupt rank for '" +
-                                         name + "'");
-    }
-    std::vector<std::size_t> shape(rank);
-    for (auto& d : shape) d = read_u64_raw(is);
-    if (shape != p->value.shape()) {
-      throw std::runtime_error("load_parameters: shape mismatch for '" +
-                               name + "'");
-    }
-    staged.emplace_back(shape);
-    is.read(reinterpret_cast<char*>(staged.back().data().data()),
-            static_cast<std::streamsize>(p->value.numel() * sizeof(float)));
-  }
-  if (!is) {
-    throw robust::CorruptArtifactError("load_parameters: truncated file " +
-                                       path);
-  }
-  // Staged, so a rejected load leaves every parameter as it was.
-  for (std::size_t i = 0; i < params.size(); ++i) params[i]->value = staged[i];
-}
-
-// --- StateWriter -------------------------------------------------------------
-
-StateWriter::StateWriter(std::ostream& os) : os_(&os) {
-  os_->write(kCheckpointMagicV2, kCheckpointMagicLen);
-}
-
-void StateWriter::header(const std::string& name, std::uint8_t kind) {
-  write_u64_raw(*os_, name.size());
-  os_->write(name.data(), static_cast<std::streamsize>(name.size()));
-  os_->write(reinterpret_cast<const char*>(&kind), 1);
-}
-
-void StateWriter::u64(const std::string& name, std::uint64_t v) {
-  header(name, kU64);
-  write_u64_raw(*os_, v);
-}
-
-void StateWriter::f64(const std::string& name, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  header(name, kF64);
-  write_u64_raw(*os_, bits);
-}
-
-void StateWriter::f32(const std::string& name, float v) {
-  std::uint32_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  header(name, kF32);
-  os_->write(reinterpret_cast<const char*>(&bits), sizeof(bits));
-}
-
-void StateWriter::str(const std::string& name, const std::string& v) {
-  header(name, kString);
-  write_u64_raw(*os_, v.size());
-  os_->write(v.data(), static_cast<std::streamsize>(v.size()));
-}
-
-void StateWriter::tensor(const std::string& name, const Tensor& t) {
-  header(name, kTensor);
-  write_u64_raw(*os_, t.rank());
-  for (std::size_t d : t.shape()) write_u64_raw(*os_, d);
-  os_->write(reinterpret_cast<const char*>(t.data().data()),
-             static_cast<std::streamsize>(t.numel() * sizeof(float)));
-}
-
-void StateWriter::u64vec(const std::string& name,
-                         std::span<const std::uint64_t> v) {
-  header(name, kU64Vec);
-  write_u64_raw(*os_, v.size());
-  for (std::uint64_t x : v) write_u64_raw(*os_, x);
-}
-
-void StateWriter::finish() {
-  header(kEndRecordName, kEnd);
-  os_->flush();
-  if (!*os_) throw std::runtime_error("checkpoint: write failed");
-}
-
-// --- StateReader -------------------------------------------------------------
-
-StateReader::StateReader(std::istream& is) : is_(&is) {
-  char magic[kCheckpointMagicLen];
-  is_->read(magic, sizeof(magic));
-  if (!*is_ || std::string(magic, sizeof(magic)) != kCheckpointMagicV2) {
+StateIo::StateIo(std::string_view bytes, bool assign)
+    : saving_(false), assign_(assign), in_(bytes) {
+  if (in_.substr(0, kCheckpointMagicLen) !=
+      std::string_view(kCheckpointMagicV2, kCheckpointMagicLen)) {
     throw robust::CorruptArtifactError("checkpoint: bad v2 magic");
   }
+  pos_ = kCheckpointMagicLen;
 }
 
-void StateReader::header(const std::string& name, std::uint8_t kind) {
-  const std::uint64_t name_len = read_u64_raw(*is_);
-  // A wildly large length means corruption; reject before allocating.
-  if (name_len > 4096) {
+void StateIo::put(const void* p, std::size_t size) {
+  out_.append(static_cast<const char*>(p), size);
+}
+
+void StateIo::take(void* p, std::size_t size, const std::string& name) {
+  if (size > in_.size() - pos_) {
+    throw robust::CorruptArtifactError(
+        "checkpoint: truncated while reading '" + name + "'");
+  }
+  if (p != nullptr) std::memcpy(p, in_.data() + pos_, size);
+  pos_ += size;
+}
+
+void StateIo::header(const std::string& name, std::uint8_t kind) {
+  std::uint64_t len = name.size();
+  if (saving_) {
+    put(&len, sizeof(len));
+    put(name.data(), name.size());
+    put(&kind, 1);
+    return;
+  }
+  take(&len, sizeof(len), name);
+  if (len > kMaxNameLen) {
     throw robust::CorruptArtifactError(
         "checkpoint: corrupt record name length while reading '" + name +
         "'");
   }
-  std::string found(name_len, '\0');
-  is_->read(found.data(), static_cast<std::streamsize>(name_len));
+  const std::size_t at = pos_;
+  take(nullptr, len, name);
+  const std::string_view found = in_.substr(at, len);
   std::uint8_t found_kind = 0;
-  is_->read(reinterpret_cast<char*>(&found_kind), 1);
-  if (!*is_) {
-    throw robust::CorruptArtifactError("checkpoint: truncated while reading '" +
-                                       name + "'");
-  }
+  take(&found_kind, 1, name);
   if (found != name || found_kind != kind) {
     throw robust::CorruptArtifactError(
         "checkpoint: expected record '" + name + "' (" + kind_name(kind) +
-        "), found '" + found + "' (" + kind_name(found_kind) + ")");
+        "), found '" + std::string(found) + "' (" + kind_name(found_kind) +
+        ")");
   }
 }
 
-std::uint64_t StateReader::u64(const std::string& name) {
-  header(name, kU64);
-  return read_u64_raw(*is_);
-}
-
-double StateReader::f64(const std::string& name) {
-  header(name, kF64);
-  const std::uint64_t bits = read_u64_raw(*is_);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-float StateReader::f32(const std::string& name) {
-  header(name, kF32);
-  std::uint32_t bits = 0;
-  is_->read(reinterpret_cast<char*>(&bits), sizeof(bits));
-  if (!*is_) throw robust::CorruptArtifactError("checkpoint: truncated stream");
-  float v = 0.0f;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string StateReader::str(const std::string& name) {
-  header(name, kString);
-  const std::uint64_t len = read_u64_raw(*is_);
-  if (len > (1ULL << 20)) {
-    throw robust::CorruptArtifactError(
-        "checkpoint: corrupt string length in '" + name + "'");
+void StateIo::fixed(const std::string& name, std::uint8_t kind, void* p,
+                    std::size_t size) {
+  header(name, kind);
+  if (saving_) {
+    put(p, size);
+  } else {
+    take(p, size, name);
   }
-  std::string v(len, '\0');
-  is_->read(v.data(), static_cast<std::streamsize>(len));
-  if (!*is_) throw robust::CorruptArtifactError("checkpoint: truncated stream");
+}
+
+std::uint64_t StateIo::u64_word(const std::string& name, std::uint64_t v) {
+  fixed(name, kU64, &v, sizeof(v));
   return v;
 }
 
-void StateReader::tensor(const std::string& name, Tensor& out) {
+void StateIo::f64(const std::string& name, double& v) {
+  double stored = v;
+  fixed(name, kF64, &stored, sizeof(stored));
+  if (assign_) v = stored;
+}
+
+void StateIo::f32(const std::string& name, float& v) {
+  float stored = v;
+  fixed(name, kF32, &stored, sizeof(stored));
+  if (assign_) v = stored;
+}
+
+void StateIo::tensor(const std::string& name, Tensor& t) {
   header(name, kTensor);
-  const std::uint64_t rank = read_u64_raw(*is_);
-  // Cap before allocating, like the string/u64vec readers: a corrupt rank
-  // must throw, not attempt a giant allocation.
-  if (rank > 16) {
+  const std::size_t payload = t.numel() * sizeof(float);
+  if (saving_) {
+    const std::uint64_t rank = t.rank();
+    put(&rank, sizeof(rank));
+    for (const std::uint64_t d : t.shape()) put(&d, sizeof(d));
+    put(t.data().data(), payload);
+    return;
+  }
+  std::uint64_t rank = 0;
+  take(&rank, sizeof(rank), name);
+  if (rank > kMaxRank) {
     throw robust::CorruptArtifactError("checkpoint: corrupt tensor rank in '" +
                                        name + "'");
   }
   std::vector<std::size_t> shape(rank);
-  for (auto& d : shape) d = read_u64_raw(*is_);
-  if (shape != out.shape()) {
+  for (std::size_t& d : shape) {
+    std::uint64_t dim = 0;
+    take(&dim, sizeof(dim), name);
+    d = dim;
+  }
+  if (shape != t.shape()) {
     throw std::runtime_error("checkpoint: shape mismatch for tensor '" +
                              name + "'");
   }
-  is_->read(reinterpret_cast<char*>(out.data().data()),
-            static_cast<std::streamsize>(out.numel() * sizeof(float)));
-  if (!*is_) {
-    throw robust::CorruptArtifactError("checkpoint: truncated tensor '" +
-                                       name + "'");
-  }
+  take(assign_ ? t.data().data() : nullptr, payload, name);
 }
 
-std::vector<std::uint64_t> StateReader::u64vec(const std::string& name) {
+void StateIo::words(const std::string& name, std::span<std::uint64_t> v,
+                    bool fixed_count) {
   header(name, kU64Vec);
-  const std::uint64_t count = read_u64_raw(*is_);
-  if (count > (1ULL << 20)) {
+  std::uint64_t count = v.size();
+  if (saving_) {
+    put(&count, sizeof(count));
+    put(v.data(), v.size_bytes());
+    return;
+  }
+  take(&count, sizeof(count), name);
+  if (count > kMaxLength || (fixed_count && count != v.size())) {
     throw robust::CorruptArtifactError(
         "checkpoint: corrupt u64vec length in '" + name + "'");
   }
-  std::vector<std::uint64_t> v(count);
-  for (auto& x : v) x = read_u64_raw(*is_);
-  return v;
+  if (count != v.size()) {
+    throw std::runtime_error("checkpoint: length mismatch for '" + name +
+                             "'");
+  }
+  take(assign_ ? v.data() : nullptr, v.size_bytes(), name);
 }
 
-void StateReader::finish() { header(kEndRecordName, kEnd); }
-
-// --- Parameter-list helpers --------------------------------------------------
-
-void write_parameter_tensors(StateWriter& w, const std::string& prefix,
-                             const std::vector<Parameter*>& params) {
-  w.u64(prefix + ".count", params.size());
-  for (const Parameter* p : params) w.tensor(prefix + "." + p->name, p->value);
+void StateIo::u64vec(const std::string& name, std::vector<std::uint64_t>& v) {
+  words(name, v, /*fixed_count=*/false);
 }
 
-void read_parameter_tensors(StateReader& r, const std::string& prefix,
-                            const std::vector<Parameter*>& params) {
-  const std::uint64_t count = r.u64(prefix + ".count");
-  if (count != params.size()) {
-    throw std::runtime_error("checkpoint: parameter count mismatch for '" +
-                             prefix + "'");
-  }
-  std::vector<Tensor> staged;
-  for (Parameter* p : params) {
-    staged.emplace_back(p->value.shape());
-    r.tensor(prefix + "." + p->name, staged.back());
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) params[i]->value = staged[i];
+void StateIo::rng(const std::string& name, Rng& r) {
+  std::array<std::uint64_t, 4> state = r.state();
+  words(name, state, /*fixed_count=*/true);
+  if (assign_) r.set_state(state);
 }
 
-int checkpoint_file_version(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("checkpoint: cannot open " + path);
+void StateIo::expect(const std::string& name, std::uint64_t value,
+                     const std::string& message, bool enforce) {
+  std::uint64_t stored = value;
+  fixed(name, kU64, &stored, sizeof(stored));
+  if (enforce && stored != value) throw std::runtime_error(message);
+}
+
+void StateIo::expect(const std::string& name, float value,
+                     const std::string& message, bool enforce) {
+  float stored = value;
+  fixed(name, kF32, &stored, sizeof(stored));
+  if (enforce && stored != value) throw std::runtime_error(message);
+}
+
+void StateIo::expect(const std::string& name, const std::string& value,
+                     const std::string& message, bool enforce) {
+  header(name, kString);
+  std::uint64_t len = value.size();
+  if (saving_) {
+    put(&len, sizeof(len));
+    put(value.data(), value.size());
+    return;
   }
-  char magic[kCheckpointMagicLen];
-  is.read(magic, sizeof(magic));
-  if (!is) {
-    throw robust::CorruptArtifactError("checkpoint: truncated file " + path);
+  take(&len, sizeof(len), name);
+  if (len > kMaxLength) {
+    throw robust::CorruptArtifactError(
+        "checkpoint: corrupt string length in '" + name + "'");
   }
-  const std::string m(magic, sizeof(magic));
-  if (m == kCheckpointMagicV1) return 1;
-  if (m == kCheckpointMagicV2) return 2;
-  throw robust::CorruptArtifactError("checkpoint: unrecognized magic in " +
-                                     path);
+  const std::size_t at = pos_;
+  take(nullptr, len, name);
+  if (enforce && in_.substr(at, len) != value) {
+    throw std::runtime_error(message);
+  }
+}
+
+void StateIo::finish() { header(kEndRecordName, kEnd); }
+
+void parameter_tensors(StateIo& io, const std::string& prefix,
+                       const std::vector<Parameter*>& params) {
+  io.expect(prefix + ".count", std::uint64_t{params.size()},
+            "checkpoint: parameter count mismatch for '" + prefix + "'");
+  for (Parameter* p : params) io.tensor(prefix + "." + p->name, p->value);
 }
 
 }  // namespace rlplan::nn

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "nn/serialize.h"
 #include "rl/env.h"
 
 namespace rlplan::rl {
@@ -69,14 +68,6 @@ std::vector<nn::Parameter*> PolicyValueNet::parameters() {
 
 void PolicyValueNet::zero_grad() {
   for (nn::Parameter* p : parameters()) p->grad.fill(0.0f);
-}
-
-void PolicyValueNet::save(const std::string& path) {
-  nn::save_parameters(parameters(), path);
-}
-
-void PolicyValueNet::load(const std::string& path) {
-  nn::load_parameters(parameters(), path);
 }
 
 }  // namespace rlplan::rl

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "nn/layers.h"
@@ -57,9 +56,6 @@ class PolicyValueNet {
 
   const PolicyNetConfig& config() const { return config_; }
   std::size_t num_actions() const { return config_.grid * config_.grid; }
-
-  void save(const std::string& path);
-  void load(const std::string& path);
 
  private:
   PolicyNetConfig config_;

@@ -256,47 +256,19 @@ void PpoCore::update(RolloutBuffer& buffer, TrainStats& stats) {
   }
 }
 
-void PpoCore::save_state(nn::StateWriter& w) const {
-  auto& self = const_cast<PpoCore&>(*this);
-  // Net weights first: warm-start readers stop after this block.
-  nn::write_parameter_tensors(w, "net", self.net_.parameters());
-
-  const auto rng_state = rng_.state();
-  w.u64vec("core.update_rng", rng_state);
-  self.optimizer_.save_state(w, "core.adam");
-  w.f64("core.rew_mean", rew_mean_);
-  w.f64("core.rew_m2", rew_m2_);
-  w.u64("core.rew_n", static_cast<std::uint64_t>(rew_n_));
-  w.f32("core.intrinsic_scale", intrinsic_scale_);
-  w.u64("core.rnd_present", rnd_ ? 1 : 0);
-  if (rnd_) rnd_->save_state(w, "core.rnd");
-}
-
-void PpoCore::load_net_only(nn::StateReader& r) {
-  nn::read_parameter_tensors(r, "net", net_.parameters());
-}
-
-void PpoCore::load_state(nn::StateReader& r) {
-  load_net_only(r);
-
-  const auto rng_state = r.u64vec("core.update_rng");
-  if (rng_state.size() != 4) {
-    throw robust::CorruptArtifactError(
-        "checkpoint: bad update RNG state size");
-  }
-  rng_.set_state({rng_state[0], rng_state[1], rng_state[2], rng_state[3]});
-  optimizer_.load_state(r, "core.adam");
-  rew_mean_ = r.f64("core.rew_mean");
-  rew_m2_ = r.f64("core.rew_m2");
-  rew_n_ = static_cast<long>(r.u64("core.rew_n"));
-  intrinsic_scale_ = r.f32("core.intrinsic_scale");
-  const bool rnd_present = r.u64("core.rnd_present") != 0;
-  if (rnd_present != rnd_.has_value()) {
-    throw std::runtime_error(
-        "checkpoint: RND configuration mismatch (use_rnd differs from the "
-        "checkpointed trainer)");
-  }
-  if (rnd_) rnd_->load_state(r, "core.rnd");
+void PpoCore::state_io(nn::StateIo& io, bool net_only) {
+  nn::parameter_tensors(io, "net", net_.parameters());
+  if (net_only) return;
+  io.rng("core.update_rng", rng_);
+  optimizer_.state_io(io, "core.adam");
+  io.f64("core.rew_mean", rew_mean_);
+  io.f64("core.rew_m2", rew_m2_);
+  io.u64("core.rew_n", rew_n_);
+  io.f32("core.intrinsic_scale", intrinsic_scale_);
+  io.expect("core.rnd_present", std::uint64_t{rnd_ ? 1u : 0u},
+            "checkpoint: RND configuration mismatch (use_rnd differs from "
+            "the checkpointed trainer)");
+  if (rnd_) rnd_->state_io(io, "core.rnd");
 }
 
 }  // namespace rlplan::rl

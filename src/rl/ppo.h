@@ -3,7 +3,7 @@
 // policy/value net, Adam, optional RND, reward normalizer, intrinsic
 // annealing, and the update RNG. It knows nothing about environments or how
 // experience is collected; its entire mutable state is checkpointable
-// (save_state/load_state).
+// (state_io).
 //
 // One update = `update_epochs` passes of clipped-surrogate minibatch SGD
 // (Adam) over a collected rollout. Policy gradients flow through the masked
@@ -89,7 +89,7 @@ struct TrainStats {
 
 /// Pure PPO update core over a fixed network architecture. Contains no
 /// environment or collection logic; everything it mutates is covered by
-/// save_state()/load_state(), which is what makes training resumable.
+/// state_io(), which is what makes training resumable.
 class PpoCore {
  public:
   /// `net_config.grid` and `net_config.channels_in` must be final — they fix
@@ -151,16 +151,15 @@ class PpoCore {
     rew_n_ = s.n;
   }
 
-  /// Serializes, in order: net weights, then the full update state (update
-  /// RNG, Adam moments + step count, reward normalizer, intrinsic scale, RND
-  /// block). Net weights lead so weight-only (warm-start) readers can stop
-  /// after them.
-  void save_state(nn::StateWriter& w) const;
-  void load_state(nn::StateReader& r);
-  /// Reads only the leading net-weights block of a v2 core state (the
-  /// warm-start path: fine-tune from a checkpoint with fresh optimizer,
-  /// normalizer, and RNG state).
-  void load_net_only(nn::StateReader& r);
+  /// Checkpoint schema (nn/serialize.h), in order: net weights, then the
+  /// full update state (update RNG, Adam moments + step count, reward
+  /// normalizer, intrinsic scale, RND presence, which must match, and the
+  /// RND block). Net weights lead so that `net_only` — the warm-start path:
+  /// fine-tune from a checkpoint with fresh optimizer, normalizer and RNG
+  /// state — can stop after them. An assigning pass stores each record as
+  /// it reads it; TrainingSession::load_checkpoint makes loads
+  /// all-or-nothing with a check pass first.
+  void state_io(nn::StateIo& io, bool net_only);
 
  private:
   PpoConfig config_;

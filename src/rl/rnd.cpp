@@ -77,29 +77,13 @@ float RndBonus::bonus(const nn::Tensor& state) {
       std::min(normalized, static_cast<double>(config_.bonus_clip)));
 }
 
-void RndBonus::save_state(nn::StateWriter& w,
-                          const std::string& prefix) const {
-  // const_cast: parameters() is non-const by Module convention but save only
-  // reads the tensors.
-  auto& self = const_cast<RndBonus&>(*this);
-  nn::write_parameter_tensors(w, prefix + ".target",
-                              self.target_.parameters());
-  nn::write_parameter_tensors(w, prefix + ".predictor",
-                              self.predictor_.parameters());
-  optimizer_.save_state(w, prefix + ".adam");
-  w.f64(prefix + ".err_mean", err_mean_);
-  w.f64(prefix + ".err_m2", err_m2_);
-  w.u64(prefix + ".err_n", err_n_);
-}
-
-void RndBonus::load_state(nn::StateReader& r, const std::string& prefix) {
-  nn::read_parameter_tensors(r, prefix + ".target", target_.parameters());
-  nn::read_parameter_tensors(r, prefix + ".predictor",
-                             predictor_.parameters());
-  optimizer_.load_state(r, prefix + ".adam");
-  err_mean_ = r.f64(prefix + ".err_mean");
-  err_m2_ = r.f64(prefix + ".err_m2");
-  err_n_ = r.u64(prefix + ".err_n");
+void RndBonus::state_io(nn::StateIo& io, const std::string& prefix) {
+  nn::parameter_tensors(io, prefix + ".target", target_.parameters());
+  nn::parameter_tensors(io, prefix + ".predictor", predictor_.parameters());
+  optimizer_.state_io(io, prefix + ".adam");
+  io.f64(prefix + ".err_mean", err_mean_);
+  io.f64(prefix + ".err_m2", err_m2_);
+  io.u64(prefix + ".err_n", err_n_);
 }
 
 double RndBonus::train(const std::vector<const nn::Tensor*>& states,

@@ -49,12 +49,11 @@ class RndBonus {
   /// Raw (unnormalized) prediction error for diagnostics/tests.
   double raw_error(const nn::Tensor& state);
 
-  /// Full RND state — target and predictor weights, the predictor's Adam
-  /// moments, and the running error-normalization statistics — as v2
-  /// checkpoint records under `prefix`, so a resumed trainer produces
-  /// bit-identical bonuses. Load requires an identically-configured RndBonus.
-  void save_state(nn::StateWriter& w, const std::string& prefix) const;
-  void load_state(nn::StateReader& r, const std::string& prefix);
+  /// Checkpoint schema (nn/serialize.h): target and predictor weights, the
+  /// predictor's Adam state and the running error-normalization statistics,
+  /// as records under `prefix`, so a resumed trainer produces bit-identical
+  /// bonuses. Reading requires an identically-configured RndBonus.
+  void state_io(nn::StateIo& io, const std::string& prefix);
 
  private:
   nn::Tensor embed_target(const nn::Tensor& batch);

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 
 #include "nn/layers.h"
@@ -18,23 +19,12 @@
 #include "parallel/vec_env.h"
 #include "rl/distribution.h"
 #include "robust/fault.h"
+#include "util/fs.h"
 #include "util/log.h"
 
 namespace rlplan::rl {
 
 namespace {
-
-std::uint64_t f64_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double bits_f64(std::uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 std::string task_tag(std::size_t i) {
   return "task." + std::to_string(i);
@@ -321,283 +311,165 @@ void TrainingSession::set_control(const robust::RunControl& control) {
 
 // --- Checkpointing -----------------------------------------------------------
 
-void TrainingSession::save_checkpoint(const std::string& path) const {
-  // Write-then-rename: a crash mid-save must never destroy the previous
-  // checkpoint (rename over the target is atomic on POSIX), especially when
-  // the target is the very file this session resumed from.
-  // Failures throw robust::TransientIoError (callers may retry; the "ckpt_write"
-  // chaos site injects exactly that class before any byte is written).
-  if (robust::fault_point("ckpt_write")) {
-    throw robust::TransientIoError(path + ": injected ckpt_write fault");
-  }
-  const std::string tmp_path = path + ".tmp";
-  std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    throw robust::TransientIoError("TrainingSession: cannot open " + tmp_path);
-  }
-  nn::StateWriter w(os);
-
-  // Header.
-  w.u64("version", 2);
-  w.u64("grid", config_.net.grid);
-  w.u64("channels", config_.net.channels_in);
-  w.u64("num_envs", config_.num_envs);
-  w.u64("curriculum_mode", static_cast<std::uint64_t>(config_.curriculum));
-  // Trajectory-affecting PPO hyperparameters: a resume with different
-  // values would silently diverge from the advertised bit-exact
-  // continuation, so load_checkpoint validates them (warm start does not).
-  {
-    const PpoConfig& p = config_.ppo;
-    w.u64("ppo.episodes_per_update", static_cast<std::uint64_t>(
-                                         static_cast<std::int64_t>(
-                                             p.episodes_per_update)));
-    w.u64("ppo.update_epochs", static_cast<std::uint64_t>(
-                                   static_cast<std::int64_t>(
-                                       p.update_epochs)));
-    w.u64("ppo.minibatch", p.minibatch);
-    w.f32("ppo.clip", p.clip);
-    w.f32("ppo.vf_coef", p.vf_coef);
-    w.f32("ppo.ent_coef", p.ent_coef);
-    w.f32("ppo.max_grad_norm", p.max_grad_norm);
-    w.f32("ppo.gamma", p.gae.gamma);
-    w.f32("ppo.lam", p.gae.lam);
-    w.f32("ppo.lr", p.adam.lr);
-    w.f32("ppo.beta1", p.adam.beta1);
-    w.f32("ppo.beta2", p.adam.beta2);
-    w.f32("ppo.eps", p.adam.eps);
-    w.f32("ppo.weight_decay", p.adam.weight_decay);
-    w.f32("ppo.intrinsic_coef", p.intrinsic_coef);
-    w.f32("ppo.intrinsic_decay", p.intrinsic_decay);
-    w.u64("ppo.normalize_rewards", p.normalize_rewards ? 1 : 0);
-    w.f32("ppo.rnd_predictor_lr", p.rnd.predictor_lr);
-    w.f32("ppo.rnd_bonus_clip", p.rnd.bonus_clip);
-    w.u64("ppo.rnd_train_batch", p.rnd.train_batch);
-  }
-  w.u64("num_tasks", tasks_.size());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    w.str(task_tag(i) + ".name", tasks_[i].name);
-  }
-
-  // Net weights + full core state.
-  core_.save_state(w);
-
-  // Session state.
-  w.u64("session.epochs_completed",
-        static_cast<std::uint64_t>(epochs_completed_));
-  w.u64("session.total_env_steps",
-        static_cast<std::uint64_t>(total_env_steps_));
-  w.u64vec("session.curriculum_rng", curriculum_rng_.state());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const TaskRuntime& rt = *runtimes_[i];
-    const std::string tag = task_tag(i);
-    for (std::size_t j = 0; j < config_.num_envs; ++j) {
-      w.u64vec(rng_record(tag, j, config_.num_envs), rt.venv.rng(j).state());
-    }
-    w.u64(tag + ".best_present", rt.best ? 1 : 0);
-    if (rt.best) {
-      // Placements flattened as [placed, x bits, y bits, rotated] per
-      // chiplet; doubles as raw IEEE bits for exact round-trip.
-      std::vector<std::uint64_t> flat;
-      flat.reserve(rt.best->num_chiplets() * 4);
-      for (std::size_t k = 0; k < rt.best->num_chiplets(); ++k) {
-        const auto& p = rt.best->placement(k);
-        flat.push_back(p.has_value() ? 1 : 0);
-        flat.push_back(p ? f64_bits(p->position.x) : 0);
-        flat.push_back(p ? f64_bits(p->position.y) : 0);
-        flat.push_back(p && p->rotated ? 1 : 0);
-      }
-      w.u64vec(tag + ".best_placements", flat);
-      w.f64(tag + ".best_wirelength_mm", rt.best_metrics.wirelength_mm);
-      w.f64(tag + ".best_temperature_c", rt.best_metrics.temperature_c);
-      w.f64(tag + ".best_reward", rt.best_metrics.reward);
-    }
-  }
-  w.finish();
-  os.close();
-  if (!os) {
-    std::remove(tmp_path.c_str());
-    throw robust::TransientIoError("TrainingSession: write failed: " +
-                                   tmp_path);
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    throw robust::TransientIoError("TrainingSession: cannot rename " +
-                                   tmp_path + " to " + path);
-  }
-}
-
-void TrainingSession::load_checkpoint(const std::string& path,
-                                      bool warm_start) {
-  // v1 files carry weights only, so they can never satisfy a full resume;
-  // requiring warm_start makes the API fail-safe instead of silently
-  // restarting optimizer/normalizer/RNG state under a resume banner.
-  if (nn::checkpoint_file_version(path) == 1) {
-    if (!warm_start) {
-      throw std::runtime_error(
-          "checkpoint: " + path + " is a v1 weight-only file; full-state "
-          "resume is impossible — load it with warm_start=true to restore "
-          "the weights only");
-    }
-    nn::load_parameters(core_.net().parameters(), path);
-    return;
-  }
-
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("TrainingSession: cannot open " + path);
-  }
-  nn::StateReader r(is);
-
+void TrainingSession::state_io(nn::StateIo& io, bool warm_start) {
   // Header. Architecture must match in every mode (the weights below are
   // meaningless otherwise); session shape only for full resume.
-  const std::uint64_t version = r.u64("version");
-  if (version != 2) {
+  std::uint64_t version = 2;
+  const std::uint64_t stored_version = io.u64("version", version);
+  if (stored_version != 2) {
     throw robust::CorruptArtifactError("checkpoint: unsupported version " +
-                                       std::to_string(version));
+                                       std::to_string(stored_version));
   }
-  const std::uint64_t grid = r.u64("grid");
-  const std::uint64_t channels = r.u64("channels");
-  if (grid != config_.net.grid || channels != config_.net.channels_in) {
-    throw std::runtime_error(
-        "checkpoint: network architecture mismatch (grid/channels)");
-  }
-  const std::uint64_t num_envs = r.u64("num_envs");
-  const std::uint64_t curriculum_mode = r.u64("curriculum_mode");
-  // PPO hyperparameters: always read (the record stream is sequential),
-  // validated only on full resume.
-  std::vector<std::string> ppo_mismatches;
-  const auto check_u64 = [&](const char* name, std::uint64_t expect) {
-    if (r.u64(name) != expect && !warm_start) {
-      ppo_mismatches.emplace_back(name);
-    }
-  };
-  const auto check_f32 = [&](const char* name, float expect) {
-    if (r.f32(name) != expect && !warm_start) {
-      ppo_mismatches.emplace_back(name);
-    }
-  };
+  const std::string arch =
+      "checkpoint: network architecture mismatch (grid/channels)";
+  io.expect("grid", std::uint64_t{config_.net.grid}, arch);
+  io.expect("channels", std::uint64_t{config_.net.channels_in}, arch);
+  const bool resume = !warm_start;
+  io.expect("num_envs", std::uint64_t{config_.num_envs},
+            "checkpoint: num_envs mismatch (session " +
+                std::to_string(config_.num_envs) + ")",
+            resume);
+  io.expect("curriculum_mode", static_cast<std::uint64_t>(config_.curriculum),
+            "checkpoint: curriculum mode mismatch", resume);
+  // Trajectory-affecting PPO hyperparameters: a resume with different
+  // values would silently diverge from the advertised bit-exact
+  // continuation, so a resume enforces them (warm start does not).
   {
+    const auto ppo = [&](const char* name, auto value) {
+      io.expect(name, value,
+                std::string("checkpoint: PPO hyperparameter mismatch on "
+                            "resume (") +
+                    name +
+                    "); pass the same training configuration, or load with "
+                    "warm_start=true",
+                resume);
+    };
     const PpoConfig& p = config_.ppo;
-    check_u64("ppo.episodes_per_update",
-              static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(p.episodes_per_update)));
-    check_u64("ppo.update_epochs",
-              static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(p.update_epochs)));
-    check_u64("ppo.minibatch", p.minibatch);
-    check_f32("ppo.clip", p.clip);
-    check_f32("ppo.vf_coef", p.vf_coef);
-    check_f32("ppo.ent_coef", p.ent_coef);
-    check_f32("ppo.max_grad_norm", p.max_grad_norm);
-    check_f32("ppo.gamma", p.gae.gamma);
-    check_f32("ppo.lam", p.gae.lam);
-    check_f32("ppo.lr", p.adam.lr);
-    check_f32("ppo.beta1", p.adam.beta1);
-    check_f32("ppo.beta2", p.adam.beta2);
-    check_f32("ppo.eps", p.adam.eps);
-    check_f32("ppo.weight_decay", p.adam.weight_decay);
-    check_f32("ppo.intrinsic_coef", p.intrinsic_coef);
-    check_f32("ppo.intrinsic_decay", p.intrinsic_decay);
-    check_u64("ppo.normalize_rewards", p.normalize_rewards ? 1 : 0);
-    check_f32("ppo.rnd_predictor_lr", p.rnd.predictor_lr);
-    check_f32("ppo.rnd_bonus_clip", p.rnd.bonus_clip);
-    check_u64("ppo.rnd_train_batch", p.rnd.train_batch);
+    ppo("ppo.episodes_per_update",
+        static_cast<std::uint64_t>(p.episodes_per_update));
+    ppo("ppo.update_epochs", static_cast<std::uint64_t>(p.update_epochs));
+    ppo("ppo.minibatch", std::uint64_t{p.minibatch});
+    ppo("ppo.clip", p.clip);
+    ppo("ppo.vf_coef", p.vf_coef);
+    ppo("ppo.ent_coef", p.ent_coef);
+    ppo("ppo.max_grad_norm", p.max_grad_norm);
+    ppo("ppo.gamma", p.gae.gamma);
+    ppo("ppo.lam", p.gae.lam);
+    ppo("ppo.lr", p.adam.lr);
+    ppo("ppo.beta1", p.adam.beta1);
+    ppo("ppo.beta2", p.adam.beta2);
+    ppo("ppo.eps", p.adam.eps);
+    ppo("ppo.weight_decay", p.adam.weight_decay);
+    ppo("ppo.intrinsic_coef", p.intrinsic_coef);
+    ppo("ppo.intrinsic_decay", p.intrinsic_decay);
+    ppo("ppo.normalize_rewards", std::uint64_t{p.normalize_rewards ? 1u : 0u});
+    ppo("ppo.rnd_predictor_lr", p.rnd.predictor_lr);
+    ppo("ppo.rnd_bonus_clip", p.rnd.bonus_clip);
+    ppo("ppo.rnd_train_batch", std::uint64_t{p.rnd.train_batch});
   }
-  if (!ppo_mismatches.empty()) {
-    std::string joined;
-    for (const std::string& m : ppo_mismatches) {
-      if (!joined.empty()) joined += ", ";
-      joined += m;
-    }
-    throw std::runtime_error(
-        "checkpoint: PPO hyperparameter mismatch on resume (" + joined +
-        "); pass the same training configuration, or load with "
-        "warm_start=true");
-  }
-  const std::uint64_t num_tasks = r.u64("num_tasks");
-  // Cap before allocating (like the serialize.cpp readers): corruption must
-  // surface as the documented CorruptArtifactError, not bad_alloc.
-  if (num_tasks > parallel::VecEnv::kMaxEnvs) {
+  std::uint64_t num_tasks = tasks_.size();
+  const std::uint64_t stored_tasks = io.u64("num_tasks", num_tasks);
+  // Cap before the name loop: a corrupt count is a file fault.
+  if (stored_tasks > parallel::VecEnv::kMaxEnvs) {
     throw robust::CorruptArtifactError("checkpoint: corrupt task count");
   }
-  std::vector<std::string> names(num_tasks);
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    names[i] = r.str(task_tag(i) + ".name");
-  }
-
-  if (warm_start) {
-    // Weights only; the remaining record stream is intentionally unread.
-    core_.load_net_only(r);
-    return;
-  }
-
-  if (num_envs != config_.num_envs) {
-    throw std::runtime_error("checkpoint: num_envs mismatch (checkpoint " +
-                             std::to_string(num_envs) + ", session " +
-                             std::to_string(config_.num_envs) + ")");
-  }
-  if (curriculum_mode != static_cast<std::uint64_t>(config_.curriculum)) {
-    throw std::runtime_error("checkpoint: curriculum mode mismatch");
-  }
-  if (num_tasks != tasks_.size()) {
+  if (resume && stored_tasks != tasks_.size()) {
     throw std::runtime_error("checkpoint: task count mismatch");
   }
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    if (names[i] != tasks_[i].name) {
-      throw std::runtime_error("checkpoint: task " + std::to_string(i) +
-                               " is '" + names[i] + "', session has '" +
-                               tasks_[i].name + "'");
-    }
+  for (std::size_t i = 0; i < stored_tasks; ++i) {
+    // A warm start reads names past the session's task count unchecked.
+    const std::string name = i < tasks_.size() ? tasks_[i].name : "";
+    io.expect(task_tag(i) + ".name", name,
+              "checkpoint: task " + std::to_string(i) +
+                  " is not the session's '" + name + "'",
+              resume);
   }
 
-  core_.load_state(r);
+  // Net weights + full core state; a warm start stops after the weights,
+  // leaving the rest of the stream unread.
+  core_.state_io(io, warm_start);
+  if (warm_start) return;
 
-  epochs_completed_ = static_cast<int>(r.u64("session.epochs_completed"));
-  total_env_steps_ = static_cast<long>(r.u64("session.total_env_steps"));
-  const auto cur_state = r.u64vec("session.curriculum_rng");
-  if (cur_state.size() != 4) {
-    throw robust::CorruptArtifactError("checkpoint: bad curriculum RNG state");
-  }
-  curriculum_rng_.set_state(
-      {cur_state[0], cur_state[1], cur_state[2], cur_state[3]});
-
+  // Session state.
+  io.u64("session.epochs_completed", epochs_completed_);
+  io.u64("session.total_env_steps", total_env_steps_);
+  io.rng("session.curriculum_rng", curriculum_rng_);
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     TaskRuntime& rt = *runtimes_[i];
     const std::string tag = task_tag(i);
     for (std::size_t j = 0; j < config_.num_envs; ++j) {
-      const std::string name = rng_record(tag, j, config_.num_envs);
-      const auto s = r.u64vec(name);
-      if (s.size() != 4) {
-        throw robust::CorruptArtifactError("checkpoint: bad RNG state in '" +
-                                           name + "'");
-      }
-      rt.venv.rng(j).set_state({s[0], s[1], s[2], s[3]});
+      io.rng(rng_record(tag, j, config_.num_envs), rt.venv.rng(j));
     }
-    if (r.u64(tag + ".best_present") != 0) {
-      const auto flat = r.u64vec(tag + ".best_placements");
-      const std::size_t n = tasks_[i].system->num_chiplets();
-      if (flat.size() != n * 4) {
-        throw std::runtime_error("checkpoint: best-floorplan size mismatch "
-                                 "for task '" + tasks_[i].name + "'");
+    std::uint64_t present = rt.best ? 1 : 0;
+    if (io.u64(tag + ".best_present", present) == 0) {
+      if (io.assigning()) {
+        rt.best.reset();
+        rt.best_metrics = {};
       }
+      continue;
+    }
+    // Placements flattened as [placed, x bits, y bits, rotated] per
+    // chiplet; doubles as raw IEEE bits for exact round-trip.
+    const std::size_t n = tasks_[i].system->num_chiplets();
+    std::vector<std::uint64_t> flat(n * 4);
+    if (rt.best) {
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto& p = rt.best->placement(k);
+        flat[k * 4] = p.has_value() ? 1 : 0;
+        flat[k * 4 + 1] = p ? std::bit_cast<std::uint64_t>(p->position.x) : 0;
+        flat[k * 4 + 2] = p ? std::bit_cast<std::uint64_t>(p->position.y) : 0;
+        flat[k * 4 + 3] = p && p->rotated ? 1 : 0;
+      }
+    }
+    io.u64vec(tag + ".best_placements", flat);
+    io.f64(tag + ".best_wirelength_mm", rt.best_metrics.wirelength_mm);
+    io.f64(tag + ".best_temperature_c", rt.best_metrics.temperature_c);
+    io.f64(tag + ".best_reward", rt.best_metrics.reward);
+    if (io.assigning()) {
       Floorplan fp(*tasks_[i].system);
       for (std::size_t k = 0; k < n; ++k) {
         if (flat[k * 4] != 0) {
-          fp.place(k, {bits_f64(flat[k * 4 + 1]), bits_f64(flat[k * 4 + 2])},
+          fp.place(k,
+                   {std::bit_cast<double>(flat[k * 4 + 1]),
+                    std::bit_cast<double>(flat[k * 4 + 2])},
                    flat[k * 4 + 3] != 0);
         }
       }
       rt.best = std::move(fp);
       rt.best_metrics.valid = true;
-      rt.best_metrics.wirelength_mm = r.f64(tag + ".best_wirelength_mm");
-      rt.best_metrics.temperature_c = r.f64(tag + ".best_temperature_c");
-      rt.best_metrics.reward = r.f64(tag + ".best_reward");
-    } else {
-      rt.best.reset();
-      rt.best_metrics = {};
     }
   }
-  r.finish();
+  io.finish();
+}
+
+void TrainingSession::save_checkpoint(const std::string& path) const {
+  // The "ckpt_write" chaos site injects a TransientIoError (callers may
+  // retry) before any byte is written.
+  if (robust::fault_point("ckpt_write")) {
+    throw robust::TransientIoError(path + ": injected ckpt_write fault");
+  }
+  nn::StateIo io;
+  // A saving pass only reads the members the schema names.
+  const_cast<TrainingSession*>(this)->state_io(io, /*warm_start=*/false);
+  util::atomic_write_file(path, io.bytes());
+}
+
+void TrainingSession::load_checkpoint(const std::string& path,
+                                      bool warm_start) {
+  // Read once: serve's warm-start cache renames fresh checkpoints over the
+  // path other jobs read, so two opens could see two different files.
+  std::ifstream is(path, std::ios::binary);
+  if (!is) {
+    throw std::runtime_error("TrainingSession: cannot open " + path);
+  }
+  const std::string bytes(std::istreambuf_iterator<char>(is),
+                          std::istreambuf_iterator<char>{});
+  // The check pass throws on any fault or mismatch before the assigning
+  // pass stores a record, so a rejected load changes nothing.
+  for (const bool assign : {false, true}) {
+    nn::StateIo io(bytes, assign);
+    state_io(io, warm_start);
+  }
 }
 
 std::string load_newest_valid_checkpoint(

@@ -26,7 +26,8 @@
 //
 // ## Checkpoint format (RLPNNv2)
 //
-// A typed record stream (nn/serialize.h StateWriter). Sections, in order:
+// A typed record stream (nn/serialize.h), named once, in order, by the
+// session's schema over the component schemas. Sections, in order:
 //
 //   section    | records
 //   -----------+------------------------------------------------------------
@@ -47,8 +48,8 @@
 // state, so `train(N)` and `train(k); save; load; train(N-k)` produce
 // bit-identical parameters, statistics, and best floorplans — for one
 // replica and many alike (tests/session_test.cpp asserts exactly this).
-// load_checkpoint() also reads v1 (RLPNNv1, weight-only) files: weights are
-// restored, optimizer/normalizer/RNG state starts fresh.
+// load_checkpoint() validates the whole file against the session before it
+// changes anything, so a load that throws leaves the session as it was.
 //
 // ## Curriculum
 //
@@ -164,22 +165,24 @@ class TrainingSession {
 
   /// Full-state RLPNNv2 checkpoint (format documented above). Deterministic
   /// content: no timestamps, so identical training histories produce
-  /// byte-identical files.
+  /// byte-identical files. Serialized in memory and written through
+  /// util::atomic_write_file, so a failed save never destroys the previous
+  /// file; failures throw robust::TransientIoError.
   void save_checkpoint(const std::string& path) const;
 
   /// Restores a checkpoint. Default (resume) mode requires the session to
   /// match the checkpoint exactly — grid, channels, num_envs, task count
   /// and names, RND configuration — and restores every stream so training
-  /// continues bit-exactly. With warm_start only the net weights are read
-  /// (fine-tuning path: fresh optimizer/normalizer/RNG over new scenarios).
-  /// v1 weight-only files load with warm_start only — they cannot satisfy a
-  /// full resume, and resume mode rejects them rather than silently
-  /// restarting optimizer/RNG state. A fault of the file itself (bad magic,
-  /// truncation, a wrong record, a missing end, an oversized count) throws
-  /// robust::CorruptArtifactError; a mismatch with this session (grid or
-  /// channels, num_envs, curriculum, task names, PPO hyperparameters, RND
-  /// presence, tensor shapes) or an unopenable path throws a plain
-  /// std::runtime_error.
+  /// continues bit-exactly. With warm_start only the header and the net
+  /// weights are read, and only grid and channels must match (fine-tuning
+  /// path: fresh optimizer/normalizer/RNG over new scenarios). The file is
+  /// read once; a check pass validates everything the load reads before
+  /// an assigning pass stores it, so a load that throws changes nothing. A
+  /// fault of the file itself (bad magic, truncation, a wrong record, a
+  /// missing end, an oversized count) throws robust::CorruptArtifactError;
+  /// a mismatch with this session (grid or channels, num_envs, curriculum,
+  /// task names, PPO hyperparameters, RND presence, tensor shapes) or an
+  /// unopenable path throws a plain std::runtime_error.
   void load_checkpoint(const std::string& path, bool warm_start = false);
 
   /// Updates config().control for an already-built session (deadline/cancel
@@ -190,6 +193,10 @@ class TrainingSession {
   struct TaskRuntime;
 
   std::size_t pick_task();
+  /// The checkpoint schema: saves, or reads one pass of load_checkpoint.
+  /// With warm_start it reads the header, enforcing only grid and
+  /// channels, then the net weights, and stops.
+  void state_io(nn::StateIo& io, bool warm_start);
   void consider_best(TaskRuntime& rt, const EpisodeMetrics& metrics,
                      const Floorplan& fp);
 

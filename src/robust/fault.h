@@ -17,7 +17,8 @@
 //
 //   ckpt_write      TrainingSession::save_checkpoint -> TransientIoError
 //   artifact_write  util::atomic_write_file (JSON/bench/metrics/trace
-//                   artifacts) -> TransientIoError (retried internally)
+//                   artifacts and checkpoints) -> TransientIoError
+//                   (retried internally)
 //   pool_dispatch   ThreadPool::parallel_for degrades to inline execution
 //   solver_diverge  GridThermalSolver treats the CG solve as non-converged
 //                   and exercises the fallback re-solve

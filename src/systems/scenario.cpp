@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
@@ -59,6 +60,18 @@ long checked_count(const util::JsonValue& obj, const std::string& key,
   return n;
 }
 
+/// A wire count: an integer in [1, INT_MAX]. Range-checked in the double
+/// domain before the cast, like checked_count: double -> int on an
+/// out-of-range value is undefined behaviour.
+int checked_wires(double v, const std::string& what) {
+  if (!(v >= 1.0 && v <= static_cast<double>(INT_MAX)) ||
+      v != std::floor(v)) {
+    fail(what + " must be an integer in [1, " + std::to_string(INT_MAX) +
+         "]");
+  }
+  return static_cast<int>(v);
+}
+
 /// Strict schema: members outside `allowed` are errors, so a misspelled
 /// field cannot silently fall back to its default.
 void reject_unknown(const util::JsonValue& obj,
@@ -102,11 +115,8 @@ FamilyConfig family_from_json(const util::JsonValue& j) {
   c.power_skew = j.number_or("power_skew", c.power_skew);
   if (j.has("wires")) {
     const auto [lo, hi] = parse_pair(j, "wires", where);
-    if (lo != std::floor(lo) || hi != std::floor(hi)) {
-      fail(where + ".wires bounds must be integers");
-    }
-    c.min_wires = static_cast<int>(lo);
-    c.max_wires = static_cast<int>(hi);
+    c.min_wires = checked_wires(lo, where + ".wires bound");
+    c.max_wires = checked_wires(hi, where + ".wires bound");
   }
   c.extra_net_prob = j.number_or("extra_net_prob", c.extra_net_prob);
   c.hotspot_pairs = static_cast<std::size_t>(checked_count(
@@ -201,12 +211,7 @@ ChipletSystem inline_system_from_json(const util::JsonValue& sys,
         }
         (e == 0 ? net.a : net.b) = it->second;
       }
-      const double wires = items[2].as_number();
-      if (wires != std::floor(wires)) {
-        fail("system.nets: wires must be an integer");
-      }
-      net.wires = static_cast<int>(wires);
-      if (net.wires <= 0) fail("system.nets: wires must be positive");
+      net.wires = checked_wires(items[2].as_number(), "system.nets: wires");
       nets.push_back(net);
     }
   }

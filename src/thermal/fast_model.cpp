@@ -5,6 +5,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "robust/robust.h"
+
 namespace rlplan::thermal {
 
 FastThermalModel::FastThermalModel(SelfResistanceTable self_table,
@@ -150,7 +152,8 @@ FastThermalModel FastThermalModel::load(const std::string& path) {
   // reflectivity, v2 also a mutual-term correction flag); they fail here
   // instead of loading with a misread field layout.
   if (tag != "fast_thermal_model" || version != "v4") {
-    throw std::runtime_error("FastThermalModel: bad header in " + path);
+    throw robust::CorruptArtifactError("FastThermalModel: bad header in " +
+                                       path);
   }
   double ambient = 0.0;
   int use_images = 0;
@@ -160,6 +163,11 @@ FastThermalModel FastThermalModel::load(const std::string& path) {
   FastModelConfig config;
   is >> ambient >> config.source_subsamples >> config.receiver_probes >>
       use_images >> pkg_w >> pkg_h >> floor >> has_correction >> has_droop;
+  // The constructor's own precondition, as a file fault.
+  if (!is || config.source_subsamples < 1) {
+    throw robust::CorruptArtifactError("FastThermalModel: corrupt header in " +
+                                       path);
+  }
   config.use_images = use_images != 0;
   auto self = SelfResistanceTable::load(is);
   auto mutual = MutualResistanceTable::load(is);

@@ -155,7 +155,10 @@ class FastThermalModel {
   /// (mirror images or the measured position correction).
   double self_rise(const Chiplet& chip, const Rect& footprint) const;
 
-  /// Text format "fast_thermal_model v4"; load() rejects other versions.
+  /// Text format "fast_thermal_model v4". load() throws
+  /// robust::CorruptArtifactError on any fault of the file (another
+  /// version, truncation, an oversized table, axes the tables reject) and a
+  /// plain std::runtime_error when the path cannot be opened.
   void save(const std::string& path) const;
   static FastThermalModel load(const std::string& path);
 

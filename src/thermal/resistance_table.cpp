@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "obs/trace.h"
+#include "robust/robust.h"
 
 namespace rlplan::thermal {
 
@@ -63,6 +64,26 @@ std::size_t segment_index_fast(const std::vector<double>& axis,
 }
 
 }  // namespace table_detail
+
+namespace {
+
+// Sizes a loaded table may claim, checked before anything is allocated: the
+// most knots resampled_uniform() produces per axis, and 2^20 cells in 2D.
+constexpr std::size_t kMaxLoadedKnots = 4096;
+constexpr std::size_t kMaxLoadedCells = std::size_t{1} << 20;
+
+std::size_t load_count(std::istream& is, const std::string& table) {
+  std::size_t n = 0;
+  is >> n;
+  if (!is) throw robust::CorruptArtifactError(table + ": truncated data");
+  if (n > kMaxLoadedKnots) {
+    throw robust::CorruptArtifactError(table + ": corrupt axis length " +
+                                       std::to_string(n));
+  }
+  return n;
+}
+
+}  // namespace
 
 SelfResistanceTable::SelfResistanceTable(
     std::vector<double> widths, std::vector<double> heights,
@@ -122,10 +143,15 @@ SelfResistanceTable SelfResistanceTable::load(std::istream& is) {
   std::string tag, version;
   is >> tag >> version;
   if (tag != "self_resistance_table" || version != "v1") {
-    throw std::runtime_error("SelfResistanceTable: bad header");
+    throw robust::CorruptArtifactError("SelfResistanceTable: bad header");
   }
-  std::size_t nw = 0, nh = 0;
-  is >> nw >> nh;
+  const std::size_t nw = load_count(is, "SelfResistanceTable");
+  const std::size_t nh = load_count(is, "SelfResistanceTable");
+  if (nw * nh > kMaxLoadedCells) {
+    throw robust::CorruptArtifactError(
+        "SelfResistanceTable: corrupt size " + std::to_string(nw) + " x " +
+        std::to_string(nh));
+  }
   std::vector<double> widths(nw), heights(nh);
   for (auto& w : widths) is >> w;
   for (auto& h : heights) is >> h;
@@ -133,9 +159,15 @@ SelfResistanceTable SelfResistanceTable::load(std::istream& is) {
   for (auto& row : values) {
     for (auto& v : row) is >> v;
   }
-  if (!is) throw std::runtime_error("SelfResistanceTable: truncated data");
-  return SelfResistanceTable(std::move(widths), std::move(heights),
-                             std::move(values));
+  if (!is) {
+    throw robust::CorruptArtifactError("SelfResistanceTable: truncated data");
+  }
+  try {
+    return SelfResistanceTable(std::move(widths), std::move(heights),
+                               std::move(values));
+  } catch (const std::invalid_argument& e) {
+    throw robust::CorruptArtifactError(e.what());
+  }
 }
 
 MutualResistanceTable::MutualResistanceTable(std::vector<double> distances_mm,
@@ -201,15 +233,21 @@ MutualResistanceTable MutualResistanceTable::load(std::istream& is) {
   std::string tag, version;
   is >> tag >> version;
   if (tag != "mutual_resistance_table" || version != "v1") {
-    throw std::runtime_error("MutualResistanceTable: bad header");
+    throw robust::CorruptArtifactError("MutualResistanceTable: bad header");
   }
-  std::size_t n = 0;
-  is >> n;
+  const std::size_t n = load_count(is, "MutualResistanceTable");
   std::vector<double> distances(n), values(n);
   for (auto& d : distances) is >> d;
   for (auto& v : values) is >> v;
-  if (!is) throw std::runtime_error("MutualResistanceTable: truncated data");
-  return MutualResistanceTable(std::move(distances), std::move(values));
+  if (!is) {
+    throw robust::CorruptArtifactError(
+        "MutualResistanceTable: truncated data");
+  }
+  try {
+    return MutualResistanceTable(std::move(distances), std::move(values));
+  } catch (const std::invalid_argument& e) {
+    throw robust::CorruptArtifactError(e.what());
+  }
 }
 
 }  // namespace rlplan::thermal

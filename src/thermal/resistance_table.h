@@ -48,6 +48,9 @@ class SelfResistanceTable {
   double lookup(double width_mm, double height_mm) const;
 
   void save(std::ostream& os) const;
+  /// Throws robust::CorruptArtifactError on any fault of the stream: a bad
+  /// header, truncation, an oversized size (checked before allocating), or
+  /// axes the constructor rejects.
   static SelfResistanceTable load(std::istream& is);
 
  private:
@@ -88,6 +91,8 @@ class MutualResistanceTable {
   MutualResistanceTable resampled_uniform(std::size_t max_points = 4096) const;
 
   void save(std::ostream& os) const;
+  /// Throws robust::CorruptArtifactError on any fault of the stream, like
+  /// SelfResistanceTable::load.
   static MutualResistanceTable load(std::istream& is);
 
  private:

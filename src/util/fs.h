@@ -9,7 +9,7 @@ namespace rlplan::util {
 /// then renames over the target, so readers never observe a truncated file —
 /// a crash mid-write leaves the old artifact (or nothing) in place. Every
 /// JSON/JSONL artifact writer (util::write_json_file, obs exports, bench
-/// reports) routes through here.
+/// reports) and TrainingSession::save_checkpoint route through here.
 ///
 /// Transient failures — including the "artifact_write" fault-injection site —
 /// are retried internally with bounded exponential backoff; once attempts are

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace rlplan {
 
@@ -98,21 +99,6 @@ double quantile(std::span<const double> values, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-Summary summarize(std::span<const double> values) {
-  Summary s;
-  s.p50 = quantile(values, 0.50);  // validates input (empty / NaN) first
-  s.p90 = quantile(values, 0.90);
-  s.p99 = quantile(values, 0.99);
-  RunningStats rs;
-  for (double v : values) rs.add(v);
-  s.n = rs.count();
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = rs.min();
-  s.max = rs.max();
-  return s;
-}
-
 double histogram_quantile(std::span<const double> upper_bounds,
                           std::span<const std::uint64_t> counts, double q) {
   if (!(q >= 0.0 && q <= 1.0)) {
@@ -144,28 +130,5 @@ double histogram_quantile(std::span<const double> upper_bounds,
   }
   return upper_bounds.back();
 }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo);
-  assert(bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(
-      std::floor(t * static_cast<double>(counts_.size())));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
 
 }  // namespace rlplan

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace rlplan {
 
@@ -63,22 +62,6 @@ struct ErrorMetrics {
 /// so a quantile over it is meaningless).
 double quantile(std::span<const double> values, double q);
 
-/// One-call descriptive summary of a sample (quantiles via quantile()).
-struct Summary {
-  std::size_t n = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-};
-
-/// Summary of `values`; same preconditions as quantile() (throws on empty
-/// input or NaN samples).
-Summary summarize(std::span<const double> values);
-
 /// Quantile estimate from fixed-bucket histogram counts (the obs metrics
 /// export). `counts` has upper_bounds.size() + 1 entries, the last being the
 /// +inf overflow bucket. Interpolates linearly inside the selected bucket
@@ -88,24 +71,5 @@ Summary summarize(std::span<const double> values);
 /// throws std::invalid_argument on q outside [0, 1] or a size mismatch.
 double histogram_quantile(std::span<const double> upper_bounds,
                           std::span<const std::uint64_t> counts, double q);
-
-/// Simple fixed-width histogram over [lo, hi); out-of-range samples clamp
-/// into the first/last bin. Used by characterization diagnostics.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace rlplan

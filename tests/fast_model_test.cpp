@@ -2,17 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "fuzz_util.h"
+#include "robust/robust.h"
 #include "systems/synthetic.h"
 #include "thermal/characterize.h"
 #include "thermal/grid_solver.h"
 #include "util/stats.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace rlplan::thermal {
@@ -206,6 +211,77 @@ TEST_F(FastModelTest, RejectsV3AndV2ModelFiles) {
       for (std::size_t i = 2; i < lines.size(); ++i) out << lines[i] << '\n';
     }
     EXPECT_THROW(FastThermalModel::load(path), std::runtime_error) << version;
+  }
+  std::filesystem::remove(path);
+}
+
+// Every fault of a model file is a robust::CorruptArtifactError, found
+// before the counts in the file size an allocation: a self table claiming
+// 4000 x 4000 knots in an 80-byte file, a count of 2^62, and an axis the
+// table constructor rejects.
+TEST_F(FastModelTest, CorruptModelFilesAreCorruptArtifacts) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "rlplan_fast_model_bad.txt")
+          .string();
+  const std::string header =
+      "fast_thermal_model v4\n45 1 1 1 40 40 0 0 0\n";
+  const std::string mutual = "mutual_resistance_table v1\n2\n0 10\n1 0.5\n";
+  for (const std::string& self :
+       {std::string("self_resistance_table v1\n4000 4000\n"),
+        std::string("self_resistance_table v1\n2 4611686018427387904\n"),
+        std::string("self_resistance_table v1\n2 2\n5 1\n1 2\n1 1\n1 1\n")}) {
+    {
+      std::ofstream out(path);
+      out << header << self << mutual;
+    }
+    EXPECT_THROW(FastThermalModel::load(path), robust::CorruptArtifactError)
+        << self;
+  }
+  std::filesystem::remove(path);
+}
+
+// A saved model truncated at seeded offsets or with a byte flipped (the
+// count scaled by RLPLANNER_FUZZ_SCALE) loads or throws a
+// std::runtime_error — never another exception type.
+TEST_F(FastModelTest, DamagedModelFilesLoadOrThrow) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "rlplan_fast_model_fuzz.txt")
+          .string();
+  model_->save(path);
+  std::string text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(text.empty());
+  const int cases = 60 * rlplan::testing::fuzz_scale();
+  for (int k = 0; k < cases; ++k) {
+    const std::uint64_t seed =
+        0xFA57ULL * 1000003ULL + static_cast<std::uint64_t>(k);
+    Rng rng(seed);
+    std::string bad = text;
+    if (k % 2 == 0) {
+      bad.resize(rng.uniform_int(std::uint64_t{text.size()}));
+    } else {
+      const std::size_t at = rng.uniform_int(std::uint64_t{text.size()});
+      const auto mask = static_cast<unsigned char>(
+          1 + rng.uniform_int(std::uint64_t{255}));
+      bad[at] = static_cast<char>(static_cast<unsigned char>(bad[at]) ^ mask);
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bad;
+    }
+    try {
+      FastThermalModel::load(path);
+    } catch (const std::runtime_error&) {
+    } catch (...) {
+      const std::string context =
+          "DamagedModelFilesLoadOrThrow seed=" + std::to_string(seed);
+      rlplan::testing::report_failure_seed("fast_model_test", context);
+      FAIL() << context << ": threw something other than runtime_error";
+    }
   }
   std::filesystem::remove(path);
 }

@@ -1,6 +1,7 @@
 // Shared plumbing for the differential fuzz suites (soa_kernel_test,
 // incremental_thermal_test, bump_test, nn_kernel_test, grid_solver_test,
-// annealer_test) and CI's nightly long-fuzz job:
+// annealer_test), the corruption fuzz (session_test, fast_model_test,
+// scenario_test) and CI's nightly long-fuzz job:
 //
 //  * RLPLANNER_FUZZ_SCALE multiplies iteration counts (the schedule job runs
 //    20x under ASan/UBSan);

@@ -5,12 +5,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 
-#include "nn/serialize.h"
 #include "nn_oracle.h"
 #include "rl/policy_net.h"
 
@@ -312,56 +310,6 @@ TEST(Initialization, DeterministicGivenSeed) {
 TEST(Initialization, KaimingBoundScalesWithFanIn) {
   EXPECT_GT(kaiming_bound(4), kaiming_bound(64));
   EXPECT_FLOAT_EQ(kaiming_bound(6), 1.0f);
-}
-
-TEST(Serialize, RoundtripPreservesValues) {
-  Rng rng(11);
-  Sequential seq;
-  seq.add(std::make_unique<Linear>(3, 5, rng, "l1"));
-  seq.add(std::make_unique<Linear>(5, 2, rng, "l2"));
-  const auto path =
-      (std::filesystem::temp_directory_path() / "rlplan_nn_test.bin")
-          .string();
-  save_parameters(seq.parameters(), path);
-
-  Rng rng2(99);  // different init
-  Sequential seq2;
-  seq2.add(std::make_unique<Linear>(3, 5, rng2, "l1"));
-  seq2.add(std::make_unique<Linear>(5, 2, rng2, "l2"));
-  load_parameters(seq2.parameters(), path);
-
-  const auto pa = seq.parameters();
-  const auto pb = seq2.parameters();
-  for (std::size_t k = 0; k < pa.size(); ++k) {
-    for (std::size_t i = 0; i < pa[k]->value.numel(); ++i) {
-      EXPECT_EQ(pa[k]->value[i], pb[k]->value[i]);
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Serialize, RejectsNameMismatch) {
-  Rng rng(12);
-  Linear a(2, 2, rng, "alpha");
-  const auto path =
-      (std::filesystem::temp_directory_path() / "rlplan_nn_test2.bin")
-          .string();
-  save_parameters(a.parameters(), path);
-  Linear b(2, 2, rng, "beta");
-  EXPECT_THROW(load_parameters(b.parameters(), path), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-TEST(Serialize, RejectsShapeMismatch) {
-  Rng rng(13);
-  Linear a(2, 2, rng, "same");
-  const auto path =
-      (std::filesystem::temp_directory_path() / "rlplan_nn_test3.bin")
-          .string();
-  save_parameters(a.parameters(), path);
-  Linear b(2, 3, rng, "same");
-  EXPECT_THROW(load_parameters(b.parameters(), path), std::runtime_error);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

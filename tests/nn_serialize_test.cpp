@@ -1,22 +1,22 @@
-// Dedicated round-trip and corruption coverage for the parameter checkpoint
-// format (src/nn/serialize.{h,cpp}): exact-bit save/load identity across
-// ranks and value extremes, plus the error paths a damaged checkpoint must
-// hit — missing file, bad magic, mismatched parameter lists, and truncation
-// at EVERY byte boundary of a small checkpoint, after which the destination
-// must be unchanged.
+// Round-trip and corruption coverage for the checkpoint record stream
+// (src/nn/serialize.{h,cpp}) through parameter_tensors: exact-bit
+// save/load identity across ranks and value extremes, a real network, the
+// check pass that stores nothing, and the error paths a damaged or
+// mismatched stream must hit — bad magic, mismatched parameter lists,
+// oversized header sizes, and truncation at EVERY byte of a small stream —
+// each split by cause (corrupt file vs. mismatched destination).
+// All-or-nothing loads of whole checkpoints are the session's job (its
+// check pass runs before its assigning pass) and are tested in
+// session_test.
 #include "nn/serialize.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
+#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "nn/layers.h"
@@ -25,25 +25,6 @@
 
 namespace rlplan::nn {
 namespace {
-
-namespace fs = std::filesystem;
-
-class SerializeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("rlplan_serialize_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
-
-  fs::path dir_;
-};
 
 /// A small parameter set with assorted ranks; values cover negatives, exact
 /// powers of two, subnormals, and extremes — everything must survive the
@@ -76,118 +57,36 @@ std::vector<Parameter*> pointers(std::vector<Parameter>& params) {
   return out;
 }
 
-TEST_F(SerializeTest, RoundTripIsBitExact) {
-  auto saved = make_params();
-  save_parameters(pointers(saved), path("ckpt.bin"));
-
-  auto loaded = make_params();
-  for (Parameter& p : loaded) {
-    for (std::size_t i = 0; i < p.value.numel(); ++i) p.value[i] = -99.0f;
-  }
-  load_parameters(pointers(loaded), path("ckpt.bin"));
-
-  for (std::size_t k = 0; k < saved.size(); ++k) {
-    ASSERT_EQ(saved[k].value.numel(), loaded[k].value.numel());
-    for (std::size_t i = 0; i < saved[k].value.numel(); ++i) {
-      // Bit comparison (EXPECT_EQ would pass -0.0 == 0.0 and fail on NaN).
-      std::uint32_t a = 0, b = 0;
-      std::memcpy(&a, &saved[k].value[i], 4);
-      std::memcpy(&b, &loaded[k].value[i], 4);
-      EXPECT_EQ(a, b) << saved[k].name << "[" << i << "]";
-    }
-  }
+std::string save(const std::vector<Parameter*>& params) {
+  StateIo io;
+  parameter_tensors(io, "p", params);
+  io.finish();
+  return io.bytes();
 }
 
-TEST_F(SerializeTest, RoundTripThroughRealNetwork) {
-  Rng rng(21);
-  Sequential seq;
-  seq.add(std::make_unique<Linear>(4, 8, rng, "fc1"));
-  seq.add(std::make_unique<Linear>(8, 2, rng, "fc2"));
-  save_parameters(seq.parameters(), path("net.bin"));
+void load(const std::string& bytes, const std::vector<Parameter*>& params,
+          bool assign = true) {
+  StateIo io(bytes, assign);
+  parameter_tensors(io, "p", params);
+  io.finish();
+}
 
-  Rng rng2(1234);
-  Sequential other;
-  other.add(std::make_unique<Linear>(4, 8, rng2, "fc1"));
-  other.add(std::make_unique<Linear>(8, 2, rng2, "fc2"));
-  load_parameters(other.parameters(), path("net.bin"));
-  const auto pa = seq.parameters();
-  const auto pb = other.parameters();
-  for (std::size_t k = 0; k < pa.size(); ++k) {
-    for (std::size_t i = 0; i < pa[k]->value.numel(); ++i) {
-      EXPECT_EQ(pa[k]->value[i], pb[k]->value[i]);
-    }
+/// "ok", "corrupt" (a fault of the file) or "mismatch" (a well-formed file
+/// that does not fit the destination).
+std::string load_as(const std::string& bytes,
+                    const std::vector<Parameter*>& params) {
+  try {
+    load(bytes, params);
+    return "ok";
+  } catch (const robust::CorruptArtifactError&) {
+    return "corrupt";
+  } catch (const std::runtime_error&) {
+    return "mismatch";
   }
 }
 
-TEST_F(SerializeTest, EmptyParameterListRoundTrips) {
-  save_parameters({}, path("empty.bin"));
-  EXPECT_NO_THROW(load_parameters({}, path("empty.bin")));
-}
-
-TEST_F(SerializeTest, MissingFileThrows) {
-  auto params = make_params();
-  EXPECT_THROW(load_parameters(pointers(params), path("does_not_exist.bin")),
-               std::runtime_error);
-}
-
-TEST_F(SerializeTest, UnwritablePathThrows) {
-  auto params = make_params();
-  EXPECT_THROW(
-      save_parameters(pointers(params), path("no/such/dir/ckpt.bin")),
-      std::runtime_error);
-}
-
-TEST_F(SerializeTest, BadMagicThrows) {
-  std::ofstream(path("bad.bin"), std::ios::binary) << "NOTACKPTxxxxxxxx";
-  auto params = make_params();
-  EXPECT_THROW(load_parameters(pointers(params), path("bad.bin")),
-               std::runtime_error);
-}
-
-TEST_F(SerializeTest, ParameterCountMismatchThrows) {
-  auto saved = make_params();
-  save_parameters(pointers(saved), path("ckpt.bin"));
-  auto fewer = make_params();
-  fewer.pop_back();
-  EXPECT_THROW(load_parameters(pointers(fewer), path("ckpt.bin")),
-               std::runtime_error);
-}
-
-// Truncation sweep: a checkpoint cut at ANY byte boundary must raise, never
-// silently load garbage. This walks every prefix length of a small file
-// (magic, counts, name, shape, and data regions all get hit).
-TEST_F(SerializeTest, TruncationAtEveryByteThrows) {
-  std::vector<Parameter> small;
-  small.emplace_back("w", std::vector<std::size_t>{2, 2});
-  small.emplace_back("b", std::vector<std::size_t>{2});
-  for (Parameter& p : small) {
-    for (std::size_t i = 0; i < p.value.numel(); ++i) {
-      p.value[i] = static_cast<float>(i) + 0.5f;
-    }
-  }
-  save_parameters(pointers(small), path("full.bin"));
-  std::ifstream is(path("full.bin"), std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(is)),
-                          std::istreambuf_iterator<char>());
-  is.close();
-  ASSERT_GT(bytes.size(), 40u);
-
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::ofstream(path("cut.bin"), std::ios::binary)
-        .write(bytes.data(), static_cast<std::streamsize>(cut));
-    auto dest = small;  // identical layout to the saved checkpoint
-    EXPECT_THROW(load_parameters(pointers(dest), path("cut.bin")),
-                 std::runtime_error)
-        << "no error when truncated to " << cut << "/" << bytes.size()
-        << " bytes";
-  }
-  // Sanity: the untruncated file still loads.
-  auto dest = small;
-  EXPECT_NO_THROW(load_parameters(pointers(dest), path("full.bin")));
-}
-
-/// Bit patterns of every parameter value, for "a rejected load changed
-/// nothing" checks (so NaN payloads and signed zeros count).
+/// Bit patterns of every parameter value (so NaN payloads and signed zeros
+/// count).
 std::vector<std::vector<std::uint32_t>> snapshot(
     const std::vector<Parameter>& params) {
   std::vector<std::vector<std::uint32_t>> out;
@@ -200,89 +99,165 @@ std::vector<std::vector<std::uint32_t>> snapshot(
   return out;
 }
 
-// A load that throws must leave every destination parameter as it was, not
-// hold the parameters read before the bad one: a wrong shape on the second
-// parameter, and truncation at every byte (the tail cuts land inside the
-// last tensor, after the others were read).
-TEST_F(SerializeTest, RejectedLoadLeavesParametersUntouched) {
+TEST(StateIo, RoundTripIsBitExact) {
   auto saved = make_params();
-  save_parameters(pointers(saved), path("ckpt.bin"));
+  const std::string bytes = save(pointers(saved));
+
+  auto loaded = make_params();
+  for (Parameter& p : loaded) p.value.fill(-99.0f);
+  load(bytes, pointers(loaded));
+  EXPECT_EQ(snapshot(loaded), snapshot(saved));
+}
+
+TEST(StateIo, RoundTripThroughRealNetwork) {
+  Rng rng(21);
+  Sequential seq;
+  seq.add(std::make_unique<Linear>(4, 8, rng, "fc1"));
+  seq.add(std::make_unique<Linear>(8, 2, rng, "fc2"));
+  const std::string bytes = save(seq.parameters());
+
+  Rng rng2(1234);
+  Sequential other;
+  other.add(std::make_unique<Linear>(4, 8, rng2, "fc1"));
+  other.add(std::make_unique<Linear>(8, 2, rng2, "fc2"));
+  load(bytes, other.parameters());
+  const auto pa = seq.parameters();
+  const auto pb = other.parameters();
+  for (std::size_t k = 0; k < pa.size(); ++k) {
+    for (std::size_t i = 0; i < pa[k]->value.numel(); ++i) {
+      EXPECT_EQ(pa[k]->value[i], pb[k]->value[i]);
+    }
+  }
+}
+
+TEST(StateIo, EmptyParameterListRoundTrips) {
+  const std::string bytes = save({});
+  EXPECT_NO_THROW(load(bytes, {}));
+}
+
+// A check pass validates the whole stream and stores nothing.
+TEST(StateIo, CheckPassStoresNothing) {
+  auto saved = make_params();
+  const std::string bytes = save(pointers(saved));
+  auto dest = make_params();
+  for (Parameter& p : dest) p.value.fill(7.0f);
+  const auto before = snapshot(dest);
+  load(bytes, pointers(dest), /*assign=*/false);
+  EXPECT_EQ(snapshot(dest), before);
+  // ...and still rejects what the assigning pass would.
+  auto fewer = make_params();
+  fewer.pop_back();
+  EXPECT_THROW(load(bytes, pointers(fewer), /*assign=*/false),
+               std::runtime_error);
+}
+
+TEST(StateIo, BadMagicIsCorrupt) {
+  auto params = make_params();
+  EXPECT_THROW(load("NOTACKPTxxxxxxxx", pointers(params)),
+               robust::CorruptArtifactError);
+  // The retired weight-only format is not read.
+  const std::string bytes = save(pointers(params));
+  EXPECT_THROW(load("RLPNNv1\n" + bytes.substr(kCheckpointMagicLen),
+                    pointers(params)),
+               robust::CorruptArtifactError);
+}
+
+TEST(StateIo, ParameterCountAndShapeMismatchesAreNotCorruption) {
+  auto saved = make_params();
+  const std::string bytes = save(pointers(saved));
+  auto fewer = make_params();
+  fewer.pop_back();
+  EXPECT_EQ(load_as(bytes, pointers(fewer)), "mismatch");
 
   std::vector<Parameter> reshaped;
   reshaped.emplace_back("bias", std::vector<std::size_t>{5});
   reshaped.emplace_back("weight", std::vector<std::size_t>{4, 3});
   reshaped.emplace_back("conv", std::vector<std::size_t>{2, 3, 3});
-  for (Parameter& p : reshaped) p.value.fill(7.0f);
-  const auto before = snapshot(reshaped);
-  EXPECT_THROW(load_parameters(pointers(reshaped), path("ckpt.bin")),
-               std::runtime_error);
-  EXPECT_EQ(snapshot(reshaped), before) << "wrong second shape";
+  EXPECT_EQ(load_as(bytes, pointers(reshaped)), "mismatch");
 
-  std::ifstream is(path("ckpt.bin"), std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(is)),
-                          std::istreambuf_iterator<char>());
-  is.close();
-  auto dest = make_params();
-  for (Parameter& p : dest) p.value.fill(-2.0f);
-  const auto initial = snapshot(dest);
+  // A renamed parameter reads as a record the file does not hold next.
+  auto renamed = make_params();
+  renamed[1].name = "weights";
+  EXPECT_EQ(load_as(bytes, pointers(renamed)), "corrupt");
+}
+
+// Truncation sweep: a stream cut at ANY byte must raise CorruptArtifactError,
+// never silently load garbage — magic, counts, names, shapes, data and the
+// missing "end" record all get hit.
+TEST(StateIo, TruncationAtEveryByteIsCorrupt) {
+  std::vector<Parameter> small;
+  small.emplace_back("w", std::vector<std::size_t>{2, 2});
+  small.emplace_back("b", std::vector<std::size_t>{2});
+  for (Parameter& p : small) {
+    for (std::size_t i = 0; i < p.value.numel(); ++i) {
+      p.value[i] = static_cast<float>(i) + 0.5f;
+    }
+  }
+  const std::string bytes = save(pointers(small));
+  ASSERT_GT(bytes.size(), 40u);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::ofstream(path("cut.bin"), std::ios::binary)
-        .write(bytes.data(), static_cast<std::streamsize>(cut));
-    EXPECT_THROW(load_parameters(pointers(dest), path("cut.bin")),
-                 std::runtime_error);
-    ASSERT_EQ(snapshot(dest), initial)
+    auto dest = small;
+    EXPECT_EQ(load_as(bytes.substr(0, cut), pointers(dest)), "corrupt")
         << "truncated to " << cut << "/" << bytes.size() << " bytes";
   }
-  load_parameters(pointers(dest), path("ckpt.bin"));
-  EXPECT_EQ(snapshot(dest), snapshot(saved));
+  auto dest = small;
+  EXPECT_EQ(load_as(bytes, pointers(dest)), "ok");
 }
 
-// A corrupt name length or rank must throw runtime_error before allocating,
-// not bad_alloc (a 2^40-byte name) or a giant shape vector.
-TEST_F(SerializeTest, CorruptV1HeaderSizesThrowRuntimeError) {
-  const auto write_v1 = [&](std::uint64_t name_len, const std::string& name,
-                            std::uint64_t rank) {
-    std::ofstream os(path("corrupt.bin"), std::ios::binary);
-    os.write(kCheckpointMagicV1, kCheckpointMagicLen);
-    const std::uint64_t count = 1;
-    os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    os.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    os.write(name.data(), static_cast<std::streamsize>(name.size()));
-    os.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
-  };
+// A corrupt record-name length or tensor rank throws CorruptArtifactError
+// before allocating, not bad_alloc (a 2^40-byte name) or a giant shape.
+TEST(StateIo, CorruptHeaderSizesAreCorrupt) {
   std::vector<Parameter> dest;
   dest.emplace_back("w", std::vector<std::size_t>{2});
-  write_v1(std::uint64_t{1} << 40, "", 1);
-  EXPECT_THROW(load_parameters(pointers(dest), path("corrupt.bin")),
-               std::runtime_error);
-  write_v1(1, "w", std::uint64_t{1} << 40);
-  EXPECT_THROW(load_parameters(pointers(dest), path("corrupt.bin")),
-               std::runtime_error);
+  const std::string bytes = save(pointers(dest));
+  const auto patched = [&](std::size_t offset, std::uint64_t value) {
+    std::string bad = bytes;
+    std::memcpy(bad.data() + offset, &value, sizeof(value));
+    return bad;
+  };
+  // The first record's name length sits right after the magic.
+  EXPECT_EQ(load_as(patched(kCheckpointMagicLen, std::uint64_t{1} << 40),
+                    pointers(dest)),
+            "corrupt");
+  // The tensor's rank follows its name ("p.w") and kind byte.
+  const std::size_t tensor_record = bytes.find("p.w") - sizeof(std::uint64_t);
+  const std::size_t rank_at = tensor_record + sizeof(std::uint64_t) + 3 + 1;
+  ASSERT_EQ(bytes[rank_at], 1);
+  EXPECT_EQ(load_as(patched(rank_at, std::uint64_t{1} << 40), pointers(dest)),
+            "corrupt");
 }
 
-// Readers split errors by cause: a fault of the file itself is a
+// Every accessor splits errors by cause: a fault of the file itself is a
 // robust::CorruptArtifactError (a caller scanning several files may
 // quarantine it); a well-formed file that does not fit the destination is a
 // plain std::runtime_error.
-TEST_F(SerializeTest, StateReaderTellsCorruptFileFromMismatch) {
-  std::ostringstream os;
+TEST(StateIo, TellsCorruptFileFromMismatch) {
+  std::string blob;
   {
-    StateWriter w(os);
-    w.u64("count", 3);
-    w.tensor("t", Tensor(std::vector<std::size_t>{2, 2}));
-    w.finish();
+    StateIo io;
+    std::uint64_t count = 3;
+    io.u64("count", count);
+    Tensor t(std::vector<std::size_t>{2, 2});
+    io.tensor("t", t);
+    std::vector<std::uint64_t> v{1, 2, 3};
+    io.u64vec("v", v);
+    io.expect("label", std::string("abc"), "label differs");
+    io.finish();
+    blob = io.bytes();
   }
-  const std::string blob = os.str();
-  // "ok", "corrupt" or "mismatch".
   const auto read_as = [](const std::string& bytes, const std::string& name,
-                          const std::vector<std::size_t>& shape) {
+                          const std::vector<std::size_t>& shape,
+                          std::size_t length, const std::string& label) {
     try {
-      std::istringstream is(bytes);
-      StateReader r(is);
-      r.u64(name);
+      StateIo io(bytes, /*assign=*/true);
+      std::uint64_t count = 0;
+      io.u64(name, count);
       Tensor t(shape);
-      r.tensor("t", t);
-      r.finish();
+      io.tensor("t", t);
+      std::vector<std::uint64_t> v(length);
+      io.u64vec("v", v);
+      io.expect("label", label, "label differs");
+      io.finish();
       return std::string("ok");
     } catch (const robust::CorruptArtifactError&) {
       return std::string("corrupt");
@@ -290,17 +265,54 @@ TEST_F(SerializeTest, StateReaderTellsCorruptFileFromMismatch) {
       return std::string("mismatch");
     }
   };
-  EXPECT_EQ(read_as(blob, "count", {2, 2}), "ok");
-  EXPECT_EQ(read_as(blob, "count", {4}), "mismatch");
-  EXPECT_EQ(read_as(blob, "other", {2, 2}), "corrupt");
+  EXPECT_EQ(read_as(blob, "count", {2, 2}, 3, "abc"), "ok");
+  EXPECT_EQ(read_as(blob, "count", {4}, 3, "abc"), "mismatch");
+  EXPECT_EQ(read_as(blob, "count", {2, 2}, 4, "abc"), "mismatch");
+  EXPECT_EQ(read_as(blob, "count", {2, 2}, 3, "abd"), "mismatch");
+  EXPECT_EQ(read_as(blob, "other", {2, 2}, 3, "abc"), "corrupt");
   EXPECT_EQ(read_as("RLPNNv9\n" + blob.substr(kCheckpointMagicLen), "count",
-                    {2, 2}),
+                    {2, 2}, 3, "abc"),
             "corrupt");
-  // Every prefix, the missing "end" record included.
   for (std::size_t cut = 0; cut < blob.size(); ++cut) {
-    EXPECT_EQ(read_as(blob.substr(0, cut), "count", {2, 2}), "corrupt")
+    EXPECT_EQ(read_as(blob.substr(0, cut), "count", {2, 2}, 3, "abc"),
+              "corrupt")
         << "truncated to " << cut << "/" << blob.size() << " bytes";
   }
+}
+
+// An RNG state is always four words: any other count is a corrupt file.
+TEST(StateIo, RngRoundTripsAndRejectsOtherWordCounts) {
+  Rng src(5);
+  src.next();
+  std::string blob;
+  {
+    StateIo io;
+    io.rng("r", src);
+    io.finish();
+    blob = io.bytes();
+  }
+  Rng dst(99);
+  {
+    StateIo check(blob, /*assign=*/false);
+    check.rng("r", dst);
+    check.finish();
+  }
+  EXPECT_NE(dst.state(), src.state());
+  StateIo io(blob, /*assign=*/true);
+  io.rng("r", dst);
+  io.finish();
+  EXPECT_EQ(dst.state(), src.state());
+
+  std::string three;
+  {
+    StateIo w;
+    std::vector<std::uint64_t> v{1, 2, 3};
+    w.u64vec("r", v);
+    w.finish();
+    three = w.bytes();
+  }
+  StateIo r(three, /*assign=*/true);
+  EXPECT_THROW(r.rng("r", dst), robust::CorruptArtifactError);
 }
 
 }  // namespace

@@ -6,16 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 
 #include "core/netlist.h"
+#include "fuzz_util.h"
 #include "rl/planner.h"
 #include "systems/synthetic.h"
 #include "systems/systems.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace rlplan::systems {
 namespace {
@@ -199,6 +204,12 @@ TEST(Scenario, OutOfRangeInlineSystemRejected) {
                                        {"name":"b","mm":[4,4],"power_w":1}])",
                                    R"([["a", "b", 0]])")),
                ScenarioError);
+  // A wire count past INT_MAX is a schema error, checked before the cast to
+  // int (the cast alone is undefined behaviour).
+  EXPECT_THROW(parse_scenario(scen(R"([{"name":"a","mm":[5,5],"power_w":1},
+                                       {"name":"b","mm":[4,4],"power_w":1}])",
+                                   R"([["a", "b", 1e10]])")),
+               ScenarioError);
 }
 
 TEST(Scenario, BadSourceCombinationsRejected) {
@@ -216,9 +227,14 @@ TEST(Scenario, BadSourceCombinationsRejected) {
       "system": {"family": {"topology": "torus", "chiplets": 4}},
       "envelope": {"max_temp_c": 100, "max_wirelength_mm": 100}})"),
                ScenarioError);
-  // Fractional wire bounds are schema errors, not silent truncation.
+  // Fractional wire bounds are schema errors, not silent truncation, and
+  // so are bounds past INT_MAX.
   EXPECT_THROW(parse_scenario(R"({"name": "x",
       "system": {"family": {"chiplets": 4, "wires": [32.5, 512]}},
+      "envelope": {"max_temp_c": 100, "max_wirelength_mm": 100}})"),
+               ScenarioError);
+  EXPECT_THROW(parse_scenario(R"({"name": "x",
+      "system": {"family": {"chiplets": 4, "wires": [1, 1e10]}},
       "envelope": {"max_temp_c": 100, "max_wirelength_mm": 100}})"),
                ScenarioError);
 }
@@ -510,6 +526,52 @@ TEST(ScenarioSuite, ShippedScenariosAreValidAndPlaceable) {
         rl::first_fit_floorplan(sys, rl::EnvConfig{.grid = 48});
     EXPECT_TRUE(fp.is_complete());
     EXPECT_TRUE(fp.is_legal());
+  }
+}
+
+// Every shipped scenario file, truncated and with bytes flipped at seeded
+// offsets (the count scaled by RLPLANNER_FUZZ_SCALE): parsing it as serve
+// parses a submitted scenario either succeeds or throws a
+// std::runtime_error — never another exception type or undefined
+// behaviour (the sanitizer legs abort on the latter).
+TEST(ScenarioSuite, DamagedScenarioFilesLoadOrThrow) {
+  const int cases = 20 * rlplan::testing::fuzz_scale();
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RLPLANNER_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (std::size_t fi = 0; fi < files.size(); ++fi) {
+    std::ifstream is(files[fi], std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    ASSERT_FALSE(text.empty());
+    for (int k = 0; k < cases; ++k) {
+      const std::uint64_t seed = 0x5CE9ULL * 1000003ULL + fi * 10007ULL +
+                                 static_cast<std::uint64_t>(k);
+      Rng rng(seed);
+      std::string bad = text;
+      if (k % 2 == 0) {
+        bad.resize(rng.uniform_int(std::uint64_t{text.size()}));
+      } else {
+        const std::size_t at = rng.uniform_int(std::uint64_t{text.size()});
+        const auto mask = static_cast<unsigned char>(
+            1 + rng.uniform_int(std::uint64_t{255}));
+        bad[at] = static_cast<char>(static_cast<unsigned char>(bad[at]) ^ mask);
+      }
+      try {
+        parse_scenario(bad);
+      } catch (const std::runtime_error&) {
+      } catch (...) {
+        const std::string context = "DamagedScenarioFilesLoadOrThrow seed=" +
+                                    std::to_string(seed) + " file=" +
+                                    files[fi].filename().string();
+        rlplan::testing::report_failure_seed("scenario_test", context);
+        FAIL() << context << ": threw something other than runtime_error";
+      }
+    }
   }
 }
 #endif

@@ -1,17 +1,21 @@
 // TrainingSession: bit-exact resume (one replica, several, RND), curriculum
-// tagging, v1 backward compatibility, checkpoint-corruption rejection, and
-// the replica/evaluator contract.
+// tagging, checkpoint-corruption rejection, all-or-nothing loads (a load
+// that throws leaves the session's checkpoint byte-identical), and the
+// replica/evaluator contract.
 #include "rl/session.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "fuzz_util.h"
 #include "nn/serialize.h"
 #include "thermal/evaluator.h"
 
@@ -148,6 +152,65 @@ std::string slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(is),
                      std::istreambuf_iterator<char>{});
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The session's checkpoint bytes (saved through `path`): two sessions, or
+/// one session before and after a load, hold the same state iff these match.
+std::string saved_bytes(const TrainingSession& session,
+                        const std::string& path) {
+  session.save_checkpoint(path);
+  return slurp(path);
+}
+
+/// Start offset and name of every record of a v2 checkpoint, in order, the
+/// terminal "end" record included (nn/serialize.h documents the layout).
+struct RecordStart {
+  std::size_t offset;
+  std::string name;
+};
+std::vector<RecordStart> checkpoint_records(const std::string& blob) {
+  const auto word = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, blob.data() + at, sizeof(v));
+    return v;
+  };
+  std::vector<RecordStart> out;
+  std::size_t pos = nn::kCheckpointMagicLen;
+  while (pos < blob.size()) {
+    const std::size_t name_len = word(pos);
+    out.push_back({pos, blob.substr(pos + 8, name_len)});
+    pos += 8 + name_len;
+    const auto kind = static_cast<std::uint8_t>(blob[pos++]);
+    switch (kind) {
+      case 1:  // u64
+      case 2:  // f64
+        pos += 8;
+        break;
+      case 3:  // f32
+        pos += 4;
+        break;
+      case 4:  // string
+      case 6:  // u64vec
+        pos += 8 + word(pos) * (kind == 4 ? 1 : 8);
+        break;
+      case 5: {  // tensor
+        const std::uint64_t rank = word(pos);
+        std::uint64_t numel = 1;
+        for (std::uint64_t d = 0; d < rank; ++d) numel *= word(pos + 8 + 8 * d);
+        pos += 8 + 8 * rank + 4 * numel;
+        break;
+      }
+      default:  // end
+        break;
+    }
+  }
+  EXPECT_EQ(pos, blob.size());
+  return out;
 }
 
 void expect_same_stats(const TrainStats& a, const TrainStats& b) {
@@ -334,55 +397,208 @@ TEST(TrainingSession, WarmStartLoadsWeightsOnly) {
   std::remove(path.c_str());
 }
 
-TEST(TrainingSession, LoadsV1WeightOnlyCheckpoints) {
-  const ChipletSystem sa = tiny_system_a();
-  const std::string path = temp_path("v1_weights.ckpt");
-  TrainingSession donor(small_config(9), make_tasks({&sa}, {"a"}));
-  donor.train_epoch();
-  donor.core().net().save(path);  // RLPNNv1 weight-only format
-  ASSERT_EQ(nn::checkpoint_file_version(path), 1);
-
-  TrainingSession loaded(small_config(31), make_tasks({&sa}, {"a"}));
-  // A v1 file can never satisfy a full resume; only warm start accepts it.
-  EXPECT_THROW(loaded.load_checkpoint(path), std::runtime_error);
-  loaded.load_checkpoint(path, /*warm_start=*/true);
-  expect_same_parameters(donor.core(), loaded.core());
-  EXPECT_EQ(loaded.epochs_completed(), 0);  // v1 carries no session state
-  EXPECT_NO_THROW(loaded.train_epoch());
-  std::remove(path.c_str());
-}
-
 TEST(TrainingSession, RejectsMismatchedSessionShape) {
   const ChipletSystem sa = tiny_system_a();
   const std::string path = temp_path("shape.ckpt");
+  const std::string scratch = temp_path("shape_state.ckpt");
   TrainingSession donor(small_config(7, /*num_envs=*/2),
                         make_tasks({&sa}, {"a"}));
   donor.train_epoch();
   donor.save_checkpoint(path);
 
+  // Every rejected load leaves the session exactly as it was.
+  const auto expect_rejected = [&](TrainingSession& session,
+                                   bool warm_start) {
+    const std::string before = saved_bytes(session, scratch);
+    EXPECT_THROW(session.load_checkpoint(path, warm_start),
+                 std::runtime_error);
+    EXPECT_TRUE(saved_bytes(session, scratch) == before);
+  };
   // num_envs mismatch.
   TrainingSession serial(small_config(7), make_tasks({&sa}, {"a"}));
-  EXPECT_THROW(serial.load_checkpoint(path), std::runtime_error);
+  serial.train_epoch();
+  expect_rejected(serial, false);
   // Architecture mismatch (different grid) fails even for warm start.
   TrainingSessionConfig other_grid = small_config(7, 2);
   other_grid.env.grid = 8;
   TrainingSession coarse(other_grid, make_tasks({&sa}, {"a"}));
-  EXPECT_THROW(coarse.load_checkpoint(path), std::runtime_error);
-  EXPECT_THROW(coarse.load_checkpoint(path, /*warm_start=*/true),
-               std::runtime_error);
+  expect_rejected(coarse, false);
+  expect_rejected(coarse, true);
   // RND mismatch.
   TrainingSessionConfig with_rnd = small_config(7, 2);
   with_rnd.ppo.use_rnd = true;
   TrainingSession rnd_session(with_rnd, make_tasks({&sa}, {"a"}));
-  EXPECT_THROW(rnd_session.load_checkpoint(path), std::runtime_error);
+  expect_rejected(rnd_session, false);
   // PPO hyperparameter drift: silently diverging resumes must be rejected,
   // but warm start (weights only) still accepts the checkpoint.
   TrainingSessionConfig other_ppo = small_config(7, 2);
   other_ppo.ppo.episodes_per_update = 12;
   TrainingSession drifted(other_ppo, make_tasks({&sa}, {"a"}));
-  EXPECT_THROW(drifted.load_checkpoint(path), std::runtime_error);
+  expect_rejected(drifted, false);
   EXPECT_NO_THROW(drifted.load_checkpoint(path, /*warm_start=*/true));
+  // Task names.
+  TrainingSession renamed(small_config(7, 2), make_tasks({&sa}, {"b"}));
+  expect_rejected(renamed, false);
   std::remove(path.c_str());
+  std::remove(scratch.c_str());
+}
+
+// The RND check comes after the net weights, the update RNG, the Adam
+// moments and the reward statistics: a use_rnd session that rejects a
+// no-RND checkpoint must still hold none of them.
+TEST(TrainingSession, RejectedRndMismatchChangesNothing) {
+  const ChipletSystem sa = tiny_system_a();
+  const std::string path = temp_path("no_rnd.ckpt");
+  const std::string scratch = temp_path("rnd_state.ckpt");
+  TrainingSession donor(small_config(7), make_tasks({&sa}, {"a"}));
+  donor.train_epoch();
+  donor.save_checkpoint(path);
+
+  TrainingSessionConfig with_rnd = small_config(29);
+  with_rnd.ppo.use_rnd = true;
+  TrainingSession session(with_rnd, make_tasks({&sa}, {"a"}));
+  session.train_epoch();
+  const std::string before = saved_bytes(session, scratch);
+  try {
+    session.load_checkpoint(path);
+    ADD_FAILURE() << "a no-RND checkpoint loaded into a use_rnd session";
+  } catch (const robust::CorruptArtifactError& e) {
+    ADD_FAILURE() << "mismatch reported as corruption: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("RND configuration mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(saved_bytes(session, scratch) == before);
+  std::remove(path.c_str());
+  std::remove(scratch.c_str());
+}
+
+// A one-epoch checkpoint cut at every record boundary is a corrupt file in
+// resume mode, and in warm-start mode up to the end of the net weights
+// (where a warm start stops reading). Every such load throws and leaves the
+// session — trained from another seed — exactly as it was.
+TEST(TrainingSession, TruncatedCheckpointsChangeNothing) {
+  const ChipletSystem sa = tiny_system_a();
+  const std::string path = temp_path("cut.ckpt");
+  const std::string scratch = temp_path("cut_state.ckpt");
+  for (const bool use_rnd : {false, true}) {
+    SCOPED_TRACE(use_rnd ? "with RND" : "without RND");
+    TrainingSessionConfig config = small_config(7);
+    config.ppo.use_rnd = use_rnd;
+    TrainingSession donor(config, make_tasks({&sa}, {"a"}));
+    donor.train_epoch();
+    const std::string blob = saved_bytes(donor, path);
+    const std::vector<RecordStart> records = checkpoint_records(blob);
+    ASSERT_EQ(records.back().name, "end");
+    std::size_t net_end = 0;
+    for (const RecordStart& r : records) {
+      if (r.name.rfind("core.", 0) == 0) {
+        net_end = r.offset;
+        break;
+      }
+    }
+    ASSERT_GT(net_end, 0u);
+
+    config.seed = 19;
+    TrainingSession session(config, make_tasks({&sa}, {"a"}));
+    session.train_epoch();
+    const std::string before = saved_bytes(session, scratch);
+    std::vector<std::size_t> cuts{0};
+    for (const RecordStart& r : records) cuts.push_back(r.offset);
+    for (const std::size_t cut : cuts) {
+      write_file(path, blob.substr(0, cut));
+      for (const bool warm_start : {false, true}) {
+        if (warm_start && cut >= net_end) continue;
+        EXPECT_THROW(session.load_checkpoint(path, warm_start),
+                     robust::CorruptArtifactError)
+            << "cut at " << cut << (warm_start ? ", warm start" : "");
+        ASSERT_TRUE(saved_bytes(session, scratch) == before)
+            << "cut at " << cut << "/" << blob.size()
+            << (warm_start ? ", warm start" : "");
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(scratch.c_str());
+}
+
+// Seeded byte flips at sampled offsets, in resume and warm-start mode: each
+// load succeeds or throws a std::runtime_error, and after a throw the
+// session is unchanged. A load that succeeds is undone by reloading the
+// session's own checkpoint.
+TEST(TrainingSession, ByteFlippedCheckpointsLoadOrChangeNothing) {
+  const ChipletSystem sa = tiny_system_a();
+  const std::string path = temp_path("flip.ckpt");
+  const std::string own = temp_path("flip_own.ckpt");
+  const std::string scratch = temp_path("flip_state.ckpt");
+  const int flips = 40 * rlplan::testing::fuzz_scale();
+  for (const bool use_rnd : {false, true}) {
+    SCOPED_TRACE(use_rnd ? "with RND" : "without RND");
+    TrainingSessionConfig config = small_config(7);
+    config.ppo.use_rnd = use_rnd;
+    TrainingSession donor(config, make_tasks({&sa}, {"a"}));
+    donor.train_epoch();
+    const std::string blob = saved_bytes(donor, path);
+
+    config.seed = 19;
+    TrainingSession session(config, make_tasks({&sa}, {"a"}));
+    session.train_epoch();
+    const std::string before = saved_bytes(session, own);
+    for (int f = 0; f < flips; ++f) {
+      const std::uint64_t seed =
+          0xF11BULL * 1000003ULL + static_cast<std::uint64_t>(f) +
+          (use_rnd ? std::uint64_t{1} << 20 : 0);
+      Rng rng(seed);
+      std::string bad = blob;
+      const std::size_t offset = rng.uniform_int(std::uint64_t{bad.size()});
+      const auto mask = static_cast<unsigned char>(
+          1 + rng.uniform_int(std::uint64_t{255}));
+      bad[offset] =
+          static_cast<char>(static_cast<unsigned char>(bad[offset]) ^ mask);
+      const bool warm_start = rng.uniform_int(std::uint64_t{2}) == 1;
+      write_file(path, bad);
+      const std::string context =
+          "ByteFlippedCheckpointsLoadOrChangeNothing seed=" +
+          std::to_string(seed) + " rnd=" + std::to_string(use_rnd) +
+          " offset=" + std::to_string(offset) +
+          " warm_start=" + std::to_string(warm_start);
+      bool threw = false;
+      try {
+        session.load_checkpoint(path, warm_start);
+      } catch (const std::runtime_error&) {
+        threw = true;
+      }
+      if (!threw) session.load_checkpoint(own);
+      if (saved_bytes(session, scratch) != before) {
+        rlplan::testing::report_failure_seed("session_test", context);
+        FAIL() << context << (threw ? ": a rejected load changed the session"
+                                    : ": reloading the session's own "
+                                      "checkpoint did not restore it");
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(own.c_str());
+  std::remove(scratch.c_str());
+}
+
+// The file is read through its path: a missing file is not a corrupt one,
+// and a save that cannot write fails as transient I/O.
+TEST(TrainingSession, MissingAndUnwritablePathsThrow) {
+  const ChipletSystem sa = tiny_system_a();
+  TrainingSession session(small_config(7), make_tasks({&sa}, {"a"}));
+  const std::string missing = temp_path("does_not_exist.ckpt");
+  std::remove(missing.c_str());
+  try {
+    session.load_checkpoint(missing);
+    ADD_FAILURE() << "a missing checkpoint loaded";
+  } catch (const robust::CorruptArtifactError& e) {
+    ADD_FAILURE() << "a missing file reported as corruption: " << e.what();
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_THROW(session.save_checkpoint(temp_path("no/such/dir/x.ckpt")),
+               robust::TransientIoError);
 }
 
 TEST(TrainingSession, RejectsTruncatedAndCorruptCheckpoints) {
@@ -426,6 +642,16 @@ TEST(TrainingSession, RejectsTruncatedAndCorruptCheckpoints) {
     bad[3] ^= 0x40;
     write_blob(bad);
     expect_rejected();
+  }
+  // The retired weight-only format fails the magic check like any other
+  // unreadable file (so a resume candidate list quarantines it).
+  {
+    std::string bad = blob;
+    bad[6] = '1';
+    write_blob(bad);
+    TrainingSession victim(small_config(7), make_tasks({&sa}, {"a"}));
+    EXPECT_THROW(victim.load_checkpoint(path, /*warm_start=*/true),
+                 robust::CorruptArtifactError);
   }
   // Record-name corruption just past the magic (flips a header byte).
   {
@@ -720,15 +946,15 @@ TEST(TrainingSession, RejectedWarmStartLeavesWeightsUntouched) {
                std::runtime_error);
   EXPECT_EQ(net_values(tuner.core()), before) << "v2, truncated";
 
-  // v1: a net whose fc_shared differs in shape from the file's.
-  donor.core().net().save(path);
+  // A net whose fc_shared differs in shape from the file's.
+  donor.save_checkpoint(path);
   TrainingSessionConfig wider = small_config(23);
   wider.net.fc = 48;
   TrainingSession other(wider, make_tasks({&sa}, {"a"}));
   const auto other_before = net_values(other.core());
   EXPECT_THROW(other.load_checkpoint(path, /*warm_start=*/true),
                std::runtime_error);
-  EXPECT_EQ(net_values(other.core()), other_before) << "v1, wrong shape";
+  EXPECT_EQ(net_values(other.core()), other_before) << "v2, wrong shape";
   std::remove(path.c_str());
 }
 

@@ -48,23 +48,6 @@ TEST(Quantile, RejectsBadInput) {
                std::invalid_argument);
 }
 
-TEST(Summarize, Fields) {
-  const std::vector<double> v = {1.0, 2.0, 3.0, 4.0, 5.0};
-  const Summary s = summarize(v);
-  EXPECT_EQ(s.n, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_NEAR(s.stddev, std::sqrt(2.5), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_DOUBLE_EQ(s.p50, 3.0);
-  EXPECT_DOUBLE_EQ(s.p90, 4.6);
-}
-
-TEST(Summarize, ValidatesLikeQuantile) {
-  const std::vector<double> empty;
-  EXPECT_THROW(summarize(empty), std::invalid_argument);
-}
-
 TEST(HistogramQuantile, InterpolatesWithinBucket) {
   // Buckets: (0,1], (1,2], (2,4], (4,inf) with one sample each (no overflow).
   const std::vector<double> bounds = {1.0, 2.0, 4.0};

@@ -149,21 +149,6 @@ TEST(ErrorMetrics, EmptyInput) {
   EXPECT_DOUBLE_EQ(m.mse, 0.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 4
-  h.add(-3.0);   // clamps to bin 0
-  h.add(15.0);   // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_low(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(2), 6.0);
-}
-
 TEST(Timer, MeasuresElapsedTime) {
   Timer t;
   // Just verify it is monotone and non-negative.

@@ -8,9 +8,9 @@
 //       Trains ONE policy across every listed scenario (curriculum), writing
 //       one JSONL metrics record per epoch (tagged with the scenario the
 //       epoch trained on) and a full-state RLPNNv2 checkpoint. --warm-start
-//       initializes the net weights from an existing checkpoint (v1 or v2)
-//       and trains fresh optimizer/normalizer/RNG state — the fine-tune-onto-
-//       a-held-out-scenario workflow.
+//       initializes the net weights from an existing checkpoint and trains
+//       fresh optimizer/normalizer/RNG state — the fine-tune-onto-a-held-out-
+//       scenario workflow.
 //
 //   train resume --from=CKPT --scenarios=... --epochs=N [same flags]
 //       Full-state resume: restores weights, Adam moments, RND nets, reward
@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rl/session.h"
@@ -297,8 +296,6 @@ int cmd_train_or_resume(int argc, char** argv, bool resume) {
       std::fprintf(stderr, "[train] resume requires --from=CKPT\n");
       return 2;
     }
-    // load_checkpoint itself rejects v1 weight-only files in resume mode
-    // (use `train train --warm-start=` for those).
     const std::vector<std::string> candidates = split_list(from);
     if (candidates.size() > 1) {
       // Newest-first candidate list: scan to the newest valid checkpoint,
