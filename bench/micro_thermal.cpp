@@ -1,6 +1,6 @@
 // Micro-benchmarks of the thermal substrate.
 //
-// Three parts:
+// Four parts:
 //  1. A hand-rolled comparison of single-die moves on the fast model at
 //     4/8/16/32 chiplets (the reward hot path both optimizers sit on):
 //     incremental move+query at the dispatched SIMD level and at forced
@@ -18,7 +18,15 @@
 //     fastest repeat (best_*). Flags: --batch=K (64), --batch-repeats=N,
 //     --batch-threads=N (default: hardware), --min-batch-speedup=X (gate,
 //     on the all-repeats speedup).
-//  3. The google-benchmark suite covering the cost model behind Table II's
+//  3. Population rounds at 8/16/32 chiplets: SA-style rounds of K = 16
+//     candidates (displace / swap / rotate off a current floorplan that
+//     half the rounds advance), each round scored by one
+//     IncrementalFastModelEvaluator::max_temperature_batch() call (exact
+//     deltas on its batch state) against one single-threaded
+//     evaluate_batch() call, best of --batch-repeats. Any bit difference
+//     between the two exits 1. Flag: --min-population-speedup=X (gate, on
+//     rows of >= 16 chiplets).
+//  4. The google-benchmark suite covering the cost model behind Table II's
 //     speed column: full grid solves at several resolutions, the
 //     conductance stencil fill alone, fast-model evaluation, and microbump
 //     assignment over an SA move tape (memoizing long-lived assigner vs a
@@ -246,6 +254,19 @@ thermal::FastThermalModel synthetic_model() {
   return model;
 }
 
+/// An n-chiplet synthetic system on the bench interposer, at most 45%
+/// utilized.
+ChipletSystem bench_system(std::size_t n, std::uint64_t seed,
+                           const std::string& name) {
+  systems::SyntheticConfig sc;
+  sc.min_chiplets = n;
+  sc.max_chiplets = n;
+  sc.interposer_w_mm = kBenchInterposer;
+  sc.interposer_h_mm = kBenchInterposer;
+  sc.max_utilization = 0.45;
+  return systems::SyntheticSystemGenerator(sc).generate(seed, name);
+}
+
 struct MoveRow {
   std::size_t chiplets = 0;
   double batch_evals_per_sec = 0.0;        // oracle full re-evaluation
@@ -283,14 +304,7 @@ double anchor_diff(const thermal::FastThermalModel& model,
 
 MoveRow run_move_comparison(const thermal::FastThermalModel& model,
                             std::size_t n, long moves) {
-  systems::SyntheticConfig sc;
-  sc.min_chiplets = n;
-  sc.max_chiplets = n;
-  sc.interposer_w_mm = kBenchInterposer;
-  sc.interposer_h_mm = kBenchInterposer;
-  sc.max_utilization = 0.45;
-  const ChipletSystem sys =
-      systems::SyntheticSystemGenerator(sc).generate(1234 + n, "bench-incr");
+  const ChipletSystem sys = bench_system(n, 1234 + n, "bench-incr");
   Rng rng(99 + n);
   const Floorplan initial = systems::random_legal_floorplan(sys, rng);
 
@@ -378,14 +392,7 @@ struct BatchRow {
 BatchRow run_batch_comparison(const thermal::FastThermalModel& model,
                               std::size_t n, std::size_t batch, long repeats,
                               std::size_t threads) {
-  systems::SyntheticConfig sc;
-  sc.min_chiplets = n;
-  sc.max_chiplets = n;
-  sc.interposer_w_mm = kBenchInterposer;
-  sc.interposer_h_mm = kBenchInterposer;
-  sc.max_utilization = 0.45;
-  const ChipletSystem sys =
-      systems::SyntheticSystemGenerator(sc).generate(4321 + n, "bench-batch");
+  const ChipletSystem sys = bench_system(n, 4321 + n, "bench-batch");
   Rng rng(55 + n);
   std::vector<Floorplan> candidates;
   candidates.reserve(batch);
@@ -445,8 +452,96 @@ BatchRow run_batch_comparison(const thermal::FastThermalModel& model,
   return row;
 }
 
+// ------------------------------------------------- population rounds ----
+
+constexpr std::size_t kPopulationK = 16;
+
+struct PopulationRow {
+  std::size_t chiplets = 0;
+  long rounds = 0;
+  double batch_us = 0.0;  // per candidate, best repeat: evaluate_batch()
+  double delta_us = 0.0;  // per candidate, best repeat: exact deltas
+  double speedup = 0.0;   // batch_us / delta_us
+  long mismatches = 0;    // candidates whose two scores differ in any bit
+};
+
+/// SA-population rounds on one system: every round scored by one
+/// IncrementalFastModelEvaluator::max_temperature_batch() call and by one
+/// single-threaded FastThermalModel::evaluate_batch() call, each timed over
+/// all rounds per repeat; per-candidate times are the best repeat's.
+PopulationRow run_population_comparison(const thermal::FastThermalModel& model,
+                                        std::size_t n, long rounds,
+                                        long repeats) {
+  const ChipletSystem sys = bench_system(n, 777 + n, "bench-pop");
+  Rng rng(31 + n);
+  Floorplan current = systems::random_legal_floorplan(sys, rng);
+  std::vector<std::vector<Floorplan>> tape(static_cast<std::size_t>(rounds));
+  for (auto& round : tape) {
+    for (std::size_t c = 0; c < kPopulationK; ++c) {
+      Floorplan next = current;
+      const std::size_t i = rng.uniform_int(std::uint64_t{n});
+      const Placement p = *current.placement(i);
+      const double u = rng.uniform();
+      if (u < 0.6) {  // displace
+        const Rect r = current.rect_of(i);
+        next.place(i,
+                   {rng.uniform(0.0, kBenchInterposer - r.w),
+                    rng.uniform(0.0, kBenchInterposer - r.h)},
+                   p.rotated);
+      } else if (u < 0.85) {  // swap positions, keeping orientations
+        const std::size_t j =
+            (i + 1 + rng.uniform_int(std::uint64_t{n - 1})) % n;
+        const Placement q = *current.placement(j);
+        next.place(i, q.position, p.rotated);
+        next.place(j, p.position, q.rotated);
+      } else {  // rotate in place
+        next.place(i, p.position, !p.rotated);
+      }
+      round.push_back(std::move(next));
+    }
+    if (rng.uniform() < 0.5) {
+      current = round[rng.uniform_int(std::uint64_t{kPopulationK})];
+    }
+  }
+
+  PopulationRow row;
+  row.chiplets = n;
+  row.rounds = rounds;
+  const auto candidates = static_cast<double>(rounds * kPopulationK);
+  std::vector<double> want;
+  std::vector<double> got;
+  row.batch_us = std::numeric_limits<double>::infinity();
+  row.delta_us = std::numeric_limits<double>::infinity();
+  for (long r = 0; r < repeats; ++r) {
+    want.clear();
+    const Timer batch_timer;
+    for (const auto& round : tape) {
+      for (const auto& t : model.evaluate_batch(sys, round)) {
+        want.push_back(t.max_temp_c);
+      }
+    }
+    row.batch_us =
+        std::min(row.batch_us, 1e6 * batch_timer.seconds() / candidates);
+    got.clear();
+    thermal::IncrementalFastModelEvaluator eval(model);
+    const Timer delta_timer;
+    for (const auto& round : tape) {
+      const std::vector<double> temps = eval.max_temperature_batch(sys, round);
+      got.insert(got.end(), temps.begin(), temps.end());
+    }
+    row.delta_us =
+        std::min(row.delta_us, 1e6 * delta_timer.seconds() / candidates);
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      row.mismatches += got[c] != want[c] ? 1 : 0;
+    }
+  }
+  row.speedup = row.batch_us / row.delta_us;
+  return row;
+}
+
 void write_json(const std::string& path, const std::vector<MoveRow>& rows,
-                const std::vector<BatchRow>& batch_rows, long moves,
+                const std::vector<BatchRow>& batch_rows,
+                const std::vector<PopulationRow>& population_rows, long moves,
                 std::size_t batch_threads, bool smoke) {
   std::ofstream os(path);
   if (!os) {
@@ -505,6 +600,22 @@ void write_json(const std::string& path, const std::vector<MoveRow>& rows,
                   r.single_best_evals_per_sec, r.batch_best_evals_per_sec,
                   r.best_speedup, r.max_abs_diff_c,
                   i + 1 < batch_rows.size() ? "," : "");
+    os << buf;
+  }
+  os << "  ],\n  \"population_results\": [\n";
+  for (std::size_t i = 0; i < population_rows.size(); ++i) {
+    const PopulationRow& r = population_rows[i];
+    char buf[384];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"chiplets\": %zu, \"rounds\": %ld, "
+                  "\"candidates_per_round\": %zu, "
+                  "\"batch_us_per_candidate\": %.2f, "
+                  "\"delta_us_per_candidate\": %.2f, "
+                  "\"population_speedup\": %.2f, "
+                  "\"bit_mismatches\": %ld}%s\n",
+                  r.chiplets, r.rounds, kPopulationK, r.batch_us, r.delta_us,
+                  r.speedup, r.mismatches,
+                  i + 1 < population_rows.size() ? "," : "");
     os << buf;
   }
   os << "  ]\n}\n";
@@ -566,7 +677,27 @@ int main(int argc, char** argv) {
                 r.batch_best_evals_per_sec, r.best_speedup, r.max_abs_diff_c);
   }
 
-  write_json(json_path, rows, batch_rows, moves, batch_threads, smoke);
+  const long population_rounds = smoke ? 12 : 200;
+  std::printf("\npopulation rounds (K = %zu), exact deltas on the batch "
+              "state vs evaluate_batch, one thread (simd=%s, %ld rounds, best "
+              "of %ld repeats)\n",
+              kPopulationK,
+              util::simd_level_name(
+                  thermal::IncrementalThermalState::dispatch_level()),
+              population_rounds, batch_repeats);
+  std::printf("%9s %18s %18s %9s %14s\n", "chiplets", "batch us/cand",
+              "delta us/cand", "speedup", "bit mismatches");
+  std::vector<PopulationRow> population_rows;
+  for (const std::size_t n : {8u, 16u, 32u}) {
+    population_rows.push_back(
+        run_population_comparison(model, n, population_rounds, batch_repeats));
+    const PopulationRow& r = population_rows.back();
+    std::printf("%9zu %18.2f %18.2f %8.2fx %14ld\n", r.chiplets, r.batch_us,
+                r.delta_us, r.speedup, r.mismatches);
+  }
+
+  write_json(json_path, rows, batch_rows, population_rows, moves,
+             batch_threads, smoke);
   for (const MoveRow& r : rows) {
     // The numerics contract (thermal/soa_snapshot.h): both incremental
     // levels within 1e-9 C of the oracle, and a fresh state exactly equal
@@ -627,6 +758,28 @@ int main(int argc, char** argv) {
                  batch_rows.back().speedup, batch_rows.back().chiplets,
                  min_batch_speedup);
     return 1;
+  }
+  // Population rounds: exact deltas must reproduce evaluate_batch() bit for
+  // bit, and beat it by the given factor at >= 16 dies, where a candidate's
+  // few moved dies are a small share of the O(n^2) rows.
+  const double min_population_speedup =
+      rlplan::bench::flag_double(argc, argv, "min-population-speedup", 0.0);
+  for (const PopulationRow& r : population_rows) {
+    if (r.mismatches != 0) {
+      std::fprintf(stderr,
+                   "[micro_thermal] FAIL: %ld population candidates differ "
+                   "from evaluate_batch (%zu chiplets)\n",
+                   r.mismatches, r.chiplets);
+      return 1;
+    }
+    if (min_population_speedup > 0.0 && r.chiplets >= 16 &&
+        r.speedup < min_population_speedup) {
+      std::fprintf(stderr,
+                   "[micro_thermal] FAIL: population speedup %.2fx at %zu "
+                   "chiplets below floor %.2fx\n",
+                   r.speedup, r.chiplets, min_population_speedup);
+      return 1;
+    }
   }
   // Throughput floor on the reward hot path (the CI bench-smoke gate). Set
   // far below healthy numbers so it only trips on an order-of-magnitude

@@ -173,9 +173,13 @@ Tap25dResult Tap25dPlanner::plan(const ChipletSystem& system,
   // O(n^2) re-evaluation, and the hooks commit or roll back the mirrored
   // mutations (a round rejected on the bound mirrored nothing, so its
   // rollback is a no-op). At K > 1 a round's candidates go through one
-  // max_temperature_batch() call, whose results are index-aligned and so
-  // independent of batch_threads; the hooks then have nothing to commit.
-  // Plain evaluators fall back to full evaluations and ignore the hooks.
+  // max_temperature_batch() call; the hooks then have nothing to commit.
+  // The fast model's evaluator scores the batch as exact deltas off the
+  // current floorplan on the calling thread, and the pool serves only
+  // systems above IncrementalThermalState::kMaxChiplets and evaluators
+  // without an override. Results are index-aligned, so independent of
+  // batch_threads. Plain evaluators fall back to full evaluations and
+  // ignore the hooks.
   const std::size_t k = config_.population;
   parallel::ThreadPool pool(k > 1 ? config_.batch_threads : 0);
   const auto cost = [&](std::span<const Floorplan> cands,

@@ -41,13 +41,16 @@ struct Tap25dConfig {
   /// only step that depends on it: 1 (default) is the classic anneal, which
   /// queries each candidate through the incremental thermal protocol; K > 1
   /// is population mode, which scores a round's legal candidates through
-  /// ONE ThermalEvaluator::max_temperature_batch() call (the SoA batch
-  /// kernel on fast-model evaluators) and applies Metropolis acceptance to
-  /// the best. Each scored candidate counts against anneal.max_evaluations.
+  /// ONE ThermalEvaluator::max_temperature_batch() call (exact deltas off
+  /// the current floorplan on fast-model evaluators, thermal/incremental.h)
+  /// and applies Metropolis acceptance to the best. Each scored candidate
+  /// counts against anneal.max_evaluations.
   std::size_t population = 1;
-  /// Worker threads for the batched thermal scoring when population > 1
-  /// (0 = score the batch on the calling thread). Results are identical for
-  /// every thread count.
+  /// Worker threads handed to max_temperature_batch() when population > 1
+  /// (0 = none). The fast model's evaluator uses them only for systems above
+  /// IncrementalThermalState::kMaxChiplets, where it falls back to
+  /// FastThermalModel::evaluate_batch(); other evaluators may ignore them.
+  /// Results are identical for every thread count.
   std::size_t batch_threads = 0;
 };
 

@@ -34,9 +34,13 @@ class ThermalEvaluator {
   /// Peak temperatures of many candidate floorplans (all over `system`) in
   /// one call, index-aligned with `floorplans`. The default scores each
   /// candidate with max_temperature() serially and ignores `pool`; the fast
-  /// model's evaluator overrides with FastThermalModel::evaluate_batch()
-  /// fanned over the pool. Either way results equal the per-candidate
-  /// max_temperature() calls.
+  /// model's evaluator overrides it to score each candidate as an exact
+  /// delta on a private incremental state (thermal/incremental.h), using
+  /// `pool` only for systems too large for that state. Either way results
+  /// equal per-candidate max_temperature() calls at the same kernel level
+  /// (the fast model's evaluator, when pinned by its set_simd_level(),
+  /// scores batches at the pinned level and single queries at the
+  /// dispatched one).
   virtual std::vector<double> max_temperature_batch(
       const ChipletSystem& system, std::span<const Floorplan> floorplans,
       parallel::ThreadPool* pool = nullptr) {

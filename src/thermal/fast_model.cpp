@@ -9,6 +9,14 @@
 
 namespace rlplan::thermal {
 
+namespace {
+
+bool subsamples_in_range(int n) {
+  return n >= 1 && n <= FastModelConfig::kMaxSubsamples;
+}
+
+}  // namespace
+
 FastThermalModel::FastThermalModel(SelfResistanceTable self_table,
                                    MutualResistanceTable mutual_table,
                                    double ambient_c, FastModelConfig config)
@@ -16,8 +24,13 @@ FastThermalModel::FastThermalModel(SelfResistanceTable self_table,
       mutual_table_(std::move(mutual_table)),
       ambient_c_(ambient_c),
       config_(config) {
-  if (config_.source_subsamples < 1) {
-    throw std::invalid_argument("FastModelConfig: source_subsamples >= 1");
+  if (!subsamples_in_range(config_.source_subsamples)) {
+    throw std::invalid_argument(
+        "FastModelConfig: source_subsamples must be in [1, 16]");
+  }
+  if (!subsamples_in_range(config_.receiver_probes)) {
+    throw std::invalid_argument(
+        "FastModelConfig: receiver_probes must be in [1, 16]");
   }
   // The mutual kernel is THE hot lookup (probes x subsources x 9 images per
   // die pair), and the SoA kernel resolves its segment with O(1) arithmetic
@@ -59,8 +72,7 @@ double FastThermalModel::image_kernel(const Point& src,
 }
 
 int FastThermalModel::probe_count() const {
-  const int np = std::max(config_.receiver_probes, 1);
-  return np * np;
+  return config_.receiver_probes * config_.receiver_probes;
 }
 
 void FastThermalModel::source_points(const Rect& footprint,
@@ -82,7 +94,7 @@ void FastThermalModel::source_points(const Rect& footprint,
 void FastThermalModel::receiver_probes(const Rect& footprint,
                                        std::vector<Point>& probes,
                                        std::vector<double>& shapes) const {
-  const int np = std::max(config_.receiver_probes, 1);
+  const int np = config_.receiver_probes;
   const Point ci = footprint.center();
   const double droop =
       self_droop_.empty() ? 1.0 : self_droop_.lookup(footprint.w, footprint.h);
@@ -163,8 +175,9 @@ FastThermalModel FastThermalModel::load(const std::string& path) {
   FastModelConfig config;
   is >> ambient >> config.source_subsamples >> config.receiver_probes >>
       use_images >> pkg_w >> pkg_h >> floor >> has_correction >> has_droop;
-  // The constructor's own precondition, as a file fault.
-  if (!is || config.source_subsamples < 1) {
+  // The constructor's own preconditions, as a file fault.
+  if (!is || !subsamples_in_range(config.source_subsamples) ||
+      !subsamples_in_range(config.receiver_probes)) {
     throw robust::CorruptArtifactError("FastThermalModel: corrupt header in " +
                                        path);
   }

@@ -46,6 +46,10 @@ inline double kernel_distance(double dx, double dy) {
 }
 
 struct FastModelConfig {
+  /// Upper bound of source_subsamples and receiver_probes (both must lie in
+  /// [1, kMaxSubsamples]): at most 256 probes per die and 2,304
+  /// image-expanded points per source block.
+  static constexpr int kMaxSubsamples = 16;
   /// Sub-sample each source die as n x n point sources for the mutual term
   /// (1 = paper-faithful single center source; >1 trades speed for accuracy
   /// on physically large dies). Swept by bench/ablation_tables.

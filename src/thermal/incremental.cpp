@@ -320,49 +320,95 @@ void IncrementalThermalState::temperatures(std::vector<double>& out) const {
 
 // ---------------------------------------------------------------------------
 
-bool IncrementalFastModelEvaluator::ensure_session(
-    const ChipletSystem& system) {
+bool IncrementalFastModelEvaluator::bind(Binding& b,
+                                         const ChipletSystem& system) {
   if (system.num_chiplets() > IncrementalThermalState::kMaxChiplets) {
     return false;
   }
   // Exact content equality, not a hash: a *different* system recycled at the
-  // same address (common in test loops) must force a session rebuild instead
-  // of silently reading stale per-die caches.
-  if (!state_ || session_system_ != &system ||
-      session_interposer_w_ != system.interposer_width() ||
-      session_interposer_h_ != system.interposer_height() ||
-      session_chiplets_ != system.chiplets()) {
-    state_.emplace(model_, system);
-    if (forced_level_) state_->set_simd_level(*forced_level_);
-    session_system_ = &system;
-    session_interposer_w_ = system.interposer_width();
-    session_interposer_h_ = system.interposer_height();
-    session_chiplets_ = system.chiplets();
+  // same address (common in test loops) must force a rebuild instead of
+  // silently reading stale per-die caches.
+  if (!b.state || &b.state->system() != &system ||
+      b.interposer_w != system.interposer_width() ||
+      b.interposer_h != system.interposer_height() ||
+      b.chiplets != system.chiplets()) {
+    b.state.emplace(model_, system);
+    if (forced_level_) b.state->set_simd_level(*forced_level_);
+    b.interposer_w = system.interposer_width();
+    b.interposer_h = system.interposer_height();
+    b.chiplets = system.chiplets();
   }
   return true;
 }
 
 void IncrementalFastModelEvaluator::set_simd_level(util::SimdLevel level) {
   forced_level_ = level;
-  if (state_) state_->set_simd_level(level);
+  for (Binding* b : {&session_, &batch_}) {
+    if (b->state) b->state->set_simd_level(level);
+  }
+}
+
+std::vector<double> IncrementalFastModelEvaluator::max_temperature_batch(
+    const ChipletSystem& system, std::span<const Floorplan> floorplans,
+    parallel::ThreadPool* pool) {
+  count_ += static_cast<long>(floorplans.size());
+  std::vector<double> out;
+  out.reserve(floorplans.size());
+  if (!bind(batch_, system)) {
+    full_evals_ += static_cast<long>(floorplans.size());
+    for (const auto& r : model_.evaluate_batch(system, floorplans, pool)) {
+      out.push_back(r.max_temp_c);
+    }
+    return out;
+  }
+  RLPLAN_COUNTER_ADD("thermal.batch.candidates", floorplans.size());
+  if (floorplans.empty()) return out;
+  // The batch state's partial sums stay dropped between queries, so no
+  // mutation patches or journals sums that the next query re-sums anyway.
+  IncrementalThermalState& state = *batch_.state;
+  // The base: per die, the placement most candidates share (Boyer-Moore
+  // majority vote). In an SA round that is the current floorplan, so each
+  // candidate places only its own moved dies. The state is a cache, so any
+  // base gives the same bits; the vote only keeps the kernel work small.
+  for (std::size_t i = 0; i < system.num_chiplets(); ++i) {
+    const std::optional<Placement>* vote = &floorplans[0].placement(i);
+    std::size_t lead = 0;
+    for (const Floorplan& fp : floorplans) {
+      if (lead == 0) vote = &fp.placement(i);
+      lead = fp.placement(i) == *vote ? lead + 1 : lead - 1;
+    }
+    if (*vote) {
+      state.place(i, **vote);
+    } else {
+      state.remove(i);
+    }
+  }
+  state.commit();
+  for (const Floorplan& fp : floorplans) {
+    state.sync(fp);
+    out.push_back(state.max_temperature_c());  // a full re-reduction
+    state.drop_sums();
+    state.undo();
+  }
+  return out;
 }
 
 void IncrementalFastModelEvaluator::notify_reset(const ChipletSystem& system) {
-  if (!ensure_session(system)) return;
-  state_->commit();
-  state_->clear();
-  state_->commit();
+  if (!bind(session_, system)) return;
+  session_.state->commit();
+  session_.state->clear();
+  session_.state->commit();
 }
 
 void IncrementalFastModelEvaluator::notify_place(const ChipletSystem& system,
                                                  std::size_t i,
                                                  const Placement& p) {
-  if (!ensure_session(system)) return;
-  state_->place(i, p);
+  if (!bind(session_, system)) return;
+  session_.state->place(i, p);
 }
 
 void IncrementalFastModelEvaluator::notify_remove(std::size_t i) {
-  if (state_) state_->remove(i);
+  if (session_.state) session_.state->remove(i);
 }
 
 void IncrementalFastModelEvaluator::commit() {
@@ -370,36 +416,37 @@ void IncrementalFastModelEvaluator::commit() {
   // trace span (~50 ns) would breach the <2% overhead budget; the SA/RL
   // layers above carry the spans. Without a session there is nothing to
   // commit or roll back (batch-scored SA rounds), and nothing is counted.
-  if (!state_) return;
+  if (!session_.state) return;
   RLPLAN_COUNTER_INC("thermal.incremental.commits");
-  state_->commit();
+  session_.state->commit();
 }
 
 void IncrementalFastModelEvaluator::rollback() {
-  if (!state_) return;
+  if (!session_.state) return;
   RLPLAN_COUNTER_INC("thermal.incremental.rollbacks");
-  state_->undo();
+  session_.state->undo();
 }
 
 double IncrementalFastModelEvaluator::incremental_max_temperature(
     const ChipletSystem& system, const Floorplan& floorplan) {
-  if (!ensure_session(system)) {
+  if (!bind(session_, system)) {
     // Oversized system: dense pair cache not worth it, batch evaluate.
     RLPLAN_COUNTER_INC("thermal.incremental.fallback_full_evals");
     return max_temperature(system, floorplan);
   }
+  IncrementalThermalState& state = *session_.state;
   RLPLAN_COUNTER_INC("thermal.incremental.queries");
-  state_->sync(floorplan);
+  state.sync(floorplan);
   if (obs::metrics_enabled()) {
     // Cache effectiveness: coupling ROWS actually recomputed since the last
     // query vs n per query for a full rebuild, plus partial-sum patches.
-    const long updates = state_->pair_updates();
+    const long updates = state.pair_updates();
     // A session rebuild resets the state's counters; restart the baselines.
     RLPLAN_COUNTER_ADD(
         "thermal.incremental.pair_updates",
         updates >= last_pair_updates_ ? updates - last_pair_updates_ : updates);
     last_pair_updates_ = updates;
-    const long patches = state_->sum_patches();
+    const long patches = state.sum_patches();
     RLPLAN_COUNTER_ADD(
         "thermal.incremental.sum_patches",
         patches >= last_sum_patches_ ? patches - last_sum_patches_ : patches);
@@ -407,7 +454,7 @@ double IncrementalFastModelEvaluator::incremental_max_temperature(
   }
   ++count_;
   ++incremental_queries_;
-  return state_->max_temperature_c();
+  return state.max_temperature_c();
 }
 
 }  // namespace rlplan::thermal

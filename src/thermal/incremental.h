@@ -29,7 +29,13 @@
 // IncrementalFastModelEvaluator adapts the state to the ThermalEvaluator
 // incremental protocol (notify_place / notify_remove / commit / rollback)
 // and is the fast model's evaluator everywhere — including parallel::VecEnv,
-// whose per-replica clones each get independent state.
+// whose per-replica clones each get independent state. It also scores
+// population batches (SA rounds of K candidates, each one or two dies off
+// the current floorplan) as deltas on a second, private state: only the
+// dies where a candidate differs from the state's base are placed, every
+// receiver is re-summed in full and the placements are undone, so each
+// candidate costs O(moved dies * n) kernel rows instead of O(n^2) and gets
+// exactly the same-level SoaSnapshot's bits (the anchor above).
 #pragma once
 
 #include <cstddef>
@@ -89,6 +95,10 @@ class IncrementalThermalState {
 
   /// Accepts all mutations since the last commit()/undo().
   void commit() { journal_.clear(); }
+  /// Marks the partial sums invalid: mutations neither patch nor journal
+  /// them until the next query, which runs a full re-reduction (and so
+  /// lands on the same-level SoaSnapshot's bits).
+  void drop_sums() { sums_valid_ = false; }
   /// Reverts all mutations since the last commit(), newest first, by
   /// restoring journaled snapshots — no kernel evaluations (the SA reject
   /// path costs pure memory copies). Partial sums are restored verbatim, so
@@ -225,10 +235,11 @@ class IncrementalThermalState {
 };
 
 /// Fast-model evaluator ("fast thermal model" configuration): full queries
-/// run FastThermalModel::evaluate()/evaluate_batch(), and
-/// incremental_max_temperature() answers from an IncrementalThermalState
-/// kept in sync with the caller's floorplan via diffing plus explicit
-/// notify_* calls.
+/// run FastThermalModel::evaluate(); incremental_max_temperature() answers
+/// from an IncrementalThermalState (the session) kept in sync with the
+/// caller's floorplan via diffing plus explicit notify_* calls; and
+/// max_temperature_batch() scores candidates as deltas on a second state of
+/// its own (see the file comment).
 class IncrementalFastModelEvaluator final : public ThermalEvaluator {
  public:
   explicit IncrementalFastModelEvaluator(FastThermalModel model)
@@ -240,19 +251,15 @@ class IncrementalFastModelEvaluator final : public ThermalEvaluator {
     ++full_evals_;
     return model_.evaluate(system, floorplan).max_temp_c;
   }
-  /// Batched SoA scoring (does not disturb the incremental session state —
-  /// the snapshot lanes are independent of the pair-coupling cache).
+  /// Per candidate: places the dies where it differs from the batch state's
+  /// base (per die, the placement most candidates share), re-sums every
+  /// receiver, takes the peak and undoes — the same bits as a same-level
+  /// SoaSnapshot. Does not disturb the incremental session state, and runs
+  /// on the calling thread; only systems above kMaxChiplets go through
+  /// FastThermalModel::evaluate_batch() fanned over `pool`.
   std::vector<double> max_temperature_batch(
       const ChipletSystem& system, std::span<const Floorplan> floorplans,
-      parallel::ThreadPool* pool = nullptr) override {
-    count_ += static_cast<long>(floorplans.size());
-    full_evals_ += static_cast<long>(floorplans.size());
-    const auto results = model_.evaluate_batch(system, floorplans, pool);
-    std::vector<double> out;
-    out.reserve(results.size());
-    for (const auto& r : results) out.push_back(r.max_temp_c);
-    return out;
-  }
+      parallel::ThreadPool* pool = nullptr) override;
   long num_evaluations() const override { return count_; }
   std::string name() const override { return "fast-model-incremental"; }
 
@@ -277,30 +284,39 @@ class IncrementalFastModelEvaluator final : public ThermalEvaluator {
   const FastThermalModel& model() const { return model_; }
   /// Incremental-path queries answered so far.
   long incremental_queries() const { return incremental_queries_; }
-  /// Full batch evaluations performed (fallbacks + max_temperature calls).
+  /// Whole-floorplan O(n^2) evaluations performed (max_temperature calls
+  /// and fallbacks for systems above kMaxChiplets).
   long full_evaluations() const { return full_evals_; }
   const IncrementalThermalState* state() const {
-    return state_ ? &*state_ : nullptr;
+    return session_.state ? &*session_.state : nullptr;
   }
 
   /// Pins the pair-row kernel level for this evaluator's states, current
-  /// and future sessions (forced-scalar benches and differential tests;
-  /// per-instance, unlike the process-wide RLPLANNER_SIMD override).
+  /// and future: the session's and the batch state's, so both
+  /// incremental_max_temperature() and max_temperature_batch() follow it,
+  /// while max_temperature() keeps the dispatched level (forced-scalar
+  /// benches and differential tests; per-instance, unlike the process-wide
+  /// RLPLANNER_SIMD override).
   void set_simd_level(util::SimdLevel level);
 
  private:
-  /// (Re)binds the session to `system`, detecting both pointer changes and a
+  /// An incremental state plus the system content it was built from.
+  struct Binding {
+    std::optional<IncrementalThermalState> state;
+    double interposer_w = 0.0;
+    double interposer_h = 0.0;
+    std::vector<Chiplet> chiplets;
+  };
+  /// (Re)binds `b` to `system`, detecting both pointer changes and a
   /// different system recycled at the same address (exact comparison of the
-  /// interposer and every chiplet the session was built from).
-  bool ensure_session(const ChipletSystem& system);
+  /// interposer and every chiplet the state was built from). False when the
+  /// system exceeds kMaxChiplets.
+  bool bind(Binding& b, const ChipletSystem& system);
 
   FastThermalModel model_;
-  std::optional<IncrementalThermalState> state_;
+  Binding session_;  ///< the incremental protocol's state
+  Binding batch_;    ///< max_temperature_batch()'s private state
   std::optional<util::SimdLevel> forced_level_;
-  const ChipletSystem* session_system_ = nullptr;
-  double session_interposer_w_ = 0.0;
-  double session_interposer_h_ = 0.0;
-  std::vector<Chiplet> session_chiplets_;
   long count_ = 0;
   long incremental_queries_ = 0;
   long full_evals_ = 0;

@@ -217,8 +217,10 @@ TEST_F(FastModelTest, RejectsV3AndV2ModelFiles) {
 
 // Every fault of a model file is a robust::CorruptArtifactError, found
 // before the counts in the file size an allocation: a self table claiming
-// 4000 x 4000 knots in an 80-byte file, a count of 2^62, and an axis the
-// table constructor rejects.
+// 4000 x 4000 knots in an 80-byte file, a count of 2^62, an axis the
+// table constructor rejects, and a saved model whose header carries a probe
+// or sub-source count outside [1, 16] (46341 probes per axis overflowed
+// probe_count(); smaller large counts sized per-die arrays by their square).
 TEST_F(FastModelTest, CorruptModelFilesAreCorruptArtifacts) {
   const auto path =
       (std::filesystem::temp_directory_path() / "rlplan_fast_model_bad.txt")
@@ -236,6 +238,33 @@ TEST_F(FastModelTest, CorruptModelFilesAreCorruptArtifacts) {
     }
     EXPECT_THROW(FastThermalModel::load(path), robust::CorruptArtifactError)
         << self;
+  }
+  model_->save(path);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GE(lines.size(), 2u);
+  std::vector<std::string> fields;
+  std::istringstream header_fields(lines[1]);
+  for (std::string t; header_fields >> t;) fields.push_back(t);
+  ASSERT_GE(fields.size(), 3u);
+  // Field 1 is source_subsamples, field 2 receiver_probes.
+  for (const auto& [field, value] :
+       {std::pair{1, "100000"}, std::pair{1, "17"}, std::pair{2, "46341"},
+        std::pair{2, "0"}, std::pair{2, "-1"}}) {
+    std::vector<std::string> bad = fields;
+    bad[static_cast<std::size_t>(field)] = value;
+    {
+      std::ofstream out(path);
+      out << lines[0] << '\n';
+      for (const std::string& t : bad) out << t << ' ';
+      out << '\n';
+      for (std::size_t i = 2; i < lines.size(); ++i) out << lines[i] << '\n';
+    }
+    EXPECT_THROW(FastThermalModel::load(path), robust::CorruptArtifactError)
+        << "field " << field << " = " << value;
   }
   std::filesystem::remove(path);
 }
@@ -295,13 +324,32 @@ TEST_F(FastModelTest, EmptyModelThrows) {
   EXPECT_THROW(empty.evaluate(sys, fp), std::logic_error);
 }
 
+// Both per-axis counts must lie in [1, FastModelConfig::kMaxSubsamples];
+// the error names the field.
 TEST(FastModelConfig, RejectsBadSubsamples) {
   SelfResistanceTable self({1.0, 2.0}, {1.0, 2.0}, {{1.0, 1.0}, {1.0, 1.0}});
   MutualResistanceTable mutual({0.0, 1.0}, {1.0, 0.5});
-  FastModelConfig config;
-  config.source_subsamples = 0;
-  EXPECT_THROW(FastThermalModel(self, mutual, 45.0, config),
-               std::invalid_argument);
+  for (const int bad : {-1, 0, 17, 46341}) {
+    for (const bool probes : {false, true}) {
+      FastModelConfig config;
+      (probes ? config.receiver_probes : config.source_subsamples) = bad;
+      const std::string field =
+          probes ? "receiver_probes" : "source_subsamples";
+      try {
+        FastThermalModel(self, mutual, 45.0, config);
+        ADD_FAILURE() << field << " = " << bad << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  for (const int good : {1, FastModelConfig::kMaxSubsamples}) {
+    FastModelConfig config;
+    config.source_subsamples = config.receiver_probes = good;
+    EXPECT_EQ(FastThermalModel(self, mutual, 45.0, config).probe_count(),
+              good * good);
+  }
 }
 
 TEST(Characterizer, LinspaceAndGeomspace) {

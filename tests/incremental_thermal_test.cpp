@@ -382,6 +382,209 @@ TEST(IncrementalThermal, EvaluatorCommitRollbackMatchesOracle) {
   EXPECT_GT(eval.incremental_queries(), 0);
 }
 
+/// A family system of `n` dies on the fuzz interposer: mostly non-square
+/// dies (a rotation changes their footprint), and in about a third of the
+/// systems a few dies carry no power (receivers that are no source).
+ChipletSystem family_system(Rng& rng, std::size_t n) {
+  systems::FamilyConfig fc;
+  fc.chiplets = n;
+  fc.interposer_w_mm = fc.interposer_h_mm = kInterposer;
+  fc.min_dim_mm = 2.0;
+  fc.max_dim_mm = n > 16 ? 4.0 : 8.0;
+  fc.max_aspect = rng.uniform() < 0.8 ? 2.5 : 1.0;
+  const ChipletSystem drawn = systems::generate_family(fc, rng.next(), "pop");
+  std::vector<Chiplet> chiplets = drawn.chiplets();
+  if (rng.uniform() < 0.35) {
+    for (Chiplet& c : chiplets) {
+      if (rng.uniform() < 0.3) c.power = 0.0;
+    }
+  }
+  return ChipletSystem(drawn.name(), kInterposer, kInterposer,
+                       std::move(chiplets), drawn.nets());
+}
+
+/// Peak temperature of `fp` from a SoaSnapshot at `level`.
+double snapshot_max(const FastThermalModel& model, const ChipletSystem& sys,
+                    const Floorplan& fp, util::SimdLevel level) {
+  SoaSnapshot snapshot(model, sys);
+  snapshot.set_simd_level(level);
+  snapshot.refresh(fp);
+  FastThermalResult r;
+  snapshot.evaluate(r);
+  return r.max_temp_c;
+}
+
+/// One SA move off `current`: displace one die, swap two dies' positions
+/// (keeping orientations) or rotate one die in place. Unplaced dies stay
+/// unplaced; the thermal model needs no legality.
+Floorplan sa_move(const ChipletSystem& sys, const Floorplan& current,
+                  Rng& rng) {
+  Floorplan next = current;
+  const std::size_t n = sys.num_chiplets();
+  const std::size_t i = rng.uniform_int(std::uint64_t{n});
+  const auto& pi = current.placement(i);
+  if (!pi) return next;
+  const double u = rng.uniform();
+  if (u < 0.5) {
+    const Placement p = random_placement(sys, i, rng);
+    next.place(i, p.position, pi->rotated);
+  } else if (u < 0.75) {
+    const std::size_t j = (i + 1 + rng.uniform_int(std::uint64_t{n - 1})) % n;
+    const auto& pj = current.placement(j);
+    if (!pj) return next;
+    next.place(i, pj->position, pi->rotated);
+    next.place(j, pi->position, pj->rotated);
+  } else {
+    next.place(i, pi->position, !pi->rotated);
+  }
+  return next;
+}
+
+/// A floorplan with every die drawn afresh; with `partial`, about a quarter
+/// of the dies stay unplaced.
+Floorplan random_floorplan(const ChipletSystem& sys, Rng& rng, bool partial) {
+  Floorplan fp(sys);
+  for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
+    const Placement p = random_placement(sys, i, rng);
+    if (!partial || rng.uniform() < 0.75) fp.place(i, p.position, p.rotated);
+  }
+  return fp;
+}
+
+// Population batches scored as deltas on the evaluator's private batch
+// state: SA-style rounds of K = 1..16 candidates (displace / swap / rotate
+// off a current floorplan that half the rounds advance), plus candidates
+// equal to the current floorplan, candidates differing in every die, rounds
+// with no majority for any die and partially placed floorplans, on family
+// systems of 2-64 dies with two systems alternating on each evaluator. Every
+// candidate must equal a same-level SoaSnapshot BIT-EXACTLY, on an
+// evaluator pinned to scalar and on one at the dispatched level.
+TEST(IncrementalThermal, PopulationBatchEqualsSnapshot) {
+  const int scale = fuzz_scale();
+  Rng rng(0x9091ULL);
+  long candidates = 0;
+  for (const Variant& v : variants()) {
+    const FastThermalModel model = make_model(v.config, v.correction, v.droop);
+    for (int seq = 0; seq < 8 * scale; ++seq) {
+      const std::uint64_t seq_seed = rng.next();
+      Rng seq_rng(seq_seed);
+      // About one sequence in four pairs a 64-die system with one of 17-64
+      // dies, for fewer and smaller rounds (the snapshot that checks them
+      // costs O(n^2) per candidate); the others run 2-16 dies.
+      const bool large = seq_rng.uniform() < 0.25;
+      const auto die_count = [&] {
+        return large ? 17 + seq_rng.uniform_int(std::uint64_t{48})
+                     : 2 + seq_rng.uniform_int(std::uint64_t{15});
+      };
+      const ChipletSystem pair[2] = {
+          family_system(seq_rng, large ? 64 : die_count()),
+          family_system(seq_rng, die_count())};
+      Floorplan current[2] = {random_floorplan(pair[0], seq_rng, false),
+                              random_floorplan(pair[1], seq_rng, false)};
+      IncrementalFastModelEvaluator evals[2] = {
+          IncrementalFastModelEvaluator(model),
+          IncrementalFastModelEvaluator(model)};
+      evals[0].set_simd_level(util::SimdLevel::kScalar);
+      const util::SimdLevel eval_levels[2] = {
+          util::SimdLevel::kScalar, IncrementalThermalState::dispatch_level()};
+      const int rounds = large ? 4 : 8;
+      for (int round = 0; round < rounds; ++round) {
+        const std::size_t s = round % 2;
+        const ChipletSystem& sys = pair[s];
+        const auto k =
+            1 + seq_rng.uniform_int(std::uint64_t{large ? 8u : 16u});
+        std::vector<Floorplan> cands;
+        const double kind = seq_rng.uniform();
+        for (std::size_t c = 0; c < k; ++c) {
+          if (kind < 0.1) {  // no majority for any die
+            cands.push_back(random_floorplan(sys, seq_rng, false));
+          } else if (kind < 0.2) {  // partially placed candidates
+            cands.push_back(random_floorplan(sys, seq_rng, true));
+          } else {
+            const double u = seq_rng.uniform();
+            cands.push_back(u < 0.1   ? current[s]
+                            : u < 0.15 ? random_floorplan(sys, seq_rng, false)
+                                       : sa_move(sys, current[s], seq_rng));
+          }
+        }
+        for (std::size_t e = 0; e < 2; ++e) {
+          const long before = evals[e].num_evaluations();
+          const std::vector<double> temps =
+              evals[e].max_temperature_batch(sys, cands);
+          ASSERT_EQ(temps.size(), cands.size());
+          EXPECT_EQ(evals[e].num_evaluations(),
+                    before + static_cast<long>(k));
+          for (std::size_t c = 0; c < k; ++c, ++candidates) {
+            EXPECT_EQ(temps[c],
+                      snapshot_max(model, sys, cands[c], eval_levels[e]))
+                << v.name << " level="
+                << util::simd_level_name(eval_levels[e]) << " round "
+                << round << " candidate " << c;
+          }
+        }
+        if (::testing::Test::HasFailure()) {
+          report_failure_seed(std::string("variant=") + v.name +
+                              " population_seed=" + std::to_string(seq_seed) +
+                              " round=" + std::to_string(round));
+          return;
+        }
+        if (seq_rng.uniform() < 0.5) {
+          current[s] = cands[seq_rng.uniform_int(std::uint64_t{k})];
+        }
+      }
+      // The batch path never syncs the incremental session.
+      EXPECT_EQ(evals[0].state(), nullptr);
+    }
+  }
+  EXPECT_GE(candidates, 1000L * scale);
+}
+
+// The batch path keeps its own state: a max_temperature_batch() call in the
+// middle of a K = 1 protocol stream, with a move pending, changes neither
+// the session's bits nor its kernel work, and counts every candidate.
+TEST(IncrementalThermal, BatchLeavesProtocolSessionUntouched) {
+  const FastThermalModel model = make_model(FastModelConfig{}, false, true);
+  Rng rng(0x5e55ULL);
+  const ChipletSystem sys = family_system(rng, 9);
+  IncrementalFastModelEvaluator with_batch(model);
+  IncrementalFastModelEvaluator without(model);
+  Floorplan current = random_floorplan(sys, rng, false);
+  for (auto* eval : {&with_batch, &without}) {
+    eval->incremental_max_temperature(sys, current);
+    eval->commit();
+  }
+  for (int move = 0; move < 40; ++move) {
+    const Floorplan cand = sa_move(sys, current, rng);
+    std::vector<Floorplan> batch;
+    for (int c = 0; c < 12; ++c) batch.push_back(sa_move(sys, current, rng));
+    EXPECT_EQ(with_batch.incremental_max_temperature(sys, cand),
+              without.incremental_max_temperature(sys, cand));
+    const long before = with_batch.num_evaluations();
+    with_batch.max_temperature_batch(sys, batch);
+    EXPECT_EQ(with_batch.num_evaluations(),
+              before + static_cast<long>(batch.size()));
+    const bool accept = rng.uniform() < 0.5;
+    for (auto* eval : {&with_batch, &without}) {
+      if (accept) {
+        eval->commit();
+      } else {
+        eval->rollback();
+      }
+    }
+    if (accept) current = cand;
+    ASSERT_EQ(with_batch.incremental_max_temperature(sys, current),
+              without.incremental_max_temperature(sys, current))
+        << "move " << move;
+    for (auto* eval : {&with_batch, &without}) eval->commit();
+    ASSERT_EQ(with_batch.state()->pair_updates(),
+              without.state()->pair_updates());
+    ASSERT_EQ(with_batch.state()->sum_patches(),
+              without.state()->sum_patches());
+  }
+  EXPECT_EQ(with_batch.incremental_queries(), without.incremental_queries());
+  EXPECT_EQ(with_batch.full_evaluations(), 0);
+}
+
 // A fresh session on a different system must not read stale caches.
 TEST(IncrementalThermal, SessionRebindsAcrossSystems) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
