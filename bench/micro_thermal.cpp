@@ -288,7 +288,7 @@ double anchor_diff(const thermal::FastThermalModel& model,
                    const ChipletSystem& sys, const Floorplan& fp) {
   double worst = 0.0;
   for (const util::SimdLevel level :
-       {thermal::SoaSnapshot::dispatch_level(), util::SimdLevel::kScalar}) {
+       {thermal::soa_dispatch_level(), util::SimdLevel::kScalar}) {
     thermal::IncrementalThermalState state(model, sys);
     state.set_simd_level(level);
     state.sync(fp);
@@ -360,8 +360,8 @@ MoveRow run_move_comparison(const thermal::FastThermalModel& model,
   };
   run_incremental(util::SimdLevel::kScalar, row.scalar_incr_evals_per_sec,
                   row.max_scalar_diff_c);
-  run_incremental(thermal::IncrementalThermalState::dispatch_level(),
-                  row.incr_evals_per_sec, row.max_abs_diff_c);
+  run_incremental(thermal::soa_dispatch_level(), row.incr_evals_per_sec,
+                  row.max_abs_diff_c);
   row.speedup = row.incr_evals_per_sec / row.batch_evals_per_sec;
   row.move_speedup = row.incr_evals_per_sec / row.scalar_incr_evals_per_sec;
   row.move_ns = 1e9 / row.incr_evals_per_sec;
@@ -548,20 +548,17 @@ void write_json(const std::string& path, const std::vector<MoveRow>& rows,
     std::fprintf(stderr, "[micro_thermal] cannot write %s\n", path.c_str());
     return;
   }
+  const char* simd = util::simd_level_name(thermal::soa_dispatch_level());
   os << "{\n  \"bench\": \"micro_thermal_incremental\",\n"
      << "  \"moves_per_size\": " << moves << ",\n"
      << "  \"batch_threads\": " << batch_threads << ",\n"
-     // Which kernel flavour the SoA batch numbers were produced with
-     // (avx2/neon/scalar) — the runtime dispatch choice, after any
-     // RLPLANNER_SIMD override; CI publishes it with the speedup trend.
-     << "  \"simd\": \""
-     << util::simd_level_name(thermal::SoaSnapshot::dispatch_level())
-     << "\",\n"
-     // Kernel level of the incremental pair-row path (same dispatch logic;
-     // published separately so the move-speedup trend is self-describing).
-     << "  \"incr_simd\": \""
-     << util::simd_level_name(thermal::IncrementalThermalState::dispatch_level())
-     << "\",\n"
+     // Which kernel flavour the numbers were produced with (avx2/neon/
+     // scalar) — the runtime dispatch choice, after any RLPLANNER_SIMD
+     // override. Snapshot and incremental state install the same table, so
+     // "simd" (batch trend) and "incr_simd" (move trend) are one value; CI
+     // publishes both.
+     << "  \"simd\": \"" << simd << "\",\n"
+     << "  \"incr_simd\": \"" << simd << "\",\n"
      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
      << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -641,9 +638,7 @@ int main(int argc, char** argv) {
   const thermal::FastThermalModel model = synthetic_model();
   std::printf("single-die moves, incremental vs oracle re-evaluation "
               "(default config, %ld moves per size, incr simd=%s)\n",
-              moves,
-              util::simd_level_name(
-                  thermal::IncrementalThermalState::dispatch_level()));
+              moves, util::simd_level_name(thermal::soa_dispatch_level()));
   std::printf("%9s %15s %15s %15s %9s %9s %9s %12s\n", "chiplets",
               "oracle evals/s", "scalar incr/s", "simd incr/s", "vs oracle",
               "move spd", "move ns", "max |diff| C");
@@ -660,7 +655,7 @@ int main(int argc, char** argv) {
   std::printf("\nwhole-floorplan candidates, evaluate_batch (SoA kernel, "
               "simd=%s, %zu threads) vs repeated oracle evaluations (batch "
               "%zu, %ld repeats)\n",
-              util::simd_level_name(thermal::SoaSnapshot::dispatch_level()),
+              util::simd_level_name(thermal::soa_dispatch_level()),
               batch_threads, batch, batch_repeats);
   std::printf("%9s %7s %18s %18s %9s %18s %18s %9s %14s\n", "chiplets",
               "batch", "single evals/s", "batch evals/s", "speedup",
@@ -682,8 +677,7 @@ int main(int argc, char** argv) {
               "state vs evaluate_batch, one thread (simd=%s, %ld rounds, best "
               "of %ld repeats)\n",
               kPopulationK,
-              util::simd_level_name(
-                  thermal::IncrementalThermalState::dispatch_level()),
+              util::simd_level_name(thermal::soa_dispatch_level()),
               population_rounds, batch_repeats);
   std::printf("%9s %18s %18s %9s %14s\n", "chiplets", "batch us/cand",
               "delta us/cand", "speedup", "bit mismatches");

@@ -101,7 +101,6 @@ class FloorplanEnv {
 
   const Floorplan& floorplan() const { return floorplan_; }
   const EpisodeMetrics& last_metrics() const { return metrics_; }
-  const RewardCalculator& reward_calculator() const { return reward_calc_; }
 
   /// Grid-cell lower-left position in mm for an action index.
   Point action_position(std::size_t action) const;

@@ -81,12 +81,6 @@ struct PlannerResult {
   int epochs_run = 0;
   long env_steps = 0;
   std::vector<TrainStats> history;
-
-  /// Environment-step throughput of training — the number the regression
-  /// suite's `min_rl_steps_per_sec` floors gate on.
-  double steps_per_second() const {
-    return train_s > 0.0 ? static_cast<double>(env_steps) / train_s : 0.0;
-  }
 };
 
 class RlPlanner {

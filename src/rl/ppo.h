@@ -101,7 +101,6 @@ class PpoCore {
 
   PolicyValueNet& net() { return net_; }
   const PpoConfig& config() const { return config_; }
-  bool has_rnd() const { return rnd_.has_value(); }
   long optimizer_steps() const { return optimizer_.step_count(); }
 
   /// Folds one terminal episode reward into the running normalizer

@@ -137,13 +137,15 @@ void JsonlServer::accept_loop() {
       RLPLAN_WARN << "serve: accept failed: " << std::strerror(errno);
       return;
     }
+    // Checked under the lock stop() takes before it shuts every registered
+    // connection down: a connection registers before that sweep (and is
+    // shut down by it) or sees stopping_ and is never registered.
+    const std::lock_guard<std::mutex> lock(conn_mutex_);
     if (stopping_.load(std::memory_order_relaxed)) {
       ::close(fd);
       return;
     }
-    connections_served_.fetch_add(1, std::memory_order_relaxed);
     RLPLAN_COUNTER_INC("serve.connections");
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
     conn_fds_.push_back(fd);
     conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
   }
@@ -191,11 +193,16 @@ void JsonlServer::connection_loop(int fd) {
     }
   }
 
+  // Deregister before closing: once closed, accept() may hand the same
+  // number to a new connection, whose registration a later erase would
+  // remove too — and stop() would never shut that connection down.
+  {
+    const std::lock_guard<std::mutex> lock(conn_mutex_);
+    conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
+                    conn_fds_.end());
+  }
   ::shutdown(fd, SHUT_RDWR);
   ::close(fd);
-  const std::lock_guard<std::mutex> lock(conn_mutex_);
-  conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                  conn_fds_.end());
 }
 
 }  // namespace rlplan::serve

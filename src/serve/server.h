@@ -50,10 +50,6 @@ class JsonlServer {
   /// threads. Idempotent.
   void stop();
 
-  std::size_t connections_served() const {
-    return connections_served_.load(std::memory_order_relaxed);
-  }
-
  private:
   void accept_loop();
   void connection_loop(int fd);
@@ -64,7 +60,6 @@ class JsonlServer {
   std::uint16_t port_ = 0;
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
-  std::atomic<std::size_t> connections_served_{0};
 
   std::mutex conn_mutex_;
   std::vector<int> conn_fds_;            ///< live connection sockets

@@ -17,9 +17,10 @@
 //
 // This class owns the tables and the per-die building blocks (probe grid,
 // sub-source grid, self term). The mutual sum has one implementation, the
-// SoA kernel (thermal/soa_snapshot.h, thermal/soa_kernels.h): evaluate()
-// and evaluate_batch() run it over whole floorplans, and the incremental
-// engine (thermal/incremental.h) over single coupling rows.
+// SoA kernel's pair-row entry (thermal/soa_kernels.h), one (receiver,
+// source) coupling row per call: evaluate() and evaluate_batch() sum its
+// rows over whole floorplans (thermal/soa_snapshot.h), and the incremental
+// engine (thermal/incremental.h) caches them per die pair.
 #pragma once
 
 #include <cmath>

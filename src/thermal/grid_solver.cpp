@@ -245,14 +245,6 @@ ThermalField::ThermalField(std::size_t layers, GridDims dims,
                            std::vector<double> temps_c)
     : layers_(layers), dims_(dims), temps_c_(std::move(temps_c)) {}
 
-double ThermalField::layer_max(std::size_t layer) const {
-  double m = temps_c_.at(layer * dims_.cells());
-  for (std::size_t i = 0; i < dims_.cells(); ++i) {
-    m = std::max(m, temps_c_[layer * dims_.cells() + i]);
-  }
-  return m;
-}
-
 GridThermalSolver::GridThermalSolver(const LayerStack& stack,
                                      GridSolverConfig config)
     : stack_(&stack), config_(config) {

@@ -7,10 +7,6 @@
 
 namespace rlplan::thermal {
 
-util::SimdLevel IncrementalThermalState::dispatch_level() {
-  return soa_dispatch_level();
-}
-
 util::SimdLevel IncrementalThermalState::set_simd_level(
     util::SimdLevel level) {
   ops_ = &soa_kernel_ops(level);
@@ -74,14 +70,10 @@ void IncrementalThermalState::refresh_die_blocks(std::size_t i) {
 void IncrementalThermalState::compute_pair_row(std::size_t receiver,
                                                std::size_t source) {
   const std::size_t pts = k_.ss * k_.img;
-  double* row = pair_row(receiver, source);
   k_.pair_row(*ops_, probe_x_.data() + receiver * probe_count_,
               probe_y_.data() + receiver * probe_count_,
-              src_x_.data() + source * pts, src_y_.data() + source * pts, row);
-  const double scale = src_scale_[source];
-  for (std::size_t p = 0; p < probe_count_; ++p) {
-    row[p] = k_.contribution(row[p], scale);
-  }
+              src_x_.data() + source * pts, src_y_.data() + source * pts,
+              src_scale_[source], pair_row(receiver, source));
 }
 
 void IncrementalThermalState::patch_source_terms(std::size_t i, double sign) {
@@ -300,12 +292,6 @@ double IncrementalThermalState::max_temperature_c() const {
         std::max(max_temp, model_->ambient_c() + receiver_peak_rise(i));
   }
   return max_temp;
-}
-
-double IncrementalThermalState::chiplet_temperature_c(std::size_t i) const {
-  if (!dies_.at(i).placement) return model_->ambient_c();
-  ensure_sums();
-  return model_->ambient_c() + receiver_peak_rise(i);
 }
 
 void IncrementalThermalState::temperatures(std::vector<double>& out) const {

@@ -21,10 +21,10 @@
 // bit-exactly from journaled snapshots, and a deterministic full
 // re-reduction runs on the first query and every kResumInterval patches.
 // Right after a full re-reduction the state equals a SoaSnapshot at the
-// same SIMD level bit for bit (each row is the very block subtotal the
-// snapshot's sweep computes, summed in the same ascending source order);
-// between re-reductions the patched sums stay within 1e-9 C of it,
-// identical for every run and thread count.
+// same SIMD level bit for bit, by construction: the snapshot calls the same
+// pair-row entry per (receiver, source) and adds the rows in the same
+// ascending source order. Between re-reductions the patched sums stay
+// within 1e-9 C of it, identical for every run and thread count.
 //
 // IncrementalFastModelEvaluator adapts the state to the ThermalEvaluator
 // incremental protocol (notify_place / notify_remove / commit / rollback)
@@ -109,9 +109,6 @@ class IncrementalThermalState {
   /// the contract in the header comment: equal to a same-level SoaSnapshot
   /// right after a full re-reduction, within 1e-9 C of it otherwise.
   double max_temperature_c() const;
-  /// Temperature of one chiplet (ambient when unplaced) — one row of the
-  /// batch result, under the same contract as max_temperature_c().
-  double chiplet_temperature_c(std::size_t i) const;
   /// All chiplet temperatures, indexed like the system.
   void temperatures(std::vector<double>& out) const;
 
@@ -127,7 +124,7 @@ class IncrementalThermalState {
   long sum_resums() const { return sum_resums_; }
 
   /// The SIMD level the pair-row kernels run at. New states start at
-  /// dispatch_level().
+  /// soa_dispatch_level().
   util::SimdLevel simd_level() const { return ops_->level; }
 
   /// Overrides the kernel selection (differential tests, forced-scalar
@@ -136,10 +133,6 @@ class IncrementalThermalState {
   /// Already cached rows keep the level they were computed at, so set it
   /// before the first place(). Returns the level actually installed.
   util::SimdLevel set_simd_level(util::SimdLevel level);
-
-  /// Process-wide default kernel level (util::active_simd_level() with
-  /// unavailable levels collapsed to kScalar — what benches publish).
-  static util::SimdLevel dispatch_level();
 
  private:
   struct DieCache {
@@ -183,9 +176,9 @@ class IncrementalThermalState {
   /// image-expanded sub-source coordinates) from its DieCache. Cheap —
   /// O(probes + ss * img) stores, no kernel math.
   void refresh_die_blocks(std::size_t i);
-  /// Computes pair_row(receiver, source) through the pair-row kernel from
-  /// the persistent SoA blocks: per probe, the snapshot's contribution of
-  /// that source, bit for bit.
+  /// Computes pair_row(receiver, source) from the persistent SoA blocks
+  /// through SoaModelConsts::pair_row, the call the snapshot makes: per
+  /// probe, the snapshot's contribution of that source, bit for bit.
   void compute_pair_row(std::size_t receiver, std::size_t source);
 
   /// Peak rise of placed receiver `i` from the materialized partial sums.

@@ -40,9 +40,6 @@ class SelfResistanceTable {
   bool empty() const { return widths_.empty(); }
   const std::vector<double>& widths() const { return widths_; }
   const std::vector<double>& heights() const { return heights_; }
-  double value_at(std::size_t i, std::size_t j) const {
-    return values_.at(i).at(j);
-  }
 
   /// R_self(w, h) in K/W, bilinear, clamped to table boundary.
   double lookup(double width_mm, double height_mm) const;

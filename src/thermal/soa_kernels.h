@@ -3,23 +3,24 @@
 //
 // Conceptually the kernel is two passes — pass 1 (distance -> capped table
 // coordinate -> segment index + fraction) and pass 2 (segment-LUT gather /
-// interpolate / accumulate). Every table implements the same four entries:
+// interpolate / accumulate). Every table implements the same two entries, one
+// pair-row form per kernel form:
 //  * the portable scalar table (soa_snapshot.cpp, the TU built with
-//    -fno-math-errno) keeps the passes separate, running pass 1 over tiles
-//    that span source-block boundaries so it auto-vectorizes, then gathers
-//    and accumulates each block in four interleaved lanes;
+//    -fno-math-errno) keeps the passes separate, running pass 1 over a whole
+//    source block so it auto-vectorizes, then gathers and accumulates the
+//    block in four interleaved lanes;
 //  * the explicit AVX2/NEON tables (soa_kernels_*.cpp) fuse both passes into
-//    ONE sweep per source block: the index/fraction intermediates never
+//    ONE loop per (probe, block): the index/fraction intermediates never
 //    round-trip through memory (at production block sizes of ~18-36 points
 //    the store/reload traffic costs as much as the arithmetic), and each
 //    block reduces straight to its subtotal in a fixed lane tree.
 //
 // Numerical contract (gated by tests/soa_kernel_test.cpp at the repo-wide
 // 1e-9 C bar against the test-only oracle):
-//  * within one table, a pair-row entry is bit-identical to the matching
-//    sweep subtotal for the same (probe, block) — which is what makes an
-//    incremental state's full re-reduction equal SoaSnapshot bit for bit at
-//    the same level;
+//  * both consumers — SoaSnapshot and IncrementalThermalState — call the
+//    pair-row entry and add its rows in ascending source order, which is
+//    what makes an incremental state's full re-reduction equal SoaSnapshot
+//    bit for bit at the same level;
 //  * across tables the per-point operations are the same (sqrt, min/max,
 //    one multiply, truncate, one lerp), but FMA contraction and the
 //    within-block summation order differ: a few-ulp difference on a block
@@ -38,8 +39,8 @@
 
 namespace rlplan::thermal {
 
-/// Function-pointer table for one SIMD level: four entries, a sweep and a
-/// pair-row form for each of the two kernel forms.
+/// Function-pointer table for one SIMD level: one pair-row entry per kernel
+/// form.
 ///  * unit (method of images, every mirror at full strength): each point
 ///    contributes max(v, 0) to its block, read from the LUT with the
 ///    uniform floor pre-subtracted;
@@ -51,37 +52,17 @@ namespace rlplan::thermal {
 /// (base, diff) = lut[2*trunc(x)], lut[2*trunc(x)+1]; v = base +
 /// (x - trunc(x)) * diff.
 ///
+/// Each entry computes one (receiver, source) coupling row: one source block
+/// of `pts` points against `n_probes` probes, out[p] the block's sum of
+/// per-point contributions at probe (px[p], py[p]). One indirect call covers
+/// the whole row — per-(probe, block) calls would be dominated by call and
+/// constant-setup cost at production block sizes.
+///
 /// All lengths are in points; buffers may be unaligned (std::vector
 /// storage).
 struct SoaKernelOps {
   /// The level these kernels implement.
   util::SimdLevel level;
-
-  // Sweep forms: one probe (px, py) against `n_src` source blocks of
-  // `pts_per_src` points. For every a in [0, n_src), subtotal[a] is the sum
-  // of the per-point contributions over points [a*pts_per_src,
-  // (a+1)*pts_per_src) of sx/sy. One indirect call covers a whole probe —
-  // per-(probe, source) calls would be dominated by call and constant-setup
-  // cost at production block sizes.
-
-  /// Unit form: subtotal[a] = sum of max(v, 0).
-  void (*sweep_unit)(const double* sx, const double* sy, double px, double py,
-                     double front, double back, double inv_step, double cap,
-                     const double* lut, std::size_t pts_per_src,
-                     std::size_t n_src, double* subtotal);
-  /// Raw form: subtotal[a] = sum of v.
-  void (*sweep_raw)(const double* sx, const double* sy, double px, double py,
-                    double front, double back, double inv_step, double cap,
-                    const double* lut, std::size_t pts_per_src,
-                    std::size_t n_src, double* subtotal);
-
-  // Pair-row forms: one (receiver, source) coupling row — the transpose of
-  // the sweep forms (one source block of `pts` points against `n_probes`
-  // probes). out[p] is bit-identical to the subtotal the matching sweep form
-  // produces for that (probe, block): same per-point math, same block
-  // reduction. One indirect call covers the whole row, which is the
-  // granularity the incremental single-move path recomputes at.
-
   /// Unit form: out[p] = sum of max(v, 0) over the block.
   void (*pair_unit)(const double* px, const double* py, std::size_t n_probes,
                     const double* sx, const double* sy, std::size_t pts,

@@ -1,5 +1,5 @@
-// AVX2 + FMA implementation of the fused SoA kernel sweep (see soa_kernels.h
-// for the dispatch scheme and numerical contract).
+// AVX2 + FMA implementation of the fused SoA pair-row kernels (see
+// soa_kernels.h for the dispatch scheme and numerical contract).
 //
 // This TU is compiled with -mavx2 -mfma on x86-64 (per-file flags in
 // CMakeLists.txt) and must stay the only place AVX2 instructions can appear:
@@ -22,14 +22,14 @@
 namespace rlplan::thermal {
 namespace {
 
-/// Broadcast sweep constants, hoisted once per probe by the sweep drivers so
-/// the per-block loops touch registers only.
-struct SweepConsts {
+/// Broadcast probe constants, hoisted once per probe by the pair-row drivers
+/// so the per-block loops touch registers only.
+struct ProbeConsts {
   __m256d px, py, front, back, inv, cap;
   double s_px, s_py, s_front, s_back, s_inv, s_cap;
 };
 
-inline SweepConsts make_consts(double px, double py, double front, double back,
+inline ProbeConsts make_consts(double px, double py, double front, double back,
                                double inv_step, double cap) {
   return {_mm256_set1_pd(px),   _mm256_set1_pd(py),  _mm256_set1_pd(front),
           _mm256_set1_pd(back), _mm256_set1_pd(inv_step),
@@ -56,7 +56,7 @@ inline __m256d gather4(const double* p, __m128i i32) {
 
 /// Pass-1 math for four points: distance -> capped coordinate -> doubled
 /// segment index (for the interleaved LUT) + fraction.
-inline void coord4(const double* sx, const double* sy, const SweepConsts& c,
+inline void coord4(const double* sx, const double* sy, const ProbeConsts& c,
                    __m128i& two, __m256d& fr) {
   const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(sx), c.px);
   const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(sy), c.py);
@@ -71,7 +71,7 @@ inline void coord4(const double* sx, const double* sy, const SweepConsts& c,
 }
 
 /// Scalar fused tail for one point; mirrors the vector lanes' operations.
-inline double point1(const double* sx, const double* sy, const SweepConsts& c,
+inline double point1(const double* sx, const double* sy, const ProbeConsts& c,
                      const double* lut, double& fr) {
   const double dx = *sx - c.s_px;
   const double dy = *sy - c.s_py;
@@ -86,7 +86,7 @@ inline double point1(const double* sx, const double* sy, const SweepConsts& c,
   return seg[0] + fr * seg[1];
 }
 
-double block_unit(const double* sx, const double* sy, const SweepConsts& c,
+double block_unit(const double* sx, const double* sy, const ProbeConsts& c,
                   const double* lut, std::size_t n) {
   const __m256d zero = _mm256_setzero_pd();
   __m256d acc = zero;
@@ -109,7 +109,7 @@ double block_unit(const double* sx, const double* sy, const SweepConsts& c,
   return r;
 }
 
-double block_raw(const double* sx, const double* sy, const SweepConsts& c,
+double block_raw(const double* sx, const double* sy, const ProbeConsts& c,
                  const double* lut, std::size_t n) {
   __m256d acc = _mm256_setzero_pd();
   std::size_t k = 0;
@@ -129,38 +129,14 @@ double block_raw(const double* sx, const double* sy, const SweepConsts& c,
   return r;
 }
 
-void sweep_unit_avx2(const double* sx, const double* sy, double px, double py,
-                     double front, double back, double inv_step, double cap,
-                     const double* lut, std::size_t pts_per_src,
-                     std::size_t n_src, double* subtotal) {
-  const SweepConsts c = make_consts(px, py, front, back, inv_step, cap);
-  for (std::size_t a = 0; a < n_src; ++a) {
-    const std::size_t base = a * pts_per_src;
-    subtotal[a] = block_unit(sx + base, sy + base, c, lut, pts_per_src);
-  }
-}
-
-void sweep_raw_avx2(const double* sx, const double* sy, double px, double py,
-                    double front, double back, double inv_step, double cap,
-                    const double* lut, std::size_t pts_per_src,
-                    std::size_t n_src, double* subtotal) {
-  const SweepConsts c = make_consts(px, py, front, back, inv_step, cap);
-  for (std::size_t a = 0; a < n_src; ++a) {
-    const std::size_t base = a * pts_per_src;
-    subtotal[a] = block_raw(sx + base, sy + base, c, lut, pts_per_src);
-  }
-}
-
-// Pair-row drivers: the transpose of the sweeps — hoist fresh probe
-// constants per row entry and run the shared block kernels over the one
-// source block, so out[p] is bit-identical to the sweep subtotal for the
-// same (probe, block).
+// Pair-row drivers: fresh probe constants per row entry, one fused block
+// kernel over the one source block.
 void pair_unit_avx2(const double* px, const double* py, std::size_t n_probes,
                     const double* sx, const double* sy, std::size_t pts,
                     double front, double back, double inv_step, double cap,
                     const double* lut, double* out) {
   for (std::size_t p = 0; p < n_probes; ++p) {
-    const SweepConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
+    const ProbeConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
     out[p] = block_unit(sx, sy, c, lut, pts);
   }
 }
@@ -170,13 +146,12 @@ void pair_raw_avx2(const double* px, const double* py, std::size_t n_probes,
                    double front, double back, double inv_step, double cap,
                    const double* lut, double* out) {
   for (std::size_t p = 0; p < n_probes; ++p) {
-    const SweepConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
+    const ProbeConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
     out[p] = block_raw(sx, sy, c, lut, pts);
   }
 }
 
-constexpr SoaKernelOps kAvx2Ops{util::SimdLevel::kAvx2, sweep_unit_avx2,
-                                sweep_raw_avx2, pair_unit_avx2,
+constexpr SoaKernelOps kAvx2Ops{util::SimdLevel::kAvx2, pair_unit_avx2,
                                 pair_raw_avx2};
 
 }  // namespace

@@ -1,10 +1,10 @@
-// AArch64 Advanced-SIMD implementation of the fused SoA kernel sweep (see
-// soa_kernels.h for the dispatch scheme and numerical contract).
+// AArch64 Advanced-SIMD implementation of the fused SoA pair-row kernels
+// (see soa_kernels.h for the dispatch scheme and numerical contract).
 //
 // NEON has no hardware gather, so the LUT stage loads each (base, diff)
 // segment as one contiguous 128-bit vld1q and transposes pairs of segments
 // into base/diff vectors; the coordinate stage is a straight 2-lane port of
-// the AVX2 sweep. NEON is baseline on AArch64, so no per-file ISA flags are
+// the AVX2 kernels. NEON is baseline on AArch64, so no per-file ISA flags are
 // needed — the stub branch below only triggers on non-ARM builds of this TU.
 #include "thermal/soa_kernels.h"
 
@@ -15,13 +15,13 @@
 namespace rlplan::thermal {
 namespace {
 
-/// Broadcast sweep constants, hoisted once per probe by the sweep drivers.
-struct SweepConsts {
+/// Broadcast probe constants, hoisted once per probe by the pair-row drivers.
+struct ProbeConsts {
   float64x2_t px, py, front, back, inv, cap;
   double s_px, s_py, s_front, s_back, s_inv, s_cap;
 };
 
-inline SweepConsts make_consts(double px, double py, double front, double back,
+inline ProbeConsts make_consts(double px, double py, double front, double back,
                                double inv_step, double cap) {
   return {vdupq_n_f64(px),   vdupq_n_f64(py),  vdupq_n_f64(front),
           vdupq_n_f64(back), vdupq_n_f64(inv_step),
@@ -30,7 +30,7 @@ inline SweepConsts make_consts(double px, double py, double front, double back,
 
 /// Pass-1 math for two points: distance -> capped coordinate -> segment
 /// indices + fraction vector.
-inline void coord2(const double* sx, const double* sy, const SweepConsts& c,
+inline void coord2(const double* sx, const double* sy, const ProbeConsts& c,
                    int& i0, int& i1, float64x2_t& fr) {
   const float64x2_t dx = vsubq_f64(vld1q_f64(sx), c.px);
   const float64x2_t dy = vsubq_f64(vld1q_f64(sy), c.py);
@@ -45,7 +45,7 @@ inline void coord2(const double* sx, const double* sy, const SweepConsts& c,
 }
 
 /// Scalar fused tail for one point; mirrors the vector lanes' operations.
-inline double point1(const double* sx, const double* sy, const SweepConsts& c,
+inline double point1(const double* sx, const double* sy, const ProbeConsts& c,
                      const double* lut, double& fr) {
   const double dx = *sx - c.s_px;
   const double dy = *sy - c.s_py;
@@ -60,7 +60,7 @@ inline double point1(const double* sx, const double* sy, const SweepConsts& c,
   return seg[0] + fr * seg[1];
 }
 
-double block_unit(const double* sx, const double* sy, const SweepConsts& c,
+double block_unit(const double* sx, const double* sy, const ProbeConsts& c,
                   const double* lut, std::size_t n) {
   const float64x2_t zero = vdupq_n_f64(0.0);
   float64x2_t acc = zero;
@@ -85,7 +85,7 @@ double block_unit(const double* sx, const double* sy, const SweepConsts& c,
   return r;
 }
 
-double block_raw(const double* sx, const double* sy, const SweepConsts& c,
+double block_raw(const double* sx, const double* sy, const ProbeConsts& c,
                  const double* lut, std::size_t n) {
   float64x2_t acc = vdupq_n_f64(0.0);
   std::size_t k = 0;
@@ -107,36 +107,14 @@ double block_raw(const double* sx, const double* sy, const SweepConsts& c,
   return r;
 }
 
-void sweep_unit_neon(const double* sx, const double* sy, double px, double py,
-                     double front, double back, double inv_step, double cap,
-                     const double* lut, std::size_t pts_per_src,
-                     std::size_t n_src, double* subtotal) {
-  const SweepConsts c = make_consts(px, py, front, back, inv_step, cap);
-  for (std::size_t a = 0; a < n_src; ++a) {
-    const std::size_t base = a * pts_per_src;
-    subtotal[a] = block_unit(sx + base, sy + base, c, lut, pts_per_src);
-  }
-}
-
-void sweep_raw_neon(const double* sx, const double* sy, double px, double py,
-                    double front, double back, double inv_step, double cap,
-                    const double* lut, std::size_t pts_per_src,
-                    std::size_t n_src, double* subtotal) {
-  const SweepConsts c = make_consts(px, py, front, back, inv_step, cap);
-  for (std::size_t a = 0; a < n_src; ++a) {
-    const std::size_t base = a * pts_per_src;
-    subtotal[a] = block_raw(sx + base, sy + base, c, lut, pts_per_src);
-  }
-}
-
-// Pair-row drivers: the transpose of the sweeps — fresh probe constants per
-// row entry, shared block kernels over the one source block.
+// Pair-row drivers: fresh probe constants per row entry, one fused block
+// kernel over the one source block.
 void pair_unit_neon(const double* px, const double* py, std::size_t n_probes,
                     const double* sx, const double* sy, std::size_t pts,
                     double front, double back, double inv_step, double cap,
                     const double* lut, double* out) {
   for (std::size_t p = 0; p < n_probes; ++p) {
-    const SweepConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
+    const ProbeConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
     out[p] = block_unit(sx, sy, c, lut, pts);
   }
 }
@@ -146,13 +124,12 @@ void pair_raw_neon(const double* px, const double* py, std::size_t n_probes,
                    double front, double back, double inv_step, double cap,
                    const double* lut, double* out) {
   for (std::size_t p = 0; p < n_probes; ++p) {
-    const SweepConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
+    const ProbeConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
     out[p] = block_raw(sx, sy, c, lut, pts);
   }
 }
 
-constexpr SoaKernelOps kNeonOps{util::SimdLevel::kNeon, sweep_unit_neon,
-                                sweep_raw_neon, pair_unit_neon,
+constexpr SoaKernelOps kNeonOps{util::SimdLevel::kNeon, pair_unit_neon,
                                 pair_raw_neon};
 
 }  // namespace

@@ -17,9 +17,9 @@ namespace rlplan::thermal {
 // is what lets pass 1 below auto-vectorize.
 namespace {
 
-/// Pass-1 points per tile (24 KiB of stack scratch): one tile covers a
-/// probe's whole sweep up to 56 sources of 36 points. A multiple of 4, see
-/// Lanes.
+/// Pass-1 points per chunk (24 KiB of stack scratch): one chunk covers a
+/// whole source block of up to 2,048 points, so only 16 x 16 sub-sources
+/// with images (2,304 points) take two. A multiple of 4, see Lanes.
 constexpr std::size_t kTile = 2048;
 
 /// Pass 1 over n <= kTile points: distance -> capped table coordinate ->
@@ -79,59 +79,31 @@ struct Lanes {
   double sum() const { return (l[0] + l[2]) + (l[1] + l[3]); }
 };
 
-/// Sweep driver. Pass 1 runs over tiles of as many whole blocks as fit in
-/// kTile points, so it spans block boundaries; a block larger than a tile
-/// runs in kTile-point chunks (kTile is a multiple of 4, so every point
-/// keeps its lane). Either way each block sums the same way, which keeps
-/// the pair-row form (one block per call) bit-identical to the sweep.
-template <Form F>
-void sweep_scalar(const double* sx, const double* sy, double px, double py,
-                  double front, double back, double inv_step, double cap,
-                  const double* lut, std::size_t pts, std::size_t n_src,
-                  double* subtotal) {
-  int idx[kTile];
-  double frac[kTile];
-  if (pts <= kTile) {
-    const std::size_t per_tile = kTile / pts;
-    for (std::size_t a0 = 0; a0 < n_src; a0 += per_tile) {
-      const std::size_t blocks = std::min(per_tile, n_src - a0);
-      coords(sx + a0 * pts, sy + a0 * pts, px, py, front, back, inv_step,
-             cap, blocks * pts, idx, frac);
-      for (std::size_t b = 0; b < blocks; ++b) {
-        Lanes acc;
-        acc.add<F>(idx + b * pts, frac + b * pts, lut, pts);
-        subtotal[a0 + b] = acc.sum();
-      }
-    }
-    return;
-  }
-  for (std::size_t a = 0; a < n_src; ++a) {
-    Lanes acc;
-    for (std::size_t t0 = 0; t0 < pts; t0 += kTile) {
-      const std::size_t n = std::min(kTile, pts - t0);
-      coords(sx + a * pts + t0, sy + a * pts + t0, px, py, front, back,
-             inv_step, cap, n, idx, frac);
-      acc.add<F>(idx, frac, lut, n);
-    }
-    subtotal[a] = acc.sum();
-  }
-}
-
+/// Pair-row driver: per probe, pass 1 and pass 2 over the block in
+/// kTile-point chunks (kTile is a multiple of 4, so every point keeps its
+/// lane wherever a chunk ends).
 template <Form F>
 void pair_scalar(const double* px, const double* py, std::size_t n_probes,
                  const double* sx, const double* sy, std::size_t pts,
                  double front, double back, double inv_step, double cap,
                  const double* lut, double* out) {
+  int idx[kTile];
+  double frac[kTile];
   for (std::size_t p = 0; p < n_probes; ++p) {
-    sweep_scalar<F>(sx, sy, px[p], py[p], front, back, inv_step, cap, lut,
-                    pts, 1, out + p);
+    Lanes acc;
+    for (std::size_t t0 = 0; t0 < pts; t0 += kTile) {
+      const std::size_t n = std::min(kTile, pts - t0);
+      coords(sx + t0, sy + t0, px[p], py[p], front, back, inv_step, cap, n,
+             idx, frac);
+      acc.add<F>(idx, frac, lut, n);
+    }
+    out[p] = acc.sum();
   }
 }
 
-constexpr SoaKernelOps kScalarOps{
-    util::SimdLevel::kScalar, sweep_scalar<Form::kUnit>,
-    sweep_scalar<Form::kRaw>, pair_scalar<Form::kUnit>,
-    pair_scalar<Form::kRaw>};
+constexpr SoaKernelOps kScalarOps{util::SimdLevel::kScalar,
+                                  pair_scalar<Form::kUnit>,
+                                  pair_scalar<Form::kRaw>};
 
 }  // namespace
 
@@ -196,22 +168,10 @@ void SoaModelConsts::expand_source_point(const Point& s, double* xs,
   std::copy(exp_y, exp_y + 9, ys);
 }
 
-void SoaModelConsts::sweep(const SoaKernelOps& ops, const double* sx,
-                           const double* sy, double px, double py,
-                           std::size_t n_src, double* subtotal) const {
-  const std::size_t pts = ss * img;
-  if (use_images) {
-    ops.sweep_unit(sx, sy, px, py, front, back, inv_step, coord_cap,
-                   lut_img.data(), pts, n_src, subtotal);
-  } else {
-    ops.sweep_raw(sx, sy, px, py, front, back, inv_step, coord_cap,
-                  lut_raw.data(), pts, n_src, subtotal);
-  }
-}
-
 void SoaModelConsts::pair_row(const SoaKernelOps& ops, const double* px,
                               const double* py, const double* sx,
-                              const double* sy, double* out) const {
+                              const double* sy, double power_per_sub,
+                              double* out) const {
   const std::size_t pts = ss * img;
   if (use_images) {
     ops.pair_unit(px, py, pc, sx, sy, pts, front, back, inv_step, coord_cap,
@@ -220,11 +180,14 @@ void SoaModelConsts::pair_row(const SoaKernelOps& ops, const double* px,
     ops.pair_raw(px, py, pc, sx, sy, pts, front, back, inv_step, coord_cap,
                  lut_raw.data(), out);
   }
+  for (std::size_t p = 0; p < pc; ++p) {
+    double m = use_images ? floor_per_src + out[p] : out[p];
+    m *= power_per_sub;
+    out[p] = m;
+  }
 }
 
 // ------------------------------------------------------------ snapshot ----
-
-util::SimdLevel SoaSnapshot::dispatch_level() { return soa_dispatch_level(); }
 
 util::SimdLevel SoaSnapshot::set_simd_level(util::SimdLevel level) {
   ops_ = &soa_kernel_ops(level);
@@ -244,6 +207,8 @@ SoaSnapshot::SoaSnapshot(const FastThermalModel& model,
   probe_x_.assign(n_ * k_.pc, 0.0);
   probe_y_.assign(n_ * k_.pc, 0.0);
   shape_.assign(n_ * k_.pc, 0.0);
+  row_.assign(k_.pc, 0.0);
+  mutual_.assign(k_.pc, 0.0);
   src_die_.reserve(n_);
   src_scale_.reserve(n_);
   src_x_.reserve(n_ * k_.ss * k_.img);
@@ -296,33 +261,25 @@ void SoaSnapshot::refresh(const Floorplan& floorplan) {
 }
 
 double SoaSnapshot::receiver_rise(std::size_t i) const {
-  const std::size_t n_src = src_die_.size();
   const std::size_t pts = k_.ss * k_.img;
   const std::size_t pc = k_.pc;
-  // The receiver's own source block, if it has one, is [lo, hi): the sweep
-  // covers the blocks on either side of it.
-  const auto lo = static_cast<std::size_t>(
-      std::lower_bound(src_die_.begin(), src_die_.end(), i) -
-      src_die_.begin());
-  const std::size_t hi = lo < n_src && src_die_[lo] == i ? lo + 1 : lo;
-  const double* sx = src_x_.data();
-  const double* sy = src_y_.data();
-  double* sub = sub_.data();
+  const double* px = probe_x_.data() + i * pc;
+  const double* py = probe_y_.data() + i * pc;
+  double* row = row_.data();
+  double* mutual = mutual_.data();
+  std::fill(mutual, mutual + pc, 0.0);
+  // One coupling row per active source but the receiver's own, added in
+  // ascending source order: per probe, IncrementalThermalState's full
+  // re-reduction makes the same adds in the same sequence.
+  for (std::size_t a = 0; a < src_die_.size(); ++a) {
+    if (src_die_[a] == i) continue;
+    k_.pair_row(*ops_, px, py, src_x_.data() + a * pts,
+                src_y_.data() + a * pts, src_scale_[a], row);
+    for (std::size_t p = 0; p < pc; ++p) mutual[p] += row[p];
+  }
   double worst = 0.0;
   for (std::size_t p = 0; p < pc; ++p) {
-    const double px = probe_x_[i * pc + p];
-    const double py = probe_y_[i * pc + p];
-    k_.sweep(*ops_, sx, sy, px, py, lo, sub);
-    k_.sweep(*ops_, sx + hi * pts, sy + hi * pts, px, py, n_src - hi,
-             sub + hi);
-    double mutual = 0.0;
-    for (std::size_t a = 0; a < lo; ++a) {
-      mutual += k_.contribution(sub[a], src_scale_[a]);
-    }
-    for (std::size_t a = hi; a < n_src; ++a) {
-      mutual += k_.contribution(sub[a], src_scale_[a]);
-    }
-    worst = std::max(worst, self_rise_[i] * shape_[i * pc + p] + mutual);
+    worst = std::max(worst, self_rise_[i] * shape_[i * pc + p] + mutual[p]);
   }
   return worst;
 }
@@ -330,7 +287,6 @@ double SoaSnapshot::receiver_rise(std::size_t i) const {
 void SoaSnapshot::evaluate(FastThermalResult& out) const {
   out.chiplet_temp_c.assign(n_, k_.ambient_c);
   out.eval_seconds = 0.0;
-  sub_.resize(src_die_.size());
   for (std::size_t i = 0; i < n_; ++i) {
     if (placed_[i]) out.chiplet_temp_c[i] = k_.ambient_c + receiver_rise(i);
   }

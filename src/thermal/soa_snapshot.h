@@ -10,18 +10,22 @@
 //     through the method-of-images mirrors (9 points per sub-source, every
 //     one at full strength), packed as flat x/y arrays.
 //
-// Per receiver probe, one sweep of the dispatched kernel table
-// (soa_kernels.h) turns every source point into an interpolated decay value
-// read from a precomputed (base, diff) segment LUT and reduces each source
-// block to a subtotal; the blocks then combine in ascending source order,
-// so no error grows with the die count. The level comes from util/simd
+// Per placed receiver, one pair-row call of the dispatched kernel table
+// (soa_kernels.h) per active source turns every source point into an
+// interpolated decay value read from a precomputed (base, diff) segment LUT
+// and reduces each source block to a subtotal per probe; the rows then add
+// in ascending source order, so no error grows with the die count. Memory
+// stays O(n): one row at a time, never the n^2 pair table an
+// IncrementalThermalState caches. The level comes from util/simd
 // (RLPLANNER_SIMD=scalar forces the portable table), and set_simd_level()
 // overrides it per snapshot for differential testing.
 //
 // Numerical contract (asserted by tests/soa_kernel_test.cpp and
 // tests/incremental_thermal_test.cpp):
 //  * an IncrementalThermalState right after a full re-reduction of its
-//    partial sums equals a SoaSnapshot at the same SIMD level bit for bit;
+//    partial sums equals a SoaSnapshot at the same SIMD level bit for bit,
+//    by construction: both sum the same pair-row entry's rows in ascending
+//    source order;
 //  * everything else — other levels, patched incremental sums, the
 //    test-only oracle (tests/fast_model_oracle.h, one table lookup at a
 //    time) — agrees within 1e-9 C. The kernel interpolates the
@@ -61,9 +65,9 @@ inline std::pair<std::size_t, std::size_t> batch_lane_range(std::size_t b,
   return {lo, c < lanes ? lo + quotient + (c < remainder ? 1 : 0) : lo};
 }
 
-/// Bind-time model constants shared by every kernel consumer — SoaSnapshot's
-/// sweeps and IncrementalThermalState's pair rows: the interleaved
-/// (base, diff) interpolation LUTs and the capped coordinate transform.
+/// Bind-time model constants shared by both kernel consumers, SoaSnapshot
+/// and IncrementalThermalState: the interleaved (base, diff) interpolation
+/// LUTs and the capped coordinate transform.
 /// Built once per model; everything here is placement-independent.
 struct SoaModelConsts {
   std::size_t pc = 0;          ///< receiver probes per die
@@ -97,23 +101,15 @@ struct SoaModelConsts {
   /// corner double-mirrors. Without images this writes the point itself.
   void expand_source_point(const Point& s, double* xs, double* ys) const;
 
-  /// Block subtotals of the probe (px, py) against `n_src` consecutive
-  /// source blocks, through the kernel form this model selects (unit with
-  /// images, raw without).
-  void sweep(const SoaKernelOps& ops, const double* sx, const double* sy,
-             double px, double py, std::size_t n_src,
-             double* subtotal) const;
-  /// Block subtotals of one source block against `pc` probes — the sweep's
-  /// transpose, bit-identical to sweep() for every (probe, block).
+  /// One (receiver, source) coupling row: out[p] is the source block's rise
+  /// at probe (px[p], py[p]) — its block subtotal through the kernel form
+  /// this model selects (unit with images, raw without), the block's floors
+  /// added back (images), times power / ss. Both kernel consumers take their
+  /// rows from here and only add them up, so an FMA-contracting compiler
+  /// cannot round the two differently.
   void pair_row(const SoaKernelOps& ops, const double* px, const double* py,
-                const double* sx, const double* sy, double* out) const;
-  /// A source's rise at one probe from its block subtotal: the block's
-  /// floors added back (images), times power / ss.
-  double contribution(double subtotal, double power_per_sub) const {
-    double m = use_images ? floor_per_src + subtotal : subtotal;
-    m *= power_per_sub;
-    return m;
-  }
+                const double* sx, const double* sy, double power_per_sub,
+                double* out) const;
 };
 
 class SoaSnapshot {
@@ -138,7 +134,7 @@ class SoaSnapshot {
   std::size_t num_sources() const { return src_die_.size(); }
 
   /// The SIMD level this snapshot's kernels run at. New snapshots start at
-  /// dispatch_level().
+  /// soa_dispatch_level().
   util::SimdLevel simd_level() const { return ops_->level; }
 
   /// Overrides the kernel selection for this snapshot (differential tests,
@@ -146,10 +142,6 @@ class SoaSnapshot {
   /// supported by the host fall back to kScalar — never to a different SIMD
   /// level. Returns the level actually installed.
   util::SimdLevel set_simd_level(util::SimdLevel level);
-
-  /// Process-wide default kernel level: util::active_simd_level() with
-  /// unavailable levels collapsed to kScalar (what benches publish).
-  static util::SimdLevel dispatch_level();
 
  private:
   /// Peak rise of placed receiver i over its probes.
@@ -173,8 +165,9 @@ class SoaSnapshot {
   std::vector<double> src_x_;         // num_sources * ss * img
   std::vector<double> src_y_;         // num_sources * ss * img
 
-  // Scratch.
-  mutable std::vector<double> sub_;  // per-source block subtotals, one probe
+  // Scratch, one receiver at a time.
+  mutable std::vector<double> row_;     // pc: one source's coupling row
+  mutable std::vector<double> mutual_;  // pc: mutual rise summed so far
   std::vector<Point> probes_scratch_;
   std::vector<double> shapes_scratch_;
   std::vector<Point> subs_scratch_;

@@ -131,8 +131,7 @@ Placement random_placement(const ChipletSystem& sys, std::size_t i, Rng& rng) {
 /// The two kernel levels every state runs at: the process dispatch choice
 /// and forced scalar (the same level twice on hosts without SIMD kernels).
 std::vector<util::SimdLevel> levels() {
-  return {IncrementalThermalState::dispatch_level(),
-          util::SimdLevel::kScalar};
+  return {soa_dispatch_level(), util::SimdLevel::kScalar};
 }
 
 /// Queries `state` (mirroring `fp`) and checks it within 1e-9 C of the
@@ -485,8 +484,8 @@ TEST(IncrementalThermal, PopulationBatchEqualsSnapshot) {
           IncrementalFastModelEvaluator(model),
           IncrementalFastModelEvaluator(model)};
       evals[0].set_simd_level(util::SimdLevel::kScalar);
-      const util::SimdLevel eval_levels[2] = {
-          util::SimdLevel::kScalar, IncrementalThermalState::dispatch_level()};
+      const util::SimdLevel eval_levels[2] = {util::SimdLevel::kScalar,
+                                              soa_dispatch_level()};
       const int rounds = large ? 4 : 8;
       for (int round = 0; round < rounds; ++round) {
         const std::size_t s = round % 2;

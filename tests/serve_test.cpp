@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <utility>
@@ -595,6 +596,38 @@ TEST_F(ServeSocketTest, SubmitWaitResultEndToEnd) {
   const util::JsonValue stats = client_.stats();
   ASSERT_TRUE(stats.bool_or("ok", false));
   EXPECT_EQ(stats.at("stats").number_or("completed", -1.0), 1.0);
+}
+
+// accept() hands out the lowest free fd, so a short connection's number is
+// recycled at once. If a finished connection deregistered its fd only after
+// closing it, a new connection could take the number in between and lose
+// its registration to that erase: stop() would never shut it down and then
+// block joining its thread until the client hung up.
+TEST_F(ServeSocketTest, StopReturnsAfterConnectionChurn) {
+  const std::uint16_t port = server_->port();
+  std::vector<std::future<void>> churners;
+  for (int t = 0; t < 4; ++t) {
+    churners.push_back(std::async(std::launch::async, [port] {
+      for (int i = 0; i < 50; ++i) {
+        serve::Client c;
+        c.connect("127.0.0.1", port);
+      }
+    }));
+  }
+  std::vector<serve::Client> held(32);
+  for (serve::Client& c : held) {
+    c.connect("127.0.0.1", port);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::future<void>& f : churners) f.get();  // rethrows a failed connect
+
+  auto stopped = std::async(std::launch::async, [this] { server_->stop(); });
+  const bool returned =
+      stopped.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // A hung stop() returns once its clients hang up: fail, do not hang.
+  for (serve::Client& c : held) c.close();
+  stopped.get();
+  EXPECT_TRUE(returned) << "stop() blocked on a connection it never shut down";
 }
 
 TEST_F(ServeSocketTest, ShutdownRequestFlagsEngineAndClosesConnection) {

@@ -165,7 +165,7 @@ Floorplan random_floorplan(const ChipletSystem& sys, Rng& rng) {
 /// The two kernel levels every case runs at: the process dispatch choice
 /// and forced scalar (the same level twice on hosts without SIMD kernels).
 std::vector<util::SimdLevel> levels() {
-  return {SoaSnapshot::dispatch_level(), util::SimdLevel::kScalar};
+  return {soa_dispatch_level(), util::SimdLevel::kScalar};
 }
 
 /// Per-system fixtures, one per level: a snapshot and an incremental state
@@ -269,7 +269,7 @@ bool check_batch(const FastThermalModel& model, const ChipletSystem& sys,
 // config variants, each checked on every path at both levels.
 TEST(SoaKernel, FuzzedSystemsMatchOracle) {
   SCOPED_TRACE(std::string("dispatched level: ") +
-               util::simd_level_name(SoaSnapshot::dispatch_level()));
+               util::simd_level_name(soa_dispatch_level()));
   const auto vs = variants();
   const int scale = fuzz_scale();
   const int systems_per_variant = 90 * scale;
@@ -632,8 +632,8 @@ TEST(SoaKernel, OffsetKnotTableResamplesUniformAndDispatches) {
   fp.place(1, {17.0, 9.0});
   SoaSnapshot snapshot(model, sys);
   IncrementalThermalState state(model, sys);
-  EXPECT_EQ(snapshot.simd_level(), SoaSnapshot::dispatch_level());
-  EXPECT_EQ(state.simd_level(), SoaSnapshot::dispatch_level());
+  EXPECT_EQ(snapshot.simd_level(), soa_dispatch_level());
+  EXPECT_EQ(state.simd_level(), soa_dispatch_level());
   snapshot.refresh(fp);
   FastThermalResult soa;
   snapshot.evaluate(soa);
