@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "nn/layers.h"
+#include "nn/optim.h"
+#include "parallel/thread_pool.h"
 #include "rl/env.h"
 #include "rl/policy_net.h"
 #include "rl/session.h"
@@ -214,6 +216,57 @@ BENCHMARK(BM_PolicyBackward)
     ->Args({16, 32})
     ->Args({16, 64})
     ->Args({24, 32})
+    ->Unit(benchmark::kMillisecond);
+
+// One PPO minibatch step on the policy net at grid 16: forward, backward,
+// gradient clipping and Adam, at the PPO minibatch (64) and a partial last
+// minibatch (48), on 1-3 lanes. States are 70% zeros like the placement
+// observations, and half the logit gradients are zero like a masked
+// softmax's. Every lane count computes the same bits.
+void BM_PpoMinibatch(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto lanes = static_cast<std::size_t>(state.range(1));
+  Rng rng(10);
+  rl::PolicyNetConfig config;
+  config.grid = 16;
+  rl::PolicyValueNet net(config, rng);
+  nn::Adam adam(net.parameters());
+  parallel::ThreadPool pool(lanes);
+  nn::BatchParallelFor executor;
+  if (pool.size() > 0) {
+    executor = [&pool](std::size_t n,
+                       const std::function<void(std::size_t)>& fn) {
+      pool.parallel_for(n, fn);
+    };
+  }
+  net.set_executor(executor);
+  adam.set_executor(executor);
+  const auto sparse = [&rng](std::vector<std::size_t> shape, double zeros) {
+    nn::Tensor t(std::move(shape));
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+      t[i] = rng.uniform() < zeros ? 0.0f
+                                   : static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    return t;
+  };
+  const nn::Tensor x = sparse({batch, config.channels_in, 16, 16}, 0.7);
+  const nn::Tensor dlogits = sparse({batch, 16 * 16}, 0.5);
+  const nn::Tensor dvalue = sparse({batch, 1}, 0.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.forward(x).value[0]);
+    net.zero_grad();
+    net.backward(dlogits, dvalue);
+    benchmark::DoNotOptimize(
+        nn::clip_grad_norm(net.parameters(), 0.5, executor));
+    adam.step();
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("grid 16 batch " + std::to_string(batch) + " lanes " +
+                 std::to_string(lanes));
+}
+BENCHMARK(BM_PpoMinibatch)
+    ->ArgsProduct({{64, 48}, {1, 2, 3}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_EnvEpisode(benchmark::State& state) {

@@ -5,7 +5,7 @@
 // forwards, masked sampling, environment stepping, and the episode-end
 // reward evaluation (microbump assignment + fast thermal model) — as a
 // TrainingSession epoch runs it: parallel::collect_episodes over a VecEnv's
-// replicas, with the pool installed as the nn batch executor. The 1-env row
+// replicas, with the pool set as the net's executor. The 1-env row
 // with 1 thread is the serial baseline; the speedup column is relative to
 // it. Every row builds its own evaluator, because replica 0 drives it
 // directly and would otherwise inherit the previous row's incremental state.
@@ -104,13 +104,12 @@ int main(int argc, char** argv) {
     for (std::size_t e = 0; e < venv.size(); ++e) {
       slots.push_back({&venv.env(e), &venv.rng(e)});
     }
-    nn::BatchParallelFor previous = nn::exchange_batch_parallel_for(
-        [&pool](std::size_t count,
-                const std::function<void(std::size_t)>& fn) {
-          pool.parallel_for(count, fn);
-        });
     Rng net_rng(3);
     rl::PolicyValueNet net(net_config, net_rng);
+    net.set_executor([&pool](std::size_t count,
+                             const std::function<void(std::size_t)>& fn) {
+      pool.parallel_for(count, fn);
+    });
 
     rl::RolloutBuffer warmup;
     parallel::collect_episodes(slots, net, num_envs, warmup, &pool);
@@ -120,7 +119,6 @@ int main(int argc, char** argv) {
     const parallel::CollectorStats stats =
         parallel::collect_episodes(slots, net, episodes, buffer, &pool);
     const double seconds = timer.seconds();
-    nn::set_batch_parallel_for(std::move(previous));
 
     Row row;
     row.num_envs = num_envs;

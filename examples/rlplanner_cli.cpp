@@ -9,7 +9,7 @@
 //     --out=FILE         floorplan output path         (default plan.fp)
 //     --seed=S
 //     --envs=N           parallel env replicas for RL  (default 1 = serial)
-//     --threads=N        rollout worker threads        (default 0 = auto)
+//     --threads=N        RL rollout and update lanes   (default 0 = auto)
 //     --checkpoint=FILE  RL: write a full-state RLPNNv2 checkpoint here
 //                        (at the end, plus every --checkpoint-every epochs)
 //     --checkpoint-every=K   periodic checkpoint cadence (default 0 = end)

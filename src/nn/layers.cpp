@@ -22,22 +22,39 @@ void init_uniform(Tensor& t, float bound, Rng& rng) {
   }
 }
 
-BatchParallelFor g_batch_parallel_for;
+/// Multiply-adds per work item that a pass is cut into, and the least a
+/// pass must hold before it is worth waking other lanes for.
+constexpr std::size_t kItemWork = std::size_t{1} << 16;
+constexpr std::size_t kMinDispatchWork = std::size_t{1} << 17;
 
-/// Runs fn over [0, n): through the installed executor when one is set and
-/// the batch is big enough to amortize the dispatch, serially otherwise.
-/// Templated so the serial path (notably batch-1 action forwards) never pays
-/// for a std::function wrap; the type erasure happens only on dispatch.
-template <typename Fn>
-void for_each_batch_row(std::size_t n, Fn&& fn) {
-  if (n > 1 && g_batch_parallel_for) {
-    g_batch_parallel_for(n, std::function<void(std::size_t)>(fn));
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) fn(i);
+/// `executor` for a pass of `work` multiply-adds, or no executor when the
+/// pass is too small to pay for a dispatch.
+const BatchParallelFor& worth(const BatchParallelFor& executor,
+                              std::size_t work) {
+  static const BatchParallelFor kSerial;
+  return work >= kMinDispatchWork ? executor : kSerial;
 }
 
-/// The row kernel behind Conv2d and Linear backward: adds terms a·b[0, n) to
+/// How many items `rows` rows of `work` multiply-adds in total are cut into
+/// on `lanes` (the executor worth() picked): about kItemWork each, at least
+/// one, at most one per row, and one on the calling thread, where cutting
+/// would only add overhead.
+std::size_t items_for(const BatchParallelFor& lanes, std::size_t rows,
+                      std::size_t work) {
+  if (!lanes) return 1;
+  return std::max<std::size_t>(1, std::min(rows, work / kItemWork));
+}
+
+/// Item `i` of [0, total) cut into `parts` ranges whose sizes differ by at
+/// most one.
+struct Range {
+  std::size_t begin, end;
+};
+Range part_of(std::size_t total, std::size_t parts, std::size_t i) {
+  return {total * i / parts, total * (i + 1) / parts};
+}
+
+/// The row kernel behind Conv2d and Linear: adds terms a·b[0, n) to
 /// one output row c[0, n). Every element of c takes the terms in the order
 /// add() receives them, each product rounded and added to the element's own
 /// float, and a term with a == 0 is skipped — the order of a direct loop
@@ -125,74 +142,85 @@ struct ConvGeometry {
     }
     return table;
   }
-  /// Per tap (ic, ky, kx), the element of a sample zero-padded to
-  /// (h + 2·padding) × (w + 2·padding) that output pixel (0, 0) reads; pixel
-  /// (oy, ox) reads (oy · (w + 2·padding) + ox) · stride elements further on.
-  std::vector<std::size_t> tap_offsets() const {
-    std::vector<std::size_t> offsets;
-    for (std::size_t ic = 0; ic < channels; ++ic) {
-      for (std::size_t ky = 0; ky < kernel; ++ky) {
-        for (std::size_t kx = 0; kx < kernel; ++kx) {
-          offsets.push_back((ic * (h + 2 * padding) + ky) * (w + 2 * padding) +
-                            kx);
-        }
-      }
-    }
-    return offsets;
-  }
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 };
 
-/// im2col of one sample x[channels, h, w]: element (tap, pixel), with
-/// tap = (ic, ky, kx) and pixel = (oy, ox), goes to
-/// out[tap * tap_stride + pixel * pixel_stride], one of the strides being 1.
-/// It reads a zero-padded copy of x kept in `padded`, at g.tap_offsets(), so
+/// im2col of single samples x[channels, h, w], for the taps [t0, t1) of
+/// (ic, ky, kx) order: element (tap, pixel), with pixel = (oy, ox), goes to
+/// out[(tap - t0) * tap_stride + pixel * pixel_stride], one of the strides
+/// being 1. It reads a zero-padded copy of the channels those taps touch, so
 /// padding taps read 0 and no element is bounds-tested; the loops run along
-/// the unit stride.
-void lower(const ConvGeometry& g, const std::vector<std::size_t>& offsets,
-           const float* x, float* out, std::size_t tap_stride,
-           std::size_t pixel_stride, std::vector<float>& padded) {
-  const std::size_t hp = g.h + 2 * g.padding;
-  const std::size_t wp = g.w + 2 * g.padding;
-  padded.assign(g.channels * hp * wp, 0.0f);
-  for (std::size_t ic = 0; ic < g.channels; ++ic) {
-    for (std::size_t iy = 0; iy < g.h; ++iy) {
-      std::copy_n(x + (ic * g.h + iy) * g.w, g.w,
-                  padded.data() + (ic * hp + iy + g.padding) * wp + g.padding);
+/// the unit stride. The padding is zeroed once, and each sample overwrites
+/// only the interior.
+class Lowering {
+ public:
+  Lowering(const ConvGeometry& g, std::size_t t0, std::size_t t1)
+      : g_(g),
+        hp_(g.h + 2 * g.padding),
+        wp_(g.w + 2 * g.padding),
+        ic0_(t0 / (g.kernel * g.kernel)),
+        ic1_(t1 == t0 ? ic0_ : (t1 - 1) / (g.kernel * g.kernel) + 1),
+        padded_((ic1_ - ic0_) * hp_ * wp_, 0.0f) {
+    const std::size_t k2 = g.kernel * g.kernel;
+    for (std::size_t t = t0; t < t1; ++t) {
+      const std::size_t ky = t % k2 / g.kernel;
+      const std::size_t kx = t % g.kernel;
+      offsets_.push_back(((t / k2 - ic0_) * hp_ + ky) * wp_ + kx);
     }
   }
-  if (tap_stride == 1) {
-    for (std::size_t oy = 0; oy < g.ho; ++oy) {
-      for (std::size_t ox = 0; ox < g.wo; ++ox) {
-        const float* src = padded.data() + (oy * wp + ox) * g.stride;
-        float* dst = out + (oy * g.wo + ox) * pixel_stride;
-        for (std::size_t t = 0; t < offsets.size(); ++t) {
-          dst[t] = src[offsets[t]];
+
+  void operator()(const float* x, float* out, std::size_t tap_stride,
+                  std::size_t pixel_stride) {
+    const ConvGeometry& g = g_;
+    for (std::size_t ic = ic0_; ic < ic1_; ++ic) {
+      for (std::size_t iy = 0; iy < g.h; ++iy) {
+        std::copy_n(x + (ic * g.h + iy) * g.w, g.w,
+                    padded_.data() +
+                        ((ic - ic0_) * hp_ + iy + g.padding) * wp_ +
+                        g.padding);
+      }
+    }
+    if (tap_stride == 1) {
+      for (std::size_t oy = 0; oy < g.ho; ++oy) {
+        for (std::size_t ox = 0; ox < g.wo; ++ox) {
+          const float* src = padded_.data() + (oy * wp_ + ox) * g.stride;
+          float* dst = out + (oy * g.wo + ox) * pixel_stride;
+          for (std::size_t t = 0; t < offsets_.size(); ++t) {
+            dst[t] = src[offsets_[t]];
+          }
+        }
+      }
+      return;
+    }
+    for (std::size_t t = 0; t < offsets_.size(); ++t) {
+      const float* src = padded_.data() + offsets_[t];
+      float* dst = out + t * tap_stride;
+      for (std::size_t oy = 0; oy < g.ho; ++oy) {
+        for (std::size_t ox = 0; ox < g.wo; ++ox) {
+          dst[oy * g.wo + ox] = src[(oy * wp_ + ox) * g.stride];
         }
       }
     }
-    return;
   }
-  for (std::size_t t = 0; t < offsets.size(); ++t) {
-    const float* src = padded.data() + offsets[t];
-    float* dst = out + t * tap_stride;
-    for (std::size_t oy = 0; oy < g.ho; ++oy) {
-      for (std::size_t ox = 0; ox < g.wo; ++ox) {
-        dst[oy * g.wo + ox] = src[(oy * wp + ox) * g.stride];
-      }
-    }
-  }
-}
 
-/// dst[j * rows + i] = src[i * cols + j]: a [rows, cols] block transposed,
-/// 16 source rows at a time so the writes run along cache lines.
+ private:
+  const ConvGeometry& g_;
+  std::size_t hp_, wp_;
+  std::size_t ic0_, ic1_;  ///< the channels taps [t0, t1) read
+  std::vector<std::size_t> offsets_;  ///< per tap, into padded_, at pixel 0
+  std::vector<float> padded_;
+};
+
+/// dst[j * ldd + i] = src[i * cols + j]: a [rows, cols] block transposed into
+/// rows of `ldd` floats (ldd = rows: a plain transpose), 16 source rows at a
+/// time so the writes run along cache lines.
 void transpose(std::size_t rows, std::size_t cols, const float* src,
-               float* dst) {
+               float* dst, std::size_t ldd) {
   for (std::size_t i0 = 0; i0 < rows; i0 += 16) {
     const std::size_t i1 = std::min(rows, i0 + 16);
     for (std::size_t j = 0; j < cols; ++j) {
       for (std::size_t i = i0; i < i1; ++i) {
-        dst[j * rows + i] = src[i * cols + j];
+        dst[j * ldd + i] = src[i * cols + j];
       }
     }
   }
@@ -207,13 +235,16 @@ void relu(float* y, std::size_t n) {
 /// dL/d(sum) from dL/d(output), whose shape the caller has checked against
 /// the output's: grad_out itself without an epilogue; with ReLU, a copy in
 /// `storage` zeroed where the output is <= 0 — exactly where the
-/// pre-activation is, and a NaN output passes its gradient on.
+/// pre-activation is, and a NaN output passes its gradient on. A select, not
+/// a branch: about half the outputs are zero, in no predictable pattern.
 const Tensor& through_epilogue(Activation act, const Tensor& output,
                                const Tensor& grad_out, Tensor& storage) {
   if (act == Activation::kNone) return grad_out;
   storage = grad_out;
+  float* g = storage.data().data();
+  const float* y = output.data().data();
   for (std::size_t i = 0; i < storage.numel(); ++i) {
-    if (output[i] <= 0.0f) storage[i] = 0.0f;
+    g[i] = y[i] <= 0.0f ? 0.0f : g[i];
   }
   return storage;
 }
@@ -221,17 +252,16 @@ const Tensor& through_epilogue(Activation act, const Tensor& output,
 /// Conv2d's forward lowers whole samples side by side until a row of the
 /// lowering holds at least this many floats.
 constexpr std::size_t kMinRowFloats = 256;
+
+/// Linear's forward runs its batch-lane form from this batch up, and its dot
+/// form below it (batch-1 collection forwards).
+constexpr std::size_t kMinLaneBatch = 8;
+
+/// The narrowest block of dW columns Conv2d's backward gives one work item,
+/// and the input positions its dx blocks come in multiples of.
+constexpr std::size_t kMinTapColumns = 16;
+constexpr std::size_t kPositionRun = 16;
 }  // namespace
-
-void set_batch_parallel_for(BatchParallelFor executor) {
-  g_batch_parallel_for = std::move(executor);
-}
-
-BatchParallelFor exchange_batch_parallel_for(BatchParallelFor executor) {
-  BatchParallelFor previous = std::move(g_batch_parallel_for);
-  g_batch_parallel_for = std::move(executor);
-  return previous;
-}
 
 // ---------------------------------------------------------------- Linear --
 
@@ -254,47 +284,72 @@ Tensor Linear::forward(const Tensor& x) {
   cached_input_ = x;
   const std::size_t batch = x.dim(0);
   Tensor y({batch, out_});
-  const auto xd = x.data();
-  const auto wd = weight_.value.data();
-  const auto bd = bias_.value.data();
-  // Register-blocked over 4 outputs: one load of xr[i] feeds 4 independent
-  // FMA chains, hiding the add latency the single-accumulator loop is bound
-  // by. Each output still accumulates sequentially over i in one float, so
-  // results are bit-identical to the naive o-at-a-time loop (pinned by
-  // nn_batch_test).
-  for_each_batch_row(batch, [&](std::size_t b) {
-    const float* xr = xd.data() + b * in_;
-    float* yr = y.data().data() + b * out_;
-    std::size_t o = 0;
-    for (; o + 4 <= out_; o += 4) {
-      const float* w0 = wd.data() + o * in_;
-      const float* w1 = w0 + in_;
-      const float* w2 = w1 + in_;
-      const float* w3 = w2 + in_;
-      float a0 = bd[o];
-      float a1 = bd[o + 1];
-      float a2 = bd[o + 2];
-      float a3 = bd[o + 3];
-      for (std::size_t i = 0; i < in_; ++i) {
-        const float xi = xr[i];
-        a0 += w0[i] * xi;
-        a1 += w1[i] * xi;
-        a2 += w2[i] * xi;
-        a3 += w3[i] * xi;
+  const float* xd = x.data().data();
+  const float* wd = weight_.value.data().data();
+  const float* bd = bias_.value.data().data();
+  float* yd = y.data().data();
+  const std::size_t work = batch * in_ * out_;
+  if (batch >= kMinLaneBatch) {
+    // Batch-lane form: yT[o, :] = bias[o], then += W[o, i] · xT[i, :] for i
+    // ascending on the row kernel, over the input transposed to [in, batch].
+    // Every y[b, o] adds the dot form's products in the dot form's order;
+    // the row kernel's skipped w == 0 terms are exact no-ops under the
+    // contract in layers.h. Items are blocks of outputs.
+    std::vector<float> xt(in_ * batch);
+    std::vector<float> yt(out_ * batch);
+    transpose(batch, in_, xd, xt.data(), batch);
+    const BatchParallelFor& lanes = worth(executor_, work);
+    const std::size_t items = items_for(lanes, out_, work);
+    for_each_item(lanes, items, [&](std::size_t item) {
+      const Range o = part_of(out_, items, item);
+      for (std::size_t k = o.begin; k < o.end; ++k) {
+        std::fill_n(yt.data() + k * batch, batch, bd[k]);
       }
-      yr[o] = a0;
-      yr[o + 1] = a1;
-      yr[o + 2] = a2;
-      yr[o + 3] = a3;
-    }
-    for (; o < out_; ++o) {
-      const float* wr = wd.data() + o * in_;
-      float acc = bd[o];
-      for (std::size_t i = 0; i < in_; ++i) acc += wr[i] * xr[i];
-      yr[o] = acc;
-    }
-    if (act_ == Activation::kReLU) relu(yr, out_);
-  });
+      gemm_rows(o.end - o.begin, batch, in_, wd + o.begin * in_, in_, 1,
+                xt.data(), batch, yt.data() + o.begin * batch, batch);
+    });
+    transpose(out_, batch, yt.data(), yd, out_);
+    if (act_ == Activation::kReLU) relu(yd, y.numel());
+  } else {
+    // Dot form, register-blocked over 4 outputs: one load of xr[i] feeds 4
+    // independent add chains, hiding the add latency the single-accumulator
+    // loop is bound by. Each output still accumulates sequentially over i in
+    // one float, so results are bit-identical to the naive o-at-a-time loop
+    // (pinned by nn_batch_test). Items are batch rows.
+    for_each_item(worth(executor_, work), batch, [&](std::size_t b) {
+      const float* xr = xd + b * in_;
+      float* yr = yd + b * out_;
+      std::size_t o = 0;
+      for (; o + 4 <= out_; o += 4) {
+        const float* w0 = wd + o * in_;
+        const float* w1 = w0 + in_;
+        const float* w2 = w1 + in_;
+        const float* w3 = w2 + in_;
+        float a0 = bd[o];
+        float a1 = bd[o + 1];
+        float a2 = bd[o + 2];
+        float a3 = bd[o + 3];
+        for (std::size_t i = 0; i < in_; ++i) {
+          const float xi = xr[i];
+          a0 += w0[i] * xi;
+          a1 += w1[i] * xi;
+          a2 += w2[i] * xi;
+          a3 += w3[i] * xi;
+        }
+        yr[o] = a0;
+        yr[o + 1] = a1;
+        yr[o + 2] = a2;
+        yr[o + 3] = a3;
+      }
+      for (; o < out_; ++o) {
+        const float* wr = wd + o * in_;
+        float acc = bd[o];
+        for (std::size_t i = 0; i < in_; ++i) acc += wr[i] * xr[i];
+        yr[o] = acc;
+      }
+      if (act_ == Activation::kReLU) relu(yr, out_);
+    });
+  }
   if (act_ == Activation::kReLU) cached_output_ = y;
   return y;
 }
@@ -309,18 +364,37 @@ Tensor Linear::backward(const Tensor& grad_out) {
   const float* gd =
       through_epilogue(act_, cached_output_, grad_out, masked).data().data();
   Tensor dx({batch, in_});
+  const float* xd = cached_input_.data().data();
   const float* wd = weight_.value.data().data();
+  float* dwd = weight_.grad.data().data();
   float* dbd = bias_.grad.data().data();
+  float* dxd = dx.data().data();
   // dW[o, :] += Σ_b g[b, o] · x[b, :] and dx[b, :] += Σ_o g[b, o] · W[o, :]:
   // b ascending for every dW element, o ascending for every dx element, zero
   // gradients skipped — the order of the direct loop over (b, o). db adds the
-  // zero gradients too: exact no-ops on its +0-started sums.
-  gemm_rows(out_, in_, batch, gd, 1, out_, cached_input_.data().data(), in_,
-            weight_.grad.data().data(), in_);
-  gemm_rows(batch, in_, out_, gd, out_, 1, wd, in_, dx.data().data(), in_);
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t o = 0; o < out_; ++o) dbd[o] += gd[b * out_ + o];
-  }
+  // zero gradients too: exact no-ops on its +0-started sums. Items are blocks
+  // of dW rows, each with its db elements, then blocks of dx rows: each
+  // element's whole sum on one lane.
+  const std::size_t work = batch * in_ * out_;
+  const BatchParallelFor& lanes = worth(executor_, 2 * work);
+  const std::size_t dw_items = items_for(lanes, out_, work);
+  const std::size_t dx_items = items_for(lanes, batch, work);
+  for_each_item(lanes, dw_items + dx_items, [&](std::size_t item) {
+    if (item < dw_items) {
+      const Range o = part_of(out_, dw_items, item);
+      gemm_rows(o.end - o.begin, in_, batch, gd + o.begin, 1, out_, xd, in_,
+                dwd + o.begin * in_, in_);
+      for (std::size_t k = o.begin; k < o.end; ++k) {
+        float acc = dbd[k];
+        for (std::size_t b = 0; b < batch; ++b) acc += gd[b * out_ + k];
+        dbd[k] = acc;
+      }
+      return;
+    }
+    const Range b = part_of(batch, dx_items, item - dw_items);
+    gemm_rows(b.end - b.begin, in_, out_, gd + b.begin * out_, out_, 1, wd,
+              in_, dxd + b.begin * in_, in_);
+  });
   return dx;
 }
 
@@ -365,7 +439,6 @@ Tensor Conv2d::forward(const Tensor& x) {
   const std::size_t pixels = g.pixels();
   const std::size_t per_chunk = (kMinRowFloats + pixels - 1) / pixels;
   const std::size_t chunks = (batch + per_chunk - 1) / per_chunk;
-  const std::vector<std::size_t> offsets = g.tap_offsets();
   Tensor y({batch, out_ch_, g.ho, g.wo});
   const float* wd = weight_.value.data().data();
   const float* xd = x.data().data();
@@ -376,16 +449,16 @@ Tensor Conv2d::forward(const Tensor& x) {
   // (ic, ky, kx) order — the direct loop's order, plus w·0 terms at padding
   // taps, exact no-ops under the contract in layers.h. Then each sample's
   // columns go to y[b, oc, :] through the epilogue.
-  for_each_batch_row(chunks, [&](std::size_t c) {
+  const std::size_t work = batch * pixels * taps * out_ch_;
+  for_each_item(worth(executor_, work), chunks, [&](std::size_t c) {
     const std::size_t b0 = c * per_chunk;
     const std::size_t samples = std::min(per_chunk, batch - b0);
     const std::size_t n = samples * pixels;
     std::vector<float> col(taps * n);
     std::vector<float> sum(out_ch_ * n);
-    std::vector<float> padded;
+    Lowering lower(g, 0, taps);
     for (std::size_t s = 0; s < samples; ++s) {
-      lower(g, offsets, xd + (b0 + s) * in_ch_ * h * w,
-            col.data() + s * pixels, n, 1, padded);
+      lower(xd + (b0 + s) * in_ch_ * h * w, col.data() + s * pixels, n, 1);
     }
     for (std::size_t oc = 0; oc < out_ch_; ++oc) {
       std::fill_n(sum.data() + oc * n, n, bias_.value[oc]);
@@ -427,40 +500,86 @@ Tensor Conv2d::backward_pass(const Tensor& grad_out, bool input_grad) {
   float* dwd = weight_.grad.data().data();
   float* dbd = bias_.grad.data().data();
 
-  // db and dW: every element takes (b, oy, ox) in ascending order, like the
-  // direct loop. dW runs the row kernel over the transposed lowering
-  // colT[pixel, tap], skipping zero gradients; db adds them (exact no-ops on
-  // its +0-started sums), so its out_ch chains run side by side.
-  std::vector<float> col(pixels * taps);
-  std::vector<float> padded;
-  const std::vector<std::size_t> offsets = g.tap_offsets();
-  for (std::size_t b = 0; b < batch; ++b) {
-    const float* gb = gd + b * out_plane;
-    for (std::size_t p = 0; p < pixels; ++p) {
-      for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-        dbd[oc] += gb[oc * pixels + p];
-      }
+  // One pass of work items, each owning whole sums: blocks of dW's columns,
+  // then blocks of dx's input positions, then db's channels. On the calling
+  // thread a pass is one dW block and one dx block.
+  //
+  // dW and db: every element takes (b, oy, ox) in ascending order, like the
+  // direct loop. A dW block runs the row kernel over the transposed lowering
+  // colT[pixel, tap] of its own columns, sample by sample, skipping zero
+  // gradients; db adds them (exact no-ops on its +0-started sums). A block
+  // accumulates into its own copy of its columns, so no two lanes write one
+  // cache line in the hot loop.
+  const std::size_t dw_work = batch * pixels * taps * out_ch_;
+  const std::size_t dx_work =
+      input_grad ? batch * in_plane * out_ch_ * kernel_ * kernel_ /
+                       (stride_ * stride_)
+                 : 0;
+  const BatchParallelFor& lanes = worth(executor_, dw_work + dx_work);
+  const std::size_t dw_items =
+      lanes ? std::max<std::size_t>(1, taps / kMinTapColumns) : 1;
+  const auto dw_block = [&](std::size_t item) {
+    const Range t = part_of(taps, dw_items, item);
+    const std::size_t width = t.end - t.begin;
+    std::vector<float> col(pixels * width);
+    std::vector<float> dw(out_ch_ * width);
+    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+      std::copy_n(dwd + oc * taps + t.begin, width, dw.data() + oc * width);
     }
-    lower(g, offsets, xd + b * in_plane, col.data(), 1, taps, padded);
-    gemm_rows(out_ch_, taps, pixels, gb, pixels, 1, col.data(), taps, dwd,
-              taps);
+    Lowering lower(g, t.begin, t.end);
+    for (std::size_t b = 0; b < batch; ++b) {
+      lower(xd + b * in_plane, col.data(), 1, width);
+      gemm_rows(out_ch_, width, pixels, gd + b * out_plane, pixels, 1,
+                col.data(), width, dw.data(), width);
+    }
+    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+      std::copy_n(dw.data() + oc * width, width, dwd + oc * taps + t.begin);
+    }
+  };
+  const auto db_channel = [&](std::size_t oc) {
+    float acc = dbd[oc];
+    for (std::size_t b = 0; b < batch; ++b) {
+      const float* gb = gd + b * out_plane + oc * pixels;
+      for (std::size_t p = 0; p < pixels; ++p) acc += gb[p];
+    }
+    dbd[oc] = acc;
+  };
+  if (!input_grad) {
+    for_each_item(lanes, dw_items + out_ch_, [&](std::size_t item) {
+      if (item < dw_items) {
+        dw_block(item);
+      } else {
+        db_channel(item - dw_items);
+      }
+    });
+    return {};
   }
-  if (!input_grad) return {};
 
-  // dx over batch-minor copies, samples in the SIMD lanes: one row per input
+  // dx over batch-minor rows, samples in the SIMD lanes: one row per input
   // element, fed (oc, ky↓, kx↓). For a fixed element, descending (ky, kx) is
   // ascending (oy, ox), so it takes (oc, oy, ox) in the direct loop's order;
   // the g·w terms with g == 0 that loop skipped add exact zeros to a
-  // +0-started accumulator.
+  // +0-started accumulator. A block of whole 16-position runs (iy, ix)
+  // computes its rows for every channel, then transposes them into dx.
   std::vector<float> gt(batch * out_plane);
-  std::vector<float> dxt(batch * in_plane, 0.0f);
-  transpose(batch, out_plane, gd, gt.data());
+  transpose(batch, out_plane, gd, gt.data(), batch);
   const std::vector<std::size_t> oy_of = g.readers(h, g.ho);
   const std::vector<std::size_t> ox_of = g.readers(w, g.wo);
-  for (std::size_t iy = 0; iy < h; ++iy) {
-    for (std::size_t ix = 0; ix < w; ++ix) {
+  Tensor dx({batch, in_ch_, h, w});
+  float* dxd = dx.data().data();
+  const std::size_t positions = h * w;
+  const std::size_t runs = (positions + kPositionRun - 1) / kPositionRun;
+  const std::size_t dx_items = items_for(lanes, runs, dx_work);
+  const auto dx_block = [&](std::size_t item) {
+    const Range r = part_of(runs, dx_items, item);
+    const std::size_t q0 = r.begin * kPositionRun;
+    const std::size_t n = std::min(positions, r.end * kPositionRun) - q0;
+    std::vector<float> rows(in_ch_ * n * batch, 0.0f);  // [ic, pos, batch]
+    for (std::size_t pos = q0; pos < q0 + n; ++pos) {
+      const std::size_t iy = pos / w;
+      const std::size_t ix = pos % w;
       for (std::size_t ic = 0; ic < in_ch_; ++ic) {
-        RowKernel row(dxt.data() + ((ic * h + iy) * w + ix) * batch, batch);
+        RowKernel row(rows.data() + (ic * n + pos - q0) * batch, batch);
         for (std::size_t oc = 0; oc < out_ch_; ++oc) {
           const float* wk = wd + (oc * in_ch_ + ic) * kernel_ * kernel_;
           for (std::size_t ky = kernel_; ky-- > 0;) {
@@ -477,9 +596,20 @@ Tensor Conv2d::backward_pass(const Tensor& grad_out, bool input_grad) {
         row.flush();
       }
     }
-  }
-  Tensor dx({batch, in_ch_, h, w});
-  transpose(in_plane, batch, dxt.data(), dx.data().data());
+    for (std::size_t ic = 0; ic < in_ch_; ++ic) {
+      transpose(n, batch, rows.data() + ic * n * batch,
+                dxd + ic * positions + q0, in_plane);
+    }
+  };
+  for_each_item(lanes, dw_items + dx_items + out_ch_, [&](std::size_t item) {
+    if (item < dw_items) {
+      dw_block(item);
+    } else if (item < dw_items + dx_items) {
+      dx_block(item - dw_items);
+    } else {
+      db_channel(item - dw_items - dx_items);
+    }
+  });
   return dx;
 }
 
@@ -530,6 +660,11 @@ void Sequential::backward_params(const Tensor& grad_out) {
   Tensor g = grad_out;
   for (std::size_t i = layers_.size(); i-- > 1;) g = layers_[i]->backward(g);
   if (!layers_.empty()) layers_.front()->backward_params(g);
+}
+
+void Sequential::set_executor(BatchParallelFor executor) {
+  for (auto& layer : layers_) layer->set_executor(executor);
+  Module::set_executor(std::move(executor));
 }
 
 std::vector<Parameter*> Sequential::parameters() {

@@ -10,11 +10,15 @@
 // Numerics contract. Conv2d lowers its input (im2col, from a zero-padded
 // copy of each sample) onto one row kernel, C[m, :] += A[m, k] · B[k, :]
 // with SIMD lanes across the row, never across k; Linear's backward runs the
-// same kernel and Linear's forward keeps its dot form. Conv2d's forward
-// lowers ceil(256 / pixels) samples side by side, so each row holds at least
-// 256 floats; no column mixes with another, so the chunking changes no bits.
+// same kernel. Linear's forward runs it too from batch 8 up, over the input
+// transposed to [in, batch] so the batch sits in the SIMD lanes (y[b, o] =
+// bias[o], then W[o, i]·x[b, i] for i ascending, the dot form's order), and
+// keeps its dot form below that (batch-1 collection forwards). Conv2d's
+// forward lowers ceil(256 / pixels) samples side by side, so each row holds
+// at least 256 floats; no column mixes with another, so the chunking changes
+// no bits.
 //
-// Conv2d's forward and backward equal the direct loops kept in
+// Conv2d's and Linear's forward and backward equal the direct loops kept in
 // tests/nn_oracle.h bit for bit for finite values: every output and gradient
 // element adds the same products in the same order into its own float (the
 // bias, then the taps in (ic, ky, kx) order). Where the two differ in which
@@ -31,10 +35,18 @@
 // backward_params() accumulates bit for bit the parameter gradients
 // backward() would, and may skip the input gradient.
 //
-// Backward passes are serial; forward passes fan rows (Linear) or sample
-// chunks (Conv2d) out over the batch executor below, which changes no bits.
-// src/nn is compiled with -ffp-contract=off, so no product and sum are fused
-// into one rounding.
+// Threading. Every pass cuts its work into items that each own whole sums,
+// and runs them on the module's executor (below), one dispatch per pass:
+// forward by output blocks (Linear's batch-lane form), batch rows (its dot
+// form) or sample chunks (Conv2d); Linear's backward by blocks of dW rows,
+// each with its db elements, and blocks of dx rows; Conv2d's backward by
+// blocks of dW columns (each lowering the samples' taps it needs into its
+// own scratch), blocks of 16-position runs of dx, and db channels. Each
+// element's whole sum runs on one lane in the serial order, so results do
+// not depend on the lane count, the partition, or the schedule; never are
+// per-lane partial sums of one element reduced afterwards. Passes too small
+// to pay for a dispatch run on the calling thread. src/nn is compiled with
+// -ffp-contract=off, so no product and sum are fused into one rounding.
 #pragma once
 
 #include <functional>
@@ -47,27 +59,28 @@
 
 namespace rlplan::nn {
 
-/// Executor signature for fanning a batch dimension out over worker threads:
-/// must call fn(i) exactly once for every i in [0, n) and return only when
-/// all calls have finished (parallel::ThreadPool::parallel_for satisfies it).
+/// Executor for fanning independent work items out over lanes: must call
+/// fn(i) exactly once for every i in [0, n), return only when all calls have
+/// finished, and bring an exception from fn back to its caller
+/// (parallel::ThreadPool::parallel_for does all three). Each layer holds its
+/// own, set by the layer's owner (Module::set_executor); it refers to lanes
+/// the owner keeps alive and serves one pass at a time. An empty executor
+/// runs every item on the calling thread.
 using BatchParallelFor =
     std::function<void(std::size_t n, const std::function<void(std::size_t)>&)>;
 
-/// Installs (or, with nullptr, removes) the process-wide batch executor used
-/// by Linear/Conv2d forward passes over more than one batch row (Linear) or
-/// sample chunk (Conv2d). Rows of a batch are
-/// arithmetically independent in these layers, so outputs are bit-identical
-/// with or without an executor — this is a pure throughput knob. Backward
-/// passes stay serial (parameter gradients accumulate across the batch).
-/// Not thread-safe: install before training, from one thread — concurrent
-/// training sessions in one process must not overlap their installations.
-/// A multi-replica rl::TrainingSession installs its pool around each epoch
-/// and restores the previous executor afterwards (LIFO nesting is safe).
-void set_batch_parallel_for(BatchParallelFor executor);
-
-/// As set_batch_parallel_for, returning the previously installed executor so
-/// callers can restore it (used by the session for LIFO save/restore).
-BatchParallelFor exchange_batch_parallel_for(BatchParallelFor executor);
+/// Calls fn(i) for every i in [0, n): through `executor` when one is set and
+/// there is more than one item, in index order on the calling thread
+/// otherwise. A template, so the serial path (notably batch-1 action
+/// forwards) never pays for a std::function wrap.
+template <typename Fn>
+void for_each_item(const BatchParallelFor& executor, std::size_t n, Fn&& fn) {
+  if (n > 1 && executor) {
+    executor(n, std::function<void(std::size_t)>(fn));
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) fn(i);
+}
 
 /// Optional elementwise epilogue of Linear and Conv2d, applied to the
 /// finished sum (bias plus every product).
@@ -102,6 +115,15 @@ class Module {
   virtual std::vector<Parameter*> parameters() { return {}; }
 
   void zero_grad();
+
+  /// The executor this module's forward and backward passes fan out over
+  /// (empty = serial, the default); Sequential passes it to every layer.
+  virtual void set_executor(BatchParallelFor executor) {
+    executor_ = std::move(executor);
+  }
+
+ protected:
+  BatchParallelFor executor_;
 };
 
 /// y = act(x W^T + b), W: [out, in].
@@ -186,6 +208,7 @@ class Sequential : public Module {
   /// backward_params().
   void backward_params(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
+  void set_executor(BatchParallelFor executor) override;
 
   std::size_t size() const { return layers_.size(); }
 

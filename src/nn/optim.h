@@ -26,7 +26,14 @@ class Adam {
   Adam(std::vector<Parameter*> params, AdamConfig config = {});
 
   /// Applies one update from the accumulated gradients. Does NOT zero grads.
+  /// Elementwise, so blocks of elements may run on any lanes of the
+  /// executor with the same bits.
   void step();
+
+  /// The executor step() fans blocks of elements out over (empty = serial).
+  void set_executor(BatchParallelFor executor) {
+    executor_ = std::move(executor);
+  }
 
   void zero_grad();
   void set_lr(float lr) { config_.lr = lr; }
@@ -60,10 +67,15 @@ class Adam {
   AdamConfig config_;
   std::vector<Tensor> m_, v_;
   long t_ = 0;
+  BatchParallelFor executor_;
 };
 
 /// Rescales all grads so their global L2 norm is at most `max_norm`.
-/// Returns the pre-clip norm.
-double clip_grad_norm(const std::vector<Parameter*>& params, double max_norm);
+/// Returns the pre-clip norm. Each tensor's squared norm may run on its own
+/// lane of `executor`, and the rescale on blocks of elements; the tensors'
+/// sums add in parameter order, so the result has the same bits for any
+/// executor.
+double clip_grad_norm(const std::vector<Parameter*>& params, double max_norm,
+                      const BatchParallelFor& executor = {});
 
 }  // namespace rlplan::nn

@@ -8,9 +8,9 @@
 //
 //   while any slot is live:
 //     1. gather the [B, C, G, G] observations of the B live slots
-//     2. ONE batched PolicyValueNet forward (batch-parallelized over rows
-//        through the thread pool when one is installed — see
-//        nn::set_batch_parallel_for)
+//     2. ONE batched PolicyValueNet forward (fanned out over the executor
+//        the net's owner set on it — see PolicyValueNet::set_executor; a
+//        TrainingSession sets one over its pool)
 //     3. per slot: masked-categorical sample with the slot's own RNG stream
 //     4. step all B slots — concurrently via ThreadPool::parallel_for when a
 //        pool is given (parallelizing the episode-end reward evaluation:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "robust/fault.h"
@@ -38,22 +40,39 @@ std::size_t ThreadPool::hardware_threads() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-void ThreadPool::run_indices() {
+void ThreadPool::run_indices(Call& call) {
   const std::uint64_t t0 = now_ns();
-  std::uint64_t executed = 0;
   for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n_) break;
-    (*fn_)(i);
-    ++executed;
+    const std::size_t i = call.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= call.n) break;
+    std::size_t finished = 1;
+    try {
+      (*call.fn)(i);
+    } catch (...) {
+      // No index starts after this one: those never handed out count as
+      // finished, so the caller still sees all n.
+      const std::size_t handed = call.next.exchange(call.n);
+      if (handed < call.n) finished += call.n - handed;
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!call.error) call.error = std::current_exception();
+    }
+    // Counted before the index is published as finished, so the count is
+    // exact once parallel_for returns.
+    tasks_.fetch_add(1, std::memory_order_relaxed);
+    if (call.finished.fetch_add(finished, std::memory_order_acq_rel) +
+            finished ==
+        call.n) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      done_.notify_all();
+    }
   }
   busy_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
-  tasks_.fetch_add(executed, std::memory_order_relaxed);
 }
 
 void ThreadPool::worker_loop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
+    std::shared_ptr<Call> call;
     {
       const std::uint64_t wait_t0 = now_ns();
       std::unique_lock<std::mutex> lock(mutex_);
@@ -63,18 +82,23 @@ void ThreadPool::worker_loop() {
       idle_ns_.fetch_add(now_ns() - wait_t0, std::memory_order_relaxed);
       if (stop_) return;
       seen_generation = generation_;
+      call = call_;
     }
-    run_indices();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--remaining_workers_ == 0) done_.notify_one();
-    }
+    run_indices(*call);
   }
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
+  if (in_call_.exchange(true, std::memory_order_acquire)) {
+    throw std::logic_error(
+        "ThreadPool::parallel_for: another call on this pool is in flight");
+  }
+  struct EndCall {
+    std::atomic<bool>& in_call;
+    ~EndCall() { in_call.store(false, std::memory_order_release); }
+  } end_call{in_call_};
   calls_.fetch_add(1, std::memory_order_relaxed);
   std::size_t peak = peak_depth_.load(std::memory_order_relaxed);
   while (n > peak && !peak_depth_.compare_exchange_weak(
@@ -98,21 +122,25 @@ void ThreadPool::parallel_for(std::size_t n,
                              static_cast<double>(dt) / 1e3);
     return;
   }
+  const auto call = std::make_shared<Call>();
+  call->fn = &fn;
+  call->n = n;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    fn_ = &fn;
-    n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    remaining_workers_ = workers_.size();
+    call_ = call;
     ++generation_;
   }
   wake_.notify_all();
-  run_indices();  // the caller is a lane too
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_.wait(lock, [&] { return remaining_workers_ == 0; });
-  fn_ = nullptr;
+  run_indices(*call);  // the caller is a lane too
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [&] {
+      return call->finished.load(std::memory_order_acquire) == n;
+    });
+  }
   RLPLAN_HISTOGRAM_OBSERVE("pool.parallel_for_us",
                            static_cast<double>(now_ns() - call_t0) / 1e3);
+  if (call->error) std::rethrow_exception(call->error);
 }
 
 ThreadPoolStats ThreadPool::stats() const {

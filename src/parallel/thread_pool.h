@@ -5,7 +5,10 @@
 // only primitive is parallel_for(n, fn), which wakes the workers once per
 // call and then distributes indices through a single atomic counter. Workers
 // take the mutex only to sleep/wake between calls; inside a call the hot
-// path is one fetch_add per index.
+// path is one fetch_add per index. A call returns once its last index has
+// finished, without waiting for workers that never woke in time to take
+// one: on a shared host a descheduled worker would otherwise stall every
+// call.
 //
 // parallel_for(0-based index) may run fn concurrently from multiple threads;
 // fn must only touch per-index state. Results are independent of the thread
@@ -16,13 +19,22 @@
 // calling thread. A pool built with 0 or 1 runs everything inline on the
 // caller thread (no worker threads are spawned), so `num_threads = 1` is
 // exactly the serial code path.
+//
+// A pool serves one parallel_for at a time: a second call that starts while
+// one is in flight — from another thread, or from inside fn — throws
+// std::logic_error instead of overwriting the first call's state. An
+// exception thrown by fn stops the call from handing out further indices and
+// is rethrown on the caller once every lane has returned; the pool stays
+// usable.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -31,7 +43,8 @@ namespace rlplan::parallel {
 
 /// Lifetime totals for one pool; see ThreadPool::stats(). Counters are exact
 /// (every index is executed exactly once, so `tasks_executed` across a burst
-/// of parallel_for(n) calls is the sum of the n's). busy/idle seconds
+/// of parallel_for(n) calls is the sum of the n's; a call stopped by an
+/// exception counts the indices that ran). busy/idle seconds
 /// overlap across lanes: with W workers plus the caller, a fully utilized
 /// pool accrues ~(W+1)× wall time of busy_seconds.
 struct ThreadPoolStats {
@@ -58,23 +71,37 @@ class ThreadPool {
 
   /// Calls fn(i) for every i in [0, n), possibly concurrently. Blocks until
   /// all n calls have returned. The caller thread participates, so the pool
-  /// contributes size()+1 lanes of execution. Exceptions thrown by fn
-  /// terminate (fn is expected to be noexcept in spirit; environment errors
-  /// are programming errors on this path).
+  /// contributes size()+1 lanes of execution. When fn throws, no further
+  /// index starts, and the first exception is rethrown here once every lane
+  /// has returned. Throws std::logic_error, running nothing, when another
+  /// parallel_for on this pool is in flight.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static std::size_t hardware_threads();
 
   /// Snapshot of lifetime totals (safe to call concurrently with
-  /// parallel_for; counters may lag an in-flight call). Also feeds the obs
+  /// parallel_for; counters may lag an in-flight call, and a worker's busy
+  /// and idle time may land just after the call it served returned; call and
+  /// task counts are exact once parallel_for returns). Also feeds the obs
   /// gauges ("pool.queue_depth", "pool.tasks", "pool.parallel_for_us") when
   /// metrics are enabled.
   ThreadPoolStats stats() const;
 
  private:
+  /// One parallel_for's state, shared with the workers that take part. A
+  /// worker that wakes after the last index has been handed out finds none
+  /// left and never calls fn, so the call may return before it wakes.
+  struct Call {
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::size_t n = 0;
+    std::atomic<std::size_t> next{0};      ///< the next index to hand out
+    std::atomic<std::size_t> finished{0};  ///< run, or skipped after a throw
+    std::exception_ptr error;  ///< first exception fn threw (under mutex_)
+  };
+
   void worker_loop();
-  void run_indices();
+  void run_indices(Call& call);
 
   std::vector<std::thread> workers_;
 
@@ -89,14 +116,10 @@ class ThreadPool {
   std::condition_variable wake_;
   std::condition_variable done_;
 
-  // State of the in-flight parallel_for (guarded by mutex_ for the
-  // sleep/wake transitions; next_ is the lock-free hot path).
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t n_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::size_t remaining_workers_ = 0;  ///< workers still inside run_indices()
-  std::uint64_t generation_ = 0;       ///< bumped per parallel_for call
+  std::shared_ptr<Call> call_;        ///< the latest call (under mutex_)
+  std::uint64_t generation_ = 0;      ///< bumped per call (under mutex_)
   bool stop_ = false;
+  std::atomic<bool> in_call_{false};  ///< a parallel_for is in flight
 };
 
 }  // namespace rlplan::parallel

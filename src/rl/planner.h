@@ -56,9 +56,10 @@ struct RlPlannerConfig {
   /// default) steps the one replica on the caller thread; results are
   /// reproducible for every num_envs and independent of num_threads.
   std::size_t num_envs = 1;
-  /// Worker threads for env stepping and batched forwards when
-  /// num_envs > 1. 0 = min(num_envs, hardware threads). Changing
-  /// num_threads never changes the result, only the wall clock.
+  /// Lanes for env stepping (num_envs > 1), the batched forwards and the
+  /// PPO update (TrainingSessionConfig::num_threads). 0 = min(num_envs,
+  /// hardware threads). Changing num_threads never changes the result, only
+  /// the wall clock.
   std::size_t num_threads = 0;
   int epochs = 100;            ///< training epochs (collect+update cycles)
   double time_budget_s = 0.0;  ///< stop early when exceeded (0 = none)

@@ -66,6 +66,12 @@ std::vector<nn::Parameter*> PolicyValueNet::parameters() {
   return params;
 }
 
+void PolicyValueNet::set_executor(const nn::BatchParallelFor& executor) {
+  trunk_.set_executor(executor);
+  policy_head_.set_executor(executor);
+  value_head_.set_executor(executor);
+}
+
 void PolicyValueNet::zero_grad() {
   for (nn::Parameter* p : parameters()) p->grad.fill(0.0f);
 }

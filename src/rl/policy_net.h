@@ -54,6 +54,11 @@ class PolicyValueNet {
   std::vector<nn::Parameter*> parameters();
   void zero_grad();
 
+  /// The executor every layer's forward and backward fan out over (empty =
+  /// serial). It does not own its lanes: the caller keeps them alive while
+  /// it is set, and one pass at a time runs on them.
+  void set_executor(const nn::BatchParallelFor& executor);
+
   const PolicyNetConfig& config() const { return config_; }
   std::size_t num_actions() const { return config_.grid * config_.grid; }
 

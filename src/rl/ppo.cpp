@@ -42,6 +42,13 @@ PpoCore::PpoCore(PolicyNetConfig net_config, PpoConfig config,
   }
 }
 
+void PpoCore::set_executor(const nn::BatchParallelFor& executor) {
+  executor_ = executor;
+  net_.set_executor(executor);
+  optimizer_.set_executor(executor);
+  if (rnd_) rnd_->set_executor(executor);
+}
+
 void PpoCore::record_episode_reward(double reward) {
   // Welford running mean/M2 for reward normalization in update().
   ++rew_n_;
@@ -129,7 +136,14 @@ void PpoCore::update(RolloutBuffer& buffer, TrainStats& stats) {
         nn::Tensor grad_value({count, std::size_t{1}});
         const float inv_count = 1.0f / static_cast<float>(count);
 
-        for (std::size_t b = 0; b < count; ++b) {
+        // Per sample: its gradient rows and its loss terms, each in its own
+        // slot, so samples may run on any lanes; the sums below add the
+        // terms in sample order.
+        struct SampleTerms {
+          double policy_loss, kl, entropy, value_loss;
+        };
+        std::vector<SampleTerms> terms(count);
+        const auto sample_row = [&](std::size_t b) {
           const Transition& tr = buffer.step(order[start + b]);
           const float adv = buffer.advantages()[order[start + b]];
           const float ret = buffer.returns()[order[start + b]];
@@ -145,9 +159,9 @@ void PpoCore::update(RolloutBuffer& buffer, TrainStats& stats) {
           const float unclipped = ratio * adv;
           const float clipped =
               std::clamp(ratio, 1.0f - config_.clip, 1.0f + config_.clip) * adv;
-          policy_loss_sum += -std::min(unclipped, clipped);
-          kl_sum += tr.log_prob - logp_new;
-          entropy_sum += entropy;
+          terms[b].policy_loss = -std::min(unclipped, clipped);
+          terms[b].kl = tr.log_prob - logp_new;
+          terms[b].entropy = entropy;
 
           // d(-min)/dlogp_new: zero when the clipped branch is active.
           float dl_dlogp = 0.0f;
@@ -174,9 +188,16 @@ void PpoCore::update(RolloutBuffer& buffer, TrainStats& stats) {
 
           // Value head: vf_coef * (v - ret)^2, mean over batch.
           const float v = out.value.at(b, 0);
-          value_loss_sum += static_cast<double>(v - ret) * (v - ret);
+          terms[b].value_loss = static_cast<double>(v - ret) * (v - ret);
           grad_value.at(b, 0) =
               config_.vf_coef * 2.0f * (v - ret) * inv_count;
+        };
+        nn::for_each_item(executor_, count, sample_row);
+        for (const SampleTerms& t : terms) {
+          policy_loss_sum += t.policy_loss;
+          kl_sum += t.kl;
+          entropy_sum += t.entropy;
+          value_loss_sum += t.value_loss;
         }
 
         net_.zero_grad();
@@ -189,8 +210,8 @@ void PpoCore::update(RolloutBuffer& buffer, TrainStats& stats) {
                 std::numeric_limits<float>::quiet_NaN();
           }
         }
-        grad_norm_sum +=
-            nn::clip_grad_norm(net_.parameters(), config_.max_grad_norm);
+        grad_norm_sum += nn::clip_grad_norm(
+            net_.parameters(), config_.max_grad_norm, executor_);
         optimizer_.step();
 
         sample_count += count;

@@ -101,6 +101,13 @@ class PpoCore {
 
   PolicyValueNet& net() { return net_; }
   const PpoConfig& config() const { return config_; }
+
+  /// The executor the net's passes, the RND nets, Adam, gradient clipping
+  /// and the update's per-sample rows fan out over (empty = serial). Every
+  /// element keeps its whole sum on one lane in the serial order, and the
+  /// loss sums add in sample order, so no result depends on it. It does not
+  /// own its lanes: the caller keeps them alive while it is set.
+  void set_executor(const nn::BatchParallelFor& executor);
   long optimizer_steps() const { return optimizer_.step_count(); }
 
   /// Folds one terminal episode reward into the running normalizer
@@ -172,6 +179,7 @@ class PpoCore {
   double rew_m2_ = 0.0;
   long rew_n_ = 0;
   long nan_skips_ = 0;  ///< updates rolled back by the NaN guard
+  nn::BatchParallelFor executor_;
 };
 
 }  // namespace rlplan::rl

@@ -43,6 +43,12 @@ RndBonus::RndBonus(std::size_t channels_in, std::size_t grid, RndConfig config,
       optimizer_(predictor_.parameters(),
                  nn::AdamConfig{.lr = config.predictor_lr}) {}
 
+void RndBonus::set_executor(const nn::BatchParallelFor& executor) {
+  target_.set_executor(executor);
+  predictor_.set_executor(executor);
+  optimizer_.set_executor(executor);
+}
+
 nn::Tensor RndBonus::embed_target(const nn::Tensor& batch) {
   // The target is frozen: forward only, gradients never consumed.
   return target_.forward(batch);

@@ -46,6 +46,10 @@ class RndBonus {
 
   std::size_t embed_dim() const { return config_.embed_dim; }
 
+  /// The executor both encoders and the predictor's Adam fan out over
+  /// (empty = serial); see PolicyValueNet::set_executor.
+  void set_executor(const nn::BatchParallelFor& executor);
+
   /// Raw (unnormalized) prediction error for diagnostics/tests.
   double raw_error(const nn::Tensor& state);
 

@@ -39,31 +39,13 @@ std::string rng_record(const std::string& tag, std::size_t j,
                        : tag + ".rng." + std::to_string(j);
 }
 
-/// Installs `pool` (when non-null) as the nn batch executor for its
-/// lifetime, so every forward of an epoch — rollout batches and PPO
-/// minibatches — fans its batch rows out over the workers, and restores the
-/// previous executor on exit (LIFO). Row-wise arithmetic is untouched, so
-/// results stay bit-identical.
-class ScopedBatchExecutor {
- public:
-  explicit ScopedBatchExecutor(parallel::ThreadPool* pool) : pool_(pool) {
-    if (pool_ == nullptr) return;
-    previous_ = nn::exchange_batch_parallel_for(
-        [pool](std::size_t count,
-               const std::function<void(std::size_t)>& fn) {
-          pool->parallel_for(count, fn);
-        });
-  }
-  ~ScopedBatchExecutor() {
-    if (pool_ != nullptr) nn::set_batch_parallel_for(std::move(previous_));
-  }
-  ScopedBatchExecutor(const ScopedBatchExecutor&) = delete;
-  ScopedBatchExecutor& operator=(const ScopedBatchExecutor&) = delete;
-
- private:
-  parallel::ThreadPool* pool_;
-  nn::BatchParallelFor previous_;
-};
+/// An executor over `pool`'s lanes, or none when it has no workers.
+nn::BatchParallelFor executor_over(parallel::ThreadPool* pool) {
+  if (pool == nullptr || pool->size() == 0) return {};
+  return [pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
+    pool->parallel_for(n, fn);
+  };
+}
 
 }  // namespace
 
@@ -106,13 +88,14 @@ TrainingSession::TrainingSession(TrainingSessionConfig config,
     }
   }
 
-  if (config_.num_envs > 1) {
-    const std::size_t threads =
-        config_.num_threads > 0
-            ? config_.num_threads
-            : std::min(config_.num_envs,
-                       parallel::ThreadPool::hardware_threads());
-    pool_ = std::make_unique<parallel::ThreadPool>(threads);
+  const std::size_t lanes =
+      config_.num_threads > 0
+          ? config_.num_threads
+          : std::min(config_.num_envs,
+                     parallel::ThreadPool::hardware_threads());
+  if (config_.num_envs > 1 || lanes > 1) {
+    pool_ = std::make_unique<parallel::ThreadPool>(lanes);
+    core_.set_executor(executor_over(pool_.get()));
   }
 
   runtimes_.reserve(tasks_.size());
@@ -154,7 +137,7 @@ void TrainingSession::consider_best(TaskRuntime& rt,
   }
 }
 
-TrainStats TrainingSession::train_epoch() {
+TrainStats TrainingSession::train_epoch(parallel::ThreadPool* update_lanes) {
   // Epoch-granularity stop: return before consuming any stream (curriculum
   // pick included), so a stopped session checkpoints exactly the state of
   // its last completed epoch.
@@ -192,7 +175,6 @@ TrainStats TrainingSession::train_epoch() {
   TrainStats stats;
   stats.scenario = tasks_[ti].name;
   buffer_.clear();
-  const ScopedBatchExecutor executor(pool_.get());
   // Clamp before the size_t conversion: a (mis)configured negative episode
   // count must mean "collect nothing", not 2^64.
   const auto episodes = static_cast<std::size_t>(
@@ -244,7 +226,26 @@ TrainStats TrainingSession::train_epoch() {
     core_.fill_intrinsic(buffer_);
     RLPLAN_TRACE_SPAN("rl.update",
                       static_cast<std::int64_t>(buffer_.steps().size()));
-    core_.update(buffer_, stats);
+    parallel::ThreadPool* lanes =
+        update_lanes != nullptr ? update_lanes : pool_.get();
+    if (lanes == nullptr || lanes->size() == 0) {
+      RLPLAN_COUNTER_INC("rl.update.serial");
+      core_.update(buffer_, stats);
+    } else {
+      RLPLAN_COUNTER_INC("rl.update.lent");
+      // Nested in rl.update, so a trace shows which updates ran on lanes.
+      RLPLAN_TRACE_SPAN("rl.update.lent",
+                        static_cast<std::int64_t>(lanes->size() + 1));
+      // Lent lanes serve this update only; the session's own executor comes
+      // back afterwards, also when the update throws.
+      core_.set_executor(executor_over(lanes));
+      struct Restore {
+        PpoCore& core;
+        parallel::ThreadPool* own;
+        ~Restore() { core.set_executor(executor_over(own)); }
+      } restore{core_, pool_.get()};
+      core_.update(buffer_, stats);
+    }
   }
   if (obs::metrics_enabled()) {
     // Dynamic name => registered through the registry, not the static-cache

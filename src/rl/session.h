@@ -14,7 +14,8 @@
 //   TrainingSession: one VecEnv per task — num_envs replicas, replica 0 on
 //        |           the task's evaluator, replicas 1.. on clones, one
 //        |           action stream each — plus a ThreadPool when
-//        |           num_envs > 1
+//        |           num_envs > 1 or num_threads > 1, which steps the
+//        |           replicas and runs the net's passes and the update
 //        v
 //   train_epoch():  pick scenario (round-robin / sampled curriculum)
 //                   -> parallel::collect_episodes over the task's replicas
@@ -111,8 +112,11 @@ struct TrainingSessionConfig {
   /// Environment replicas per task, in [1, VecEnv::kMaxEnvs]. See
   /// RlPlannerConfig for the full semantics.
   std::size_t num_envs = 1;
-  /// Pool workers when num_envs > 1, at most VecEnv::kMaxEnvs;
-  /// 0 = min(num_envs, hardware).
+  /// Lanes of the session's own pool, at most VecEnv::kMaxEnvs; 0 =
+  /// min(num_envs, hardware). The pool, built when num_envs > 1 or this is
+  /// above 1, steps the replicas and runs the net's passes, both in
+  /// collection and in the PPO update. A session built with one lane can
+  /// still be lent a pool per update (train_epoch). Changes no result.
   std::size_t num_threads = 0;
   CurriculumMode curriculum = CurriculumMode::kRoundRobin;
   /// THE authoritative seed: every stream (net init, update shuffles, action
@@ -140,8 +144,11 @@ class TrainingSession {
   TrainingSession& operator=(const TrainingSession&) = delete;
 
   /// One collect + update cycle on the scenario the curriculum picks.
-  /// The returned stats carry that scenario's name.
-  TrainStats train_epoch();
+  /// The returned stats carry that scenario's name. `update_lanes`, when
+  /// given, is a pool lent for this epoch's PPO update in place of the
+  /// session's own (ScenarioRunner lends its spare lanes this way); it must
+  /// serve no other caller meanwhile. No result depends on it.
+  TrainStats train_epoch(parallel::ThreadPool* update_lanes = nullptr);
 
   int epochs_completed() const { return epochs_completed_; }
   long total_env_steps() const { return total_env_steps_; }
@@ -202,7 +209,7 @@ class TrainingSession {
 
   TrainingSessionConfig config_;
   std::vector<SessionTask> tasks_;
-  std::unique_ptr<parallel::ThreadPool> pool_;  ///< shared, num_envs > 1
+  std::unique_ptr<parallel::ThreadPool> pool_;  ///< see num_threads
   std::vector<std::unique_ptr<TaskRuntime>> runtimes_;
   PpoCore core_;
   RolloutBuffer buffer_;

@@ -7,6 +7,7 @@
 #include "bump/assigner.h"
 #include "core/reward.h"
 #include "obs/trace.h"
+#include "parallel/thread_pool.h"
 #include "rl/planner.h"  // first_fit_floorplan fallback
 #include "rl/session.h"
 #include "sa/tap25d.h"
@@ -130,13 +131,33 @@ struct RlLegOutcome {
   bool warm_saved = false;
 };
 
+/// The runner's spare lanes as one run sees them (see the lending rule in
+/// runner.h).
+struct SpareLanes {
+  std::unique_ptr<parallel::ThreadPool>& pool;  ///< guarded by `mutex`
+  std::mutex& mutex;
+  const std::atomic<int>& runs_in_flight;
+
+  /// The pool, locked through `lease` for one epoch, when the host has
+  /// lanes to spare, this run is the only one in flight and nobody holds
+  /// the pool; built at the first loan. Null otherwise.
+  parallel::ThreadPool* borrow(std::unique_lock<std::mutex>& lease) const {
+    const std::size_t spare = parallel::ThreadPool::hardware_threads() - 1;
+    if (spare < 2 || runs_in_flight.load() != 1) return nullptr;
+    lease = std::unique_lock<std::mutex>(mutex, std::try_to_lock);
+    if (!lease.owns_lock()) return nullptr;
+    if (!pool) pool = std::make_unique<parallel::ThreadPool>(spare);
+    return pool.get();
+  }
+};
+
 RlLegOutcome run_rl_leg(const systems::Scenario& scenario,
                         const ChipletSystem& system,
                         const thermal::FastThermalModel& model,
                         const thermal::LayerStack& stack,
                         const thermal::GridDims& truth_dims,
                         const robust::RunControl& control, bool warm_start,
-                        WarmStartCache& warm) {
+                        WarmStartCache& warm, const SpareLanes& spare) {
   // The RL leg drives the TrainingSession engine directly (the same engine
   // behind RlPlanner and tools/train.cpp): one single-scenario session over
   // the shared fast model, budgeted epochs, final greedy decode, then
@@ -181,7 +202,8 @@ RlLegOutcome run_rl_leg(const systems::Scenario& scenario,
   const Timer timer;
   LegResult& leg = out.leg;
   for (int epoch = 0; epoch < scenario.budget.rl_epochs; ++epoch) {
-    const rl::TrainStats stats = session.train_epoch();
+    std::unique_lock<std::mutex> lease;
+    const rl::TrainStats stats = session.train_epoch(spare.borrow(lease));
     if (stats.update_skipped) ++leg.skipped_updates;
     if (stats.stop_reason != robust::StopReason::kNone) {
       leg.stop_reason = stats.stop_reason;  // best-so-far from here on
@@ -278,9 +300,16 @@ ScenarioRunner::ScenarioRunner(const thermal::LayerStack& stack,
       models_(stack, config_.characterization),
       warm_(config_.warm_dir) {}
 
+ScenarioRunner::~ScenarioRunner() = default;
+
 ScenarioRunResult ScenarioRunner::run(const systems::Scenario& scenario,
                                       const RunOptions& opts) {
   RLPLAN_TRACE_SPAN("serve.run");
+  runs_in_flight_.fetch_add(1);
+  struct EndRun {
+    std::atomic<int>& in_flight;
+    ~EndRun() { in_flight.fetch_sub(1); }
+  } end_run{runs_in_flight_};
   ScenarioRunResult r;
   r.name = scenario.name;
   try {
@@ -305,9 +334,10 @@ ScenarioRunResult ScenarioRunner::run(const systems::Scenario& scenario,
     }
     if (scenario.budget.run_rl) {
       report_phase(opts, "rl");
-      RlLegOutcome rl = run_rl_leg(scenario, system, model, models_.stack(),
-                                   config_.truth_dims, control,
-                                   opts.warm_start, warm_);
+      RlLegOutcome rl = run_rl_leg(
+          scenario, system, model, models_.stack(), config_.truth_dims,
+          control, opts.warm_start, warm_,
+          {spare_lanes_, spare_lanes_mutex_, runs_in_flight_});
       r.rl = std::move(rl.leg);
       r.warm_loaded = rl.warm_loaded;
       r.warm_saved = rl.warm_saved;

@@ -12,15 +12,27 @@
 //
 // Determinism contract: a run is a pure function of (scenario, layer stack,
 // RunnerConfig, warm-start input). Every optimizer seed derives from the
-// scenario; SA and RL legs run serially on the calling thread; the batched
-// fast re-score runs pool-free. Timing fields (seconds, throughput) are the
-// only nondeterministic outputs. Cancellation/deadline only ever *shorten*
-// the same deterministic sequence (legs return best-so-far tagged with a
+// scenario; SA and RL legs run on the calling thread; the batched fast
+// re-score runs pool-free. Timing fields (seconds, throughput) are the only
+// nondeterministic outputs. Cancellation/deadline only ever *shorten* the
+// same deterministic sequence (legs return best-so-far tagged with a
 // StopReason), and warm starts are opt-in precisely because they change
 // results.
+//
+// Lending rule: the runner owns one pool of hardware_threads() − 1 lanes
+// (none below three hardware threads), built at its first loan. An RL leg
+// borrows it for an epoch's PPO update only while its run() is the runner's
+// only run in flight and nobody else holds the pool. So regress lanes and
+// busy serve workers never oversubscribe the cores, a lone job gets the
+// spare ones, one core stays free for the caller's other threads, and a
+// runner that runs no RL leg alone starts no thread. The update's results
+// do not depend on its lanes (rl/ppo.h), so lending changes no output.
 #pragma once
 
+#include <atomic>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,6 +43,10 @@
 #include "systems/scenario.h"
 #include "thermal/grid_model.h"
 #include "util/json.h"
+
+namespace rlplan::parallel {
+class ThreadPool;
+}  // namespace rlplan::parallel
 
 namespace rlplan::serve {
 
@@ -111,14 +127,18 @@ struct RunOptions {
 };
 
 /// The shared execution engine: owns the cross-request characterization
-/// cache and the warm-start checkpoint cache, and runs scenarios against
-/// them. Thread-safe: concurrent run() calls share the caches and nothing
-/// else (each call's optimizers, evaluator copies, and truth solver are
-/// call-local).
+/// cache, the warm-start checkpoint cache and the spare lanes, and runs
+/// scenarios against them. Thread-safe: concurrent run() calls share the
+/// caches and nothing else (each call's optimizers, evaluator copies, and
+/// truth solver are call-local; the spare lanes serve a run only while it
+/// runs alone).
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(const thermal::LayerStack& stack,
                           RunnerConfig config = {});
+  ~ScenarioRunner();
+  ScenarioRunner(const ScenarioRunner&) = delete;
+  ScenarioRunner& operator=(const ScenarioRunner&) = delete;
 
   /// Executes one scenario end to end. Never throws: failures land in
   /// ScenarioRunResult::error (matching regress's per-scenario isolation).
@@ -135,6 +155,10 @@ class ScenarioRunner {
   RunnerConfig config_;
   CharacterizationCache models_;
   WarmStartCache warm_;
+  /// Held by the RL epoch borrowing spare_lanes_, which it guards.
+  std::mutex spare_lanes_mutex_;
+  std::unique_ptr<parallel::ThreadPool> spare_lanes_;  ///< built at 1st loan
+  std::atomic<int> runs_in_flight_{0};
 };
 
 /// JSON row for one leg — the exact field set BENCH_regress.json has always

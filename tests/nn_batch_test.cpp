@@ -1,6 +1,6 @@
 // Batched forward correctness: a batch-B pass through the conv/linear path
-// must equal B independent single-sample passes, with and without the
-// batch-parallel executor installed.
+// must equal B independent single-sample passes, with and without an
+// executor set on the net.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -130,12 +130,12 @@ TEST(NnBatch, ParallelExecutorIsBitIdentical) {
   const rl::PolicyValueNet::Output serial = net.forward(batch);
 
   parallel::ThreadPool pool(4);
-  set_batch_parallel_for(
+  net.set_executor(
       [&pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
         pool.parallel_for(n, fn);
       });
   const rl::PolicyValueNet::Output threaded = net.forward(batch);
-  set_batch_parallel_for(nullptr);
+  net.set_executor({});
 
   ASSERT_TRUE(serial.logits.same_shape(threaded.logits));
   for (std::size_t i = 0; i < serial.logits.numel(); ++i) {
@@ -148,8 +148,9 @@ TEST(NnBatch, ParallelExecutorIsBitIdentical) {
 
 TEST(NnBatch, BackwardAcceptsBatchAfterBatchedForward) {
   // The training path: batched forward then batched backward with the
-  // executor installed must produce the same gradients as without it
-  // (backward stays serial by design; only forwards are fanned out).
+  // executor set must produce the same gradients as without it (backward
+  // partitions by output element, so each gradient element's whole sum stays
+  // on one lane in the serial order).
   rl::PolicyNetConfig config;
   config.channels_in = 6;
   config.grid = 8;
@@ -168,14 +169,14 @@ TEST(NnBatch, BackwardAcceptsBatchAfterBatchedForward) {
   }
 
   parallel::ThreadPool pool(3);
-  set_batch_parallel_for(
+  net.set_executor(
       [&pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
         pool.parallel_for(n, fn);
       });
   net.zero_grad();
   net.forward(batch);
   net.backward(grad_logits, grad_value);
-  set_batch_parallel_for(nullptr);
+  net.set_executor({});
 
   const auto params = net.parameters();
   ASSERT_EQ(params.size(), serial_grads.size());

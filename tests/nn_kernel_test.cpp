@@ -4,8 +4,10 @@
 // as the oracle's (so +0 and -0 count as different): over fuzzed shapes,
 // with and without a batch executor, with gradients accumulated across two
 // backward calls, and end to end through PolicyValueNet at grid 16, batch 64
-// and grid 8, batch 37. backward_params() must accumulate exactly the
-// parameter gradients of backward().
+// and grid 8, batch 37. The forward and backward passes partitioned over 1-4
+// lanes must match too, at odd shapes, batch 1 and batch 65.
+// backward_params() must accumulate exactly the parameter gradients of
+// backward().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,21 +66,12 @@ void copy_parameters(const std::vector<Parameter*>& from,
   }
 }
 
-/// Installs a batch executor over `pool` for its lifetime.
-class ScopedBatchExecutor {
- public:
-  explicit ScopedBatchExecutor(parallel::ThreadPool& pool)
-      : previous_(exchange_batch_parallel_for(
-            [&pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
-              pool.parallel_for(n, fn);
-            })) {}
-  ~ScopedBatchExecutor() { set_batch_parallel_for(std::move(previous_)); }
-  ScopedBatchExecutor(const ScopedBatchExecutor&) = delete;
-  ScopedBatchExecutor& operator=(const ScopedBatchExecutor&) = delete;
-
- private:
-  BatchParallelFor previous_;
-};
+/// An executor over `pool`'s lanes.
+BatchParallelFor executor_over(parallel::ThreadPool& pool) {
+  return [&pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
+    pool.parallel_for(n, fn);
+  };
+}
 
 /// Two rounds of forward (serial and through a 4-thread executor) and
 /// backward through `lib` and `ref`, which hold the same parameters, the
@@ -93,11 +86,9 @@ bool same_passes(Module& lib, Module& ref, std::vector<std::size_t> in_shape,
     const std::string tag = context + " round " + std::to_string(round);
     const Tensor x = sparse_tensor(in_shape, rng);
     const Tensor want = ref.forward(x);
-    Tensor pooled;
-    {
-      ScopedBatchExecutor executor(pool);
-      pooled = lib.forward(x);
-    }
+    lib.set_executor(executor_over(pool));
+    const Tensor pooled = lib.forward(x);
+    lib.set_executor({});
     const Tensor y = lib.forward(x);
     ok = same_bits(y, want, tag + " y") &&
          same_bits(pooled, want, tag + " pooled y");
@@ -300,6 +291,113 @@ TEST(NnKernelFuzz, BackwardParamsMatchesBackward) {
   }
 }
 
+/// Forward and backward through `lib` on executors over 1-4 lanes against
+/// `ref`, which holds the same parameters: every lane count runs two
+/// accumulating rounds from zeroed gradients and must match the oracle's y,
+/// dx and parameter gradients bit for bit.
+bool same_on_lanes(Module& lib, Module& ref,
+                   const std::vector<std::size_t>& in_shape, Rng& rng,
+                   const std::string& context) {
+  copy_parameters(lib.parameters(), ref.parameters());
+  std::vector<Tensor> xs, gs, ys, dxs;
+  ref.zero_grad();
+  for (int round = 0; round < 2; ++round) {
+    xs.push_back(sparse_tensor(in_shape, rng));
+    ys.push_back(ref.forward(xs.back()));
+    gs.push_back(sparse_tensor(ys.back().shape(), rng));
+    dxs.push_back(ref.backward(gs.back()));
+  }
+  for (std::size_t lanes = 1; lanes <= 4; ++lanes) {
+    parallel::ThreadPool pool(lanes);
+    lib.set_executor(executor_over(pool));
+    lib.zero_grad();
+    bool ok = true;
+    for (int round = 0; ok && round < 2; ++round) {
+      const std::string tag = context + " lanes " + std::to_string(lanes) +
+                              " round " + std::to_string(round);
+      ok = same_bits(lib.forward(xs[round]), ys[round], tag + " y") &&
+           same_bits(lib.backward(gs[round]), dxs[round], tag + " dx");
+    }
+    const auto got = lib.parameters();
+    const auto want = ref.parameters();
+    for (std::size_t k = 0; ok && k < got.size(); ++k) {
+      ok = same_bits(got[k]->grad, want[k]->grad,
+                     context + " lanes " + std::to_string(lanes) + " " +
+                         got[k]->name + " grad");
+    }
+    lib.set_executor({});
+    if (!ok) return false;
+  }
+  return true;
+}
+
+/// One fuzzed Conv2d and one fuzzed Linear, each with or without the ReLU
+/// epilogue, at batch 1, batch 65 or a batch in between, sized so that most
+/// passes split into several work items and dispatch over the lanes.
+bool partitioned_matches_oracle(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+  };
+  const auto batch_of = [&](std::uint64_t pick) -> std::size_t {
+    switch (pick % 3) {
+      case 0: return 1;
+      case 1: return 65;
+      default: return draw(2, 64);
+    }
+  };
+  const std::size_t in = draw(1, 11);
+  const std::size_t out = draw(1, 19);
+  const std::size_t kernel = draw(1, 5);
+  const std::size_t stride = draw(1, 3);
+  const std::size_t padding = draw(0, 2);
+  const auto smallest = static_cast<std::int64_t>(
+      kernel > 2 * padding ? kernel - 2 * padding : 1);
+  const std::size_t h = draw(smallest, smallest + 17);
+  const std::size_t w = draw(smallest, smallest + 17);
+  const std::size_t batch = batch_of(seed);
+  const bool conv_relu = rng.uniform() < 0.5;
+  const std::string context =
+      "PartitionedMatchesOracle seed=" + std::to_string(seed) + " in=" +
+      std::to_string(in) + " out=" + std::to_string(out) + " k=" +
+      std::to_string(kernel) + " s=" + std::to_string(stride) + " p=" +
+      std::to_string(padding) + " " + std::to_string(h) + "x" +
+      std::to_string(w) + " batch=" + std::to_string(batch) +
+      (conv_relu ? " relu" : "");
+  Conv2d conv(in, out, kernel, stride, padding, rng, "conv",
+              conv_relu ? Activation::kReLU : Activation::kNone);
+  Sequential conv_ref;
+  conv_ref.add(std::make_unique<oracle::Conv2d>(in, out, kernel, stride,
+                                                padding));
+  if (conv_relu) conv_ref.add(std::make_unique<oracle::ReLU>());
+  bool ok = same_on_lanes(conv, conv_ref, {batch, in, h, w}, rng, context);
+
+  const std::size_t lin_in = draw(1, 300);
+  const std::size_t lin_out = draw(1, 300);
+  const std::size_t lin_batch = batch_of(seed / 3);
+  const bool lin_relu = rng.uniform() < 0.5;
+  const std::string lin_context =
+      context + " linear " + std::to_string(lin_in) + "->" +
+      std::to_string(lin_out) + " batch=" + std::to_string(lin_batch) +
+      (lin_relu ? " relu" : "");
+  Linear linear(lin_in, lin_out, rng, "linear",
+                lin_relu ? Activation::kReLU : Activation::kNone);
+  Sequential linear_ref;
+  linear_ref.add(std::make_unique<oracle::Linear>(lin_in, lin_out));
+  if (lin_relu) linear_ref.add(std::make_unique<oracle::ReLU>());
+  ok = ok && same_on_lanes(linear, linear_ref, {lin_batch, lin_in}, rng,
+                           lin_context);
+  if (!ok) rlplan::testing::report_failure_seed("nn_kernel_test", context);
+  return ok;
+}
+
+TEST(NnKernelFuzz, PartitionedPassesMatchOracle) {
+  const int cases = 36 * fuzz_scale();
+  for (int k = 0; k < cases; ++k) {
+    if (!partitioned_matches_oracle(0x9A47ULL * 1000003ULL + k)) return;
+  }
+}
+
 /// PolicyValueNet's layer stack with oracle convolutions in place of
 /// nn::Conv2d and standalone oracle::ReLU modules in place of the epilogues;
 /// the Linear layers are the library's, without an epilogue.
@@ -333,15 +431,19 @@ struct OracleTwin {
   }
 };
 
-/// One forward and backward of PolicyValueNet against its oracle twin; the
-/// net's backward skips conv1's input gradient, the twin's computes it.
-void expect_policy_net_matches_twin(std::size_t grid, std::size_t batch) {
+/// One forward and backward of PolicyValueNet, on `lanes` lanes, against its
+/// oracle twin; the net's backward skips conv1's input gradient, the twin's
+/// computes it.
+void expect_policy_net_matches_twin(std::size_t grid, std::size_t batch,
+                                    std::size_t lanes = 1) {
   SCOPED_TRACE("grid " + std::to_string(grid) + " batch " +
                std::to_string(batch));
   rl::PolicyNetConfig config;
   config.grid = grid;
   Rng rng(0x7A1);
   rl::PolicyValueNet net(config, rng);
+  parallel::ThreadPool pool(lanes);
+  if (lanes > 1) net.set_executor(executor_over(pool));
   OracleTwin twin(config);
   copy_parameters(net.parameters(), twin.parameters());
 
@@ -382,6 +484,14 @@ void expect_policy_net_matches_twin(std::size_t grid, std::size_t batch) {
 TEST(NnKernel, PolicyNetMatchesOracleTwin) {
   expect_policy_net_matches_twin(16, 64);
   expect_policy_net_matches_twin(8, 37);
+}
+
+TEST(NnKernel, PolicyNetOnLanesMatchesOracleTwin) {
+  for (const std::size_t lanes : {2u, 3u, 4u}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    expect_policy_net_matches_twin(16, 64, lanes);
+    expect_policy_net_matches_twin(8, 65, lanes);
+  }
 }
 
 }  // namespace

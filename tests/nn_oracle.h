@@ -2,8 +2,8 @@
 // convolution loops the library ran before its lowered kernels, kept
 // verbatim; nn::Conv2d's forward and backward must match them bit for bit for
 // finite values (nn_kernel_test's differential fuzz and its PolicyValueNet
-// twin). Serial over the batch: the rows of a batch are independent, so the
-// library's batch executor changes nothing these loops would compute.
+// twin). Serial: the library's executors only split each pass into items
+// that own whole sums, so they change nothing these loops would compute.
 // oracle::Linear is the naive o-at-a-time loop nn::Linear's forward and
 // backward must equal bit for bit (its backward skips zero gradients, like
 // the direct convolution loop). oracle::ReLU is the standalone module the library ran before the ReLU

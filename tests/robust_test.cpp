@@ -500,6 +500,57 @@ TEST(PpoFaults, CleanEpochAfterRollbackStillTrains) {
   EXPECT_NE(clean.grad_norm, 0.0);
 }
 
+/// A session with the default net and minibatches of 64 and 8, so the
+/// update's passes and per-sample rows split over the lanes it is lent.
+rl::TrainingSession ppo_lane_session(const ChipletSystem& sys,
+                                     std::uint64_t seed) {
+  rl::TrainingSessionConfig config;
+  config.env.grid = 12;
+  config.ppo.episodes_per_update = 24;
+  config.ppo.update_epochs = 2;
+  config.seed = seed;
+  std::vector<rl::SessionTask> tasks;
+  tasks.push_back({"robust", &sys, std::make_unique<ProxyEvaluator>()});
+  return rl::TrainingSession(config, std::move(tasks));
+}
+
+std::vector<std::vector<float>> weights(rl::TrainingSession& session) {
+  std::vector<std::vector<float>> out;
+  for (const nn::Parameter* p : session.core().net().parameters()) {
+    out.emplace_back(p->value.data().begin(), p->value.data().end());
+  }
+  return out;
+}
+
+TEST(PpoFaults, NanGuardRollsBackBitExactlyOnLentLanes) {
+  // The poisoned update runs on lent lanes: the NaN weight it makes turns
+  // the next minibatch's logits to NaN, whose per-sample rows throw on
+  // whichever lanes hold them. The exception must reach the guard, which
+  // restores every weight bit for bit; a clean epoch after it must then leave
+  // the same weights as a serial session through the same fault.
+  const auto sys = tiny_system();
+  parallel::ThreadPool lanes(3);
+  rl::TrainingSession serial = ppo_lane_session(sys, 23);
+  rl::TrainingSession lent = ppo_lane_session(sys, 23);
+  const auto before = weights(lent);
+  for (auto [session, pool] :
+       {std::pair<rl::TrainingSession*, parallel::ThreadPool*>{&serial,
+                                                               nullptr},
+        {&lent, &lanes}}) {
+    {
+      const FaultGuard guard("ppo_nan:1.0", 6);
+      const rl::TrainStats stats = session->train_epoch(pool);
+      EXPECT_TRUE(stats.update_skipped);
+      EXPECT_EQ(session->core().nan_skips(), 1);
+    }
+    if (session == &lent) {
+      EXPECT_TRUE(weights(lent) == before) << "rollback on lanes not exact";
+    }
+    EXPECT_FALSE(session->train_epoch(pool).update_skipped);
+  }
+  EXPECT_TRUE(weights(lent) == weights(serial));
+}
+
 // -------------------------------------------------- atomic artifact writes
 
 TEST(AtomicWrite, WritesContentAndLeavesNoTempFile) {

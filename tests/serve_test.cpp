@@ -3,6 +3,7 @@
 // bookkeeping, and JSONL protocol framing over a real loopback socket.
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -11,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "parallel/thread_pool.h"
 #include "robust/fault.h"
 #include "serve/cache.h"
 #include "serve/client.h"
@@ -262,6 +265,72 @@ TEST(ServeParity, ServedResultBitIdenticalToInlineRun) {
     }
   }
   EXPECT_EQ(served->at("chiplets"), direct_json.at("chiplets"));
+}
+
+// ------------------------------------------------------------- spare lanes
+
+/// The process-wide count of PPO updates that ran on lent lanes and on their
+/// leg's own thread.
+std::pair<std::uint64_t, std::uint64_t> update_counts() {
+  std::pair<std::uint64_t, std::uint64_t> counts{0, 0};
+  const auto metrics = obs::MetricsRegistry::instance().snapshot();
+  for (const obs::MetricValue& m : metrics) {
+    if (m.name == "rl.update.lent") counts.first = m.count;
+    if (m.name == "rl.update.serial") counts.second = m.count;
+  }
+  return counts;
+}
+
+TEST(RunnerLanes, LoneRunLendsAndConcurrentRunsDoNot) {
+  systems::Scenario scenario = tiny_scenario();
+  scenario.budget.run_sa = false;
+  scenario.budget.rl_epochs = 3;
+  serve::ScenarioRunner runner(thermal::LayerStack::default_2p5d(),
+                               tiny_config());
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry::instance().reset();
+  const bool spare = parallel::ThreadPool::hardware_threads() >= 3;
+
+  // Alone, every update borrows the runner's spare lanes (when the host
+  // has any).
+  const serve::ScenarioRunResult lone = runner.run(scenario);
+  ASSERT_TRUE(lone.error.empty()) << lone.error;
+  const auto [lone_lent, lone_serial] = update_counts();
+  EXPECT_EQ(lone_lent + lone_serial, 3u);
+  EXPECT_EQ(lone_lent, spare ? 3u : 0u);
+
+  // Two runs held in flight together, from before either RL leg until after
+  // both: neither may borrow, so the pool never serves two callers (one
+  // would throw std::logic_error and degrade its leg).
+  obs::MetricsRegistry::instance().reset();
+  std::barrier<> both_at_rl(2);
+  std::barrier<> both_scored(2);
+  serve::RunOptions opts;
+  opts.progress = [&](const char* phase) {
+    if (std::string(phase) == "rl") both_at_rl.arrive_and_wait();
+    if (std::string(phase) == "score") both_scored.arrive_and_wait();
+  };
+  serve::ScenarioRunResult concurrent[2];
+  std::thread other([&] { concurrent[1] = runner.run(scenario, opts); });
+  concurrent[0] = runner.run(scenario, opts);
+  other.join();
+  const auto [lent, serial] = update_counts();
+  EXPECT_EQ(lent, 0u);
+  EXPECT_EQ(serial, 6u);
+  obs::set_metrics_enabled(false);
+
+  // Lent or not, the legs carry the same bits.
+  const util::JsonValue want = serve::run_result_to_json(lone).at("rl");
+  for (const serve::ScenarioRunResult& r : concurrent) {
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    EXPECT_FALSE(r.degraded());
+    const util::JsonValue got = serve::run_result_to_json(r).at("rl");
+    for (const char* field : {"legal", "temp_c", "fast_temp_c",
+                              "wirelength_mm", "reward", "work"}) {
+      SCOPED_TRACE(field);
+      EXPECT_EQ(got.at(field), want.at(field));
+    }
+  }
 }
 
 // -------------------------------------------------------------- cancellation

@@ -13,10 +13,12 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fuzz_util.h"
 #include "nn/serialize.h"
+#include "parallel/thread_pool.h"
 #include "thermal/evaluator.h"
 
 namespace rlplan::rl {
@@ -982,6 +984,89 @@ TEST(TrainingSession, RejectsZeroBatchSizes) {
   // Without RND the field is never used.
   zero_rnd_batch.ppo.use_rnd = false;
   EXPECT_NO_THROW(TrainingSession(zero_rnd_batch, make_tasks({&sa}, {"a"})));
+}
+
+TEST(TrainingSession, UpdateLanesNeverChangeCheckpointsOrStats) {
+  // The default net at a batch of 64 and a partial one of 8, so every
+  // layer's passes split over the lanes: a session on one lane, one with
+  // its own three-lane pool (which also serves a three-replica collection),
+  // and one lent a three-lane pool per update must save byte-identical
+  // checkpoints and report identical statistics.
+  const ChipletSystem sa = tiny_system_a();
+  for (const std::size_t num_envs : {1u, 3u}) {
+    for (const bool rnd : {false, true}) {
+      SCOPED_TRACE("envs " + std::to_string(num_envs) +
+                   (rnd ? " rnd" : " no rnd"));
+      const auto run = [&](std::size_t threads, bool lend) {
+        TrainingSessionConfig config;
+        config.env.grid = 12;
+        config.ppo.episodes_per_update = 24;
+        config.ppo.update_epochs = 2;
+        config.ppo.use_rnd = rnd;
+        config.num_envs = num_envs;
+        config.num_threads = threads;
+        config.seed = 29;
+        TrainingSession session(config, make_tasks({&sa}, {"a"}));
+        parallel::ThreadPool lent(3);
+        std::vector<TrainStats> stats;
+        for (int e = 0; e < 2; ++e) {
+          stats.push_back(session.train_epoch(lend ? &lent : nullptr));
+        }
+        return std::make_pair(saved_bytes(session, temp_path("lanes.ckpt")),
+                              stats);
+      };
+      const auto [serial_bytes, serial_stats] = run(1, false);
+      for (const auto& [threads, lend] :
+           {std::pair<std::size_t, bool>{3, false}, {1, true}}) {
+        SCOPED_TRACE(lend ? "lent lanes" : "own lanes");
+        const auto [bytes, stats] = run(threads, lend);
+        EXPECT_TRUE(bytes == serial_bytes);
+        ASSERT_EQ(stats.size(), serial_stats.size());
+        for (std::size_t e = 0; e < stats.size(); ++e) {
+          EXPECT_EQ(stats[e].steps, serial_stats[e].steps);
+          EXPECT_EQ(stats[e].policy_loss, serial_stats[e].policy_loss);
+          EXPECT_EQ(stats[e].value_loss, serial_stats[e].value_loss);
+          EXPECT_EQ(stats[e].entropy, serial_stats[e].entropy);
+          EXPECT_EQ(stats[e].approx_kl, serial_stats[e].approx_kl);
+          EXPECT_EQ(stats[e].grad_norm, serial_stats[e].grad_norm);
+          EXPECT_EQ(stats[e].rnd_error, serial_stats[e].rnd_error);
+        }
+      }
+      std::remove(temp_path("lanes.ckpt").c_str());
+    }
+  }
+}
+
+TEST(TrainingSession, ConcurrentSessionsEachUseTheirOwnPool) {
+  // Each net holds its own executor, so two sessions with their own pools
+  // may train at once in one process; each must save the checkpoint a
+  // one-lane session saves.
+  const ChipletSystem sa = tiny_system_a();
+  const auto config = [](std::size_t threads) {
+    TrainingSessionConfig c;
+    c.env.grid = 12;
+    c.ppo.episodes_per_update = 24;
+    c.ppo.update_epochs = 2;
+    c.num_threads = threads;
+    c.seed = 31;
+    return c;
+  };
+  TrainingSession serial(config(1), make_tasks({&sa}, {"a"}));
+  for (int e = 0; e < 2; ++e) serial.train_epoch();
+  const std::string want = saved_bytes(serial, temp_path("one_lane.ckpt"));
+
+  TrainingSession first(config(2), make_tasks({&sa}, {"a"}));
+  TrainingSession second(config(2), make_tasks({&sa}, {"a"}));
+  std::thread other([&] {
+    for (int e = 0; e < 2; ++e) second.train_epoch();
+  });
+  for (int e = 0; e < 2; ++e) first.train_epoch();
+  other.join();
+  EXPECT_TRUE(saved_bytes(first, temp_path("first.ckpt")) == want);
+  EXPECT_TRUE(saved_bytes(second, temp_path("second.ckpt")) == want);
+  for (const char* name : {"one_lane.ckpt", "first.ckpt", "second.ckpt"}) {
+    std::remove(temp_path(name).c_str());
+  }
 }
 
 TEST(TrainingSession, RejectsOutOfRangeThreadCount) {

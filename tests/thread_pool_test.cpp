@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace rlplan::parallel {
@@ -110,6 +113,110 @@ TEST(ThreadPoolStats, EveryIndexRunsExactlyOnce) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
   EXPECT_EQ(pool.stats().tasks_executed, kN);
+}
+
+/// parallel_for(n) over a pool of `lanes` whose fn throws at index
+/// `throw_at`: the exception reaches the caller, and the pool then runs
+/// every index of the next call.
+void expect_rethrow_then_full_call(std::size_t lanes, std::size_t throw_at) {
+  SCOPED_TRACE("lanes " + std::to_string(lanes) + " throw at " +
+               std::to_string(throw_at));
+  ThreadPool pool(lanes);
+  constexpr std::size_t kN = 64;
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(pool.parallel_for(kN,
+                                 [&](std::size_t i) {
+                                   if (i == throw_at) {
+                                     throw std::runtime_error("index failed");
+                                   }
+                                   ran.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_LT(ran.load(), kN);  // the throwing index never counts
+
+  std::vector<std::atomic<int>> hits(kN);
+  pool.parallel_for(kN, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolErrors, ThrowFromAWorkerIndexRethrowsOnTheCaller) {
+  // Index 63 is handed out last; with workers it usually lands on one of
+  // them, and on any lane it must surface here, not in std::terminate.
+  expect_rethrow_then_full_call(4, 63);
+}
+
+TEST(ThreadPoolErrors, ThrowFromTheCallersIndexRethrows) {
+  // The caller takes an index too; index 0 is often its first.
+  expect_rethrow_then_full_call(4, 0);
+}
+
+TEST(ThreadPoolErrors, ThrowOnAWorkerThreadRethrows) {
+  // Pin the throw to a worker: only a lane that is not the caller throws.
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> thrown{false};
+  EXPECT_THROW(
+      pool.parallel_for(
+          256,
+          [&](std::size_t) {
+            if (std::this_thread::get_id() != caller) {
+              if (!thrown.exchange(true)) throw std::runtime_error("worker");
+              return;
+            }
+            // The caller's index waits until a worker has thrown.
+            const auto give_up =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!thrown.load() &&
+                   std::chrono::steady_clock::now() < give_up) {
+              std::this_thread::yield();
+            }
+          }),
+      std::runtime_error);
+  EXPECT_TRUE(thrown.load());
+  std::atomic<std::size_t> ran{0};
+  pool.parallel_for(100, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 100u);
+}
+
+TEST(ThreadPoolErrors, InlinePoolsRethrowTheSameWay) {
+  for (const std::size_t lanes : {0u, 1u}) {
+    expect_rethrow_then_full_call(lanes, 0);
+    expect_rethrow_then_full_call(lanes, 17);
+  }
+}
+
+TEST(ThreadPoolErrors, ConcurrentSecondCallerGetsLogicError) {
+  // The first call holds every lane inside fn at a barrier until the second
+  // caller has tried and failed; the first call then finishes in full.
+  for (const std::size_t lanes : {1u, 3u}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    ThreadPool pool(lanes);
+    std::barrier<> first_inside(2);
+    std::barrier<> second_done(2);
+    std::atomic<int> first_ran{0};
+    std::thread first([&] {
+      pool.parallel_for(lanes, [&](std::size_t i) {
+        if (i == 0) {
+          first_inside.arrive_and_wait();
+          second_done.arrive_and_wait();
+        }
+        first_ran.fetch_add(1);
+      });
+    });
+    first_inside.arrive_and_wait();
+    bool second_ran = false;
+    EXPECT_THROW(pool.parallel_for(4, [&](std::size_t) { second_ran = true; }),
+                 std::logic_error);
+    EXPECT_FALSE(second_ran);
+    second_done.arrive_and_wait();
+    first.join();
+    EXPECT_EQ(first_ran.load(), static_cast<int>(lanes));
+    std::atomic<int> after{0};
+    pool.parallel_for(5, [&](std::size_t) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 5);
+  }
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 //       epoch trained on) and a full-state RLPNNv2 checkpoint. --warm-start
 //       initializes the net weights from an existing checkpoint and trains
 //       fresh optimizer/normalizer/RNG state — the fine-tune-onto-a-held-out-
-//       scenario workflow.
+//       scenario workflow. --threads sets the lanes of the session's pool
+//       (0 = min(--envs, hardware)): they step the replicas at --envs > 1
+//       and run the net's passes and the PPO update at any --envs. No byte
+//       of the JSONL or the checkpoint depends on it.
 //
 //   train resume --from=CKPT --scenarios=... --epochs=N [same flags]
 //       Full-state resume: restores weights, Adam moments, RND nets, reward
