@@ -41,7 +41,6 @@ std::size_t ThreadPool::hardware_threads() {
 }
 
 void ThreadPool::run_indices(Call& call) {
-  const std::uint64_t t0 = now_ns();
   for (;;) {
     const std::size_t i = call.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= call.n) break;
@@ -56,9 +55,6 @@ void ThreadPool::run_indices(Call& call) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!call.error) call.error = std::current_exception();
     }
-    // Counted before the index is published as finished, so the count is
-    // exact once parallel_for returns.
-    tasks_.fetch_add(1, std::memory_order_relaxed);
     if (call.finished.fetch_add(finished, std::memory_order_acq_rel) +
             finished ==
         call.n) {
@@ -66,7 +62,6 @@ void ThreadPool::run_indices(Call& call) {
       done_.notify_all();
     }
   }
-  busy_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
 }
 
 void ThreadPool::worker_loop() {
@@ -74,12 +69,10 @@ void ThreadPool::worker_loop() {
   for (;;) {
     std::shared_ptr<Call> call;
     {
-      const std::uint64_t wait_t0 = now_ns();
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [&] {
         return stop_ || generation_ != seen_generation;
       });
-      idle_ns_.fetch_add(now_ns() - wait_t0, std::memory_order_relaxed);
       if (stop_) return;
       seen_generation = generation_;
       call = call_;
@@ -99,27 +92,25 @@ void ThreadPool::parallel_for(std::size_t n,
     std::atomic<bool>& in_call;
     ~EndCall() { in_call.store(false, std::memory_order_release); }
   } end_call{in_call_};
-  calls_.fetch_add(1, std::memory_order_relaxed);
-  std::size_t peak = peak_depth_.load(std::memory_order_relaxed);
-  while (n > peak && !peak_depth_.compare_exchange_weak(
-                         peak, n, std::memory_order_relaxed)) {
-  }
   RLPLAN_GAUGE_SET("pool.queue_depth", n);
   RLPLAN_COUNTER_ADD("pool.tasks", n);
-  const std::uint64_t call_t0 = now_ns();
+  // The clock is read for the histogram only, so only with metrics on.
+  const bool timed = obs::metrics_enabled();
+  const std::uint64_t call_t0 = timed ? now_ns() : 0;
+  const auto observe = [&] {
+    if (timed) {
+      RLPLAN_HISTOGRAM_OBSERVE("pool.parallel_for_us",
+                               static_cast<double>(now_ns() - call_t0) / 1e3);
+    }
+  };
   // Chaos site "pool_dispatch": a worker-dispatch fault degrades to inline
   // execution on the caller. Results are bit-identical (fn(i) writes only
   // slot i), so this is the pool's graceful-degradation path.
   const bool dispatch_fault = robust::fault_point("pool_dispatch");
   if (dispatch_fault) RLPLAN_COUNTER_INC("pool.dispatch_degraded");
   if (workers_.empty() || n == 1 || dispatch_fault) {
-    const std::uint64_t t0 = call_t0;
     for (std::size_t i = 0; i < n; ++i) fn(i);
-    const std::uint64_t dt = now_ns() - t0;
-    busy_ns_.fetch_add(dt, std::memory_order_relaxed);
-    tasks_.fetch_add(n, std::memory_order_relaxed);
-    RLPLAN_HISTOGRAM_OBSERVE("pool.parallel_for_us",
-                             static_cast<double>(dt) / 1e3);
+    observe();
     return;
   }
   const auto call = std::make_shared<Call>();
@@ -138,21 +129,8 @@ void ThreadPool::parallel_for(std::size_t n,
       return call->finished.load(std::memory_order_acquire) == n;
     });
   }
-  RLPLAN_HISTOGRAM_OBSERVE("pool.parallel_for_us",
-                           static_cast<double>(now_ns() - call_t0) / 1e3);
+  observe();
   if (call->error) std::rethrow_exception(call->error);
-}
-
-ThreadPoolStats ThreadPool::stats() const {
-  ThreadPoolStats s;
-  s.parallel_for_calls = calls_.load(std::memory_order_relaxed);
-  s.tasks_executed = tasks_.load(std::memory_order_relaxed);
-  s.peak_queue_depth = peak_depth_.load(std::memory_order_relaxed);
-  s.busy_seconds =
-      static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) / 1e9;
-  s.idle_seconds =
-      static_cast<double>(idle_ns_.load(std::memory_order_relaxed)) / 1e9;
-  return s;
 }
 
 }  // namespace rlplan::parallel

@@ -41,20 +41,6 @@
 
 namespace rlplan::parallel {
 
-/// Lifetime totals for one pool; see ThreadPool::stats(). Counters are exact
-/// (every index is executed exactly once, so `tasks_executed` across a burst
-/// of parallel_for(n) calls is the sum of the n's; a call stopped by an
-/// exception counts the indices that ran). busy/idle seconds
-/// overlap across lanes: with W workers plus the caller, a fully utilized
-/// pool accrues ~(W+1)× wall time of busy_seconds.
-struct ThreadPoolStats {
-  std::uint64_t parallel_for_calls = 0;
-  std::uint64_t tasks_executed = 0;
-  std::size_t peak_queue_depth = 0;  ///< largest single-call n
-  double busy_seconds = 0.0;  ///< summed time lanes spent inside fn loops
-  double idle_seconds = 0.0;  ///< summed time workers slept between calls
-};
-
 class ThreadPool {
  public:
   /// Provides `threads` lanes: spawns threads - 1 workers, and the thread
@@ -74,19 +60,13 @@ class ThreadPool {
   /// contributes size()+1 lanes of execution. When fn throws, no further
   /// index starts, and the first exception is rethrown here once every lane
   /// has returned. Throws std::logic_error, running nothing, when another
-  /// parallel_for on this pool is in flight.
+  /// parallel_for on this pool is in flight. With obs metrics enabled, a
+  /// call sets "pool.queue_depth" to n, adds n to "pool.tasks" and observes
+  /// its wall time in "pool.parallel_for_us".
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static std::size_t hardware_threads();
-
-  /// Snapshot of lifetime totals (safe to call concurrently with
-  /// parallel_for; counters may lag an in-flight call, and a worker's busy
-  /// and idle time may land just after the call it served returned; call and
-  /// task counts are exact once parallel_for returns). Also feeds the obs
-  /// gauges ("pool.queue_depth", "pool.tasks", "pool.parallel_for_us") when
-  /// metrics are enabled.
-  ThreadPoolStats stats() const;
 
  private:
   /// One parallel_for's state, shared with the workers that take part. A
@@ -104,13 +84,6 @@ class ThreadPool {
   void run_indices(Call& call);
 
   std::vector<std::thread> workers_;
-
-  // Lifetime accounting (relaxed atomics; single u64 adds per call/lane).
-  std::atomic<std::uint64_t> calls_{0};
-  std::atomic<std::uint64_t> tasks_{0};
-  std::atomic<std::size_t> peak_depth_{0};
-  std::atomic<std::uint64_t> busy_ns_{0};
-  std::atomic<std::uint64_t> idle_ns_{0};
 
   std::mutex mutex_;
   std::condition_variable wake_;

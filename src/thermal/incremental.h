@@ -11,7 +11,7 @@
 // coupling table pair[receiver][source][probe] plus per-die self terms and
 // probe/sub-source geometry. Placing (or moving) one die recomputes only the
 // O(n) coupling rows involving that die through the dispatched kernel
-// table's pair-row entries (thermal/soa_kernels.h), fed by persistent SoA
+// table's one pair-row entry (thermal/soa_kernels.h), fed by persistent SoA
 // per-die blocks; removing a die or undoing a rejected SA move costs no
 // kernel work at all.
 //

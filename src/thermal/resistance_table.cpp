@@ -177,6 +177,12 @@ MutualResistanceTable::MutualResistanceTable(std::vector<double> distances_mm,
   if (values_.size() != distances_.size()) {
     throw std::invalid_argument("mutual table: values size != distances");
   }
+  for (const double v : values_) {
+    if (!(v >= 0.0)) {
+      throw std::invalid_argument(
+          "mutual table: values must be non-negative rises per watt");
+    }
+  }
   inv_step_ = table_detail::uniform_inv_step(distances_);
 }
 

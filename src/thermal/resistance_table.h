@@ -63,7 +63,9 @@ class SelfResistanceTable {
 class MutualResistanceTable {
  public:
   MutualResistanceTable() = default;
-  /// Distances strictly increasing, >= 2 entries. Throws on malformed input.
+  /// Distances strictly increasing, >= 2 entries; values non-negative (a
+  /// rise per watt; the fast model's kernel relies on it) and not NaN.
+  /// Throws std::invalid_argument on malformed input.
   MutualResistanceTable(std::vector<double> distances_mm,
                         std::vector<double> values);
 

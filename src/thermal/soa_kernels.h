@@ -3,8 +3,8 @@
 //
 // Conceptually the kernel is two passes — pass 1 (distance -> capped table
 // coordinate -> segment index + fraction) and pass 2 (segment-LUT gather /
-// interpolate / accumulate). Every table implements the same two entries, one
-// pair-row form per kernel form:
+// interpolate / accumulate). Every table implements the same one entry, the
+// pair row:
 //  * the portable scalar table (soa_snapshot.cpp, the TU built with
 //    -fno-math-errno) keeps the passes separate, running pass 1 over a whole
 //    source block so it auto-vectorizes, then gathers and accumulates the
@@ -39,20 +39,19 @@
 
 namespace rlplan::thermal {
 
-/// Function-pointer table for one SIMD level: one pair-row entry per kernel
-/// form.
-///  * unit (method of images, every mirror at full strength): each point
-///    contributes max(v, 0) to its block, read from the LUT with the
-///    uniform floor pre-subtracted;
-///  * raw (no images): each point contributes v, with no floor and no
-///    clamp to zero.
+/// Function-pointer table for one SIMD level: its one pair-row entry. Each
+/// point contributes max(v, 0) to its block, read from a LUT with a floor
+/// pre-subtracted: the uniform floor with images (every mirror at full
+/// strength), 0 without. Mutual tables hold no negative knot
+/// (MutualResistanceTable rejects one), so with a zero floor v >= 0 and the
+/// clamp never fires.
 ///
-/// Shared per-point math: d = sqrt((sx[k]-px)^2 + (sy[k]-py)^2);
+/// Per-point math: d = sqrt((sx[k]-px)^2 + (sy[k]-py)^2);
 /// x = min((clamp(d, front, back) - front) * inv_step, cap);
 /// (base, diff) = lut[2*trunc(x)], lut[2*trunc(x)+1]; v = base +
 /// (x - trunc(x)) * diff.
 ///
-/// Each entry computes one (receiver, source) coupling row: one source block
+/// The entry computes one (receiver, source) coupling row: one source block
 /// of `pts` points against `n_probes` probes, out[p] the block's sum of
 /// per-point contributions at probe (px[p], py[p]). One indirect call covers
 /// the whole row — per-(probe, block) calls would be dominated by call and
@@ -63,13 +62,8 @@ namespace rlplan::thermal {
 struct SoaKernelOps {
   /// The level these kernels implement.
   util::SimdLevel level;
-  /// Unit form: out[p] = sum of max(v, 0) over the block.
-  void (*pair_unit)(const double* px, const double* py, std::size_t n_probes,
-                    const double* sx, const double* sy, std::size_t pts,
-                    double front, double back, double inv_step, double cap,
-                    const double* lut, double* out);
-  /// Raw form: out[p] = sum of v over the block.
-  void (*pair_raw)(const double* px, const double* py, std::size_t n_probes,
+  /// out[p] = sum of max(v, 0) over the block.
+  void (*pair_row)(const double* px, const double* py, std::size_t n_probes,
                    const double* sx, const double* sy, std::size_t pts,
                    double front, double back, double inv_step, double cap,
                    const double* lut, double* out);

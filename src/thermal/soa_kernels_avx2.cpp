@@ -1,4 +1,4 @@
-// AVX2 + FMA implementation of the fused SoA pair-row kernels (see
+// AVX2 + FMA implementation of the fused SoA pair-row kernel (see
 // soa_kernels.h for the dispatch scheme and numerical contract).
 //
 // This TU is compiled with -mavx2 -mfma on x86-64 (per-file flags in
@@ -22,8 +22,8 @@
 namespace rlplan::thermal {
 namespace {
 
-/// Broadcast probe constants, hoisted once per probe by the pair-row drivers
-/// so the per-block loops touch registers only.
+/// Broadcast probe constants, hoisted once per probe by the pair-row entry
+/// so the per-block loop touches registers only.
 struct ProbeConsts {
   __m256d px, py, front, back, inv, cap;
   double s_px, s_py, s_front, s_back, s_inv, s_cap;
@@ -86,8 +86,8 @@ inline double point1(const double* sx, const double* sy, const ProbeConsts& c,
   return seg[0] + fr * seg[1];
 }
 
-double block_unit(const double* sx, const double* sy, const ProbeConsts& c,
-                  const double* lut, std::size_t n) {
+double block(const double* sx, const double* sy, const ProbeConsts& c,
+             const double* lut, std::size_t n) {
   const __m256d zero = _mm256_setzero_pd();
   __m256d acc = zero;
   std::size_t k = 0;
@@ -109,50 +109,19 @@ double block_unit(const double* sx, const double* sy, const ProbeConsts& c,
   return r;
 }
 
-double block_raw(const double* sx, const double* sy, const ProbeConsts& c,
-                 const double* lut, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    __m128i two;
-    __m256d fr;
-    coord4(sx + k, sy + k, c, two, fr);
-    const __m256d base = gather4(lut, two);
-    const __m256d diff = gather4(lut + 1, two);
-    acc = _mm256_add_pd(acc, _mm256_fmadd_pd(fr, diff, base));
-  }
-  double r = reduce4(acc);
-  for (; k < n; ++k) {
-    double fr;
-    r += point1(sx + k, sy + k, c, lut, fr);
-  }
-  return r;
-}
-
-// Pair-row drivers: fresh probe constants per row entry, one fused block
+// The pair-row entry: fresh probe constants per probe, one fused block
 // kernel over the one source block.
-void pair_unit_avx2(const double* px, const double* py, std::size_t n_probes,
-                    const double* sx, const double* sy, std::size_t pts,
-                    double front, double back, double inv_step, double cap,
-                    const double* lut, double* out) {
-  for (std::size_t p = 0; p < n_probes; ++p) {
-    const ProbeConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
-    out[p] = block_unit(sx, sy, c, lut, pts);
-  }
-}
-
-void pair_raw_avx2(const double* px, const double* py, std::size_t n_probes,
+void pair_row_avx2(const double* px, const double* py, std::size_t n_probes,
                    const double* sx, const double* sy, std::size_t pts,
                    double front, double back, double inv_step, double cap,
                    const double* lut, double* out) {
   for (std::size_t p = 0; p < n_probes; ++p) {
     const ProbeConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
-    out[p] = block_raw(sx, sy, c, lut, pts);
+    out[p] = block(sx, sy, c, lut, pts);
   }
 }
 
-constexpr SoaKernelOps kAvx2Ops{util::SimdLevel::kAvx2, pair_unit_avx2,
-                                pair_raw_avx2};
+constexpr SoaKernelOps kAvx2Ops{util::SimdLevel::kAvx2, pair_row_avx2};
 
 }  // namespace
 

@@ -1,10 +1,10 @@
-// AArch64 Advanced-SIMD implementation of the fused SoA pair-row kernels
+// AArch64 Advanced-SIMD implementation of the fused SoA pair-row kernel
 // (see soa_kernels.h for the dispatch scheme and numerical contract).
 //
 // NEON has no hardware gather, so the LUT stage loads each (base, diff)
 // segment as one contiguous 128-bit vld1q and transposes pairs of segments
 // into base/diff vectors; the coordinate stage is a straight 2-lane port of
-// the AVX2 kernels. NEON is baseline on AArch64, so no per-file ISA flags are
+// the AVX2 kernel. NEON is baseline on AArch64, so no per-file ISA flags are
 // needed — the stub branch below only triggers on non-ARM builds of this TU.
 #include "thermal/soa_kernels.h"
 
@@ -15,7 +15,7 @@
 namespace rlplan::thermal {
 namespace {
 
-/// Broadcast probe constants, hoisted once per probe by the pair-row drivers.
+/// Broadcast probe constants, hoisted once per probe by the pair-row entry.
 struct ProbeConsts {
   float64x2_t px, py, front, back, inv, cap;
   double s_px, s_py, s_front, s_back, s_inv, s_cap;
@@ -60,8 +60,8 @@ inline double point1(const double* sx, const double* sy, const ProbeConsts& c,
   return seg[0] + fr * seg[1];
 }
 
-double block_unit(const double* sx, const double* sy, const ProbeConsts& c,
-                  const double* lut, std::size_t n) {
+double block(const double* sx, const double* sy, const ProbeConsts& c,
+             const double* lut, std::size_t n) {
   const float64x2_t zero = vdupq_n_f64(0.0);
   float64x2_t acc = zero;
   std::size_t k = 0;
@@ -85,52 +85,19 @@ double block_unit(const double* sx, const double* sy, const ProbeConsts& c,
   return r;
 }
 
-double block_raw(const double* sx, const double* sy, const ProbeConsts& c,
-                 const double* lut, std::size_t n) {
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    int i0, i1;
-    float64x2_t fr;
-    coord2(sx + k, sy + k, c, i0, i1, fr);
-    const float64x2_t seg0 = vld1q_f64(lut + 2 * i0);
-    const float64x2_t seg1 = vld1q_f64(lut + 2 * i1);
-    const float64x2_t base = vtrn1q_f64(seg0, seg1);
-    const float64x2_t diff = vtrn2q_f64(seg0, seg1);
-    acc = vaddq_f64(acc, vfmaq_f64(base, fr, diff));
-  }
-  double r = vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1);
-  for (; k < n; ++k) {
-    double fr;
-    r += point1(sx + k, sy + k, c, lut, fr);
-  }
-  return r;
-}
-
-// Pair-row drivers: fresh probe constants per row entry, one fused block
+// The pair-row entry: fresh probe constants per probe, one fused block
 // kernel over the one source block.
-void pair_unit_neon(const double* px, const double* py, std::size_t n_probes,
-                    const double* sx, const double* sy, std::size_t pts,
-                    double front, double back, double inv_step, double cap,
-                    const double* lut, double* out) {
-  for (std::size_t p = 0; p < n_probes; ++p) {
-    const ProbeConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
-    out[p] = block_unit(sx, sy, c, lut, pts);
-  }
-}
-
-void pair_raw_neon(const double* px, const double* py, std::size_t n_probes,
+void pair_row_neon(const double* px, const double* py, std::size_t n_probes,
                    const double* sx, const double* sy, std::size_t pts,
                    double front, double back, double inv_step, double cap,
                    const double* lut, double* out) {
   for (std::size_t p = 0; p < n_probes; ++p) {
     const ProbeConsts c = make_consts(px[p], py[p], front, back, inv_step, cap);
-    out[p] = block_raw(sx, sy, c, lut, pts);
+    out[p] = block(sx, sy, c, lut, pts);
   }
 }
 
-constexpr SoaKernelOps kNeonOps{util::SimdLevel::kNeon, pair_unit_neon,
-                                pair_raw_neon};
+constexpr SoaKernelOps kNeonOps{util::SimdLevel::kNeon, pair_row_neon};
 
 }  // namespace
 

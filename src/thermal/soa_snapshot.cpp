@@ -39,18 +39,10 @@ void coords(const double* sx, const double* sy, double px, double py,
   }
 }
 
-enum class Form { kUnit, kRaw };
-
-/// One point's pass-2 term: LUT gather + interpolate, in the given form.
-template <Form F>
+/// One point's pass-2 term: LUT gather + interpolate, clamped to >= 0.
 double term(int idx, double frac, const double* lut) {
   const double* seg = lut + 2 * idx;
-  const double v = seg[0] + frac * seg[1];
-  if constexpr (F == Form::kRaw) {
-    return v;
-  } else {
-    return std::max(v, 0.0);
-  }
+  return std::max(seg[0] + frac * seg[1], 0.0);
 }
 
 /// A block's running sum as four interleaved partial sums: the block's
@@ -62,18 +54,17 @@ struct Lanes {
 
   /// Adds the block's next n points; a multiple of 4 points precede them,
   /// so each point lands in its own lane.
-  template <Form F>
   void add(const int* idx, const double* frac, const double* lut,
            std::size_t n) {
     std::size_t k = 0;
     for (; k + 4 <= n; k += 4) {
-      l[0] += term<F>(idx[k], frac[k], lut);
-      l[1] += term<F>(idx[k + 1], frac[k + 1], lut);
-      l[2] += term<F>(idx[k + 2], frac[k + 2], lut);
-      l[3] += term<F>(idx[k + 3], frac[k + 3], lut);
+      l[0] += term(idx[k], frac[k], lut);
+      l[1] += term(idx[k + 1], frac[k + 1], lut);
+      l[2] += term(idx[k + 2], frac[k + 2], lut);
+      l[3] += term(idx[k + 3], frac[k + 3], lut);
     }
     for (std::size_t j = 0; k + j < n; ++j) {
-      l[j & 3] += term<F>(idx[k + j], frac[k + j], lut);
+      l[j & 3] += term(idx[k + j], frac[k + j], lut);
     }
   }
   double sum() const { return (l[0] + l[2]) + (l[1] + l[3]); }
@@ -82,7 +73,6 @@ struct Lanes {
 /// Pair-row driver: per probe, pass 1 and pass 2 over the block in
 /// kTile-point chunks (kTile is a multiple of 4, so every point keeps its
 /// lane wherever a chunk ends).
-template <Form F>
 void pair_scalar(const double* px, const double* py, std::size_t n_probes,
                  const double* sx, const double* sy, std::size_t pts,
                  double front, double back, double inv_step, double cap,
@@ -95,15 +85,13 @@ void pair_scalar(const double* px, const double* py, std::size_t n_probes,
       const std::size_t n = std::min(kTile, pts - t0);
       coords(sx + t0, sy + t0, px[p], py[p], front, back, inv_step, cap, n,
              idx, frac);
-      acc.add<F>(idx, frac, lut, n);
+      acc.add(idx, frac, lut, n);
     }
     out[p] = acc.sum();
   }
 }
 
-constexpr SoaKernelOps kScalarOps{util::SimdLevel::kScalar,
-                                  pair_scalar<Form::kUnit>,
-                                  pair_scalar<Form::kRaw>};
+constexpr SoaKernelOps kScalarOps{util::SimdLevel::kScalar, pair_scalar};
 
 }  // namespace
 
@@ -125,7 +113,9 @@ void SoaModelConsts::bind(const FastThermalModel& model) {
   ss = sub * sub;
   use_images = model.config().use_images;
   img = use_images ? 9 : 1;
-  const double floor = model.uniform_floor();
+  // Without images the LUT keeps the table's own values: a zero floor, so
+  // the clamp in the pair row never fires on the non-negative knots.
+  const double floor = use_images ? model.uniform_floor() : 0.0;
   floor_per_src = static_cast<double>(ss) * floor;
   ambient_c = model.ambient_c();
   pkg_w = model.package_w_mm();
@@ -135,14 +125,10 @@ void SoaModelConsts::bind(const FastThermalModel& model) {
   inv_step = table.inv_step();
   const std::vector<double>& values = table.values();
   const std::size_t nk = values.size();
-  lut_img.assign(2 * nk, 0.0);
-  lut_raw.assign(2 * nk, 0.0);
+  lut.assign(2 * nk, 0.0);
   for (std::size_t i = 0; i < nk; ++i) {
-    const double diff = i + 1 < nk ? values[i + 1] - values[i] : 0.0;
-    lut_raw[2 * i] = values[i];
-    lut_raw[2 * i + 1] = diff;
-    lut_img[2 * i] = values[i] - floor;
-    lut_img[2 * i + 1] = diff;
+    lut[2 * i] = values[i] - floor;
+    lut[2 * i + 1] = i + 1 < nk ? values[i + 1] - values[i] : 0.0;
   }
   // Coordinates are capped in the double domain (instead of clamping the
   // integer index) so the coordinate pass stays branch-free: the cap is the
@@ -172,18 +158,10 @@ void SoaModelConsts::pair_row(const SoaKernelOps& ops, const double* px,
                               const double* py, const double* sx,
                               const double* sy, double power_per_sub,
                               double* out) const {
-  const std::size_t pts = ss * img;
-  if (use_images) {
-    ops.pair_unit(px, py, pc, sx, sy, pts, front, back, inv_step, coord_cap,
-                  lut_img.data(), out);
-  } else {
-    ops.pair_raw(px, py, pc, sx, sy, pts, front, back, inv_step, coord_cap,
-                 lut_raw.data(), out);
-  }
+  ops.pair_row(px, py, pc, sx, sy, ss * img, front, back, inv_step,
+               coord_cap, lut.data(), out);
   for (std::size_t p = 0; p < pc; ++p) {
-    double m = use_images ? floor_per_src + out[p] : out[p];
-    m *= power_per_sub;
-    out[p] = m;
+    out[p] = (floor_per_src + out[p]) * power_per_sub;
   }
 }
 

@@ -6,25 +6,27 @@
 //
 //   * per die: probe points, self-heating shape factors, self rise
 //     (refreshed in place per floorplan);
-//   * per active source (placed, power > 0): the sub-source grid expanded
-//     through the method-of-images mirrors (9 points per sub-source, every
-//     one at full strength), packed as flat x/y arrays.
+//   * per active source (placed, power > 0): the sub-source grid, expanded
+//     through the method-of-images mirrors when the model uses them (9
+//     points per sub-source, every one at full strength; else 1), packed as
+//     flat x/y arrays.
 //
-// Per placed receiver, one pair-row call of the dispatched kernel table
+// Per placed receiver, one call of the dispatched kernel table's one entry
 // (soa_kernels.h) per active source turns every source point into an
-// interpolated decay value read from a precomputed (base, diff) segment LUT
-// and reduces each source block to a subtotal per probe; the rows then add
-// in ascending source order, so no error grows with the die count. Memory
-// stays O(n): one row at a time, never the n^2 pair table an
-// IncrementalThermalState caches. The level comes from util/simd
-// (RLPLANNER_SIMD=scalar forces the portable table), and set_simd_level()
-// overrides it per snapshot for differential testing.
+// interpolated value read from a precomputed (base, diff) segment LUT —
+// with images the decay above the uniform floor, without them the table
+// itself (a zero floor) — and reduces each source block to a subtotal per
+// probe; the rows then add in ascending source order, so no error grows
+// with the die count. Memory stays O(n): one row at a time, never the n^2
+// pair table an IncrementalThermalState caches. The level comes from
+// util/simd (RLPLANNER_SIMD=scalar forces the portable table), and
+// set_simd_level() overrides it per snapshot for differential testing.
 //
 // Numerical contract (asserted by tests/soa_kernel_test.cpp and
 // tests/incremental_thermal_test.cpp):
 //  * an IncrementalThermalState right after a full re-reduction of its
 //    partial sums equals a SoaSnapshot at the same SIMD level bit for bit,
-//    by construction: both sum the same pair-row entry's rows in ascending
+//    by construction: both sum the one pair-row entry's rows in ascending
 //    source order;
 //  * everything else — other levels, patched incremental sums, the
 //    test-only oracle (tests/fast_model_oracle.h, one table lookup at a
@@ -67,14 +69,14 @@ inline std::pair<std::size_t, std::size_t> batch_lane_range(std::size_t b,
 
 /// Bind-time model constants shared by both kernel consumers, SoaSnapshot
 /// and IncrementalThermalState: the interleaved (base, diff) interpolation
-/// LUTs and the capped coordinate transform.
+/// LUT and the capped coordinate transform.
 /// Built once per model; everything here is placement-independent.
 struct SoaModelConsts {
   std::size_t pc = 0;          ///< receiver probes per die
   std::size_t ss = 1;          ///< sub-sources per die
   std::size_t img = 1;         ///< image points per sub-source (9 or 1)
   bool use_images = false;
-  double floor_per_src = 0.0;  ///< ss * uniform rise floor (K/W): one
+  double floor_per_src = 0.0;  ///< ss * the LUT's floor (K/W): one
                                ///< block's summed floors
   double ambient_c = 0.0;
   double pkg_w = 0.0;          ///< package extents, for the image mirrors
@@ -83,12 +85,11 @@ struct SoaModelConsts {
   double front = 0.0;
   double back = 0.0;
   double inv_step = 0.0;
-  // Interpolation LUTs, interleaved as (base, diff) pairs per segment so one
-  // lookup touches one cache line: base is the value at the left knot (with
-  // the decay floor pre-subtracted in the images variant), diff the value
+  // Interpolation LUT, interleaved as (base, diff) pairs per segment so one
+  // lookup touches one cache line: base is the value at the left knot minus
+  // the floor (the uniform floor with images, 0 without), diff the value
   // change across the segment.
-  std::vector<double> lut_img;  // {values[i] - floor, values[i+1]-values[i]}
-  std::vector<double> lut_raw;  // {values[i], values[i+1]-values[i]}
+  std::vector<double> lut;  // {values[i] - floor, values[i+1]-values[i]}
   double coord_cap = 0.0;  ///< largest table coordinate (just under nk-1)
 
   /// Binds to `model`. Throws std::invalid_argument when the model is empty
@@ -102,11 +103,10 @@ struct SoaModelConsts {
   void expand_source_point(const Point& s, double* xs, double* ys) const;
 
   /// One (receiver, source) coupling row: out[p] is the source block's rise
-  /// at probe (px[p], py[p]) — its block subtotal through the kernel form
-  /// this model selects (unit with images, raw without), the block's floors
-  /// added back (images), times power / ss. Both kernel consumers take their
-  /// rows from here and only add them up, so an FMA-contracting compiler
-  /// cannot round the two differently.
+  /// at probe (px[p], py[p]) — the kernel's block subtotal plus the block's
+  /// floors, times power / ss. Both kernel consumers take their rows from
+  /// here and only add them up, so an FMA-contracting compiler cannot round
+  /// the two differently.
   void pair_row(const SoaKernelOps& ops, const double* px, const double* py,
                 const double* sx, const double* sy, double power_per_sub,
                 double* out) const;

@@ -8,10 +8,13 @@
 // It shares the model's per-die building blocks (receiver_probes,
 // source_points, self_rise) and re-derives the mutual term from the public
 // tables: per receiver probe, every other powered die's sub-sources through
-// the mirror-image kernel, summed in ascending source order.
+// the mirror-image kernel, summed in ascending source order. It also keeps
+// the scalar kernel's deleted raw pair row (raw_pair_row), the bits models
+// without images must still get from the one pair-row entry.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -72,6 +75,38 @@ inline double source_contribution(const FastThermalModel& model,
   }
   m *= power_w / static_cast<double>(subsources.size());
   return m;
+}
+
+/// The raw pair row the scalar kernel table ran for models without images
+/// before the table had one entry: per probe, each source point's
+/// interpolated table value v — no floor, no clamp — with point t added
+/// into lane t % 4, the lanes combined as (l0 + l2) + (l1 + l3), times the
+/// source's power per sub-source. On a table with no negative knot,
+/// SoaModelConsts::pair_row at the scalar level must give these bits
+/// (soa_kernel_test). Requires a uniform mutual table, as the kernel does.
+inline void raw_pair_row(const FastThermalModel& model, const double* px,
+                         const double* py, std::size_t n_probes,
+                         const double* sx, const double* sy, std::size_t pts,
+                         double power_per_sub, double* out) {
+  const MutualResistanceTable& table = model.mutual_table();
+  const std::vector<double>& values = table.values();
+  const double front = table.distances().front();
+  const double back = table.distances().back();
+  const double cap =
+      std::nextafter(static_cast<double>(values.size() - 1), 0.0);
+  for (std::size_t p = 0; p < n_probes; ++p) {
+    double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t t = 0; t < pts; ++t) {
+      const double d = kernel_distance(sx[t] - px[p], sy[t] - py[p]);
+      const double x = std::min(
+          (std::min(std::max(d, front), back) - front) * table.inv_step(),
+          cap);
+      const int i = static_cast<int>(x);
+      const double diff = values[i + 1] - values[i];
+      lanes[t & 3] += values[i] + (x - static_cast<double>(i)) * diff;
+    }
+    out[p] = ((lanes[0] + lanes[2]) + (lanes[1] + lanes[3])) * power_per_sub;
+  }
 }
 
 /// All placed chiplets' temperatures; unplaced chiplets read ambient and

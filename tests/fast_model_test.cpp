@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "fast_model_oracle.h"
 #include "fuzz_util.h"
 #include "robust/robust.h"
 #include "systems/synthetic.h"
@@ -144,6 +146,37 @@ TEST_F(FastModelTest, AgreesWithGroundTruthOnRandomSystems) {
   EXPECT_LT(m.mae, 3.0) << "fast model diverged from ground truth";
 }
 
+// evaluate() on the characterized tables, with images and without them (the
+// paper's plain sum, run through the same pair-row entry over a zero floor),
+// stays within 1e-9 C of the test-only oracle. CI also runs this suite on
+// aarch64, where FMA is baseline.
+TEST_F(FastModelTest, EvaluateMatchesOracleWithAndWithoutImages) {
+  FastModelConfig plain_config = model_->config();
+  plain_config.use_images = false;
+  const FastThermalModel& images = *model_;
+  const FastThermalModel plain(images.self_table(), images.mutual_table(),
+                               images.ambient_c(), plain_config);
+  systems::SyntheticConfig sc;
+  sc.interposer_w_mm = 40.0;
+  sc.interposer_h_mm = 40.0;
+  const systems::SyntheticSystemGenerator gen(sc);
+  for (const FastThermalModel* model : {&images, &plain}) {
+    for (int i = 0; i < 4; ++i) {
+      const auto sys = gen.generate(700 + i);
+      Rng rng(800 + i);
+      const auto fp = systems::random_legal_floorplan(sys, rng);
+      const FastThermalResult got = model->evaluate(sys, fp);
+      const FastThermalResult want = oracle::evaluate(*model, sys, fp);
+      ASSERT_EQ(got.chiplet_temp_c.size(), want.chiplet_temp_c.size());
+      for (std::size_t c = 0; c < got.chiplet_temp_c.size(); ++c) {
+        EXPECT_NEAR(got.chiplet_temp_c[c], want.chiplet_temp_c[c], 1e-9)
+            << "images=" << model->config().use_images << " system " << i
+            << " chiplet " << c;
+      }
+    }
+  }
+}
+
 TEST_F(FastModelTest, FasterThanGroundTruth) {
   const auto sys = two_die_system(20.0, 15.0);
   Floorplan fp(sys);
@@ -220,7 +253,8 @@ TEST_F(FastModelTest, RejectsV3AndV2ModelFiles) {
 // 4000 x 4000 knots in an 80-byte file, a count of 2^62, an axis the
 // table constructor rejects, and a saved model whose header carries a probe
 // or sub-source count outside [1, 16] (46341 probes per axis overflowed
-// probe_count(); smaller large counts sized per-die arrays by their square).
+// probe_count(); smaller large counts sized per-die arrays by their square)
+// or a negative mutual knot.
 TEST_F(FastModelTest, CorruptModelFilesAreCorruptArtifacts) {
   const auto path =
       (std::filesystem::temp_directory_path() / "rlplan_fast_model_bad.txt")
@@ -266,6 +300,20 @@ TEST_F(FastModelTest, CorruptModelFilesAreCorruptArtifacts) {
     EXPECT_THROW(FastThermalModel::load(path), robust::CorruptArtifactError)
         << "field " << field << " = " << value;
   }
+  // A negative mutual knot: R_mutual is a rise per watt, and a model without
+  // images would read such a table as chiplets colder than ambient.
+  const auto mutual_at =
+      std::find(lines.begin(), lines.end(), "mutual_resistance_table v1");
+  ASSERT_LT(mutual_at + 3, lines.end());
+  std::string& values = lines[static_cast<std::size_t>(
+      mutual_at + 3 - lines.begin())];
+  values = "-0.25 " + values.substr(values.find(' ') + 1);
+  {
+    std::ofstream out(path);
+    for (const std::string& line : lines) out << line << '\n';
+  }
+  EXPECT_THROW(FastThermalModel::load(path), robust::CorruptArtifactError)
+      << "negative mutual knot";
   std::filesystem::remove(path);
 }
 

@@ -23,6 +23,7 @@
 #include "core/floorplan.h"
 #include "fast_model_oracle.h"
 #include "fuzz_util.h"
+#include "parallel/thread_pool.h"
 #include "rl/env.h"
 #include "systems/synthetic.h"
 #include "thermal/evaluator.h"
@@ -666,6 +667,68 @@ TEST(IncrementalThermal, EnvEpisodeMatchesOracleEvaluator) {
   EXPECT_NEAR(m_incr.temperature_c, m_ref.temperature_c, 1e-9);
   EXPECT_NEAR(m_incr.reward, m_ref.reward, 1e-9);
   EXPECT_GT(incr.incremental_queries(), 0);
+}
+
+// Above IncrementalThermalState::kMaxChiplets the evaluator keeps no state:
+// the incremental query calls max_temperature(), the protocol calls do
+// nothing, and max_temperature_batch() runs FastThermalModel::evaluate_batch
+// (over the pool when it gets one). Each gives evaluate()'s bits, and every
+// call counts as a full evaluation. One probe and one sub-source per die keep
+// the 257-die evaluations short under the sanitizers.
+TEST(IncrementalThermal, OversizedSystemFallsBackToFullEvaluations) {
+  FastModelConfig config;
+  config.source_subsamples = 1;
+  config.receiver_probes = 1;
+  FastThermalModel model = make_model(config, false, true);
+  constexpr double kSide = 100.0;
+  model.set_image_params(kSide, kSide, 0.02);
+  const std::size_t n = IncrementalThermalState::kMaxChiplets + 1;
+  std::vector<Chiplet> dies;
+  for (std::size_t i = 0; i < n; ++i) {
+    dies.push_back({"d" + std::to_string(i), 1.0, 1.0,
+                    0.5 + 0.1 * static_cast<double>(i % 7)});
+  }
+  const ChipletSystem sys("oversized", kSide, kSide, dies, {});
+  Floorplan full(sys);
+  for (std::size_t i = 0; i < n; ++i) {
+    full.place(i, {1.0 + 5.8 * static_cast<double>(i % 17),
+                   1.0 + 5.8 * static_cast<double>(i / 17)});
+  }
+  Floorplan moved = full;
+  moved.place(3, {97.0, 97.0});
+  Floorplan partial = full;
+  partial.unplace(200);
+  const std::vector<Floorplan> fps{full, moved, partial};
+  std::vector<double> want;
+  for (const Floorplan& fp : fps) {
+    want.push_back(model.evaluate(sys, fp).max_temp_c);
+  }
+
+  IncrementalFastModelEvaluator eval(model);
+  eval.notify_reset(sys);
+  for (std::size_t i = 0; i < n; ++i) {
+    eval.notify_place(sys, i, *full.placement(i));
+  }
+  eval.commit();
+  EXPECT_EQ(eval.incremental_max_temperature(sys, full), want[0]);
+  eval.notify_place(sys, 3, *moved.placement(3));
+  EXPECT_EQ(eval.incremental_max_temperature(sys, moved), want[1]);
+  eval.rollback();
+  eval.notify_remove(200);
+  EXPECT_EQ(eval.incremental_max_temperature(sys, partial), want[2]);
+  eval.commit();
+  EXPECT_EQ(eval.state(), nullptr);
+  EXPECT_EQ(eval.incremental_queries(), 0);
+
+  const std::vector<double> serial = eval.max_temperature_batch(sys, fps);
+  parallel::ThreadPool pool(2);
+  const std::vector<double> pooled =
+      eval.max_temperature_batch(sys, fps, &pool);
+  EXPECT_EQ(serial, want);
+  EXPECT_EQ(pooled, serial);
+  const long calls = 3 + 2 * static_cast<long>(fps.size());
+  EXPECT_EQ(eval.full_evaluations(), calls);
+  EXPECT_EQ(eval.num_evaluations(), calls);
 }
 
 TEST(IncrementalThermal, RejectsOversizedAndEmpty) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -117,6 +118,14 @@ TEST(MutualTable, RejectsMalformed) {
                std::invalid_argument);
   EXPECT_THROW(MutualResistanceTable({1.0, 2.0}, {1.0}),
                std::invalid_argument);
+  // R_mutual is a rise per watt: a negative or NaN knot is malformed.
+  EXPECT_THROW(MutualResistanceTable({1.0, 2.0}, {0.5, -1e-3}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      MutualResistanceTable({1.0, 2.0},
+                            {std::numeric_limits<double>::quiet_NaN(), 0.5}),
+      std::invalid_argument);
+  EXPECT_NO_THROW(MutualResistanceTable({1.0, 2.0}, {0.5, 0.0}));
 }
 
 TEST(MutualTable, SaveLoadRoundtrip) {

@@ -17,6 +17,8 @@
 //  * evaluate(), evaluate_batch() serial and evaluate_batch() fanned over a
 //    ThreadPool — BIT-EXACT (all are SoaSnapshot at the dispatched level;
 //    chunking never changes per-candidate arithmetic).
+//  * without images, the scalar pair row equals the raw row the scalar
+//    table ran before it had one entry (oracle::raw_pair_row) BIT-EXACTLY.
 //
 // Nightly long-fuzz hooks: RLPLANNER_FUZZ_SCALE multiplies the case count
 // (CI's schedule job runs 20x under ASan); on a mismatch the failing case's
@@ -328,6 +330,63 @@ TEST(SoaKernel, SourceBlocksLargerThanScalarTileMatchOracle) {
   for (int f = 0; f < 2; ++f) {
     EXPECT_TRUE(check_case(model, sys, random_floorplan(sys, rng), paths,
                            "dense floorplan_index=" + std::to_string(f)));
+  }
+}
+
+// Models without images run the one pair-row entry over a LUT with a zero
+// floor. On a table with no negative knot that gives the bits of the raw row
+// the scalar table ran for them before (oracle::raw_pair_row): the clamp
+// never fires, v - 0.0 = v and 0.0 + row = row. Random non-negative tables,
+// a fifth of their knots exactly zero, rising and falling segments, a
+// uniform floor the rows must ignore, probes and sources beyond both ends of
+// the table.
+TEST(SoaKernel, NoImagesRowEqualsOracleRawRow) {
+  const std::vector<double> dims{2.0, 10.0, 22.0};
+  const std::vector<std::vector<double>> self_vals(3,
+                                                   std::vector<double>(3, 1.0));
+  const int cases = 400 * fuzz_scale();
+  Rng rng(0x5a3a0ULL);
+  for (int c = 0; c < cases; ++c) {
+    const std::uint64_t seed = rng.next();
+    Rng case_rng(seed);
+    const std::size_t knots = 2 + case_rng.uniform_int(std::uint64_t{60});
+    const double step = case_rng.uniform(0.25, 3.0);
+    std::vector<double> distances, values;
+    for (std::size_t k = 0; k < knots; ++k) {
+      distances.push_back(static_cast<double>(k) * step);
+      values.push_back(case_rng.uniform() < 0.2 ? 0.0 : case_rng.uniform());
+    }
+    FastModelConfig config;
+    config.use_images = false;
+    config.source_subsamples = 1 + static_cast<int>(case_rng.uniform_int(
+                                       std::uint64_t{16}));
+    config.receiver_probes =
+        1 + static_cast<int>(case_rng.uniform_int(std::uint64_t{4}));
+    FastThermalModel model(SelfResistanceTable(dims, dims, self_vals),
+                           MutualResistanceTable(distances, values), 45.0,
+                           config);
+    // Characterized models carry a uniform floor with or without images;
+    // without them the rows must ignore it.
+    const double reach = distances.back() + 5.0;
+    model.set_image_params(reach, reach, case_rng.uniform(0.0, 0.5));
+    SoaModelConsts k;
+    k.bind(model);
+    std::vector<double> px(k.pc), py(k.pc), sx(k.ss), sy(k.ss);
+    for (std::vector<double>* v : {&px, &py, &sx, &sy}) {
+      for (double& x : *v) x = case_rng.uniform(-5.0, reach);
+    }
+    const double power_per_sub = case_rng.uniform(0.01, 10.0);
+    std::vector<double> got(k.pc), want(k.pc);
+    k.pair_row(soa_kernel_ops_scalar(), px.data(), py.data(), sx.data(),
+               sy.data(), power_per_sub, got.data());
+    oracle::raw_pair_row(model, px.data(), py.data(), k.pc, sx.data(),
+                         sy.data(), k.ss, power_per_sub, want.data());
+    const std::string context = "table_seed=" + std::to_string(seed);
+    EXPECT_EQ(got, want) << context;
+    if (got != want) {
+      report_failure_seed(context);
+      return;
+    }
   }
 }
 

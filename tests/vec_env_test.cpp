@@ -431,12 +431,13 @@ thermal::LayerStack* ParallelPlannerTest::stack_ = nullptr;
 ChipletSystem* ParallelPlannerTest::system_ = nullptr;
 thermal::FastThermalModel* ParallelPlannerTest::model_ = nullptr;
 
-TEST_F(ParallelPlannerTest, OneReplicaIgnoresNumThreads) {
-  // One replica steps on the caller thread without a pool: the explicit
-  // setting with a thread count and the default produce bit-identical runs.
+TEST_F(ParallelPlannerTest, OneReplicaResultsIgnoreLaneCount) {
+  // At one replica, num_threads = 4 builds a 4-lane pool for the batched
+  // forwards and the PPO update; the lane count must not change the
+  // result, so it runs bit-identical to the default.
   rl::RlPlannerConfig explicit_cfg = tiny_config();
   explicit_cfg.num_envs = 1;
-  explicit_cfg.num_threads = 4;  // no pool at one replica
+  explicit_cfg.num_threads = 4;
   rl::RlPlanner by_default(tiny_config());
   rl::RlPlanner explicit_one(explicit_cfg);
 

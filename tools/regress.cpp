@@ -28,8 +28,9 @@
 //           [--perf-scale=X]   scale throughput floors (0 disables; use on
 //                              sanitizer/debug builds where wall time is
 //                              meaningless)
-//           [--sa-population=K] score K SA perturbations per round through
-//                              the batched SoA thermal kernel (default 1 =
+//           [--sa-population=K] score K SA perturbations per round as
+//                              exact deltas on the fast model evaluator's
+//                              incremental batch state (default 1 =
 //                              classic incremental-protocol anneal; K < 1
 //                              is a usage error, exit 2)
 //           [--scenario-deadline-s=S] wall-clock budget per scenario; legs
