@@ -2,10 +2,12 @@
 // and the method-comparison runner used by Table I and Table III.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "bump/assigner.h"
 #include "core/reward.h"
@@ -19,38 +21,50 @@
 
 namespace rlplan::bench {
 
-/// --name=value integer flag (returns fallback when absent).
-inline long flag_int(int argc, char** argv, const char* name, long fallback) {
+/// The text after --name=, or nullptr when the flag is absent.
+inline const char* flag_value(int argc, char** argv, const char* name) {
   const std::string prefix = std::string("--") + name + "=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atol(argv[i] + prefix.size());
+      return argv[i] + prefix.size();
     }
   }
-  return fallback;
+  return nullptr;
 }
 
+/// Parses the whole of a numeric flag's value; anything else (empty, a
+/// trailing character, a word) exits 2 naming the flag, so a typo never runs
+/// as a silently read 0 or a truncated prefix.
+template <typename T>
+T parse_flag(const char* name, const char* value, const char* expected) {
+  T out{};
+  const char* end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, out);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "--%s=%s: not %s\n", name, value, expected);
+    std::exit(2);
+  }
+  return out;
+}
+
+/// --name=value integer flag (returns fallback when absent).
+inline long flag_int(int argc, char** argv, const char* name, long fallback) {
+  const char* value = flag_value(argc, argv, name);
+  return value ? parse_flag<long>(name, value, "an integer") : fallback;
+}
+
+/// --name=value number flag (returns fallback when absent).
 inline double flag_double(int argc, char** argv, const char* name,
                           double fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atof(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
+  const char* value = flag_value(argc, argv, name);
+  return value ? parse_flag<double>(name, value, "a number") : fallback;
 }
 
 /// --name=value string flag (returns fallback when absent).
 inline std::string flag_str(int argc, char** argv, const char* name,
                             const std::string& fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
+  const char* value = flag_value(argc, argv, name);
+  return value ? std::string(value) : fallback;
 }
 
 inline bool flag_present(int argc, char** argv, const char* name) {

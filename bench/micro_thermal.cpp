@@ -634,6 +634,16 @@ int main(int argc, char** argv) {
   const auto batch_threads = static_cast<std::size_t>(rlplan::bench::flag_int(
       argc, argv, "batch-threads",
       static_cast<long>(parallel::ThreadPool::hardware_threads())));
+  // CI gate floors (0 disables each), read up front so a malformed value
+  // stops the run before any measurement.
+  const double min_move_speedup =
+      rlplan::bench::flag_double(argc, argv, "min-move-speedup", 0.0);
+  const double min_batch_speedup =
+      rlplan::bench::flag_double(argc, argv, "min-batch-speedup", 0.0);
+  const double min_population_speedup =
+      rlplan::bench::flag_double(argc, argv, "min-population-speedup", 0.0);
+  const double min_evals_per_sec =
+      rlplan::bench::flag_double(argc, argv, "min-evals-per-sec", 0.0);
 
   const thermal::FastThermalModel model = synthetic_model();
   std::printf("single-die moves, incremental vs oracle re-evaluation "
@@ -716,8 +726,6 @@ int main(int argc, char** argv) {
   // dispatched incremental move+query vs a full oracle re-evaluation per
   // move, applied at the sizes where the kernel dominates the move cost
   // (>= 16 dies).
-  const double min_move_speedup =
-      rlplan::bench::flag_double(argc, argv, "min-move-speedup", 0.0);
   if (min_move_speedup > 0.0) {
     for (const MoveRow& r : rows) {
       if (r.chiplets >= 16 && r.speedup < min_move_speedup) {
@@ -742,8 +750,6 @@ int main(int argc, char** argv) {
   }
   // Batch-throughput floor (the CI bench gate): applied at the largest size,
   // where the kernel matters most.
-  const double min_batch_speedup =
-      rlplan::bench::flag_double(argc, argv, "min-batch-speedup", 0.0);
   if (min_batch_speedup > 0.0 && !batch_rows.empty() &&
       batch_rows.back().speedup < min_batch_speedup) {
     std::fprintf(stderr,
@@ -756,8 +762,6 @@ int main(int argc, char** argv) {
   // Population rounds: exact deltas must reproduce evaluate_batch() bit for
   // bit, and beat it by the given factor at >= 16 dies, where a candidate's
   // few moved dies are a small share of the O(n^2) rows.
-  const double min_population_speedup =
-      rlplan::bench::flag_double(argc, argv, "min-population-speedup", 0.0);
   for (const PopulationRow& r : population_rows) {
     if (r.mismatches != 0) {
       std::fprintf(stderr,
@@ -778,14 +782,12 @@ int main(int argc, char** argv) {
   // Throughput floor on the reward hot path (the CI bench-smoke gate). Set
   // far below healthy numbers so it only trips on an order-of-magnitude
   // regression, not on runner jitter.
-  const double floor =
-      rlplan::bench::flag_double(argc, argv, "min-evals-per-sec", 0.0);
   for (const MoveRow& r : rows) {
-    if (floor > 0.0 && r.incr_evals_per_sec < floor) {
+    if (min_evals_per_sec > 0.0 && r.incr_evals_per_sec < min_evals_per_sec) {
       std::fprintf(stderr,
                    "[micro_thermal] FAIL: %zu-chiplet incremental throughput "
                    "%.1f evals/s below floor %.1f\n",
-                   r.chiplets, r.incr_evals_per_sec, floor);
+                   r.chiplets, r.incr_evals_per_sec, min_evals_per_sec);
       return 1;
     }
   }

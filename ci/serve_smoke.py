@@ -12,7 +12,8 @@ asserts the three contracts CI cares about:
      lands in state `cancelled` with a degraded, stop_reason-tagged
      best-so-far payload (never a hang, never a silent full result).
   3. A second plain scenario runs to `done` with a legal floorplan, and the
-     engine's stats reflect exactly what happened.
+     engine's stats reflect exactly what happened: two jobs done, one
+     cancelled, and one characterized model per interposer footprint.
 
 Daemon lifecycle (start, SIGTERM, exit-0 assertion) belongs to the CI step;
 this script only speaks the protocol.
@@ -180,12 +181,16 @@ def main():
         failures.append(
             f"stats completed={stats['completed']} cancelled="
             f"{stats['cancelled']}, want 2/1")
-    if stats["model_cache"]["misses"] < 1:
-        failures.append(f"model cache never missed: {stats['model_cache']}")
+    # The parity job and the cancel probe share one 30x30 mm footprint and
+    # family_sweep04 is 40x40 mm: two characterizations, one shared model.
+    cache = stats["model_cache"]
+    if cache["misses"] != 2 or cache["hits"] != 1:
+        failures.append(
+            f"model cache hits={cache['hits']} misses={cache['misses']}, "
+            f"want 1/2 (one model per footprint)")
     print(f"[serve_smoke] stats: completed={stats['completed']} "
           f"cancelled={stats['cancelled']} "
-          f"cache={stats['model_cache']['hits']}h/"
-          f"{stats['model_cache']['misses']}m")
+          f"cache={cache['hits']}h/{cache['misses']}m")
     client.close()
 
     if failures:

@@ -42,21 +42,22 @@ struct EventSlot {
   std::atomic<std::int64_t> arg{kNoArg};
 };
 
+// Events per thread's ring: 65536 slots of 32 bytes, 2 MiB a thread.
+constexpr std::size_t kRingCapacity = std::size_t{1} << 16;
+
 struct TraceRing {
-  explicit TraceRing(std::size_t cap, int tid_)
-      : slots(new EventSlot[cap]), capacity(cap), tid(tid_) {}
+  explicit TraceRing(int tid_)
+      : slots(new EventSlot[kRingCapacity]), tid(tid_) {}
 
   std::unique_ptr<EventSlot[]> slots;
-  std::size_t capacity;
   int tid;
-  // Total events ever pushed; head % capacity is the next write slot.
+  // Total events ever pushed; head % kRingCapacity is the next write slot.
   std::atomic<std::uint64_t> head{0};
 };
 
 struct TraceState {
   std::mutex mutex;
   std::vector<std::unique_ptr<TraceRing>> rings;
-  std::size_t ring_capacity = 1 << 16;
   std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
 };
@@ -73,7 +74,7 @@ TraceRing& local_ring() {
     TraceState& s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
     const int tid = static_cast<int>(s.rings.size()) + 1;
-    s.rings.push_back(std::make_unique<TraceRing>(s.ring_capacity, tid));
+    s.rings.push_back(std::make_unique<TraceRing>(tid));
     cached = s.rings.back().get();
   }
   return *cached;
@@ -93,9 +94,9 @@ std::vector<CollectedEvent> collect_events() {
   std::vector<CollectedEvent> out;
   for (const auto& ring : s.rings) {
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t n = std::min<std::uint64_t>(head, ring->capacity);
+    const std::uint64_t n = std::min<std::uint64_t>(head, kRingCapacity);
     for (std::uint64_t i = head - n; i < head; ++i) {
-      const EventSlot& slot = ring->slots[i % ring->capacity];
+      const EventSlot& slot = ring->slots[i % kRingCapacity];
       const char* name = slot.name.load(std::memory_order_relaxed);
       if (name == nullptr) continue;
       out.push_back({name, slot.begin_ns.load(std::memory_order_relaxed),
@@ -171,7 +172,7 @@ void record_span(const char* name, std::uint64_t begin_ns,
                  std::uint64_t end_ns, std::int64_t arg) {
   TraceRing& ring = local_ring();
   const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-  EventSlot& slot = ring.slots[head % ring.capacity];
+  EventSlot& slot = ring.slots[head % kRingCapacity];
   slot.name.store(name, std::memory_order_relaxed);
   slot.begin_ns.store(begin_ns, std::memory_order_relaxed);
   slot.end_ns.store(end_ns, std::memory_order_relaxed);
@@ -188,8 +189,8 @@ TraceStats trace_stats() {
   stats.threads = s.rings.size();
   for (const auto& ring : s.rings) {
     const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-    stats.recorded += std::min<std::uint64_t>(head, ring->capacity);
-    stats.dropped += head > ring->capacity ? head - ring->capacity : 0;
+    stats.recorded += std::min<std::uint64_t>(head, kRingCapacity);
+    stats.dropped += head > kRingCapacity ? head - kRingCapacity : 0;
   }
   return stats;
 }
@@ -199,17 +200,11 @@ void reset_trace() {
   std::lock_guard<std::mutex> lock(s.mutex);
   for (const auto& ring : s.rings) {
     // Clear names first so a concurrent exporter skips stale slots.
-    for (std::size_t i = 0; i < ring->capacity; ++i) {
+    for (std::size_t i = 0; i < kRingCapacity; ++i) {
       ring->slots[i].name.store(nullptr, std::memory_order_relaxed);
     }
     ring->head.store(0, std::memory_order_release);
   }
-}
-
-void set_trace_ring_capacity(std::size_t events) {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.ring_capacity = std::max<std::size_t>(events, 16);
 }
 
 util::JsonValue chrome_trace_json() {

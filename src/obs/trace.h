@@ -7,10 +7,10 @@
 //   }
 //
 // The RAII span records begin/end timestamps (steady_clock nanoseconds
-// relative to a process-wide epoch) into a fixed-capacity ring owned by the
-// current thread — no locks, no allocation on the hot path, and a single
-// relaxed atomic load when tracing is disabled. When a ring wraps, the oldest
-// events are overwritten and counted as dropped (trace_stats()).
+// relative to a process-wide epoch) into a ring of 65536 events (2 MiB)
+// owned by the current thread — no locks, no allocation on the hot path, and
+// a single relaxed atomic load when tracing is disabled. When a ring wraps,
+// the oldest events are overwritten and counted as dropped (trace_stats()).
 //
 // Span names must be string literals (or otherwise outlive the process): the
 // ring stores the pointer, not a copy. Naming follows the metrics convention:
@@ -99,12 +99,8 @@ struct TraceStats {
 };
 TraceStats trace_stats();
 
-/// Drops all buffered events (ring capacity and thread registrations stay).
+/// Drops all buffered events (thread registrations stay).
 void reset_trace();
-
-/// Per-thread ring capacity in events; applies to rings created afterwards.
-/// Default 65536 (~3 MB/thread).
-void set_trace_ring_capacity(std::size_t events);
 
 /// {"traceEvents": [...]} with "X" (complete) events — load in
 /// chrome://tracing or https://ui.perfetto.dev. Events carry pid 1 and a

@@ -8,17 +8,6 @@
 
 namespace rlplan::robust {
 
-const char* to_string(ErrorClass cls) {
-  switch (cls) {
-    case ErrorClass::kTransientIo: return "transient_io";
-    case ErrorClass::kCorruptArtifact: return "corrupt_artifact";
-    case ErrorClass::kSolverDivergence: return "solver_divergence";
-    case ErrorClass::kNumericalFault: return "numerical_fault";
-    case ErrorClass::kCancelled: return "cancelled";
-  }
-  return "unknown";
-}
-
 const char* to_string(StopReason reason) {
   switch (reason) {
     case StopReason::kNone: return "none";
@@ -41,11 +30,9 @@ namespace {
 // installed and never changed afterwards). g_signal_token keeps the flag's
 // storage alive for the rest of the process.
 std::atomic<std::atomic<bool>*> g_signal_flag{nullptr};
-std::atomic<int> g_signal_number{0};
 CancelToken g_signal_token;
 
 extern "C" void robust_signal_handler(int signum) {
-  g_signal_number.store(signum, std::memory_order_relaxed);
   std::atomic<bool>* flag = g_signal_flag.load(std::memory_order_relaxed);
   if (flag == nullptr || flag->exchange(true, std::memory_order_relaxed)) {
     // Second signal (or no token): restore default disposition and re-raise,
@@ -65,10 +52,6 @@ bool install_signal_cancel(const CancelToken& token) {
   return true;
 }
 
-int last_cancel_signal() {
-  return g_signal_number.load(std::memory_order_relaxed);
-}
-
 namespace detail {
 
 void backoff_sleep(double seconds) {
@@ -77,10 +60,7 @@ void backoff_sleep(double seconds) {
   }
 }
 
-void count_retry(const char* what) {
-  (void)what;
-  RLPLAN_COUNTER_INC("robust.retries");
-}
+void count_retry() { RLPLAN_COUNTER_INC("robust.retries"); }
 
 }  // namespace detail
 

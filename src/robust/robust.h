@@ -2,10 +2,9 @@
 //
 // Three orthogonal pieces:
 //
-//  * A typed error taxonomy (RobustError + ErrorClass) so callers can react
-//    by class — transient IO gets retried, corrupt artifacts get quarantined,
-//    solver/numerical faults trigger a degradation path — instead of string-
-//    matching `what()`.
+//  * A typed error taxonomy (RobustError and its subclasses) so callers can
+//    react by type — transient IO gets retried, corrupt artifacts get
+//    quarantined — instead of string-matching `what()`.
 //
 //  * Cooperative stop signals: `Deadline` (wall-clock budget) and
 //    `CancelToken` (shared flag, settable from another thread or a signal
@@ -16,8 +15,8 @@
 //    A default-constructed RunControl is inert and costs one branch per poll,
 //    so the layer is invisible when no budget is set.
 //
-//  * `retry_with_backoff`: bounded exponential-backoff retry for the
-//    transient-IO error class (checkpoint/artifact writes).
+//  * `retry_with_backoff`: bounded exponential-backoff retry for
+//    TransientIoError (checkpoint/artifact writes).
 //
 // Determinism contract: stopping is only ever *earlier* termination of the
 // same deterministic sequence — a cancelled run's partial result equals the
@@ -36,58 +35,29 @@ namespace rlplan::robust {
 
 // ------------------------------------------------------------- error taxonomy
 
-enum class ErrorClass {
-  kTransientIo,      ///< retryable: interrupted/failed write, busy file
-  kCorruptArtifact,  ///< permanent: checkpoint/JSON failed validation
-  kSolverDivergence, ///< numerical: CG failed to converge within budget
-  kNumericalFault,   ///< numerical: NaN/Inf surfaced in an update
-  kCancelled,        ///< cooperative stop honoured where best-so-far is
-                     ///< impossible (e.g. mid-characterization)
-};
-
-const char* to_string(ErrorClass cls);
-
+/// Base of the layer's typed errors.
 class RobustError : public std::runtime_error {
  public:
-  RobustError(ErrorClass cls, const std::string& what)
-      : std::runtime_error(what), cls_(cls) {}
-
-  ErrorClass error_class() const { return cls_; }
-  /// True for the error class retry_with_backoff() is allowed to retry.
-  bool transient() const { return cls_ == ErrorClass::kTransientIo; }
-
- private:
-  ErrorClass cls_;
+  using std::runtime_error::runtime_error;
 };
 
+/// Retryable: an interrupted or failed write, a busy file.
 class TransientIoError : public RobustError {
  public:
-  explicit TransientIoError(const std::string& what)
-      : RobustError(ErrorClass::kTransientIo, what) {}
+  using RobustError::RobustError;
 };
 
+/// Permanent: a checkpoint, model file or JSON document failed validation.
 class CorruptArtifactError : public RobustError {
  public:
-  explicit CorruptArtifactError(const std::string& what)
-      : RobustError(ErrorClass::kCorruptArtifact, what) {}
+  using RobustError::RobustError;
 };
 
-class SolverDivergenceError : public RobustError {
- public:
-  explicit SolverDivergenceError(const std::string& what)
-      : RobustError(ErrorClass::kSolverDivergence, what) {}
-};
-
-class NumericalFaultError : public RobustError {
- public:
-  explicit NumericalFaultError(const std::string& what)
-      : RobustError(ErrorClass::kNumericalFault, what) {}
-};
-
+/// A cooperative stop honoured where best-so-far is impossible (e.g.
+/// mid-characterization).
 class CancelledError : public RobustError {
  public:
-  explicit CancelledError(const std::string& what)
-      : RobustError(ErrorClass::kCancelled, what) {}
+  using RobustError::RobustError;
 };
 
 // -------------------------------------------------------- cooperative stopping
@@ -194,10 +164,6 @@ struct RunControl {
 /// can still be killed with a repeated Ctrl-C.
 bool install_signal_cancel(const CancelToken& token);
 
-/// Signal number that triggered cancellation via install_signal_cancel()
-/// (0 if none yet).
-int last_cancel_signal();
-
 // ----------------------------------------------------------------------- retry
 
 struct RetryOptions {
@@ -210,24 +176,23 @@ struct RetryOptions {
 namespace detail {
 /// Sleep hook behind retry_with_backoff (no-op for non-positive durations).
 void backoff_sleep(double seconds);
-/// Obs accounting: one retry attempt consumed after an error named `what`.
-void count_retry(const char* what);
+/// Obs accounting: one retry attempt consumed ("robust.retries").
+void count_retry();
 }  // namespace detail
 
 /// Runs `fn`, retrying on TransientIoError (only — every other exception
 /// propagates immediately) with exponential backoff. Rethrows the last
-/// transient error once attempts are exhausted. `what` labels obs counters
-/// and is not interpreted.
+/// transient error once attempts are exhausted.
 template <typename Fn>
-auto retry_with_backoff(Fn&& fn, const RetryOptions& options = {},
-                        const char* what = "io") -> decltype(fn()) {
+auto retry_with_backoff(Fn&& fn, const RetryOptions& options = {})
+    -> decltype(fn()) {
   double backoff = options.initial_backoff_s;
   for (int attempt = 1;; ++attempt) {
     try {
       return fn();
-    } catch (const RobustError& e) {
-      if (!e.transient() || attempt >= options.max_attempts) throw;
-      detail::count_retry(what);
+    } catch (const TransientIoError&) {
+      if (attempt >= options.max_attempts) throw;
+      detail::count_retry();
       detail::backoff_sleep(backoff);
       backoff = std::min(backoff * options.backoff_multiplier,
                          options.max_backoff_s);

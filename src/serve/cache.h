@@ -9,15 +9,12 @@
 // resampled_uniform() mutual table (built at model construction), so the
 // resample cost is amortized by the same entry.
 //
-// Keying: layer_stack_hash() folds every physical field of the stack
-// (layers, materials, fill, boundary coefficients, ambient) into an FNV-1a
-// digest; characterization_key() extends it with the characterization knobs
-// and the footprint. Equal inputs produce equal keys by construction
-// (tests/serve_test.cpp pins this, including sensitivity: perturbing any
-// single field must change the key). Keys are 64-bit digests, so distinct
-// inputs colliding is possible in principle but negligible in practice
-// (~2^-64 per pair); a collision would silently serve a mis-characterized
-// model, which is the accepted trade for not storing full key material.
+// Keying: one cache holds one layer stack and one characterization config,
+// so a model's identity inside it is the interposer footprint alone. Entries
+// are keyed by the exact bits of (width, height): equal footprints share a
+// model, every other pair (a 50x60 interposer is not a 60x50 one) gets its
+// own, and no digest stands between a request and its entry to alias two
+// footprints.
 //
 // The second cache is the warm-start checkpoint store: RL legs of the same
 // scenario *family* (same topology/size/grid — the shape the policy net must
@@ -37,6 +34,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "systems/scenario.h"
 #include "thermal/characterize.h"
@@ -44,20 +42,6 @@
 #include "thermal/layer_stack.h"
 
 namespace rlplan::serve {
-
-/// FNV-1a digest of every physically meaningful field of the stack: layer
-/// order, names, thicknesses, material names/conductivities, chiplet-layer
-/// flag, fill material, h_top/h_bottom, ambient. Two stacks that solve
-/// identically hash identically; any field perturbation changes the digest.
-std::uint64_t layer_stack_hash(const thermal::LayerStack& stack);
-
-/// Full characterization cache key: the stack digest extended with the
-/// characterization knobs that shape the tables (solver dims, axes, probe
-/// counts, model config) and the interposer footprint.
-std::uint64_t characterization_key(std::uint64_t stack_hash,
-                                   const thermal::CharacterizationConfig& cc,
-                                   double interposer_w_mm,
-                                   double interposer_h_mm);
 
 struct CharacterizationCacheStats {
   std::uint64_t hits = 0;
@@ -71,7 +55,7 @@ struct CharacterizationCacheStats {
 
 /// Thread-safe characterized-model cache. The map mutex is held only for
 /// entry lookup; characterization itself runs under a per-entry once_flag,
-/// so distinct footprints characterize concurrently and only same-key
+/// so distinct footprints characterize concurrently and only same-footprint
 /// requests wait (map nodes are address-stable, so returned references stay
 /// valid for the cache's lifetime).
 class CharacterizationCache {
@@ -87,7 +71,6 @@ class CharacterizationCache {
 
   const thermal::LayerStack& stack() const { return stack_; }
   const thermal::CharacterizationConfig& config() const { return config_; }
-  std::uint64_t stack_hash() const { return stack_hash_; }
   std::size_t entries() const;
   CharacterizationCacheStats stats() const;
 
@@ -99,9 +82,9 @@ class CharacterizationCache {
 
   thermal::LayerStack stack_;
   thermal::CharacterizationConfig config_;
-  std::uint64_t stack_hash_ = 0;
   mutable std::mutex mutex_;
-  std::map<std::uint64_t, Entry> entries_;
+  /// Keyed by the bit images of (interposer_w_mm, interposer_h_mm).
+  std::map<std::pair<std::uint64_t, std::uint64_t>, Entry> entries_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> characterize_ns_{0};
@@ -112,9 +95,10 @@ class CharacterizationCache {
 /// transfer — the problem instance up to the family seed and the policy
 /// grid. A readable prefix (family topology + die count + interposer width,
 /// or the builtin/inline instance name) plus, for families and inline
-/// systems, a hex FNV-1a digest of every generator field but the seed or of
-/// the inline system (interposer, chiplets, nets). Filesystem-safe
-/// ([A-Za-z0-9_.-] only).
+/// systems, a hex FNV-1a digest of the instance's scenario JSON
+/// (systems::family_to_json without the seed, or
+/// systems::inline_system_to_json), so the key covers every field the
+/// scenario schema round-trips. Filesystem-safe ([A-Za-z0-9_.-] only).
 std::string scenario_family_key(const systems::Scenario& scenario);
 
 struct WarmStartCacheStats {

@@ -290,7 +290,6 @@ thermal::CharacterizationConfig RunnerConfig::coarse_characterization() {
   thermal::CharacterizationConfig cc;
   cc.solver.dims = {24, 24};
   cc.auto_axis_points = 5;
-  cc.position_points = 5;
   return cc;
 }
 

@@ -127,12 +127,6 @@ void write_system(const ChipletSystem& system, std::ostream& os) {
   }
 }
 
-void write_system_file(const ChipletSystem& system, const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for write: " + path);
-  write_system(system, os);
-}
-
 Floorplan read_floorplan(std::istream& is, const ChipletSystem& system) {
   std::map<std::string, std::size_t> index_of;
   for (std::size_t i = 0; i < system.num_chiplets(); ++i) {
@@ -177,17 +171,6 @@ Floorplan read_floorplan(std::istream& is, const ChipletSystem& system) {
     }
   }
   return fp;
-}
-
-Floorplan read_floorplan_file(const std::string& path,
-                              const ChipletSystem& system) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open floorplan file: " + path);
-  try {
-    return read_floorplan(is, system);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
 }
 
 void write_floorplan(const Floorplan& floorplan, std::ostream& os) {

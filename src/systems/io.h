@@ -30,13 +30,10 @@ ChipletSystem read_system(std::istream& is);
 ChipletSystem read_system_file(const std::string& path);
 
 void write_system(const ChipletSystem& system, std::ostream& os);
-void write_system_file(const ChipletSystem& system, const std::string& path);
 
 /// Parses a floorplan for `system` (chiplets referenced by name; all
 /// placements optional — absent chiplets stay unplaced).
 Floorplan read_floorplan(std::istream& is, const ChipletSystem& system);
-Floorplan read_floorplan_file(const std::string& path,
-                              const ChipletSystem& system);
 
 void write_floorplan(const Floorplan& floorplan, std::ostream& os);
 void write_floorplan_file(const Floorplan& floorplan,

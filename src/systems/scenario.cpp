@@ -127,24 +127,6 @@ FamilyConfig family_from_json(const util::JsonValue& j) {
   return c;
 }
 
-util::JsonValue family_to_json(const FamilyConfig& c) {
-  util::JsonValue j = util::JsonValue::make_object();
-  j.set("topology", to_string(c.topology));
-  j.set("chiplets", c.chiplets);
-  j.set("interposer_mm",
-        util::JsonValue::Array{c.interposer_w_mm, c.interposer_h_mm});
-  j.set("die_mm", util::JsonValue::Array{c.min_dim_mm, c.max_dim_mm});
-  j.set("power_w", util::JsonValue::Array{c.min_power_w, c.max_power_w});
-  j.set("max_aspect", c.max_aspect);
-  j.set("power_skew", c.power_skew);
-  j.set("wires", util::JsonValue::Array{c.min_wires, c.max_wires});
-  j.set("extra_net_prob", c.extra_net_prob);
-  j.set("hotspot_pairs", c.hotspot_pairs);
-  j.set("hotspot_power_w", c.hotspot_power_w);
-  j.set("max_utilization", c.max_utilization);
-  return j;
-}
-
 ChipletSystem inline_system_from_json(const util::JsonValue& sys,
                                       const std::string& scenario_name) {
   reject_unknown(sys, {"name", "interposer_mm", "dies", "nets"}, "system");
@@ -224,29 +206,6 @@ ChipletSystem inline_system_from_json(const util::JsonValue& sys,
     fail(std::string("system: ") + e.what());
   }
   return system;
-}
-
-util::JsonValue inline_system_to_json(const ChipletSystem& s) {
-  util::JsonValue j = util::JsonValue::make_object();
-  j.set("name", s.name());
-  j.set("interposer_mm",
-        util::JsonValue::Array{s.interposer_width(), s.interposer_height()});
-  util::JsonValue dies = util::JsonValue::make_array();
-  for (const Chiplet& c : s.chiplets()) {
-    util::JsonValue d = util::JsonValue::make_object();
-    d.set("name", c.name);
-    d.set("mm", util::JsonValue::Array{c.width, c.height});
-    d.set("power_w", c.power);
-    dies.push_back(std::move(d));
-  }
-  j.set("dies", std::move(dies));
-  util::JsonValue nets = util::JsonValue::make_array();
-  for (const InterChipletNet& n : s.nets()) {
-    nets.push_back(util::JsonValue::Array{s.chiplet(n.a).name,
-                                          s.chiplet(n.b).name, n.wires});
-  }
-  j.set("nets", std::move(nets));
-  return j;
 }
 
 ScenarioBudget budget_from_json(const util::JsonValue* j) {
@@ -412,6 +371,47 @@ Scenario scenario_from_json(const util::JsonValue& json) {
 
   s.validate();
   return s;
+}
+
+util::JsonValue family_to_json(const FamilyConfig& c) {
+  util::JsonValue j = util::JsonValue::make_object();
+  j.set("topology", to_string(c.topology));
+  j.set("chiplets", c.chiplets);
+  j.set("interposer_mm",
+        util::JsonValue::Array{c.interposer_w_mm, c.interposer_h_mm});
+  j.set("die_mm", util::JsonValue::Array{c.min_dim_mm, c.max_dim_mm});
+  j.set("power_w", util::JsonValue::Array{c.min_power_w, c.max_power_w});
+  j.set("max_aspect", c.max_aspect);
+  j.set("power_skew", c.power_skew);
+  j.set("wires", util::JsonValue::Array{c.min_wires, c.max_wires});
+  j.set("extra_net_prob", c.extra_net_prob);
+  j.set("hotspot_pairs", c.hotspot_pairs);
+  j.set("hotspot_power_w", c.hotspot_power_w);
+  j.set("max_utilization", c.max_utilization);
+  return j;
+}
+
+util::JsonValue inline_system_to_json(const ChipletSystem& s) {
+  util::JsonValue j = util::JsonValue::make_object();
+  j.set("name", s.name());
+  j.set("interposer_mm",
+        util::JsonValue::Array{s.interposer_width(), s.interposer_height()});
+  util::JsonValue dies = util::JsonValue::make_array();
+  for (const Chiplet& c : s.chiplets()) {
+    util::JsonValue d = util::JsonValue::make_object();
+    d.set("name", c.name);
+    d.set("mm", util::JsonValue::Array{c.width, c.height});
+    d.set("power_w", c.power);
+    dies.push_back(std::move(d));
+  }
+  j.set("dies", std::move(dies));
+  util::JsonValue nets = util::JsonValue::make_array();
+  for (const InterChipletNet& n : s.nets()) {
+    nets.push_back(util::JsonValue::Array{s.chiplet(n.a).name,
+                                          s.chiplet(n.b).name, n.wires});
+  }
+  j.set("nets", std::move(nets));
+  return j;
 }
 
 util::JsonValue scenario_to_json(const Scenario& scenario) {

@@ -126,6 +126,11 @@ ChipletSystem make_builtin_system(const std::string& name);
 Scenario scenario_from_json(const util::JsonValue& json);
 util::JsonValue scenario_to_json(const Scenario& scenario);
 
+/// The "system" parts scenario_to_json is built from: a generator family
+/// without its seed, and an inline system (name, interposer, dies, nets).
+util::JsonValue family_to_json(const FamilyConfig& family);
+util::JsonValue inline_system_to_json(const ChipletSystem& system);
+
 Scenario load_scenario_file(const std::string& path);
 void save_scenario_file(const Scenario& scenario, const std::string& path);
 

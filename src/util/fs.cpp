@@ -33,8 +33,7 @@ void atomic_write_file(const std::string& path, const std::string& contents) {
           std::remove(tmp.c_str());
           throw robust::TransientIoError(path + ": rename failed");
         }
-      },
-      {}, "artifact_write");
+      });
 }
 
 }  // namespace rlplan::util

@@ -19,9 +19,9 @@
 //
 // The choice is made once, at first query, and cached for the process (the
 // env var is read at that point). Consumers that want per-instance control
-// for differential testing bypass the cache: SoaSnapshot::set_simd_level for
-// the batch sweep kernels, IncrementalThermalState::set_simd_level for the
-// fused pair-row kernels behind the incremental single-move path.
+// for differential testing bypass the cache: SoaSnapshot::set_simd_level and
+// IncrementalThermalState::set_simd_level pin the level of the one pair-row
+// kernel entry both of them run.
 #pragma once
 
 namespace rlplan::util {

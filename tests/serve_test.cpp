@@ -72,68 +72,6 @@ void wait_for_phase(serve::ServeEngine& engine, std::uint64_t id,
 
 // ---------------------------------------------------------------- cache keys
 
-TEST(CacheKeys, StackHashIsDeterministicAndTotal) {
-  const thermal::LayerStack a = thermal::LayerStack::default_2p5d();
-  const thermal::LayerStack b = thermal::LayerStack::default_2p5d();
-  EXPECT_EQ(serve::layer_stack_hash(a), serve::layer_stack_hash(b));
-
-  thermal::LayerStack ambient = thermal::LayerStack::default_2p5d();
-  ambient.set_ambient_c(ambient.ambient_c() + 1.0);
-  EXPECT_NE(serve::layer_stack_hash(a), serve::layer_stack_hash(ambient));
-
-  thermal::LayerStack h_top = thermal::LayerStack::default_2p5d();
-  h_top.set_h_top(h_top.h_top() * 1.01);
-  EXPECT_NE(serve::layer_stack_hash(a), serve::layer_stack_hash(h_top));
-
-  // Perturb one layer's thickness by one ULP-scale step: physical fields
-  // hash by bit pattern, so ANY change must change the key.
-  std::vector<thermal::Layer> layers = a.layers();
-  layers[0].thickness += 1e-9;
-  const thermal::LayerStack thicker(layers, a.fill_material(), a.h_top(),
-                                    a.h_bottom(), a.ambient_c());
-  EXPECT_NE(serve::layer_stack_hash(a), serve::layer_stack_hash(thicker));
-}
-
-TEST(CacheKeys, CharacterizationKeyCoversConfigAndFootprint) {
-  const std::uint64_t stack_hash =
-      serve::layer_stack_hash(thermal::LayerStack::default_2p5d());
-  const thermal::CharacterizationConfig cc =
-      serve::RunnerConfig::coarse_characterization();
-
-  const std::uint64_t base =
-      serve::characterization_key(stack_hash, cc, 50.0, 50.0);
-  EXPECT_EQ(base, serve::characterization_key(stack_hash, cc, 50.0, 50.0));
-
-  // Footprint sensitivity — width and height independently.
-  EXPECT_NE(base, serve::characterization_key(stack_hash, cc, 60.0, 50.0));
-  EXPECT_NE(base, serve::characterization_key(stack_hash, cc, 50.0, 60.0));
-  // Not commutative in (w, h): a 40x50 interposer is not a 50x40 one.
-  EXPECT_NE(serve::characterization_key(stack_hash, cc, 40.0, 50.0),
-            serve::characterization_key(stack_hash, cc, 50.0, 40.0));
-
-  thermal::CharacterizationConfig dims = cc;
-  dims.solver.dims = {32, 32};
-  EXPECT_NE(base, serve::characterization_key(stack_hash, dims, 50.0, 50.0));
-
-  // Every other field that shapes the tables changes the key on its own.
-  const auto changed = [&](auto&& edit) {
-    thermal::CharacterizationConfig other = cc;
-    edit(other);
-    return serve::characterization_key(stack_hash, other, 50.0, 50.0) != base;
-  };
-  EXPECT_TRUE(changed([](auto& c) { c.auto_axis_points += 1; }));
-  EXPECT_TRUE(changed([](auto& c) { c.geometric_axes = !c.geometric_axes; }));
-  EXPECT_TRUE(changed([](auto& c) { c.position_points += 1; }));
-  EXPECT_TRUE(changed([](auto& c) { c.model_config.source_subsamples += 1; }));
-  EXPECT_TRUE(changed([](auto& c) { c.model_config.receiver_probes += 1; }));
-  EXPECT_TRUE(changed([](auto& c) {
-    c.model_config.use_images = !c.model_config.use_images;
-  }));
-
-  // A different stack digest changes the key for the same footprint/config.
-  EXPECT_NE(base, serve::characterization_key(stack_hash ^ 1, cc, 50.0, 50.0));
-}
-
 TEST(CacheKeys, ScenarioFamilyKeyIsStableAndFilesystemSafe) {
   systems::Scenario s = tiny_scenario();
   const std::string key = serve::scenario_family_key(s);
@@ -223,6 +161,16 @@ TEST(CharacterizationCacheTest, SharesModelsByFootprint) {
   cache.get(60.0, 50.0);
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
+
+  // The footprint is ordered: a 50x60 interposer is not a 60x50 one.
+  const thermal::FastThermalModel& wide = cache.get(60.0, 50.0);
+  const thermal::FastThermalModel& tall = cache.get(50.0, 60.0);
+  EXPECT_NE(&wide, &tall);
+  EXPECT_EQ(&tall, &cache.get(50.0, 60.0));
+  EXPECT_EQ(cache.entries(), 3u);
+  stats = cache.stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.hits, 3u);
 }
 
 // -------------------------------------------------------------------- parity

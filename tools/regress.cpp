@@ -27,7 +27,7 @@
 //           [--filter=substr]  only scenarios whose name contains substr
 //           [--perf-scale=X]   scale throughput floors (0 disables; use on
 //                              sanitizer/debug builds where wall time is
-//                              meaningless)
+//                              meaningless; X < 0 is a usage error, exit 2)
 //           [--sa-population=K] score K SA perturbations per round as
 //                              exact deltas on the fast model evaluator's
 //                              incremental batch state (default 1 =
@@ -169,6 +169,12 @@ int main(int argc, char** argv) {
   const std::string filter = bench::flag_str(argc, argv, "filter", "");
   const double perf_scale =
       bench::flag_double(argc, argv, "perf-scale", 1.0);
+  // A negative (or NaN) scale would turn every floor off like 0 does, but
+  // silently.
+  if (!(perf_scale >= 0.0)) {
+    std::fprintf(stderr, "[regress] --perf-scale must be non-negative\n");
+    return 2;
+  }
   const long sa_population = bench::flag_int(argc, argv, "sa-population", 1);
   // Checked before the cast and the suite load: 0 would fail every
   // scenario, and -1 would wrap to ~2^64 candidates per round.

@@ -4,9 +4,9 @@
 // (serve/protocol.h): clients submit scenario-JSON jobs, poll or stream
 // status, cancel mid-flight, and fetch results that are bit-identical to a
 // direct `regress` run of the same scenario+seed. Jobs share the process's
-// cross-request caches — thermal characterization by layer-stack/footprint
-// key, and (opt-in per job) warm-start policy checkpoints by scenario
-// family — which is the whole point of serving instead of cold CLI runs.
+// cross-request caches — thermal characterization by interposer footprint,
+// and (opt-in per job) warm-start policy checkpoints by scenario family —
+// which is the whole point of serving instead of cold CLI runs.
 //
 // Usage: serve [--host=127.0.0.1] [--port=0] [--workers=N]
 //              [--warm-dir=DIR] [--port-file=PATH] [--metrics=PATH]

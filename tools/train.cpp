@@ -184,8 +184,7 @@ util::JsonValue stats_to_json(int epoch, const rl::TrainStats& stats,
 
 void save_checkpoint_with_retry(rl::TrainingSession& session,
                                 const std::string& path) {
-  robust::retry_with_backoff([&] { session.save_checkpoint(path); }, {},
-                             "ckpt_write");
+  robust::retry_with_backoff([&] { session.save_checkpoint(path); });
 }
 
 /// Shared train/resume driver: run `epochs` more epochs, stream JSONL,
@@ -275,10 +274,18 @@ int cmd_train_or_resume(int argc, char** argv, bool resume) {
     std::fprintf(stderr, "[train] --scenarios=a.json,b.json,... required\n");
     return 2;
   }
+  // Every numeric flag is read before any work, so a malformed one exits
+  // before characterization.
+  const rl::TrainingSessionConfig config = session_config(argc, argv);
+  const int epochs =
+      static_cast<int>(bench::flag_int(argc, argv, "epochs", 10));
+  const int checkpoint_every =
+      static_cast<int>(bench::flag_int(argc, argv, "checkpoint-every", 0));
+  const double deadline_s =
+      bench::flag_double(argc, argv, "deadline-s", 0.0);
   LoadedSuite suite = load_tasks(split_list(scenarios));
 
-  rl::TrainingSession session(session_config(argc, argv),
-                              std::move(suite.tasks));
+  rl::TrainingSession session(config, std::move(suite.tasks));
 
   // Stop signals: a live cancel token wired to SIGINT/SIGTERM (checkpoint +
   // clean exit on the first signal, default disposition on the second), plus
@@ -286,8 +293,6 @@ int cmd_train_or_resume(int argc, char** argv, bool resume) {
   robust::RunControl control;
   control.cancel = robust::CancelToken::create();
   robust::install_signal_cancel(control.cancel);
-  const double deadline_s =
-      bench::flag_double(argc, argv, "deadline-s", 0.0);
   if (deadline_s > 0.0) {
     control.deadline = robust::Deadline::after_seconds(deadline_s);
   }
@@ -325,10 +330,9 @@ int cmd_train_or_resume(int argc, char** argv, bool resume) {
   }
 
   return run_training(
-      session, static_cast<int>(bench::flag_int(argc, argv, "epochs", 10)),
+      session, epochs,
       bench::flag_str(argc, argv, "metrics", "train_metrics.jsonl"),
-      bench::flag_str(argc, argv, "out", "train.ckpt"),
-      static_cast<int>(bench::flag_int(argc, argv, "checkpoint-every", 0)));
+      bench::flag_str(argc, argv, "out", "train.ckpt"), checkpoint_every);
 }
 
 int cmd_eval(int argc, char** argv) {
@@ -339,9 +343,9 @@ int cmd_eval(int argc, char** argv) {
                  "--scenarios=...\n");
     return 2;
   }
+  const rl::TrainingSessionConfig config = session_config(argc, argv);
   LoadedSuite suite = load_tasks(split_list(scenarios));
-  rl::TrainingSession session(session_config(argc, argv),
-                              std::move(suite.tasks));
+  rl::TrainingSession session(config, std::move(suite.tasks));
   // Greedy evaluation only needs the policy weights.
   session.load_checkpoint(from, /*warm_start=*/true);
 
