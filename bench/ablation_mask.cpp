@@ -38,12 +38,12 @@ class NullEvaluator final : public thermal::ThermalEvaluator {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const long episodes = bench::flag_int(argc, argv, "episodes", 2000);
-  const auto grid =
-      static_cast<std::size_t>(bench::flag_int(argc, argv, "grid", 16));
+  const auto episodes =
+      bench::flag_int<std::size_t>(argc, argv, "episodes", 2000);
+  const auto grid = bench::flag_int<std::size_t>(argc, argv, "grid", 16);
 
   std::printf("ABLATION: action-mask pruning and dead-end statistics "
-              "(%ld random episodes, grid %zu)\n\n", episodes, grid);
+              "(%zu random episodes, grid %zu)\n\n", episodes, grid);
   std::printf("%-10s %10s %18s %14s %12s\n", "system", "util", "mean feasible",
               "final feasible", "dead-end");
 
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     Rng rng(seed);
     RunningStats feasible_frac, final_step_frac;
     long dead_ends = 0;
-    for (long ep = 0; ep < episodes; ++ep) {
+    for (std::size_t ep = 0; ep < episodes; ++ep) {
       env.reset();
       bool dead = false;
       while (!env.done()) {

@@ -14,11 +14,9 @@
 using namespace rlplan;
 
 int main(int argc, char** argv) {
-  const int epochs = static_cast<int>(bench::flag_int(argc, argv, "epochs", 25));
-  const auto grid =
-      static_cast<std::size_t>(bench::flag_int(argc, argv, "grid", 16));
-  const auto seed =
-      static_cast<std::uint64_t>(bench::flag_int(argc, argv, "seed", 3));
+  const int epochs = bench::flag_int<int>(argc, argv, "epochs", 25);
+  const auto grid = bench::flag_int<std::size_t>(argc, argv, "grid", 16);
+  const auto seed = bench::flag_int<std::uint64_t>(argc, argv, "seed", 3);
 
   const auto stack = thermal::LayerStack::default_2p5d();
   const auto cases = systems::make_table3_cases();

@@ -33,14 +33,13 @@ struct Variant {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const long samples = bench::flag_int(argc, argv, "samples", 60);
-  const long grid = bench::flag_int(argc, argv, "grid", 48);
+  const auto samples = bench::flag_int<std::size_t>(argc, argv, "samples", 60);
+  const auto grid = bench::flag_int<std::size_t>(argc, argv, "grid", 48);
 
   const auto stack = thermal::LayerStack::default_2p5d();
   systems::SyntheticConfig sc;
   const systems::SyntheticSystemGenerator gen(sc);
-  const thermal::GridDims dims{static_cast<std::size_t>(grid),
-                               static_cast<std::size_t>(grid)};
+  const thermal::GridDims dims{grid, grid};
 
   std::vector<Variant> variants;
   {
@@ -103,20 +102,20 @@ int main(int argc, char** argv) {
   std::vector<ChipletSystem> systems_list;
   std::vector<Floorplan> floorplans;
   std::vector<double> ref;
-  systems_list.reserve(static_cast<std::size_t>(samples));
-  floorplans.reserve(static_cast<std::size_t>(samples));
-  ref.reserve(static_cast<std::size_t>(samples));
-  for (long i = 0; i < samples; ++i) {
-    systems_list.push_back(gen.generate(4000 + static_cast<std::uint64_t>(i)));
-    Rng rng(5000 + static_cast<std::uint64_t>(i));
+  systems_list.reserve(samples);
+  floorplans.reserve(samples);
+  ref.reserve(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
+    systems_list.push_back(gen.generate(4000 + i));
+    Rng rng(5000 + i);
     floorplans.push_back(
         systems::random_legal_floorplan(systems_list.back(), rng));
     ref.push_back(
         solver.solve(systems_list.back(), floorplans.back()).max_temp_c);
   }
 
-  std::printf("ABLATION: fast-thermal-model ingredients (%ld systems, "
-              "%ldx%ld grid)\n\n", samples, grid, grid);
+  std::printf("ABLATION: fast-thermal-model ingredients (%zu systems, "
+              "%zux%zu grid)\n\n", samples, grid, grid);
   std::printf("%-48s %9s %9s %9s\n", "Variant", "MAE(K)", "RMSE(K)",
               "char(s)");
   std::fflush(stdout);

@@ -1,13 +1,15 @@
-// Shared helpers for the table-regeneration harnesses: minimal flag parsing
-// and the method-comparison runner used by Table I and Table III.
+// Shared helpers of the tools, benches and rlplanner_cli: whole-value flag
+// parsing, and the method-comparison runner used by Table I and Table III.
 #pragma once
 
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <system_error>
+#include <type_traits>
 
 #include "bump/assigner.h"
 #include "core/reward.h"
@@ -32,32 +34,43 @@ inline const char* flag_value(int argc, char** argv, const char* name) {
   return nullptr;
 }
 
-/// Parses the whole of a numeric flag's value; anything else (empty, a
-/// trailing character, a word) exits 2 naming the flag, so a typo never runs
-/// as a silently read 0 or a truncated prefix.
+/// Parses the whole of a numeric flag's value into T; anything else (empty,
+/// a trailing character, a word, a value T cannot hold — for an unsigned T
+/// that includes a leading '-') exits 2 naming the flag, so a typo never runs
+/// as a silently read 0, a truncated prefix or a wrapped count.
 template <typename T>
-T parse_flag(const char* name, const char* value, const char* expected) {
+T parse_flag(const char* name, const char* value) {
   T out{};
   const char* end = value + std::strlen(value);
   const auto [ptr, ec] = std::from_chars(value, end, out);
   if (ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "--%s=%s: not %s\n", name, value, expected);
+    if constexpr (std::is_integral_v<T>) {
+      std::fprintf(stderr, "--%s=%s: not an integer in [%s, %s]\n", name,
+                   value, std::to_string(std::numeric_limits<T>::min()).c_str(),
+                   std::to_string(std::numeric_limits<T>::max()).c_str());
+    } else {
+      std::fprintf(stderr, "--%s=%s: not a number\n", name, value);
+    }
     std::exit(2);
   }
   return out;
 }
 
-/// --name=value integer flag (returns fallback when absent).
-inline long flag_int(int argc, char** argv, const char* name, long fallback) {
+/// --name=value integer flag parsed straight into the caller's type T
+/// (returns fallback when absent): `flag_int<std::size_t>(..., "grid", 16)`.
+template <typename T>
+T flag_int(int argc, char** argv, const char* name,
+           std::type_identity_t<T> fallback) {
+  static_assert(std::is_integral_v<T>);
   const char* value = flag_value(argc, argv, name);
-  return value ? parse_flag<long>(name, value, "an integer") : fallback;
+  return value ? parse_flag<T>(name, value) : fallback;
 }
 
 /// --name=value number flag (returns fallback when absent).
 inline double flag_double(int argc, char** argv, const char* name,
                           double fallback) {
   const char* value = flag_value(argc, argv, name);
-  return value ? parse_flag<double>(name, value, "a number") : fallback;
+  return value ? parse_flag<double>(name, value) : fallback;
 }
 
 /// --name=value string flag (returns fallback when absent).

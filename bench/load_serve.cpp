@@ -67,11 +67,9 @@ std::vector<systems::Scenario> make_jobs(const std::string& scenario_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t clients =
-      static_cast<std::size_t>(bench::flag_int(argc, argv, "clients", 8));
-  std::size_t jobs_n =
-      static_cast<std::size_t>(bench::flag_int(argc, argv, "jobs", 8));
-  long sa_evals = bench::flag_int(argc, argv, "sa-evals", 1500);
+  std::size_t clients = bench::flag_int<std::size_t>(argc, argv, "clients", 8);
+  std::size_t jobs_n = bench::flag_int<std::size_t>(argc, argv, "jobs", 8);
+  long sa_evals = bench::flag_int<long>(argc, argv, "sa-evals", 1500);
   if (bench::flag_present(argc, argv, "smoke")) {
     clients = 8;
     jobs_n = 8;
@@ -83,6 +81,12 @@ int main(int argc, char** argv) {
   const std::string scenario_path = bench::flag_str(
       argc, argv, "scenario", "scenarios/inline_tiny_trio.json");
   const double perf_scale = bench::flag_double(argc, argv, "perf-scale", 1.0);
+  // A negative (or NaN) scale would turn the floors off like 0 does, but
+  // silently.
+  if (!(perf_scale >= 0.0)) {
+    std::fprintf(stderr, "[load_serve] --perf-scale must be non-negative\n");
+    return 2;
+  }
   const double min_jobs_per_sec =
       bench::flag_double(argc, argv, "min-jobs-per-sec", 0.0);
   const double min_speedup =

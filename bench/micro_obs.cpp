@@ -74,11 +74,11 @@ void reset_telemetry() {
 /// ns per RLPLAN_COUNTER_ADD in a tight loop. `iters` is large enough that
 /// loop overhead amortizes away; the best of `reps` runs rejects scheduler
 /// noise.
-double counter_ns_per_op(long iters, int reps) {
+double counter_ns_per_op(std::size_t iters, int reps) {
   double best = 1e18;
   for (int r = 0; r < reps; ++r) {
     const Timer timer;
-    for (long i = 0; i < iters; ++i) {
+    for (std::size_t i = 0; i < iters; ++i) {
       RLPLAN_COUNTER_ADD("obs.bench.counter", 1);
     }
     best = std::min(best, timer.seconds());
@@ -87,11 +87,11 @@ double counter_ns_per_op(long iters, int reps) {
 }
 
 /// ns per span enter+exit (the full RAII constructor/destructor pair).
-double span_ns_per_op(long iters, int reps) {
+double span_ns_per_op(std::size_t iters, int reps) {
   double best = 1e18;
   for (int r = 0; r < reps; ++r) {
     const Timer timer;
-    for (long i = 0; i < iters; ++i) {
+    for (std::size_t i = 0; i < iters; ++i) {
       RLPLAN_TRACE_SPAN("obs.bench.span");
     }
     best = std::min(best, timer.seconds());
@@ -103,12 +103,12 @@ double span_ns_per_op(long iters, int reps) {
 /// the caller set. Returns evals/sec (best of reps).
 double thermal_evals_per_sec(const thermal::FastThermalModel& model,
                              const ChipletSystem& sys, const Floorplan& fp,
-                             long iters, int reps) {
+                             std::size_t iters, int reps) {
   double best = 0.0;
   double sink = 0.0;
   for (int r = 0; r < reps; ++r) {
     const Timer timer;
-    for (long i = 0; i < iters; ++i) {
+    for (std::size_t i = 0; i < iters; ++i) {
       sink += model.evaluate(sys, fp).max_temp_c;
     }
     best = std::max(best, static_cast<double>(iters) / timer.seconds());
@@ -121,10 +121,10 @@ double thermal_evals_per_sec(const thermal::FastThermalModel& model,
 
 int main(int argc, char** argv) {
   const bool smoke = rlplan::bench::flag_present(argc, argv, "smoke");
-  const long prim_iters =
-      rlplan::bench::flag_int(argc, argv, "iters", smoke ? 200000 : 2000000);
-  const long eval_iters =
-      rlplan::bench::flag_int(argc, argv, "eval-iters", smoke ? 2000 : 20000);
+  const auto prim_iters = rlplan::bench::flag_int<std::size_t>(
+      argc, argv, "iters", smoke ? 200000 : 2000000);
+  const auto eval_iters = rlplan::bench::flag_int<std::size_t>(
+      argc, argv, "eval-iters", smoke ? 2000 : 20000);
   const int reps = smoke ? 3 : 5;
   const std::string json_path =
       rlplan::bench::flag_str(argc, argv, "json", "BENCH_obs.json");
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   const double span_on_ns = span_ns_per_op(prim_iters, reps);
   obs::set_enabled(false);
 
-  std::printf("primitive costs (%ld iters, best of %d)\n", prim_iters, reps);
+  std::printf("primitive costs (%zu iters, best of %d)\n", prim_iters, reps);
   std::printf("%-24s %12s %12s\n", "primitive", "disabled ns", "enabled ns");
   std::printf("%-24s %12.2f %12.2f\n", "counter add", counter_off_ns,
               counter_on_ns);
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
   obs::set_enabled(false);
   const double overhead_pct = 100.0 * (off_eps / on_eps - 1.0);
 
-  std::printf("\nthermal evaluate() hot path (8 chiplets, %ld evals, best of "
+  std::printf("\nthermal evaluate() hot path (8 chiplets, %zu evals, best of "
               "%d)\n",
               eval_iters, reps);
   std::printf("  disabled: %12.1f evals/s\n", off_eps);

@@ -50,15 +50,15 @@ struct Row {
 int main(int argc, char** argv) {
   using namespace rlplan;
 
-  const auto grid = static_cast<std::size_t>(
-      bench::flag_int(argc, argv, "grid", 32));
-  const auto chiplets = static_cast<std::size_t>(
-      bench::flag_int(argc, argv, "chiplets", 8));
-  const auto episodes = static_cast<std::size_t>(
-      bench::flag_int(argc, argv, "episodes", 48));
-  const long threads_flag = bench::flag_int(argc, argv, "threads", 0);
-  const auto max_envs = static_cast<std::size_t>(
-      bench::flag_int(argc, argv, "max-envs", 8));
+  const auto grid = bench::flag_int<std::size_t>(argc, argv, "grid", 32);
+  const auto chiplets =
+      bench::flag_int<std::size_t>(argc, argv, "chiplets", 8);
+  const auto episodes =
+      bench::flag_int<std::size_t>(argc, argv, "episodes", 48);
+  const auto threads_flag =
+      bench::flag_int<std::size_t>(argc, argv, "threads", 0);
+  const auto max_envs =
+      bench::flag_int<std::size_t>(argc, argv, "max-envs", 8);
 
   systems::SyntheticConfig sc;
   sc.interposer_w_mm = 45.0;
@@ -92,18 +92,13 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (std::size_t num_envs = 1; num_envs <= max_envs; num_envs *= 2) {
-    const std::size_t threads =
-        threads_flag > 0 ? static_cast<std::size_t>(threads_flag) : num_envs;
+    const std::size_t threads = threads_flag > 0 ? threads_flag : num_envs;
 
     parallel::ThreadPool pool(threads);
     thermal::IncrementalFastModelEvaluator evaluator(model);
     parallel::VecEnv venv(system, evaluator, RewardCalculator{},
                           bump::BumpAssigner{}, env_config, num_envs,
                           /*seed=*/17);
-    std::vector<parallel::EnvSlot> slots;
-    for (std::size_t e = 0; e < venv.size(); ++e) {
-      slots.push_back({&venv.env(e), &venv.rng(e)});
-    }
     Rng net_rng(3);
     rl::PolicyValueNet net(net_config, net_rng);
     net.set_executor([&pool](std::size_t count,
@@ -112,12 +107,12 @@ int main(int argc, char** argv) {
     });
 
     rl::RolloutBuffer warmup;
-    parallel::collect_episodes(slots, net, num_envs, warmup, &pool);
+    parallel::collect_episodes(venv, net, num_envs, warmup, &pool);
 
     rl::RolloutBuffer buffer;
     const Timer timer;
     const parallel::CollectorStats stats =
-        parallel::collect_episodes(slots, net, episodes, buffer, &pool);
+        parallel::collect_episodes(venv, net, episodes, buffer, &pool);
     const double seconds = timer.seconds();
 
     Row row;

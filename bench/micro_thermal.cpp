@@ -303,7 +303,7 @@ double anchor_diff(const thermal::FastThermalModel& model,
 }
 
 MoveRow run_move_comparison(const thermal::FastThermalModel& model,
-                            std::size_t n, long moves) {
+                            std::size_t n, std::size_t moves) {
   const ChipletSystem sys = bench_system(n, 1234 + n, "bench-incr");
   Rng rng(99 + n);
   const Floorplan initial = systems::random_legal_floorplan(sys, rng);
@@ -314,9 +314,9 @@ MoveRow run_move_comparison(const thermal::FastThermalModel& model,
     Point pos;
   };
   std::vector<Move> tape;
-  tape.reserve(static_cast<std::size_t>(moves));
-  for (long t = 0; t < moves; ++t) {
-    const auto die = static_cast<std::size_t>(t) % n;
+  tape.reserve(moves);
+  for (std::size_t t = 0; t < moves; ++t) {
+    const std::size_t die = t % n;
     const Rect r = initial.rect_of(die);
     tape.push_back({die,
                     {rng.uniform(0.0, kBenchInterposer - r.w),
@@ -390,7 +390,8 @@ struct BatchRow {
 /// SA-population / PPO-batch query shape. Also cross-checks the SoA results
 /// against the oracle (documented tolerance: 1e-9 C).
 BatchRow run_batch_comparison(const thermal::FastThermalModel& model,
-                              std::size_t n, std::size_t batch, long repeats,
+                              std::size_t n, std::size_t batch,
+                              std::size_t repeats,
                               std::size_t threads) {
   const ChipletSystem sys = bench_system(n, 4321 + n, "bench-batch");
   Rng rng(55 + n);
@@ -409,7 +410,7 @@ BatchRow run_batch_comparison(const thermal::FastThermalModel& model,
                                 double& best_per_sec) {
     double total_s = 0.0;
     double best_s = std::numeric_limits<double>::infinity();
-    for (long r = 0; r < repeats; ++r) {
+    for (std::size_t r = 0; r < repeats; ++r) {
       const Timer timer;
       fn();
       const double s = timer.seconds();
@@ -471,7 +472,7 @@ struct PopulationRow {
 /// all rounds per repeat; per-candidate times are the best repeat's.
 PopulationRow run_population_comparison(const thermal::FastThermalModel& model,
                                         std::size_t n, long rounds,
-                                        long repeats) {
+                                        std::size_t repeats) {
   const ChipletSystem sys = bench_system(n, 777 + n, "bench-pop");
   Rng rng(31 + n);
   Floorplan current = systems::random_legal_floorplan(sys, rng);
@@ -512,7 +513,7 @@ PopulationRow run_population_comparison(const thermal::FastThermalModel& model,
   std::vector<double> got;
   row.batch_us = std::numeric_limits<double>::infinity();
   row.delta_us = std::numeric_limits<double>::infinity();
-  for (long r = 0; r < repeats; ++r) {
+  for (std::size_t r = 0; r < repeats; ++r) {
     want.clear();
     const Timer batch_timer;
     for (const auto& round : tape) {
@@ -541,7 +542,8 @@ PopulationRow run_population_comparison(const thermal::FastThermalModel& model,
 
 void write_json(const std::string& path, const std::vector<MoveRow>& rows,
                 const std::vector<BatchRow>& batch_rows,
-                const std::vector<PopulationRow>& population_rows, long moves,
+                const std::vector<PopulationRow>& population_rows,
+                std::size_t moves,
                 std::size_t batch_threads, bool smoke) {
   std::ofstream os(path);
   if (!os) {
@@ -623,17 +625,16 @@ void write_json(const std::string& path, const std::vector<MoveRow>& rows,
 
 int main(int argc, char** argv) {
   const bool smoke = rlplan::bench::flag_present(argc, argv, "smoke");
-  const long moves =
-      rlplan::bench::flag_int(argc, argv, "moves", smoke ? 32 : 2000);
+  const auto moves = rlplan::bench::flag_int<std::size_t>(
+      argc, argv, "moves", smoke ? 32 : 2000);
   const std::string json_path = rlplan::bench::flag_str(
       argc, argv, "json", "BENCH_thermal.json");
-  const auto batch = static_cast<std::size_t>(
-      rlplan::bench::flag_int(argc, argv, "batch", 64));
-  const long batch_repeats = rlplan::bench::flag_int(
+  const auto batch =
+      rlplan::bench::flag_int<std::size_t>(argc, argv, "batch", 64);
+  const auto batch_repeats = rlplan::bench::flag_int<std::size_t>(
       argc, argv, "batch-repeats", smoke ? 3 : 30);
-  const auto batch_threads = static_cast<std::size_t>(rlplan::bench::flag_int(
-      argc, argv, "batch-threads",
-      static_cast<long>(parallel::ThreadPool::hardware_threads())));
+  const auto batch_threads = rlplan::bench::flag_int<std::size_t>(
+      argc, argv, "batch-threads", parallel::ThreadPool::hardware_threads());
   // CI gate floors (0 disables each), read up front so a malformed value
   // stops the run before any measurement.
   const double min_move_speedup =
@@ -647,7 +648,7 @@ int main(int argc, char** argv) {
 
   const thermal::FastThermalModel model = synthetic_model();
   std::printf("single-die moves, incremental vs oracle re-evaluation "
-              "(default config, %ld moves per size, incr simd=%s)\n",
+              "(default config, %zu moves per size, incr simd=%s)\n",
               moves, util::simd_level_name(thermal::soa_dispatch_level()));
   std::printf("%9s %15s %15s %15s %9s %9s %9s %12s\n", "chiplets",
               "oracle evals/s", "scalar incr/s", "simd incr/s", "vs oracle",
@@ -664,7 +665,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nwhole-floorplan candidates, evaluate_batch (SoA kernel, "
               "simd=%s, %zu threads) vs repeated oracle evaluations (batch "
-              "%zu, %ld repeats)\n",
+              "%zu, %zu repeats)\n",
               util::simd_level_name(thermal::soa_dispatch_level()),
               batch_threads, batch, batch_repeats);
   std::printf("%9s %7s %18s %18s %9s %18s %18s %9s %14s\n", "chiplets",
@@ -685,7 +686,7 @@ int main(int argc, char** argv) {
   const long population_rounds = smoke ? 12 : 200;
   std::printf("\npopulation rounds (K = %zu), exact deltas on the batch "
               "state vs evaluate_batch, one thread (simd=%s, %ld rounds, best "
-              "of %ld repeats)\n",
+              "of %zu repeats)\n",
               kPopulationK,
               util::simd_level_name(thermal::soa_dispatch_level()),
               population_rounds, batch_repeats);

@@ -25,12 +25,9 @@ using namespace rlplan;
 
 int main(int argc, char** argv) {
   bench::CompareConfig config;
-  config.rl_epochs =
-      static_cast<int>(bench::flag_int(argc, argv, "epochs", 15));
-  config.rl_grid =
-      static_cast<std::size_t>(bench::flag_int(argc, argv, "grid", 20));
-  config.seed =
-      static_cast<std::uint64_t>(bench::flag_int(argc, argv, "seed", 1));
+  config.rl_epochs = bench::flag_int<int>(argc, argv, "epochs", 15);
+  config.rl_grid = bench::flag_int<std::size_t>(argc, argv, "grid", 20);
+  config.seed = bench::flag_int<std::uint64_t>(argc, argv, "seed", 1);
 
   std::string which = "all";
   for (int i = 1; i < argc; ++i) {

@@ -19,17 +19,15 @@
 using namespace rlplan;
 
 int main(int argc, char** argv) {
-  const long samples = bench::flag_int(argc, argv, "samples", 800);
-  const long grid = bench::flag_int(argc, argv, "grid", 48);
-  const auto seed =
-      static_cast<std::uint64_t>(bench::flag_int(argc, argv, "seed", 1));
+  const auto samples = bench::flag_int<std::size_t>(argc, argv, "samples", 800);
+  const auto grid = bench::flag_int<std::size_t>(argc, argv, "grid", 48);
+  const auto seed = bench::flag_int<std::uint64_t>(argc, argv, "seed", 1);
 
   const auto stack = thermal::LayerStack::default_2p5d();
   systems::SyntheticConfig sc;  // 50x50 mm dataset interposer
   const systems::SyntheticSystemGenerator gen(sc);
 
-  const thermal::GridDims dims{static_cast<std::size_t>(grid),
-                               static_cast<std::size_t>(grid)};
+  const thermal::GridDims dims{grid, grid};
   thermal::CharacterizationConfig cc;
   cc.solver.dims = dims;
   thermal::ThermalCharacterizer charac(stack, cc);
@@ -43,13 +41,13 @@ int main(int argc, char** argv) {
 
   thermal::GridThermalSolver solver(stack, {.dims = dims});
   std::vector<double> pred, ref;
-  pred.reserve(static_cast<std::size_t>(samples));
-  ref.reserve(static_cast<std::size_t>(samples));
+  pred.reserve(samples);
+  ref.reserve(samples);
   double truth_s = 0.0;
   double fast_s = 0.0;
-  for (long i = 0; i < samples; ++i) {
-    const auto sys = gen.generate(seed * 1000003 + static_cast<std::uint64_t>(i));
-    Rng rng(seed * 7919 + static_cast<std::uint64_t>(i));
+  for (std::size_t i = 0; i < samples; ++i) {
+    const auto sys = gen.generate(seed * 1000003 + i);
+    Rng rng(seed * 7919 + i);
     const auto fp = systems::random_legal_floorplan(sys, rng);
     Timer t1;
     ref.push_back(solver.solve(sys, fp).max_temp_c);
@@ -64,7 +62,7 @@ int main(int argc, char** argv) {
   const double speedup = truth_s / fast_s;
 
   std::printf("TABLE II: ACCURACY AND SPEED COMPARISON DURING THERMAL EVALUATION\n");
-  std::printf("(%ld synthetic chiplet systems, %ldx%ld solver grid)\n\n",
+  std::printf("(%zu synthetic chiplet systems, %zux%zu solver grid)\n\n",
               samples, grid, grid);
   std::printf("%-18s %-22s %-14s\n", "Metric", "Fast Thermal Model",
               "GridSolver (ref)");

@@ -13,14 +13,11 @@ using namespace rlplan;
 
 int main(int argc, char** argv) {
   bench::CompareConfig config;
-  config.rl_epochs =
-      static_cast<int>(bench::flag_int(argc, argv, "epochs", 30));
-  config.rl_grid =
-      static_cast<std::size_t>(bench::flag_int(argc, argv, "grid", 16));
+  config.rl_epochs = bench::flag_int<int>(argc, argv, "epochs", 30);
+  config.rl_grid = bench::flag_int<std::size_t>(argc, argv, "grid", 16);
   config.solver_dims = {40, 40};
-  config.seed =
-      static_cast<std::uint64_t>(bench::flag_int(argc, argv, "seed", 1));
-  const long which = bench::flag_int(argc, argv, "case", 0);
+  config.seed = bench::flag_int<std::uint64_t>(argc, argv, "seed", 1);
+  const auto which = bench::flag_int<std::size_t>(argc, argv, "case", 0);
 
   std::printf("TABLE III: COMPARISONS OF REWARD ON 5 SYNTHETIC SYSTEMS\n");
   std::printf("(RL: %d epochs, %zux%zu action grid; SA wall-clock matched)\n",
@@ -32,7 +29,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<bench::MethodRow>> all_rows;
   std::vector<std::string> names;
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    if (which != 0 && static_cast<long>(i + 1) != which) continue;
+    if (which != 0 && i + 1 != which) continue;
     auto rows = bench::compare_methods(cases[i], stack, config);
     bench::print_rows(cases[i].name(), rows);
     all_rows.push_back(std::move(rows));

@@ -1,12 +1,13 @@
-// Command-line floorplanner: read a system file, optimize with a chosen
-// method, write the floorplan file, and print ground-truth scores.
+// Command-line floorplanner: load a chiplet system from a scenario file,
+// optimize it with a chosen method, write the floorplan as JSON, and print
+// ground-truth scores.
 //
-//   ./build/examples/rlplanner_cli <system-file | scenario.json> [options]
+//   ./build/rlplanner_cli [scenario.json] [options]
 //     --method=rl|rl-rnd|sa-fast|sa-solver|first-fit   (default rl)
 //     --epochs=N         RL training epochs            (default 30)
 //     --grid=G           RL action grid                (default 16)
 //     --budget=SECONDS   SA wall-clock budget          (default 30)
-//     --out=FILE         floorplan output path         (default plan.fp)
+//     --out=FILE         floorplan output path         (default plan.json)
 //     --seed=S
 //     --envs=N           parallel env replicas for RL  (default 1 = serial)
 //     --threads=N        RL rollout and update lanes   (default 0 = auto)
@@ -16,98 +17,97 @@
 //     --resume=FILE      RL: restore a full-state checkpoint and continue
 //                        training bit-exactly where it stopped
 //
-// With no arguments, runs on a built-in demo system so the tool is
-// self-contained. Example system file (see src/systems/io.h):
+// The scenario's system is built (builtin, family or inline; schema in
+// src/systems/scenario.h); its budgets and envelope are the regress tool's
+// business, not the CLI's. With no path, runs on a built-in four-die demo
+// system so the tool is self-contained. A numeric flag must parse whole into
+// its type (bench/bench_util.h): `--epochs=3x` exits 2 naming the flag.
 //
-//   system demo
-//   interposer 30 30
-//   chiplet cpu 9 9 30
-//   chiplet gpu 10 8 35
-//   net cpu gpu 256
+// The output file is self-contained, its numbers round-trip exact:
+//
+//   {"system": {"name": ..., "interposer_mm": [w, h], "dies": [...],
+//               "nets": [...]},                 // an inline scenario system
+//    "placements": [{"die": "cpu", "xy_mm": [x, y], "rotated": false}, ...]}
 #include <cstdio>
-#include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "rl/planner.h"
 #include "rl/session.h"
 #include "sa/tap25d.h"
-#include "systems/io.h"
 #include "systems/scenario.h"
 #include "thermal/characterize.h"
 #include "thermal/incremental.h"
+#include "util/json.h"
 #include "util/timer.h"
 
 using namespace rlplan;
 
 namespace {
 
-const char* kDemoSystem = R"(
-system demo
-interposer 30 30
-chiplet cpu 9 9 30
-chiplet gpu 10 8 35
-chiplet dram 7 10 6
-chiplet io 5 5 4
-net cpu gpu 256
-net cpu dram 128
-net gpu dram 128
-net cpu io 64
-)";
-
-std::string option(int argc, char** argv, const char* name,
-                   const std::string& fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return fallback;
+ChipletSystem demo_system() {
+  ChipletSystem system("demo", 30.0, 30.0,
+                       {
+                           {"cpu", 9.0, 9.0, 30.0},
+                           {"gpu", 10.0, 8.0, 35.0},
+                           {"dram", 7.0, 10.0, 6.0},
+                           {"io", 5.0, 5.0, 4.0},
+                       },
+                       {{0, 1, 256}, {0, 2, 128}, {1, 2, 128}, {0, 3, 64}});
+  system.validate();
+  return system;
 }
 
-}  // namespace
-
-namespace {
+/// {"system": <inline system>, "placements": [...]}, placed dies only.
+util::JsonValue floorplan_to_json(const Floorplan& floorplan) {
+  const ChipletSystem& system = floorplan.system();
+  util::JsonValue placements = util::JsonValue::make_array();
+  for (std::size_t i = 0; i < system.num_chiplets(); ++i) {
+    if (!floorplan.is_placed(i)) continue;
+    const Placement& p = *floorplan.placement(i);
+    util::JsonValue row = util::JsonValue::make_object();
+    row.set("die", system.chiplet(i).name);
+    row.set("xy_mm", util::JsonValue::Array{p.position.x, p.position.y});
+    row.set("rotated", p.rotated);
+    placements.push_back(std::move(row));
+  }
+  util::JsonValue j = util::JsonValue::make_object();
+  j.set("system", systems::inline_system_to_json(system));
+  j.set("placements", std::move(placements));
+  return j;
+}
 
 int run_cli(int argc, char** argv) {
-  // Load the problem: a line-oriented system file, or — when the path ends
-  // in .json — a scenario file (its builtin/family/inline system is built;
-  // budgets and envelopes are the regress tool's business, not the CLI's).
-  ChipletSystem system = [&] {
+  // Every flag is read before any work, so a malformed one exits first.
+  const std::string method = bench::flag_str(argc, argv, "method", "rl");
+  const int epochs = bench::flag_int<int>(argc, argv, "epochs", 30);
+  const auto grid = bench::flag_int<std::size_t>(argc, argv, "grid", 16);
+  const double budget = bench::flag_double(argc, argv, "budget", 30.0);
+  const std::string out = bench::flag_str(argc, argv, "out", "plan.json");
+  const auto seed = bench::flag_int<std::uint64_t>(argc, argv, "seed", 1);
+  const auto envs = bench::flag_int<std::size_t>(argc, argv, "envs", 1);
+  const auto threads = bench::flag_int<std::size_t>(argc, argv, "threads", 0);
+  const std::string checkpoint = bench::flag_str(argc, argv, "checkpoint", "");
+  const std::string resume = bench::flag_str(argc, argv, "resume", "");
+  const int checkpoint_every =
+      bench::flag_int<int>(argc, argv, "checkpoint-every", 0);
+  if (envs == 0) {
+    std::fprintf(stderr, "error: --envs must be at least 1\n");
+    return 2;
+  }
+
+  const ChipletSystem system = [&] {
     if (argc > 1 && argv[1][0] != '-') {
-      const std::string path = argv[1];
-      if (path.size() > 5 && path.rfind(".json") == path.size() - 5) {
-        return systems::load_scenario_file(path).build_system();
-      }
-      return systems::read_system_file(path);
+      return systems::load_scenario_file(argv[1]).build_system();
     }
-    std::printf("no system file given; using the built-in demo system\n");
-    std::istringstream demo(kDemoSystem);
-    return systems::read_system(demo);
+    std::printf("no scenario file given; using the built-in demo system\n");
+    return demo_system();
   }();
   std::printf("system '%s': %zu chiplets, %.0f W, %ld wires\n",
               system.name().c_str(), system.num_chiplets(),
               system.total_power(), system.total_wires());
-
-  const std::string method = option(argc, argv, "method", "rl");
-  const int epochs = std::stoi(option(argc, argv, "epochs", "30"));
-  const auto grid =
-      static_cast<std::size_t>(std::stoi(option(argc, argv, "grid", "16")));
-  const double budget = std::stod(option(argc, argv, "budget", "30"));
-  const std::string out = option(argc, argv, "out", "plan.fp");
-  const auto seed =
-      static_cast<std::uint64_t>(std::stoll(option(argc, argv, "seed", "1")));
-  const int envs_raw = std::stoi(option(argc, argv, "envs", "1"));
-  const int threads_raw = std::stoi(option(argc, argv, "threads", "0"));
-  if (envs_raw < 1 || threads_raw < 0) {
-    std::fprintf(stderr, "error: --envs must be >= 1 and --threads >= 0\n");
-    return 1;
-  }
-  const auto envs = static_cast<std::size_t>(envs_raw);
-  const auto threads = static_cast<std::size_t>(threads_raw);
 
   const auto stack = thermal::LayerStack::default_2p5d();
   Timer timer;
@@ -118,11 +118,6 @@ int run_cli(int argc, char** argv) {
   } else if (method == "rl" || method == "rl-rnd") {
     // The quickstart path runs on the TrainingSession engine directly so
     // checkpoint/resume exercise the exact lifecycle tools/train.cpp uses.
-    const std::string checkpoint = option(argc, argv, "checkpoint", "");
-    const std::string resume = option(argc, argv, "resume", "");
-    const int checkpoint_every =
-        std::stoi(option(argc, argv, "checkpoint-every", "0"));
-
     thermal::CharacterizationConfig cc;
     thermal::ThermalCharacterizer charac(stack, cc);
     thermal::FastThermalModel model = charac.characterize(
@@ -199,7 +194,7 @@ int run_cli(int argc, char** argv) {
               "reward %.4f\n",
               method.c_str(), timer.seconds(), wl, t, rc.reward(wl, t));
 
-  systems::write_floorplan_file(best, out);
+  util::write_json_file(out, floorplan_to_json(best));
   std::printf("floorplan written to %s\n", out.c_str());
   return 0;
 }

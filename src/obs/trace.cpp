@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/fs.h"
 #include "util/json.h"
 #include "util/stats.h"
 
@@ -258,16 +257,6 @@ util::JsonValue trace_summary_json() {
     arr.push_back(std::move(row));
   }
   return arr;
-}
-
-void write_trace_summary(const std::string& path) {
-  const util::JsonValue arr = trace_summary_json();
-  std::string text;
-  for (const util::JsonValue& row : arr.as_array()) {
-    text += row.dump(0);
-    text += '\n';
-  }
-  util::atomic_write_file(path, text);
 }
 
 }  // namespace rlplan::obs

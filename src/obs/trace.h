@@ -19,8 +19,8 @@
 // Export targets:
 //   * write_chrome_trace(path)  — chrome://tracing / Perfetto "traceEvents"
 //     JSON ("X" complete events, ts/dur in microseconds).
-//   * write_trace_summary(path) — JSONL, one aggregated row per span name
-//     (count, total/mean/min/max duration).
+//   * trace_summary_json()      — one aggregated row per span name (count,
+//     total/mean/min/max duration); perfbench reads its layer times here.
 //   * tools/trace_report        — offline self-time/total-time profile.
 //
 // Environment hooks (read once at static-init time, so existing binaries can
@@ -110,8 +110,6 @@ void write_chrome_trace(const std::string& path);
 
 /// Aggregated per-name rows: name, count, total_ms, mean_us, min_us, max_us.
 util::JsonValue trace_summary_json();
-/// JSONL form of trace_summary_json() (one compact object per line).
-void write_trace_summary(const std::string& path);
 
 }  // namespace rlplan::obs
 

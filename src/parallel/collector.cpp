@@ -2,28 +2,29 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "rl/distribution.h"
 
 namespace rlplan::parallel {
 
-CollectorStats collect_episodes(std::span<const EnvSlot> slots,
-                                rl::PolicyValueNet& net,
+CollectorStats collect_episodes(VecEnv& venv, rl::PolicyValueNet& net,
                                 std::size_t min_episodes,
                                 rl::RolloutBuffer& out, ThreadPool* pool,
                                 const EpisodeCallback& on_episode_end,
                                 const robust::RunControl& control) {
   CollectorStats stats;
-  if (min_episodes == 0 || slots.empty()) return stats;
+  if (min_episodes == 0) return stats;
   const bool controlled = control.active();
 
-  const std::size_t n = slots.size();
+  const std::size_t n = venv.size();
   const std::size_t c = rl::FloorplanEnv::kChannels;
-  const std::size_t g = slots[0].env->grid();
-  const std::size_t num_actions = slots[0].env->num_actions();
+  const std::size_t g = venv.env(0).grid();
+  const std::size_t num_actions = venv.env(0).num_actions();
 
-  // Per-slot episode-in-flight transitions plus live flags.
+  // Per-replica episode-in-flight transitions plus live flags.
   std::vector<std::vector<rl::Transition>> pending(n);
   std::vector<std::uint8_t> live(n, 0);
   std::vector<std::size_t> live_index;
@@ -32,7 +33,7 @@ CollectorStats collect_episodes(std::span<const EnvSlot> slots,
 
   std::size_t episodes_started = 0;
   for (std::size_t e = 0; e < n && episodes_started < min_episodes; ++e) {
-    slots[e].env->reset();
+    venv.env(e).reset();
     live[e] = 1;
     ++episodes_started;
   }
@@ -58,25 +59,25 @@ CollectorStats collect_episodes(std::span<const EnvSlot> slots,
     nn::Tensor states({batch, c, g, g});
     const std::size_t stride = c * g * g;
     for (std::size_t j = 0; j < batch; ++j) {
-      const auto obs = slots[live_index[j]].env->observation().data();
+      const auto obs = venv.env(live_index[j]).observation().data();
       std::copy(obs.begin(), obs.end(),
                 states.data().begin() +
                     static_cast<std::ptrdiff_t>(j * stride));
     }
 
-    // 2. One batched forward for every live slot.
+    // 2. One batched forward for every live replica.
     rl::PolicyValueNet::Output fwd = net.forward(states);
 
-    // 3. Sample one masked action per slot with its own RNG stream.
+    // 3. Sample one masked action per replica with its own RNG stream.
     actions.resize(batch);
     outcomes.assign(batch, rl::StepOutcome{});
     for (std::size_t j = 0; j < batch; ++j) {
       const std::size_t e = live_index[j];
-      rl::FloorplanEnv& env = *slots[e].env;
+      rl::FloorplanEnv& env = venv.env(e);
       const std::span<const float> logits_row(
           fwd.logits.data().data() + j * num_actions, num_actions);
       const rl::MaskedCategorical dist(logits_row, env.action_mask());
-      const std::size_t action = dist.sample(*slots[e].rng);
+      const std::size_t action = dist.sample(venv.rng(e));
       actions[j] = action;
 
       rl::Transition tr;
@@ -88,19 +89,19 @@ CollectorStats collect_episodes(std::span<const EnvSlot> slots,
       pending[e].push_back(std::move(tr));
     }
 
-    // 4. Step every live slot. Each slot only touches its own env (+ cloned
-    //    evaluator), so pooled stepping is schedule-independent.
+    // 4. Step every live replica. Each replica only touches its own env
+    //    (+ cloned evaluator), so pooled stepping is schedule-independent.
     if (pool != nullptr) {
       pool->parallel_for(batch, [&](std::size_t j) {
-        outcomes[j] = slots[live_index[j]].env->step(actions[j]);
+        outcomes[j] = venv.env(live_index[j]).step(actions[j]);
       });
     } else {
       for (std::size_t j = 0; j < batch; ++j) {
-        outcomes[j] = slots[live_index[j]].env->step(actions[j]);
+        outcomes[j] = venv.env(live_index[j]).step(actions[j]);
       }
     }
 
-    // 5. Record outcomes and recycle finished slots, in slot order.
+    // 5. Record outcomes and recycle finished replicas, in replica order.
     for (std::size_t j = 0; j < batch; ++j) {
       const std::size_t e = live_index[j];
       const rl::StepOutcome& outcome = outcomes[j];
@@ -120,7 +121,7 @@ CollectorStats collect_episodes(std::span<const EnvSlot> slots,
       pending[e].clear();
 
       if (episodes_started < min_episodes) {
-        slots[e].env->reset();
+        venv.env(e).reset();
         ++episodes_started;
       } else {
         live[e] = 0;

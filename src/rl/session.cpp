@@ -161,12 +161,9 @@ TrainStats TrainingSession::train_epoch(parallel::ThreadPool* update_lanes) {
   const std::size_t ti = pick_task();
   TaskRuntime& rt = *runtimes_[ti];
   parallel::VecEnv& venv = rt.venv;
-  std::vector<parallel::EnvSlot> slots;
   std::vector<std::array<std::uint64_t, 4>> rng_states;
-  slots.reserve(venv.size());
   rng_states.reserve(venv.size());
   for (std::size_t j = 0; j < venv.size(); ++j) {
-    slots.push_back({&venv.env(j), &venv.rng(j)});
     rng_states.push_back(venv.rng(j).state());
   }
   const long steps_before = total_env_steps_;
@@ -183,7 +180,7 @@ TrainStats TrainingSession::train_epoch(parallel::ThreadPool* update_lanes) {
   {
     RLPLAN_TRACE_SPAN("rl.collect", static_cast<std::int64_t>(episodes));
     cstats = parallel::collect_episodes(
-        slots, core_.net(), episodes, buffer_, pool_.get(),
+        venv, core_.net(), episodes, buffer_, pool_.get(),
         [&](std::size_t env_index, const StepOutcome& outcome) {
           if (!outcome.dead_end) {
             const FloorplanEnv& env = venv.env(env_index);

@@ -57,7 +57,6 @@ class LayerStack {
 
   void set_h_top(double h) { h_top_ = h; }
   void set_h_bottom(double h) { h_bottom_ = h; }
-  void set_ambient_c(double t) { ambient_c_ = t; }
 
   /// Throws std::invalid_argument on malformed stacks (no layers, no or
   /// multiple chiplet layers, non-positive thickness/conductivity).

@@ -260,15 +260,6 @@ std::vector<TrajectoryStep> sequential_episode(const ChipletSystem& sys,
   return steps;
 }
 
-/// A VecEnv's replicas as collection slots, in replica order.
-std::vector<EnvSlot> slots_of(VecEnv& venv) {
-  std::vector<EnvSlot> slots;
-  for (std::size_t e = 0; e < venv.size(); ++e) {
-    slots.push_back({&venv.env(e), &venv.rng(e)});
-  }
-  return slots;
-}
-
 TEST(CollectEpisodes, MatchesSequentialSingleEnvRuns) {
   const auto sys = small_system();
   const std::size_t grid = 16;
@@ -284,7 +275,7 @@ TEST(CollectEpisodes, MatchesSequentialSingleEnvRuns) {
   ThreadPool pool(3);
   rl::RolloutBuffer buffer;
   const CollectorStats stats =
-      collect_episodes(slots_of(venv), net, num_envs, buffer, &pool);
+      collect_episodes(venv, net, num_envs, buffer, &pool);
 
   EXPECT_EQ(stats.episodes, num_envs);
   ASSERT_EQ(stats.dead_ends, 0u)
@@ -328,7 +319,7 @@ TEST(CollectEpisodes, ResultIsIndependentOfNumThreads) {
                 {.grid = grid}, 3, 21);
     ThreadPool pool(threads);
     rl::RolloutBuffer buffer;
-    collect_episodes(slots_of(venv), net, 7, buffer, &pool);
+    collect_episodes(venv, net, 7, buffer, &pool);
     return buffer;
   };
 
@@ -357,13 +348,12 @@ TEST(CollectEpisodes, CollectsExactEpisodeQuota) {
   VecEnv venv(sys, evaluator, RewardCalculator{}, bump::BumpAssigner{},
               {.grid = 16}, 4, 3);
   ThreadPool pool(2);
-  const std::vector<EnvSlot> slots = slots_of(venv);
 
   // Quota below, equal to, and above the replica count.
   for (const std::size_t quota : {2u, 4u, 9u}) {
     rl::RolloutBuffer buffer;
     const CollectorStats stats =
-        collect_episodes(slots, net, quota, buffer, &pool);
+        collect_episodes(venv, net, quota, buffer, &pool);
     EXPECT_EQ(stats.episodes, quota);
     EXPECT_EQ(stats.steps, buffer.size());
     EXPECT_EQ(buffer.num_episodes(), quota);

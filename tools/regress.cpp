@@ -175,18 +175,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[regress] --perf-scale must be non-negative\n");
     return 2;
   }
-  const long sa_population = bench::flag_int(argc, argv, "sa-population", 1);
-  // Checked before the cast and the suite load: 0 would fail every
-  // scenario, and -1 would wrap to ~2^64 candidates per round.
-  if (sa_population < 1) {
+  const auto sa_population =
+      bench::flag_int<std::size_t>(argc, argv, "sa-population", 1);
+  // Checked before the suite load: 0 would fail every scenario.
+  if (sa_population == 0) {
     std::fprintf(stderr, "[regress] --sa-population must be at least 1\n");
     return 2;
   }
   const double scenario_deadline_s =
       bench::flag_double(argc, argv, "scenario-deadline-s", 0.0);
-  auto threads = static_cast<std::size_t>(bench::flag_int(
-      argc, argv, "threads",
-      static_cast<long>(parallel::ThreadPool::hardware_threads())));
+  auto threads = bench::flag_int<std::size_t>(
+      argc, argv, "threads", parallel::ThreadPool::hardware_threads());
   // Telemetry side channel: spans/counters from every layer the scenarios
   // exercise. Enabling it never changes scores (CI proves determinism).
   const std::string trace_path = bench::flag_str(argc, argv, "trace", "");
@@ -221,7 +220,7 @@ int main(int argc, char** argv) {
   }
 
   serve::RunnerConfig runner_config;
-  runner_config.sa_population = static_cast<std::size_t>(sa_population);
+  runner_config.sa_population = sa_population;
   serve::ScenarioRunner runner(thermal::LayerStack::default_2p5d(),
                                runner_config);
   std::vector<ScenarioResult> results(suite.size());

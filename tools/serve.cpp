@@ -40,19 +40,9 @@ using namespace rlplan;
 
 int main(int argc, char** argv) {
   const std::string host = bench::flag_str(argc, argv, "host", "127.0.0.1");
-  const long port = bench::flag_int(argc, argv, "port", 0);
-  const long workers = bench::flag_int(argc, argv, "workers", 0);
-  // Checked before the casts: --port=70000 would wrap to 4464 and
-  // --workers=-1 to ~2^64 lanes.
-  if (port < 0 || port > 65535 || workers < 0) {
-    std::fprintf(stderr,
-                 "serve: %s\n"
-                 "usage: serve [--host=127.0.0.1] [--port=0] [--workers=N] "
-                 "[--warm-dir=DIR] [--port-file=PATH] [--metrics=PATH]\n",
-                 workers < 0 ? "--workers must be non-negative"
-                             : "--port must be in [0, 65535]");
-    return 2;
-  }
+  // Parsed into the stored types: --port=70000 or --workers=-1 exits 2.
+  const auto port = bench::flag_int<std::uint16_t>(argc, argv, "port", 0);
+  const auto workers = bench::flag_int<std::size_t>(argc, argv, "workers", 0);
   const std::string warm_dir = bench::flag_str(argc, argv, "warm-dir", "");
   const std::string port_file = bench::flag_str(argc, argv, "port-file", "");
   const std::string metrics_path = bench::flag_str(argc, argv, "metrics", "");
@@ -61,12 +51,12 @@ int main(int argc, char** argv) {
   robust::install_signal_cancel(signal_token);
 
   serve::ServeEngineConfig config;
-  config.workers = static_cast<std::size_t>(workers);
+  config.workers = workers;
   config.runner.warm_dir = warm_dir;
 
   try {
     serve::ServeEngine engine(thermal::LayerStack::default_2p5d(), config);
-    serve::JsonlServer server(engine, {host, static_cast<std::uint16_t>(port)});
+    serve::JsonlServer server(engine, {host, port});
     server.start();
 
     std::fprintf(stdout, "serve: listening on %s:%u (%zu workers)\n",

@@ -65,8 +65,7 @@ void compute_nesting(std::vector<Event>& events) {
 int main(int argc, char** argv) {
   const std::string path =
       rlplan::bench::flag_str(argc, argv, "trace", "trace.json");
-  const auto top =
-      static_cast<std::size_t>(rlplan::bench::flag_int(argc, argv, "top", 30));
+  const auto top = rlplan::bench::flag_int<std::size_t>(argc, argv, "top", 30);
 
   JsonValue root;
   try {

@@ -119,29 +119,16 @@ LoadedSuite load_tasks(const std::vector<std::string>& paths) {
   return suite;
 }
 
-/// A count flag; negative values are a usage error (cast to size_t they
-/// would wrap to ~2^64).
-std::size_t count_flag(int argc, char** argv, const char* name,
-                       long fallback) {
-  const long value = bench::flag_int(argc, argv, name, fallback);
-  if (value < 0) {
-    throw std::invalid_argument(std::string("--") + name +
-                                " must be non-negative");
-  }
-  return static_cast<std::size_t>(value);
-}
-
 rl::TrainingSessionConfig session_config(int argc, char** argv) {
   rl::TrainingSessionConfig sc;
-  const std::size_t grid = count_flag(argc, argv, "grid", 12);
+  const auto grid = bench::flag_int<std::size_t>(argc, argv, "grid", 12);
   sc.env.grid = grid;
   sc.net.grid = grid;
-  sc.num_envs = count_flag(argc, argv, "envs", 1);
-  sc.num_threads = count_flag(argc, argv, "threads", 0);
-  sc.seed = static_cast<std::uint64_t>(
-      bench::flag_int(argc, argv, "seed", 1));
-  sc.ppo.episodes_per_update = static_cast<int>(
-      bench::flag_int(argc, argv, "episodes-per-update", 8));
+  sc.num_envs = bench::flag_int<std::size_t>(argc, argv, "envs", 1);
+  sc.num_threads = bench::flag_int<std::size_t>(argc, argv, "threads", 0);
+  sc.seed = bench::flag_int<std::uint64_t>(argc, argv, "seed", 1);
+  sc.ppo.episodes_per_update =
+      bench::flag_int<int>(argc, argv, "episodes-per-update", 8);
   sc.ppo.use_rnd = bench::flag_present(argc, argv, "rnd");
   const std::string curriculum =
       bench::flag_str(argc, argv, "curriculum", "round-robin");
@@ -277,10 +264,9 @@ int cmd_train_or_resume(int argc, char** argv, bool resume) {
   // Every numeric flag is read before any work, so a malformed one exits
   // before characterization.
   const rl::TrainingSessionConfig config = session_config(argc, argv);
-  const int epochs =
-      static_cast<int>(bench::flag_int(argc, argv, "epochs", 10));
+  const int epochs = bench::flag_int<int>(argc, argv, "epochs", 10);
   const int checkpoint_every =
-      static_cast<int>(bench::flag_int(argc, argv, "checkpoint-every", 0));
+      bench::flag_int<int>(argc, argv, "checkpoint-every", 0);
   const double deadline_s =
       bench::flag_double(argc, argv, "deadline-s", 0.0);
   LoadedSuite suite = load_tasks(split_list(scenarios));
@@ -413,11 +399,10 @@ BenchRow bench_run(const std::string& mode,
 int cmd_bench(int argc, char** argv) {
   const std::string json_path =
       bench::flag_str(argc, argv, "json", "BENCH_train.json");
-  const int epochs =
-      static_cast<int>(bench::flag_int(argc, argv, "epochs", 2));
+  const int epochs = bench::flag_int<int>(argc, argv, "epochs", 2);
   const double floor =
       bench::flag_double(argc, argv, "min-steps-per-sec", 0.0);
-  const std::size_t envs = count_flag(argc, argv, "envs", 4);
+  const auto envs = bench::flag_int<std::size_t>(argc, argv, "envs", 4);
 
   // Three small synthetic systems on one footprint: one characterization
   // shared by every row.
