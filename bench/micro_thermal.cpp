@@ -191,9 +191,10 @@ struct BumpTape {
 };
 
 /// Microbump assignment over an SA move tape at 32 and 64 dies: with one
-/// long-lived assigner, as SA calls it (memo hits on every die and net the
-/// candidate did not move), and with a fresh assigner per call (all misses,
-/// like an RL episode end).
+/// long-lived assigner, as SA calls it (the current floorplan is one of its
+/// two recorded assignments, so a call walks only the nets the candidate's
+/// move changes), and with a fresh assigner per call (every net walked and
+/// recorded, like an RL episode end).
 void BM_BumpAssignmentTape(benchmark::State& state) {
   static const BumpTape tape32(32);
   static const BumpTape tape64(64);

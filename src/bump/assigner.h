@@ -10,9 +10,20 @@
 // candidates differ in one or two dies. Each assigner therefore memoizes, by
 // value, the work that depends only on geometry: every die's peripheral
 // sites (keyed by the die's exact Rect) and every net's two facing orders
-// (keyed by the exact rect pair of its endpoints). The memo never changes a
-// result: every WirelengthReport field is bit-identical to assigning from
-// scratch.
+// (keyed by the exact rect pair of its endpoints). It also records its last
+// two assignments net by net, in walk order: each net's wire lengths, its
+// overflow count, both dies' site capacities after it, and the running sums
+// before it. A call replays from the record whose first net on a die the
+// candidate moved comes latest. It copies every net before that one. After
+// it, it walks a net again only if one of its dies moved or has capacities
+// that differ from the record's at that point; every other net adds its
+// recorded lengths to the total again, one wire at a time. The result
+// replaces the other record, so in classic SA the current floorplan stays
+// recorded after an accept and after a reject alike (unless two candidates
+// in a row moved the same dies), with no commit or rollback. The memo
+// never changes a result: assign() is a pure function of (system,
+// floorplan), and every WirelengthReport field is bit-identical to
+// assigning from scratch.
 #pragma once
 
 #include <cstddef>

@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
 
 namespace rlplan::bump {
 
 namespace {
 
 /// Evenly spaced points along a segment from a to b (inclusive endpoints),
-/// at most `max_points`, at least 1.
-void emit_segment(const Point& a, const Point& b, double pitch,
+/// one per `pitch` of `len`, at least 1. `len` is the ring rect's own w or
+/// h: the distance between corners rebuilt as (x + w) - x can round below
+/// w, and a ring edge that is an exact multiple of the pitch would then
+/// lose a point at some positions of the die but not at others.
+void emit_segment(const Point& a, const Point& b, double len, double pitch,
                   std::vector<Point>& out) {
-  const double len = euclidean(a, b);
   const auto n = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::floor(len / pitch)) + 1);
   for (std::size_t i = 0; i < n; ++i) {
@@ -50,10 +53,11 @@ std::vector<BumpSite> make_peripheral_sites(const Rect& footprint,
     // CCW: bottom, right, top, left. Drop each segment's final point to
     // avoid duplicating corners.
     std::vector<Point> seg;
-    for (const auto& [a, b] :
-         {std::pair{ll, lr}, {lr, ur}, {ur, ul}, {ul, ll}}) {
+    for (const auto& [a, b, len] :
+         {std::tuple{ll, lr, r.w}, {lr, ur, r.h}, {ur, ul, r.w},
+          {ul, ll, r.h}}) {
       seg.clear();
-      emit_segment(a, b, config.pitch_mm, seg);
+      emit_segment(a, b, len, config.pitch_mm, seg);
       if (seg.size() > 1) seg.pop_back();
       ring_points.insert(ring_points.end(), seg.begin(), seg.end());
     }

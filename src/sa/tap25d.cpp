@@ -154,9 +154,13 @@ Tap25dResult Tap25dPlanner::plan(const ChipletSystem& system,
   // The cost is staged: lambda * W bounds it from below, so the anneal
   // rejects a round on wirelength alone when that already loses the
   // Metropolis draw, and the thermal term never runs. The bound computes W
-  // once per candidate, on one assigner whose memo reuses the sites and
-  // facing orders a candidate shares with the one before; the full cost,
-  // which runs right after it on the same candidates, reuses W.
+  // once per candidate, on one assigner. That assigner keeps its last two
+  // assignments, and every candidate is one move off the current floorplan.
+  // At K = 1 the current floorplan stays one of the two after an accept
+  // and after a reject, so a call walks only the nets of the moved dies and
+  // of the partners whose site capacities they change, and re-adds the
+  // recorded lengths of the rest. The full cost, which runs right after
+  // the bound on the same candidates, reuses W.
   std::vector<double> wl;
   const auto bound = [&](std::span<const Floorplan> cands,
                          std::span<double> out) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <iterator>
 #include <stdexcept>
+#include <utility>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "bump/bump_grid.h"
 #include "bump_oracle.h"
 #include "fuzz_util.h"
+#include "obs/metrics.h"
 #include "systems/synthetic.h"
 #include "util/rng.h"
 
@@ -230,6 +232,28 @@ TEST(BumpGrid, TotalCapacity) {
   EXPECT_EQ(total_capacity(sites), 16);
 }
 
+TEST(BumpGrid, SiteCountDoesNotDependOnPosition) {
+  // At the default grid, half-mm dies have ring edges that are exact
+  // multiples of the pitch (5.5 mm: rings of 5 and 3 mm). Each edge's point
+  // count must come out the same wherever the die sits.
+  const BumpGridConfig config;
+  EXPECT_EQ(make_peripheral_sites({0.0, 0.0, 5.5, 5.5}, config).size(), 32u);
+  Rng rng(0x517E5ULL);
+  for (const double w : {3.5, 4.5, 5.5, 6.5, 7.5}) {
+    for (const double h : {3.5, 5.5, 7.5}) {
+      const std::size_t want =
+          make_peripheral_sites({0.0, 0.0, w, h}, config).size();
+      for (int k = 0; k < 1000; ++k) {
+        const Rect die{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0), w,
+                       h};
+        ASSERT_EQ(make_peripheral_sites(die, config).size(), want)
+            << w << " x " << h << " mm die at (" << die.x << ", " << die.y
+            << ")";
+      }
+    }
+  }
+}
+
 // ----------------------------------------------- differential fuzz ------
 //
 // The memoized assign() against the from-scratch oracle (bump_oracle.h):
@@ -278,8 +302,9 @@ BumpGridConfig random_grid(Rng& rng) {
 }
 
 /// A family instance with 2-64 dies, square or sliver-shaped, some small
-/// enough for the center-site fallback.
-ChipletSystem random_family(Rng& rng, NetTopology topology) {
+/// enough for the center-site fallback, and 1 to `max_wires` wires per net.
+ChipletSystem random_family(Rng& rng, NetTopology topology,
+                            int max_wires = 512) {
   systems::FamilyConfig fc;
   fc.chiplets = static_cast<std::size_t>(rng.uniform_int(std::int64_t{2}, 64));
   fc.topology = topology;
@@ -287,7 +312,7 @@ ChipletSystem random_family(Rng& rng, NetTopology topology) {
   fc.max_dim_mm = fc.min_dim_mm + rng.uniform(0.0, 8.0);
   fc.max_aspect = rng.bernoulli(0.3) ? 3.0 : 1.0;
   fc.min_wires = 1;
-  fc.max_wires = 512;
+  fc.max_wires = max_wires;
   const double side = std::max(
       3.0 * fc.max_dim_mm,
       std::sqrt(3.0 * static_cast<double>(fc.chiplets)) * fc.max_dim_mm);
@@ -492,6 +517,294 @@ TEST(BumpAssignerFuzz, ConcurrentCallsMatchSerial) {
       EXPECT_EQ(got[t][k].capacity_overflows, want.capacity_overflows);
     }
   }
+}
+
+// --------------------------------------------- record-replay streams ------
+//
+// assign() replays each call from one of its two recorded assignments: the
+// one whose first step on a moved die comes latest. These streams vary
+// which record is the better reference, and with 1-4 wires per site they
+// fill every site, so a die's capacities drift from the reference's and
+// become equal again.
+
+/// 1-4 wires per site at a pitch of 0.5-1.5 mm: every site fills, while
+/// a die with many sites still has room left for later nets.
+BumpGridConfig tight_grid(Rng& rng) {
+  BumpGridConfig c;
+  c.rings = static_cast<int>(rng.uniform_int(std::int64_t{1}, 3));
+  c.pitch_mm = rng.uniform(0.5, 1.5);
+  c.wires_per_site = static_cast<int>(rng.uniform_int(std::int64_t{1}, 4));
+  c.edge_margin_mm = rng.uniform(0.0, 0.5);
+  return c;
+}
+
+/// One seeded case of a stream test: a family system, in every other case
+/// on a tight grid with at most 64 wires per net, so that dies fill some
+/// of their sites and a moved die's partners fill other ones.
+struct StreamCase {
+  StreamCase(const std::string& test, std::uint64_t salt, int k)
+      : seed(salt * 1000003ULL + static_cast<std::uint64_t>(k)),
+        rng(seed),
+        assigner(k % 2 == 0 ? random_grid(rng) : tight_grid(rng)),
+        sys(random_family(rng, kTopologies[(k / 2) % std::size(kTopologies)],
+                          k % 2 == 0 ? 512 : 64)),
+        context(test + " seed=" + std::to_string(seed) + " wires/site=" +
+                std::to_string(assigner.config().wires_per_site)) {}
+
+  std::uint64_t seed;
+  Rng rng;
+  BumpAssigner assigner;
+  ChipletSystem sys;
+  std::string context;
+};
+
+TEST(BumpAssignerFuzz, PopulationRoundsMatchOracle) {
+  // Population SA: 2-16 candidates off one current floorplan, then one of
+  // them (in a fifth of the rounds, none) becomes current.
+  for (int k = 0; k < 8 * fuzz_scale(); ++k) {
+    StreamCase c("PopulationRounds", 0x909ULL, k);
+    Floorplan current = random_floorplan(c.sys, c.rng);
+    if (!matches_oracle(c.assigner, c.sys, current, c.context)) return;
+    for (int round = 0; round < 5; ++round) {
+      const auto population =
+          static_cast<std::size_t>(c.rng.uniform_int(std::int64_t{2}, 16));
+      std::vector<Floorplan> candidates(population, current);
+      for (std::size_t j = 0; j < population; ++j) {
+        random_move(candidates[j], c.rng);
+        if (!matches_oracle(c.assigner, c.sys, candidates[j],
+                            c.context + " round " + std::to_string(round) +
+                                " candidate " + std::to_string(j))) {
+          return;
+        }
+      }
+      if (c.rng.bernoulli(0.8)) {
+        current = candidates[c.rng.uniform_int(std::uint64_t{population})];
+      }
+    }
+  }
+}
+
+TEST(BumpAssignerFuzz, RejectChainsMatchOracle) {
+  // Runs of 5-12 rejected candidates off one floorplan, each run ended by a
+  // candidate that is accepted.
+  for (int k = 0; k < 8 * fuzz_scale(); ++k) {
+    StreamCase c("RejectChains", 0x4E7ULL, k);
+    Floorplan current = random_floorplan(c.sys, c.rng);
+    if (!matches_oracle(c.assigner, c.sys, current, c.context)) return;
+    for (int chain = 0; chain < 4; ++chain) {
+      const auto rejects = c.rng.uniform_int(std::int64_t{5}, 12);
+      for (std::int64_t r = 0; r <= rejects; ++r) {
+        Floorplan candidate = current;
+        random_move(candidate, c.rng);
+        if (!matches_oracle(c.assigner, c.sys, candidate,
+                            c.context + " chain " + std::to_string(chain) +
+                                " call " + std::to_string(r))) {
+          return;
+        }
+        if (r == rejects) current = std::move(candidate);
+      }
+    }
+  }
+}
+
+TEST(BumpAssignerFuzz, ThreeFloorplanCyclesMatchOracle) {
+  // A, B, C, A, B, C, ...: each of the three differs from the one before by
+  // 1-3 moves or is unrelated, and every seventh call one of them moves on.
+  for (int k = 0; k < 12 * fuzz_scale(); ++k) {
+    StreamCase c("ThreeFloorplanCycles", 0xABCULL, k);
+    std::vector<Floorplan> cycle{random_floorplan(c.sys, c.rng)};
+    for (int i = 1; i < 3; ++i) {
+      cycle.push_back(c.rng.bernoulli(0.25) ? random_floorplan(c.sys, c.rng)
+                                            : cycle.back());
+      const auto moves = c.rng.uniform_int(std::int64_t{1}, 3);
+      for (std::int64_t m = 0; m < moves; ++m) random_move(cycle.back(), c.rng);
+    }
+    for (int call = 0; call < 30; ++call) {
+      if (call % 7 == 6) {
+        random_move(cycle[c.rng.uniform_int(std::uint64_t{3})], c.rng);
+      }
+      if (!matches_oracle(c.assigner, c.sys, cycle[call % 3],
+                          c.context + " call " + std::to_string(call))) {
+        return;
+      }
+    }
+  }
+}
+
+TEST(BumpAssignerFuzz, JumpsAndRepeatsMatchOracle) {
+  // A move tape with reverts, broken by jumps to unrelated floorplans and by
+  // the same floorplan called 2-4 times in a row.
+  for (int k = 0; k < 8 * fuzz_scale(); ++k) {
+    StreamCase c("JumpsAndRepeats", 0x1A4ULL, k);
+    Floorplan fp = random_floorplan(c.sys, c.rng);
+    for (int step = 0; step < 24; ++step) {
+      const std::string where = c.context + " step " + std::to_string(step);
+      const double u = c.rng.uniform();
+      long calls = 1;
+      if (u < 0.2) {
+        fp = random_floorplan(c.sys, c.rng);
+      } else if (u < 0.4) {
+        calls = c.rng.uniform_int(std::int64_t{2}, 4);
+      } else {
+        const Floorplan before = fp;
+        random_move(fp, c.rng);
+        if (!matches_oracle(c.assigner, c.sys, fp, where + " move")) return;
+        if (c.rng.bernoulli(0.5)) fp = before;
+      }
+      for (long r = 0; r < calls; ++r) {
+        if (!matches_oracle(c.assigner, c.sys, fp,
+                            where + " call " + std::to_string(r))) {
+          return;
+        }
+      }
+    }
+  }
+}
+
+TEST(BumpAssignerFuzz, SystemSwitchWithSameNetCountMatchesOracle) {
+  // Two systems with as many nets on one assigner, each with its own current
+  // floorplan: the same net list over dies resized (so their site counts
+  // change with the system), or the same dies with the nets rewired.
+  for (int k = 0; k < 6 * fuzz_scale(); ++k) {
+    StreamCase c("SystemSwitch", 0x5A17ULL, k);
+    const ChipletSystem& a = c.sys;
+    const bool resize = c.rng.bernoulli(0.5);
+    std::vector<Chiplet> chiplets = a.chiplets();
+    std::vector<InterChipletNet> nets = a.nets();
+    if (resize) {
+      for (Chiplet& chiplet : chiplets) {
+        chiplet.width *= c.rng.uniform(0.5, 1.5);
+        chiplet.height *= c.rng.uniform(0.5, 1.5);
+      }
+    } else {
+      for (InterChipletNet& net : nets) {
+        net = {(net.a + 1) % a.num_chiplets(), (net.b + 1) % a.num_chiplets(),
+               static_cast<int>(c.rng.uniform_int(std::int64_t{1}, 512))};
+      }
+    }
+    const ChipletSystem b("b", a.interposer_width(), a.interposer_height(),
+                          chiplets, nets);
+    ASSERT_EQ(a.nets().size(), b.nets().size());
+    Floorplan fa = random_floorplan(a, c.rng);
+    Floorplan fb = random_floorplan(b, c.rng);
+    for (int step = 0; step < 16; ++step) {
+      const bool on_a = c.rng.bernoulli(0.5);
+      Floorplan& fp = on_a ? fa : fb;
+      if (step >= 2) random_move(fp, c.rng);
+      if (!matches_oracle(c.assigner, on_a ? a : b, fp,
+                          c.context + (resize ? " resized" : " rewired") +
+                              " step " + std::to_string(step))) {
+        return;
+      }
+    }
+  }
+}
+
+/// A system of 6-40 dies with sides of 3.5-7.5 mm in whole-mm steps, whose
+/// rings at the default grid are exact multiples of the pitch: a spanning
+/// tree of nets plus extras, 1-400 wires each.
+ChipletSystem ring_aligned_system(Rng& rng) {
+  const auto n =
+      static_cast<std::size_t>(rng.uniform_int(std::int64_t{6}, 40));
+  const auto side = [&rng] {
+    return 3.5 + static_cast<double>(rng.uniform_int(std::int64_t{0}, 4));
+  };
+  std::vector<Chiplet> chiplets;
+  for (std::size_t i = 0; i < n; ++i) {
+    chiplets.push_back({"h" + std::to_string(i), side(), side(), 1.0});
+  }
+  const auto wires = [&rng] {
+    return static_cast<int>(rng.uniform_int(std::int64_t{1}, 400));
+  };
+  std::vector<InterChipletNet> nets;
+  for (std::size_t i = 1; i < n; ++i) {
+    nets.push_back({rng.uniform_int(std::uint64_t{i}), i, wires()});
+  }
+  for (std::size_t e = 0; e < n / 2; ++e) {
+    const std::size_t i = rng.uniform_int(std::uint64_t{n});
+    const std::size_t j = (i + 1 + rng.uniform_int(std::uint64_t{n - 1})) % n;
+    nets.push_back({i, j, wires()});
+  }
+  const double extent = 8.0 * std::sqrt(3.0 * static_cast<double>(n));
+  return ChipletSystem("half-mm", extent, extent, chiplets, nets);
+}
+
+TEST(BumpAssignerFuzz, RingAlignedDiesMatchOracle) {
+  for (int k = 0; k < 8 * fuzz_scale(); ++k) {
+    const std::uint64_t seed = 0x4A1FULL * 1000003ULL + k;
+    Rng rng(seed);
+    BumpGridConfig config;  // pitch 1 mm, margin 0.25 mm
+    if (k % 2 == 1) {
+      config.wires_per_site =
+          static_cast<int>(rng.uniform_int(std::int64_t{1}, 4));
+    }
+    const BumpAssigner assigner(config);
+    const ChipletSystem sys = ring_aligned_system(rng);
+    Floorplan fp = random_floorplan(sys, rng);
+    if (!run_tape(assigner, fp, 24, rng,
+                  "RingAlignedDies seed=" + std::to_string(seed))) {
+      return;
+    }
+  }
+}
+
+// ------------------------------------------------------ work counters ----
+
+/// The process-wide totals of bump.wires_walked and bump.wires_replayed.
+std::pair<std::uint64_t, std::uint64_t> wire_counts() {
+  std::pair<std::uint64_t, std::uint64_t> counts{0, 0};
+  for (const obs::MetricValue& m :
+       obs::MetricsRegistry::instance().snapshot()) {
+    if (m.name == "bump.wires_walked") counts.first = m.count;
+    if (m.name == "bump.wires_replayed") counts.second = m.count;
+  }
+  return counts;
+}
+
+TEST(BumpAssigner, WorkCountersCountWalkedAndReplayedWires) {
+  // A chain 0-1-2-3-4 with ample capacity, walked 40, 30, 20, 10 wires.
+  const ChipletSystem sys("chain", 80.0, 40.0,
+                          {{"c0", 8.0, 8.0, 1.0},
+                           {"c1", 8.0, 8.0, 1.0},
+                           {"c2", 8.0, 8.0, 1.0},
+                           {"c3", 8.0, 8.0, 1.0},
+                           {"c4", 8.0, 8.0, 1.0}},
+                          {{0, 1, 40}, {1, 2, 30}, {2, 3, 20}, {3, 4, 10}});
+  Floorplan fp(sys);
+  for (std::size_t i = 0; i < 5; ++i) {
+    fp.place(i, {2.0 + 14.0 * static_cast<double>(i), 16.0});
+  }
+  const BumpAssigner assigner;
+  obs::set_metrics_enabled(true);
+  const auto work = [&](const Floorplan& f) {
+    const auto before = wire_counts();
+    EXPECT_TRUE(matches_oracle(assigner, sys, f, "WorkCounters"));
+    const auto after = wire_counts();
+    return std::pair{after.first - before.first,
+                     after.second - before.second};
+  };
+  using Work = std::pair<std::uint64_t, std::uint64_t>;
+  EXPECT_EQ(work(fp), (Work{100, 0})) << "the first call walks every wire";
+  EXPECT_EQ(work(fp), (Work{0, 0})) << "an identical call copies its record";
+
+  // Die 4's one net is the last step: earlier steps are copied.
+  Floorplan last = fp;
+  last.place(4, {58.0, 2.0});
+  EXPECT_EQ(work(last), (Work{10, 0}));
+
+  // Die 0 moves above die 1: net 0-1 walks, die 1 faces die 0 with other
+  // sites, so its next net 1-2 walks too. Die 2's own sites fill as before,
+  // so nets 2-3 and 3-4 replay.
+  Floorplan first = last;
+  first.place(0, {16.0, 28.0});
+  EXPECT_EQ(work(first), (Work{70, 30}));
+
+  // Die 2 moves: nets 1-2 and 2-3 walk, and die 3's drift walks 3-4; net
+  // 0-1, before the first change, is copied.
+  Floorplan middle = first;
+  middle.place(2, {30.0, 2.0});
+  EXPECT_EQ(work(middle), (Work{60, 0}));
+  obs::set_metrics_enabled(false);
 }
 
 }  // namespace
